@@ -9,6 +9,10 @@ per co-simulation job) and prints one JSON result line.
 
 With ``"trace": true`` in the spec the pipeline's public functions are
 wrapped by :mod:`tracer` before the inputs run.
+
+Around every timed operation, and at the start and at ``READY``, the
+process times the :mod:`hostspeed` reference loop, so that the benchmark
+can report times at a nominal host speed.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import os
 import resource
 import sys
 from time import perf_counter
+
+import hostspeed
 
 
 def _emit(line: str) -> None:
@@ -52,6 +58,7 @@ def run_verify(spec: dict) -> dict:
         base_argv += ["--conflicts", str(spec["conflicts"])]
     items = []
     t_start = perf_counter()
+    refs = [hostspeed.reference()]
     for case, n in spec["items"]:
         argv = [case, *base_argv]
         if n is not None:
@@ -64,6 +71,7 @@ def run_verify(spec: dict) -> dict:
             except Exception as exc:  # noqa: BLE001 — a crash is a failed case
                 rc = f"{type(exc).__name__}: {exc}"
         seconds = perf_counter() - t0
+        refs.append(hostspeed.reference())
         cert_path = os.path.join(cert_dir, f"{case}.cert.json")
         digest = None
         if rc == 0 and os.path.exists(cert_path):
@@ -72,10 +80,11 @@ def run_verify(spec: dict) -> dict:
             os.unlink(cert_path)
         items.append({
             "case": case, "n": n, "rc": rc, "seconds": seconds,
+            "cost": hostspeed.scale(seconds, refs[-2], refs[-1]),
             "digest": digest,
             "output": None if rc == 0 else out.getvalue()[-2000:],
         })
-    return {"wall_s": perf_counter() - t_start, "items": items}
+    return {"wall_s": perf_counter() - t_start, "items": items, "refs": refs}
 
 
 def run_cosim(spec: dict) -> dict:
@@ -89,14 +98,17 @@ def run_cosim(spec: dict) -> dict:
     jobs = []
     coverage: dict[str, dict[str, int]] = {arch: {} for arch in drivers}
     t_start = perf_counter()
+    refs = [hostspeed.reference()]
     for arch, seed, count in spec["jobs"]:
         t0 = perf_counter()
         report = drivers[arch].run_batch(seed=seed, count=count)
         seconds = perf_counter() - t0
+        refs.append(hostspeed.reference())
         for arm, hits in report.coverage.to_json().get("counts", {}).items():
             coverage[arch][arm] = coverage[arch].get(arm, 0) + hits
         jobs.append({
             "arch": arch, "seed": seed, "seconds": seconds,
+            "cost": hostspeed.scale(seconds, refs[-2], refs[-1]),
             "cases": report.cases, "instructions": report.instructions,
             "divergences": len(report.divergences),
         })
@@ -106,10 +118,11 @@ def run_cosim(spec: dict) -> dict:
         arms = decode_arm_names(arch)
         hit = sum(1 for arm in arms if counts.get(arm, 0) > 0)
         fractions[arch] = hit / len(arms) if arms else 1.0
-    return {"wall_s": wall_s, "jobs": jobs, "coverage": fractions}
+    return {"wall_s": wall_s, "jobs": jobs, "coverage": fractions, "refs": refs}
 
 
 def main(argv: list[str]) -> int:
+    setup_refs = [hostspeed.reference()]
     with open(argv[0]) as handle:
         spec = json.load(handle)
     tracer = None
@@ -125,12 +138,14 @@ def main(argv: list[str]) -> int:
 
         tracer = tracer_mod.Tracer()
         tracer_mod.install(tracer)
+    setup_refs.append(hostspeed.reference())
     _emit("READY")
     if spec.get("setup_only"):
-        _emit("{}")
+        _emit(json.dumps({"setup_refs": setup_refs}))
         return 0
     run = run_verify if spec["kind"] == "verify" else run_cosim
     result = run(spec)
+    result["setup_refs"] = setup_refs
     if tracer is not None:
         from repro.smt.solver import check_cache_stats
 

@@ -6,8 +6,8 @@ Usage (from the root of a checkout)::
     python3 perfbench/golden.py
 
 Every workload compares the certificates it gets against this table, so a
-pair verified cold, warm, through the fleet or under tracing must produce
-byte-identical certificates.  Regenerate only when a change is meant to
+pair verified in a verify pass, through the fleet or under tracing must
+produce byte-identical certificates.  Regenerate only when a change is meant to
 alter certificates.
 """
 

@@ -1,4 +1,4 @@
-"""The pipeline benchmark: cold/warm verify, a cosim soak and a 2-shard fleet.
+"""The pipeline benchmark: cold verify, a cosim soak and a 2-shard fleet.
 
 Usage (from the root of a checkout)::
 
@@ -42,24 +42,31 @@ SRC = ROOT / "src"
 WORK_REL = ".perfbench-work"
 
 sys.path.insert(0, str(HERE))
+import hostspeed  # noqa: E402
 import workloads  # noqa: E402
 
-WORKLOADS = ["verify_cold", "verify_warm", "cosim", "fleet"]
+WORKLOADS = ["verify_cold", "cosim", "fleet"]
 CHILD_TIMEOUT_S = 150.0
+
+#: Nominal seconds of one pass (one fleet round) on a 2-core host.  A run
+#: makes ``--seconds`` / this many passes: a fixed count, so that neither
+#: a slow spell of the host nor a slower commit gets fewer repetitions
+#: than a faster one.
+PASS_S = {"verify_cold": 7.5, "cosim": 3.5, "fleet": 15.0}
 
 #: Sizes per ``--size``: the full benchmark and the smallest smoke run.
 SIZES = {
     "full": {
-        "verify_small": False, "min_passes": 3, "min_setups": 9,
+        "verify_small": False, "min_passes": 2, "min_setups": 9,
         "cosim_cases": 300, "cosim_batch": 10,
         "fleet_small": False, "fleet_repeats": 9, "fleet_cosim": 40,
-        "fleet_cosim_count": 20, "fleet_min_rounds": 3, "fleet_min_setups": 3,
+        "fleet_cosim_count": 20, "fleet_min_setups": 3,
     },
     "smoke": {
         "verify_small": True, "min_passes": 1, "min_setups": 1,
         "cosim_cases": 20, "cosim_batch": 10,
         "fleet_small": True, "fleet_repeats": 1, "fleet_cosim": 3,
-        "fleet_cosim_count": 5, "fleet_min_rounds": 1, "fleet_min_setups": 1,
+        "fleet_cosim_count": 5, "fleet_min_setups": 1,
     },
 }
 
@@ -96,7 +103,8 @@ def dir_bytes(path: Path) -> int:
 def child_env(work: "Work", hash_seed: int) -> dict:
     """The environment of a process under test.  String hashing changes
     set iteration order and with it how much work the solver does, so the
-    hash seed is an input too: derived from ``--seed`` and the pass.
+    hash seed is an input too: ``--seed``, the same for every process of a
+    run, so that every pass repeats the same work.
     Temporary files (the fleet's per-job ephemeral caches) stay inside
     the checkout."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
@@ -138,7 +146,10 @@ class Work:
 
 
 def run_child(spec: dict, work: Work, hash_seed: int) -> tuple[float, dict]:
-    """Start one process under test; returns (launch-to-READY s, result)."""
+    """Start one process under test; returns (launch-to-READY s, result).
+
+    The set-up time is normalised (see :mod:`hostspeed`) by the reference
+    times the process took at its start and at ``READY``."""
     spec_dir = work.fresh("child")
     spec_path = spec_dir / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -169,12 +180,29 @@ def run_child(spec: dict, work: Work, hash_seed: int) -> tuple[float, dict]:
         raise BenchError(f"process under test exited {proc.returncode}:\n{detail}")
     result = json.loads(result_line)
     shutil.rmtree(spec_dir, ignore_errors=True)
-    return setup_s, result
+    refs = result.pop("setup_refs")
+    return hostspeed.scale(setup_s - sum(refs), *refs), result
 
 
-def min_passes(minimum: int, args) -> int:
-    """A traced run needs an untraced and a traced pass at least."""
-    return max(minimum, 2) if args.trace else minimum
+def serial_pass(result: dict, ops: list[dict], traced: bool, instrs: int) -> dict:
+    """One pass of operations run back to back in one process: each
+    operation's raw and normalised time, and the normalised glue between
+    them (argument handling, certificate digests)."""
+    refs = result["refs"]
+    raw_glue = result["wall_s"] - sum(op["seconds"] for op in ops) - sum(refs)
+    glue = hostspeed.scale(raw_glue, *refs)
+    costs = [op["cost"] for op in ops]
+    return {
+        "traced": traced, "serial": True, "raw_s": result["wall_s"],
+        "glue_s": glue, "costs": costs, "verify_s": glue + sum(costs),
+        "instrs": instrs, "peak_rss_mb": result["peak_rss_mb"],
+    }
+
+
+def pass_count(name: str, size, args) -> int:
+    """Passes in a run; a traced run needs an untraced and a traced one."""
+    count = max(size["min_passes"], int(args.seconds // PASS_S[name]))
+    return max(count, 2) if args.trace else count
 
 
 class Tally:
@@ -271,7 +299,7 @@ def median_layers(samples: list[dict]) -> dict:
     return {key: median([s.get(key, 0.0) for s in samples]) for key in keys}
 
 
-# -- verify_cold / verify_warm -------------------------------------------------
+# -- verify_cold ----------------------------------------------------------------
 
 
 def _check_verify_pass(result: dict, golden: dict, tally: Tally, label: str) -> int:
@@ -291,41 +319,27 @@ def _check_verify_pass(result: dict, golden: dict, tally: Tally, label: str) -> 
     return instrs
 
 
-def bench_verify(args, size, work: Work, warm: bool) -> dict:
+def bench_verify(args, size, work: Work) -> dict:
     golden = load_golden()
     items = workloads.verify_list(args.seed, small=size["verify_small"])
     tally = Tally()
     base = {"kind": "verify", "items": items, "conflicts": args.conflicts}
     missing = []
-    shared = None
-    if warm:
-        shared = work.fresh("warm-cache")
-        _setup, fill = run_child(
-            dict(base, cache_dir=str(shared), cert_dir=str(work.fresh("certs"))),
-            work, hash_seed=args.seed * 1000 + 999,
-        )
-        _check_verify_pass(fill, golden, tally, "warm-fill")
     passes = []
-    deadline = perf_counter() + args.seconds
-    while len(passes) < min_passes(size["min_passes"], args) or perf_counter() < deadline:
+    while len(passes) < pass_count("verify_cold", size, args):
         traced = bool(args.trace) and len(passes) % 2 == 1
-        cache_dir = shared if warm else work.fresh("cold-cache")
+        cache_dir = work.fresh("cold-cache")
         setup_s, result = run_child(
             dict(base, cache_dir=str(cache_dir), cert_dir=str(work.fresh("certs")),
                  trace=traced),
-            work, hash_seed=args.seed * 1000 + len(passes),
+            work, args.seed,
         )
         instrs = _check_verify_pass(result, golden, tally, f"pass {len(passes)}")
         bytes_on_disk = dir_bytes(cache_dir)
-        if not warm:
-            shutil.rmtree(cache_dir, ignore_errors=True)
+        shutil.rmtree(cache_dir, ignore_errors=True)
         wall = result["wall_s"]
-        sample = {
-            "traced": traced, "setup_s": setup_s, "verify_s": wall,
-            "instrs": instrs, "ops": len(result["items"]), "serial": True,
-            "peak_rss_mb": result["peak_rss_mb"],
-            "latencies": [item["seconds"] for item in result["items"]],
-        }
+        sample = serial_pass(result, result["items"], traced, instrs)
+        sample["setup_s"] = setup_s
         if traced:
             layers = layers_from_trace(result["trace"], wall)
             layers["cache.bytes_on_disk"] = bytes_on_disk
@@ -349,11 +363,9 @@ def bench_cosim(args, size, work: Work) -> dict:
     passes = []
     coverage_ref = None
     missing = []
-    deadline = perf_counter() + args.seconds
-    while len(passes) < min_passes(size["min_passes"], args) or perf_counter() < deadline:
+    while len(passes) < pass_count("cosim", size, args):
         traced = bool(args.trace) and len(passes) % 2 == 1
-        setup_s, result = run_child(dict(spec, trace=traced), work,
-                                    hash_seed=args.seed * 1000 + len(passes))
+        setup_s, result = run_child(dict(spec, trace=traced), work, args.seed)
         for job in result["jobs"]:
             tally.op(
                 job["divergences"] == 0,
@@ -366,13 +378,9 @@ def bench_cosim(args, size, work: Work) -> dict:
             tally.inconsistent(f"arm coverage not deterministic: "
                                f"{result['coverage']} != {coverage_ref}")
         wall = result["wall_s"]
-        sample = {
-            "traced": traced, "setup_s": setup_s, "verify_s": wall,
-            "instrs": sum(job["instructions"] for job in result["jobs"]),
-            "ops": len(result["jobs"]), "serial": True,
-            "peak_rss_mb": result["peak_rss_mb"],
-            "latencies": [job["seconds"] for job in result["jobs"]],
-        }
+        sample = serial_pass(result, result["jobs"], traced,
+                             sum(job["instructions"] for job in result["jobs"]))
+        sample["setup_s"] = setup_s
         if traced:
             layers = layers_from_trace(result["trace"], wall)
             layers["cosim.cases"] = sum(job["cases"] for job in result["jobs"])
@@ -405,31 +413,33 @@ class Fleet:
         rel = run_dir.relative_to(ROOT)
         self.socket = str(rel / "router.sock")
         self.stderr = open(run_dir / "fleet.stderr", "wb")
-        t0 = perf_counter()
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.tools.fleet", "--shards", "2",
-             "--runners", "1", "--socket", self.socket,
-             "--run-dir", str(rel), "--quiet"],
-            stdout=subprocess.DEVNULL, stderr=self.stderr, cwd=ROOT,
-            env=child_env(work, hash_seed),
-        )
         self.client = ServiceClient(socket_path=self.socket, timeout=30.0,
                                     connect_timeout=1.0)
         self.shard_pids: list[int] = []
         self.peak_rss_mb = 0.0
-        deadline = time.monotonic() + 60.0
-        while True:
-            try:
-                health = self.client.healthz()
-                if health.get("shards_up") == 2:
-                    break
-            except (ServiceError, OSError):
-                pass
-            if self.proc.poll() is not None or time.monotonic() > deadline:
-                self.close()
-                raise BenchError("fleet never became ready")
-            time.sleep(0.005)
-        self.setup_s = perf_counter() - t0
+        with hostspeed.Sampler() as sampler:
+            t0 = perf_counter()
+            self.proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.tools.fleet", "--shards", "2",
+                 "--runners", "1", "--socket", self.socket,
+                 "--run-dir", str(rel), "--quiet"],
+                stdout=subprocess.DEVNULL, stderr=self.stderr, cwd=ROOT,
+                env=child_env(work, hash_seed),
+            )
+            deadline = time.monotonic() + 60.0
+            while True:
+                try:
+                    health = self.client.healthz()
+                    if health.get("shards_up") == 2:
+                        break
+                except (ServiceError, OSError):
+                    pass
+                if self.proc.poll() is not None or time.monotonic() > deadline:
+                    self.close()
+                    raise BenchError("fleet never became ready")
+                time.sleep(0.005)
+            raw_s = perf_counter() - t0
+        self.setup_s = hostspeed.scale(raw_s, sampler.mean())
         self.shard_pids = [
             shard["pid"] for shard in self.client.fleet()["shards"] if shard["pid"]
         ]
@@ -540,6 +550,7 @@ def _one_job(client, job: dict) -> dict:
     return {
         "job": job, "state": status["state"], "report": report,
         "latency_s": status["finished"] - start,
+        "start": start, "finished": status["finished"],
         "submit_s": submit_s, "polls": polls,
         "queue_wait_s": (started - status["created"]) if started else None,
         "run_s": (status["finished"] - started) if started else None,
@@ -585,17 +596,14 @@ def bench_fleet(args, size, work: Work) -> dict:
     tally = Tally()
     passes = []
     setups = []
-    deadline = perf_counter() + args.seconds
-    while (len(passes) < min_passes(size["fleet_min_rounds"], args)
-           or perf_counter() < deadline):
+    while len(passes) < pass_count("fleet", size, args):
         traced = bool(args.trace) and len(passes) % 2 == 1
-        fleet = Fleet(work, hash_seed=args.seed * 1000 + len(passes))
+        fleet = Fleet(work, args.seed)
         setups.append(fleet.setup_s)
         try:
             stream = stream_for(len(passes))
-            records, wall = _drive(fleet, stream)
-            # Align operations across rounds for best_latencies().
-            records.sort(key=lambda record: record["job"]["op"])
+            with hostspeed.Sampler() as sampler:
+                records, wall = _drive(fleet, stream)
             metrics = fleet.client.metrics()
         finally:
             if not fleet.close():
@@ -604,10 +612,13 @@ def bench_fleet(args, size, work: Work) -> dict:
         instrs = sum(_check_fleet_job(r, golden, tally) for r in records)
         dedup = metrics["counters"].get("fleet_dedup_hits", 0)
         sample = {
-            "traced": traced, "setup_s": fleet.setup_s, "verify_s": wall,
-            "instrs": instrs, "ops": len(records), "serial": False,
-            "peak_rss_mb": peak_rss_mb,
-            "latencies": [r["latency_s"] for r in records],
+            "traced": traced, "serial": False, "setup_s": fleet.setup_s,
+            "raw_s": wall, "verify_s": hostspeed.scale(wall, sampler.mean()),
+            "instrs": instrs, "peak_rss_mb": peak_rss_mb,
+            "latencies": [
+                hostspeed.scale(r["latency_s"], sampler.mean(r["start"], r["finished"]))
+                for r in records
+            ],
             "layers": {
                 "service.submit_s": median([r["submit_s"] for r in records]),
                 "service.queue_wait_s": median(
@@ -625,7 +636,7 @@ def bench_fleet(args, size, work: Work) -> dict:
     # Fleet start-up repeats: extra start/stop cycles until there are
     # enough set-up samples for a stable median.
     while len(setups) < size["fleet_min_setups"]:
-        fleet = Fleet(work, hash_seed=args.seed * 1000 + len(setups))
+        fleet = Fleet(work, args.seed)
         setups.append(fleet.setup_s)
         if not fleet.close():
             tally.inconsistent("fleet or a shard outlived its shutdown")
@@ -642,50 +653,48 @@ def extra_setups(passes: list[dict], kind: str, size, work: Work, seed: int):
     after ``READY`` until there are ``min_setups`` of them."""
     setups = [p["setup_s"] for p in passes if not p["traced"]]
     while len(setups) < size["min_setups"]:
-        setup_s, _ = run_child({"kind": kind, "setup_only": True}, work,
-                               hash_seed=seed * 1000 + 500 + len(setups))
+        setup_s, _ = run_child({"kind": kind, "setup_only": True}, work, seed)
         setups.append(setup_s)
     return setups
 
 
-def best_latencies(passes: list[dict]) -> list[float]:
-    """Each operation's fastest time over the passes of a run.
-
-    Every pass runs the same operations in the same order.  Interference
-    from other tenants of a shared host only ever adds time, and it comes
-    in bursts of seconds that hit some passes and not others, so the
-    fastest repetition of each operation is the steady estimate of its
-    cost.  Percentiles are then taken over operations."""
-    return [min(column) for column in zip(*(p["latencies"] for p in passes))]
-
-
 def end_to_end(passes: list[dict], setups: list[float]) -> dict:
-    best = best_latencies(passes)
     if all(p["serial"] for p in passes):
-        # A serial pass is its operations back to back plus the glue
-        # between them (argument handling, certificate digests).
-        glue = min(p["verify_s"] - sum(p["latencies"]) for p in passes)
-        verify_s = glue + sum(best)
+        # Every pass runs the same operations in the same order, in a
+        # process with the same hash seed, so they repeat the same work:
+        # a pass is the sum of each operation's median time.  The
+        # percentiles are over every operation of every pass.
+        columns = list(zip(*(p["costs"] for p in passes)))
+        verify_s = median([p["glue_s"] for p in passes]) + sum(
+            median(list(column)) for column in columns)
+        latencies = [cost for p in passes for cost in p["costs"]]
+        instrs, ops = median([p["instrs"] for p in passes]), len(columns)
     else:
-        verify_s = min(p["verify_s"] for p in passes)
+        # Fleet rounds submit their jobs in different orders and meet
+        # different queueing, so no job is matched across rounds: the
+        # percentiles are over every latency the rounds produced, and the
+        # rates are per mean round.
+        latencies = [t for p in passes for t in p["latencies"]]
+        verify_s = statistics.mean(p["verify_s"] for p in passes)
+        instrs = statistics.mean(p["instrs"] for p in passes)
+        ops = len(latencies) / len(passes)
     return {
         "setup_s": median(setups),
         "verify_s": verify_s,
-        "instrs_per_s": median([p["instrs"] for p in passes]) / verify_s,
-        "job_p50_s": percentile(best, 50),
-        "job_p90_s": percentile(best, 90),
-        "jobs_per_s": len(best) / verify_s,
+        "instrs_per_s": instrs / verify_s,
+        "job_p50_s": percentile(latencies, 50),
+        "job_p90_s": percentile(latencies, 90),
+        "jobs_per_s": ops / verify_s,
         "peak_rss_mb": median([p["peak_rss_mb"] for p in passes]),
-        "samples": sum(len(p["latencies"]) for p in passes),
-        "operations": len(best),
+        "operations": ops,
     }
 
 
 def run_workload(name: str, args, size, spec: dict) -> tuple[Tally, dict, list[str]]:
     work = Work()
     try:
-        if name in ("verify_cold", "verify_warm"):
-            outcome = bench_verify(args, size, work, warm=name == "verify_warm")
+        if name == "verify_cold":
+            outcome = bench_verify(args, size, work)
         elif name == "cosim":
             outcome = bench_cosim(args, size, work)
         else:
@@ -696,20 +705,25 @@ def run_workload(name: str, args, size, spec: dict) -> tuple[Tally, dict, list[s
     setups = outcome["setups"]
     lines = [
         f"== {name} (seed {args.seed}): {outcome['inputs']}",
-        "passes (verify_s): " + " ".join(
-            f"{p['verify_s']:.3f}{'T' if p['traced'] else ''}" for p in passes
+        "passes, normalised (raw wall-clock) s: " + " ".join(
+            f"{p['verify_s']:.3f}({p['raw_s']:.3f}){'T' if p['traced'] else ''}"
+            for p in passes
         ),
     ]
     untraced = [p for p in passes if not p["traced"]]
     traced = [p for p in passes if p["traced"]]
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     if args.trace:
         layer_units = {m["name"]: m["unit"] for m in spec["per_layer"]}
         layers = median_layers([p["layers"] for p in traced])
         base = end_to_end(untraced, setups)
         with_trace = end_to_end(traced, [p["setup_s"] for p in traced])
+        # Positive overhead is always a cost: for a metric where higher is
+        # better, it is the untraced figure minus the traced one.
         for metric in units:
-            layers[f"trace.overhead.{metric}"] = with_trace[metric] - base[metric]
+            sign = -1.0 if better[metric] == "higher" else 1.0
+            layers[f"trace.overhead.{metric}"] = sign * (with_trace[metric] - base[metric])
         values = {metric: layers.get(metric, 0.0) for metric in layer_units}
         lines.append(f"per-layer medians over {len(traced)} traced passes "
                      f"({len(untraced)} untraced for the overhead):")
@@ -719,7 +733,8 @@ def run_workload(name: str, args, size, spec: dict) -> tuple[Tally, dict, list[s
             f"unattributed share of verify_s: "
             f"{values['trace.unattributed_share']:.1%}"
         )
-        lines.append("tracing overhead (traced median - untraced median): " + ", ".join(
+        lines.append("tracing overhead (cost of tracing; traced minus untraced, "
+                     "reversed where higher is better): " + ", ".join(
             f"{m} {layers[f'trace.overhead.{m}']:+.4g} {units[m]}" for m in units
         ))
         if outcome["missing"]:
@@ -728,8 +743,8 @@ def run_workload(name: str, args, size, spec: dict) -> tuple[Tally, dict, list[s
         e2e = end_to_end(passes, setups)
         values = {metric: e2e[metric] for metric in units}
         lines.append(f"end-to-end over {len(passes)} passes of "
-                     f"{e2e['operations']} operations ({e2e['samples']} latencies), "
-                     f"{len(setups)} set-ups:")
+                     f"{e2e['operations']:g} operations, {len(setups)} set-ups, "
+                     f"times normalised to the nominal host speed:")
         for metric, unit in units.items():
             lines.append(f"  {metric:<16} {values[metric]:>14.6g} {unit}")
     error_rate = _ratio(tally.failed, tally.attempted)

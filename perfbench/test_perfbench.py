@@ -21,6 +21,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
+import hostspeed  # noqa: E402
 import tracer  # noqa: E402
 
 
@@ -82,6 +83,29 @@ def test_refuses_to_run_without_the_program(tmp_path):
     code, out = bench("--workload", "cosim", "--trace", "0", cwd=tmp_path)
     assert code != 0
     assert not out.strip()
+
+
+def test_scale_is_identity_at_nominal_speed_and_halves_when_host_is_slow():
+    nominal = hostspeed.REFERENCE_S
+    assert hostspeed.scale(3.0, nominal, nominal) == pytest.approx(3.0)
+    assert hostspeed.scale(3.0, 2 * nominal) == pytest.approx(1.5)
+
+
+def test_sampler_mean_uses_samples_inside_the_interval_or_the_next():
+    sampler = hostspeed.Sampler()
+    sampler.stamps = [10.0, 11.0, 12.0, 13.0]
+    sampler.times = [1.0, 2.0, 3.0, 4.0]
+    sampler.ticks = [(0, 0), (0, 100), (0, 200), (0, 300)]
+    assert sampler.mean() == pytest.approx(2.5)
+    assert sampler.mean(10.5, 12.5) == pytest.approx(2.5)
+    assert sampler.mean(11.2, 11.8) == 3.0
+    assert sampler.mean(20.0, 21.0) == 4.0
+    # Half the CPU ticks between 12 and 13 were stolen: half the capacity.
+    sampler.ticks[3] = (50, 300)
+    assert sampler.mean(12.5, 12.9) == pytest.approx(8.0)
+    with hostspeed.Sampler(period_s=0.01) as live:
+        sum(range(100000))
+    assert live.times and all(t > 0 for t in live.times)
 
 
 def test_self_time_excludes_child_spans():

@@ -4,19 +4,25 @@ The paper's verification results are foundational because Coq's kernel
 re-checks the proof term produced by the automation (the "Qed" column of
 Fig. 12).  This module plays that role for our proof objects: given a
 :class:`~repro.logic.proof.Proof`, it independently re-validates every
-recorded side condition — each a ``assumptions ⊨ goal`` judgment — using a
-fresh solver with the result cache disabled, and audits the structural
-well-formedness of the rule sequence (every rule tag is known, every block
-in the program was verified from its specification, branch paths form a
-prefix-closed tree).
+recorded side condition — each a ``assumptions ⊨ goal`` judgment — and
+audits the structural well-formedness of the rule sequence (every rule tag
+is known, every block in the program was verified from its specification,
+branch paths form a prefix-closed tree).
+
+Each judgment is decided by exactly one refutation query on a fresh solver
+with the result cache disabled: ``assumptions ∧ ¬goal`` must be UNSAT.  A
+separate consistency query on the assumptions is subsumed — inconsistent
+assumptions make the refutation query UNSAT too, so a vacuous judgment is
+still accepted.  An UNKNOWN answer (the conflict limit) fails closed: the
+side condition is rejected.
 
 Governed (degraded) proofs carry *residual obligations* — side conditions
-the automation could not decide.  The checker re-attempts each residual:
-one it can now prove is counted as discharged; one it can *refute* is a
+the automation could not decide.  The checker re-attempts each residual
+with the same query: UNSAT counts it as discharged; SAT *refutes* it, a
 hard failure (the automation mislabelled a ``failed`` block as
-``degraded``); one still undecided simply remains residual.  A block with
-residual obligations must never be claimed ``verified``, and that
-consistency is audited here too.
+``degraded``); UNKNOWN leaves it residual.  A block with residual
+obligations must never be claimed ``verified``, and that consistency is
+audited here too.
 
 The checker is deliberately small and independent of the automation: it
 imports only the proof data structures and the solver.  (Like the paper,
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field
 from ..resilience.outcome import VERIFIED
 from ..smt import builder as B
 from ..smt.solver import SAT, UNSAT, Solver
-from .proof import Proof, ProofStep, SideCondition
+from .proof import Proof, ProofStep
 
 #: Every rule the automation may emit.  An unknown tag is a checker failure.
 KNOWN_RULES = frozenset(
@@ -97,7 +103,7 @@ def check_proof(proof: Proof, expected_blocks: set[int] | None = None) -> CheckR
     for step in proof.steps:
         _check_step(step, report)
     for residual in proof.residual_obligations:
-        _check_residual(proof, residual, report)
+        _check_residual(residual, report)
     report.blocks = sorted(proof.blocks_verified)
     # Blocks that completed with a recorded non-verified outcome (degraded /
     # unknown / failed under governance) are accounted for — they are not
@@ -139,39 +145,31 @@ def _check_step(step: ProofStep, report: CheckReport) -> None:
         raise CheckFailure(f"unknown rule {step.rule!r} in proof")
     report.steps_checked += 1
     for condition in step.side_conditions:
-        _check_side_condition(step, condition)
+        if _refute(condition) != UNSAT:
+            raise CheckFailure(
+                f"side condition failed re-checking in rule {step.rule} "
+                f"({condition.description}): {condition.goal!r}"
+            )
         report.side_conditions_checked += 1
 
 
-def _check_side_condition(step: ProofStep, condition: SideCondition) -> None:
-    solver = Solver(use_global_cache=False)
-    for assumption in condition.assumptions:
-        solver.add(assumption)
-    # A side condition holds if the assumptions are inconsistent (vacuous
-    # branch) or entail the goal.
-    if solver.check() == UNSAT:
-        return
-    if solver.check(B.not_(condition.goal)) != UNSAT:
-        raise CheckFailure(
-            f"side condition failed re-checking in rule {step.rule} "
-            f"({condition.description}): {condition.goal!r}"
-        )
-
-
-def _check_residual(proof: Proof, residual, report: CheckReport) -> None:
-    solver = Solver(use_global_cache=False)
-    for assumption in residual.assumptions:
-        solver.add(assumption)
-    if solver.check() == UNSAT:
-        report.residuals_discharged += 1  # vacuous under its own assumptions
-        return
-    status = solver.check(B.not_(residual.goal))
+def _check_residual(residual, report: CheckReport) -> None:
+    status = _refute(residual)
     if status == UNSAT:
         report.residuals_discharged += 1
-        return
-    if status == SAT:
+    elif status == SAT:
         raise CheckFailure(
             f"residual obligation is refutable (block 0x{residual.block:x}, "
             f"{residual.description}): the run should have failed, not degraded"
         )
-    report.residuals_remaining += 1
+    else:
+        report.residuals_remaining += 1
+
+
+def _refute(judgment) -> str:
+    """Decide ``assumptions ⊨ goal`` with one query on a fresh, uncached
+    solver: UNSAT of ``assumptions ∧ ¬goal`` means the judgment holds —
+    including vacuously, when the assumptions alone are inconsistent."""
+    solver = Solver(use_global_cache=False)
+    solver.add(*judgment.assumptions)
+    return solver.check(B.not_(judgment.goal))

@@ -5,8 +5,9 @@ recorded as a :class:`ProofStep`, including the side conditions it
 discharged (each a boolean term together with the pure assumptions it was
 proved under).  The resulting :class:`Proof` is machine-checkable: the
 independent checker (:mod:`repro.logic.checker`) replays every side
-condition against a fresh solver, playing the role Coq's kernel plays for
-the paper's Iris proofs (see DESIGN.md for the TCB discussion).
+condition against a fresh solver — one refutation query, ``assumptions ∧
+¬goal`` must be UNSAT — playing the role Coq's kernel plays for the paper's
+Iris proofs (see DESIGN.md for the TCB discussion).
 """
 
 from __future__ import annotations

@@ -293,7 +293,13 @@ class VerificationService:
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
             body = b""
-            length = int(headers.get("content-length", 0) or 0)
+            try:
+                length = int(headers.get("content-length", 0) or 0)
+            except ValueError:
+                length = -1
+            if length < 0:
+                await self._respond(writer, 400, {"error": "bad Content-Length"})
+                return
             if length:
                 body = await reader.readexactly(length)
             parsed = urllib.parse.urlsplit(target)

@@ -1,0 +1,140 @@
+"""Tests for the independent proof checker (``repro.logic.checker``).
+
+The checker decides every judgment ``assumptions ⊨ goal`` with one
+refutation query, ``assumptions ∧ ¬goal``.  These tests pin that each
+verdict of that query maps to the right accounting — including the
+vacuous case, which needs no separate consistency query — and that no
+second query per judgment creeps back in.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.logic import checker
+from repro.logic.checker import CheckFailure, check_proof
+from repro.logic.proof import Proof, ProofStep, SideCondition
+from repro.resilience.outcome import DEGRADED, ResidualObligation
+from repro.smt import builder as B
+from repro.smt.solver import UNKNOWN, Solver
+
+BLOCK = 0x1000
+X = B.bv_var("x", 64)
+
+#: Contradictory assumptions: the solver has to find the conflict, no
+#: constant folding reaches it.
+CONTRADICTORY = (B.eq(X, B.bv(1, 64)), B.eq(X, B.bv(2, 64)))
+BOUNDED = (B.bvult(X, B.bv(5, 64)),)
+ENTAILED = B.bvult(X, B.bv(10, 64))
+REFUTABLE = B.bvult(X, B.bv(3, 64))
+
+
+def _proof(conditions=(), residuals=()) -> Proof:
+    proof = Proof()
+    proof.add(
+        ProofStep(
+            "hoare-assume",
+            "test",
+            BLOCK,
+            (),
+            tuple(
+                SideCondition(assumptions, goal, f"condition {i}")
+                for i, (assumptions, goal) in enumerate(conditions)
+            ),
+        )
+    )
+    proof.residual_obligations = [
+        ResidualObligation(BLOCK, f"residual {i}", goal, assumptions, "test")
+        for i, (assumptions, goal) in enumerate(residuals)
+    ]
+    if residuals:
+        proof.outcomes[BLOCK] = DEGRADED
+    return proof
+
+
+class TestSideConditions:
+    def test_vacuous_side_condition_is_accepted(self):
+        report = check_proof(_proof([(CONTRADICTORY, B.false())]))
+        assert report.side_conditions_checked == 1
+
+    def test_entailed_side_condition_is_accepted(self):
+        report = check_proof(_proof([(BOUNDED, ENTAILED)]))
+        assert report.side_conditions_checked == 1
+
+    def test_refutable_side_condition_is_rejected(self):
+        with pytest.raises(CheckFailure, match="condition 0"):
+            check_proof(_proof([(BOUNDED, REFUTABLE)]))
+
+
+class TestResiduals:
+    def test_vacuous_residual_is_discharged(self):
+        report = check_proof(_proof(residuals=[(CONTRADICTORY, B.false())]))
+        assert (report.residuals_discharged, report.residuals_remaining) == (1, 0)
+
+    def test_entailed_residual_is_discharged(self):
+        report = check_proof(_proof(residuals=[(BOUNDED, ENTAILED)]))
+        assert (report.residuals_discharged, report.residuals_remaining) == (1, 0)
+
+    def test_refutable_residual_is_rejected(self):
+        with pytest.raises(CheckFailure, match="refutable"):
+            check_proof(_proof(residuals=[(BOUNDED, REFUTABLE)]))
+
+
+class _UndecidedSolver(Solver):
+    def check(self, *extra):
+        return UNKNOWN
+
+
+class TestUnknownFailsClosed:
+    def test_undecided_side_condition_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(checker, "Solver", _UndecidedSolver)
+        with pytest.raises(CheckFailure):
+            check_proof(_proof([(BOUNDED, ENTAILED)]))
+
+    def test_undecided_residual_remains(self, monkeypatch):
+        monkeypatch.setattr(checker, "Solver", _UndecidedSolver)
+        report = check_proof(_proof(residuals=[(BOUNDED, ENTAILED)]))
+        assert (report.residuals_discharged, report.residuals_remaining) == (0, 1)
+
+
+class TestOneQueryPerJudgment:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        class CountingSolver(Solver):
+            def check(self, *extra):
+                calls.append(extra)
+                return super().check(*extra)
+
+        monkeypatch.setattr(checker, "Solver", CountingSolver)
+        return calls
+
+    def test_synthetic_proof(self, counted):
+        proof = _proof(
+            [(CONTRADICTORY, B.false()), (BOUNDED, ENTAILED), ((), B.true())],
+            residuals=[(CONTRADICTORY, B.false()), (BOUNDED, ENTAILED)],
+        )
+        report = check_proof(proof)
+        assert report.side_conditions_checked == 3
+        assert report.residuals_discharged == 2
+        assert len(counted) == 5
+
+    def test_case_study_proof(self, counted):
+        from repro import casestudies
+        from repro.logic.automation import verify_program
+        from repro.parallel.config import configured
+        from repro.parallel.scheduler import pc_for
+
+        module = casestudies.memcpy_riscv
+        with configured(jobs=1):
+            case = module.build()
+        proof = verify_program(case.frontend.traces, case.specs, pc_for(module)).proof
+        counted.clear()  # the automation's own queries do not count
+        report = check_proof(proof)
+        assert report.side_conditions_checked > 0
+        assert len(counted) == (
+            report.side_conditions_checked
+            + report.residuals_discharged
+            + report.residuals_remaining
+        )

@@ -1,0 +1,37 @@
+"""Helpers for front-end tests: start a server on an ephemeral port, and
+send requests no well-behaved client would."""
+
+from __future__ import annotations
+
+import asyncio
+import socket
+import threading
+
+
+def launch(server):
+    """Run ``server.serve`` (the daemon or the fleet router) on a daemon
+    thread; return the thread and the bound ``(host, port)``."""
+    bound = {}
+    ready = threading.Event()
+
+    def on_ready(addr):
+        bound["addr"] = addr
+        ready.set()
+
+    thread = threading.Thread(
+        target=lambda: asyncio.run(server.serve(port=0, ready=on_ready)),
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(30), "server never bound its socket"
+    return thread, bound["addr"]
+
+
+def content_length_status(host: str, port: int, length: str) -> int:
+    """POST a one-line body under the header ``Content-Length: <length>``,
+    verbatim, and return the response's status code."""
+    request = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(request.encode())
+        status_line = sock.makefile("rb").readline().decode("latin-1")
+    return int(status_line.split()[1])

@@ -15,28 +15,13 @@ import pytest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import VerificationService
 
-
-def _launch(service):
-    bound = {}
-    ready = threading.Event()
-
-    def on_ready(addr):
-        bound["addr"] = addr
-        ready.set()
-
-    thread = threading.Thread(
-        target=lambda: asyncio.run(service.serve(port=0, ready=on_ready)),
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(30), "daemon never bound its socket"
-    return thread, bound["addr"]
+from ._http import content_length_status, launch
 
 
 @pytest.fixture(scope="module")
 def daemon():
     service = VerificationService(pool_jobs=1, block_jobs=1, runners=2)
-    thread, (host, port) = _launch(service)
+    thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)
     yield service, client
     try:
@@ -142,6 +127,11 @@ class TestErrors:
         assert result["cancelled"] is False
         assert result["state"] == "done"
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_400(self, daemon, length):
+        _service, client = daemon
+        assert content_length_status(client.host, client.port, length) == 400
+
     def test_unroutable_path_is_404(self, daemon):
         _service, client = daemon
         with pytest.raises(ServiceError) as excinfo:
@@ -221,7 +211,7 @@ class TestTransportsAndShutdown:
 
     def test_shutdown_drains_and_stops(self, tmp_path):
         service = VerificationService(pool_jobs=1, runners=1)
-        thread, (host, port) = _launch(service)
+        thread, (host, port) = launch(service)
         client = ServiceClient(host=host, port=port)
         assert client.shutdown()["draining"] is True
         thread.join(timeout=60)

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache
+from typing import Callable
 
 from ..resilience.outcome import ResidualObligation
+from ..smt import builder as B
 from ..smt.smtlib import term_to_sexpr
-from ..smt.sorts import BitVecSort
+from ..smt.sorts import sort_from_text, sort_to_text
 from ..smt.terms import Term
 
 
@@ -89,16 +92,19 @@ class Proof:
     # together with the sorts of their free variables.
 
     def to_json(self) -> str:
+        # Side conditions share their assumptions heavily: render each
+        # distinct (interned) term once per certificate.
+        record = cache(_term_record)
         payload = {
             "version": 1,
             "blocks_verified": self.blocks_verified,
-            "steps": [_step_to_dict(s) for s in self.steps],
+            "steps": [_step_to_dict(s, record) for s in self.steps],
         }
         # Governance extensions are optional keys so version-1 consumers
         # (and older certificates) keep round-tripping.
         if self.residual_obligations:
             payload["residual_obligations"] = [
-                _residual_to_dict(r) for r in self.residual_obligations
+                _residual_to_dict(r, record) for r in self.residual_obligations
             ]
         if self.outcomes:
             payload["outcomes"] = {str(a): o for a, o in self.outcomes.items()}
@@ -121,12 +127,6 @@ class Proof:
         return proof
 
 
-def _sort_text(sort) -> str:
-    if isinstance(sort, BitVecSort):
-        return f"bv{sort.width}"
-    return "bool"
-
-
 def _term_record(term: Term) -> dict:
     # Sorted by name: frozenset iteration order follows object-identity
     # hashes, which depend on the process's allocation history — fresh CLI
@@ -136,24 +136,29 @@ def _term_record(term: Term) -> dict:
     return {
         "sexpr": term_to_sexpr(term),
         "vars": {
-            v.name: _sort_text(v.sort)
+            v.name: sort_to_text(v.sort)
             for v in sorted(term.free_vars(), key=lambda v: v.name)
         },
     }
 
 
 def _term_from_record(record: dict) -> Term:
-    from ..smt import builder as B
-    from ..smt.itl_parse_compat import TermParser, parse_sort_text, read_term_tree
+    # Imported here: only certificate loading needs the parser, so
+    # verification start-up does not pay for it.
+    from ..itl.parser import TermParser, read_sexpr, tokenize
 
     env = {
-        name: B.var(name, parse_sort_text(sort_text))
+        name: B.var(name, sort_from_text(sort_text))
         for name, sort_text in record["vars"].items()
     }
-    return TermParser(env).parse(read_term_tree(record["sexpr"]))
+    tokens = tokenize(record["sexpr"])
+    tree, pos = read_sexpr(tokens, 0)
+    if pos != len(tokens):
+        raise ValueError("trailing tokens in term")
+    return TermParser(env).parse(tree)
 
 
-def _step_to_dict(step: ProofStep) -> dict:
+def _step_to_dict(step: ProofStep, record: Callable[[Term], dict]) -> dict:
     return {
         "rule": step.rule,
         "detail": step.detail,
@@ -161,8 +166,8 @@ def _step_to_dict(step: ProofStep) -> dict:
         "path": list(step.path),
         "side_conditions": [
             {
-                "assumptions": [_term_record(a) for a in sc.assumptions],
-                "goal": _term_record(sc.goal),
+                "assumptions": [record(a) for a in sc.assumptions],
+                "goal": record(sc.goal),
                 "description": sc.description,
             }
             for sc in step.side_conditions
@@ -170,12 +175,14 @@ def _step_to_dict(step: ProofStep) -> dict:
     }
 
 
-def _residual_to_dict(residual: ResidualObligation) -> dict:
+def _residual_to_dict(
+    residual: ResidualObligation, record: Callable[[Term], dict]
+) -> dict:
     return {
         "block": residual.block,
         "description": residual.description,
-        "goal": _term_record(residual.goal),
-        "assumptions": [_term_record(a) for a in residual.assumptions],
+        "goal": record(residual.goal),
+        "assumptions": [record(a) for a in residual.assumptions],
         "reason": residual.reason,
     }
 

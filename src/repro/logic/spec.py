@@ -35,7 +35,7 @@ from typing import Callable
 
 from ..itl.events import Label, LabelEnd, LabelRead, LabelWrite
 from ..smt import builder as B
-from ..smt.evaluate_compat import evaluate
+from ..smt.interp import evaluate
 from ..smt.terms import Term
 
 

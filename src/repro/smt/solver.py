@@ -52,8 +52,8 @@ from .cnf import CnfBuilder
 from .interp import evaluate
 from .sat import SatSolver
 from .slicing import partition_goal, query_component_indices, term_vars
-from .theory import refutes as theory_refutes
 from .terms import FALSE, TRUE, Term
+from .theory import FactBase, saturated
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -558,30 +558,25 @@ class Solver:
         return result, model  # type: ignore[return-value]
 
     def _enumeration_split(
-        self, goal: list[Term], max_conflicts: int | None, depth: int
-    ) -> tuple[str, dict[Term, object] | None] | None:
+        self,
+        goal: list[Term],
+        split: tuple[Term, int, int],
+        max_conflicts: int | None,
+        depth: int,
+    ) -> tuple[str, dict[Term, object] | None]:
         """Small-domain enumeration: when the facts pin a variable into a
         small interval (e.g. a loop counter with 0 <= m < n for concrete
         n), case-split on its value — substitution constant-folds the whole
         goal, which decides the ite-heavy loop-invariant side conditions
-        far faster than bit-blasting.  Returns ``None`` when no variable is
-        enumerable.  Sub-goals contain substituted one-off terms, so they
-        always go through the throwaway engine — encoding them into the
-        persistent context would bloat it with terms no later query shares.
+        far faster than bit-blasting.  Sub-goals contain substituted one-off
+        terms, so they always go through the throwaway engine — encoding
+        them into the persistent context would bloat it with terms no later
+        query shares.
         """
-        if depth >= 3:
-            return None
-        split = _enumerable_var(goal)
-        if split is None:
-            return None
         var, lo, hi = split
         for val in range(lo, hi + 1):
-            binding = B.bv(val, var.sort.width)
-            sub_goal = [
-                t for t in (B.substitute(g, {var: binding}) for g in goal)
-                if t is not TRUE
-            ]
-            if any(t is FALSE for t in sub_goal):
+            sub_goal = _instantiate(goal, var, val)
+            if sub_goal is None:
                 continue
             result, model = self._solve(sub_goal, max_conflicts, depth + 1)
             if result == SAT:
@@ -608,11 +603,12 @@ class Solver:
         Nothing is ever asserted at level 0, so the persistent core can
         never be poisoned by a retracted scope.
         """
-        if theory_refutes(goal):
+        facts = saturated(goal)
+        if facts is None:
             return UNSAT, None
-        enumerated = self._enumeration_split(goal, max_conflicts, 0)
-        if enumerated is not None:
-            return enumerated
+        split = _enumerable_var(goal, facts)
+        if split is not None:
+            return self._enumeration_split(goal, split, max_conflicts, 0)
         ctx = self._context()
         t0 = perf_counter()
         lits: list[int] = []
@@ -689,11 +685,12 @@ class Solver:
         ``--no-incremental`` baseline and for enumeration sub-goals."""
         # Word-level theory layer first: decides relational 64-bit goals
         # (ordering chains, interval bounds) without touching the SAT core.
-        if theory_refutes(goal):
+        facts = saturated(goal)
+        if facts is None:
             return UNSAT, None
-        enumerated = self._enumeration_split(goal, max_conflicts, depth)
-        if enumerated is not None:
-            return enumerated
+        split = _enumerable_var(goal, facts) if depth < 3 else None
+        if split is not None:
+            return self._enumeration_split(goal, split, max_conflicts, depth)
         sat_solver = SatSolver()
         cnf = CnfBuilder(sat_solver)
         blaster = BitBlaster(cnf)
@@ -761,37 +758,41 @@ _ENUM_LIMIT = 16
 
 def _quick_refutes(goal: list[Term], depth: int) -> bool:
     """Theory refutation plus small-domain enumeration (SAT-free)."""
-    if theory_refutes(goal):
+    facts = saturated(goal)
+    if facts is None:
         return True
-    if depth >= 2:
-        return False
-    split = _enumerable_var(goal)
+    split = _enumerable_var(goal, facts) if depth < 2 else None
     if split is None:
         return False
     var, lo, hi = split
     for val in range(lo, hi + 1):
-        binding = B.bv(val, var.sort.width)
-        sub_goal = [
-            t for t in (B.substitute(g, {var: binding}) for g in goal)
-            if t is not TRUE
-        ]
-        if any(t is FALSE for t in sub_goal):
+        sub_goal = _instantiate(goal, var, val)
+        if sub_goal is None:
             continue
         if not _quick_refutes(sub_goal, depth + 1):
             return False
     return True
 
 
-def _enumerable_var(goal: list[Term]) -> tuple[Term, int, int] | None:
-    """Find a free bitvector variable whose interval (per the word-level
-    fact base) spans at most ``_ENUM_LIMIT`` values; returns the tightest."""
-    from .theory import FactBase
+def _instantiate(goal: list[Term], var: Term, val: int) -> list[Term] | None:
+    """``goal`` under ``var := val``, dropping conjuncts that fold to true;
+    ``None`` when one folds to false."""
+    binding = B.bv(val, var.sort.width)
+    sub_goal: list[Term] = []
+    for g in goal:
+        t = B.substitute_value(g, var, binding)
+        if t is FALSE:
+            return None
+        if t is not TRUE:
+            sub_goal.append(t)
+    return sub_goal
 
-    facts = FactBase()
-    for t in goal:
-        facts.assume(t)
-    if facts.contradiction or facts.saturate():
-        return None
+
+def _enumerable_var(
+    goal: list[Term], facts: FactBase
+) -> tuple[Term, int, int] | None:
+    """Find a free bitvector variable whose interval (per the saturated
+    fact base) spans at most ``_ENUM_LIMIT`` values; returns the tightest."""
     seen: set[Term] = set()
     best: tuple[int, Term, int, int] | None = None
     for t in goal:
@@ -809,8 +810,10 @@ def _enumerable_var(goal: list[Term]) -> tuple[Term, int, int] | None:
 
 
 def clear_check_cache() -> None:
-    """Drop the global result cache (used by benchmarks for cold timings)."""
+    """Drop the global result cache and the enumeration's substitution memo
+    (used by benchmarks for cold timings)."""
     _GLOBAL_CHECK_CACHE.clear()
+    B.substitute_value.cache_clear()
 
 
 def check_cache_stats() -> dict[str, int]:

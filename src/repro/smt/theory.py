@@ -270,12 +270,18 @@ def refutes(assertions: list[Term]) -> bool:
 
     False means "don't know" — the caller must fall back to SAT.
     """
+    return saturated(assertions) is None
+
+
+def saturated(assertions: list[Term]) -> FactBase | None:
+    """The saturated fact base of the conjunction, or ``None`` when the
+    word-level engines refute it."""
     facts = FactBase()
     for a in assertions:
         facts.assume(a)
         if facts.contradiction:
-            return True
-    return facts.saturate()
+            return None
+    return None if facts.saturate() else facts
 
 
 def _saturate(facts: "FactBase") -> bool:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -26,6 +27,10 @@ BENCH_PATH = _ROOT / "BENCH_smt.json"
 BENCH_SERVICE_PATH = _ROOT / "BENCH_service.json"
 BENCH_COSIM_PATH = _ROOT / "BENCH_cosim.json"
 BENCH_PARAMETRIC_PATH = _ROOT / "BENCH_parametric.json"
+
+# Parity benchmarks time the reference engines in ``tests/_reference.py``.
+if str(_ROOT) not in sys.path:
+    sys.path.insert(0, str(_ROOT))
 
 
 @pytest.fixture

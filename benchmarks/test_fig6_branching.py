@@ -119,31 +119,25 @@ class _BranchChainModel:
 def test_fig6_incremental_branching_speedup(bench_smt_record):
     import time
 
-    from repro.smt.solver import (
-        SolverMode,
-        clear_check_cache,
-        set_default_solver_mode,
-    )
+    from repro.smt.solver import clear_check_cache
+    from tests._reference import fresh_solver
 
     chain = _BranchChainModel(depth=5)
 
-    def timed(mode):
-        previous = set_default_solver_mode(mode)
-        try:
-            best = None
-            for _ in range(3):
-                clear_check_cache()
-                t0 = time.perf_counter()
-                res = trace_for_opcode(chain, 0, Assumptions(), max_paths=64)
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
-            return best, res
-        finally:
-            set_default_solver_mode(previous)
+    def timed():
+        best = None
+        for _ in range(3):
+            clear_check_cache()
+            t0 = time.perf_counter()
+            res = trace_for_opcode(chain, 0, Assumptions(), max_paths=64)
+            dt = time.perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        return best, res
 
-    inc_t, inc_res = timed(SolverMode(incremental=True, slicing=True))
-    fresh_t, fresh_res = timed(SolverMode(incremental=False, slicing=False))
-    # Same enumeration either way: the modes change cost, not verdicts.
+    inc_t, inc_res = timed()
+    with fresh_solver():
+        fresh_t, fresh_res = timed()
+    # Same enumeration either way: the engines change cost, not verdicts.
     assert inc_res.paths == fresh_res.paths
     assert trace_to_sexpr(inc_res.trace) == trace_to_sexpr(fresh_res.trace)
     speedup = fresh_t / inc_t

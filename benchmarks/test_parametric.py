@@ -14,7 +14,7 @@ Each benchmark first runs two uncounted build passes (the first pays the
 one-time family builds, the second mints fold-signature variant forms),
 then *alternating* timed pairs over the same word list:
 
-  cold    REPRO_NO_PARAMETRIC=1 — the plain per-opcode pipeline
+  cold    direct_isla() — the plain per-opcode pipeline
   warm    parametric on — every serve should be a family hit
 
 The reported speedup is the median of the per-pair cold/warm ratios:
@@ -30,7 +30,6 @@ honest and the conservative configuration for the gate.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 import time
@@ -41,6 +40,7 @@ from repro.arch.arm import ArmModel, encode as A
 from repro.isla import Assumptions, IslaError, trace_for_opcode
 from repro.isla.parametric import ParametricStats, engine
 from repro.smt.solver import clear_check_cache
+from tests._reference import direct_isla
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests" / "conformance"))
 from _harness import ARCHS, random_valid_word  # noqa: E402
@@ -75,11 +75,8 @@ def _cold_warm(model, assumptions, words, pairs: int = 3) -> dict:
     colds, warms, ratios = [], [], []
     cases = hits = delta = None
     for _ in range(pairs):
-        os.environ["REPRO_NO_PARAMETRIC"] = "1"
-        try:
+        with direct_isla():
             cold_s, cold_done = _run_pass(model, assumptions, words)
-        finally:
-            del os.environ["REPRO_NO_PARAMETRIC"]
         before = eng.stats.snapshot()
         warm_s, warm_done = _run_pass(model, assumptions, words)
         delta = ParametricStats.delta(before, eng.stats.snapshot())

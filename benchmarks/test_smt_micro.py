@@ -14,10 +14,10 @@ from repro.smt.solver import (
     SAT,
     UNSAT,
     Solver,
-    SolverMode,
     clear_check_cache,
 )
 from repro.smt.theory import refutes
+from tests._reference import fresh_solver, throwaway_engine, whole_goals
 
 
 def fresh():
@@ -121,9 +121,9 @@ def _branch_chain_conds(depth: int, width: int = 32):
     return out
 
 
-def _run_branch_chain(mode: SolverMode, depth: int) -> Solver:
+def _run_branch_chain(depth: int) -> Solver:
     conds = _branch_chain_conds(depth)
-    s = Solver(use_global_cache=False, mode=mode)
+    s = Solver(use_global_cache=False)
     for c in conds:
         true_feasible = s.check(c) == SAT
         false_feasible = s.check(B.not_(c)) == SAT
@@ -140,14 +140,11 @@ class TestIncrementalMicro:
         executor's two-queries-per-branch pattern beats a fresh CNF per
         query by well over the 1.5x CI gate (the fresh path re-encodes a
         longer prefix every branch — quadratic in path length)."""
-        inc_t = _best_of(
-            lambda: _run_branch_chain(SolverMode(incremental=True, slicing=True), self.DEPTH)
-        )
-        fresh_t = _best_of(
-            lambda: _run_branch_chain(SolverMode(incremental=False, slicing=False), self.DEPTH)
-        )
+        inc_t = _best_of(lambda: _run_branch_chain(self.DEPTH))
+        with fresh_solver():
+            fresh_t = _best_of(lambda: _run_branch_chain(self.DEPTH))
         speedup = fresh_t / inc_t
-        probe = _run_branch_chain(SolverMode(incremental=True, slicing=True), self.DEPTH)
+        probe = _run_branch_chain(self.DEPTH)
         bench_smt_record(
             "micro_incremental_branch_chain",
             depth=self.DEPTH,
@@ -164,21 +161,23 @@ class TestIncrementalMicro:
     def test_incremental_verdicts_match_fresh(self):
         """Same workload, verdict-by-verdict equality of the two engines."""
         conds = _branch_chain_conds(self.DEPTH)
-        inc = Solver(use_global_cache=False, mode=SolverMode(True, True))
-        ref = Solver(use_global_cache=False, mode=SolverMode(False, False))
+        inc = Solver(use_global_cache=False)
+        ref = Solver(use_global_cache=False)
         for c in conds:
             for q in (c, B.not_(c)):
-                assert inc.check(q) == ref.check(q)
+                verdict = inc.check(q)
+                with fresh_solver():
+                    assert verdict == ref.check(q)
             inc.add(c)
             ref.add(c)
 
 
-def _sliced_query_workload(mode: SolverMode, groups: int = 10, queries: int = 24):
+def _sliced_query_workload(groups: int = 10, queries: int = 24):
     """Path-prefix components never touched by the query: slicing answers
     them from the per-component verdict cache and only solves the small
     query component; whole-goal solving re-solves everything per query."""
     clear_check_cache()
-    s = Solver(mode=mode)
+    s = Solver()
     for g in range(groups):
         a = B.bv_var(f"bench_g{g}a", 24)
         b = B.bv_var(f"bench_g{g}b", 24)
@@ -196,14 +195,12 @@ def _sliced_query_workload(mode: SolverMode, groups: int = 10, queries: int = 24
 
 class TestSlicingMicro:
     def test_sliced_vs_whole_queries(self, bench_smt_record):
-        sliced_t = _best_of(
-            lambda: _sliced_query_workload(SolverMode(incremental=False, slicing=True))
-        )
-        whole_t = _best_of(
-            lambda: _sliced_query_workload(SolverMode(incremental=False, slicing=False))
-        )
+        with throwaway_engine():
+            sliced_t = _best_of(_sliced_query_workload)
+            with whole_goals():
+                whole_t = _best_of(_sliced_query_workload)
+            probe = _sliced_query_workload()
         speedup = whole_t / sliced_t
-        probe = _sliced_query_workload(SolverMode(incremental=False, slicing=True))
         stats = probe.stats
         hit_rate = stats.slice_cache_hits / max(1, stats.slice_components)
         bench_smt_record(
@@ -236,10 +233,13 @@ class TestSlicingMicro:
             B.not_(B.bvult(c, B.bv(0x8000, 16))),
             B.eq(B.bvand(a, B.bv(1, 16)), B.bv(1, 16)),
         ]
-        sliced = Solver(use_global_cache=False, mode=SolverMode(False, True))
-        whole = Solver(use_global_cache=False, mode=SolverMode(False, False))
+        sliced = Solver(use_global_cache=False)
+        whole = Solver(use_global_cache=False)
         for t in constraints:
             sliced.add(t)
             whole.add(t)
-        for q in queries:
-            assert sliced.check(q) == whole.check(q)
+        with throwaway_engine():
+            for q in queries:
+                verdict = sliced.check(q)
+                with whole_goals():
+                    assert verdict == whole.check(q)

@@ -12,7 +12,7 @@ real A64 system-register space to our register names.
 
 from __future__ import annotations
 
-from ..itl_compat import Reg
+from ...itl.events import Reg
 from ...sail.registers import RegisterFile
 
 # PSTATE fields we model (name -> width).

@@ -266,12 +266,6 @@ class IslaResult:
 _TRANSIENT_RETRIES = 3
 
 
-def _coarse_enabled() -> bool:
-    import os
-
-    return not os.environ.get("REPRO_NO_COARSE")
-
-
 def _coarse_lookup(cache, model, opcode, assumptions, name_prefix):
     """Probe the cache through the footprint-coarsened key.
 
@@ -281,8 +275,6 @@ def _coarse_lookup(cache, model, opcode, assumptions, name_prefix):
     the trace this run would generate (execution is deterministic given
     the constraints over the registers it reads).
     """
-    if not _coarse_enabled():
-        return None
     from ..cache.keys import coarse_trace_key, footprint_index_key
     from ..itl.events import Reg
 
@@ -299,8 +291,6 @@ def _coarse_store(
     cache, model, opcode, assumptions, name_prefix, read_regs, trace, meta
 ) -> None:
     """Record a completed run under its coarse key plus the read-set index."""
-    if not _coarse_enabled():
-        return
     from ..cache.keys import coarse_trace_key, footprint_index_key
 
     ckey = coarse_trace_key(model, opcode, assumptions, read_regs, name_prefix)

@@ -41,7 +41,6 @@ never an error for parametric execution to decline an opcode.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -63,11 +62,6 @@ from ..smt.terms import Term
 #: with executor-allocated fresh names (``v0``, ``blk3_v7``, ...), and the
 #: cache layer stores them as extern variables automatically.
 _OPERAND_PREFIX = "?f_"
-
-
-def parametric_enabled() -> bool:
-    """Is family-first dispatch enabled? (``$REPRO_NO_PARAMETRIC`` kills it.)"""
-    return not os.environ.get("REPRO_NO_PARAMETRIC")
 
 
 @dataclass(frozen=True)
@@ -451,8 +445,6 @@ class ParametricEngine:
         pre-simplification read set (non-empty only when ``cache`` is set;
         it exists for the coarse cache key).  Never raises.
         """
-        if not parametric_enabled():
-            return None
         profile = model.parametric_profile()
         if profile is None or not opcode.is_value():
             return None

@@ -49,7 +49,6 @@ from ..smt.solver import (
     UNKNOWN as UNKNOWN_RESULT,
     UNSAT as UNSAT_RESULT,
     Solver,
-    SolverMode,
     SolverStats,
     check_cache_stats,
 )
@@ -81,10 +80,6 @@ class EngineConfig:
     governed: bool = False
     #: Resource budget threaded into every context solver (governed mode).
     budget: Budget | None = None
-    #: Query-engine mode for every context solver (incremental context,
-    #: goal slicing); ``None`` follows the process-wide default, which the
-    #: ``tools/verify --no-incremental/--no-slice`` flags control.
-    solver_mode: SolverMode | None = None
 
 
 class ProofEngine:
@@ -239,7 +234,7 @@ class ProofEngine:
 
     def _context_from_pred(self, pred: Pred, addr: int) -> Context:
         """Universally instantiate a block spec into a fresh context."""
-        solver = Solver(budget=self.budget, mode=self.config.solver_mode)
+        solver = Solver(budget=self.budget)
         self._solvers.append(solver)
         ctx = Context(solver)
         mapping: dict[Term, Term] = {}

@@ -123,43 +123,6 @@ def _assumptions_from_payload(payload: dict) -> Assumptions:
     return out
 
 
-# -- solver-mode propagation ------------------------------------------------
-
-
-def _solver_mode_payload() -> dict:
-    """The parent's process-wide :class:`SolverMode` as a JSON-able dict.
-
-    Workers cannot rely on inheriting it: ``--no-incremental`` et al. set a
-    module global in the parent, which a spawn-started worker never sees.
-    """
-    from ..smt.solver import default_solver_mode
-
-    mode = default_solver_mode()
-    return {"incremental": mode.incremental, "slicing": mode.slicing}
-
-
-def _apply_solver_mode(payload: dict | None):
-    """Install the payload's solver mode; returns the previous mode (or
-    ``None`` when the payload carries no mode) for restoration — pooled
-    workers are reused, and the serial fallback runs in the parent."""
-    if payload is None:
-        return None
-    from ..smt.solver import SolverMode, set_default_solver_mode
-
-    return set_default_solver_mode(
-        SolverMode(
-            incremental=payload["incremental"], slicing=payload["slicing"]
-        )
-    )
-
-
-def _restore_solver_mode(previous) -> None:
-    if previous is not None:
-        from ..smt.solver import set_default_solver_mode
-
-        set_default_solver_mode(previous)
-
-
 # -- per-process cache handles ----------------------------------------------
 
 _PROCESS_CACHES: dict[str, object] = {}
@@ -375,12 +338,10 @@ def _trace_worker(payload: dict) -> dict:
     assumptions = _assumptions_from_payload(payload["assumptions"])
     cache = _process_cache(payload["cache_dir"])
     previous = install_persistent_check_store(cache)
-    previous_mode = _apply_solver_mode(payload.get("solver_mode"))
     parametric_before = engine().stats.snapshot()
     try:
         result = trace_for_opcode(model, opcode, assumptions, cache=cache)
     finally:
-        _restore_solver_mode(previous_mode)
         install_persistent_check_store(previous)
         if cache is not None:
             cache.flush()
@@ -441,7 +402,6 @@ def generate_traces_parallel(
                 "opcode": _opcode_payload(image.opcodes[addr]),
                 "assumptions": _assumptions_payload(model, assumptions),
                 "cache_dir": cache_dir,
-                "solver_mode": _solver_mode_payload(),
             }
         )
     own_pool = pool is None
@@ -534,7 +494,6 @@ def _verify_block_worker(payload: dict) -> dict:
     cache = _process_cache(payload["cache_dir"])
     addr = payload["addr"]
     previous = install_persistent_check_store(cache)
-    previous_mode = _apply_solver_mode(payload.get("solver_mode"))
     parametric_before = engine().stats.snapshot()
     try:
         # Rebuild the case in-process (traces come warm from the shared
@@ -577,7 +536,6 @@ def _verify_block_worker(payload: dict) -> dict:
                 blocks=[addr],
             )
     finally:
-        _restore_solver_mode(previous_mode)
         install_persistent_check_store(previous)
         if cache is not None:
             cache.flush()
@@ -697,7 +655,6 @@ def verify_case_parallel(
                         else None
                     ),
                     "fault": fault,
-                    "solver_mode": _solver_mode_payload(),
                 }
                 for group in groups
                 for addr in group

@@ -40,7 +40,6 @@ from ..parallel.scheduler import (
     _assumptions_payload,
     _model_spec,
     _opcode_payload,
-    _solver_mode_payload,
     _trace_worker,
 )
 
@@ -82,7 +81,6 @@ class TraceBatcher:
                 "model": payload["model"],
                 "opcode": payload["opcode"],
                 "assumptions": payload["assumptions"],
-                "solver_mode": payload["solver_mode"],
             },
             sort_keys=True,
         )
@@ -100,13 +98,9 @@ class TraceBatcher:
             )
             if reg_names is not None:
                 read_regs = frozenset(Reg.parse(name) for name in reg_names)
-                mode = json.dumps(payload["solver_mode"], sort_keys=True)
-                return "c:" + hashlib.sha256(
-                    (
-                        coarse_trace_key(model, opcode, assumptions, read_regs)
-                        + mode
-                    ).encode()
-                ).hexdigest()
+                return "c:" + coarse_trace_key(
+                    model, opcode, assumptions, read_regs
+                )
         return self._exact_key(payload)
 
     # -- the dispatcher ------------------------------------------------------
@@ -183,7 +177,6 @@ class TraceBatcher:
         cache_dir = str(self.cache.root) if self.cache is not None else None
         if self.cache is not None:
             self.cache.flush()  # workers read the shared log; no leftovers
-        mode_payload = _solver_mode_payload()
 
         subscriptions: list[tuple[int, concurrent.futures.Future]] = []
         for addr in addrs:
@@ -196,7 +189,6 @@ class TraceBatcher:
                 "opcode": _opcode_payload(image.opcodes[addr]),
                 "assumptions": _assumptions_payload(model, assumptions),
                 "cache_dir": cache_dir,
-                "solver_mode": mode_payload,
             }
             opcode = image.opcodes[addr]
             key = self._dedup_key(payload, model, opcode, assumptions)

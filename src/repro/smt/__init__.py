@@ -62,12 +62,9 @@ from .solver import (
     UNKNOWN,
     UNSAT,
     Solver,
-    SolverMode,
     check_cache_stats,
     clear_check_cache,
-    default_solver_mode,
     set_check_cache_capacity,
-    set_default_solver_mode,
 )
 from .sorts import BOOL, BitVecSort, BoolSort, Sort, bv_sort
 from .terms import FALSE, TRUE, Term
@@ -75,14 +72,13 @@ from .terms import FALSE, TRUE, Term
 __all__ = [
     "BOOL", "FALSE", "SAT", "TRUE", "UNKNOWN", "UNSAT",
     "BitVecSort", "BoolSort", "ContextualSimplifier", "EvalError", "Solver",
-    "SolverMode", "Sort", "Term",
+    "Sort", "Term",
     "and_", "bool_val", "bool_var", "builder", "bv", "bv_sort", "bv_var",
     "bvadd", "bvand", "bvashr", "bvlshr", "bvmul", "bvneg", "bvnot", "bvor",
     "bvshl", "bvsle", "bvslt", "bvsub", "bvule", "bvult", "bvxor",
     "check_cache_stats", "clear_check_cache", "concat", "concat_many",
-    "default_solver_mode", "eq",
-    "evaluate", "extract", "false", "ite", "not_", "or_",
-    "set_check_cache_capacity", "set_default_solver_mode",
+    "eq", "evaluate", "extract", "false", "ite", "not_", "or_",
+    "set_check_cache_capacity",
     "sign_extend", "simplify", "substitute",
     "term_to_sexpr", "terms", "true", "truncate", "var", "xor",
     "zero_extend", "zext_to",

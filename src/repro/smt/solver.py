@@ -7,18 +7,18 @@ asserted set, which matters a lot in practice: the Isla executor asks about
 many branch conditions under the same path prefix, and the separation-logic
 automation re-discharges structurally identical side conditions.
 
-Incremental solving (the default, see :class:`SolverMode`): each Solver owns
-one long-lived :class:`~repro.smt.sat.SatSolver` / :class:`CnfBuilder` /
-:class:`BitBlaster` triple.  A ``check()`` encodes only the terms the
-context has never seen (term→literal caches survive across queries *and*
-across ``pop()``), and asks the persistent core under *assumption literals*
-— the Tseitin output literal of each asserted term.  ``pop()`` therefore
+Incremental solving: each Solver owns one long-lived
+:class:`~repro.smt.sat.SatSolver` / :class:`CnfBuilder` / :class:`BitBlaster`
+triple.  A ``check()`` encodes only the terms the context has never seen
+(term→literal caches survive across queries *and* across ``pop()``), and
+asks the persistent core under *assumption literals* — the Tseitin output
+literal of each asserted term.  ``pop()`` therefore
 never discards learned clauses or encodings: retracting an assertion just
 means not assuming its literal in the next query.  Degradation-ladder rungs
 (escalating conflict budgets) restart the *query*, never the context, so
 everything learned at a cheap rung is still there at the expensive one.
 
-Goal slicing (also default): a goal factors into variable-disjoint
+Goal slicing: a multi-conjunct goal factors into variable-disjoint
 connected components, which are satisfiable independently — see
 :mod:`repro.smt.slicing`.  ``check()`` solves the component touching the
 query terms and answers the rest (the already-seen path constraints) from
@@ -38,9 +38,7 @@ deterministic injector is active; see :mod:`repro.resilience.faults`.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from dataclasses import dataclass
 from time import perf_counter
 
 from ..resilience.budget import Budget
@@ -70,52 +68,6 @@ DEFAULT_MAX_CONFLICTS = 60_000
 #: and a 3-7 byte result), but the *keys* pin term DAGs alive; an unbounded
 #: cache is a leak under sustained load.
 DEFAULT_CACHE_CAPACITY = 16_384
-
-
-@dataclass(frozen=True)
-class SolverMode:
-    """Which query engines a :class:`Solver` uses.
-
-    ``incremental`` — persistent bit-blast context with assumption-literal
-    queries (delta encoding, learned clauses survive push/pop).
-    ``slicing`` — connected-component goal slicing with per-component
-    verdict caching.
-
-    Both default to on; the escape hatches are ``tools/verify
-    --no-incremental/--no-slice`` and the ``REPRO_NO_INCREMENTAL`` /
-    ``REPRO_NO_SLICE`` environment variables (any value but ``""``/``"0"``
-    disables).  Verdicts and certificates are mode-independent; the modes
-    only change how much work each query costs.
-    """
-
-    incremental: bool = True
-    slicing: bool = True
-
-
-def _mode_from_env() -> SolverMode:
-    def disabled(name: str) -> bool:
-        return os.environ.get(name, "") not in ("", "0")
-
-    return SolverMode(
-        incremental=not disabled("REPRO_NO_INCREMENTAL"),
-        slicing=not disabled("REPRO_NO_SLICE"),
-    )
-
-
-_DEFAULT_MODE = _mode_from_env()
-
-
-def default_solver_mode() -> SolverMode:
-    return _DEFAULT_MODE
-
-
-def set_default_solver_mode(mode: SolverMode) -> SolverMode:
-    """Set the process-wide default :class:`SolverMode`; returns the
-    previous one so callers (drivers, workers, tests) can scope it."""
-    global _DEFAULT_MODE
-    previous = _DEFAULT_MODE
-    _DEFAULT_MODE = mode
-    return previous
 
 
 class LruCheckCache:
@@ -260,14 +212,12 @@ class Solver:
         use_global_cache: bool = True,
         max_conflicts: int | None = DEFAULT_MAX_CONFLICTS,
         budget: Budget | None = None,
-        mode: SolverMode | None = None,
     ) -> None:
         self._assertions: list[Term] = []
         self._scopes: list[int] = []
         self._use_cache = use_global_cache
         self._max_conflicts = max_conflicts
         self._budget = budget
-        self._mode = mode or default_solver_mode()
         self._ctx: _BitblastContext | None = None
         self._model: dict[Term, object] | None = None
         #: The goal of the last SAT check, for lazy model recomputation
@@ -282,10 +232,6 @@ class Solver:
     @property
     def budget(self) -> Budget | None:
         return self._budget
-
-    @property
-    def mode(self) -> SolverMode:
-        return self._mode
 
     # -- assertion stack ------------------------------------------------------
 
@@ -375,10 +321,8 @@ class Solver:
                 else:
                     self.stats.unsat_results += 1
                 return hit
-        components = (
-            partition_goal(goal) if self._mode.slicing and len(goal) > 1 else None
-        )
-        if components is not None and len(components) > 1:
+        components = partition_goal(goal) if len(goal) > 1 else [goal]
+        if len(components) > 1:
             result, model = self._check_sliced(components, extra)
         else:
             result, model = self._solve_governed(goal)
@@ -521,7 +465,7 @@ class Solver:
         spec's conflict schedule before conceding ``unknown``.  Transient
         faults (from the ``bitblast`` site, or genuine) are retried a bounded
         number of times at the current rung.  Rungs restart the *query* —
-        in incremental mode every rung reuses the persistent context, so
+        every rung reuses the persistent context, so
         clauses learned under a cheap conflict budget still prune the search
         at the expensive one.
         """
@@ -534,10 +478,7 @@ class Solver:
         ladder = DegradationLadder(schedule, transient_retries=retries)
 
         def attempt(conflicts: int | None) -> tuple[str, dict[Term, object] | None]:
-            if self._mode.incremental:
-                result = self._solve_incremental(goal, conflicts)
-            else:
-                result = self._solve(goal, conflicts)
+            result = self._solve_incremental(goal, conflicts)
             if (
                 result[0] == UNKNOWN
                 and self.last_unknown_reason == "unsupported-operation"
@@ -681,8 +622,8 @@ class Solver:
     def _solve(
         self, goal: list[Term], max_conflicts: int | None = None, depth: int = 0
     ) -> tuple[str, dict[Term, object] | None]:
-        """The throwaway engine: a fresh CDCL core per query.  Kept as the
-        ``--no-incremental`` baseline and for enumeration sub-goals."""
+        """The throwaway engine: a fresh CDCL core per query, used for
+        enumeration sub-goals."""
         # Word-level theory layer first: decides relational 64-bit goals
         # (ordering chains, interval bounds) without touching the SAT core.
         facts = saturated(goal)

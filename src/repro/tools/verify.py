@@ -257,21 +257,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-site fault probability when --fault-seed is given",
     )
     parser.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable the persistent bit-blast context (fresh SAT core per "
-             "query); also via $REPRO_NO_INCREMENTAL",
-    )
-    parser.add_argument(
-        "--no-slice", action="store_true",
-        help="disable connected-component goal slicing; also via "
-             "$REPRO_NO_SLICE",
-    )
-    parser.add_argument(
-        "--no-parametric", action="store_true",
-        help="disable parametric family execution (every opcode runs the "
-             "direct symbolic path); also via $REPRO_NO_PARAMETRIC",
-    )
-    parser.add_argument(
         "--cert-dir", default=None, metavar="DIR",
         help="write each case's proof certificate to DIR/<case>.cert.json "
              "(byte-identical across --jobs settings and against the daemon)",
@@ -290,26 +275,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give a case study name or --all")
     names = all_names if args.all else [args.case]
 
-    from ..smt.solver import (
-        SolverMode,
-        default_solver_mode,
-        set_default_solver_mode,
-    )
-
-    # Escape hatches: the flags narrow the process-wide default (worker
-    # payloads carry the resulting mode, so --jobs N obeys them too).
-    base_mode = default_solver_mode()
-    previous_mode = set_default_solver_mode(
-        SolverMode(
-            incremental=base_mode.incremental and not args.no_incremental,
-            slicing=base_mode.slicing and not args.no_slice,
-        )
-    )
-    # The parametric kill switch travels by environment so worker processes
-    # (forked after this point) and the family engine see the same setting.
-    previous_parametric = os.environ.get("REPRO_NO_PARAMETRIC")
-    if args.no_parametric:
-        os.environ["REPRO_NO_PARAMETRIC"] = "1"
     cache = _resolve_cache(args)
     pool = None
     if args.jobs > 1:
@@ -334,12 +299,6 @@ def main(argv: list[str] | None = None) -> int:
                 print("shutdown requested: run drained, partial results above",
                       file=sys.stderr)
     finally:
-        set_default_solver_mode(previous_mode)
-        if args.no_parametric:
-            if previous_parametric is None:
-                os.environ.pop("REPRO_NO_PARAMETRIC", None)
-            else:
-                os.environ["REPRO_NO_PARAMETRIC"] = previous_parametric
         if pool is not None:
             pool.close()
         if cache is not None:

@@ -104,15 +104,6 @@ class TestCoarseServing:
         assert res.cached
         assert cache.stats.trace_coarse_hits == 0  # served by the full key
 
-    def test_escape_hatch_disables_coarsening(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COARSE", "1")
-        cache = DiskCache(tmp_path)
-        trace_for_opcode(ARM, ADD_SP, el2(), cache=cache)
-        assert cache.stats.trace_coarse_writes == 0
-        assert cache.stats.fp_index_writes == 0
-        res = trace_for_opcode(ARM, ADD_SP, el2_plus_unread(), cache=cache)
-        assert not res.cached
-
     def test_coarse_hit_survives_reload(self, tmp_path):
         with DiskCache(tmp_path) as cache:
             trace_for_opcode(ARM, ADD_SP, el2(), cache=cache)

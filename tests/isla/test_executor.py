@@ -10,6 +10,8 @@ from repro.itl import events as E
 from repro.itl import trace_to_sexpr
 from repro.smt import builder as B
 
+from .._reference import direct_isla
+
 
 @pytest.fixture(scope="module")
 def arm():
@@ -69,15 +71,15 @@ class TestFig3AddSp:
         regs = {j.reg.base for j in res.trace.iter_events() if isinstance(j, E.ReadReg)}
         assert "SP_EL1" in regs
 
-    def test_simplification_factor(self, arm, monkeypatch):
+    def test_simplification_factor(self, arm):
         """The headline of §2.1: the trace is far smaller than the executed
         model (146 lines / 9 functions for the real add).
 
         Pinned to the direct symbolic path: a parametric instantiation
         honestly reports zero model steps (the model never ran for it).
         """
-        monkeypatch.setenv("REPRO_NO_PARAMETRIC", "1")
-        res = trace_for_opcode(arm, 0x910103FF, el2())
+        with direct_isla():
+            res = trace_for_opcode(arm, 0x910103FF, el2())
         assert res.model_steps > res.trace.num_events()
 
 

@@ -1,6 +1,8 @@
 """Executor-level behaviour of the incremental backend: shared-solver
-push/pop across paths, branch-check elision, and mode-independence of the
-generated traces."""
+push/pop across paths, branch-check elision, and engine-independence of
+the generated traces."""
+
+from contextlib import ExitStack
 
 import pytest
 
@@ -10,7 +12,9 @@ from repro.itl import trace_to_sexpr
 from repro.itl.events import Reg
 from repro.sail.model import IsaModel
 from repro.smt import builder as B
-from repro.smt.solver import SolverMode, clear_check_cache, set_default_solver_mode
+from repro.smt.solver import clear_check_cache
+
+from .._reference import throwaway_engine, whole_goals
 
 
 @pytest.fixture(autouse=True)
@@ -20,12 +24,11 @@ def _cold_cache():
     clear_check_cache()
 
 
-def _with_mode(mode, fn):
-    previous = set_default_solver_mode(mode)
-    try:
+def _with_engines(engines, fn):
+    with ExitStack() as stack:
+        for engine in engines:
+            stack.enter_context(engine())
         return fn()
-    finally:
-        set_default_solver_mode(previous)
 
 
 class _TwoBranchModel(IsaModel):
@@ -90,12 +93,7 @@ def test_elided_branch_produces_no_fork():
 
 @pytest.mark.parametrize(
     "mode",
-    [
-        SolverMode(incremental=True, slicing=True),
-        SolverMode(incremental=True, slicing=False),
-        SolverMode(incremental=False, slicing=True),
-        SolverMode(incremental=False, slicing=False),
-    ],
+    [(), (whole_goals,), (throwaway_engine,), (throwaway_engine, whole_goals)],
 )
 def test_trace_identical_across_modes_arm(mode):
     from repro.arch.arm import ArmModel, encode as A
@@ -107,15 +105,15 @@ def test_trace_identical_across_modes_arm(mode):
         A.cbz(3, 8),
         A.add_imm(0, 1, 12),
     ]
-    reference = _with_mode(
-        SolverMode(incremental=False, slicing=False),
+    reference = _with_engines(
+        (throwaway_engine, whole_goals),
         lambda: [
             trace_to_sexpr(trace_for_opcode(model, op, Assumptions()).trace)
             for op in opcodes
         ],
     )
     clear_check_cache()
-    got = _with_mode(
+    got = _with_engines(
         mode,
         lambda: [
             trace_to_sexpr(trace_for_opcode(model, op, Assumptions()).trace)

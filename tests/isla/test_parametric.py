@@ -8,8 +8,6 @@ fallbacks, the disk family tier, the budget interaction, and the
 structured-operand decode layer the engine is built on.
 """
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,17 +27,16 @@ from repro.resilience.budget import Budget, BudgetSpec
 from repro.smt import builder as B
 from repro.smt.sorts import bv_sort
 
+from .._reference import direct_isla
+
 ARM = ArmModel()
 RISCV = RiscvModel()
 
 
 def _direct(model, opcode, assumptions=None):
-    """Run the non-parametric pipeline regardless of ambient state."""
-    os.environ["REPRO_NO_PARAMETRIC"] = "1"
-    try:
+    """Run the direct symbolic path (no family dispatch)."""
+    with direct_isla():
         return trace_for_opcode(model, opcode, assumptions or Assumptions())
-    finally:
-        os.environ.pop("REPRO_NO_PARAMETRIC", None)
 
 
 def _assert_parity(model, opcode, assumptions=None):
@@ -203,13 +200,6 @@ class TestFamilyDispatch:
         _assert_parity(ARM, arm_asm.assemble_line("add x1, x2, #12"), assm)
         _assert_parity(ARM, arm_asm.assemble_line("sub sp, sp, #16"), assm)
         assert engine().stats.snapshot().get("family_builds") == 2
-
-    def test_kill_switch_disables_dispatch(self, monkeypatch):
-        engine().reset()
-        monkeypatch.setenv("REPRO_NO_PARAMETRIC", "1")
-        res = trace_for_opcode(ARM, arm_asm.assemble_line("add x1, x2, #12"))
-        assert not res.parametric
-        assert engine().stats.snapshot() == {}
 
 
 # -- guard failures fall back to the direct path -----------------------------

@@ -1,8 +1,10 @@
-"""Mode-independence of verification: the incremental backend and goal
+"""Engine-independence of verification: the incremental backend and goal
 slicing are pure optimisations — outcome maps and proof certificates must
-be byte-identical to a serial non-incremental run."""
+be byte-identical to a serial run on the reference solver (a fresh SAT
+core per query, no slicing)."""
 
 import json
+from contextlib import ExitStack
 
 import pytest
 
@@ -10,58 +12,41 @@ from repro import casestudies
 from repro.logic.automation import verify_program
 from repro.parallel.config import configured
 from repro.parallel.scheduler import pc_for
-from repro.smt.solver import (
-    SolverMode,
-    clear_check_cache,
-    set_default_solver_mode,
-)
+from repro.smt.solver import clear_check_cache
 
-MODES = [
-    SolverMode(incremental=True, slicing=True),
-    SolverMode(incremental=True, slicing=False),
-    SolverMode(incremental=False, slicing=True),
-    SolverMode(incremental=False, slicing=False),
-]
+from .._reference import throwaway_engine, whole_goals
+
+#: Reference engines to swap in, per configuration under test.
+ENGINES = {
+    "inc+slice": (),
+    "inc": (whole_goals,),
+    "slice": (throwaway_engine,),
+    "fresh": (throwaway_engine, whole_goals),
+}
 
 
-def _certificate(name: str, mode: SolverMode, **kwargs) -> str:
-    previous = set_default_solver_mode(mode)
+def _certificate(name: str, engines, **kwargs) -> str:
     clear_check_cache()
     try:
-        module = getattr(casestudies, name)
-        with configured(jobs=1, cache=None):
-            case = module.build(**kwargs)
-        report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+        with ExitStack() as stack:
+            for engine in engines:
+                stack.enter_context(engine())
+            module = getattr(casestudies, name)
+            with configured(jobs=1, cache=None):
+                case = module.build(**kwargs)
+            report = verify_program(case.frontend.traces, case.specs, pc_for(module))
         assert report.ok
         return json.dumps(report.proof.to_json(), sort_keys=True)
     finally:
-        set_default_solver_mode(previous)
         clear_check_cache()
 
 
-@pytest.mark.parametrize("mode", MODES[:-1], ids=["inc+slice", "inc", "slice"])
-def test_certificates_byte_identical_memcpy(mode):
-    reference = _certificate("memcpy_arm", MODES[-1], n=2)
-    assert _certificate("memcpy_arm", mode, n=2) == reference
+@pytest.mark.parametrize("config", ["inc+slice", "inc", "slice"])
+def test_certificates_byte_identical_memcpy(config):
+    reference = _certificate("memcpy_arm", ENGINES["fresh"], n=2)
+    assert _certificate("memcpy_arm", ENGINES[config], n=2) == reference
 
 
 def test_certificates_byte_identical_binsearch():
-    reference = _certificate("binsearch_riscv", MODES[-1])
-    assert _certificate("binsearch_riscv", MODES[0]) == reference
-
-
-def test_engine_config_mode_override():
-    """EngineConfig.solver_mode pins context solvers regardless of the
-    process default."""
-    from repro.logic.automation import EngineConfig, ProofEngine
-
-    module = casestudies.memcpy_arm
-    with configured(jobs=1, cache=None):
-        case = module.build(n=2)
-    config = EngineConfig(solver_mode=SolverMode(incremental=False, slicing=False))
-    engine = ProofEngine(case.frontend.traces, case.specs, pc_for(module), config)
-    engine.verify_all()
-    assert engine._solvers
-    for solver in engine._solvers:
-        assert solver.mode == SolverMode(incremental=False, slicing=False)
-        assert solver.stats.incremental_solves == 0
+    reference = _certificate("binsearch_riscv", ENGINES["fresh"])
+    assert _certificate("binsearch_riscv", ENGINES["inc+slice"]) == reference

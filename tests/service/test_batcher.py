@@ -9,7 +9,7 @@ import pytest
 from repro.arch.arm import ArmModel, encode as A
 from repro.frontend import ProgramImage, generate_instruction_map
 from repro.isla import Assumptions
-from repro.parallel.scheduler import TaskFailure, _solver_mode_payload
+from repro.parallel.scheduler import TaskFailure
 from repro.service.batcher import TraceBatcher
 from repro.service.telemetry import Telemetry
 
@@ -32,23 +32,17 @@ class FailingPool:
 
 class TestKeys:
     def test_exact_key_ignores_address(self):
-        payload = {
-            "model": "m", "opcode": 7, "assumptions": [],
-            "solver_mode": {"incremental": True}, "addr": 0x1000,
-        }
+        payload = {"model": "m", "opcode": 7, "assumptions": [], "addr": 0x1000}
         other = dict(payload, addr=0x2000)
         assert TraceBatcher._exact_key(payload) == TraceBatcher._exact_key(other)
 
     def test_exact_key_covers_inputs(self):
-        base = {
-            "model": "m", "opcode": 7, "assumptions": [],
-            "solver_mode": {"incremental": True},
-        }
+        base = {"model": "m", "opcode": 7, "assumptions": []}
         assert TraceBatcher._exact_key(base) != TraceBatcher._exact_key(
             dict(base, opcode=8)
         )
         assert TraceBatcher._exact_key(base) != TraceBatcher._exact_key(
-            dict(base, solver_mode={"incremental": False})
+            dict(base, assumptions=[["PSTATE.EL", 2]])
         )
 
     def test_coarse_key_coalesces_irrelevant_assumptions(self):
@@ -62,7 +56,7 @@ class TestKeys:
         model = ArmModel()
         opcode = A.nop()
         batcher = TraceBatcher(cache=StubCache())
-        payload = {"solver_mode": _solver_mode_payload()}
+        payload = {}
         relevant = Assumptions().pin("PSTATE.EL", 2, 2)
         with_irrelevant = Assumptions().pin("PSTATE.EL", 2, 2).pin("PSTATE.SP", 1, 1)
         different = Assumptions().pin("PSTATE.EL", 1, 2)
@@ -75,10 +69,7 @@ class TestKeys:
     def test_no_cache_falls_back_to_exact(self):
         model = ArmModel()
         batcher = TraceBatcher(cache=None)
-        payload = {
-            "model": "m", "opcode": 7, "assumptions": [],
-            "solver_mode": _solver_mode_payload(),
-        }
+        payload = {"model": "m", "opcode": 7, "assumptions": []}
         assert batcher._dedup_key(
             payload, model, A.nop(), Assumptions()
         ).startswith("x:")

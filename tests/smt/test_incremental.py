@@ -19,15 +19,10 @@ from repro.smt.solver import (
     UNKNOWN,
     UNSAT,
     Solver,
-    SolverMode,
     check_model,
-    default_solver_mode,
-    set_default_solver_mode,
 )
 
-INC = SolverMode(incremental=True, slicing=True)
-INC_NOSLICE = SolverMode(incremental=True, slicing=False)
-FRESH = SolverMode(incremental=False, slicing=False)
+from .._reference import fresh_solver, whole_goals
 
 
 # -- SatSolver assumption interface ------------------------------------------
@@ -121,7 +116,7 @@ def test_differential_push_pop_sequences(seed):
     add/push/pop/check script."""
     rng = random.Random(seed)
     pool = _random_term_pool(rng)
-    inc = Solver(use_global_cache=False, mode=INC)
+    inc = Solver(use_global_cache=False)
     stack_depth = 0
     for _ in range(40):
         op = rng.choice(["add", "push", "pop", "check", "check_extra"])
@@ -136,10 +131,11 @@ def test_differential_push_pop_sequences(seed):
         elif op in ("check", "check_extra"):
             extra = (rng.choice(pool),) if op == "check_extra" else ()
             got = inc.check(*extra)
-            ref = Solver(use_global_cache=False, mode=FRESH)
+            ref = Solver(use_global_cache=False)
             for t in inc.assertions:
                 ref.add(t)
-            want = ref.check(*extra)
+            with fresh_solver():
+                want = ref.check(*extra)
             assert got == want, f"verdict drift on {op}: {got} != {want}"
             if got == SAT:
                 goal = list(inc.assertions) + list(extra)
@@ -152,26 +148,31 @@ def test_differential_after_conflict_limit_unknown(seed):
     subsequent unstarved queries still agree with a fresh solver."""
     rng = random.Random(1000 + seed)
     pool = _random_term_pool(rng, width=16)
-    starved = Solver(use_global_cache=False, max_conflicts=0, mode=INC_NOSLICE)
+    starved = Solver(use_global_cache=False, max_conflicts=0)
     for t in pool[:3]:
         starved.add(t)
-    starved.check()  # may be UNKNOWN (conflict budget 0) — that's the point
+    with whole_goals():
+        starved.check()  # may be UNKNOWN (conflict budget 0) — that's the point
     # Re-arm by querying through an unstarved solver sharing no state, and
-    # an identical-mode solver with a real budget.
-    healthy = Solver(use_global_cache=False, mode=INC_NOSLICE)
-    ref = Solver(use_global_cache=False, mode=FRESH)
+    # an identical-engine solver with a real budget.
+    healthy = Solver(use_global_cache=False)
+    ref = Solver(use_global_cache=False)
     for t in pool[:3]:
         healthy.add(t)
         ref.add(t)
-    assert healthy.check() == ref.check()
+    with whole_goals():
+        verdict = healthy.check()
+    with fresh_solver():
+        assert verdict == ref.check()
     # And the starved solver itself stays differentially sound on queries
     # its budget *can* decide (theory-layer refutations need no conflicts).
     x = B.bv_var(f"cl{seed}", 16)
     easy = [B.bvult(x, B.bv(10, 16)), B.not_(B.bvult(x, B.bv(100, 16)))]
-    s2 = Solver(use_global_cache=False, max_conflicts=0, mode=INC_NOSLICE)
+    s2 = Solver(use_global_cache=False, max_conflicts=0)
     for t in easy:
         s2.add(t)
-    assert s2.check() == UNSAT
+    with whole_goals():
+        assert s2.check() == UNSAT
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -181,17 +182,18 @@ def test_differential_under_injected_faults(seed):
     the context must stay sound afterwards)."""
     rng = random.Random(2000 + seed)
     pool = _random_term_pool(rng)
-    inc = Solver(use_global_cache=False, mode=INC)
+    inc = Solver(use_global_cache=False)
     for t in pool[:4]:
         inc.add(t)
     with inject(FaultInjector(seed, rate=0.3, sites=("bitblast",))):
         faulty_verdicts = [inc.check(q) for q in pool[4:10]]
     # After the injector is gone the same context must agree with fresh.
     for q, seen in zip(pool[4:10], faulty_verdicts):
-        ref = Solver(use_global_cache=False, mode=FRESH)
+        ref = Solver(use_global_cache=False)
         for t in inc.assertions:
             ref.add(t)
-        want = ref.check(q)
+        with fresh_solver():
+            want = ref.check(q)
         assert inc.check(q) == want
         # Under injection the only allowed deviation is UNKNOWN (gave up
         # after retries); a decisive verdict must have been the true one.
@@ -201,31 +203,38 @@ def test_differential_under_injected_faults(seed):
 def test_pop_does_not_discard_learned_state():
     """Encodings and verdicts survive pop(): re-checking a previously seen
     goal after a push/pop cycle does not re-encode terms."""
-    s = Solver(use_global_cache=False, mode=INC_NOSLICE)
+    s = Solver(use_global_cache=False)
     x = B.bv_var("pp_x", 32)
     base = B.bvult(B.bvxor(x, B.bv(0xDEAD, 32)), B.bv(1 << 30, 32))
-    s.add(base)
-    assert s.check() == SAT
-    encoded_after_first = s.stats.encode_us
-    s.push()
-    s.add(B.bvult(x, B.bv(100, 32)))
-    assert s.check() in (SAT, UNSAT)
-    s.pop()
-    # Same goal as the first query: pure assumption replay.
-    solves_before = s.stats.incremental_solves
-    assert s.check() == SAT
+    with whole_goals():
+        s.add(base)
+        assert s.check() == SAT
+        s.push()
+        s.add(B.bvult(x, B.bv(100, 32)))
+        assert s.check() in (SAT, UNSAT)
+        s.pop()
+        # Same goal as the first query: pure assumption replay.
+        solves_before = s.stats.incremental_solves
+        assert s.check() == SAT
     assert s.stats.incremental_solves == solves_before + 1
     assert s._ctx is not None  # the context survived the pop
 
 
-def test_mode_default_and_override():
-    previous = default_solver_mode()
-    try:
-        set_default_solver_mode(FRESH)
-        assert Solver().mode == FRESH
-        assert Solver(mode=INC).mode == INC
-    finally:
-        set_default_solver_mode(previous)
+def test_reference_solver_bypasses_the_incremental_context():
+    """The parity tests' reference really is a fresh core per query and
+    unsliced: no persistent context, no incremental or sliced solve."""
+    s = Solver(use_global_cache=False)
+    a, b = B.bv_var("rf_a", 16), B.bv_var("rf_b", 16)
+    s.add(B.bvult(a, B.bv(10, 16)), B.eq(B.bvxor(b, B.bv(7, 16)), B.bv(0, 16)))
+    with fresh_solver():
+        assert s.check() == SAT
+        assert check_model(list(s.assertions), s.model())
+    assert s._ctx is None
+    assert s.stats.incremental_solves == 0
+    assert s.stats.sliced_checks == 0
+    assert s.check() == SAT  # default engine: sliced, incremental
+    assert s.stats.sliced_checks == 1
+    assert s._ctx is not None
 
 
 def test_model_goal_initialised():

@@ -5,7 +5,9 @@ import random
 
 from repro.smt import builder as B
 from repro.smt.slicing import partition_goal, query_component_indices, term_vars
-from repro.smt.solver import SAT, UNSAT, Solver, SolverMode, check_model
+from repro.smt.solver import SAT, UNSAT, Solver, check_model
+
+from .._reference import throwaway_engine, whole_goals
 
 
 def _vars(width=8, n=6, tag="sl"):
@@ -93,21 +95,23 @@ class TestQueryComponents:
 class TestSlicedSolving:
     def test_unsat_component_refutes_whole(self):
         a, b = B.bv_var("sr_a", 16), B.bv_var("sr_b", 16)
-        s = Solver(use_global_cache=False, mode=SolverMode(False, True))
+        s = Solver(use_global_cache=False)
         s.add(B.bvult(a, B.bv(10, 16)))
         s.add(B.bvult(b, B.bv(10, 16)))
         # Query contradicts only the `a` component.
-        assert s.check(B.not_(B.bvult(a, B.bv(100, 16)))) == UNSAT
+        with throwaway_engine():
+            assert s.check(B.not_(B.bvult(a, B.bv(100, 16)))) == UNSAT
 
     def test_sat_models_merge_across_components(self):
         a, b = B.bv_var("mm_a", 16), B.bv_var("mm_b", 16)
-        s = Solver(use_global_cache=False, mode=SolverMode(False, True))
+        s = Solver(use_global_cache=False)
         g1 = B.eq(B.bvand(a, B.bv(0xFF, 16)), B.bv(0x12, 16))
         g2 = B.eq(B.bvxor(b, B.bv(0x34, 16)), B.bv(0, 16))
         s.add(g1)
         s.add(g2)
-        assert s.check() == SAT
-        model = s.model()
+        with throwaway_engine():
+            assert s.check() == SAT
+            model = s.model()
         assert check_model([g1, g2], model)
 
     def test_randomised_sliced_equals_whole(self):
@@ -127,12 +131,15 @@ class TestSlicedSolving:
                         ]
                     )
                 )
-            sliced = Solver(use_global_cache=False, mode=SolverMode(False, True))
-            whole = Solver(use_global_cache=False, mode=SolverMode(False, False))
+            sliced = Solver(use_global_cache=False)
+            whole = Solver(use_global_cache=False)
             for t in goal:
                 sliced.add(t)
                 whole.add(t)
-            assert sliced.check() == whole.check()
+            with throwaway_engine():
+                verdict = sliced.check()
+                with whole_goals():
+                    assert verdict == whole.check()
 
     def test_component_cache_hits_across_extending_queries(self):
         """The point of per-component keys: queries that extend an unrelated
@@ -141,10 +148,11 @@ class TestSlicedSolving:
 
         clear_check_cache()
         a, b = B.bv_var("cc_a", 16), B.bv_var("cc_b", 16)
-        s = Solver(mode=SolverMode(False, True))  # global cache on
+        s = Solver()  # global cache on
         s.add(B.eq(B.bvand(a, B.bv(3, 16)), B.bv(1, 16)))
-        assert s.check(B.bvult(b, B.bv(10, 16))) == SAT
-        hits_before = s.stats.slice_cache_hits
-        # New query on b only: the `a` component verdict must be a hit.
-        assert s.check(B.bvult(b, B.bv(20, 16))) == SAT
+        with throwaway_engine():
+            assert s.check(B.bvult(b, B.bv(10, 16))) == SAT
+            hits_before = s.stats.slice_cache_hits
+            # New query on b only: the `a` component verdict must be a hit.
+            assert s.check(B.bvult(b, B.bv(20, 16))) == SAT
         assert s.stats.slice_cache_hits > hits_before

@@ -6,7 +6,7 @@ Three passes plus a lint driver (:mod:`repro.tools.lint`):
   checker for ITL traces (the judgement §4's operational semantics assumes);
 - :mod:`repro.analysis.footprint` — per-opcode static register/memory
   read-write sets with a ``may_interfere`` predicate, feeding the parallel
-  scheduler and the coarse trace-cache keys;
+  scheduler;
 - :mod:`repro.analysis.framelint` — diffs case-study pre/postconditions
   against inferred footprints (unframed writes are errors, dead spec
   clauses are warnings);
@@ -36,7 +36,6 @@ from .footprint import (
     footprint_of_trace,
     interference_groups,
     may_interfere,
-    trace_read_regs,
 )
 from .framelint import lint_case, lint_specs
 from .isaspec import (
@@ -89,7 +88,6 @@ __all__ = [
     "may_interfere",
     "merge_findings",
     "render_findings",
-    "trace_read_regs",
     "validate_arch",
     "validate_spec",
     "worst_severity",

@@ -8,16 +8,9 @@ term has that shape, as absolute intervals when the address is concrete,
 and as an "unknown" access otherwise — unknown accesses conservatively
 interfere with every other memory access.
 
-Two consumers:
-
-- the parallel scheduler groups provably independent blocks with
-  :func:`interference_groups` (so a cache-cold group can be retried or
-  budgeted as a unit without re-running unrelated blocks);
-- the trace cache coarsens keys with :func:`trace_read_regs`: a trace
-  generated under assumptions ``A`` is reusable under assumptions ``B``
-  whenever ``A`` and ``B`` agree on the registers the trace actually
-  reads — execution is deterministic given the constraints over the read
-  set, so the replayed run would emit the identical trace.
+The parallel scheduler groups provably independent blocks with
+:func:`interference_groups` (so a cache-cold group can be retried or
+budgeted as a unit without re-running unrelated blocks).
 """
 
 from __future__ import annotations
@@ -38,7 +31,6 @@ __all__ = [
     "interference_groups",
     "may_interfere",
     "shard_token",
-    "trace_read_regs",
 ]
 
 
@@ -245,23 +237,6 @@ def _walk(
     if trace.cases is not None:
         for sub in trace.cases:
             _walk(sub, dict(origins), set(written), acc)
-
-
-def trace_read_regs(trace: Trace) -> frozenset[Reg]:
-    """The registers whose *initial* values a trace depends on: everything
-    observed by a ``ReadReg`` or ``AssumeReg`` anywhere in the tree.
-
-    This is the sound restriction set for cache-key coarsening — pinned or
-    constrained assumptions on registers outside this set are never
-    consulted by the executor, so they cannot change the generated trace.
-    Must be computed on the *pre-simplification* trace: simplification
-    drops dead ``ReadReg`` events whose register the model did read.
-    """
-    regs: set[Reg] = set()
-    for j in trace.iter_events():
-        if isinstance(j, (E.ReadReg, E.AssumeReg)):
-            regs.add(j.reg)
-    return frozenset(regs)
 
 
 def block_footprints(traces: dict[int, Trace]) -> dict[int, Footprint]:

@@ -149,66 +149,6 @@ def trace_key(model, opcode, assumptions, name_prefix: str = "v") -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# -- footprint-coarsened trace keys ------------------------------------------
-#
-# A trace depends on the assumptions only through the registers the run
-# actually read (``ReadReg``/``AssumeReg``, *pre*-simplification): pinned or
-# constrained registers outside that read set are never consulted by the
-# executor, so two assumption sets agreeing on the read set generate the
-# identical trace.  The coarse key therefore hashes the assumptions
-# *restricted to the read set* — plus the read set itself, so entries
-# recorded under different read sets (the set can depend on the assumptions,
-# via pruning) can never be confused.
-
-
-def footprint_index_key(model, opcode, name_prefix: str = "v") -> str:
-    """Key of the on-disk read-set index entry for one (model, opcode)."""
-    payload = "\n".join(
-        (
-            "fp-index-v1",
-            model_fingerprint(model),
-            opcode_signature(opcode, model.instr_bytes * 8),
-            f"prefix={name_prefix}",
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def restrict_assumptions(assumptions, read_regs):
-    """Assumptions restricted to the given registers (never mutates)."""
-    from ..isla.assumptions import Assumptions
-
-    assumptions = assumptions or Assumptions()
-    regs = set(read_regs)
-    return Assumptions(
-        {r: v for r, v in assumptions.pinned.items() if r in regs},
-        {r: p for r, p in assumptions.constrained.items() if r in regs},
-    )
-
-
-def coarse_trace_key(
-    model, opcode, assumptions, read_regs, name_prefix: str = "v"
-) -> str:
-    """Cache key for one Isla run under assumption-set coarsening.
-
-    ``read_regs`` is the pre-simplification register read set of the run
-    that produced (or is looking up) the trace; the assumptions are
-    restricted to it before fingerprinting.
-    """
-    restricted = restrict_assumptions(assumptions, read_regs)
-    payload = "\n".join(
-        (
-            "trace-coarse-v1",
-            model_fingerprint(model),
-            opcode_signature(opcode, model.instr_bytes * 8),
-            "readset=" + ",".join(sorted(str(r) for r in read_regs)),
-            assumptions_fingerprint(model, restricted),
-            f"prefix={name_prefix}",
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 # -- parametric family keys --------------------------------------------------
 
 

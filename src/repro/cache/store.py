@@ -103,11 +103,6 @@ class CacheStats:
     trace_hits: int = 0
     trace_misses: int = 0
     trace_writes: int = 0
-    #: Hits served through a footprint-coarsened key (subset of trace_hits).
-    trace_coarse_hits: int = 0
-    #: Writes of coarse-key aliases (not counted in trace_writes: aliases
-    #: are an index detail, one logical trace is still one write).
-    trace_coarse_writes: int = 0
     smt_hits: int = 0
     smt_misses: int = 0
     smt_records: int = 0
@@ -119,7 +114,6 @@ class CacheStats:
     #: Entries that parsed but failed the well-formedness check (subset of
     #: corrupt_entries); each is evicted on sight.
     wellformed_rejects: int = 0
-    fp_index_writes: int = 0
     #: Parametric family-trace entries (see ``repro.isla.parametric``).
     family_hits: int = 0
     family_misses: int = 0
@@ -160,10 +154,8 @@ class DiskCache:
         self._smt_path = self._base / "smt" / "verdicts.jsonl"
         self._traces.mkdir(parents=True, exist_ok=True)
         self._smt_path.parent.mkdir(parents=True, exist_ok=True)
-        self._fp_path = self._base / "traces" / "footprints.jsonl"
         self._smt: dict[str, str] = {}
         self._smt_pending: list[str] = []
-        self._fp: dict[str, list[str]] | None = None  # lazy
         # One handle may be shared by every job thread of the daemon: the
         # in-memory views and pending buffers need mutual exclusion even
         # though the on-disk appends are self-synchronising.
@@ -190,10 +182,11 @@ class DiskCache:
         from ..itl.parser import parse_trace
 
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError:
             return "miss", None
         try:
+            text = data.decode()
             header, _, body = text.partition("\n")
             meta = json.loads(header)
             if meta.get("end") != len(text):
@@ -252,7 +245,7 @@ class DiskCache:
             return False  # a full disk must not fail the run
         return True
 
-    def load_trace(self, key: str, coarse: bool = False):
+    def load_trace(self, key: str):
         """Return ``(trace, meta)`` for a cached Isla result, or ``None``.
 
         ``meta`` carries the stored execution metrics (``paths``,
@@ -285,21 +278,15 @@ class DiskCache:
                 pass
             return None
         self.stats.trace_hits += 1
-        if coarse:
-            self.stats.trace_coarse_hits += 1
         return trace, meta
 
-    def store_trace(self, key: str, trace, meta: dict, coarse: bool = False) -> None:
+    def store_trace(self, key: str, trace, meta: dict) -> None:
         """Persist a *complete* Isla result atomically.
 
         ``meta`` must already carry the metrics; the external-variable
         signature is computed here from the trace itself.
         """
-        if not self._write_entry(self._trace_path(key), trace, meta):
-            return
-        if coarse:
-            self.stats.trace_coarse_writes += 1
-        else:
+        if self._write_entry(self._trace_path(key), trace, meta):
             self.stats.trace_writes += 1
 
     # -- parametric family store --------------------------------------------
@@ -330,54 +317,14 @@ class DiskCache:
         if self._write_entry(self._family_path(key), trace, meta):
             self.stats.family_writes += 1
 
-    # -- footprint (read-set) index -----------------------------------------
-    #
-    # Maps ``footprint_index_key(model, opcode, prefix)`` to the register
-    # read set of a completed run, enabling coarse trace lookups: a reader
-    # restricts its assumptions to the recorded read set and probes the
-    # coarse key.  Append-only JSONL with last-record-wins, same torn-line
-    # tolerance as the SMT store.
-
-    def _load_fp(self) -> dict[str, list[str]]:
-        with self._lock:
-            if self._fp is None:
-                self._fp = {}
-                try:
-                    text = self._fp_path.read_text()
-                except OSError:
-                    return self._fp
-                for line in text.splitlines():
-                    try:
-                        record = json.loads(line)
-                        self._fp[record["k"]] = list(record["regs"])
-                    except (ValueError, KeyError, TypeError):
-                        self.stats.corrupt_entries += 1
-            return self._fp
-
-    def load_footprint(self, key: str) -> list[str] | None:
-        """The recorded register read set for an index key, or ``None``."""
-        return self._load_fp().get(key)
-
-    def store_footprint(self, key: str, regs) -> None:
-        """Record the read set of a completed run (idempotent)."""
-        regs = sorted(str(r) for r in regs)
-        with self._lock:
-            index = self._load_fp()
-            if index.get(key) == regs:
-                return
-            index[key] = regs
-        line = json.dumps({"k": key, "regs": regs}, sort_keys=True) + "\n"
-        if not _append_exact(self._fp_path, line.encode()):
-            return  # losing the index only costs coarse hits
-        self.stats.fp_index_writes += 1
-
     # -- SMT verdict store --------------------------------------------------
 
     def _load_smt(self) -> None:
         """Load the verdict log; truncate its corrupt tail in place.
 
-        Records mid-file that fail to parse are skipped (they cost one
-        warm verdict each), but a *trailing* run of bad bytes — a torn
+        Records mid-file that fail to parse, or that hold anything but a
+        string key and a ``sat``/``unsat`` verdict, are skipped (they cost
+        one warm verdict each), but a *trailing* run of bad bytes — a torn
         final append, a dangling line with no newline — is cut off the
         file under the same ``flock`` the appenders take, so the log
         stops accumulating garbage that every subsequent open would
@@ -412,10 +359,14 @@ class DiskCache:
                     break
                 try:
                     record = json.loads(data[offset:newline])
-                    self._smt[record["k"]] = record["r"]
-                except (ValueError, KeyError, TypeError):
+                    key, verdict = record["k"], record["r"]
+                    # Only what smt_record writes is trusted on load.
+                    if not isinstance(key, str) or verdict not in ("sat", "unsat"):
+                        raise ValueError("not a sat/unsat verdict record")
+                except (ValueError, KeyError, TypeError, RecursionError):
                     self.stats.corrupt_entries += 1
                 else:
+                    self._smt[key] = verdict
                     valid_end = newline + 1
                 offset = newline + 1
             if valid_end < len(data):

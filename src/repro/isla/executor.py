@@ -266,40 +266,6 @@ class IslaResult:
 _TRANSIENT_RETRIES = 3
 
 
-def _coarse_lookup(cache, model, opcode, assumptions, name_prefix):
-    """Probe the cache through the footprint-coarsened key.
-
-    A prior complete run recorded its register read set in the footprint
-    index; if the current assumptions agree with the recorded run on that
-    read set, the coarse key matches and the cached trace is — provably —
-    the trace this run would generate (execution is deterministic given
-    the constraints over the registers it reads).
-    """
-    from ..cache.keys import coarse_trace_key, footprint_index_key
-    from ..itl.events import Reg
-
-    fkey = footprint_index_key(model, opcode, name_prefix)
-    reg_names = cache.load_footprint(fkey)
-    if reg_names is None:
-        return None
-    read_regs = frozenset(Reg.parse(name) for name in reg_names)
-    ckey = coarse_trace_key(model, opcode, assumptions, read_regs, name_prefix)
-    return cache.load_trace(ckey, coarse=True)
-
-
-def _coarse_store(
-    cache, model, opcode, assumptions, name_prefix, read_regs, trace, meta
-) -> None:
-    """Record a completed run under its coarse key plus the read-set index."""
-    from ..cache.keys import coarse_trace_key, footprint_index_key
-
-    ckey = coarse_trace_key(model, opcode, assumptions, read_regs, name_prefix)
-    cache.store_trace(ckey, trace, meta, coarse=True)
-    cache.store_footprint(
-        footprint_index_key(model, opcode, name_prefix), read_regs
-    )
-
-
 def trace_for_opcode(
     model: IsaModel,
     opcode: int | Term,
@@ -340,8 +306,6 @@ def trace_for_opcode(
 
         key = trace_key(model, opcode, assumptions, name_prefix)
         hit = cache.load_trace(key)
-        if hit is None:
-            hit = _coarse_lookup(cache, model, opcode, assumptions, name_prefix)
         if hit is not None:
             trace, meta = hit
             return IslaResult(
@@ -362,7 +326,7 @@ def trace_for_opcode(
             model, opcode, assumptions, max_paths, name_prefix, budget, cache
         )
         if para is not None:
-            trace, read_regs, paths, guard_checks = para
+            trace, paths, guard_checks = para
             result = IslaResult(
                 trace,
                 paths,
@@ -378,13 +342,8 @@ def trace_for_opcode(
                     "model_steps": 0,
                     "solver_checks": guard_checks,
                     "checks_skipped": 0,
-                    "read_regs": sorted(str(r) for r in read_regs),
                 }
                 cache.store_trace(key, trace, meta)
-                _coarse_store(
-                    cache, model, opcode, assumptions, name_prefix,
-                    read_regs, trace, meta,
-                )
             return result
 
     raw, metrics, exhausted = _enumerate_raw(
@@ -393,7 +352,7 @@ def trace_for_opcode(
 
     partial: IslaResult | None = None
     if raw is not None:
-        trace, read_regs = _finish_raw(raw, model, opcode)
+        trace = _finish_raw(raw, model, opcode)
         result = IslaResult(
             trace,
             metrics["paths"],
@@ -411,13 +370,8 @@ def trace_for_opcode(
                     "model_steps": result.model_steps,
                     "solver_checks": result.solver_checks,
                     "checks_skipped": result.checks_skipped,
-                    "read_regs": sorted(str(r) for r in read_regs),
                 }
                 cache.store_trace(key, trace, meta)
-                _coarse_store(
-                    cache, model, opcode, assumptions, name_prefix,
-                    read_regs, trace, meta,
-                )
             return result
         partial = result
     if partial_on_exhaustion and partial is not None:
@@ -430,24 +384,17 @@ def trace_for_opcode(
 
 
 def _finish_raw(raw: Trace, model: IsaModel, opcode: Term):
-    """The raw-to-final pipeline shared by direct and parametric paths.
-
-    The read set must come from the *raw* tree: simplification drops dead
-    ReadRegs whose register the model nonetheless consulted, and the coarse
-    cache key is only sound over the full read set.
-    """
-    from ..analysis.footprint import trace_read_regs
+    """The raw-to-final pipeline shared by direct and parametric paths."""
     from ..analysis.wellformed import maybe_assert_wellformed
     from .footprint import simplify_trace
 
-    read_regs = trace_read_regs(raw)
     trace = simplify_trace(raw)
     maybe_assert_wellformed(
         trace,
         model.regfile,
         where=f"trace_for_opcode({opcode!r})",
     )
-    return trace, read_regs
+    return trace
 
 
 def _enumerate_raw(

@@ -169,9 +169,6 @@ class FamilyEntry:
     base_form: _ServedForm = None
     #: fold-signature -> variant served form (see :class:`_ServedForm`)
     variants: dict = field(default_factory=dict)
-    #: lazily-built pre-simplification read set of ``raw`` (the coarse
-    #: cache key needs it; simplification drops dead reads)
-    raw_read_set: frozenset = None
 
     def indexed(self) -> tuple:
         if self.var_index is None:
@@ -192,13 +189,6 @@ class FamilyEntry:
                 ),
             )
         return self.base_form
-
-    def raw_reads(self) -> frozenset:
-        if self.raw_read_set is None:
-            from ..analysis.footprint import trace_read_regs
-
-            self.raw_read_set = trace_read_regs(self.raw)
-        return self.raw_read_set
 
 
 class ParametricStats:
@@ -439,11 +429,9 @@ class ParametricEngine:
     ):
         """Family-first dispatch for one concrete opcode.
 
-        Returns ``(trace, read_regs, paths, guard_checks)`` with the
-        instantiated *final* (simplified, well-formedness-checked) trace,
-        or ``None`` to fall back to the direct path.  ``read_regs`` is the
-        pre-simplification read set (non-empty only when ``cache`` is set;
-        it exists for the coarse cache key).  Never raises.
+        Returns ``(trace, paths, guard_checks)`` with the instantiated
+        *final* (simplified, well-formedness-checked) trace, or ``None`` to
+        fall back to the direct path.  Never raises.
         """
         profile = model.parametric_profile()
         if profile is None or not opcode.is_value():
@@ -500,7 +488,7 @@ class ParametricEngine:
             self.stats.inc("guard_failures")
             self.stats.inc(f"guard_failures_{suffix}")
             return None
-        served, guard_checks, finished, rename, form = instantiated
+        served, guard_checks, finished, form = instantiated
         # Path-budget parity: a caller whose path allowance is smaller than
         # the family's path count must observe the same PathBudgetExceeded
         # the direct enumeration raises, so fall back instead of serving.
@@ -528,24 +516,16 @@ class ParametricEngine:
                 )
                 form.final_checked = True
             trace = served
-            read_regs = frozenset()
-            if cache is not None:
-                read_regs = frozenset(
-                    E.Reg(rename[r.base])
-                    if r.field is None and r.base in rename
-                    else r
-                    for r in entry.raw_reads()
-                )
         else:
             from .executor import _finish_raw
 
-            trace, read_regs = _finish_raw(served, model, opcode)
-        return trace, read_regs, paths, guard_checks
+            trace = _finish_raw(served, model, opcode)
+        return trace, paths, guard_checks
 
     # -- instantiation -------------------------------------------------------
 
     def _instantiate(self, entry, profile, info, assumptions, name_prefix):
-        """Returns ``(trace, guard_checks, finished, rename, form)`` or
+        """Returns ``(trace, guard_checks, finished, form)`` or
         ``None``.
 
         ``finished=True`` means ``trace`` is the *final* (simplified)
@@ -614,7 +594,7 @@ class ParametricEngine:
                 recheck_trace=False,
             )
             self.stats.inc("family_fast_serves")
-            return served, guard_checks, True, rename, form
+            return served, guard_checks, True, form
         raw, sig = _renorm(entry.raw, rename, sigma, name_prefix, entry.indexed())
         if raw is None:
             return None  # a fork condition folded: direct would not fork here
@@ -638,7 +618,7 @@ class ParametricEngine:
         maybe_assert_substitution_wellformed(
             entry.raw, raw, sigma, rename, where=where, recheck_trace=False
         )
-        return raw, guard_checks, False, rename, None
+        return raw, guard_checks, False, None
 
     # -- disk tier -----------------------------------------------------------
 

@@ -7,10 +7,8 @@ want the *same* Isla runs.  The batcher is a single-flight layer in front
 of the resident :class:`~repro.parallel.scheduler.WorkerPool`:
 
 - every per-opcode request is keyed by its content — the exact
-  (model, opcode, assumptions, solver mode) payload, or, when the on-disk
-  footprint index already knows the opcode's register read set, the
-  *footprint-coarsened* key (assumptions restricted to the read set), so
-  requests differing only in irrelevant assumptions coalesce too;
+  (model, opcode, assumptions) payload, so requests differing only in
+  their address coalesce;
 - the first request for a key becomes the *leader* and is queued for
   dispatch; followers subscribe to the leader's future (``dedup_hits``);
 - a dispatcher thread collects queued leaders for a short window
@@ -85,23 +83,6 @@ class TraceBatcher:
             sort_keys=True,
         )
         return "x:" + hashlib.sha256(body.encode()).hexdigest()
-
-    def _dedup_key(self, payload: dict, model, opcode, assumptions) -> str:
-        """The coalescing key: footprint-coarse when the index knows the
-        opcode's read set, exact otherwise."""
-        if self.cache is not None:
-            from ..cache.keys import coarse_trace_key, footprint_index_key
-            from ..itl.events import Reg
-
-            reg_names = self.cache.load_footprint(
-                footprint_index_key(model, opcode)
-            )
-            if reg_names is not None:
-                read_regs = frozenset(Reg.parse(name) for name in reg_names)
-                return "c:" + coarse_trace_key(
-                    model, opcode, assumptions, read_regs
-                )
-        return self._exact_key(payload)
 
     # -- the dispatcher ------------------------------------------------------
 
@@ -190,8 +171,7 @@ class TraceBatcher:
                 "assumptions": _assumptions_payload(model, assumptions),
                 "cache_dir": cache_dir,
             }
-            opcode = image.opcodes[addr]
-            key = self._dedup_key(payload, model, opcode, assumptions)
+            key = self._exact_key(payload)
             if self.telemetry is not None:
                 self.telemetry.inc("trace_requests")
             with self._lock:
@@ -199,8 +179,6 @@ class TraceBatcher:
                 if future is not None:
                     if self.telemetry is not None:
                         self.telemetry.inc("dedup_hits")
-                        if key.startswith("c:"):
-                            self.telemetry.inc("coarse_dedup_hits")
                 else:
                     future = concurrent.futures.Future()
                     self._inflight[key] = future

@@ -51,7 +51,7 @@ from . import journal as journal_mod
 from .breaker import CircuitBreaker
 from .client import ServiceError, ServiceTimeout, ServiceUnavailable
 from .journal import JobJournal
-from .protocol import JobRecord, SubmitRequest
+from .protocol import JobRecord, SubmitRequest, parse_events_query
 from .queue import AdmissionError
 from .telemetry import Telemetry
 
@@ -856,8 +856,11 @@ class FleetRouter:
                     {"error": job.error or "not finished", "state": job.state},
                 )
         elif method == "GET" and rest == ["events"]:
-            since = int(query.get("since", 0) or 0)
-            wait_s = min(30.0, float(query.get("wait", 0) or 0))
+            try:
+                since, wait_s = parse_events_query(query)
+            except ValueError as exc:
+                await self._respond(writer, 400, {"error": str(exc)})
+                return
             deadline = asyncio.get_event_loop().time() + wait_s
             events = job.events_since(since)
             while not events and not job.terminal:

@@ -45,6 +45,26 @@ def _fresh_job_id() -> str:
     return f"job-{next(_ids):06d}"
 
 
+def parse_events_query(query: dict) -> tuple[int, float]:
+    """``(since, wait_s)`` from a ``/jobs/<id>/events`` query string.
+
+    ``since`` is how many events the client has already seen and ``wait``
+    the long-poll allowance in seconds, capped at 30; both default to 0.
+    Raises ``ValueError`` naming the parameter that is malformed.
+    """
+    since = query.get("since") or "0"
+    wait = query.get("wait") or "0"
+    try:
+        since_n = int(since)
+    except ValueError:
+        raise ValueError(f"'since' must be an integer, got {since!r}") from None
+    try:
+        wait_s = float(wait)
+    except ValueError:
+        raise ValueError(f"'wait' must be a number, got {wait!r}") from None
+    return since_n, min(30.0, wait_s)
+
+
 @dataclass(frozen=True)
 class SubmitRequest:
     """A verification request: one case study build + governed verify.

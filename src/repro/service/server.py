@@ -38,7 +38,7 @@ import json
 import threading
 import urllib.parse
 
-from .protocol import JobRecord, SubmitRequest
+from .protocol import JobRecord, SubmitRequest, parse_events_query
 from .queue import AdmissionError, JobQueue
 from .telemetry import Telemetry
 
@@ -417,8 +417,11 @@ class VerificationService:
                     writer, 409, {"error": "not finished", "state": job.state}
                 )
         elif method == "GET" and rest == ["events"]:
-            since = int(query.get("since", 0) or 0)
-            wait_s = min(30.0, float(query.get("wait", 0) or 0))
+            try:
+                since, wait_s = parse_events_query(query)
+            except ValueError as exc:
+                await self._respond(writer, 400, {"error": str(exc)})
+                return
             deadline = asyncio.get_event_loop().time() + wait_s
             events = job.events_since(since)
             while not events and not job.terminal:

@@ -9,12 +9,10 @@ from repro.analysis import (
     footprint_of_trace,
     interference_groups,
     may_interfere,
-    trace_read_regs,
 )
 from repro.arch.arm import ArmModel
 from repro.isla import Assumptions, trace_for_opcode
 from repro.itl import (
-    AssumeReg,
     DeclareConst,
     DefineConst,
     ReadMem,
@@ -127,15 +125,6 @@ class TestInference:
         skipped = Trace.lin(WriteReg(X2, x))
         fp = footprint_of_trace(Trace(spine, cases=(taken, skipped)))
         assert fp.reg_writes == {X1, X2}
-
-    def test_trace_read_regs_covers_assumes_and_cases(self):
-        x = v("x")
-        sub = Trace.lin(ReadReg(X2, B.bv(0, 64)))
-        t = Trace(
-            (AssumeReg(X1, B.bv(1, 64)), DeclareConst(x, bv_sort(64)), ReadReg(X0, x)),
-            cases=(sub, Trace.lin()),
-        )
-        assert trace_read_regs(t) == {X0, X1, X2}
 
     def test_real_executor_trace(self):
         arm = ArmModel()

@@ -118,22 +118,6 @@ class TestConcurrentJsonlStores:
             for n in range(0, 300, 97):
                 assert fresh.smt_lookup(f"k-{i}-{n}") in ("sat", "unsat")
 
-    def test_footprint_index_concurrent_appends(self, tmp_path):
-        handles = [DiskCache(tmp_path) for _ in range(6)]
-
-        def record(i: int) -> None:
-            for n in range(100):
-                handles[i].store_footprint(f"fp-{i}-{n}", [f"R{n % 31}", "PSTATE.EL"])
-
-        _hammer(6, record)
-        fresh = DiskCache(tmp_path)
-        for i in range(6):
-            for n in range(0, 100, 33):
-                assert fresh.load_footprint(f"fp-{i}-{n}") == [
-                    "PSTATE.EL", f"R{n % 31}"
-                ]
-        assert fresh.stats.corrupt_entries == 0
-
     def test_append_exact_partial_write_loop(self, tmp_path, monkeypatch):
         """A short ``os.write`` must not tear a record."""
         import os as _os

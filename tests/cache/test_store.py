@@ -127,6 +127,25 @@ class TestSmtStore:
         assert cache.smt_lookup("a" * 64) == "unsat"
         assert cache.stats.corrupt_entries == 1
 
+    def test_only_sat_unsat_verdicts_load(self, tmp_path):
+        """A record ``smt_record`` could never have written is corrupt: it
+        is counted and skipped, never served as a verdict."""
+        path = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
+        path.parent.mkdir(parents=True)
+        records = [
+            {"k": "abc", "r": "garbage"},
+            {"k": "def", "r": 5},
+            {"k": 7, "r": "sat"},
+            {"k": "ghi", "r": "unsat"},
+        ]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        cache = DiskCache(tmp_path)
+        assert cache.smt_lookup("abc") is None
+        assert cache.smt_lookup("def") is None
+        assert cache.smt_lookup("ghi") == "unsat"
+        assert cache.stats.corrupt_entries == 3
+        assert cache.stats.smt_loaded == 1
+
     def test_close_flushes(self, tmp_path):
         with DiskCache(tmp_path) as cache:
             cache.smt_record("c" * 64, "sat")

@@ -4,6 +4,8 @@ send requests no well-behaved client would."""
 from __future__ import annotations
 
 import asyncio
+import http.client
+import json
 import socket
 import threading
 
@@ -35,3 +37,14 @@ def content_length_status(host: str, port: int, length: str) -> int:
         sock.sendall(request.encode())
         status_line = sock.makefile("rb").readline().decode("latin-1")
     return int(status_line.split()[1])
+
+
+def get_json(host: str, port: int, path: str) -> tuple[int, dict]:
+    """One GET with no client-side retries: ``(status, decoded body)``."""
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request("GET", path)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()

@@ -45,34 +45,10 @@ class TestKeys:
             dict(base, assumptions=[["PSTATE.EL", 2]])
         )
 
-    def test_coarse_key_coalesces_irrelevant_assumptions(self):
-        """With a recorded read set, assumptions differing only outside it
-        map to the same key; differing inside it, to different keys."""
-
-        class StubCache:
-            def load_footprint(self, key):
-                return ["PSTATE.EL"]
-
-        model = ArmModel()
-        opcode = A.nop()
-        batcher = TraceBatcher(cache=StubCache())
-        payload = {}
-        relevant = Assumptions().pin("PSTATE.EL", 2, 2)
-        with_irrelevant = Assumptions().pin("PSTATE.EL", 2, 2).pin("PSTATE.SP", 1, 1)
-        different = Assumptions().pin("PSTATE.EL", 1, 2)
-
-        key = batcher._dedup_key(payload, model, opcode, relevant)
-        assert key.startswith("c:")
-        assert key == batcher._dedup_key(payload, model, opcode, with_irrelevant)
-        assert key != batcher._dedup_key(payload, model, opcode, different)
-
     def test_no_cache_falls_back_to_exact(self):
-        model = ArmModel()
         batcher = TraceBatcher(cache=None)
         payload = {"model": "m", "opcode": 7, "assumptions": []}
-        assert batcher._dedup_key(
-            payload, model, A.nop(), Assumptions()
-        ).startswith("x:")
+        assert batcher._exact_key(payload).startswith("x:")
 
 
 class TestGenerate:

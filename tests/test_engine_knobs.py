@@ -1,10 +1,9 @@
 """The pipeline has one engine configuration.
 
-Incremental solving, goal slicing, parametric dispatch and coarse trace
-keys are always on; their parity with the simpler reference engines is
-tested through ``tests/_reference.py``, not selected at run time.  This
-guard keeps kill switches from creeping back in as environment variables
-or CLI flags.
+Incremental solving, goal slicing and parametric dispatch are always
+on; their parity with the simpler reference engines is tested through
+``tests/_reference.py``, not selected at run time.  This guard keeps kill
+switches from creeping back in as environment variables or CLI flags.
 """
 
 from __future__ import annotations

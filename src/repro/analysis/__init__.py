@@ -5,8 +5,7 @@ Three passes plus a lint driver (:mod:`repro.tools.lint`):
 - :mod:`repro.analysis.wellformed` — linear-time well-sortedness / SSA
   checker for ITL traces (the judgement §4's operational semantics assumes);
 - :mod:`repro.analysis.footprint` — per-opcode static register/memory
-  read-write sets with a ``may_interfere`` predicate, feeding the parallel
-  scheduler;
+  read-write sets, feeding the spec-frame lint;
 - :mod:`repro.analysis.framelint` — diffs case-study pre/postconditions
   against inferred footprints (unframed writes are errors, dead spec
   clauses are warnings);
@@ -34,8 +33,6 @@ from .footprint import (
     MemRegion,
     block_footprints,
     footprint_of_trace,
-    interference_groups,
-    may_interfere,
 )
 from .framelint import lint_case, lint_specs
 from .isaspec import (
@@ -78,14 +75,12 @@ __all__ = [
     "check_trace",
     "debug_checks_enabled",
     "footprint_of_trace",
-    "interference_groups",
     "is_wellformed",
     "isaspec_stats",
     "lint_case",
     "lint_specs",
     "load_spec",
     "max_severity",
-    "may_interfere",
     "merge_findings",
     "render_findings",
     "validate_arch",

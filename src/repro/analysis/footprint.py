@@ -5,12 +5,10 @@ trace, which registers an instruction may read or write and which memory
 it may touch.  Memory accesses are abstracted as intervals anchored at the
 initial value of a base register (``[X1 + 8, X1 + 16)``) when the address
 term has that shape, as absolute intervals when the address is concrete,
-and as an "unknown" access otherwise — unknown accesses conservatively
-interfere with every other memory access.
+and as an "unknown" access otherwise.
 
-The parallel scheduler groups provably independent blocks with
-:func:`interference_groups` (so a cache-cold group can be retried or
-budgeted as a unit without re-running unrelated blocks).
+Spec-frame lint (:mod:`repro.analysis.framelint`) diffs these footprints
+against each case study's pre- and postconditions.
 """
 
 from __future__ import annotations
@@ -28,9 +26,6 @@ __all__ = [
     "MemRegion",
     "block_footprints",
     "footprint_of_trace",
-    "interference_groups",
-    "may_interfere",
-    "shard_token",
 ]
 
 
@@ -50,15 +45,6 @@ class MemRegion:
     def __str__(self) -> str:
         anchor = str(self.base) if self.base is not None else ""
         return f"[{anchor}{self.lo:+#x}, {anchor}{self.hi:+#x})"
-
-    def overlaps(self, other: "MemRegion") -> bool:
-        """Definite-or-possible overlap.  Regions with *different* known
-        anchors may still alias (nothing relates two registers' initial
-        values statically), so only identical anchors admit a precise
-        disjointness argument."""
-        if self.base != other.base:
-            return True
-        return self.lo < other.hi and other.lo < self.hi
 
 
 # ``order=True`` needs comparable fields; sort key spells out the Reg.
@@ -94,15 +80,6 @@ class Footprint:
     @property
     def regs(self) -> frozenset[Reg]:
         return self.reg_reads | self.reg_writes
-
-    @property
-    def touches_memory(self) -> bool:
-        return bool(
-            self.mem_reads
-            or self.mem_writes
-            or self.unknown_reads
-            or self.unknown_writes
-        )
 
     def union(self, other: "Footprint") -> "Footprint":
         return Footprint(
@@ -242,99 +219,3 @@ def _walk(
 def block_footprints(traces: dict[int, Trace]) -> dict[int, Footprint]:
     """Footprint of every instruction of a program, by address."""
     return {addr: footprint_of_trace(t) for addr, t in sorted(traces.items())}
-
-
-# ---------------------------------------------------------------------------
-# Interference.
-# ---------------------------------------------------------------------------
-
-
-def _mem_conflict(writer: Footprint, other: Footprint) -> bool:
-    """Does a memory write of ``writer`` possibly touch memory ``other``
-    accesses (either direction of access on ``other``'s side)?"""
-    if writer.unknown_writes and other.touches_memory:
-        return True
-    targets = other.mem_reads + other.mem_writes
-    if writer.mem_writes and (other.unknown_reads or other.unknown_writes):
-        return True
-    return any(
-        w.overlaps(t) for w in writer.mem_writes for t in targets
-    )
-
-
-def may_interfere(
-    a: Footprint, b: Footprint, ignore: frozenset[Reg] = frozenset()
-) -> bool:
-    """Conservative interference: ``False`` only when the effects provably
-    commute.  ``ignore`` excludes bookkeeping registers every instruction
-    touches (the PC) from the register check."""
-    a_writes = a.reg_writes - ignore
-    b_writes = b.reg_writes - ignore
-    if a_writes & ((b.reg_reads | b.reg_writes) - ignore):
-        return True
-    if b_writes & ((a.reg_reads | a.reg_writes) - ignore):
-        return True
-    return _mem_conflict(a, b) or _mem_conflict(b, a)
-
-
-def shard_token(
-    footprints: list[Footprint], ignore: frozenset[Reg] = frozenset()
-) -> str:
-    """A stable, canonical digest of the footprint-interference structure.
-
-    The fleet router consistent-hashes jobs by this token so workloads
-    with the same opcode footprint-groups land on the same shard and keep
-    its trace/SMT caches hot and disjoint from the other shards'.  The
-    token must therefore be a pure function of the footprints themselves:
-    each interference group is rendered as the sorted union of its
-    register names plus its memory-region strings (and unknown-access
-    markers), groups are sorted, and the whole rendering is hashed.
-    Neither dict ordering, nor block addresses, nor the order footprints
-    were supplied in can change it.
-    """
-    import hashlib
-
-    groups = interference_groups(list(footprints), ignore)
-    parts: list[str] = []
-    for group in groups:
-        union = Footprint()
-        for index in group:
-            union = union.union(footprints[index])
-        regs = ",".join(sorted(str(r) for r in union.regs - ignore))
-        mems = ",".join(
-            sorted(str(m) for m in union.mem_reads + union.mem_writes)
-        )
-        unknown = f"?r{union.unknown_reads}w{union.unknown_writes}"
-        parts.append("{" + regs + "|" + mems + "|" + unknown + "}")
-    body = "|".join(sorted(parts))
-    return "fp:" + hashlib.sha256(body.encode()).hexdigest()[:16]
-
-
-def interference_groups(
-    footprints: list[Footprint], ignore: frozenset[Reg] = frozenset()
-) -> list[list[int]]:
-    """Partition indices into connected components of ``may_interfere``.
-
-    Groups are returned sorted by smallest member; members sorted.  Blocks
-    in different groups provably do not interfere, so a scheduler may
-    order or batch them freely without changing any observable result.
-    """
-    n = len(footprints)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if may_interfere(footprints[i], footprints[j], ignore):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])

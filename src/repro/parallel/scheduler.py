@@ -441,38 +441,6 @@ def generate_traces_parallel(
 # -- block-proof fan-out ----------------------------------------------------
 
 
-def _block_groups(case, module) -> list[list[int]]:
-    """Partition a case's blocks into footprint-interference groups.
-
-    Each spec'd block is assigned the union footprint of the instructions
-    in its address range; blocks whose footprints provably do not
-    interfere (disjoint register effects, disjoint memory, PC excluded)
-    land in different groups.  Workers are dispatched group-by-group so
-    blocks sharing state run adjacently (warm per-process caches); the
-    merge stays address-ordered, so grouping can never change any result.
-    """
-    from ..analysis.footprint import (
-        Footprint,
-        footprint_of_trace,
-        interference_groups,
-    )
-
-    addrs = sorted(case.specs)
-    if len(addrs) <= 1:
-        return [addrs]
-    footprints = {addr: Footprint() for addr in addrs}
-    for taddr, trace in case.frontend.traces.items():
-        owner = addrs[0]
-        for addr in addrs:
-            if addr > taddr:
-                break
-            owner = addr
-        footprints[owner] = footprints[owner].union(footprint_of_trace(trace))
-    ignore = frozenset({pc_for(module)})
-    groups = interference_groups([footprints[a] for a in addrs], ignore)
-    return [[addrs[i] for i in group] for group in groups]
-
-
 def _block_fault_seed(seed: int, addr: int) -> int:
     """A per-block injector seed: a pure function of (run seed, block)."""
     digest = hashlib.sha256(f"{seed}:{addr:#x}".encode()).digest()
@@ -638,26 +606,16 @@ def verify_case_parallel(
                 if fault_seed is not None
                 else None
             )
-            # Dispatch order: footprint-interference groups.  Budget
-            # partitioning stays tied to the address-sorted positions, so
-            # each block's share is independent of the grouping.
-            groups = _block_groups(case, module)
-            spec_by_addr = dict(zip(addrs, specs))
             payloads = [
                 {
                     "case": name,
                     "kwargs": sorted(build_kwargs.items()),
                     "addr": addr,
                     "cache_dir": str(cache.root),
-                    "budget_spec": (
-                        asdict(spec_by_addr[addr])
-                        if spec_by_addr[addr] is not None
-                        else None
-                    ),
+                    "budget_spec": asdict(spec) if spec is not None else None,
                     "fault": fault,
                 }
-                for group in groups
-                for addr in group
+                for addr, spec in zip(addrs, specs)
             ]
             on_result = None
             if progress is not None:
@@ -686,11 +644,10 @@ def verify_case_parallel(
     )
     fault_count = 0
     # Failures carry no result payload: recover the block address from the
-    # payload the task was given, then merge everything in address order.
-    tagged = [
-        (payload["addr"], item) for payload, item in zip(payloads, raw)
-    ]
-    for addr, item in sorted(tagged, key=lambda t: t[0]):
+    # payload the task was given.  Payloads are address-ordered, and so is
+    # the merge.
+    for payload, item in zip(payloads, raw):
+        addr = payload["addr"]
         if isinstance(item, TaskFailure):
             from ..resilience.outcome import UNKNOWN
 
@@ -721,7 +678,6 @@ def verify_case_parallel(
     report.solver_stats = solver_totals
     report.cache_stats = cache_totals
     report.parametric_stats = parametric_totals
-    report.schedule_groups = tuple(tuple(group) for group in groups)
     if fault_count:
         report.faults = tuple(range(fault_count))  # count only; events stay
         # in the workers — FaultEvent streams are per-process diagnostics.

@@ -91,11 +91,6 @@ class RunReport:
     #: hits/builds/instantiations/guard failures attributable to this run.
     parametric_stats: dict[str, int] = field(default_factory=dict)
     faults: tuple = ()  # tuple[FaultEvent, ...]
-    #: Interference grouping used by the parallel driver: a tuple of tuples
-    #: of block addresses; blocks in different groups have provably
-    #: disjoint footprints.  Empty for serial runs (informational only —
-    #: the merge is address-ordered, so grouping never affects results).
-    schedule_groups: tuple = ()
 
     @property
     def outcome(self) -> str:

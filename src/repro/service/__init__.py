@@ -11,9 +11,8 @@ resident and serves verification over a local socket:
 - :mod:`~repro.service.queue` — a priority job queue with admission
   control backed by :mod:`repro.resilience` budgets;
 - :mod:`~repro.service.batcher` — the cross-job dedup/batching layer:
-  identical (model, opcode, assumptions) trace requests — and
-  footprint-compatible ones — coalesce onto one in-flight computation
-  before dispatch to the resident worker pool;
+  identical (model, opcode, assumptions) trace requests coalesce onto one
+  in-flight computation before dispatch to the resident worker pool;
 - :mod:`~repro.service.runner` — job execution against the resident pool,
   with per-job budget partitions absorbed back on completion;
 - :mod:`~repro.service.telemetry` — service counters (queue depth, batch
@@ -33,7 +32,7 @@ resident and serves verification over a local socket:
   append-only fsync'd WAL with CRC'd records, truncate-on-open tail
   recovery, and content-hash completion dedup;
 - :mod:`~repro.service.fleet` — the fleet router: consistent-hash job
-  placement by footprint-group token, failover, journal-backed replay,
+  placement by request content hash, failover, journal-backed replay,
   and a fleet-wide HTTP front end speaking the single-daemon API;
 - :mod:`~repro.service.chaos` — the seeded service-layer chaos harness
   (shard kills, dropped connections, delayed heartbeats, torn journal

@@ -5,13 +5,9 @@ This is the front door of the sharded verification fleet.  One
 
 - a :class:`~repro.service.supervisor.ShardSupervisor` (started and
   stopped with the router) whose shards do all actual verification;
-- a :class:`HashRing` mapping jobs to shards by their **footprint-group
-  token** (:func:`repro.analysis.footprint.shard_token`), so structurally
-  similar cases land on the same shard and hit its warm trace/SMT caches.
-  The token needs a built case, which the router never has at submit time
-  — shards report it in every result (``shard_key``) and the router
-  *learns* the affinity, falling back to the request's content hash until
-  it does;
+- a :class:`HashRing` mapping each job to a shard by its request content
+  hash, so placement is deterministic and needs nothing the router does
+  not have at submit time;
 - one :class:`~repro.service.breaker.CircuitBreaker` per shard, tripped
   by dispatch failures and forced open the moment the supervisor declares
   a shard dead;
@@ -195,7 +191,6 @@ class FleetRouter:
         self.jobs: dict[str, FleetJob] = {}
         self._live_by_hash: dict[str, FleetJob] = {}
         self._completed: dict[str, dict] = {}  # hash -> full result
-        self._affinity: dict[str, str] = {}  # content hash -> shard token
         self._dispatchers: list[threading.Thread] = []
         self._dispatcher_count = (
             dispatchers
@@ -426,16 +421,8 @@ class FleetRouter:
 
     # -- placement -------------------------------------------------------------
 
-    def _routing_key(self, job: FleetJob) -> str:
-        # Learned footprint-group token when a completed twin taught us
-        # one; the content hash otherwise.  Both are stable, so placement
-        # is deterministic either way — the token just adds cache
-        # affinity across *different* cases with equal footprint shape.
-        with self._lock:
-            return self._affinity.get(job.content_hash, job.content_hash)
-
     def _candidates(self, job: FleetJob) -> list[str]:
-        preference = self.ring.preference(self._routing_key(job))
+        preference = self.ring.preference(job.content_hash)
         return [
             shard_id
             for shard_id in preference
@@ -517,7 +504,6 @@ class FleetRouter:
         except _RouterStopping:
             return  # journal still holds the accept; replay resumes it
         self.breakers[shard_id].record_success()
-        self._learn_affinity(job, result)
         self.supervisor.absorb(result.get("budget"))
         self._finish_done(job, result)
 
@@ -583,12 +569,6 @@ class FleetRouter:
 
     # -- completion ------------------------------------------------------------
 
-    def _learn_affinity(self, job: FleetJob, result: dict) -> None:
-        token = result.get("shard_key")
-        if token:
-            with self._lock:
-                self._affinity[job.content_hash] = token
-
     def _finish_done(
         self, job: FleetJob, result: dict, from_journal: bool = False
     ) -> None:
@@ -652,13 +632,11 @@ class FleetRouter:
             states: dict[str, int] = {}
             for record in self.jobs.values():
                 states[record.state] = states.get(record.state, 0) + 1
-            affinity = len(self._affinity)
             completed = len(self._completed)
         return {
             "shards": shards,
             "queued": queued,
             "jobs": states,
-            "affinity_entries": affinity,
             "completed_hashes": completed,
             "pool_remaining": self.supervisor.pool_remaining(),
             "journal": (

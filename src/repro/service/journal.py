@@ -23,10 +23,13 @@ an acknowledged record survives a kill -9 of the router and (modulo disk
 lies) a power cut.
 
 Recovery discipline: records are read in order and validation stops at
-the first record that fails to parse, fails its CRC, or breaks the seq
-chain; the file is truncated at that byte offset.  Only the *tail* can be
-torn under the append-only + fsync discipline, so truncation never drops
-an acknowledged record — it removes exactly the garbage a crash mid-append
+the first record that fails to parse, fails its CRC, breaks the seq
+chain, or lacks the shape its kind needs (string ``job`` and ``hash``; an
+``accept`` also carries a string ``case``, object-or-null ``kwargs`` and a
+known ``priority``; a ``done`` result is an object); the file is
+truncated at that byte offset.  Only the *tail* can be torn under the
+append-only + fsync discipline, so truncation never drops an
+acknowledged record — it removes exactly the garbage a crash mid-append
 (or the chaos harness) left behind.
 """
 
@@ -39,21 +42,40 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .protocol import PRIORITIES
+
 ACCEPT = "accept"
 DONE = "done"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
+#: Every kind but ``accept`` terminates a journaled job; a job accepted
+#: without a terminal record is *pending* and is resubmitted on replay.
 KINDS = (ACCEPT, DONE, FAILED, CANCELLED)
-
-#: Kinds that terminate a journaled job; anything accepted without one of
-#: these is *pending* and must be resubmitted on replay.
-TERMINAL_KINDS = (DONE, FAILED, CANCELLED)
 
 
 def _checksum(record: dict) -> int:
     body = json.dumps(record, sort_keys=True).encode()
     return zlib.crc32(body) & 0xFFFFFFFF
+
+
+def _well_shaped(record: dict) -> bool:
+    """Does a CRC-valid record carry the fields replay reads, typed as
+    replay reads them?"""
+    kind = record.get("kind")
+    if kind not in KINDS:
+        return False
+    if not all(isinstance(record.get(key), str) for key in ("job", "hash")):
+        return False
+    if kind == ACCEPT:
+        return (
+            isinstance(record.get("case"), str)
+            and isinstance(record.get("kwargs"), (dict, type(None)))
+            and record.get("priority", "batch") in PRIORITIES
+        )
+    if kind == DONE and "result" in record:
+        return isinstance(record["result"], dict)
+    return True
 
 
 @dataclass
@@ -72,8 +94,8 @@ class Replay:
 
     #: job id -> accept record, in acceptance order, *not* yet terminal.
     pending: dict[str, dict] = field(default_factory=dict)
-    #: content hash -> terminal ``done`` record (first completion wins —
-    #: later duplicates carry the identical deterministic result).
+    #: content hash -> the first ``done`` record carrying a result (later
+    #: duplicates carry the identical deterministic result).
     completed: dict[str, dict] = field(default_factory=dict)
     #: job id -> terminal record of any kind (done/failed/cancelled).
     terminal: dict[str, dict] = field(default_factory=dict)
@@ -125,16 +147,14 @@ class JobJournal:
     def _validate(line: bytes, expect_seq: int) -> dict | None:
         try:
             record = json.loads(line)
-        except ValueError:
+        except (ValueError, RecursionError):
             return None
         if not isinstance(record, dict):
             return None
         crc = record.pop("crc", None)
         if crc != _checksum(record) or record.get("seq") != expect_seq:
             return None
-        if record.get("kind") not in KINDS:
-            return None
-        return record
+        return record if _well_shaped(record) else None
 
     def _truncate(self, offset: int) -> None:
         try:
@@ -203,17 +223,15 @@ class JobJournal:
         with self._lock:
             records = list(self._records)
         for record in records:
-            kind = record["kind"]
-            job_id = record.get("job")
-            if kind == ACCEPT and job_id is not None:
+            kind, job_id = record["kind"], record["job"]
+            if kind == ACCEPT:
                 replay.pending[job_id] = record
-            elif kind in TERMINAL_KINDS and job_id is not None:
-                replay.pending.pop(job_id, None)
-                replay.terminal[job_id] = record
-                if kind == DONE:
-                    content = record.get("hash")
-                    if content is not None and content not in replay.completed:
-                        replay.completed[content] = record
+                continue
+            replay.pending.pop(job_id, None)
+            replay.terminal[job_id] = record
+            # A ``done`` without a result refers to an earlier one.
+            if kind == DONE and "result" in record:
+                replay.completed.setdefault(record["hash"], record)
         return replay
 
     def close(self) -> None:

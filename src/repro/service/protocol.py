@@ -22,6 +22,7 @@ crashed); governance guarantees those are rare.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -106,10 +107,18 @@ class SubmitRequest:
             raise ValueError("'kwargs' must be an object")
         deadline_s = payload.get("deadline_s")
         if deadline_s is not None:
-            deadline_s = float(deadline_s)
+            message = "'deadline_s' must be a finite number"
+            try:
+                deadline_s = float(deadline_s)
+            except (TypeError, ValueError):
+                raise ValueError(message) from None
+            if not math.isfinite(deadline_s):
+                raise ValueError(message)
         conflicts = payload.get("conflicts")
-        if conflicts is not None:
-            conflicts = int(conflicts)
+        if conflicts is not None and (
+            not isinstance(conflicts, int) or isinstance(conflicts, bool)
+        ):
+            raise ValueError("'conflicts' must be an integer")
         return SubmitRequest(
             case=case,
             kwargs=dict(kwargs),
@@ -233,15 +242,11 @@ class JobRecord:
             }
 
 
-def encode_result(case, report, checker_line: str, shard_key: str | None = None) -> dict:
+def encode_result(case, report, checker_line: str) -> dict:
     """The JSON result payload for a finished governed run.
 
     ``certificate`` is the proof's canonical JSON text, unmodified — the
     byte-identity anchor against ``tools/verify --cert-dir``.
-    ``shard_key`` (when the daemon computed one) is the stable
-    footprint-group token from :func:`repro.analysis.footprint.shard_token`
-    that the fleet router uses for cache-affine consistent hashing; it is
-    informational and never part of the certificate.
     """
     blocks = {
         f"0x{addr:x}": {
@@ -253,7 +258,6 @@ def encode_result(case, report, checker_line: str, shard_key: str | None = None)
     }
     budget = report.budget.snapshot() if report.budget is not None else None
     return {
-        "shard_key": shard_key,
         "outcome": report.outcome,
         "ok": report.ok,
         "blocks": blocks,
@@ -261,7 +265,6 @@ def encode_result(case, report, checker_line: str, shard_key: str | None = None)
         "checker": checker_line,
         "solver_stats": dict(report.solver_stats),
         "cache_stats": dict(report.cache_stats),
-        "schedule_groups": [list(g) for g in report.schedule_groups],
         "budget": budget,
         "instrs": case.asm_line_count,
         "itl_events": case.frontend.total_events,

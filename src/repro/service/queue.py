@@ -119,7 +119,8 @@ class JobQueue:
     def absorb(self, snapshot: dict | None) -> None:
         """Fold a completed job's budget consumption back into the pool."""
         if snapshot and self.service_budget is not None:
-            self.service_budget.absorb(snapshot)
+            with self._lock:  # ``+=`` on the pool is not atomic
+                self.service_budget.absorb(snapshot)
 
     def pool_remaining(self) -> int | None:
         """The service pool's remaining conflict total (None = ungoverned).

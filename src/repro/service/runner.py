@@ -63,27 +63,6 @@ class JobRunner:
                 continue
             self.run_job(job)
 
-    # -- shard affinity -------------------------------------------------------
-
-    @staticmethod
-    def _shard_key(case_name: str, case) -> str | None:
-        """The stable footprint-group token of a built case, for the fleet
-        router's cache-affine consistent hashing.  Purely informational:
-        any failure to compute it costs affinity, never the job."""
-        try:
-            from .. import casestudies
-            from ..analysis.footprint import footprint_of_trace, shard_token
-            from ..parallel.scheduler import pc_for
-
-            module = getattr(casestudies, case_name)
-            footprints = [
-                footprint_of_trace(trace)
-                for _addr, trace in sorted(case.frontend.traces.items())
-            ]
-            return shard_token(footprints, frozenset({pc_for(module)}))
-        except Exception:  # noqa: BLE001 — affinity is best-effort
-            return None
-
     # -- one job --------------------------------------------------------------
 
     def run_job(self, job: JobRecord) -> None:
@@ -132,10 +111,7 @@ class JobRunner:
                 telemetry.inc("jobs_failed")
                 telemetry.log("job-failed", job=job.id, error=str(exc))
                 return
-            result = encode_result(
-                case, report, checker_line,
-                shard_key=self._shard_key(job.request.case, case),
-            )
+            result = encode_result(case, report, checker_line)
         except Exception as exc:  # noqa: BLE001 — runner must survive any job
             detail = f"{type(exc).__name__}: {exc}"
             job.mark_failed(detail)

@@ -398,7 +398,8 @@ class ShardSupervisor:
     def absorb(self, snapshot: dict | None) -> None:
         """Fold one completed job's actual consumption into the pool."""
         if snapshot and self.pool is not None:
-            self.pool.absorb(snapshot)
+            with self._lock:  # ``+=`` on the pool is not atomic
+                self.pool.absorb(snapshot)
 
     def pool_remaining(self) -> int | None:
         """allowance − Σ(absorbed): exact, by the absorb arithmetic —

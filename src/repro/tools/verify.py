@@ -75,7 +75,7 @@ def _run_serial(module, name, kwargs, args, cache):
     from ..isla.parametric import engine
     from ..logic.automation import verify_program
     from ..parallel.config import configured
-    from ..parallel.scheduler import _block_groups, pc_for
+    from ..parallel.scheduler import pc_for
     from ..resilience import Budget, FaultInjector, inject
     from ..smt.solver import install_persistent_check_store
 
@@ -106,11 +106,6 @@ def _run_serial(module, name, kwargs, args, cache):
             cache.flush()
     report.parametric_stats = engine().stats.delta(
         parametric_before, engine().stats.snapshot()
-    )
-    # Mirror the parallel driver: report the footprint grouping even though
-    # the serial path does not act on it (stats stay jobs-invariant).
-    report.schedule_groups = tuple(
-        tuple(group) for group in _block_groups(case, module)
     )
     timings = f"isla {t1 - t0:.2f}s, verify {t2 - t1:.2f}s"
     return case, report, timings
@@ -162,7 +157,6 @@ def _case_stats(case, report) -> dict:
         "cache": dict(report.cache_stats),
         "parametric": dict(report.parametric_stats),
         "executor": _executor_stats(case),
-        "schedule_groups": [list(g) for g in report.schedule_groups],
     }
 
 

@@ -1,4 +1,4 @@
-"""Footprint inference: regions, read/write sets, interference grouping."""
+"""Footprint inference: regions and read/write sets."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from repro.analysis import (
     MemRegion,
     block_footprints,
     footprint_of_trace,
-    interference_groups,
-    may_interfere,
 )
 from repro.arch.arm import ArmModel
 from repro.isla import Assumptions, trace_for_opcode
@@ -28,7 +26,6 @@ from repro.smt.sorts import bv_sort
 X0 = Reg("X0")
 X1 = Reg("X1")
 X2 = Reg("X2")
-PC = Reg("_PC")
 
 
 def v(name, w=64):
@@ -39,16 +36,6 @@ class TestMemRegion:
     def test_empty_region_rejected(self):
         with pytest.raises(ValueError):
             MemRegion(None, 8, 8)
-
-    def test_same_anchor_overlap(self):
-        a = MemRegion(X0, 0, 8)
-        assert a.overlaps(MemRegion(X0, 4, 12))
-        assert not a.overlaps(MemRegion(X0, 8, 16))
-
-    def test_different_anchors_conservatively_alias(self):
-        # Nothing relates X0's and X1's initial values statically.
-        assert MemRegion(X0, 0, 8).overlaps(MemRegion(X1, 100, 108))
-        assert MemRegion(X0, 0, 8).overlaps(MemRegion(None, 0x1000, 0x1008))
 
     def test_union_coalesces_adjacent(self):
         a = Footprint(mem_writes=(MemRegion(X0, 0, 8),))
@@ -134,42 +121,6 @@ class TestInference:
         assert Reg("SP_EL2") in fp.reg_reads
         assert Reg("SP_EL2") in fp.reg_writes
         assert Reg("_PC") in fp.reg_writes
-
-
-class TestInterference:
-    def test_register_raw_conflict(self):
-        a = Footprint(reg_writes=frozenset({X0}))
-        b = Footprint(reg_reads=frozenset({X0}))
-        assert may_interfere(a, b)
-        assert may_interfere(b, a)
-
-    def test_ignored_registers_do_not_conflict(self):
-        a = Footprint(reg_writes=frozenset({PC}))
-        b = Footprint(reg_reads=frozenset({PC}), reg_writes=frozenset({PC}))
-        assert not may_interfere(a, b, ignore=frozenset({PC}))
-
-    def test_disjoint_memory_same_anchor(self):
-        a = Footprint(mem_writes=(MemRegion(X0, 0, 8),))
-        b = Footprint(mem_reads=(MemRegion(X0, 8, 16),))
-        assert not may_interfere(a, b)
-
-    def test_unknown_memory_interferes_with_any_access(self):
-        a = Footprint(unknown_writes=1)
-        b = Footprint(mem_reads=(MemRegion(X0, 0, 8),))
-        assert may_interfere(a, b)
-        assert not may_interfere(a, Footprint(reg_reads=frozenset({X1})))
-
-    def test_read_read_never_conflicts(self):
-        a = Footprint(reg_reads=frozenset({X0}), mem_reads=(MemRegion(X0, 0, 8),))
-        assert not may_interfere(a, a)
-
-    def test_groups_partition_by_conflict(self):
-        fps = [
-            Footprint(reg_writes=frozenset({X0})),  # 0 conflicts with 1
-            Footprint(reg_reads=frozenset({X0})),
-            Footprint(reg_writes=frozenset({X2})),  # independent
-        ]
-        assert interference_groups(fps) == [[0, 1], [2]]
 
     def test_block_footprints_keyed_by_address(self):
         t = Trace.lin(WriteReg(X0, B.bv(0, 64)))

@@ -48,3 +48,17 @@ def get_json(host: str, port: int, path: str) -> tuple[int, dict]:
         return response.status, json.loads(response.read())
     finally:
         connection.close()
+
+
+def post_json(host: str, port: int, path: str, body) -> tuple[int, dict]:
+    """One JSON POST with no client-side retries: ``(status, decoded body)``."""
+    connection = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        connection.request(
+            "POST", path, body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()

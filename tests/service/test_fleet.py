@@ -100,8 +100,6 @@ class TestRouterEndToEnd:
                 assert job.state == "done", (job.request.case, job.error)
                 assert job.result["certificate"] == _serial(job.request.case)
             snapshot = fleet.router.fleet_snapshot()
-            # Completions taught the router its footprint-group affinity.
-            assert snapshot["affinity_entries"] == 2
             assert snapshot["completed_hashes"] == 2
 
     def test_ppc_certificates_byte_identical_to_serial(self):

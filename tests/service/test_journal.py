@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.service.journal import (
     ACCEPT,
     CANCELLED,
@@ -11,6 +13,7 @@ from repro.service.journal import (
     FAILED,
     JobJournal,
     Replay,
+    _checksum,
 )
 
 
@@ -18,6 +21,18 @@ def _accept(journal, job_id, content, case="rbit"):
     return journal.append(
         ACCEPT, job=job_id, hash=content, case=case, kwargs={}, priority="batch"
     )
+
+
+def _write_crc_valid(path, records) -> list[bytes]:
+    """Write records with a correct seq and CRC whatever their fields hold,
+    as a buggy or hostile writer could; returns the lines written."""
+    lines = []
+    for seq, fields in enumerate(records):
+        record = {"seq": seq, **fields}
+        record["crc"] = _checksum(record)
+        lines.append(json.dumps(record, sort_keys=True).encode() + b"\n")
+    path.write_bytes(b"".join(lines))
+    return lines
 
 
 class TestAppendRecover:
@@ -148,3 +163,66 @@ class TestReplay:
             replay = journal.replay()
         assert list(replay.pending) == ["fleet-1"]
         assert not replay.completed
+
+
+class TestShape:
+    """A CRC-valid record of the wrong shape stops recovery like a CRC
+    failure: the tail from it on is truncated and counted."""
+
+    GOOD = {
+        "kind": ACCEPT, "job": "fleet-1", "hash": "h1", "case": "rbit",
+        "kwargs": {}, "priority": "batch",
+    }
+
+    def _recover(self, path, bad):
+        lines = _write_crc_valid(path, [self.GOOD, bad])
+        with JobJournal(path) as journal:
+            replay = journal.replay()
+            assert journal.records() == [{"seq": 0, **self.GOOD}]
+            assert journal.stats.truncated_bytes == len(lines[1])
+        assert path.read_bytes() == lines[0]
+        return replay
+
+    def test_accept_with_a_list_job(self, tmp_path):
+        bad = {**self.GOOD, "job": ["x"]}
+        replay = self._recover(tmp_path / "jobs.journal", bad)
+        assert list(replay.pending) == ["fleet-1"]
+
+    def test_done_with_a_list_hash(self, tmp_path):
+        bad = {"kind": DONE, "job": "fleet-1", "hash": ["h1"], "result": {}}
+        replay = self._recover(tmp_path / "jobs.journal", bad)
+        assert list(replay.pending) == ["fleet-1"] and not replay.completed
+
+    def test_accept_without_a_case(self, tmp_path):
+        bad = {key: v for key, v in self.GOOD.items() if key != "case"}
+        replay = self._recover(tmp_path / "jobs.journal", {**bad, "job": "f-2"})
+        assert list(replay.pending) == ["fleet-1"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {**GOOD, "job": "f-2", "priority": "urgent"},
+            {**GOOD, "job": "f-2", "priority": 3},
+            {**GOOD, "job": "f-2", "kwargs": [1]},
+            {**GOOD, "job": "f-2", "case": 7},
+            {"kind": DONE, "job": "fleet-1", "hash": "h1", "result": [1]},
+            {"kind": FAILED, "hash": "h1", "error": "boom"},
+            {"kind": "bogus", "job": "fleet-1", "hash": "h1"},
+        ],
+    )
+    def test_other_ill_shaped_records(self, tmp_path, bad):
+        replay = self._recover(tmp_path / "jobs.journal", bad)
+        assert list(replay.pending) == ["fleet-1"]
+
+    def test_done_by_reference_is_not_a_completion(self, tmp_path):
+        """A ``done`` with no result (served from a journaled twin) ends
+        its job, but only a ``done`` with a result can serve a hash."""
+        path = tmp_path / "jobs.journal"
+        with JobJournal(path) as journal:
+            _accept(journal, "fleet-1", "h1")
+            _accept(journal, "fleet-2", "h1")
+            journal.append(DONE, job="fleet-2", hash="h1")
+            journal.append(DONE, job="fleet-1", hash="h1", result={"n": 1})
+            replay = journal.replay()
+        assert not replay.pending
+        assert replay.completed["h1"]["result"] == {"n": 1}

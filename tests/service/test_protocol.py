@@ -45,6 +45,10 @@ class TestSubmitRequest:
             {"case": ""},
             {"case": 7},
             {"case": "rbit", "kwargs": [1, 2]},
+            {"case": "rbit", "deadline_s": [1]},
+            {"case": "rbit", "deadline_s": "nan"},
+            {"case": "rbit", "conflicts": {}},
+            {"case": "rbit", "conflicts": 2.5},
         ],
     )
     def test_malformed_rejected(self, payload):

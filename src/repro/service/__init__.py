@@ -18,8 +18,11 @@ resident and serves verification over a local socket:
 - :mod:`~repro.service.telemetry` — service counters (queue depth, batch
   sizes, dedup hits, latency percentiles) merged with the solver/cache/
   executor statistics, exported via ``/metrics`` and structured JSON logs;
-- :mod:`~repro.service.server` — the asyncio front end (submit, status,
-  per-block event streams, reports, metrics, graceful drain);
+- :mod:`~repro.service.http` — the one asyncio HTTP front end (submit,
+  status, long-polled per-block events, reports, metrics, graceful
+  drain) with a bounded request parser that fails closed, shared by the
+  daemon and the fleet router;
+- :mod:`~repro.service.server` — the daemon's resident state behind it;
 - :mod:`~repro.service.client` — a thin stdlib-only client library used
   by ``tools/submit``, with socket timeouts, jittered-backoff retries,
   per-request deadlines, and hedged shard failover;

@@ -25,16 +25,18 @@ a shard that dies mid-job loses it (the poll sees the connection die or a
 it elsewhere; the journal's first ``done`` record for a hash wins and
 every later submit of that hash is served from it.
 
-Like the single daemon, the asyncio HTTP front end is deliberately thin;
-dispatch and polling run on plain threads.  The router exposes the same
-job surface as a shard (``/jobs``, ``/jobs/<id>``, ``.../report``,
-``.../events``) so :class:`~repro.service.client.ServiceClient` — and
-therefore ``tools/submit`` — works against a fleet unchanged, plus
-``GET /fleet`` for shard/breaker/journal introspection.
+The router speaks HTTP through the same front end as a shard
+(:mod:`~repro.service.http`); dispatch and polling run on plain threads.
+It exposes the same job surface (``/jobs``, ``/jobs/<id>``,
+``.../report``, ``.../events``) so
+:class:`~repro.service.client.ServiceClient` — and therefore
+``tools/submit`` — works against a fleet unchanged, plus ``GET /fleet``
+for shard/breaker/journal introspection.
 """
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import hashlib
 import itertools
@@ -46,9 +48,9 @@ from dataclasses import dataclass, field
 from . import journal as journal_mod
 from .breaker import CircuitBreaker
 from .client import ServiceError, ServiceTimeout, ServiceUnavailable
+from .http import HttpFrontEnd
 from .journal import JobJournal
-from .protocol import JobRecord, SubmitRequest, parse_events_query
-from .queue import AdmissionError
+from .protocol import AdmissionError, JobRecord, SubmitRequest, check_case
 from .telemetry import Telemetry
 
 
@@ -144,7 +146,7 @@ class _JobLost(Exception):
     """The placed shard died or forgot the job; it must be requeued."""
 
 
-class FleetRouter:
+class FleetRouter(HttpFrontEnd):
     """Route jobs across supervised shards with journal-backed recovery."""
 
     def __init__(
@@ -199,9 +201,6 @@ class FleetRouter:
         )
         self._stop = threading.Event()
         self._started = False
-        self._shutdown_event = None
-        self._shutdown_mode = "drain"
-        self._serve_loop = None
 
     # -- shard health callbacks (supervisor monitor thread) -------------------
 
@@ -307,18 +306,7 @@ class FleetRouter:
     # -- submission ------------------------------------------------------------
 
     def submit(self, request: SubmitRequest) -> FleetJob:
-        from .. import casestudies
-
-        if request.case.startswith("cosim:"):
-            from ..cosim.archs import COSIM_ARCHS
-
-            arch_name = request.case.split(":", 1)[1]
-            if arch_name not in COSIM_ARCHS:
-                raise AdmissionError(f"unknown case study {request.case!r}")
-        elif getattr(casestudies, request.case, None) is None or (
-            request.case not in casestudies.__all__
-        ):
-            raise AdmissionError(f"unknown case study {request.case!r}")
+        check_case(request.case)
         content = job_content_hash(request.case, request.kwargs)
         with self._lock:
             result = self._completed.get(content)
@@ -372,7 +360,7 @@ class FleetRouter:
             records = list(self.jobs.values())
         return [record.snapshot() for record in records]
 
-    def cancel(self, job: FleetJob) -> bool:
+    def cancel(self, job: FleetJob) -> tuple[bool, str | None]:
         """Cancel a job that has not been placed yet; placed jobs only get
         the request flag (their shard drains them)."""
         with self._lock:
@@ -380,7 +368,8 @@ class FleetRouter:
             cancellable = job.state == "queued" and job.shard is None
         if cancellable:
             self._finish_terminal(job, journal_mod.CANCELLED, "cancelled")
-        return cancellable
+            return True, None
+        return False, "placed jobs drain on their shard"
 
     # -- the dispatch queue ----------------------------------------------------
 
@@ -646,221 +635,18 @@ class FleetRouter:
             ),
         }
 
-    # -- asyncio HTTP front end ------------------------------------------------
+    # -- front-end hooks -------------------------------------------------------
 
-    async def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        socket_path: str | None = None,
-        ready=None,
-    ) -> None:
-        import asyncio
+    def health(self) -> dict:
+        up = sum(1 for s in self.supervisor.snapshot() if s["state"] == "up")
+        return {"ok": up > 0, "role": "fleet", "shards_up": up,
+                "shards": len(self.supervisor.shard_ids)}
 
-        self.start()
-        self._serve_loop = asyncio.get_running_loop()
-        self._shutdown_event = asyncio.Event()
-        if socket_path is not None:
-            server = await asyncio.start_unix_server(
-                self._handle, path=socket_path
-            )
-            bound: object = socket_path
-        else:
-            server = await asyncio.start_server(
-                self._handle, host=host, port=port
-            )
-            bound = server.sockets[0].getsockname()[:2]
-        self.bound = bound
-        if ready is not None:
-            ready(bound)
-        self.telemetry.log("fleet-listening", address=str(bound))
-        async with server:
-            await self._shutdown_event.wait()
-            server.close()
-            await server.wait_closed()
+    def extra_routes(self) -> dict:
+        return {"fleet": self.fleet_snapshot}
+
+    async def after_close(self, mode: str) -> None:
         await asyncio.to_thread(self.stop)
-
-    def request_stop(self, mode: str = "drain") -> None:
-        self._shutdown_mode = mode
-        if self._shutdown_event is None:
-            return
-        # Same foreign-thread hazard as VerificationService.request_stop:
-        # a bare Event.set() does not wake the selector.
-        loop = self._serve_loop
-        if loop is not None and not loop.is_closed():
-            try:
-                loop.call_soon_threadsafe(self._shutdown_event.set)
-                return
-            except RuntimeError:
-                pass
-        self._shutdown_event.set()
-
-    async def _handle(self, reader, writer) -> None:
-        import asyncio
-        import urllib.parse
-
-        try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
-            try:
-                method, target, _version = (
-                    request_line.decode("latin-1").strip().split(" ", 2)
-                )
-            except ValueError:
-                await self._respond(writer, 400, {"error": "bad request line"})
-                return
-            headers: dict[str, str] = {}
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            body = b""
-            try:
-                length = int(headers.get("content-length", 0) or 0)
-            except ValueError:
-                length = -1
-            if length < 0:
-                await self._respond(writer, 400, {"error": "bad Content-Length"})
-                return
-            if length:
-                body = await reader.readexactly(length)
-            parsed = urllib.parse.urlsplit(target)
-            query = dict(urllib.parse.parse_qsl(parsed.query))
-            await self._route(writer, method, parsed.path, query, body)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(
-        self, writer, status: int, payload,
-        content_type: str = "application/json",
-    ) -> None:
-        reasons = {200: "OK", 202: "Accepted", 400: "Bad Request",
-                   404: "Not Found", 405: "Method Not Allowed",
-                   409: "Conflict", 429: "Too Many Requests",
-                   500: "Internal Server Error"}
-        if content_type == "application/json":
-            body = (json.dumps(payload, sort_keys=True) + "\n").encode()
-        else:
-            body = payload if isinstance(payload, bytes) else payload.encode()
-        head = (
-            f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode() + body)
-        await writer.drain()
-
-    async def _route(self, writer, method, path, query, body) -> None:
-        parts = [p for p in path.split("/") if p]
-        try:
-            if method == "GET" and parts == ["healthz"]:
-                up = sum(
-                    1 for s in self.supervisor.snapshot() if s["state"] == "up"
-                )
-                await self._respond(
-                    writer, 200,
-                    {"ok": up > 0, "role": "fleet",
-                     "shards_up": up,
-                     "shards": len(self.supervisor.shard_ids),
-                     "uptime_s": self.telemetry.snapshot()["uptime_s"]},
-                )
-            elif method == "POST" and parts == ["jobs"]:
-                await self._submit_http(writer, body)
-            elif method == "GET" and parts == ["jobs"]:
-                await self._respond(writer, 200, {"jobs": self.job_snapshots()})
-            elif len(parts) >= 2 and parts[0] == "jobs":
-                await self._job_route(writer, method, parts[1], parts[2:], query)
-            elif method == "GET" and parts == ["fleet"]:
-                await self._respond(writer, 200, self.fleet_snapshot())
-            elif method == "GET" and parts == ["metrics"]:
-                await self._respond(
-                    writer, 200, self.telemetry.render_prometheus(),
-                    content_type="text/plain; version=0.0.4",
-                )
-            elif method == "GET" and parts == ["metrics.json"]:
-                await self._respond(writer, 200, self.telemetry.snapshot())
-            elif method == "POST" and parts == ["shutdown"]:
-                await self._respond(writer, 200, {"draining": True})
-                self.request_stop()
-            else:
-                await self._respond(writer, 404, {"error": f"no route {path}"})
-        except Exception as exc:  # noqa: BLE001 — a handler bug must not kill the loop
-            self.telemetry.inc("http_errors")
-            self.telemetry.log("fleet-http-error", path=path, error=str(exc))
-            try:
-                await self._respond(writer, 500, {"error": str(exc)})
-            except (ConnectionError, OSError):
-                pass
-
-    async def _submit_http(self, writer, body: bytes) -> None:
-        try:
-            request = SubmitRequest.from_json(json.loads(body.decode() or "{}"))
-        except (ValueError, json.JSONDecodeError) as exc:
-            await self._respond(writer, 400, {"error": str(exc)})
-            return
-        try:
-            job = self.submit(request)
-        except AdmissionError as exc:
-            status = 404 if "unknown case" in exc.reason else 429
-            await self._respond(writer, status, {"error": exc.reason})
-            return
-        await self._respond(writer, 202, job.snapshot())
-
-    async def _job_route(self, writer, method, job_id, rest, query) -> None:
-        import asyncio
-
-        job = self.job(job_id)
-        if job is None:
-            await self._respond(writer, 404, {"error": f"no job {job_id}"})
-            return
-        if method == "GET" and not rest:
-            await self._respond(writer, 200, job.snapshot())
-        elif method == "GET" and rest == ["report"]:
-            if job.state == "done":
-                await self._respond(writer, 200, job.result)
-            else:
-                await self._respond(
-                    writer, 409,
-                    {"error": job.error or "not finished", "state": job.state},
-                )
-        elif method == "GET" and rest == ["events"]:
-            try:
-                since, wait_s = parse_events_query(query)
-            except ValueError as exc:
-                await self._respond(writer, 400, {"error": str(exc)})
-                return
-            deadline = asyncio.get_event_loop().time() + wait_s
-            events = job.events_since(since)
-            while not events and not job.terminal:
-                if asyncio.get_event_loop().time() >= deadline:
-                    break
-                await asyncio.sleep(0.05)
-                events = job.events_since(since)
-            await self._respond(
-                writer, 200,
-                {"state": job.state,
-                 "events": [e.to_json() for e in events]},
-            )
-        elif method == "POST" and rest == ["cancel"]:
-            cancelled = self.cancel(job)
-            await self._respond(
-                writer, 200,
-                {"cancelled": cancelled, "state": job.state,
-                 "note": None if cancelled
-                 else "placed jobs drain on their shard"},
-            )
-        else:
-            await self._respond(writer, 405, {"error": "unsupported"})
 
 
 class _RemoteFailure(Exception):

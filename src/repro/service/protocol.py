@@ -46,6 +46,32 @@ def _fresh_job_id() -> str:
     return f"job-{next(_ids):06d}"
 
 
+class AdmissionError(Exception):
+    """A job was refused at the door; ``reason`` is wire-friendly."""
+
+    def __init__(self, reason: str) -> None:
+        self.reason = reason
+        super().__init__(reason)
+
+
+def check_case(case: str) -> None:
+    """Admit only a case study the pipeline knows: a name exported by
+    :mod:`repro.casestudies`, or ``cosim:<arch>`` for a co-simulation
+    architecture.  Raises :class:`AdmissionError` otherwise."""
+    from .. import casestudies
+
+    if case.startswith("cosim:"):
+        from ..cosim.archs import COSIM_ARCHS
+
+        known = case.split(":", 1)[1] in COSIM_ARCHS
+    else:
+        known = case in casestudies.__all__ and (
+            getattr(casestudies, case, None) is not None
+        )
+    if not known:
+        raise AdmissionError(f"unknown case study {case!r}")
+
+
 def parse_events_query(query: dict) -> tuple[int, float]:
     """``(since, wait_s)`` from a ``/jobs/<id>/events`` query string.
 

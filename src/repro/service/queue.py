@@ -23,15 +23,7 @@ import threading
 import time
 
 from ..resilience import Budget, BudgetSpec
-from .protocol import PRIORITIES, QUEUED, JobRecord
-
-
-class AdmissionError(Exception):
-    """A job was refused at the door; ``reason`` is wire-friendly."""
-
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-        super().__init__(reason)
+from .protocol import PRIORITIES, QUEUED, AdmissionError, JobRecord
 
 
 class JobQueue:

@@ -3,7 +3,8 @@
 One :class:`Telemetry` instance per daemon.  Counters are monotonic and
 cheap (a dict behind a lock — the daemon's request rates are far below
 anything needing sharded atomics); latencies go into a bounded reservoir
-from which p50/p95/p99 are computed on demand.  The ``/metrics`` endpoint
+from which p50/p95/p99 are computed on demand, beside a monotonic count
+and sum that the reservoir's trimming never touches.  The ``/metrics`` endpoint
 renders either Prometheus text exposition or the raw JSON snapshot.
 
 Structured logs are newline-delimited JSON written through
@@ -31,6 +32,8 @@ class Telemetry:
         self._counters: dict[str, float] = {}
         self._gauges: dict[str, float] = {}
         self._latencies: list[float] = []
+        self._latency_count = 0
+        self._latency_sum = 0.0
         self._latencies_by_priority: dict[str, list[float]] = {}
         self._started = time.time()
         self._log_stream = log_stream
@@ -75,6 +78,8 @@ class Telemetry:
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
+            self._latency_count += 1
+            self._latency_sum += seconds
             self._observe(self._latencies, seconds)
 
     def observe_queue_latency(self, seconds: float, priority: str) -> None:
@@ -135,6 +140,8 @@ class Telemetry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition (counters, gauges, latency summary)."""
         snap = self.snapshot()
+        with self._lock:
+            count, total = self._latency_count, self._latency_sum
         lines: list[str] = []
 
         def emit(name: str, value: float, kind: str) -> None:
@@ -147,18 +154,12 @@ class Telemetry:
             emit(name + "_total", value, "counter")
         for name, value in snap["gauges"].items():
             emit(name, value, "gauge")
-        lat = snap["latency"]
-        emit("job_latency_seconds_count", lat["count"], "counter")
-        for q in ("p50", "p95", "p99"):
-            lines.append(
-                "# TYPE repro_service_job_latency_seconds gauge"
-                if q == "p50"
-                else "# (quantile series)"
-            )
-            lines.append(
-                f'repro_service_job_latency_seconds{{quantile="{q[1:]}"}} '
-                f"{lat[q + '_s']}"
-            )
+        metric = "repro_service_job_latency_seconds"
+        lines.append(f"# TYPE {metric} summary")
+        for quantile, key in (("0.5", "p50_s"), ("0.95", "p95_s"), ("0.99", "p99_s")):
+            lines.append(f'{metric}{{quantile="{quantile}"}} {snap["latency"][key]}')
+        lines.append(f"{metric}_sum {total}")
+        lines.append(f"{metric}_count {count}")
         return "\n".join(lines) + "\n"
 
     # -- structured logging --------------------------------------------------

@@ -29,13 +29,13 @@ def launch(server):
     return thread, bound["addr"]
 
 
-def content_length_status(host: str, port: int, length: str) -> int:
-    """POST a one-line body under the header ``Content-Length: <length>``,
-    verbatim, and return the response's status code."""
-    request = f"POST /jobs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n{{}}"
+def raw_status(host: str, port: int, data: bytes) -> int:
+    """Send ``data`` verbatim, keep the connection open, and return the
+    status code of the answer."""
     with socket.create_connection((host, port), timeout=30) as sock:
-        sock.sendall(request.encode())
+        sock.sendall(data)
         status_line = sock.makefile("rb").readline().decode("latin-1")
+    assert status_line, "connection closed with no status"
     return int(status_line.split()[1])
 
 

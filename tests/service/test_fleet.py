@@ -26,8 +26,6 @@ from repro.service.protocol import SubmitRequest
 from repro.service.queue import AdmissionError
 from repro.service.supervisor import LocalShard, ShardSupervisor
 
-from ._http import content_length_status, launch
-
 SHARDS = ["shard-0", "shard-1", "shard-2"]
 KEYS = [f"key-{i}" for i in range(300)]
 
@@ -152,23 +150,6 @@ class TestRouterEndToEnd:
         with pytest.raises(AdmissionError, match="queue full"):
             router.submit(SubmitRequest(case="rbit"))
         assert router.telemetry.counter("jobs_rejected") == 1
-
-
-class TestHttpFrontEnd:
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_bad_content_length_is_400(self, length):
-        supervisor = ShardSupervisor(
-            lambda _s, sid, _g, spec: LocalShard(sid, budget_spec=spec),
-            shards=1,
-        )
-        router = FleetRouter(supervisor)
-        thread, (host, port) = launch(router)
-        try:
-            assert content_length_status(host, port, length) == 400
-        finally:
-            router.request_stop()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
 
 
 class TestJournalLifecycle:

@@ -15,7 +15,7 @@ import pytest
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import VerificationService
 
-from ._http import content_length_status, launch
+from ._http import launch
 
 
 @pytest.fixture(scope="module")
@@ -126,11 +126,6 @@ class TestErrors:
         result = client.cancel(job["id"])
         assert result["cancelled"] is False
         assert result["state"] == "done"
-
-    @pytest.mark.parametrize("length", ["abc", "-5"])
-    def test_bad_content_length_is_400(self, daemon, length):
-        _service, client = daemon
-        assert content_length_status(client.host, client.port, length) == 400
 
     def test_unroutable_path_is_404(self, daemon):
         _service, client = daemon

@@ -76,8 +76,39 @@ class TestExposition:
         text = telemetry.render_prometheus()
         assert "repro_service_jobs_submitted_total 3" in text
         assert "repro_service_queue_depth 2" in text
-        assert 'repro_service_job_latency_seconds{quantile="50"} 0.5' in text
+        assert 'repro_service_job_latency_seconds{quantile="0.5"} 0.5' in text
         assert text.endswith("\n")
+
+    def test_latency_summary_count_is_monotonic(self):
+        """The reservoir trims itself, but the summary's ``_count`` and
+        ``_sum`` keep every observation, and each sample belongs to a
+        family with exactly one ``# TYPE`` line."""
+        telemetry = Telemetry()
+        telemetry.inc("jobs_completed")
+        observations = Telemetry.RESERVOIR + 100
+        for _ in range(observations):
+            telemetry.observe_latency(0.5)
+        text = telemetry.render_prometheus()
+        samples = {}
+        types: dict[str, list[str]] = {}
+        for line in text.splitlines():
+            if line.startswith("# TYPE "):
+                _hash, _type, family, kind = line.split()
+                types.setdefault(family, []).append(kind)
+            else:
+                assert not line.startswith("#"), line
+                name, value = line.split()
+                samples[name] = float(value)
+        assert all(len(kinds) == 1 for kinds in types.values()), types
+        for name in samples:
+            family = name.split("{")[0]
+            if family not in types:
+                family = family.removesuffix("_sum").removesuffix("_count")
+                assert types[family] == ["summary"], name
+        metric = "repro_service_job_latency_seconds"
+        assert samples[f"{metric}_count"] == observations
+        assert samples[f"{metric}_sum"] == 0.5 * observations
+        assert types[metric] == ["summary"]
 
     def test_structured_log_is_ndjson(self):
         stream = io.StringIO()

@@ -17,6 +17,9 @@ than per-entry migration.  Because the model *source* is hashed into every
 trace key, editing the ISA model or any module of the semantic core also
 invalidates exactly the entries it could affect.
 
+A process holds one handle per root (:func:`open_cache`), so the verdict
+log is parsed once however many runs, workers or jobs share the root.
+
 The cache is an optimisation, never an oracle: entries only memoise results
 that are deterministic functions of their key, a corrupt entry reads as a
 miss, and lookups are bypassed entirely while a fault injector is active
@@ -31,15 +34,18 @@ from .keys import (
     smt_query_key,
     trace_key,
 )
-from .store import CacheStats, DiskCache
+from .store import CacheStats, DiskCache, drop_cache, open_cache, resolve_cache
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CacheStats",
     "DiskCache",
     "assumptions_fingerprint",
+    "drop_cache",
     "model_fingerprint",
     "opcode_signature",
+    "open_cache",
+    "resolve_cache",
     "smt_query_key",
     "trace_key",
 ]

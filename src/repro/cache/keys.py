@@ -18,7 +18,7 @@ from ..smt.terms import Term
 #: Bump on any change to key derivation, the trace s-expression grammar, the
 #: proof/solver semantics, or the stored value layout.  Old cache directories
 #: become unreachable (versioned invalidation).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: Modules whose source participates in every trace key: the symbolic
 #: executor and everything it evaluates through.  A change to any of these

@@ -5,11 +5,18 @@ Layout (under the user-supplied root)::
     <root>/v<FORMAT>/traces/<k[:2]>/<k>.itl   one file per Isla result
     <root>/v<FORMAT>/smt/verdicts.jsonl       append-only check verdicts
 
-Trace files carry a one-line JSON header (metrics plus the sort signature
-of *external* free variables — symbolic opcode bits and the like — that the
-trace mentions but never declares), followed by the printed ITL trace.
-Writes are atomic (temp file + ``os.replace``), so a crashed writer never
-leaves a half entry; a corrupt or truncated entry simply reads as a miss.
+Trace files carry a one-line JSON header (metrics, the sort signature of
+*external* free variables — symbolic opcode bits and the like — that the
+trace mentions but never declares, the entry's total length and a
+blake2b-128 digest), followed by the printed ITL trace.
+
+Durability policy: entries are never fsynced, because each validates
+itself.  The header's length catches a truncated file, and its digest —
+over the other header fields and the body — any same-length damage (a
+power cut's unwritten blocks, bit rot, a hand edit).  Such an entry reads
+as a counted miss, and a loaded trace must still pass the well-formedness
+check, so a crash can cost warm entries, which are reproducible, but never
+correctness.
 
 The SMT store is an append-only JSONL so concurrent workers can record
 verdicts without coordination: each line is a self-contained
@@ -29,9 +36,11 @@ never correctness.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -81,21 +90,6 @@ def _append_exact(path: Path, payload: bytes) -> bool:
             pass
 
 
-def _fsync_dir(directory: Path) -> None:
-    """Make a just-completed rename in ``directory`` durable.  Best-effort:
-    a filesystem that cannot fsync a directory still gets the atomicity."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 @dataclass
 class CacheStats:
     """Hit/miss counters for one :class:`DiskCache` handle."""
@@ -122,29 +116,58 @@ class CacheStats:
     def snapshot(self) -> dict[str, int]:
         return dict(self.__dict__)
 
-    def merge(self, other: "CacheStats | dict") -> None:
-        items = other.items() if isinstance(other, dict) else other.__dict__.items()
-        for key, value in items:
-            setattr(self, key, getattr(self, key, 0) + value)
+
+def _header_json(meta: dict) -> str:
+    # Compact, so every header byte is significant: no same-length edit of
+    # the header can parse back to the same fields.
+    return json.dumps(meta, sort_keys=True, separators=(",", ":"))
 
 
-# Historical aliases for the shared sort-text helpers (kept: the worker
-# payload codecs import them under these names).
-_sort_text = sort_to_text
-_sort_from_text = sort_from_text
+def _entry_digest(meta: dict, body: str) -> str:
+    """blake2b-128 of a trace entry: its header fields (all but ``end``
+    and ``digest`` itself) and its body."""
+    fields = {k: v for k, v in meta.items() if k not in ("end", "digest")}
+    h = hashlib.blake2b(_header_json(fields).encode(), digest_size=16)
+    h.update(b"\n")
+    h.update(body.encode())
+    return h.hexdigest()
+
+
+def encode_trace(trace) -> tuple[str, list]:
+    """A trace as text: its printed body, and the ``(name, sort)``
+    signature of the external variables it mentions but never declares
+    (the one encoding of cache entries and of trace-worker results)."""
+    from ..itl.printer import trace_to_sexpr
+
+    extern = sorted((v.name, sort_to_text(v.sort)) for v in _undeclared_vars(trace))
+    return trace_to_sexpr(trace), extern
+
+
+def decode_trace(body: str, extern):
+    """Parse :func:`encode_trace`'s output into this process's terms."""
+    from ..itl.parser import parse_trace
+    from ..smt import builder as B
+
+    env = {name: B.var(name, sort_from_text(sort)) for name, sort in extern}
+    return parse_trace(body, env=env)
 
 
 @dataclass
 class DiskCache:
     """A handle on one on-disk cache directory.
 
-    Cheap to construct; creates the versioned layout on first use and loads
-    the SMT verdict log eagerly (it is the hot store — consulted on every
-    solver miss — so it must be a dict lookup, not file IO).
+    Creates the versioned layout on first use and loads the SMT verdict log
+    eagerly (it is the hot store — consulted on every solver miss — so it
+    must be a dict lookup, not file IO).  Code that runs in a process
+    should use :func:`open_cache`, which shares one handle per root; a
+    second ``DiskCache`` on the same root models a second process.
     """
 
     root: Path
     stats: CacheStats = field(default_factory=CacheStats)
+    #: A temporary root that dies with its job: workers drop their handle
+    #: on it after each task instead of keeping it for the process's life.
+    ephemeral: bool = False
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -159,8 +182,6 @@ class DiskCache:
         # One handle may be shared by every job thread of the daemon: the
         # in-memory views and pending buffers need mutual exclusion even
         # though the on-disk appends are self-synchronising.
-        import threading
-
         self._lock = threading.RLock()
         self._load_smt()
 
@@ -176,11 +197,9 @@ class DiskCache:
         """Parse one self-delimiting trace entry.
 
         Returns ``("miss", None)`` when the file is absent, ``("corrupt",
-        None)`` for any malformed entry (torn write, hand-edited file,
-        stale format), or ``("ok", (trace, meta))``.
+        None)`` for any malformed entry (torn write, damaged or hand-edited
+        bytes, stale format), or ``("ok", (trace, meta))``.
         """
-        from ..itl.parser import parse_trace
-
         try:
             data = path.read_bytes()
         except OSError:
@@ -191,52 +210,39 @@ class DiskCache:
             meta = json.loads(header)
             if meta.get("end") != len(text):
                 raise ValueError("truncated trace entry")
-            from ..smt import builder as B
-
-            env = {
-                name: B.var(name, _sort_from_text(sort_text))
-                for name, sort_text in meta.get("extern", [])
-            }
-            trace = parse_trace(body, env=env)
+            if meta.get("digest") != _entry_digest(meta, body):
+                raise ValueError("trace entry digest mismatch")
+            trace = decode_trace(body, meta.get("extern", []))
         except Exception:
             return "corrupt", None
         return "ok", (trace, meta)
 
     def _write_entry(self, path: Path, trace, meta: dict) -> bool:
-        """Atomically persist one trace entry; ``False`` on OS failure."""
-        from ..itl.printer import trace_to_sexpr
+        """Atomically persist one trace entry; ``False`` on OS failure.
 
-        body = trace_to_sexpr(trace)
-        extern = sorted(
-            (v.name, _sort_text(v.sort)) for v in _undeclared_vars(trace)
-        )
-        meta = dict(meta, extern=extern)
-        # Self-delimiting: the header records the total byte length so a
+        No ``fsync``: the length and digest in the header make a damaged
+        entry a counted miss (see the module docstring).
+        """
+        body, extern = encode_trace(trace)
+        # Round-trip through JSON first: the digest must be over the header
+        # exactly as a reader will parse it back.
+        meta = json.loads(json.dumps(dict(meta, extern=extern)))
+        meta["digest"] = _entry_digest(meta, body)
+        # Self-delimiting: the header records the total length so a
         # truncated file is detected without trusting the parser.
-        placeholder = dict(meta, end=0)
+        meta["end"] = 0
         while True:
-            header = json.dumps(placeholder, sort_keys=True)
+            header = _header_json(meta)
             total = len(header) + 1 + len(body)
-            if placeholder["end"] == total:
+            if meta["end"] == total:
                 break
-            placeholder["end"] = total
+            meta["end"] = total
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(header)
-                handle.write("\n")
-                handle.write(body)
-                # Durability, not just atomicity: the data must be on disk
-                # *before* the rename publishes the name, and the rename
-                # itself must survive a power cut — otherwise a crash can
-                # leave a published entry with unwritten bytes (exactly the
-                # corruption the length check would then mis-diagnose as a
-                # plain miss, silently losing warm state).
-                handle.flush()
-                os.fsync(handle.fileno())
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(f"{header}\n{body}".encode())
             os.replace(tmp, path)
-            _fsync_dir(path.parent)
         except OSError:
             try:
                 os.unlink(tmp)
@@ -253,8 +259,8 @@ class DiskCache:
         that parses but fails the well-formedness checker is treated
         exactly like a torn write: counted, *evicted*, and reported as a
         miss — a cache must never be able to feed the proof pipeline an
-        ill-formed trace (hand-edited file, version-skewed grammar, bit
-        rot past the length check).
+        ill-formed trace (a buggy or version-skewed writer, whose entry
+        carries a valid digest).
         """
         path = self._trace_path(key)
         status, hit = self._read_entry(path)
@@ -427,6 +433,56 @@ class DiskCache:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+# -- one handle per process and root ------------------------------------------
+
+_HANDLES: dict[str, DiskCache] = {}
+_HANDLES_LOCK = threading.Lock()
+
+
+def _forget_parent_handles() -> None:
+    # A forked child opens its own handles: the parent's pending verdicts
+    # are the parent's to flush, and its locks may have been held mid-fork.
+    global _HANDLES_LOCK
+    _HANDLES.clear()
+    _HANDLES_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_handles)
+
+
+def open_cache(root) -> DiskCache:
+    """This process's shared handle on ``root``, opened on first use.
+
+    Keyed by absolute path, so the verdict log is parsed once per process
+    and root however many runs, workers or jobs use it.
+    """
+    key = os.path.abspath(root)
+    with _HANDLES_LOCK:
+        cache = _HANDLES.get(key)
+        if cache is None:
+            cache = _HANDLES[key] = DiskCache(Path(key))
+    return cache
+
+
+def drop_cache(root) -> None:
+    """Flush and forget this process's handle on ``root``, if it has one
+    (for a temporary root that is about to be deleted)."""
+    with _HANDLES_LOCK:
+        cache = _HANDLES.pop(os.path.abspath(root), None)
+    if cache is not None:
+        cache.flush()
+
+
+def resolve_cache(cache_dir: str | None, no_cache: bool = False) -> DiskCache | None:
+    """The CLIs' cache: ``--no-cache`` > ``--cache-dir`` >
+    ``$REPRO_CACHE_DIR`` > none, as this process's shared handle."""
+    if no_cache:
+        return None
+    path = cache_dir or os.environ.get("REPRO_CACHE_DIR")
+    return open_cache(path) if path else None
 
 
 def _undeclared_vars(trace):

@@ -41,6 +41,7 @@ from dataclasses import asdict, dataclass
 
 from ..resilience.shutdown import SHUTDOWN_REASON, shutdown_requested
 
+from ..cache import drop_cache, open_cache
 from ..isla.assumptions import Assumptions
 from ..itl.events import Reg
 from ..smt import builder as B
@@ -123,21 +124,21 @@ def _assumptions_from_payload(payload: dict) -> Assumptions:
     return out
 
 
-# -- per-process cache handles ----------------------------------------------
-
-_PROCESS_CACHES: dict[str, object] = {}
-
-
-def _process_cache(cache_dir: str | None):
-    if cache_dir is None:
-        return None
-    cache = _PROCESS_CACHES.get(cache_dir)
+def _cache_payload(cache) -> dict:
+    """How a worker reaches its caller's cache: the root, and whether the
+    root is ephemeral (see :attr:`repro.cache.DiskCache.ephemeral`)."""
     if cache is None:
-        from ..cache import DiskCache
+        return {"cache_dir": None, "ephemeral": False}
+    return {"cache_dir": str(cache.root), "ephemeral": cache.ephemeral}
 
-        cache = DiskCache(cache_dir)
-        _PROCESS_CACHES[cache_dir] = cache
-    return cache
+
+def _release_worker_cache(payload: dict, cache) -> None:
+    """Flush the task's cache writes; forget an ephemeral root's handle, so
+    a long-lived worker keeps none per finished job."""
+    if payload["ephemeral"]:
+        drop_cache(payload["cache_dir"])
+    elif cache is not None:
+        cache.flush()
 
 
 # -- the pool ---------------------------------------------------------------
@@ -327,31 +328,27 @@ class WorkerPool:
 
 
 def _trace_worker(payload: dict) -> dict:
-    from ..cache.store import _sort_text, _undeclared_vars
+    from ..cache.store import encode_trace
     from ..isla.executor import trace_for_opcode
     from ..isla.parametric import engine
-    from ..itl.printer import trace_to_sexpr
     from ..smt.solver import install_persistent_check_store
 
     model = _model_from_spec(payload["model"])
     opcode = _opcode_from_payload(payload["opcode"])
     assumptions = _assumptions_from_payload(payload["assumptions"])
-    cache = _process_cache(payload["cache_dir"])
+    cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     previous = install_persistent_check_store(cache)
     parametric_before = engine().stats.snapshot()
     try:
         result = trace_for_opcode(model, opcode, assumptions, cache=cache)
     finally:
         install_persistent_check_store(previous)
-        if cache is not None:
-            cache.flush()
+        _release_worker_cache(payload, cache)
+    body, extern = encode_trace(result.trace)
     return {
         "addr": payload["addr"],
-        "trace": trace_to_sexpr(result.trace),
-        "extern": sorted(
-            (v.name, _sort_text(v.sort))
-            for v in _undeclared_vars(result.trace)
-        ),
+        "trace": body,
+        "extern": extern,
         "paths": result.paths,
         "model_calls": result.model_calls,
         "model_steps": result.model_steps,
@@ -363,6 +360,44 @@ def _trace_worker(payload: dict) -> dict:
             parametric_before, engine().stats.snapshot()
         ),
     }
+
+
+def _trace_payloads(model, image, default_assumptions, per_address, cache) -> list:
+    """One :func:`_trace_worker` payload per opcode, in address order."""
+    per_address = per_address or {}
+    return [
+        {
+            "addr": addr,
+            "model": _model_spec(model),
+            "opcode": _opcode_payload(image.opcodes[addr]),
+            "assumptions": _assumptions_payload(
+                model,
+                (default_assumptions or Assumptions()).merged_with(
+                    per_address.get(addr)
+                ),
+            ),
+            **_cache_payload(cache),
+        }
+        for addr in sorted(image.opcodes)
+    ]
+
+
+def _isla_result(item: dict):
+    """A :func:`_trace_worker` result, parsed into this process's terms."""
+    from ..cache.store import decode_trace
+    from ..isla.executor import IslaResult
+
+    return IslaResult(
+        decode_trace(item["trace"], item["extern"]),
+        paths=item["paths"],
+        model_calls=item["model_calls"],
+        model_steps=item["model_steps"],
+        solver_checks=item["solver_checks"],
+        checks_skipped=item["checks_skipped"],
+        exhausted=None,
+        cached=item["cached"],
+        parametric=item["parametric"],
+    )
 
 
 def generate_traces_parallel(
@@ -380,30 +415,11 @@ def generate_traces_parallel(
     to execution metrics of cache hits) to the serial path: traces are
     parsed back into the parent's intern table in address order.
     """
-    from ..cache.store import _sort_from_text
     from ..frontend.program import FrontendResult
-    from ..isla.executor import IslaResult
-    from ..itl.parser import parse_trace
 
-    per_address = per_address or {}
-    addrs = sorted(image.opcodes)
-    cache_dir = str(cache.root) if cache is not None else None
     if cache is not None:
         cache.flush()  # workers append to the same log; no parent leftovers
-    payloads = []
-    for addr in addrs:
-        assumptions = (default_assumptions or Assumptions()).merged_with(
-            per_address.get(addr)
-        )
-        payloads.append(
-            {
-                "addr": addr,
-                "model": _model_spec(model),
-                "opcode": _opcode_payload(image.opcodes[addr]),
-                "assumptions": _assumptions_payload(model, assumptions),
-                "cache_dir": cache_dir,
-            }
-        )
+    payloads = _trace_payloads(model, image, default_assumptions, per_address, cache)
     own_pool = pool is None
     pool = pool or WorkerPool(jobs)
     try:
@@ -414,26 +430,11 @@ def generate_traces_parallel(
     traces = {}
     results = {}
     parametric_stats: dict[str, int] = {}
-    for item in sorted(raw, key=lambda r: r["addr"]):
-        env = {
-            name: B.var(name, _sort_from_text(sort_text))
-            for name, sort_text in item["extern"]
-        }
-        trace = parse_trace(item["trace"], env=env)
-        addr = item["addr"]
-        traces[addr] = trace
-        results[addr] = IslaResult(
-            trace,
-            paths=item["paths"],
-            model_calls=item["model_calls"],
-            model_steps=item["model_steps"],
-            solver_checks=item["solver_checks"],
-            checks_skipped=item.get("checks_skipped", 0),
-            exhausted=None,
-            cached=item["cached"],
-            parametric=item.get("parametric", False),
-        )
-        for stat, value in item.get("parametric_stats", {}).items():
+    for item in raw:
+        result = _isla_result(item)
+        traces[item["addr"]] = result.trace
+        results[item["addr"]] = result
+        for stat, value in item["parametric_stats"].items():
             parametric_stats[stat] = parametric_stats.get(stat, 0) + value
     return FrontendResult(traces, results, parametric_stats=parametric_stats)
 
@@ -459,7 +460,7 @@ def _verify_block_worker(payload: dict) -> dict:
     from ..isla.parametric import engine
 
     module = getattr(casestudies, payload["case"])
-    cache = _process_cache(payload["cache_dir"])
+    cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     addr = payload["addr"]
     previous = install_persistent_check_store(cache)
     parametric_before = engine().stats.snapshot()
@@ -505,8 +506,7 @@ def _verify_block_worker(payload: dict) -> dict:
             )
     finally:
         install_persistent_check_store(previous)
-        if cache is not None:
-            cache.flush()
+        _release_worker_cache(payload, cache)
     outcome = report.blocks[addr]
     return {
         "addr": addr,
@@ -584,10 +584,9 @@ def verify_case_parallel(
         # worker would redo the whole image's symbolic execution.  An
         # ephemeral cache scoped to this call keeps workers warm without
         # persisting anything.
-        from ..cache import DiskCache
-
         ephemeral = tempfile.TemporaryDirectory(prefix="repro-cache-")
-        cache = DiskCache(ephemeral.name)
+        cache = open_cache(ephemeral.name)
+        cache.ephemeral = True
     try:
         own_pool = pool is None
         pool = pool or WorkerPool(jobs)
@@ -611,7 +610,7 @@ def verify_case_parallel(
                     "case": name,
                     "kwargs": sorted(build_kwargs.items()),
                     "addr": addr,
-                    "cache_dir": str(cache.root),
+                    **_cache_payload(cache),
                     "budget_spec": asdict(spec) if spec is not None else None,
                     "fault": fault,
                 }
@@ -629,6 +628,7 @@ def verify_case_parallel(
                 pool.close()
     finally:
         if ephemeral is not None:
+            drop_cache(ephemeral.name)
             ephemeral.cleanup()
 
     merged_proof = Proof()

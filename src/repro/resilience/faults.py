@@ -28,7 +28,9 @@ fleet (:mod:`repro.service.fleet`):
 - ``service.conn``      — drop or half-close a client connection
   (consulted inside :class:`~repro.service.client.ServiceClient`, so every
   retry/failover path is reachable deterministically);
-- ``service.shard``     — kill a backend shard abruptly mid-job;
+- ``service.shard``     — kill a backend shard abruptly mid-job
+  (consulted by the fleet router as it places each job, and aimed at
+  the shard that job was placed on);
 - ``service.heartbeat`` — delay a supervisor heartbeat so it counts as a
   miss;
 - ``service.journal``   — corrupt the tail record of the job journal
@@ -37,8 +39,9 @@ fleet (:mod:`repro.service.fleet`):
 Pipeline sites keep their strict schedule-determinism guarantee (pure
 function of ``(seed, site, counter)``).  Service sites are decided by the
 same arithmetic, but their per-site counters advance on wall-clock-driven
-events (heartbeats, connection attempts), so two runs of the same seed
-share the fault *distribution* rather than an identical schedule; the
+events (heartbeats, connection attempts, and job placements, whose number
+depends on retries), so two runs of the same seed share the fault
+*distribution* rather than an identical schedule; the
 chaos harness therefore asserts invariants (every job terminates,
 certificates byte-identical to serial, no double execution), never exact
 event orders.

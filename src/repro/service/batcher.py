@@ -32,12 +32,10 @@ import json
 import threading
 import time
 
-from ..isla.assumptions import Assumptions
 from ..parallel.scheduler import (
     TaskFailure,
-    _assumptions_payload,
-    _model_spec,
-    _opcode_payload,
+    _isla_result,
+    _trace_payloads,
     _trace_worker,
 )
 
@@ -147,30 +145,15 @@ class TraceBatcher:
         ``generate_traces_parallel``: returns an identical
         :class:`~repro.frontend.program.FrontendResult`.
         """
-        from ..cache.store import _sort_from_text
         from ..frontend.program import FrontendResult
-        from ..isla.executor import IslaResult
-        from ..itl.parser import parse_trace
-        from ..smt import builder as B
 
-        per_address = per_address or {}
-        addrs = sorted(image.opcodes)
-        cache_dir = str(self.cache.root) if self.cache is not None else None
         if self.cache is not None:
             self.cache.flush()  # workers read the shared log; no leftovers
 
         subscriptions: list[tuple[int, concurrent.futures.Future]] = []
-        for addr in addrs:
-            assumptions = (default_assumptions or Assumptions()).merged_with(
-                per_address.get(addr)
-            )
-            payload = {
-                "addr": addr,
-                "model": _model_spec(model),
-                "opcode": _opcode_payload(image.opcodes[addr]),
-                "assumptions": _assumptions_payload(model, assumptions),
-                "cache_dir": cache_dir,
-            }
+        for payload in _trace_payloads(
+            model, image, default_assumptions, per_address, self.cache
+        ):
             key = self._exact_key(payload)
             if self.telemetry is not None:
                 self.telemetry.inc("trace_requests")
@@ -185,7 +168,7 @@ class TraceBatcher:
                     self._queue.append((key, payload))
                     self._ensure_dispatcher()
                     self._wakeup.notify()
-            subscriptions.append((addr, future))
+            subscriptions.append((payload["addr"], future))
 
         traces = {}
         results = {}
@@ -197,26 +180,12 @@ class TraceBatcher:
         for addr, future in subscriptions:
             item = future.result()
             with self._parse_lock:
-                env = {
-                    name: B.var(name, _sort_from_text(sort_text))
-                    for name, sort_text in item["extern"]
-                }
-                trace = parse_trace(item["trace"], env=env)
-            traces[addr] = trace
-            results[addr] = IslaResult(
-                trace,
-                paths=item["paths"],
-                model_calls=item["model_calls"],
-                model_steps=item["model_steps"],
-                solver_checks=item["solver_checks"],
-                checks_skipped=item.get("checks_skipped", 0),
-                exhausted=None,
-                cached=item["cached"],
-                parametric=item.get("parametric", False),
-            )
+                result = _isla_result(item)
+            traces[addr] = result.trace
+            results[addr] = result
             if id(future) not in counted:
                 counted.add(id(future))
-                for stat, value in item.get("parametric_stats", {}).items():
+                for stat, value in item["parametric_stats"].items():
                     parametric_stats[stat] = parametric_stats.get(stat, 0) + value
         return FrontendResult(traces, results, parametric_stats=parametric_stats)
 

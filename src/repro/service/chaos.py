@@ -15,8 +15,11 @@ journal's tail — then asserts the fleet's contract held anyway:
 - **no job runs to completion twice** — the journal's content-hash dedup
   is observable in the router's counters.
 
-Service-site fault counters advance on wall-clock events, so a seed fixes
-the fault *distribution*, not an exact schedule (see the discussion in
+Shard kills are decided at each job placement (the router consults the
+``service.shard`` site with the job just placed, and kills that shard), so
+every kill lands mid-job however fast the jobs run.  The other service
+sites advance on wall-clock events, so a seed fixes the fault
+*distribution*, not an exact schedule (see the discussion in
 :mod:`repro.resilience.faults`); campaigns therefore assert invariants,
 never event orders.
 
@@ -34,7 +37,6 @@ with ``kill -9``.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -156,36 +158,30 @@ class ChaosFleet:
                     )
                 time.sleep(0.02)
 
+    def wait_healed(self, timeout_s: float = 300.0) -> None:
+        """Block until every shard is up and answering: the supervisor must
+        have noticed each kill and restarted the shard, since a fleet that
+        merely routes around its dead has not recovered."""
+        deadline = time.monotonic() + timeout_s
+        supervisor = self.supervisor
 
-class _KillTicker(threading.Thread):
-    """Consults the ``service.shard`` fault site on a fixed cadence and
-    kills the next shard (round-robin over kill decisions) when it fires —
-    the in-process analogue of a random ``kill -9``."""
-
-    def __init__(self, fleet: ChaosFleet, tick_s: float = 0.1) -> None:
-        super().__init__(name="chaos-kill-ticker", daemon=True)
-        self.fleet = fleet
-        self.tick_s = tick_s
-        self.kills = 0
-        # NB: not "_stop" — Thread.join() calls its own private _stop().
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        shard_ids = self.fleet.supervisor.shard_ids
-        while not self._halt.wait(self.tick_s):
-            if fault_at("service.shard") != "kill":
-                continue
-            shard_id = shard_ids[self.kills % len(shard_ids)]
-            self.kills += 1
+        def answering(shard_id: str) -> bool:
+            client = supervisor.handle(shard_id).make_client(
+                timeout=1.0, connect_timeout=1.0
+            )
             try:
-                if self.fleet.supervisor.is_up(shard_id):
-                    self.fleet.supervisor.kill_shard(shard_id)
-            except Exception:  # noqa: BLE001 — racing a restart is fine
-                pass
+                return bool(client.healthz().get("ok"))
+            except Exception:  # noqa: BLE001 — dead or restarting
+                return False
 
-    def stop(self) -> None:
-        self._halt.set()
-        self.join(timeout=5)
+        while not all(
+            supervisor.is_up(s) and answering(s) for s in supervisor.shard_ids
+        ):
+            if time.monotonic() >= deadline:
+                raise AssertionError(
+                    f"fleet never healed: {self.telemetry.snapshot()['counters']}"
+                )
+            time.sleep(0.02)
 
 
 @dataclass
@@ -250,18 +246,14 @@ def run_campaign(
             )
     fleet = ChaosFleet(shards=shards, journal_path=journal_path)
     with inject(injector):
-        ticker = _KillTicker(fleet)
         with fleet:
-            ticker.start()
-            try:
-                jobs = [fleet.submit(case) for case in cases]
-                fleet.wait_all(jobs, timeout_s=timeout_s)
-            finally:
-                ticker.stop()
+            jobs = [fleet.submit(case) for case in cases]
+            fleet.wait_all(jobs, timeout_s=timeout_s)
             # Also drain any journal-replayed jobs from a previous life.
             fleet.wait_all(
                 list(fleet.router.jobs.values()), timeout_s=timeout_s
             )
+            fleet.wait_healed(timeout_s=timeout_s)
             for job in jobs:
                 if job.state == "done":
                     report.certificates[job.request.case] = job.result[
@@ -272,5 +264,5 @@ def run_campaign(
             report.counters = dict(snapshot["counters"])
         report.fault_summary = injector.summary()
         report.fault_events = [(e.site, e.kind) for e in injector.log]
-        report.shard_kills = ticker.kills
+        report.shard_kills = int(report.counters.get("shard_kills", 0))
     return report

@@ -45,6 +45,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..resilience import fault_at
 from . import journal as journal_mod
 from .breaker import CircuitBreaker
 from .client import ServiceError, ServiceTimeout, ServiceUnavailable
@@ -474,6 +475,10 @@ class FleetRouter(HttpFrontEnd):
         self.telemetry.log(
             "fleet-job-placed", job=job.id, shard=shard_id, remote=remote_id
         )
+        if fault_at("service.shard") == "kill":
+            # Chaos: the shard dies with this job on it (a no-op unless a
+            # fault injector is active).
+            self.supervisor.kill_shard(shard_id)
         try:
             result = self._watch(job, shard_id, remote_id, client)
         except _JobLost as lost:

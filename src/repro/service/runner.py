@@ -140,12 +140,7 @@ class JobRunner:
         telemetry.merge("cache", report.cache_stats)
         if report.parametric_stats:
             telemetry.merge("parametric", report.parametric_stats)
-        if service.cache is not None:
-            # The full CacheStats snapshot, not just the hit counters:
-            # wellformed_rejects / corrupt_entries make static-analysis
-            # evictions observable in the fleet.
-            for key, value in service.cache.stats.snapshot().items():
-                telemetry.gauge(f"disk_{key}", value)
+        service.refresh_gauges()
         job.mark_done(result)
         if job.latency_s is not None:
             telemetry.observe_queue_latency(job.latency_s, job.request.priority)

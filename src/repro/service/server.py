@@ -41,7 +41,7 @@ class VerificationService(HttpFrontEnd):
         telemetry: Telemetry | None = None,
         shard_id: str | None = None,
     ) -> None:
-        from ..cache import DiskCache
+        from ..cache import open_cache
         from ..parallel.scheduler import WorkerPool
         from .batcher import TraceBatcher
         from .runner import JobRunner
@@ -50,7 +50,7 @@ class VerificationService(HttpFrontEnd):
         #: Optional fleet identity: reported on /healthz so a supervisor's
         #: heartbeat can confirm it reached the shard it meant to.
         self.shard_id = shard_id
-        self.cache = DiskCache(cache_dir) if cache_dir else None
+        self.cache = open_cache(cache_dir) if cache_dir else None
         self.pool = WorkerPool(pool_jobs)
         self.batcher = TraceBatcher(
             pool=self.pool,

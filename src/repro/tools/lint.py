@@ -50,30 +50,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 #: JSON schema identifier; bump only with a documented migration.
 SCHEMA = "repro.lint/2"
-
-
-def _resolve_cache(args):
-    if args.no_cache:
-        return None
-    path = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not path:
-        return None
-    from ..cache import DiskCache
-
-    return DiskCache(path)
-
-
-def _build_kwargs(module, n):
-    import inspect
-
-    if n is not None and "n" in inspect.signature(module.build).parameters:
-        return {"n": n}
-    return {}
 
 
 def lint_one(name: str, n: int | None, cache=None):
@@ -81,6 +61,7 @@ def lint_one(name: str, n: int | None, cache=None):
     from .. import casestudies
     from ..analysis.framelint import lint_case
     from ..parallel.config import configured
+    from .verify import _build_kwargs
 
     module = getattr(casestudies, name)
     with configured(jobs=1, cache=cache):
@@ -133,7 +114,9 @@ def _report(payload: dict, name: str, findings, quiet: bool,
 
 
 def _run_cases(args, names, payload) -> None:
-    cache = _resolve_cache(args)
+    from ..cache import resolve_cache
+
+    cache = resolve_cache(args.cache_dir, args.no_cache)
     try:
         for name in names:
             findings = lint_one(name, args.n, cache=cache)

@@ -11,10 +11,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from ..arch import registry
+from ..cache import resolve_cache
 from ..isla import Assumptions, IslaError, trace_for_opcode
 from ..itl.printer import trace_to_sexpr
 
@@ -64,12 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     assumptions = Assumptions()
     for name, value in args.pin:
         assumptions.pin(name, value, width_of(model, name))
-    cache = None
-    cache_path = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if cache_path and not args.no_cache:
-        from ..cache import DiskCache
-
-        cache = DiskCache(cache_path)
+    cache = resolve_cache(args.cache_dir, args.no_cache)
     try:
         result = trace_for_opcode(model, opcode, assumptions, cache=cache)
     except IslaError as exc:

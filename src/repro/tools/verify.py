@@ -24,7 +24,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -40,18 +39,6 @@ def _build_budget_spec(args):
     )
 
 
-def _resolve_cache(args):
-    """``--no-cache`` > ``--cache-dir`` > ``$REPRO_CACHE_DIR`` > none."""
-    if args.no_cache:
-        return None
-    path = args.cache_dir or os.environ.get("REPRO_CACHE_DIR")
-    if not path:
-        return None
-    from ..cache import DiskCache
-
-    return DiskCache(path)
-
-
 def _build_kwargs(module, n):
     import inspect
 
@@ -60,12 +47,14 @@ def _build_kwargs(module, n):
     return {}
 
 
-def _render_cache_line(cache) -> str:
-    stats = cache.stats
+def _render_cache_line(cache, before: dict) -> str:
+    """This run's activity on the shared handle; "preloaded" counts the
+    verdicts the handle already held when the run began."""
+    d = {key: value - before[key] for key, value in cache.stats.snapshot().items()}
     return (
-        f"cache: traces {stats.trace_hits} hits / {stats.trace_misses} misses, "
-        f"smt {stats.smt_hits} hits / {stats.smt_misses} misses "
-        f"({stats.smt_loaded} preloaded)"
+        f"cache: traces {d['trace_hits']} hits / {d['trace_misses']} misses, "
+        f"smt {d['smt_hits']} hits / {d['smt_misses']} misses "
+        f"({before['smt_loaded'] + before['smt_records']} preloaded)"
     )
 
 
@@ -269,7 +258,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give a case study name or --all")
     names = all_names if args.all else [args.case]
 
-    cache = _resolve_cache(args)
+    from ..cache import resolve_cache
+
+    cache = resolve_cache(args.cache_dir, args.no_cache)
+    cache_before = cache.stats.snapshot() if cache is not None else {}
     pool = None
     if args.jobs > 1:
         from ..parallel import WorkerPool
@@ -298,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
         if cache is not None:
             cache.flush()
             if args.verbose:
-                print(_render_cache_line(cache))
+                print(_render_cache_line(cache, cache_before))
     if args.stats_json:
         import json
 

@@ -7,6 +7,8 @@ hand-edited trace could introduce, and asserts the analysis reports the
 expected finding code — not merely "some finding".
 """
 
+import json
+
 import pytest
 
 from repro.analysis import check_trace, is_wellformed
@@ -29,6 +31,17 @@ def trace():
     res = trace_for_opcode(ARM, ADD_SP, _assumptions())
     assert check_trace(res.trace, ARM.regfile) == []  # clean baseline
     return res.trace
+
+
+def _reseal(path) -> None:
+    """Recompute a hand-mutated cache entry's digest, as a buggy writer
+    would have sealed it, so its load gets past the digest check."""
+    from repro.cache.store import _entry_digest, _header_json
+
+    header, _, body = path.read_text().partition("\n")
+    meta = json.loads(header)
+    meta["digest"] = _entry_digest(meta, body)
+    path.write_text(_header_json(meta) + "\n" + body)
 
 
 def _replace_event(trace: Trace, index: int, *replacement) -> Trace:
@@ -87,14 +100,10 @@ class TestSeededMutations:
         mutated = Trace(tuple(events), trace.cases)
         assert "WF002" in codes(check_trace(mutated, ARM.regfile))
 
-    def test_corrupted_cache_entry_is_rejected(self, trace, tmp_path):
-        """Mutation: a cached entry parses but violates the judgement.
-
-        The sort of a memory event's size field is flipped in place (same
-        byte length, so the header's self-delimiting check still passes):
-        the entry must read as a miss, bump ``wellformed_rejects``, and be
-        evicted from disk.
-        """
+    def _store_mutated_entry(self, tmp_path):
+        """Store a well-formed entry, then flip the sort of its memory
+        event's size field in place (same byte length, so the header's
+        length check still passes)."""
         from repro.itl import ReadMem
         from repro.smt.sorts import bv_sort
 
@@ -112,12 +121,33 @@ class TestSeededMutations:
         text = path.read_text()
         assert text.count(" 8)") == 1
         path.write_text(text.replace(" 8)", " 4)"))  # 64-bit data, size 4
+        return cache, key, path
+
+    def test_corrupted_cache_entry_is_rejected(self, tmp_path):
+        """Mutation: a cached entry parses but violates the judgement.
+
+        The entry is resealed after the mutation (a writer bug, not bit
+        rot), so the digest accepts it: the well-formedness gate must
+        reject it, bump ``wellformed_rejects``, and evict it from disk.
+        """
+        cache, key, path = self._store_mutated_entry(tmp_path)
+        _reseal(path)
 
         assert cache.load_trace(key) is None
         assert cache.stats.wellformed_rejects == 1
         assert cache.stats.corrupt_entries == 1
         assert cache.stats.trace_misses == 1
         assert not path.exists()  # evicted on sight
+
+    def test_unsealed_mutation_is_a_digest_miss(self, tmp_path):
+        """The same mutation without resealing stops at the digest: a
+        counted corrupt miss before the entry is even parsed."""
+        cache, key, path = self._store_mutated_entry(tmp_path)
+
+        assert cache.load_trace(key) is None
+        assert cache.stats.wellformed_rejects == 0
+        assert cache.stats.corrupt_entries == 1
+        assert cache.stats.trace_misses == 1
 
     def test_version_skewed_entry_is_rejected(self, tmp_path):
         """Mutation: an entry written by a buggy/older writer — parses under

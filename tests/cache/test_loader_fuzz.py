@@ -3,7 +3,8 @@
 Whatever bytes sit in a trace entry, a family entry or the verdict log,
 opening the cache and loading from it never raises.  Each load returns a
 miss or a well-formed hit, and every entry the loader rejects is counted
-in ``corrupt_entries``.
+in ``corrupt_entries``.  A same-length change to a valid entry (bit rot,
+a lying disk) is never served: the entry's digest rejects it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ def _mutated_entry(draw) -> bytes:
 
 
 entry_bytes = st.one_of(st.binary(max_size=512), _mutated_entry())
+
+
+@st.composite
+def _flipped_entry(draw) -> bytes:
+    """A valid entry with one to three bytes changed in place."""
+    data = bytearray(_valid_entry())
+    for i in draw(st.sets(st.integers(0, len(data) - 1), min_size=1, max_size=3)):
+        data[i] ^= draw(st.integers(1, 255))
+    return bytes(data)
 
 
 def _is_verdict_record(line: bytes) -> bool:
@@ -114,6 +124,19 @@ def test_family_entry_is_a_hit_or_a_counted_miss(data):
         else:
             assert _well_formed_hit(hit)
             assert cache.stats.corrupt_entries == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_flipped_entry(), st.sampled_from(["trace", "family"]))
+def test_same_length_flips_never_load(data, kind):
+    with tempfile.TemporaryDirectory() as root:
+        cache = DiskCache(root)
+        path = cache._trace_path(KEY) if kind == "trace" else cache._family_path(KEY)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        load = cache.load_trace if kind == "trace" else cache.load_family
+        assert load(KEY) is None
+        assert cache.stats.corrupt_entries == 1
 
 
 @settings(max_examples=150, deadline=None)

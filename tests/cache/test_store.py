@@ -3,13 +3,23 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.arch.arm import ArmModel
-from repro.cache import CACHE_FORMAT_VERSION, DiskCache, trace_key
+from repro.cache import (
+    CACHE_FORMAT_VERSION,
+    DiskCache,
+    drop_cache,
+    open_cache,
+    resolve_cache,
+    trace_key,
+)
+from repro.cache import store
 from repro.isla import Assumptions, trace_for_opcode
 from repro.itl.events import Reg
+from repro.itl.parser import parse_trace
 from repro.itl.printer import trace_to_sexpr
 
 ARM = ArmModel()
@@ -89,6 +99,105 @@ class TestTraceStore:
         assert cache.load_trace("ab" * 32) is None
 
 
+def _flip_digit(text: str, i: int) -> str:
+    """``text`` with the (hex) digit at ``i`` changed: the same length,
+    and still a well-formed s-expression or JSON."""
+    return text[:i] + ("1" if text[i] != "1" else "2") + text[i + 1 :]
+
+
+class TestDigest:
+    """Each entry carries a blake2b-128 digest of its header fields and
+    body: any same-length damage is a counted miss, even when the damaged
+    body still parses (and would pass the length check)."""
+
+    def _stored(self, tmp_path, kind):
+        cache = DiskCache(tmp_path)
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        if kind == "trace":
+            cache.store_trace(key, result.trace, {"paths": result.paths})
+            return cache, cache._trace_path(key), lambda: cache.load_trace(key)
+        cache.store_family(key, result.trace, {"paths": result.paths})
+        return cache, cache._family_path(key), lambda: cache.load_family(key)
+
+    @pytest.mark.parametrize("kind", ["trace", "family"])
+    def test_same_length_body_mutation_is_a_corrupt_miss(self, tmp_path, kind):
+        cache, path, load = self._stored(tmp_path, kind)
+        text = path.read_text()
+        header, _, body = text.partition("\n")
+        mutated = _flip_digit(body, body.index("#x") + 2)  # a bitvector literal
+        parse_trace(mutated)  # the damage is invisible to the parser
+        path.write_text(f"{header}\n{mutated}")
+        assert load() is None
+        assert cache.stats.corrupt_entries == 1
+        assert cache.stats.wellformed_rejects == 0  # stopped at the digest
+
+    @pytest.mark.parametrize("kind", ["trace", "family"])
+    def test_same_length_header_mutation_is_a_corrupt_miss(self, tmp_path, kind):
+        cache, path, load = self._stored(tmp_path, kind)
+        text = path.read_text()
+        mutated = _flip_digit(text, text.index('"paths":') + len('"paths":'))
+        json.loads(mutated.partition("\n")[0])  # still a JSON header
+        path.write_text(mutated)
+        assert load() is None
+        assert cache.stats.corrupt_entries == 1
+
+    def test_header_carries_digest_and_length(self, tmp_path):
+        _, path, _ = self._stored(tmp_path, "trace")
+        text = path.read_text()
+        meta = json.loads(text.partition("\n")[0])
+        assert meta["end"] == len(text)
+        assert len(meta["digest"]) == 32  # 128 bits, hex
+        assert meta["digest"] == store._entry_digest(meta, text.partition("\n")[2])
+
+
+class TestHandles:
+    """One handle per process and root: the verdict log is parsed once."""
+
+    def test_one_handle_per_absolute_root(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cache = open_cache("c")
+        assert open_cache(str(tmp_path / "c")) is cache
+        assert open_cache(tmp_path / "c") is cache
+        assert open_cache("d") is not cache
+
+    def test_log_is_loaded_once(self, tmp_path, monkeypatch):
+        loads = []
+        real = DiskCache._load_smt
+        monkeypatch.setattr(
+            DiskCache, "_load_smt", lambda self: (loads.append(1), real(self))
+        )
+        for _ in range(3):
+            open_cache(tmp_path)
+        assert len(loads) == 1
+
+    def test_drop_cache_flushes_and_forgets(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.smt_record("a" * 64, "sat")
+        drop_cache(tmp_path)
+        assert DiskCache(tmp_path).smt_lookup("a" * 64) == "sat"
+        assert open_cache(tmp_path) is not cache
+        drop_cache(tmp_path / "never-opened")  # a no-op
+
+    def test_resolve_cache_precedence(self, tmp_path, monkeypatch):
+        env, flag = tmp_path / "env", tmp_path / "flag"
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert resolve_cache(None) is None
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(env))
+        assert resolve_cache(None) is open_cache(env)
+        assert resolve_cache(str(flag)) is open_cache(flag)
+        assert resolve_cache(str(flag), no_cache=True) is None
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_opens_its_own_handle(self, tmp_path):
+        open_cache(tmp_path)
+        pid = os.fork()
+        if pid == 0:  # child: the parent's handles are not inherited
+            os._exit(0 if not store._HANDLES else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+
 class TestSmtStore:
     def test_record_lookup_persist(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -153,9 +262,11 @@ class TestSmtStore:
 
 
 class TestDurability:
-    """ISSUE 6 satellite: the store behaves like a WAL — atomic renames
-    are fsynced through the directory, and a torn verdict-log tail is
-    *repaired on disk* at open, not merely skipped over forever."""
+    """The durability policy.  Entries are written atomically (temp file +
+    rename) but never fsynced: a power cut can cost warm entries, and the
+    length and digest in each header turn any damage into a counted miss.
+    The verdict log's torn tail is *repaired on disk* at open (truncated
+    and fsynced), not merely skipped over forever."""
 
     def _verdicts_path(self, tmp_path):
         return tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
@@ -218,5 +329,26 @@ class TestDurability:
         cache.store_trace(key, result.trace, {"paths": result.paths})
         entry = cache._trace_path(key)
         assert entry.exists()
-        # The durable-rename dance left exactly the entry, no droppings.
+        # The atomic rename left exactly the entry, no droppings.
         assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+
+    def test_store_trace_makes_no_fsync(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        cache = DiskCache(tmp_path)
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        cache.store_trace(key, result.trace, {"paths": result.paths})
+        cache.store_family(key, result.trace, {"paths": result.paths})
+        assert cache.stats.trace_writes == cache.stats.family_writes == 1
+        assert calls == []
+
+    def test_tail_repair_still_fsyncs(self, tmp_path, monkeypatch):
+        path = self._verdicts_path(tmp_path)
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps({"k": "a" * 64, "r": "sat"}) + "\n" + '{"k"')
+        calls = []
+        monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
+        cache = DiskCache(tmp_path)
+        assert cache.stats.smt_truncated_bytes == len('{"k"')
+        assert len(calls) == 1

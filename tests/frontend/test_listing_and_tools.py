@@ -101,6 +101,38 @@ class TestVerifyCli:
         rc = main(["memcpy_arm", "--n", "2"])
         assert rc == 0
 
+    def test_repeated_runs_share_one_cache_handle(self, tmp_path, capsys, monkeypatch):
+        """Two in-process runs on one cache directory: the verdict log is
+        parsed once, and each ``-v`` cache line reports its own run."""
+        import re
+
+        from repro.cache import DiskCache
+        from repro.smt.solver import clear_check_cache
+        from repro.tools.verify import main
+
+        loads = []
+        real = DiskCache._load_smt
+        monkeypatch.setattr(
+            DiskCache, "_load_smt", lambda self: (loads.append(self.root), real(self))
+        )
+        argv = ["memcpy_arm", "--n", "2", "--cache-dir", str(tmp_path / "c"), "-v"]
+        pattern = re.compile(
+            r"cache: traces (\d+) hits / (\d+) misses, "
+            r"smt (\d+) hits / (\d+) misses \((\d+) preloaded\)"
+        )
+        lines = []
+        for _ in range(2):
+            clear_check_cache()  # let the disk store, not the LRU, answer
+            assert main(argv) == 0
+            lines.append([int(g) for g in pattern.search(capsys.readouterr().out).groups()])
+        (cold_hits, cold_misses, _, cold_smt_misses, cold_pre), warm = lines
+        assert len(loads) == 1
+        assert cold_hits == 0 and cold_misses > 0 and cold_pre == 0
+        # The warm line counts only the warm run: every trace a hit.
+        assert warm[:2] == [cold_misses, 0]
+        assert warm[3] == 0 and warm[2] > 0
+        assert warm[4] >= cold_smt_misses  # verdicts the handle already held
+
 
 class TestAdequacyCli:
     def test_memcpy(self, capsys):

@@ -16,6 +16,12 @@ def _boom(x):
     raise ValueError(f"task {x}")
 
 
+def _open_handles(_payload=None) -> int:
+    from repro.cache import store
+
+    return len(store._HANDLES)
+
+
 class TestWorkerPool:
     def test_jobs_one_never_builds_a_pool(self):
         pool = WorkerPool(1)
@@ -110,3 +116,26 @@ class TestVerifyCaseParallel:
         _, pooled = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=2)
         assert len(serial.blocks) == 2
         assert serial.proof.to_json() == pooled.proof.to_json()
+
+
+class TestEphemeralHandles:
+    """A ``cache=None`` job verifies against a temporary cache; no process
+    keeps a handle on that root once the job is over."""
+
+    def test_serial_fallback_leaves_no_handle(self):
+        before = _open_handles()
+        for _ in range(3):
+            _, report = verify_case_parallel("rbit", jobs=1)
+            assert report.ok
+        assert _open_handles() == before
+
+    def test_pooled_workers_leave_no_handle(self):
+        before = _open_handles()
+        with WorkerPool(2) as pool:
+            for _ in range(3):
+                _, report = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=2, pool=pool)
+                assert report.ok
+            assert not pool.unavailable
+            in_workers = pool.map_tasks(_open_handles, range(8))
+        assert _open_handles() == before
+        assert in_workers == [0] * 8

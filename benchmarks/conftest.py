@@ -2,11 +2,12 @@
 
 Benchmarks that call the ``bench_smt_record`` fixture contribute named
 records (timings, query counts, cache and slice hit rates, speedups) that
-are merged into ``BENCH_smt.json`` at the repo root when the session ends.
-Merging — rather than rewriting — means running one benchmark file updates
-its own entries and leaves the rest of the trajectory intact, so the file
-is comparable PR-over-PR instead of living only in pytest-benchmark's
-transient output.
+are merged into ``BENCH_smt.json`` at the repo root when the session ends
+(likewise ``BENCH_service.json``, ``BENCH_cosim.json`` and
+``BENCH_parametric.json``).  Merging — rather than rewriting — means
+running one benchmark file updates its own entries and leaves the rest of
+the records intact.  The files are build output, not committed (CI
+uploads them as an artifact); EXPERIMENTS.md keeps their history.
 """
 
 from __future__ import annotations

@@ -107,10 +107,10 @@ def all_rows(tmp_path_factory):
             serial_s=serial_s,
             parallel_s=parallel_s,
             warm_s=warm_s,
-            trace_hits=warm_cache.stats.trace_hits,
-            trace_misses=warm_cache.stats.trace_misses,
-            smt_hits=warm_cache.stats.smt_hits,
-            smt_misses=warm_cache.stats.smt_misses,
+            trace_hits=warm_cache.stats["trace_hits"],
+            trace_misses=warm_cache.stats["trace_misses"],
+            smt_hits=warm_cache.stats["smt_hits"],
+            smt_misses=warm_cache.stats["smt_misses"],
         )
         proofs[label] = {
             "serial": serial_report.proof.to_json(),

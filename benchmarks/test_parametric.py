@@ -38,7 +38,8 @@ import pytest
 
 from repro.arch.arm import ArmModel, encode as A
 from repro.isla import Assumptions, IslaError, trace_for_opcode
-from repro.isla.parametric import ParametricStats, engine
+from repro import obs
+from repro.isla.parametric import engine
 from repro.smt.solver import clear_check_cache
 from tests._reference import direct_isla
 
@@ -64,22 +65,24 @@ def _run_pass(model, assumptions, words) -> tuple[float, int]:
 
 
 def _cold_warm(model, assumptions, words, pairs: int = 3) -> dict:
-    eng = engine()
-    eng.reset()
+    engine().reset()
 
     # Uncounted build passes: families on the first, variants on the second.
-    _run_pass(model, assumptions, words)
-    _run_pass(model, assumptions, words)
-    built = eng.stats.snapshot()
+    with obs.scope() as build:
+        _run_pass(model, assumptions, words)
+        _run_pass(model, assumptions, words)
+    built = build.snapshot("parametric.")
 
     colds, warms, ratios = [], [], []
     cases = hits = delta = None
     for _ in range(pairs):
-        with direct_isla():
+        # Both sides of a pair count in a run scope, so neither pays for
+        # counting alone.
+        with direct_isla(), obs.scope():
             cold_s, cold_done = _run_pass(model, assumptions, words)
-        before = eng.stats.snapshot()
-        warm_s, warm_done = _run_pass(model, assumptions, words)
-        delta = ParametricStats.delta(before, eng.stats.snapshot())
+        with obs.scope() as warm:
+            warm_s, warm_done = _run_pass(model, assumptions, words)
+        delta = warm.snapshot("parametric.")
         assert cold_done == warm_done
         cases = warm_done
         hits = delta.get("family_hits", 0)

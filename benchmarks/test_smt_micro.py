@@ -148,13 +148,13 @@ class TestIncrementalMicro:
         bench_smt_record(
             "micro_incremental_branch_chain",
             depth=self.DEPTH,
-            queries=probe.stats.checks,
+            queries=probe.stats["checks"],
             incremental_s=round(inc_t, 6),
             fresh_s=round(fresh_t, 6),
             speedup=round(speedup, 2),
-            encode_us=probe.stats.encode_us,
-            solve_us=probe.stats.solve_us,
-            incremental_solves=probe.stats.incremental_solves,
+            encode_us=probe.stats["encode_us"],
+            solve_us=probe.stats["solve_us"],
+            incremental_solves=probe.stats["incremental_solves"],
         )
         assert speedup >= 1.5, f"incremental speedup {speedup:.2f}x < 1.5x"
 
@@ -202,17 +202,17 @@ class TestSlicingMicro:
             probe = _sliced_query_workload()
         speedup = whole_t / sliced_t
         stats = probe.stats
-        hit_rate = stats.slice_cache_hits / max(1, stats.slice_components)
+        hit_rate = stats["slice_cache_hits"] / max(1, stats["slice_components"])
         bench_smt_record(
             "micro_sliced_queries",
-            queries=stats.checks,
+            queries=stats["checks"],
             sliced_s=round(sliced_t, 6),
             whole_s=round(whole_t, 6),
             speedup=round(speedup, 2),
-            sliced_checks=stats.sliced_checks,
-            slice_components=stats.slice_components,
-            slice_cache_hits=stats.slice_cache_hits,
-            slice_solves=stats.slice_solves,
+            sliced_checks=stats["sliced_checks"],
+            slice_components=stats["slice_components"],
+            slice_cache_hits=stats["slice_cache_hits"],
+            slice_solves=stats["slice_solves"],
             slice_cache_hit_rate=round(hit_rate, 3),
         )
         assert speedup >= 1.5, f"slicing speedup {speedup:.2f}x < 1.5x"

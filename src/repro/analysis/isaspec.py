@@ -37,10 +37,10 @@ lattice (:mod:`repro.analysis.findings`).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..obs import Counters
 from ..smt import builder as B
 from ..smt.solver import SAT, UNSAT, Solver
 from ..smt.terms import FALSE, TRUE, Term
@@ -148,24 +148,9 @@ class IsaSpec:
 # ---------------------------------------------------------------------------
 
 
-class IsaSpecStats:
-    """Flat, Prometheus-safe integer counters (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-
-    def inc(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + value
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-
 #: Process-global counters; the service daemon surfaces these at /metrics.
-ISASPEC_STATS = IsaSpecStats()
+#: Each increment is also counted in the current run scope as ``isaspec.*``.
+ISASPEC_STATS = Counters(scoped_as="isaspec.")
 
 
 def isaspec_stats() -> dict[str, int]:

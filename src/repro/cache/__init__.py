@@ -34,11 +34,10 @@ from .keys import (
     smt_query_key,
     trace_key,
 )
-from .store import CacheStats, DiskCache, drop_cache, open_cache, resolve_cache
+from .store import DiskCache, drop_cache, open_cache, resolve_cache
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
-    "CacheStats",
     "DiskCache",
     "assumptions_fingerprint",
     "drop_cache",

@@ -49,6 +49,7 @@ try:  # POSIX only; the fallback below keeps non-POSIX hosts working.
 except ImportError:  # pragma: no cover - exercised only on non-POSIX
     fcntl = None  # type: ignore[assignment]
 
+from ..obs import Counters
 from ..smt.sorts import sort_from_text, sort_to_text
 from .keys import CACHE_FORMAT_VERSION
 
@@ -90,31 +91,18 @@ def _append_exact(path: Path, payload: bytes) -> bool:
             pass
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for one :class:`DiskCache` handle."""
-
-    trace_hits: int = 0
-    trace_misses: int = 0
-    trace_writes: int = 0
-    smt_hits: int = 0
-    smt_misses: int = 0
-    smt_records: int = 0
-    smt_loaded: int = 0
-    #: Bytes cut off the verdict log's corrupt tail on open (a crashed
-    #: appender's torn final records).
-    smt_truncated_bytes: int = 0
-    corrupt_entries: int = 0
-    #: Entries that parsed but failed the well-formedness check (subset of
-    #: corrupt_entries); each is evicted on sight.
-    wellformed_rejects: int = 0
-    #: Parametric family-trace entries (see ``repro.isla.parametric``).
-    family_hits: int = 0
-    family_misses: int = 0
-    family_writes: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
+#: Counters of one :class:`DiskCache` handle (``DiskCache.stats``).
+#: ``smt_truncated_bytes`` were cut off the verdict log's corrupt tail on
+#: open (a crashed appender's torn final records); ``wellformed_rejects``
+#: (a subset of ``corrupt_entries``) parsed but failed the well-formedness
+#: check, each evicted on sight; ``family_*`` count parametric
+#: family-trace entries (see ``repro.isla.parametric``).
+DISK_COUNTERS = (
+    "trace_hits", "trace_misses", "trace_writes",
+    "smt_hits", "smt_misses", "smt_records", "smt_loaded", "smt_truncated_bytes",
+    "corrupt_entries", "wellformed_rejects",
+    "family_hits", "family_misses", "family_writes",
+)
 
 
 def _header_json(meta: dict) -> str:
@@ -164,7 +152,11 @@ class DiskCache:
     """
 
     root: Path
-    stats: CacheStats = field(default_factory=CacheStats)
+    #: Process-level counters of this handle, also counted in the current
+    #: run scope as ``disk.*`` (see :mod:`repro.obs`).
+    stats: Counters = field(
+        default_factory=lambda: Counters(DISK_COUNTERS, scoped_as="disk.")
+    )
     #: A temporary root that dies with its job: workers drop their handle
     #: on it after each task instead of keeping it for the process's life.
     ephemeral: bool = False
@@ -265,25 +257,25 @@ class DiskCache:
         path = self._trace_path(key)
         status, hit = self._read_entry(path)
         if status == "miss":
-            self.stats.trace_misses += 1
+            self.stats.inc("trace_misses")
             return None
         if status == "corrupt":
-            self.stats.corrupt_entries += 1
-            self.stats.trace_misses += 1
+            self.stats.inc("corrupt_entries")
+            self.stats.inc("trace_misses")
             return None
         trace, meta = hit
         from ..analysis.wellformed import is_wellformed
 
         if not is_wellformed(trace):
-            self.stats.wellformed_rejects += 1
-            self.stats.corrupt_entries += 1
-            self.stats.trace_misses += 1
+            self.stats.inc("wellformed_rejects")
+            self.stats.inc("corrupt_entries")
+            self.stats.inc("trace_misses")
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self.stats.trace_hits += 1
+        self.stats.inc("trace_hits")
         return trace, meta
 
     def store_trace(self, key: str, trace, meta: dict) -> None:
@@ -293,7 +285,7 @@ class DiskCache:
         signature is computed here from the trace itself.
         """
         if self._write_entry(self._trace_path(key), trace, meta):
-            self.stats.trace_writes += 1
+            self.stats.inc("trace_writes")
 
     # -- parametric family store --------------------------------------------
     #
@@ -311,17 +303,17 @@ class DiskCache:
         """Return ``(raw_trace, meta)`` for a cached family, or ``None``."""
         status, hit = self._read_entry(self._family_path(key))
         if status == "ok":
-            self.stats.family_hits += 1
+            self.stats.inc("family_hits")
             return hit
         if status == "corrupt":
-            self.stats.corrupt_entries += 1
-        self.stats.family_misses += 1
+            self.stats.inc("corrupt_entries")
+        self.stats.inc("family_misses")
         return None
 
     def store_family(self, key: str, trace, meta: dict) -> None:
         """Persist one parametric family entry atomically."""
         if self._write_entry(self._family_path(key), trace, meta):
-            self.stats.family_writes += 1
+            self.stats.inc("family_writes")
 
     # -- SMT verdict store --------------------------------------------------
 
@@ -361,7 +353,7 @@ class DiskCache:
                 if newline == -1:
                     # Dangling final line, no terminator: a torn write,
                     # whatever its bytes happen to parse as.
-                    self.stats.corrupt_entries += 1
+                    self.stats.inc("corrupt_entries")
                     break
                 try:
                     record = json.loads(data[offset:newline])
@@ -370,13 +362,13 @@ class DiskCache:
                     if not isinstance(key, str) or verdict not in ("sat", "unsat"):
                         raise ValueError("not a sat/unsat verdict record")
                 except (ValueError, KeyError, TypeError, RecursionError):
-                    self.stats.corrupt_entries += 1
+                    self.stats.inc("corrupt_entries")
                 else:
                     self._smt[key] = verdict
                     valid_end = newline + 1
                 offset = newline + 1
             if valid_end < len(data):
-                self.stats.smt_truncated_bytes = len(data) - valid_end
+                self.stats.inc("smt_truncated_bytes", len(data) - valid_end)
                 try:
                     os.ftruncate(fd, valid_end)
                     os.fsync(fd)
@@ -384,14 +376,14 @@ class DiskCache:
                     pass
         finally:
             os.close(fd)
-        self.stats.smt_loaded = len(self._smt)
+        self.stats.inc("smt_loaded", len(self._smt))
 
     def smt_lookup(self, key: str) -> str | None:
         verdict = self._smt.get(key)
         if verdict is None:
-            self.stats.smt_misses += 1
+            self.stats.inc("smt_misses")
         else:
-            self.stats.smt_hits += 1
+            self.stats.inc("smt_hits")
         return verdict
 
     def smt_record(self, key: str, verdict: str) -> None:
@@ -404,7 +396,7 @@ class DiskCache:
             self._smt_pending.append(
                 json.dumps({"k": key, "r": verdict}, sort_keys=True)
             )
-            self.stats.smt_records += 1
+            self.stats.inc("smt_records")
             full = len(self._smt_pending) >= 256
         if full:
             self.flush()

@@ -63,9 +63,6 @@ class FrontendResult:
 
     traces: dict[int, Trace]
     results: dict[int, IslaResult]
-    #: Parametric family counters attributable to this map's generation
-    #: (summed across trace workers on the parallel path).
-    parametric_stats: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_events(self) -> int:
@@ -97,6 +94,8 @@ def generate_instruction_map(
     ``build()`` functions pick up parallelism and on-disk caching without
     signature changes.  With ``jobs > 1`` the per-opcode runs fan out
     across worker processes; the result is identical to the serial path.
+    Counts (family hits, cache lookups) land in the caller's run scope
+    (:mod:`repro.obs`), whichever path served them.
     """
     from ..parallel.config import current_config
 
@@ -127,12 +126,9 @@ def generate_instruction_map(
             cache=cache,
             pool=config.pool,
         )
-    from ..isla.parametric import engine
-
     per_address = per_address or {}
     traces: dict[int, Trace] = {}
     results: dict[int, IslaResult] = {}
-    parametric_before = engine().stats.snapshot()
     for addr in sorted(image.opcodes):
         opcode = image.opcodes[addr]
         assumptions = (default_assumptions or Assumptions()).merged_with(
@@ -141,13 +137,7 @@ def generate_instruction_map(
         result = trace_for_opcode(model, opcode, assumptions, cache=cache)
         traces[addr] = result.trace
         results[addr] = result
-    return FrontendResult(
-        traces,
-        results,
-        parametric_stats=engine().stats.delta(
-            parametric_before, engine().stats.snapshot()
-        ),
-    )
+    return FrontendResult(traces, results)
 
 
 def load_image_into_state(image: ProgramImage, state: MachineState) -> None:

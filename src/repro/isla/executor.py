@@ -448,7 +448,7 @@ def _enumerate_raw(
         machine = SymbolicMachine(
             model, assumptions, forced, name_prefix, budget, solver=shared_solver
         )
-        checks_before = shared_solver.stats.checks
+        checks_before = shared_solver.stats["checks"]
         shared_solver.push()
         try:
             model.execute(machine, opcode)
@@ -479,7 +479,7 @@ def _enumerate_raw(
         )
         total_calls += machine.calls
         total_steps += machine.steps
-        total_checks += shared_solver.stats.checks - checks_before
+        total_checks += shared_solver.stats["checks"] - checks_before
         total_skipped += machine.checks_skipped
         # Schedule the sibling of every fork discovered beyond the prefix.
         for i in range(len(forced), len(machine.decisions)):

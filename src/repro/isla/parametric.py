@@ -47,6 +47,7 @@ from typing import Callable
 
 from functools import lru_cache
 
+from .. import obs
 from ..analysis.wellformed import maybe_assert_substitution_wellformed
 from ..cache.keys import family_trace_key
 from ..itl import events as E
@@ -191,29 +192,9 @@ class FamilyEntry:
         return self.base_form
 
 
-class ParametricStats:
-    """Flat, Prometheus-safe integer counters (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: dict[str, int] = {}
-
-    def inc(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counts[name] = self._counts.get(name, 0) + value
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    @staticmethod
-    def delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-        out = {}
-        for name, value in after.items():
-            diff = value - before.get(name, 0)
-            if diff:
-                out[name] = diff
-        return out
+def _count(name: str) -> None:
+    """Count in the current run scope (:mod:`repro.obs`) as ``parametric.*``."""
+    obs.count("parametric." + name)
 
 
 @lru_cache(maxsize=4096)
@@ -243,7 +224,6 @@ class ParametricEngine:
         self._info_memo: dict[tuple, object] = {}
         #: (info memo key, model class, prefix, assumptions fp) -> family key
         self._key_memo: dict[tuple, str] = {}
-        self.stats = ParametricStats()
 
     # -- family derivation ---------------------------------------------------
 
@@ -370,7 +350,7 @@ class ParametricEngine:
             # may be the budget's fault; without one it is deterministic.
             if budget is not None and budget.exhausted != prior_exhausted:
                 budget.exhausted = prior_exhausted
-            self.stats.inc("family_build_failures")
+            _count("family_build_failures")
             if isinstance(exc, ValueError) or budget is None:
                 self._mark_unsupported(key, suffix)
             return None
@@ -378,7 +358,7 @@ class ParametricEngine:
             # BudgetExhausted, transient faults bubbling out, ...: transient.
             if budget is not None and budget.exhausted != prior_exhausted:
                 budget.exhausted = prior_exhausted
-            self.stats.inc("family_build_failures")
+            _count("family_build_failures")
             return None
         placeholder_set = set(placeholders)
         fixed = frozenset(
@@ -398,8 +378,8 @@ class ParametricEngine:
             operand_dependent=_operand_dependent(raw, operand_vars.values()),
             metrics=metrics,
         )
-        self.stats.inc("family_builds")
-        self.stats.inc(f"family_builds_{suffix}")
+        _count("family_builds")
+        _count(f"family_builds_{suffix}")
         with self._lock:
             self._families[key] = entry
         if cache is not None:
@@ -412,8 +392,8 @@ class ParametricEngine:
     def _mark_unsupported(self, key: str, suffix: str) -> None:
         with self._lock:
             self._unsupported.add(key)
-        self.stats.inc("family_unsupported")
-        self.stats.inc(f"family_unsupported_{suffix}")
+        _count("family_unsupported")
+        _count(f"family_unsupported_{suffix}")
 
     # -- dispatch ------------------------------------------------------------
 
@@ -466,7 +446,7 @@ class ParametricEngine:
         suffix = _metric_suffix(profile.arch, info.arm)
         with self._lock:
             if key in self._unsupported:
-                self.stats.inc("family_misses")
+                _count("family_misses")
                 return None
             entry = self._families.get(key)
         hit = entry is not None
@@ -479,14 +459,14 @@ class ParametricEngine:
                 name_prefix, budget, cache,
             )
             if entry is None:
-                self.stats.inc("family_misses")
+                _count("family_misses")
                 return None
         instantiated = self._instantiate(
             entry, profile, info, assumptions, name_prefix
         )
         if instantiated is None:
-            self.stats.inc("guard_failures")
-            self.stats.inc(f"guard_failures_{suffix}")
+            _count("guard_failures")
+            _count(f"guard_failures_{suffix}")
             return None
         served, guard_checks, finished, form = instantiated
         # Path-budget parity: a caller whose path allowance is smaller than
@@ -495,12 +475,12 @@ class ParametricEngine:
         path_limit = max_paths if budget is None else budget.path_limit(max_paths)
         paths = served.num_paths()
         if paths > path_limit:
-            self.stats.inc("family_budget_fallbacks")
+            _count("family_budget_fallbacks")
             return None
         if hit:
-            self.stats.inc("family_hits")
-            self.stats.inc(f"family_hits_{suffix}")
-        self.stats.inc("family_instantiations")
+            _count("family_hits")
+            _count(f"family_hits_{suffix}")
+        _count("family_instantiations")
         if finished:
             # Fast serve: ``served`` is already in final (simplified) form
             # and its names match direct execution's — run the same final
@@ -578,7 +558,7 @@ class ParametricEngine:
                 )
                 if served is not None:
                     form = variant
-                    self.stats.inc("family_variant_serves")
+                    _count("family_variant_serves")
                     break
         if served is not None:
             guard_checks = 0
@@ -593,7 +573,7 @@ class ParametricEngine:
                 form.final, served, sigma, rename, where=where,
                 recheck_trace=False,
             )
-            self.stats.inc("family_fast_serves")
+            _count("family_fast_serves")
             return served, guard_checks, True, form
         raw, sig = _renorm(entry.raw, rename, sigma, name_prefix, entry.indexed())
         if raw is None:
@@ -656,13 +636,12 @@ class ParametricEngine:
     # -- maintenance ---------------------------------------------------------
 
     def reset(self) -> None:
-        """Drop every family and counter (test isolation)."""
+        """Drop every family (test isolation)."""
         with self._lock:
             self._families.clear()
             self._unsupported.clear()
             self._info_memo.clear()
             self._key_memo.clear()
-            self.stats = ParametricStats()
 
 
 def _entry_meta(entry: FamilyEntry) -> dict:

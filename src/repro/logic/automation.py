@@ -31,6 +31,8 @@ from dataclasses import dataclass
 from ..itl import events as E
 from ..itl.events import Reg
 from ..itl.trace import Trace, substitute_event
+from .. import obs
+from ..obs import Counters
 from ..resilience.budget import Budget, BudgetExhausted
 from ..resilience.faults import TransientFault, active_injector
 from ..resilience.shutdown import SHUTDOWN_REASON, shutdown_requested
@@ -48,8 +50,9 @@ from ..smt.solver import (
     SAT as SAT_RESULT,
     UNKNOWN as UNKNOWN_RESULT,
     UNSAT as UNSAT_RESULT,
+    LRU_COUNTERS,
+    SOLVER_COUNTERS,
     Solver,
-    SolverStats,
     check_cache_stats,
 )
 from ..smt.terms import FALSE, Term
@@ -144,8 +147,27 @@ class ProofEngine:
                     f"no block spec at {[hex(a) for a in unknown]}"
                 )
             blocks = sorted(blocks)
-        cache_before = check_cache_stats()
         report = RunReport(proof=self.proof, budget=self.budget)
+        with obs.scope() as run:
+            self._verify_blocks(report, blocks)
+        # This run's counts reach the enclosing run scope too.
+        obs.add(run.snapshot())
+        totals = Counters(SOLVER_COUNTERS)
+        for solver in self._solvers:
+            totals.add(solver.stats.snapshot())
+        report.solver_stats = totals.snapshot()
+        # The check cache's activity during this run (its counts in the
+        # run scope), beside its two gauges.
+        report.cache_stats = {
+            **check_cache_stats(),
+            **{name: run["cache." + name] for name in LRU_COUNTERS},
+        }
+        injector = active_injector()
+        if injector is not None:
+            report.faults = tuple(injector.log)
+        return report
+
+    def _verify_blocks(self, report: RunReport, blocks: list[int]) -> None:
         for addr in blocks:
             if shutdown_requested():
                 # Drain: everything not yet attempted lands on the unknown
@@ -193,27 +215,6 @@ class ProofEngine:
                     outcome = BlockOutcome(addr, VERIFIED)
             report.blocks[addr] = outcome
             self.proof.outcomes[addr] = outcome.outcome
-        totals = SolverStats()
-        for solver in self._solvers:
-            totals.merge(solver.stats)
-        report.solver_stats = totals.snapshot()
-        # Report the *delta* of the global check-cache counters over this
-        # run, not their process-lifetime totals.  The cumulative numbers
-        # made otherwise-identical runs produce different reports (a warm
-        # rerun inherited the cold run's misses) and, in the per-block
-        # parallel merge, double-counted shared queries.  ``entries`` and
-        # ``capacity`` are gauges, not counters, and pass through as-is.
-        cache_after = check_cache_stats()
-        report.cache_stats = {
-            key: (value - cache_before.get(key, 0))
-            if key not in ("entries", "capacity")
-            else value
-            for key, value in cache_after.items()
-        }
-        injector = active_injector()
-        if injector is not None:
-            report.faults = tuple(injector.log)
-        return report
 
     def verify_block(self, addr: int) -> None:
         if addr not in self.program:

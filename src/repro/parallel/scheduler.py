@@ -33,6 +33,7 @@ means parallel-run-to-parallel-run reproducibility.)
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import hashlib
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
@@ -41,7 +42,9 @@ from dataclasses import asdict, dataclass
 
 from ..resilience.shutdown import SHUTDOWN_REASON, shutdown_requested
 
+from .. import obs
 from ..cache import drop_cache, open_cache
+from ..obs import Counters
 from ..isla.assumptions import Assumptions
 from ..itl.events import Reg
 from ..smt import builder as B
@@ -327,10 +330,26 @@ class WorkerPool:
 # -- trace generation fan-out -----------------------------------------------
 
 
+def _scoped(task):
+    """A worker task run in its own run scope (:mod:`repro.obs`), whose
+    snapshot rides in the result as ``"counters"`` for the parent to add
+    once — the same path whether the pool runs in processes or in-process.
+    """
+
+    @functools.wraps(task)
+    def worker(payload: dict) -> dict:
+        with obs.scope() as run:
+            result = task(payload)
+        result["counters"] = run.snapshot()
+        return result
+
+    return worker
+
+
+@_scoped
 def _trace_worker(payload: dict) -> dict:
     from ..cache.store import encode_trace
     from ..isla.executor import trace_for_opcode
-    from ..isla.parametric import engine
     from ..smt.solver import install_persistent_check_store
 
     model = _model_from_spec(payload["model"])
@@ -338,7 +357,6 @@ def _trace_worker(payload: dict) -> dict:
     assumptions = _assumptions_from_payload(payload["assumptions"])
     cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     previous = install_persistent_check_store(cache)
-    parametric_before = engine().stats.snapshot()
     try:
         result = trace_for_opcode(model, opcode, assumptions, cache=cache)
     finally:
@@ -356,9 +374,6 @@ def _trace_worker(payload: dict) -> dict:
         "checks_skipped": result.checks_skipped,
         "cached": result.cached,
         "parametric": result.parametric,
-        "parametric_stats": engine().stats.delta(
-            parametric_before, engine().stats.snapshot()
-        ),
     }
 
 
@@ -429,14 +444,12 @@ def generate_traces_parallel(
             pool.close()
     traces = {}
     results = {}
-    parametric_stats: dict[str, int] = {}
     for item in raw:
         result = _isla_result(item)
         traces[item["addr"]] = result.trace
         results[item["addr"]] = result
-        for stat, value in item["parametric_stats"].items():
-            parametric_stats[stat] = parametric_stats.get(stat, 0) + value
-    return FrontendResult(traces, results, parametric_stats=parametric_stats)
+        obs.add(item["counters"])
+    return FrontendResult(traces, results)
 
 
 # -- block-proof fan-out ----------------------------------------------------
@@ -448,6 +461,7 @@ def _block_fault_seed(seed: int, addr: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+@_scoped
 def _verify_block_worker(payload: dict) -> dict:
     from contextlib import nullcontext
 
@@ -457,13 +471,10 @@ def _verify_block_worker(payload: dict) -> dict:
     from ..smt.solver import install_persistent_check_store
     from .config import configured
 
-    from ..isla.parametric import engine
-
     module = getattr(casestudies, payload["case"])
     cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     addr = payload["addr"]
     previous = install_persistent_check_store(cache)
-    parametric_before = engine().stats.snapshot()
     try:
         # Rebuild the case in-process (traces come warm from the shared
         # disk cache).  The build runs fault-free, matching the serial
@@ -518,11 +529,6 @@ def _verify_block_worker(payload: dict) -> dict:
         "proof": report.proof.to_json(),
         "solver_stats": report.solver_stats,
         "cache_stats": report.cache_stats,
-        # Build + verify both run in this worker, so the engine delta covers
-        # family activity triggered by this block's case rebuild.
-        "parametric_stats": engine().stats.delta(
-            parametric_before, engine().stats.snapshot()
-        ),
         "budget": budget.snapshot() if budget is not None else None,
         "faults": len(report.faults),
     }
@@ -573,6 +579,7 @@ def verify_case_parallel(
     from ..logic.proof import Proof
     from ..resilience import Budget
     from ..resilience.outcome import BlockOutcome, RunReport
+    from ..smt.solver import LRU_COUNTERS
     from .config import configured
 
     module = getattr(casestudies, name)
@@ -591,7 +598,10 @@ def verify_case_parallel(
         own_pool = pool is None
         pool = pool or WorkerPool(jobs)
         try:
-            with configured(jobs=jobs, cache=cache, pool=pool, batcher=batcher):
+            # The job's run scope; the block workers' counts join it below.
+            with configured(
+                jobs=jobs, cache=cache, pool=pool, batcher=batcher
+            ), obs.scope() as run:
                 case = module.build(**build_kwargs)
             cache.flush()
             addrs = sorted(case.specs)
@@ -634,14 +644,8 @@ def verify_case_parallel(
     merged_proof = Proof()
     run_budget = Budget(budget_spec) if budget_spec is not None else None
     report = RunReport(proof=merged_proof, budget=run_budget)
-    solver_totals: dict[str, int] = {}
-    cache_totals: dict[str, int] = {}
-    # Seed with the build phase's family activity (summed from the trace
-    # workers, or measured in-process on the serial path); block workers
-    # contribute whatever their case rebuilds triggered on top.
-    parametric_totals: dict[str, int] = dict(
-        getattr(case.frontend, "parametric_stats", None) or {}
-    )
+    solver_totals = Counters()
+    cache_totals = Counters()
     fault_count = 0
     # Failures carry no result payload: recover the block address from the
     # payload the task was given.  Payloads are address-ordered, and so is
@@ -665,19 +669,17 @@ def verify_case_parallel(
         report.blocks[addr] = BlockOutcome(
             addr, out["outcome"], reason=out["reason"], residuals=out["residuals"]
         )
-        for key, value in item["solver_stats"].items():
-            solver_totals[key] = solver_totals.get(key, 0) + value
-        for key, value in item["cache_stats"].items():
-            if key not in ("entries", "capacity"):
-                cache_totals[key] = cache_totals.get(key, 0) + value
-        for key, value in item.get("parametric_stats", {}).items():
-            parametric_totals[key] = parametric_totals.get(key, 0) + value
+        solver_totals.add(item["solver_stats"])
+        cache_totals.add(item["cache_stats"])
+        run.add(item["counters"])
         if run_budget is not None and item["budget"] is not None:
             run_budget.absorb(item["budget"])
         fault_count += item["faults"]
-    report.solver_stats = solver_totals
-    report.cache_stats = cache_totals
-    report.parametric_stats = parametric_totals
+    report.solver_stats = solver_totals.snapshot()
+    # Summed gauges mean nothing: the check-cache counters only.
+    report.cache_stats = {name: cache_totals[name] for name in LRU_COUNTERS}
+    report.parametric_stats = run.snapshot("parametric.")
+    obs.add(run.snapshot())
     if fault_count:
         report.faults = tuple(range(fault_count))  # count only; events stay
         # in the workers — FaultEvent streams are per-process diagnostics.

@@ -32,6 +32,7 @@ import json
 import threading
 import time
 
+from .. import obs
 from ..parallel.scheduler import (
     TaskFailure,
     _isla_result,
@@ -172,10 +173,10 @@ class TraceBatcher:
 
         traces = {}
         results = {}
-        parametric_stats: dict[str, int] = {}
-        # Family counters are summed once per *distinct* leader future:
-        # followers share the leader's result object, and double-counting a
-        # deduplicated computation would inflate the hit rate.
+        # A leader's counts join this job's run scope once per *distinct*
+        # leader future: followers share the leader's result object, and
+        # double-counting a deduplicated computation would inflate the hit
+        # rate.
         counted: set[int] = set()
         for addr, future in subscriptions:
             item = future.result()
@@ -185,9 +186,8 @@ class TraceBatcher:
             results[addr] = result
             if id(future) not in counted:
                 counted.add(id(future))
-                for stat, value in item["parametric_stats"].items():
-                    parametric_stats[stat] = parametric_stats.get(stat, 0) + value
-        return FrontendResult(traces, results, parametric_stats=parametric_stats)
+                obs.add(item["counters"])
+        return FrontendResult(traces, results)
 
     # -- lifecycle -----------------------------------------------------------
 

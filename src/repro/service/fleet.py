@@ -301,7 +301,7 @@ class FleetRouter(HttpFrontEnd):
                 "journal-replayed",
                 pending=len(replay.pending),
                 completed=len(replay.completed),
-                truncated_bytes=self.journal.stats.truncated_bytes,
+                truncated_bytes=self.journal.stats["truncated_bytes"],
             )
 
     # -- submission ------------------------------------------------------------

@@ -42,6 +42,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..obs import Counters
 from .protocol import PRIORITIES
 
 ACCEPT = "accept"
@@ -79,16 +80,6 @@ def _well_shaped(record: dict) -> bool:
 
 
 @dataclass
-class JournalStats:
-    records_recovered: int = 0
-    records_appended: int = 0
-    truncated_bytes: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-
-@dataclass
 class Replay:
     """What recovery found: jobs to resubmit and completions to reuse."""
 
@@ -107,7 +98,9 @@ class JobJournal:
     def __init__(self, path: str | Path, fsync: bool = True) -> None:
         self.path = Path(path)
         self.fsync = fsync
-        self.stats = JournalStats()
+        self.stats = Counters(
+            ("records_recovered", "records_appended", "truncated_bytes")
+        )
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._records = self._recover()
@@ -138,9 +131,9 @@ class JobJournal:
             records.append(record)
             offset = newline + 1
         if offset < len(data):
-            self.stats.truncated_bytes = len(data) - offset
+            self.stats.inc("truncated_bytes", len(data) - offset)
             self._truncate(offset)
-        self.stats.records_recovered = len(records)
+        self.stats.inc("records_recovered", len(records))
         return records
 
     @staticmethod
@@ -208,7 +201,7 @@ class JobJournal:
                 os.fsync(self._fd)
             self._seq += 1
             self._records.append(record)
-            self.stats.records_appended += 1
+            self.stats.inc("records_appended")
             return record
 
     # -- views ----------------------------------------------------------------

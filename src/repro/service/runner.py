@@ -136,10 +136,9 @@ class JobRunner:
         telemetry.observe_latency(elapsed)
         telemetry.inc("jobs_completed")
         telemetry.inc(f"outcome_{report.outcome}")
-        telemetry.merge("solver", report.solver_stats)
-        telemetry.merge("cache", report.cache_stats)
-        if report.parametric_stats:
-            telemetry.merge("parametric", report.parametric_stats)
+        telemetry.counters.add(report.solver_stats, "solver_")
+        telemetry.counters.add(report.cache_stats, "cache_")
+        telemetry.counters.add(report.parametric_stats, "parametric_")
         service.refresh_gauges()
         job.mark_done(result)
         if job.latency_s is not None:

@@ -170,7 +170,7 @@ class VerificationService(HttpFrontEnd):
         """Re-derive observability gauges from resident state.
 
         Called on every /metrics render so static-analysis rejections are
-        visible even between jobs: the full :class:`CacheStats` snapshot
+        visible even between jobs: the disk handle's full counter snapshot
         (including ``wellformed_rejects`` and ``corrupt_entries`` — the
         ill-formed-entry evictions) becomes ``disk_*`` gauges, and the
         process-global ISA-spec validator counters become ``isaspec_*``.

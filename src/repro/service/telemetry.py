@@ -1,8 +1,9 @@
 """Service telemetry: counters, gauges, latency percentiles, JSON logs.
 
-One :class:`Telemetry` instance per daemon.  Counters are monotonic and
-cheap (a dict behind a lock — the daemon's request rates are far below
-anything needing sharded atomics); latencies go into a bounded reservoir
+One :class:`Telemetry` instance per daemon.  Counters are one
+:class:`repro.obs.Counters`, monotonic and cheap (a dict behind a lock —
+the daemon's request rates are far below anything needing sharded
+atomics); latencies go into a bounded reservoir
 from which p50/p95/p99 are computed on demand, beside a monotonic count
 and sum that the reservoir's trimming never touches.  The ``/metrics`` endpoint
 renders either Prometheus text exposition or the raw JSON snapshot.
@@ -19,6 +20,8 @@ import sys
 import threading
 import time
 
+from ..obs import Counters
+
 
 class Telemetry:
     """Thread-safe counters + latency reservoir + structured logger."""
@@ -29,7 +32,9 @@ class Telemetry:
 
     def __init__(self, log_stream=None, service: str = "repro.service") -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, float] = {}
+        #: Monotonic counters; a run report's stats join them through
+        #: :meth:`~repro.obs.Counters.add` with a ``solver_``-style prefix.
+        self.counters = Counters()
         self._gauges: dict[str, float] = {}
         self._latencies: list[float] = []
         self._latency_count = 0
@@ -42,39 +47,14 @@ class Telemetry:
     # -- counters and gauges -------------------------------------------------
 
     def inc(self, name: str, value: float = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def merge(self, prefix: str, stats: dict) -> None:
-        """Fold a per-run stats dict into prefixed counters
-        (``solver_stats``'s ``checks`` becomes ``solver_checks`` ...)."""
-        with self._lock:
-            for key, value in stats.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    name = f"{prefix}_{key}"
-                    self._counters[name] = self._counters.get(name, 0) + value
+        self.counters.inc(name, value)
 
     def gauge(self, name: str, value: float) -> None:
         with self._lock:
             self._gauges[name] = value
 
     def counter(self, name: str) -> float:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def absorb_counters(self, counters: dict, prefix: str = "") -> None:
-        """Fold another telemetry snapshot's counters into this one.
-
-        The fleet router uses this to aggregate shard-reported counters
-        (prefixed so ``jobs_completed`` on a shard becomes
-        ``shard_jobs_completed`` fleet-side) without ever double-counting
-        its own.
-        """
-        with self._lock:
-            for key, value in counters.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    name = f"{prefix}{key}"
-                    self._counters[name] = self._counters.get(name, 0) + value
+        return self.counters[name]
 
     def observe_latency(self, seconds: float) -> None:
         with self._lock:
@@ -126,7 +106,7 @@ class Telemetry:
         with self._lock:
             return {
                 "uptime_s": round(time.time() - self._started, 3),
-                "counters": dict(sorted(self._counters.items())),
+                "counters": dict(sorted(self.counters.snapshot().items())),
                 "gauges": dict(sorted(self._gauges.items())),
                 "latency": self._latency_block(self._latencies),
                 "latency_by_priority": {

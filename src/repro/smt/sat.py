@@ -26,7 +26,6 @@ and its negation is ``-v`` (DIMACS convention).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 
 def luby(i: int) -> int:
@@ -36,17 +35,6 @@ def luby(i: int) -> int:
         if (1 << k) - 1 == i:
             return 1 << (k - 1) if k > 0 else 1
         i -= (1 << k) - 1
-
-
-@dataclass
-class SatStats:
-    """Counters exposed for the benchmark harness."""
-
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-    restarts: int = 0
-    learned: int = 0
 
 
 class SatSolver:
@@ -73,7 +61,8 @@ class SatSolver:
         self.activity: dict[int, float] = {}
         self.var_inc = 1.0
         self.phase: dict[int, bool] = {}
-        self.stats = SatStats()
+        #: Conflicts over the solver's life (budget charging reads it).
+        self.conflicts = 0
         self._ok = True
         # Level-0 facts (input unit clauses and learned units), re-asserted
         # at the start of every solve() without scanning the clause DB.
@@ -150,7 +139,6 @@ class SatSolver:
         while qhead < len(self.trail):
             lit = self.trail[qhead]
             qhead += 1
-            self.stats.propagations += 1
             watching = self.watches.get(lit)
             if not watching:
                 continue
@@ -310,7 +298,7 @@ class SatSolver:
         while True:
             conflict = self._propagate()
             if conflict is not None:
-                self.stats.conflicts += 1
+                self.conflicts += 1
                 if budget is not None:
                     budget -= 1
                     if budget < 0:
@@ -322,7 +310,6 @@ class SatSolver:
                     return False
                 learnt, bj = self._analyze(conflict)
                 self._backjump(bj)
-                self.stats.learned += 1
                 self.clauses.append(learnt)
                 if len(learnt) >= 2:
                     self._watch(learnt)
@@ -332,7 +319,6 @@ class SatSolver:
                 self._decay()
                 conflicts_until_restart -= 1
                 if conflicts_until_restart <= 0:
-                    self.stats.restarts += 1
                     restart_idx += 1
                     conflicts_until_restart = luby(restart_idx) * 64
                     if self.trail_lim:
@@ -352,13 +338,11 @@ class SatSolver:
                 # holds, keeping level i+1 aligned with assumptions[i].
                 self.trail_lim.append(len(self.trail))
                 if val is None:
-                    self.stats.decisions += 1
                     self._enqueue(p, None)
                 continue
             var = self._pick_branch_var()
             if var is None:
                 return True
-            self.stats.decisions += 1
             self.trail_lim.append(len(self.trail))
             lit = var if self.phase.get(var, False) else -var
             self._enqueue(lit, None)

@@ -41,6 +41,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from time import perf_counter
 
+from ..obs import Counters
 from ..resilience.budget import Budget
 from ..resilience.faults import TransientFault, active_injector, fault_at
 from ..resilience.ladder import DegradationLadder
@@ -70,44 +71,50 @@ DEFAULT_MAX_CONFLICTS = 60_000
 DEFAULT_CACHE_CAPACITY = 16_384
 
 
+#: The LRU check cache's counters (its ``stats()`` adds two gauges,
+#: ``entries`` and ``capacity``).
+LRU_COUNTERS = ("hits", "misses", "evictions", "injected_drops")
+
+
 class LruCheckCache:
     """A bounded LRU map from asserted-set keys to check results.
 
-    Eviction statistics are exposed for run reports; the ``solver.cache``
-    fault site can deterministically drop the entry being looked up,
-    forcing a recomputation (which must reproduce the same answer — the
-    cache is an optimisation, never an oracle).
+    Hit/miss/eviction counts are process-level and also counted in the
+    current run scope as ``cache.*`` (see :mod:`repro.obs`); the
+    ``solver.cache`` fault site can deterministically drop the entry being
+    looked up, forcing a recomputation (which must reproduce the same
+    answer — the cache is an optimisation, never an oracle).
     """
 
     def __init__(self, capacity: int | None = DEFAULT_CACHE_CAPACITY) -> None:
         self.capacity = capacity
         self._data: OrderedDict[frozenset[Term], str] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.injected_drops = 0
+        self.counters = Counters(LRU_COUNTERS, scoped_as="cache.")
 
     def get(self, key: frozenset[Term]) -> str | None:
         if fault_at("solver.cache") == "drop":
             if self._data.pop(key, None) is not None:
-                self.injected_drops += 1
-            self.misses += 1
+                self.counters.inc("injected_drops")
+            self.counters.inc("misses")
             return None
         value = self._data.get(key)
         if value is None:
-            self.misses += 1
+            self.counters.inc("misses")
             return None
         self._data.move_to_end(key)
-        self.hits += 1
+        self.counters.inc("hits")
         return value
 
     def put(self, key: frozenset[Term], value: str) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
+        self._evict()
+
+    def _evict(self) -> None:
         if self.capacity is not None:
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
-                self.evictions += 1
+                self.counters.inc("evictions")
 
     def clear(self) -> None:
         self._data.clear()
@@ -119,10 +126,7 @@ class LruCheckCache:
         return {
             "entries": len(self._data),
             "capacity": self.capacity if self.capacity is not None else -1,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "injected_drops": self.injected_drops,
+            **self.counters.snapshot(),
         }
 
 
@@ -148,38 +152,19 @@ def persistent_check_store():
     return _PERSISTENT_STORE
 
 
-class SolverStats:
-    """Aggregate query counters (read by the benchmark harness and folded
-    into governed run reports)."""
-
-    def __init__(self) -> None:
-        self.checks = 0
-        self.cache_hits = 0
-        self.sat_results = 0
-        self.unsat_results = 0
-        self.unknown_results = 0
-        self.unsupported = 0  # UnsupportedOperation from the bit-blaster
-        self.escalations = 0  # degradation-ladder rung climbs
-        self.transient_retries = 0  # transient faults absorbed by retry
-        self.injected_unknowns = 0  # faults forcing a query to unknown
-        self.persistent_hits = 0  # answered by the on-disk verdict store
-        self.quick_valid_hits = 0  # quick_valid proved the goal
-        self.quick_valid_misses = 0  # quick_valid could not decide
-        self.incremental_solves = 0  # queries answered by the persistent core
-        self.fresh_solves = 0  # queries answered by a throwaway core
-        self.sliced_checks = 0  # checks that went through goal slicing
-        self.slice_components = 0  # total components across sliced checks
-        self.slice_cache_hits = 0  # components answered by a verdict cache
-        self.slice_solves = 0  # components that needed a real solve
-        self.encode_us = 0  # microseconds spent bit-blasting
-        self.solve_us = 0  # microseconds spent in SAT search
-
-    def snapshot(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-    def merge(self, other: "SolverStats") -> None:
-        for key, value in other.__dict__.items():
-            setattr(self, key, getattr(self, key, 0) + value)
+#: Per-:class:`Solver` query counters (``Solver.stats``), summed into a
+#: run report's ``solver_stats``: results by kind, bit-blaster refusals
+#: (``unsupported``), ladder rung climbs and absorbed transient faults,
+#: injected unknowns, on-disk verdict-store hits, ``quick_valid``
+#: outcomes, incremental vs throwaway-core solves, goal slicing, and the
+#: microseconds spent bit-blasting (``encode_us``) and in SAT search.
+SOLVER_COUNTERS = (
+    "checks", "cache_hits", "sat_results", "unsat_results", "unknown_results",
+    "unsupported", "escalations", "transient_retries", "injected_unknowns",
+    "persistent_hits", "quick_valid_hits", "quick_valid_misses",
+    "incremental_solves", "fresh_solves", "sliced_checks", "slice_components",
+    "slice_cache_hits", "slice_solves", "encode_us", "solve_us",
+)
 
 
 class _BitblastContext:
@@ -223,7 +208,7 @@ class Solver:
         #: The goal of the last SAT check, for lazy model recomputation
         #: after a cache hit (``None`` when the last check was not SAT).
         self._model_goal: list[Term] | None = None
-        self.stats = SolverStats()
+        self.stats = Counters(SOLVER_COUNTERS)
         #: Why the most recent check came back ``unknown`` (reset per query):
         #: "conflict-limit", "unsupported-operation", "fault:solver.check",
         #: "fault:sat.solve", "fault:transient".
@@ -261,7 +246,7 @@ class Solver:
 
     def check(self, *extra: Term) -> str:
         """Satisfiability of the asserted set plus ``extra``."""
-        self.stats.checks += 1
+        self.stats.inc("checks")
         self.last_unknown_reason = None
         if self._budget is not None:
             self._budget.check_deadline()
@@ -269,13 +254,13 @@ class Solver:
         if any(t is FALSE for t in goal):
             self._model = None
             self._model_goal = None
-            self.stats.unsat_results += 1
+            self.stats.inc("unsat_results")
             return UNSAT
         key = frozenset(goal)
         if self._use_cache:
             hit = _GLOBAL_CHECK_CACHE.get(key)
             if hit is not None:
-                self.stats.cache_hits += 1
+                self.stats.inc("cache_hits")
                 # Write-through to the on-disk store: an LRU hit proves the
                 # verdict was computed at some point this process, but that
                 # solve may have predated the store installation — without
@@ -289,13 +274,13 @@ class Solver:
                 self._model = None
                 self._model_goal = goal if hit == SAT else None
                 if hit == SAT:
-                    self.stats.sat_results += 1
+                    self.stats.inc("sat_results")
                 else:
-                    self.stats.unsat_results += 1
+                    self.stats.inc("unsat_results")
                 return hit
         if fault_at("solver.check") == "unknown":
-            self.stats.injected_unknowns += 1
-            self.stats.unknown_results += 1
+            self.stats.inc("injected_unknowns")
+            self.stats.inc("unknown_results")
             self.last_unknown_reason = "fault:solver.check"
             self._model = None
             self._model_goal = None
@@ -311,15 +296,15 @@ class Solver:
             store_key = smt_query_key(goal)
             hit = store.smt_lookup(store_key)
             if hit is not None:
-                self.stats.cache_hits += 1
-                self.stats.persistent_hits += 1
+                self.stats.inc("cache_hits")
+                self.stats.inc("persistent_hits")
                 self._model = None
                 self._model_goal = goal if hit == SAT else None
                 _GLOBAL_CHECK_CACHE.put(key, hit)
                 if hit == SAT:
-                    self.stats.sat_results += 1
+                    self.stats.inc("sat_results")
                 else:
-                    self.stats.unsat_results += 1
+                    self.stats.inc("unsat_results")
                 return hit
         components = partition_goal(goal) if len(goal) > 1 else [goal]
         if len(components) > 1:
@@ -333,11 +318,11 @@ class Solver:
             if store is not None and store_key is not None:
                 store.smt_record(store_key, result)
         if result == SAT:
-            self.stats.sat_results += 1
+            self.stats.inc("sat_results")
         elif result == UNSAT:
-            self.stats.unsat_results += 1
+            self.stats.inc("unsat_results")
         else:
-            self.stats.unknown_results += 1
+            self.stats.inc("unknown_results")
             if self.last_unknown_reason is None:
                 self.last_unknown_reason = "conflict-limit"
         return result
@@ -354,8 +339,8 @@ class Solver:
         the new information and are the likely refutation — while path
         components are usually warm verdict-cache hits.
         """
-        self.stats.sliced_checks += 1
-        self.stats.slice_components += len(components)
+        self.stats.inc("sliced_checks")
+        self.stats.inc("slice_components", len(components))
         query_idx = query_component_indices(
             components, tuple(t for t in extra if t is not TRUE)
         )
@@ -376,19 +361,19 @@ class Solver:
             if self._use_cache:
                 hit = _GLOBAL_CHECK_CACHE.get(comp_key)
                 if hit is not None:
-                    self.stats.slice_cache_hits += 1
+                    self.stats.inc("slice_cache_hits")
                     verdict = hit
             if verdict is None and store is not None:
                 from ..cache.keys import smt_query_key
 
                 hit = store.smt_lookup(smt_query_key(comp))
                 if hit is not None:
-                    self.stats.slice_cache_hits += 1
-                    self.stats.persistent_hits += 1
+                    self.stats.inc("slice_cache_hits")
+                    self.stats.inc("persistent_hits")
                     verdict = hit
                     _GLOBAL_CHECK_CACHE.put(comp_key, hit)
             if verdict is None:
-                self.stats.slice_solves += 1
+                self.stats.inc("slice_solves")
                 verdict, comp_model = self._solve_governed(comp)
                 if self._use_cache and verdict != UNKNOWN:
                     _GLOBAL_CHECK_CACHE.put(comp_key, verdict)
@@ -425,17 +410,17 @@ class Solver:
         expensive refutation attempt against the wrong candidate would be
         wasted work."""
         if term is TRUE:
-            self.stats.quick_valid_hits += 1
+            self.stats.inc("quick_valid_hits")
             return True
         if term is FALSE:
-            self.stats.quick_valid_misses += 1
+            self.stats.inc("quick_valid_misses")
             return False
         goal = list(self._assertions) + [B.not_(term)]
         proved = _quick_refutes(goal, 0)
         if proved:
-            self.stats.quick_valid_hits += 1
+            self.stats.inc("quick_valid_hits")
         else:
-            self.stats.quick_valid_misses += 1
+            self.stats.inc("quick_valid_misses")
         return proved
 
     def model(self) -> dict[Term, object]:
@@ -491,8 +476,8 @@ class Solver:
         result, model = ladder.run(attempt)
         if result == "unknown-final":
             result = UNKNOWN
-        self.stats.escalations += ladder.escalations
-        self.stats.transient_retries += ladder.transients
+        self.stats.inc("escalations", ladder.escalations)
+        self.stats.inc("transient_retries", ladder.transients)
         if result == UNKNOWN and ladder.gave_up_reason is not None:
             if self.last_unknown_reason is None:
                 self.last_unknown_reason = ladder.gave_up_reason
@@ -561,28 +546,28 @@ class Solver:
                     raise TransientFault("injected transient fault in bit-blaster")
                 lits.append(ctx.blaster.blast_bool(t))
         except UnsupportedOperation:
-            self.stats.unsupported += 1
+            self.stats.inc("unsupported")
             self.last_unknown_reason = "unsupported-operation"
             return UNKNOWN, None
         finally:
-            self.stats.encode_us += int((perf_counter() - t0) * 1e6)
+            self.stats.inc("encode_us", int((perf_counter() - t0) * 1e6))
         budget = self._budget
         clip = max_conflicts
         if budget is not None:
             clip = budget.clip_conflicts(max_conflicts)
         if fault_at("sat.solve") == "unknown":
-            self.stats.injected_unknowns += 1
+            self.stats.inc("injected_unknowns")
             self.last_unknown_reason = "fault:sat.solve"
             return UNKNOWN, None
-        conflicts_before = ctx.sat.stats.conflicts
+        conflicts_before = ctx.sat.conflicts
         t1 = perf_counter()
         try:
             outcome = ctx.sat.solve(assumptions=lits, max_conflicts=clip)
         finally:
             if budget is not None:
-                budget.charge_conflicts(ctx.sat.stats.conflicts - conflicts_before)
-            self.stats.solve_us += int((perf_counter() - t1) * 1e6)
-        self.stats.incremental_solves += 1
+                budget.charge_conflicts(ctx.sat.conflicts - conflicts_before)
+            self.stats.inc("solve_us", int((perf_counter() - t1) * 1e6))
+        self.stats.inc("incremental_solves")
         if outcome is None:
             if (
                 budget is not None
@@ -642,17 +627,17 @@ class Solver:
         except UnsupportedOperation:
             # Not silently swallowed: the counter distinguishes "the encoding
             # gave up" from "the search gave up" in run reports.
-            self.stats.unsupported += 1
+            self.stats.inc("unsupported")
             self.last_unknown_reason = "unsupported-operation"
             return UNKNOWN, None
         finally:
-            self.stats.encode_us += int((perf_counter() - t0) * 1e6)
+            self.stats.inc("encode_us", int((perf_counter() - t0) * 1e6))
         budget = self._budget
         clip = max_conflicts
         if budget is not None:
             clip = budget.clip_conflicts(max_conflicts)
         if fault_at("sat.solve") == "unknown":
-            self.stats.injected_unknowns += 1
+            self.stats.inc("injected_unknowns")
             self.last_unknown_reason = "fault:sat.solve"
             return UNKNOWN, None
         t1 = perf_counter()
@@ -660,9 +645,9 @@ class Solver:
             outcome = sat_solver.solve(max_conflicts=clip)
         finally:
             if budget is not None:
-                budget.charge_conflicts(sat_solver.stats.conflicts)
-            self.stats.solve_us += int((perf_counter() - t1) * 1e6)
-        self.stats.fresh_solves += 1
+                budget.charge_conflicts(sat_solver.conflicts)
+            self.stats.inc("solve_us", int((perf_counter() - t1) * 1e6))
+        self.stats.inc("fresh_solves")
         if outcome is None:
             if (
                 budget is not None
@@ -766,10 +751,7 @@ def set_check_cache_capacity(capacity: int | None) -> None:
     """Re-bound the global result cache (``None`` = unbounded; evicts down
     to the new cap immediately)."""
     _GLOBAL_CHECK_CACHE.capacity = capacity
-    if capacity is not None:
-        while len(_GLOBAL_CHECK_CACHE) > capacity:
-            _GLOBAL_CHECK_CACHE._data.popitem(last=False)
-            _GLOBAL_CHECK_CACHE.evictions += 1
+    _GLOBAL_CHECK_CACHE._evict()
 
 
 def check_model(goal: list[Term], model: dict[Term, object]) -> bool:

@@ -47,21 +47,21 @@ def _build_kwargs(module, n):
     return {}
 
 
-def _render_cache_line(cache, before: dict) -> str:
-    """This run's activity on the shared handle; "preloaded" counts the
-    verdicts the handle already held when the run began."""
-    d = {key: value - before[key] for key, value in cache.stats.snapshot().items()}
+def _render_cache_line(run, preloaded: int) -> str:
+    """This invocation's disk-cache activity (its run scope's ``disk.*``
+    counts, workers included); "preloaded" counts the verdicts the shared
+    handle already held when the invocation began."""
     return (
-        f"cache: traces {d['trace_hits']} hits / {d['trace_misses']} misses, "
-        f"smt {d['smt_hits']} hits / {d['smt_misses']} misses "
-        f"({before['smt_loaded'] + before['smt_records']} preloaded)"
+        f"cache: traces {run['disk.trace_hits']} hits / {run['disk.trace_misses']} "
+        f"misses, smt {run['disk.smt_hits']} hits / {run['disk.smt_misses']} misses "
+        f"({preloaded} preloaded)"
     )
 
 
 def _run_serial(module, name, kwargs, args, cache):
     from contextlib import nullcontext
 
-    from ..isla.parametric import engine
+    from .. import obs
     from ..logic.automation import verify_program
     from ..parallel.config import configured
     from ..parallel.scheduler import pc_for
@@ -76,26 +76,25 @@ def _run_serial(module, name, kwargs, args, cache):
     )
     previous = install_persistent_check_store(cache)
     # Trace generation — where parametric families are built and hit —
-    # happens during the case *build*, so the delta spans build + verify.
-    parametric_before = engine().stats.snapshot()
+    # happens during the case *build*, so the run scope spans build + verify.
     try:
         t0 = time.perf_counter()
-        with configured(jobs=1, cache=cache):
-            case = module.build(**kwargs)
-        t1 = time.perf_counter()
-        with injection:
-            report = verify_program(
-                case.frontend.traces, case.specs, pc_for(module),
-                budget=Budget(spec) if spec is not None else None,
-            )
+        with obs.scope() as run:
+            with configured(jobs=1, cache=cache):
+                case = module.build(**kwargs)
+            t1 = time.perf_counter()
+            with injection:
+                report = verify_program(
+                    case.frontend.traces, case.specs, pc_for(module),
+                    budget=Budget(spec) if spec is not None else None,
+                )
         t2 = time.perf_counter()
     finally:
         install_persistent_check_store(previous)
         if cache is not None:
             cache.flush()
-    report.parametric_stats = engine().stats.delta(
-        parametric_before, engine().stats.snapshot()
-    )
+    report.parametric_stats = run.snapshot("parametric.")
+    obs.add(run.snapshot())
     timings = f"isla {t1 - t0:.2f}s, verify {t2 - t1:.2f}s"
     return case, report, timings
 
@@ -258,23 +257,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("give a case study name or --all")
     names = all_names if args.all else [args.case]
 
+    from .. import obs
     from ..cache import resolve_cache
+    from ..obs import Counters
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
-    cache_before = cache.stats.snapshot() if cache is not None else {}
+    preloaded = cache.stats["smt_loaded"] + cache.stats["smt_records"] if cache else 0
     pool = None
     if args.jobs > 1:
         from ..parallel import WorkerPool
 
         pool = WorkerPool(args.jobs)
     stats: dict = {}
-    try:
-        # SIGINT/SIGTERM drain gracefully: in-flight blocks finish, the
-        # rest land on the unknown rung, caches flush on the way out, and
-        # the process exits 1 with a partial report instead of a traceback.
-        from ..resilience import handle_signals, shutdown_requested
+    # SIGINT/SIGTERM drain gracefully: in-flight blocks finish, the
+    # rest land on the unknown rung, caches flush on the way out, and
+    # the process exits 1 with a partial report instead of a traceback.
+    from ..resilience import handle_signals, shutdown_requested
 
-        with handle_signals():
+    with handle_signals(), obs.scope() as run:
+        try:
             ok = all(
                 [
                     run_one(name, args.n, args, pool=pool, cache=cache, stats_out=stats)
@@ -284,23 +285,23 @@ def main(argv: list[str] | None = None) -> int:
             if shutdown_requested():
                 print("shutdown requested: run drained, partial results above",
                       file=sys.stderr)
-    finally:
-        if pool is not None:
-            pool.close()
-        if cache is not None:
-            cache.flush()
-            if args.verbose:
-                print(_render_cache_line(cache, cache_before))
+        finally:
+            if pool is not None:
+                pool.close()
+            if cache is not None:
+                cache.flush()
+                if args.verbose:
+                    print(_render_cache_line(run, preloaded))
     if args.stats_json:
         import json
 
-        totals: dict[str, dict[str, int]] = {}
+        groups = ("solver", "cache", "parametric", "executor")
+        totals = Counters()
         for entry in stats.values():
-            for group in ("solver", "cache", "parametric", "executor"):
-                bucket = totals.setdefault(group, {})
-                for key, value in entry[group].items():
-                    bucket[key] = bucket.get(key, 0) + value
-        payload = {"cases": stats, "totals": totals, "ok": ok}
+            for group in groups:
+                totals.add(entry[group], group + ".")
+        by_group = {group: totals.snapshot(group + ".") for group in groups}
+        payload = {"cases": stats, "totals": by_group, "ok": ok}
         if args.stats_json == "-":
             json.dump(payload, sys.stdout, indent=2, sort_keys=True)
             print()

@@ -13,12 +13,12 @@ exact equality.
 
 from dataclasses import replace
 
+from repro import obs
 from repro.analysis.findings import ERROR, INFO
 from repro.analysis.isaspec import (
     ArmSpec,
     EncoderSpec,
     InvalidRegion,
-    isaspec_stats,
     validate_spec,
 )
 from repro.arch.ppc.spec import _MAJORS as PPC_MAJORS
@@ -44,11 +44,11 @@ def _findings(spec):
 class TestBaseline:
     def test_unmutated_spec_is_clean(self):
         """The detector is calibrated against a genuinely clean baseline."""
-        before = isaspec_stats()
-        assert _findings(build_spec()) == []
-        after = isaspec_stats()
-        assert after["specs_validated"] > before.get("specs_validated", 0)
-        assert after["solver_checks"] > before.get("solver_checks", 0)
+        with obs.scope() as run:
+            assert _findings(build_spec()) == []
+        counts = run.snapshot("isaspec.")
+        assert counts["specs_validated"] > 0
+        assert counts["solver_checks"] > 0
 
 
 class TestStructuralMutations:

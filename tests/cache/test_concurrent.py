@@ -66,7 +66,7 @@ class TestConcurrentTraceStore:
         assert loaded is not None
         trace, _meta = loaded
         assert trace_to_sexpr(trace) == trace_to_sexpr(result.trace)
-        assert fresh.stats.corrupt_entries == 0
+        assert fresh.stats["corrupt_entries"] == 0
         # Atomic rename must not leave temp droppings behind.
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
@@ -87,7 +87,7 @@ class TestConcurrentTraceStore:
         for i in range(8):
             key = trace_key(ARM, ADD_X1_X2_X3, _assumptions(), name_prefix=f"t{i}")
             assert fresh.load_trace(key) is not None
-        assert fresh.stats.corrupt_entries == 0
+        assert fresh.stats["corrupt_entries"] == 0
 
 
 class TestConcurrentJsonlStores:
@@ -111,7 +111,7 @@ class TestConcurrentJsonlStores:
             record_ = json.loads(line)
             assert set(record_) == {"k", "r"}
         fresh = DiskCache(tmp_path)
-        assert fresh.stats.corrupt_entries == 0
+        assert fresh.stats["corrupt_entries"] == 0
         # A shared-handle writer and per-thread writers each wrote all 300
         # keys; last-record-wins loading must see every key exactly once.
         for i in range(6):

@@ -102,11 +102,11 @@ def test_trace_entry_is_a_hit_or_a_counted_miss(data):
         path.write_bytes(data)
         hit = cache.load_trace(KEY)
         if hit is None:
-            assert cache.stats.corrupt_entries == 1
-            assert cache.stats.trace_misses == 1
+            assert cache.stats["corrupt_entries"] == 1
+            assert cache.stats["trace_misses"] == 1
         else:
             assert _well_formed_hit(hit) and is_wellformed(hit[0])
-            assert cache.stats.corrupt_entries == 0
+            assert cache.stats["corrupt_entries"] == 0
 
 
 @settings(max_examples=150, deadline=None)
@@ -119,11 +119,11 @@ def test_family_entry_is_a_hit_or_a_counted_miss(data):
         path.write_bytes(data)
         hit = cache.load_family(KEY)
         if hit is None:
-            assert cache.stats.corrupt_entries == 1
-            assert cache.stats.family_misses == 1
+            assert cache.stats["corrupt_entries"] == 1
+            assert cache.stats["family_misses"] == 1
         else:
             assert _well_formed_hit(hit)
-            assert cache.stats.corrupt_entries == 0
+            assert cache.stats["corrupt_entries"] == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,7 +136,7 @@ def test_same_length_flips_never_load(data, kind):
         path.write_bytes(data)
         load = cache.load_trace if kind == "trace" else cache.load_family
         assert load(KEY) is None
-        assert cache.stats.corrupt_entries == 1
+        assert cache.stats["corrupt_entries"] == 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -148,7 +148,7 @@ def test_verdict_log_loads_only_verdicts_and_counts_the_rest(data):
         cache = DiskCache(root)
         *lines, tail = data.split(b"\n")
         rejected = sum(not _is_verdict_record(line) for line in lines)
-        assert cache.stats.corrupt_entries == rejected + (1 if tail else 0)
+        assert cache.stats["corrupt_entries"] == rejected + (1 if tail else 0)
         for line in lines:
             if _is_verdict_record(line):
                 key = json.loads(line)["k"]

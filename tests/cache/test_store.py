@@ -48,8 +48,8 @@ class TestTraceStore:
         trace, meta = loaded
         assert trace_to_sexpr(trace) == trace_to_sexpr(result.trace)
         assert meta["paths"] == result.paths
-        assert cache.stats.trace_writes == 1
-        assert cache.stats.trace_hits == 1
+        assert cache.stats["trace_writes"] == 1
+        assert cache.stats["trace_hits"] == 1
 
     def test_executor_integration(self, tmp_path):
         """``trace_for_opcode`` fills the cache on miss and serves from it."""
@@ -65,8 +65,8 @@ class TestTraceStore:
     def test_missing_key_is_miss(self, tmp_path):
         cache = DiskCache(tmp_path)
         assert cache.load_trace("0" * 64) is None
-        assert cache.stats.trace_misses == 1
-        assert cache.stats.corrupt_entries == 0
+        assert cache.stats["trace_misses"] == 1
+        assert cache.stats["corrupt_entries"] == 0
 
     @pytest.mark.parametrize("mutation", ["truncate", "append", "garbage"])
     def test_corrupt_entry_is_miss(self, tmp_path, mutation):
@@ -83,7 +83,7 @@ class TestTraceStore:
         else:
             path.write_text("not a cache entry at all")
         assert cache.load_trace(key) is None
-        assert cache.stats.corrupt_entries == 1
+        assert cache.stats["corrupt_entries"] == 1
         # A corrupt entry must be recoverable by simply re-storing.
         cache.store_trace(key, result.trace, {"paths": result.paths})
         assert cache.load_trace(key) is not None
@@ -129,8 +129,8 @@ class TestDigest:
         parse_trace(mutated)  # the damage is invisible to the parser
         path.write_text(f"{header}\n{mutated}")
         assert load() is None
-        assert cache.stats.corrupt_entries == 1
-        assert cache.stats.wellformed_rejects == 0  # stopped at the digest
+        assert cache.stats["corrupt_entries"] == 1
+        assert cache.stats["wellformed_rejects"] == 0  # stopped at the digest
 
     @pytest.mark.parametrize("kind", ["trace", "family"])
     def test_same_length_header_mutation_is_a_corrupt_miss(self, tmp_path, kind):
@@ -140,7 +140,7 @@ class TestDigest:
         json.loads(mutated.partition("\n")[0])  # still a JSON header
         path.write_text(mutated)
         assert load() is None
-        assert cache.stats.corrupt_entries == 1
+        assert cache.stats["corrupt_entries"] == 1
 
     def test_header_carries_digest_and_length(self, tmp_path):
         _, path, _ = self._stored(tmp_path, "trace")
@@ -207,7 +207,7 @@ class TestSmtStore:
         assert cache.smt_lookup(key) == "unsat"
         cache.flush()
         reloaded = DiskCache(tmp_path)
-        assert reloaded.stats.smt_loaded == 1
+        assert reloaded.stats["smt_loaded"] == 1
         assert reloaded.smt_lookup(key) == "unsat"
 
     def test_unknown_never_persists(self, tmp_path):
@@ -234,7 +234,7 @@ class TestSmtStore:
         path.write_text(good + "\n" + '{"k": "bbbb')  # torn final append
         cache = DiskCache(tmp_path)
         assert cache.smt_lookup("a" * 64) == "unsat"
-        assert cache.stats.corrupt_entries == 1
+        assert cache.stats["corrupt_entries"] == 1
 
     def test_only_sat_unsat_verdicts_load(self, tmp_path):
         """A record ``smt_record`` could never have written is corrupt: it
@@ -252,8 +252,8 @@ class TestSmtStore:
         assert cache.smt_lookup("abc") is None
         assert cache.smt_lookup("def") is None
         assert cache.smt_lookup("ghi") == "unsat"
-        assert cache.stats.corrupt_entries == 3
-        assert cache.stats.smt_loaded == 1
+        assert cache.stats["corrupt_entries"] == 3
+        assert cache.stats["smt_loaded"] == 1
 
     def test_close_flushes(self, tmp_path):
         with DiskCache(tmp_path) as cache:
@@ -278,8 +278,8 @@ class TestDurability:
         path.write_text(good + '{"k": "bbbb')  # no terminating newline
         cache = DiskCache(tmp_path)
         assert cache.smt_lookup("a" * 64) == "unsat"
-        assert cache.stats.corrupt_entries == 1
-        assert cache.stats.smt_truncated_bytes == len('{"k": "bbbb')
+        assert cache.stats["corrupt_entries"] == 1
+        assert cache.stats["smt_truncated_bytes"] == len('{"k": "bbbb')
         # The file itself was repaired under the appenders' lock.
         assert path.read_bytes() == good.encode()
 
@@ -290,7 +290,7 @@ class TestDurability:
         path.write_text(good + "\xff\xfe utter junk\n")
         cache = DiskCache(tmp_path)
         assert cache.smt_lookup("d" * 64) == "sat"
-        assert cache.stats.smt_truncated_bytes > 0
+        assert cache.stats["smt_truncated_bytes"] > 0
         assert path.read_text() == good
 
     def test_mid_file_garbage_is_skipped_but_kept(self, tmp_path):
@@ -305,8 +305,8 @@ class TestDurability:
         cache = DiskCache(tmp_path)
         assert cache.smt_lookup("e" * 64) == "unsat"
         assert cache.smt_lookup("f" * 64) == "sat"
-        assert cache.stats.corrupt_entries == 1
-        assert cache.stats.smt_truncated_bytes == 0
+        assert cache.stats["corrupt_entries"] == 1
+        assert cache.stats["smt_truncated_bytes"] == 0
         assert path.read_text() == content
 
     def test_appends_after_repair_reload_cleanly(self, tmp_path):
@@ -320,7 +320,7 @@ class TestDurability:
         reloaded = DiskCache(tmp_path)
         assert reloaded.smt_lookup("a" * 64) == "unsat"
         assert reloaded.smt_lookup("b" * 64) == "sat"
-        assert reloaded.stats.corrupt_entries == 0
+        assert reloaded.stats["corrupt_entries"] == 0
 
     def test_store_trace_leaves_no_temp_files(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -340,7 +340,7 @@ class TestDurability:
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
         cache.store_family(key, result.trace, {"paths": result.paths})
-        assert cache.stats.trace_writes == cache.stats.family_writes == 1
+        assert cache.stats["trace_writes"] == cache.stats["family_writes"] == 1
         assert calls == []
 
     def test_tail_repair_still_fsyncs(self, tmp_path, monkeypatch):
@@ -350,5 +350,5 @@ class TestDurability:
         calls = []
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
         cache = DiskCache(tmp_path)
-        assert cache.stats.smt_truncated_bytes == len('{"k"')
+        assert cache.stats["smt_truncated_bytes"] == len('{"k"')
         assert len(calls) == 1

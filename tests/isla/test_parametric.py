@@ -20,6 +20,7 @@ from repro.arch.riscv import asm as riscv_asm
 from repro.arch.riscv import decode as riscv_decode
 from repro.isla import Assumptions, trace_for_opcode
 from repro.isla.executor import PathBudgetExceeded
+from repro import obs
 from repro.isla.parametric import engine
 from repro.itl import events as E
 from repro.itl.printer import trace_to_sexpr
@@ -31,6 +32,13 @@ from .._reference import direct_isla
 
 ARM = ArmModel()
 RISCV = RiscvModel()
+
+
+@pytest.fixture
+def counts():
+    """The test's run scope; ``counts()`` snapshots its family counters."""
+    with obs.scope() as run:
+        yield lambda: run.snapshot("parametric.")
 
 
 def _direct(model, opcode, assumptions=None):
@@ -151,33 +159,33 @@ class TestDecodeFields:
 
 
 class TestFamilyDispatch:
-    def test_arm_family_build_then_hit(self):
+    def test_arm_family_build_then_hit(self, counts):
         eng = engine()
         eng.reset()
         r1 = _assert_parity(ARM, arm_asm.assemble_line("add x1, x2, #12"))
         assert r1.parametric and r1.model_steps == 0
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("family_builds") == 1
         assert "family_hits" not in snap
         r2 = _assert_parity(ARM, arm_asm.assemble_line("add x5, x6, #700"))
         assert r2.parametric
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("family_builds") == 1  # no rebuild
         assert snap.get("family_hits") == 1
         assert snap.get("family_hits_armv8_a_addsub_imm") == 1
 
-    def test_riscv_family_build_then_hit(self):
+    def test_riscv_family_build_then_hit(self, counts):
         eng = engine()
         eng.reset()
         r1 = _assert_parity(RISCV, riscv_asm.assemble_line("addi t0, t1, 12"))
         assert r1.parametric
         r2 = _assert_parity(RISCV, riscv_asm.assemble_line("addi t3, t4, -700"))
         assert r2.parametric
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("family_builds") == 1
         assert snap.get("family_hits") == 1
 
-    def test_register_aliasing_splits_families(self):
+    def test_register_aliasing_splits_families(self, counts):
         # ``add x1, x1, x2`` (rd == rn) and ``add x1, x2, x3`` have different
         # register equality classes: the executor reads each register once,
         # so the aliased form has a different event structure.
@@ -185,11 +193,11 @@ class TestFamilyDispatch:
         eng.reset()
         _assert_parity(ARM, arm_asm.assemble_line("add x1, x2, x3"))
         _assert_parity(ARM, arm_asm.assemble_line("add x1, x1, x2"))
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("family_builds") == 2
         assert "family_hits" not in snap
 
-    def test_special_index_demoted_to_struct(self):
+    def test_special_index_demoted_to_struct(self, counts):
         # rd = sp is structural on Arm (SP-banked write): it must pin the
         # family, not be renamed across it.
         eng = engine()
@@ -199,14 +207,14 @@ class TestFamilyDispatch:
         )
         _assert_parity(ARM, arm_asm.assemble_line("add x1, x2, #12"), assm)
         _assert_parity(ARM, arm_asm.assemble_line("sub sp, sp, #16"), assm)
-        assert engine().stats.snapshot().get("family_builds") == 2
+        assert counts().get("family_builds") == 2
 
 
 # -- guard failures fall back to the direct path -----------------------------
 
 
 class TestGuardFallback:
-    def test_arm_fixed_reg_collision_falls_back(self):
+    def test_arm_fixed_reg_collision_falls_back(self, counts):
         # ``blr`` writes the link register structurally; ``blr x30`` must not
         # be served by renaming the family's operand placeholder onto R30.
         eng = engine()
@@ -216,13 +224,13 @@ class TestGuardFallback:
         blr30 = arm_asm.assemble_line("blr x30")
         r2 = trace_for_opcode(ARM, blr30)
         assert not r2.parametric
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("guard_failures") == 1
         assert "family_hits" not in snap
         direct = _direct(ARM, blr30)
         assert trace_to_sexpr(r2.trace) == trace_to_sexpr(direct.trace)
 
-    def test_riscv_assumed_operand_falls_back(self):
+    def test_riscv_assumed_operand_falls_back(self, counts):
         # The assumptions pin x5 (t0): direct execution of an opcode reading
         # t0 emits assumption events the family trace does not contain.
         eng = engine()
@@ -235,11 +243,11 @@ class TestGuardFallback:
         op = riscv_asm.assemble_line("add t1, t0, t2")
         r2 = trace_for_opcode(RISCV, op, pins)
         assert not r2.parametric
-        assert eng.stats.snapshot().get("guard_failures") == 1
+        assert counts().get("guard_failures") == 1
         direct = _direct(RISCV, op, pins)
         assert trace_to_sexpr(r2.trace) == trace_to_sexpr(direct.trace)
 
-    def test_pinned_placeholder_marks_family_unsupported(self):
+    def test_pinned_placeholder_marks_family_unsupported(self, counts):
         # Assumptions pinning a *canonical placeholder* register make the
         # family build itself unsound; the refusal is remembered per key.
         eng = engine()
@@ -248,14 +256,14 @@ class TestGuardFallback:
         op = riscv_asm.assemble_line("add t1, t2, t3")
         res = trace_for_opcode(RISCV, op, pins)
         assert not res.parametric
-        snap = eng.stats.snapshot()
+        snap = counts()
         assert snap.get("family_unsupported") == 1
         trace_for_opcode(RISCV, op, pins)
-        assert eng.stats.snapshot().get("family_unsupported") == 1  # no retry
+        assert counts().get("family_unsupported") == 1  # no retry
         direct = _direct(RISCV, op, pins)
         assert trace_to_sexpr(res.trace) == trace_to_sexpr(direct.trace)
 
-    def test_path_budget_smaller_than_family_falls_back(self):
+    def test_path_budget_smaller_than_family_falls_back(self, counts):
         # A 2-path family must not be served to a caller whose allowance is
         # 1: the direct path's PathBudgetExceeded is part of the contract.
         eng = engine()
@@ -269,7 +277,7 @@ class TestGuardFallback:
                 riscv_asm.assemble_line("beqz a3, 28"),
                 budget=budget,
             )
-        assert eng.stats.snapshot().get("family_budget_fallbacks") == 1
+        assert counts().get("family_budget_fallbacks") == 1
 
 
 # -- the disk family tier ----------------------------------------------------
@@ -290,9 +298,10 @@ class TestFamilyDiskTier:
         # disk: no rebuild, and the instantiation counts as a hit.
         eng.reset()
         op2 = arm_asm.assemble_line("add x5, x6, #700")
-        r2 = trace_for_opcode(ARM, op2, Assumptions(), cache=cache)
+        with obs.scope() as run:
+            r2 = trace_for_opcode(ARM, op2, Assumptions(), cache=cache)
         assert r2.parametric
-        snap = eng.stats.snapshot()
+        snap = run.snapshot("parametric.")
         assert snap.get("family_hits") == 1
         assert "family_builds" not in snap
         direct = _direct(ARM, op2)
@@ -443,7 +452,8 @@ class TestParityProperty:
 
 
 class TestStatsPlumbing:
-    def test_frontend_result_carries_deltas(self):
+    def test_frontend_result_carries_deltas(self, counts):
+        # A map's family counts land in the caller's run scope.
         from repro.arch.arm import encode as A
         from repro.frontend import ProgramImage, generate_instruction_map
 
@@ -456,17 +466,8 @@ class TestStatsPlumbing:
                 A.nop(),
             ],
         )
-        fe = generate_instruction_map(ARM, image, Assumptions())
-        assert fe.parametric_stats.get("family_builds") == 2  # addsub + hint
-        assert fe.parametric_stats.get("family_hits") == 1
-        assert fe.parametric_stats.get("family_instantiations") == 3
-
-    def test_delta_is_nonnegative_and_sparse(self):
-        from repro.isla.parametric import ParametricStats
-
-        before = {"family_hits": 2, "family_builds": 1}
-        after = {"family_hits": 5, "family_builds": 1, "guard_failures": 1}
-        assert ParametricStats.delta(before, after) == {
-            "family_hits": 3,
-            "guard_failures": 1,
-        }
+        generate_instruction_map(ARM, image, Assumptions())
+        snap = counts()
+        assert snap.get("family_builds") == 2  # addsub + hint
+        assert snap.get("family_hits") == 1
+        assert snap.get("family_instantiations") == 3

@@ -73,7 +73,7 @@ class TestLruCheckCache:
         cache.put(frozenset({2}), "unsat")
         cache.put(frozenset({3}), "sat")
         assert len(cache) == 2
-        assert cache.evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert cache.get(frozenset({1})) is None  # oldest evicted
         assert cache.get(frozenset({3})) == "sat"
 
@@ -91,7 +91,7 @@ class TestLruCheckCache:
         for i in range(100):
             cache.put(frozenset({i}), "sat")
         assert len(cache) == 100
-        assert cache.evictions == 0
+        assert cache.stats()["evictions"] == 0
 
     def test_stats_shape(self):
         cache = LruCheckCache(capacity=4)
@@ -141,8 +141,8 @@ class TestUnsupportedOperations:
         y = B.bv_var("y", 8)
         solver.add(B.eq(B.bvudiv(x, y), B.bv(3, 8)))
         assert solver.check() == UNKNOWN
-        assert solver.stats.unsupported == 1
-        assert solver.stats.unknown_results == 1
+        assert solver.stats["unsupported"] == 1
+        assert solver.stats["unknown_results"] == 1
         assert solver.last_unknown_reason == "unsupported-operation"
 
     def test_unsupported_short_circuits_the_ladder(self):
@@ -154,7 +154,7 @@ class TestUnsupportedOperations:
         y = B.bv_var("y", 8)
         solver.add(B.eq(B.bvurem(x, y), B.bv(3, 8)))
         assert solver.check() == UNKNOWN
-        assert solver.stats.unsupported == 1
+        assert solver.stats["unsupported"] == 1
         assert solver.last_unknown_reason == "unsupported-operation"
 
 

@@ -66,7 +66,7 @@ class TestAppendRecover:
             handle.write(b'{"kind": "done", "job": "fleet-1", "tru')
         with JobJournal(path) as journal:
             assert len(journal.records()) == 2
-            assert journal.stats.truncated_bytes > 0
+            assert journal.stats["truncated_bytes"] > 0
         # The file itself was repaired, not just skipped over.
         lines = path.read_bytes().splitlines()
         assert len(lines) == 2
@@ -179,7 +179,7 @@ class TestShape:
         with JobJournal(path) as journal:
             replay = journal.replay()
             assert journal.records() == [{"seq": 0, **self.GOOD}]
-            assert journal.stats.truncated_bytes == len(lines[1])
+            assert journal.stats["truncated_bytes"] == len(lines[1])
         assert path.read_bytes() == lines[0]
         return replay
 

@@ -121,7 +121,7 @@ def test_journal_recovers_a_valid_prefix_and_counts_the_rest(data):
             router.journal = journal
             router._replay_journal()
     assert data.startswith(kept)
-    assert journal.stats.truncated_bytes == len(data) - len(kept)
+    assert journal.stats["truncated_bytes"] == len(data) - len(kept)
     *lines, rest = kept.split(b"\n")
     assert rest == b""
     assert len(lines) == len(records)

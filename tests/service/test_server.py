@@ -162,7 +162,7 @@ class TestTelemetryEndpoints:
         assert "repro_service_isaspec_specs_validated" in client.metrics_text()
 
     def test_disk_gauges_include_wellformed_rejects(self, tmp_path):
-        # The full CacheStats snapshot is surfaced, not just the hit
+        # The handle's full counter snapshot is surfaced, not just the hit
         # counters — ill-formed-entry evictions (PR 4) are fleet-visible.
         service = VerificationService(
             cache_dir=str(tmp_path), pool_jobs=1, runners=1

@@ -20,11 +20,15 @@ class TestCounters:
         assert snap["gauges"]["queue_depth"] == 7
 
     def test_merge_prefixes_numeric_stats(self):
+        # A run report's stats join the daemon's counters through the one
+        # additive merge, repro.obs.Counters.add.
         telemetry = Telemetry()
-        telemetry.merge("solver", {"checks": 10, "mode": "incremental", "ok": True})
-        telemetry.merge("solver", {"checks": 5})
+        report_stats = {"checks": 10, "mode": "incremental", "ok": True, "us": 1.5}
+        telemetry.counters.add(report_stats, "solver_")
+        telemetry.counters.add({"checks": 5}, "solver_")
         counters = telemetry.snapshot()["counters"]
         assert counters["solver_checks"] == 15
+        assert counters["solver_us"] == 1.5
         assert "solver_mode" not in counters  # non-numeric dropped
         assert "solver_ok" not in counters  # bools are not counters
 

@@ -64,9 +64,9 @@ class TestSatAssumptions:
                 for p2 in range(p1 + 1, pigeons):
                     s.add_clause([-v[p1][h], -v[p2][h]])
         assert s.solve() is False
-        first = s.stats.conflicts
+        first = s.conflicts
         assert s.solve() is False
-        assert s.stats.conflicts - first < first
+        assert s.conflicts - first < first
 
     def test_clause_addition_between_solves(self):
         s = SatSolver()
@@ -214,9 +214,9 @@ def test_pop_does_not_discard_learned_state():
         assert s.check() in (SAT, UNSAT)
         s.pop()
         # Same goal as the first query: pure assumption replay.
-        solves_before = s.stats.incremental_solves
+        solves_before = s.stats["incremental_solves"]
         assert s.check() == SAT
-    assert s.stats.incremental_solves == solves_before + 1
+    assert s.stats["incremental_solves"] == solves_before + 1
     assert s._ctx is not None  # the context survived the pop
 
 
@@ -230,10 +230,10 @@ def test_reference_solver_bypasses_the_incremental_context():
         assert s.check() == SAT
         assert check_model(list(s.assertions), s.model())
     assert s._ctx is None
-    assert s.stats.incremental_solves == 0
-    assert s.stats.sliced_checks == 0
+    assert s.stats["incremental_solves"] == 0
+    assert s.stats["sliced_checks"] == 0
     assert s.check() == SAT  # default engine: sliced, incremental
-    assert s.stats.sliced_checks == 1
+    assert s.stats["sliced_checks"] == 1
     assert s._ctx is not None
 
 
@@ -261,8 +261,8 @@ def test_quick_valid_counts_stats():
     x = B.bv_var("qv_x", 16)
     s.add(B.bvult(x, B.bv(10, 16)))
     assert s.quick_valid(B.bvult(x, B.bv(100, 16))) is True
-    assert s.stats.quick_valid_hits == 1
+    assert s.stats["quick_valid_hits"] == 1
     s.quick_valid(B.eq(x, B.bv(3, 16)))  # not entailed: miss
-    assert s.stats.quick_valid_misses == 1
+    assert s.stats["quick_valid_misses"] == 1
     assert s.quick_valid(B.true()) is True
-    assert s.stats.quick_valid_hits == 2
+    assert s.stats["quick_valid_hits"] == 2

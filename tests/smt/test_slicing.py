@@ -152,7 +152,7 @@ class TestSlicedSolving:
         s.add(B.eq(B.bvand(a, B.bv(3, 16)), B.bv(1, 16)))
         with throwaway_engine():
             assert s.check(B.bvult(b, B.bv(10, 16))) == SAT
-            hits_before = s.stats.slice_cache_hits
+            hits_before = s.stats["slice_cache_hits"]
             # New query on b only: the `a` component verdict must be a hit.
             assert s.check(B.bvult(b, B.bv(20, 16))) == SAT
-        assert s.stats.slice_cache_hits > hits_before
+        assert s.stats["slice_cache_hits"] > hits_before

@@ -163,7 +163,7 @@ class TestSolverFacade:
         s2 = Solver()
         s2.add(c)
         s2.check()
-        assert s2.stats.cache_hits == 1
+        assert s2.stats["cache_hits"] == 1
 
     def test_model_after_cached_check_recomputes(self):
         from repro.smt.solver import clear_check_cache

@@ -1,19 +1,20 @@
-"""``repro.cosim`` — mass differential co-simulation.
+"""``repro.cosim`` — the differential-testing rig.
 
-Scales the conformance story from hundreds of checked-in cases to millions
-of generated ones, following the state-comparison idiom of symbolic-
-execution validation against formal ISA semantics (Tempel et al.): a *fast
-direct interpreter* per architecture executes generated programs in plain
-Python integers, and a co-simulation driver steps it in lockstep against
-the concrete ITL operational semantics (the authoritative side), diffing
-registers, memory, flags, and visible labels after every instruction.
+Follows the state-comparison idiom of symbolic-execution validation
+against formal ISA semantics (Tempel et al.): an oracle and the concrete
+ITL operational semantics (the authoritative side) run from the same
+start state and are diffed after every instruction.  There are two
+oracles: a *fast direct interpreter* per architecture, stepped in
+lockstep over generated programs by :class:`CoSimDriver`, and the
+mini-Sail model, which the conformance suite runs on one-word cases
+through :func:`repro.validation.simulate_state`.  Both use one case
+format, state generator, comparator, shrinker and corpus entry shape.
 
 Trust story (see DESIGN.md): the fast interpreter is an **oracle
-cross-check, not a trusted component**.  A divergence means one of the two
-executors is wrong; the shrinker minimises the witness and the reproducer
-lands in the conformance corpus where the existing differential machinery
-(concrete mini-Sail model vs ITL trace replay) adjudicates.  Nothing the
-interpreter computes ever enters a proof.
+cross-check, not a trusted component**.  A divergence means one of the
+two executors is wrong; the shrinker minimises the witness and the
+reproducer lands in the conformance corpus.  Nothing the interpreter
+computes ever enters a proof.
 """
 
 from .archs import COSIM_ARCHS, CosimArch
@@ -27,11 +28,11 @@ from .interp import (
     RiscvInterp,
     interp_for,
 )
-from .state import diff_states, snapshot_state
+from .state import diff_states
 
 __all__ = [
     "ArmInterp", "BatchReport", "COSIM_ARCHS", "CoSimDriver", "CosimArch",
     "CosimDomainError", "CosimUnsupported", "CoverageMap", "DEFECTS",
     "Divergence", "GeneratedProgram", "ProgramGenerator", "RiscvInterp",
-    "diff_states", "interp_for", "run_service_batch", "snapshot_state",
+    "diff_states", "interp_for", "run_service_batch",
 ]

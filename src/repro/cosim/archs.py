@@ -7,9 +7,9 @@ the pinned registers the ITL traces assume, and the register/memory domain
 generated states draw from.  All of it comes from
 :mod:`repro.arch.registry` — adding an architecture there adds it here.
 
-The pins mirror the conformance harness: ARM runs at EL2 with the banked
-stack pointer selected and alignment checking off (``SCTLR_EL2 = 0``);
-RISC-V and OpenPOWER need no pins.  Generated programs may *leave* this
+ARM runs pinned at EL2 with the banked stack pointer selected and
+alignment checking off (``SCTLR_EL2 = 0``); RISC-V and OpenPOWER need
+no pins.  Generated programs may *leave* this
 domain (an ``eret`` dropping to EL1, an ``msr`` to SCTLR_EL2); the driver
 detects that and ends the case — the ITL traces were generated under the
 pinned assumptions and are only authoritative inside them.
@@ -23,9 +23,9 @@ from ..arch import registry
 from ..isla import Assumptions
 from ..itl.events import Reg
 
-#: Mapped memory window for generated states (mirrors the conformance
-#: harness): registers are biased to point into it so loads/stores hit
-#: real memory as well as the MMIO device fallback.
+#: Mapped memory window for generated states: registers are biased to
+#: point into it so loads/stores hit real memory as well as the MMIO
+#: device fallback.
 MEM_BASE = 0x5000
 MEM_LEN = 64
 
@@ -62,10 +62,6 @@ class CosimArch:
             if state.read_reg(Reg.parse(name)) != value:
                 return False
         return True
-
-    def arm_names(self) -> list[str]:
-        """Every decode-arm name of this architecture's decoder."""
-        return decode_arm_names(self.name)
 
 
 def decode_arm_names(arch_name: str) -> list[str]:

@@ -1,13 +1,12 @@
-"""Lockstep co-simulation driver with divergence shrinking.
+"""Lockstep co-simulation driver and the differential-testing shrinker.
 
 For every generated case the driver steps the fast interpreter and the
 concrete ITL operational semantics (the authoritative side) from the same
 start state, one instruction at a time, and diffs registers, memory, and
 visible MMIO labels after every step.  Any mismatch is a
-:class:`Divergence`; the shrinker then delta-debugs the program (words →
-NOPs, truncation) and the start state (memory, registers) while preserving
-the divergence *signature* — the shape of the first differing observable —
-and the minimized reproducer can be appended to the conformance corpus.
+:class:`Divergence`.  The conformance suite's second oracle, the mini-Sail
+model on one-word cases, reuses the trace cache, :class:`Divergence`,
+:func:`shrink_case` and :func:`record_reproducer`.
 
 Traces come from the same Isla pipeline the proof stack uses
 (``trace_for_opcode`` under the architecture's pinned assumptions) and
@@ -23,6 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from ..arch import registry
 from ..isla import IslaError, trace_for_opcode
@@ -61,7 +61,9 @@ def cached_trace(arch: CosimArch, opcode: int):
 
 @dataclass
 class Divergence:
-    """A minimized witness that the two executors disagree."""
+    """A witness that an oracle and the ITL trace disagree on a case;
+    ``kind`` is ``"cosim"`` (fast interpreter) or ``"differential"``
+    (mini-Sail model, the conformance suite)."""
 
     arch: str
     case: ProgramCase
@@ -70,17 +72,22 @@ class Divergence:
     opcode: int
     arm: str
     details: list[str]
+    kind: str = "cosim"
 
     @property
     def signature(self) -> str:
-        """The shape of the first differing observable (``register R3
-        diverges`` / ``memory 0x5008 diverges`` / ``labels diverge`` /
-        ``itl-bottom``); this is what the shrinker preserves."""
-        return self.details[0].split(":", 1)[0] if self.details else ""
+        """What shrinking preserves: the diverging opcode plus the
+        subject of the first difference (``register R3 diverges``,
+        ``memory 0x5008 diverges``, ``labels diverge``) without its
+        values; an ITL ⊥ keeps its full reason text."""
+        first = self.details[0] if self.details else ""
+        if "⊥" not in first:
+            first = first.split(":", 1)[0]
+        return f"{self.opcode:#010x}: {first}"
 
     def to_json(self) -> dict:
         return {
-            "kind": "cosim",
+            "kind": self.kind,
             "arch": self.arch,
             "case": self.case.to_json(),
             "step": self.step,
@@ -205,76 +212,15 @@ class CoSimDriver:
 
     # -- shrinking ----------------------------------------------------------
 
-    def _diverges_like(self, case: ProgramCase, signature: str) -> bool:
-        divergence, _ = self.run_case(case)
-        return divergence is not None and divergence.signature == signature
-
     def shrink(self, case: ProgramCase, divergence: Divergence) -> ProgramCase:
-        """Greedy delta-debug of program and state, re-verifying after
-        *every* reduction that the original divergence signature still
-        reproduces (a reduction that merely fails differently is rejected)."""
-        signature = divergence.signature
-        current = case.copy()
-        nop = registry.get(self.arch.name).nop
+        """Minimise ``case`` while it still diverges with ``divergence``'s
+        signature (a reduction that merely fails differently is rejected)."""
 
-        # 1. Truncate the program after the diverging step's reach.
-        for length in range(1, len(current.words)):
-            candidate = current.copy()
-            candidate.words = candidate.words[:length]
-            if self._diverges_like(candidate, signature):
-                current = candidate
-                break
+        def still_fails(candidate: ProgramCase) -> bool:
+            redo, _ = self.run_case(candidate)
+            return redo is not None and redo.signature == divergence.signature
 
-        # 2. Delete words one at a time, repeat to fixpoint.  Deletion
-        #    shifts later words down (relative branch displacements keep
-        #    their in-program targets); the signature re-check rejects any
-        #    deletion that changes what fails, so this stays sound even
-        #    for programs with absolute-target branches (bclr/bcctr).
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(current.words):
-                candidate = current.copy()
-                del candidate.words[i]
-                if candidate.words and self._diverges_like(candidate, signature):
-                    current = candidate
-                    changed = True
-                else:
-                    i += 1
-
-        # 3. Replace words with NOPs, one at a time, repeat to fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            for i, word in enumerate(current.words):
-                if word == nop:
-                    continue
-                candidate = current.copy()
-                candidate.words[i] = nop
-                if self._diverges_like(candidate, signature):
-                    current = candidate
-                    changed = True
-
-        # 4. Drop the data memory window entirely if possible.
-        candidate = current.copy()
-        candidate.mem = {}
-        if self._diverges_like(candidate, signature):
-            current = candidate
-
-        # 5. Minimise registers: delete, then 0, then 1.
-        for name in sorted(current.regs):
-            if name in self.arch.pins:
-                continue
-            for value in (None, 0, 1):
-                candidate = current.copy()
-                del candidate.regs[name]
-                if value is not None:
-                    candidate.regs[name] = value
-                if self._diverges_like(candidate, signature):
-                    current = candidate
-                    break
-        return current
+        return shrink_case(self.arch, case, still_fails)
 
     # -- batches ------------------------------------------------------------
 
@@ -312,8 +258,82 @@ class CoSimDriver:
         return report
 
 
+def shrink_case(
+    arch: CosimArch,
+    case: ProgramCase,
+    still_fails: Callable[[ProgramCase], bool],
+) -> ProgramCase:
+    """Greedy delta-debug of a failing case, program first, then state,
+    re-checking ``still_fails`` after *every* reduction.  Callers compare
+    :attr:`Divergence.signature` with the original's, so a reduction that
+    merely fails differently is rejected."""
+    current = case.copy()
+    nop = registry.get(arch.name).nop
+
+    # 1. Truncate the program after the diverging step's reach.
+    for length in range(1, len(current.words)):
+        candidate = current.copy()
+        candidate.words = candidate.words[:length]
+        if still_fails(candidate):
+            current = candidate
+            break
+
+    # 2. Delete words one at a time, repeat to fixpoint.  Deletion shifts
+    #    later words down (relative branch displacements keep their
+    #    in-program targets); the re-check rejects any deletion that
+    #    changes what fails, so this stays sound even for programs with
+    #    absolute-target branches (bclr/bcctr).
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(current.words):
+            candidate = current.copy()
+            del candidate.words[i]
+            if candidate.words and still_fails(candidate):
+                current = candidate
+                changed = True
+            else:
+                i += 1
+
+    # 3. Replace words with NOPs, one at a time, repeat to fixpoint.
+    changed = True
+    while changed:
+        changed = False
+        for i, word in enumerate(current.words):
+            if word == nop:
+                continue
+            candidate = current.copy()
+            candidate.words[i] = nop
+            if still_fails(candidate):
+                current = candidate
+                changed = True
+
+    # 4. Drop the data memory window entirely if possible.
+    candidate = current.copy()
+    candidate.mem = {}
+    if still_fails(candidate):
+        current = candidate
+
+    # 5. Minimise registers: delete, then 0, then 1.
+    for name in sorted(current.regs):
+        if name in arch.pins:
+            continue
+        for value in (None, 0, 1):
+            candidate = current.copy()
+            del candidate.regs[name]
+            if value is not None:
+                candidate.regs[name] = value
+            if still_fails(candidate):
+                current = candidate
+                break
+    return current
+
+
 def record_reproducer(divergence: Divergence, corpus_dir: Path | str) -> Path:
-    """Append a minimized co-sim reproducer to the conformance corpus."""
+    """Append a divergence to the corpus file of its architecture under
+    ``corpus_dir``; the start state is stored as ``ProgramCase`` JSON
+    under ``"case"``."""
     path = Path(corpus_dir) / f"{divergence.arch}.jsonl"
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("a") as fh:

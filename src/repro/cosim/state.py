@@ -1,14 +1,12 @@
-"""Architectural-state construction and diffing for co-simulation.
+"""Test cases for differential testing: start states plus programs.
 
-The two executors (fast interpreter and ITL opsem) each own a
-:class:`~repro.itl.machine.MachineState` copy; after every instruction the
-driver diffs the two — registers (including the PSTATE flag cells), byte
-memory, and the visible MMIO labels each side emitted — and any mismatch
-is a divergence witness.
-
-States round-trip through the same JSON shape the conformance corpus
-uses (hex-string registers, per-byte memory), so shrunk co-sim
-reproducers can be checked in next to the differential entries.
+A :class:`ProgramCase` is the one case format of both oracles: the
+lockstep co-simulator runs multi-word programs, and the conformance
+suite runs one-word ones against the mini-Sail model.  Each executor owns
+a :class:`~repro.itl.machine.MachineState` built from the case and the
+two are compared with :func:`~repro.itl.machine.diff_states`.  Cases
+round-trip through JSON (hex-string registers, per-byte memory), which is
+what corpus entries store under ``"case"``.
 """
 
 from __future__ import annotations
@@ -17,8 +15,11 @@ import random
 from dataclasses import dataclass, field
 
 from ..itl.events import Reg
-from ..itl.machine import MachineState
+from ..itl.machine import MachineState, diff_states
 from .archs import CODE_BASE, MEM_BASE, MEM_LEN, CosimArch
+
+# ``diff_states`` is re-exported: ``perfbench/tracer.py`` times it here.
+__all__ = ["ProgramCase", "build_machine_state", "diff_states", "random_case"]
 
 
 @dataclass
@@ -55,9 +56,9 @@ class ProgramCase:
 
 
 def random_case(arch: CosimArch, rng: random.Random, words: list[int]) -> ProgramCase:
-    """A random start state in the comparable domain (mirrors the
-    conformance harness's distribution: window pointers, corner values,
-    uniform bits)."""
+    """A random start state in the comparable domain: each varied
+    register is a pointer into the memory window, a corner value or
+    uniform bits."""
     regs = dict(arch.pins)
     mask = lambda v, w: v & ((1 << w) - 1)  # noqa: E731 — narrow regs (CR fields)
     for name in arch.vary:
@@ -92,48 +93,3 @@ def build_machine_state(arch: CosimArch, case: ProgramCase) -> MachineState:
     for i, word in enumerate(case.words):
         state.load_bytes(case.pc + 4 * i, word.to_bytes(4, "little"))
     return state
-
-
-def snapshot_state(state: MachineState) -> dict:
-    """A hashable-ish plain snapshot (for journaling divergences)."""
-    return {
-        "regs": {str(reg): value for reg, value in sorted(
-            state.regs.items(), key=lambda kv: str(kv[0])
-        )},
-        "mem": dict(sorted(state.mem.items())),
-    }
-
-
-def diff_states(
-    a: MachineState,
-    b: MachineState,
-    labels_a: list | None = None,
-    labels_b: list | None = None,
-    a_name: str = "interp",
-    b_name: str = "itl",
-) -> list[str]:
-    """All observable differences between two machine states.
-
-    Returns human-readable difference lines, one per diverging register,
-    memory byte, or label stream; empty means the states agree.  The first
-    line's *shape* (``register R3``, ``memory 0x5008``, ``labels``) is the
-    divergence signature the shrinker preserves.
-    """
-    out: list[str] = []
-    for reg in sorted(set(a.regs) | set(b.regs), key=str):
-        va, vb = a.read_reg(reg), b.read_reg(reg)
-        if va != vb:
-            out.append(
-                f"register {reg} diverges: {a_name}={va!r} vs {b_name}={vb!r}"
-            )
-    for addr in sorted(set(a.mem) | set(b.mem)):
-        va, vb = a.mem.get(addr), b.mem.get(addr)
-        if va != vb:
-            out.append(
-                f"memory 0x{addr:x} diverges: {a_name}={va!r} vs {b_name}={vb!r}"
-            )
-    if labels_a is not None and labels_b is not None and labels_a != labels_b:
-        out.append(
-            f"labels diverge: {a_name}={labels_a} vs {b_name}={labels_b}"
-        )
-    return out

@@ -78,3 +78,39 @@ class MachineState:
         return MachineState(
             dict(self.regs), dict(self.instrs), dict(self.mem), self.pc_reg
         )
+
+
+def diff_states(
+    a: MachineState,
+    b: MachineState,
+    labels_a: list | None = None,
+    labels_b: list | None = None,
+    a_name: str = "interp",
+    b_name: str = "itl",
+) -> list[str]:
+    """All observable differences between two machine states.
+
+    Returns human-readable difference lines, one per diverging register,
+    memory byte, or label stream, in sorted order (registers by name, then
+    addresses, then labels); empty means the states agree.  The first
+    line's *subject* (``register R3``, ``memory 0x5008``, ``labels``) is
+    what a divergence signature keeps.
+    """
+    out: list[str] = []
+    for reg in sorted(set(a.regs) | set(b.regs), key=str):
+        va, vb = a.read_reg(reg), b.read_reg(reg)
+        if va != vb:
+            out.append(
+                f"register {reg} diverges: {a_name}={va!r} vs {b_name}={vb!r}"
+            )
+    for addr in sorted(set(a.mem) | set(b.mem)):
+        va, vb = a.mem.get(addr), b.mem.get(addr)
+        if va != vb:
+            out.append(
+                f"memory 0x{addr:x} diverges: {a_name}={va!r} vs {b_name}={vb!r}"
+            )
+    if labels_a is not None and labels_b is not None and labels_a != labels_b:
+        out.append(
+            f"labels diverge: {a_name}={labels_a} vs {b_name}={labels_b}"
+        )
+    return out

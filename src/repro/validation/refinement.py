@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..itl.events import Reg
-from ..itl.machine import MachineState
+from ..itl.machine import MachineState, diff_states
 from ..itl.opsem import Failure, Runner
 from ..itl.trace import Trace
 from ..sail.concrete import ConcreteMachine
@@ -38,7 +38,13 @@ from ..smt import builder as B
 
 
 class RefinementError(Exception):
-    """A counterexample to ``m ~ t``."""
+    """A counterexample to ``m ~ t``: ``detail`` is the first difference
+    (a :func:`~repro.itl.machine.diff_states` line) or the ITL ⊥."""
+
+    def __init__(self, opcode: int, detail: str) -> None:
+        super().__init__(f"opcode {opcode:#010x}: {detail}")
+        self.opcode = opcode
+        self.detail = detail
 
 
 @dataclass
@@ -112,52 +118,33 @@ def simulate_state(model: IsaModel, opcode: int, trace: Trace, state: MachineSta
 
     Runs the authoritative model concretely and replays the Isla trace
     through the ITL operational semantics from a copy of the same state;
-    raises :class:`RefinementError` on any divergence.  The conformance
-    suite drives this directly with its own state generator.
+    raises :class:`RefinementError` on any divergence, naming the first
+    line of :func:`~repro.itl.machine.diff_states` (registers in sorted
+    order, then memory, then labels).  The conformance suite calls this
+    on one-word ``repro.cosim`` cases.
     """
-    return _simulate_one(model, opcode, trace, state)
-
-
-def _simulate_one(model: IsaModel, opcode: int, trace: Trace, state: MachineState):
     # Side A: the authoritative model, concretely.
     model_state = state.copy()
     machine = ConcreteMachine(model.regfile, model_state)
     model.execute(machine, B.bv(opcode, model.instr_bytes * 8))
 
     # Side B: the ITL operational semantics on the Isla trace.
-    itl_state = state.copy()
-    runner = Runner(itl_state)
+    runner = Runner(state.copy())
     try:
         runner.run_trace(trace)
     except Failure as exc:
         raise RefinementError(
-            f"opcode {opcode:#010x}: ITL run reached ⊥ ({exc.reason}) from a "
-            f"state satisfying the assumptions"
+            opcode,
+            f"ITL run reached ⊥ ({exc.reason}) from a state satisfying "
+            f"the assumptions",
         ) from exc
-    itl_state = runner.state
 
-    # Compare registers the model touched plus all registers in either map.
-    regs = set(model_state.regs) | set(itl_state.regs)
-    for reg in regs:
-        a, b = model_state.read_reg(reg), itl_state.read_reg(reg)
-        if a != b:
-            raise RefinementError(
-                f"opcode {opcode:#010x}: register {reg} diverges: "
-                f"model={a!r} vs ITL={b!r}"
-            )
-    addrs = set(model_state.mem) | set(itl_state.mem)
-    for addr in addrs:
-        a, b = model_state.mem.get(addr), itl_state.mem.get(addr)
-        if a != b:
-            raise RefinementError(
-                f"opcode {opcode:#010x}: memory 0x{addr:x} diverges: "
-                f"model={a!r} vs ITL={b!r}"
-            )
-    if machine.labels != runner.labels:
-        raise RefinementError(
-            f"opcode {opcode:#010x}: visible labels diverge: "
-            f"model={machine.labels} vs ITL={runner.labels}"
-        )
+    diff = diff_states(
+        model_state, runner.state, machine.labels, runner.labels,
+        a_name="model", b_name="ITL",
+    )
+    if diff:
+        raise RefinementError(opcode, diff[0])
 
 
 @dataclass

@@ -1,11 +1,13 @@
-"""Shared machinery for the differential conformance suite.
+"""Shared pieces of the differential conformance suite.
 
 The suite draws random *valid* encodings (random 32-bit words filtered
 through the decoder, mixed with directed templates for the sparse corners
-of the encoding space), runs each through the full symbolic pipeline, and
-replays the resulting ITL trace against the concrete mini-Sail interpreter
-from random machine states.  Failures are shrunk to a minimal case and
-appended to the checked-in regression corpus under ``corpus/``.
+of the encoding space) and checks each against the mini-Sail model from
+random machine states.  A case is a one-word :class:`repro.cosim`
+``ProgramCase``; states, traces, divergences, the shrinker and the corpus
+entry shape all come from ``repro.cosim``.  This module keeps what is
+particular to the suite: the word generator, the model-vs-trace check
+and the corpus loader.
 
 Everything architecture-specific — models, codecs, register pools, pins,
 directed templates — comes from :mod:`repro.arch.registry`, so a new
@@ -16,66 +18,31 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.arch import registry
-from repro.isla import Assumptions, IslaError, trace_for_opcode
-from repro.itl.events import Reg
-from repro.sail.iface import ModelError
+from repro.cosim import COSIM_ARCHS as ARCHS
+from repro.cosim.driver import Divergence, cached_trace
+from repro.cosim.state import ProgramCase, build_machine_state
 from repro.validation import RefinementError, simulate_state
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
-# A small mapped memory window; registers are sometimes pointed into it so
-# loads and stores exercise real memory as well as the device fallback.
-# (Mirrors repro.cosim.archs so reproducers transfer between the suites.)
-MEM_BASE = 0x5000
-MEM_LEN = 64
-
-
-@dataclass
-class Arch:
-    name: str
-    model: object
-    decode: object
-    asm: object
-    vary: list[str]
-    pins: dict[str, int]
-    templates: list[str]
-    flags: list[str]
-
-    def assumptions(self) -> Assumptions:
-        out = Assumptions()
-        for reg, value in self.pins.items():
-            out.pin(reg, value, self.model.regfile.width_of(Reg.parse(reg)))
-        return out
-
-
-ARCHS = {
-    info.name: Arch(
-        name=info.name,
-        model=info.model(),
-        decode=info.decode(),
-        asm=info.asm(),
-        vary=list(info.vary),
-        pins=info.pin_dict(),
-        templates=list(info.templates().CONFORMANCE_TEMPLATES),
-        flags=list(info.flags),
-    )
+_TEMPLATES = {
+    info.name: list(info.templates().CONFORMANCE_TEMPLATES)
     for info in registry.infos()
 }
 
 
-def directed_word(arch: Arch, rng: random.Random) -> int:
-    line = rng.choice(arch.templates).format(
+def directed_word(arch, rng: random.Random) -> int:
+    line = rng.choice(_TEMPLATES[arch.name]).format(
         r=rng.randrange(31), n=rng.randrange(31), m=rng.randrange(31),
         t=rng.randrange(7), u=rng.randrange(7), h=rng.randrange(1, 16),
     )
     return arch.asm.assemble_line(line)
 
 
-def random_valid_word(arch: Arch, rng: random.Random) -> int:
+def random_valid_word(arch, rng: random.Random) -> int:
     """A decoder-accepted word: random sampling with directed templates mixed in."""
     if rng.random() < 0.15:
         return directed_word(arch, rng)
@@ -88,170 +55,30 @@ def random_valid_word(arch: Arch, rng: random.Random) -> int:
             continue
 
 
-# -- machine states ----------------------------------------------------------
+def check(arch, case: ProgramCase) -> Divergence | None:
+    """Run a one-word case through the mini-Sail model and its ITL trace.
 
-
-@dataclass
-class CaseState:
-    """One concrete start state, as plain JSON-able data."""
-
-    regs: dict[str, int] = field(default_factory=dict)
-    mem: dict[int, int] = field(default_factory=dict)  # addr -> byte
-    pc: int = 0x1000
-
-    def to_json(self) -> dict:
-        return {
-            "regs": {k: hex(v) for k, v in self.regs.items()},
-            "mem": {hex(a): b for a, b in self.mem.items()},
-            "pc": hex(self.pc),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CaseState":
-        return cls(
-            regs={k: int(v, 16) for k, v in data.get("regs", {}).items()},
-            mem={int(a, 16): b for a, b in data.get("mem", {}).items()},
-            pc=int(data.get("pc", "0x1000"), 16),
-        )
-
-
-def random_state(arch: Arch, rng: random.Random) -> CaseState:
-    regs = dict(arch.pins)
-    mask = lambda v, w: v & ((1 << w) - 1)  # noqa: E731 — narrow regs (CR fields)
-    for name in arch.vary:
-        reg = Reg.parse(name)
-        width = arch.model.regfile.width_of(reg)
-        roll = rng.random()
-        if roll < 0.3:
-            # Point into the mapped window (aligned-ish) so memory ops hit it.
-            regs[name] = mask(MEM_BASE + 8 * rng.randrange(MEM_LEN // 8 - 1), width)
-        elif roll < 0.5:
-            regs[name] = mask(
-                rng.choice([0, 1, 2, 0xFF, (1 << width) - 1, 1 << (width - 1)]),
-                width,
-            )
-        else:
-            regs[name] = rng.getrandbits(width)
-    for flag in arch.flags:
-        regs[flag] = rng.getrandbits(1)
-    mem = {MEM_BASE + off: rng.getrandbits(8) for off in range(MEM_LEN)}
-    return CaseState(regs=regs, mem=mem)
-
-
-def build_machine_state(arch: Arch, opcode: int, case: CaseState):
-    state = arch.model.initial_state()
-    state.write_reg(arch.model.pc_reg, case.pc)
-    # The trace was generated under the pinned assumptions; the state must
-    # satisfy them even when a (hand-written) corpus case omits them.
-    for name, value in arch.pins.items():
-        state.write_reg(Reg.parse(name), value)
-    for name, value in case.regs.items():
-        state.write_reg(Reg.parse(name), value)
-    for addr, byte in case.mem.items():
-        state.write_mem(addr, byte, 1)
-    state.load_bytes(case.pc, opcode.to_bytes(4, "little"))
-    return state
-
-
-# -- running and shrinking ---------------------------------------------------
-
-
-def trace_for(arch: Arch, opcode: int):
-    """The symbolic trace for an opcode, or None when out of pipeline scope.
-
-    Only complete path enumerations are eligible: replay from an arbitrary
-    state could otherwise wander onto a pruned path.
+    Returns None on agreement and a ``"differential"`` divergence
+    otherwise.  ``ModelError`` (e.g. a partially-mapped access straddling
+    the window) means the *state* is outside the comparable domain, not
+    that the semantics diverge; it propagates.
     """
+    opcode = case.words[0]
+    trace = cached_trace(arch, opcode)
     try:
-        result = trace_for_opcode(arch.model, opcode, arch.assumptions())
-    except IslaError:
-        return None
-    if result.exhausted is not None:
-        return None
-    return result.trace
-
-
-def run_case(arch: Arch, opcode: int, trace, case: CaseState) -> str | None:
-    """Replay one case; returns None on agreement, a reason string on failure.
-
-    ``ModelError`` (e.g. a partially-mapped access straddling the window, or
-    a read of a register the state does not map) means the *state* is outside
-    the comparable domain, not that the semantics diverge; those raise.
-    """
-    state = build_machine_state(arch, opcode, case)
-    try:
-        simulate_state(arch.model, opcode, trace, state)
+        simulate_state(arch.model, opcode, trace, build_machine_state(arch, case))
     except RefinementError as exc:
-        return str(exc)
+        return Divergence(
+            arch=arch.name, case=case, step=0, pc=case.pc, opcode=opcode,
+            arm=arch.decode.decode_arm(opcode), details=[exc.detail],
+            kind="differential",
+        )
     return None
 
 
-def failure_signature(reason: str | None) -> str | None:
-    """The shape of a failure, without the concrete values.
-
-    ``opcode 0x…: register R3 diverges: model=1 vs ITL=2`` and
-    ``… model=7 vs ITL=9`` are the *same* divergence for shrinking
-    purposes; ``register R4 diverges`` or ``memory 0x5008 diverges``
-    are different ones.
-    """
-    if reason is None:
-        return None
-    return reason.split(": model=", 1)[0]
-
-
-def shrink_case(
-    arch: Arch, opcode: int, trace, case: CaseState, reason: str | None = None
-) -> CaseState:
-    """Greedy minimisation of a failing case: drop memory, zero registers.
-
-    Every reduction step re-verifies that the *original* divergence (by
-    :func:`failure_signature`) still reproduces — a candidate that fails
-    for a different reason is rejected, so the recorded reproducer always
-    witnesses the divergence that was actually found, not whichever
-    failure the reduction happened to wander onto.  Passing ``reason=None``
-    falls back to accepting any failure (pre-fix behaviour, kept for
-    callers that have no original reason to preserve).
-    """
-    target = failure_signature(reason)
-
-    def still_fails(candidate: CaseState) -> bool:
-        try:
-            got = run_case(arch, opcode, trace, candidate)
-        except ModelError:
-            return False
-        if got is None:
-            return False
-        return target is None or failure_signature(got) == target
-
-    current = case
-    without_mem = CaseState(regs=dict(current.regs), mem={}, pc=current.pc)
-    if still_fails(without_mem):
-        current = without_mem
-    for name in sorted(current.regs):
-        if name in arch.pins:
-            continue
-        for value in (None, 0, 1):
-            candidate = CaseState(
-                regs={k: v for k, v in current.regs.items() if k != name},
-                mem=dict(current.mem), pc=current.pc,
-            )
-            if value is not None:
-                candidate.regs[name] = value
-            if still_fails(candidate):
-                current = candidate
-                break
-    return current
-
-
-# -- the regression corpus ---------------------------------------------------
-
-
-def corpus_path(arch_name: str) -> Path:
-    return CORPUS_DIR / f"{arch_name}.jsonl"
-
-
-def load_corpus(arch_name: str) -> list[dict]:
-    path = corpus_path(arch_name)
+def load_corpus(arch_name: str, corpus_dir: Path = CORPUS_DIR) -> list[dict]:
+    """The entries of one architecture's corpus file ("#" lines skipped)."""
+    path = Path(corpus_dir) / f"{arch_name}.jsonl"
     if not path.exists():
         return []
     entries = []
@@ -260,19 +87,3 @@ def load_corpus(arch_name: str) -> list[dict]:
         if line and not line.startswith("#"):
             entries.append(json.loads(line))
     return entries
-
-
-def record_failure(arch: Arch, opcode: int, trace, case: CaseState, reason: str) -> CaseState:
-    """Shrink a failing case and append it to the corpus; returns the shrunk case."""
-    shrunk = shrink_case(arch, opcode, trace, case, reason=reason)
-    entry = {
-        "kind": "differential",
-        "opcode": hex(opcode),
-        "text": arch.decode.try_disassemble(opcode),
-        "state": shrunk.to_json(),
-        "reason": reason.splitlines()[0][:200],
-    }
-    CORPUS_DIR.mkdir(exist_ok=True)
-    with corpus_path(arch.name).open("a") as fh:
-        fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    return shrunk

@@ -18,14 +18,12 @@ from ._harness import load_corpus
 
 
 def _corpus_words(arch_name: str) -> list[int]:
-    words: list[int] = []
+    """Every entry's ``opcode`` plus the program words of its ``case``."""
+    words: list[str] = []
     for entry in load_corpus(arch_name):
-        if "opcode" in entry:
-            words.append(int(entry["opcode"], 16))
-        case = entry.get("case") or entry.get("state") or {}
-        for word in case.get("words", []):
-            words.append(int(word, 16))
-    return words
+        words.append(entry["opcode"])
+        words += entry.get("case", {}).get("words", [])
+    return [int(word, 16) for word in words]
 
 
 def _hit_arms(arch_name: str) -> set[str]:

@@ -16,18 +16,12 @@ import random
 
 import pytest
 
+from repro.cosim import CoSimDriver
+from repro.cosim.driver import cached_trace, record_reproducer, shrink_case
+from repro.cosim.state import ProgramCase, random_case
 from repro.sail.iface import ModelError
 
-from ._harness import (
-    ARCHS,
-    CaseState,
-    load_corpus,
-    random_state,
-    random_valid_word,
-    record_failure,
-    run_case,
-    trace_for,
-)
+from ._harness import ARCHS, CORPUS_DIR, check, load_corpus, random_valid_word
 
 # ≥500 (opcode, state) cases per architecture (the ISSUE's floor).
 TARGET_CASES = 520
@@ -36,20 +30,42 @@ SEED = 20260807
 
 
 class TestCorpusReplay:
-    """The regression corpus replays clean before any new fuzzing."""
+    """The regression corpus replays clean before any new fuzzing, each
+    entry through the oracle that recorded it."""
 
     @pytest.mark.parametrize("arch_name", sorted(ARCHS))
     def test_differential_entries(self, arch_name):
         arch = ARCHS[arch_name]
         for entry in load_corpus(arch_name):
-            if entry["kind"] != "differential":
+            if entry["kind"] not in ("differential", "cosim"):
                 continue
-            opcode = int(entry["opcode"], 16)
-            trace = trace_for(arch, opcode)
-            assert trace is not None, f"corpus opcode {entry['opcode']} lost pipeline support"
-            case = CaseState.from_json(entry["state"])
-            reason = run_case(arch, opcode, trace, case)
-            assert reason is None, f"corpus regression {entry['opcode']}: {reason}"
+            case = ProgramCase.from_json(entry["case"])
+            if entry["kind"] == "cosim":
+                divergence, _ = CoSimDriver(arch).run_case(case)
+            else:
+                assert cached_trace(arch, case.words[0]) is not None, (
+                    f"corpus opcode {entry['opcode']} lost pipeline support"
+                )
+                divergence = check(arch, case)
+            assert divergence is None, (
+                f"corpus regression {entry['opcode']}: {divergence.details}"
+            )
+
+
+def _shrink_and_record(arch, divergence):
+    """Shrink a divergence with the cosim shrinker and append it to the
+    corpus; returns the divergence of the shrunk case."""
+
+    def still_fails(candidate: ProgramCase) -> bool:
+        try:
+            redo = check(arch, candidate)
+        except ModelError:
+            return False
+        return redo is not None and redo.signature == divergence.signature
+
+    shrunk = check(arch, shrink_case(arch, divergence.case, still_fails))
+    record_reproducer(shrunk, CORPUS_DIR)
+    return shrunk
 
 
 @pytest.mark.parametrize("arch_name", sorted(ARCHS))
@@ -61,24 +77,23 @@ def test_differential_conformance(arch_name):
     failures = []
     while checked < TARGET_CASES:
         opcode = random_valid_word(arch, rng)
-        trace = trace_for(arch, opcode)
-        if trace is None:  # outside the symbolic pipeline's scope
+        if cached_trace(arch, opcode) is None:  # outside the pipeline's scope
             continue
         for _ in range(STATES_PER_OPCODE):
-            case = random_state(arch, rng)
+            case = random_case(arch, rng, [opcode])
             try:
-                reason = run_case(arch, opcode, trace, case)
+                divergence = check(arch, case)
             except ModelError:
                 # State outside the comparable domain (e.g. an access
                 # straddling the mapped window); not a conformance verdict.
                 skipped_states += 1
                 continue
             checked += 1
-            if reason is not None:
-                shrunk = record_failure(arch, opcode, trace, case, reason)
+            if divergence is not None:
+                shrunk = _shrink_and_record(arch, divergence)
                 failures.append(
-                    f"{arch.decode.try_disassemble(opcode)} "
-                    f"({hex(opcode)}): {reason} [shrunk state: {shrunk.to_json()}]"
+                    f"{arch.decode.try_disassemble(opcode)} ({hex(opcode)}): "
+                    f"{divergence.details[0]} [shrunk case: {shrunk.case.to_json()}]"
                 )
             if checked >= TARGET_CASES:
                 break

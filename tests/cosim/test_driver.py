@@ -9,14 +9,13 @@ its own planted bugs would be a rubber stamp.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.cosim import COSIM_ARCHS, CoSimDriver, DEFECTS
 from repro.cosim.driver import cached_trace, record_reproducer, run_service_batch
 from repro.cosim.generate import ProgramGenerator
 from repro.cosim.state import ProgramCase
+from tests.conformance._harness import load_corpus
 
 #: Seeded batch size that demonstrably catches every registered defect
 #: (the slowest to surface under seed 11 needs < 300 cases).
@@ -80,12 +79,20 @@ class TestMutation:
         assert redo is not None
         assert redo.signature == divergence.signature
 
-        path = record_reproducer(divergence, tmp_path)
-        entry = json.loads(path.read_text().splitlines()[-1])
+        # Round trip through the corpus: record, load, replay.  The
+        # planted defect diverges the same way again; the clean
+        # interpreter agrees with the ITL on the reproducer.
+        record_reproducer(divergence, tmp_path)
+        [entry] = load_corpus(arch.name, tmp_path)
         assert entry["kind"] == "cosim"
         assert entry["arch"] == arch.name
-        roundtrip = ProgramCase.from_json(entry["case"])
-        assert roundtrip.words == divergence.case.words
+        case = ProgramCase.from_json(entry["case"])
+        assert case == divergence.case
+        replay, _ = driver.run_case(case)
+        assert replay is not None
+        assert replay.signature == divergence.signature
+        clean, _ = CoSimDriver(arch).run_case(case)
+        assert clean is None
 
     def test_clean_driver_passes_the_same_batch(self, defect):
         """The divergence is the defect's fault, not the seed's: the clean

@@ -1,6 +1,11 @@
 """Tests for §5 translation validation: ``m ~ t`` simulation checking,
 the free-monad reification, and counterexample detection."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.arch.arm import ArmModel, encode as A
@@ -76,6 +81,50 @@ class TestSimulation:
         family = StateFamily(fixed={"PSTATE.EL": 1, "PSTATE.SP": 1}, vary=["SP_EL2"])
         with pytest.raises(RefinementError, match="⊥"):
             simulate_instruction(ARM, opcode, trace, family, samples=1)
+
+
+#: The model runs ``add t0, t1, t2`` (writes x5) against the trace of
+#: ``add a0, t1, t2`` (writes x10), so two registers diverge.
+_TWO_REGISTERS_DIVERGE = """
+from repro.arch.riscv import RiscvModel, encode as RV
+from repro.isla import Assumptions, trace_for_opcode
+from repro.itl.events import Reg
+from repro.validation import RefinementError, simulate_state
+
+model = RiscvModel()
+opcode = RV.add("t0", "t1", "t2")
+trace = trace_for_opcode(model, RV.add("a0", "t1", "t2"), Assumptions()).trace
+state = model.initial_state()
+state.write_reg(model.pc_reg, 0x1000)
+state.write_reg(Reg("x6"), 1)
+state.write_reg(Reg("x7"), 2)
+state.load_bytes(0x1000, opcode.to_bytes(4, "little"))
+try:
+    simulate_state(model, opcode, trace, state)
+except RefinementError as exc:
+    print(exc)
+"""
+
+
+class TestCounterexampleDeterminism:
+    def test_first_diverging_register_does_not_depend_on_the_hash_seed(self):
+        """With x5 and x10 both diverging, every hash seed reports the
+        register that sorts first.  Iterating a ``set`` of registers
+        names x10 under seeds 0 and 1 but x5 under seeds 5 and 7."""
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        texts = set()
+        for seed in ("0", "1", "5", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", _TWO_REGISTERS_DIVERGE],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            texts.add(run.stdout.strip())
+        assert texts == {
+            f"opcode {RV.add('t0', 't1', 't2'):#010x}: register x10 diverges: "
+            f"model=0 vs ITL=3"
+        }
 
 
 class TestValidateProgram:

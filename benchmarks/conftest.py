@@ -3,8 +3,7 @@
 Benchmarks that call the ``bench_smt_record`` fixture contribute named
 records (timings, query counts, cache and slice hit rates, speedups) that
 are merged into ``BENCH_smt.json`` at the repo root when the session ends
-(likewise ``BENCH_service.json``, ``BENCH_cosim.json`` and
-``BENCH_parametric.json``).  Merging — rather than rewriting — means
+(likewise ``BENCH_service.json`` and ``BENCH_cosim.json``).  Merging — rather than rewriting — means
 running one benchmark file updates its own entries and leaves the rest of
 the records intact.  The files are build output, not committed (CI
 uploads them as an artifact); EXPERIMENTS.md keeps their history.
@@ -21,13 +20,11 @@ import pytest
 _RECORDS: dict[str, dict] = {}
 _SERVICE_RECORDS: dict[str, dict] = {}
 _COSIM_RECORDS: dict[str, dict] = {}
-_PARAMETRIC_RECORDS: dict[str, dict] = {}
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_PATH = _ROOT / "BENCH_smt.json"
 BENCH_SERVICE_PATH = _ROOT / "BENCH_service.json"
 BENCH_COSIM_PATH = _ROOT / "BENCH_cosim.json"
-BENCH_PARAMETRIC_PATH = _ROOT / "BENCH_parametric.json"
 
 # Parity benchmarks time the reference engines in ``tests/_reference.py``.
 if str(_ROOT) not in sys.path:
@@ -64,17 +61,6 @@ def bench_cosim_record():
     return record
 
 
-@pytest.fixture
-def bench_parametric_record():
-    """Record one named family-execution benchmark for
-    ``BENCH_parametric.json``."""
-
-    def record(name: str, **data) -> None:
-        _PARAMETRIC_RECORDS[name] = data
-
-    return record
-
-
 def _merge_into(path: pathlib.Path, records: dict[str, dict]) -> None:
     merged: dict[str, dict] = {}
     if path.exists():
@@ -93,5 +79,3 @@ def pytest_sessionfinish(session, exitstatus):
         _merge_into(BENCH_SERVICE_PATH, _SERVICE_RECORDS)
     if _COSIM_RECORDS:
         _merge_into(BENCH_COSIM_PATH, _COSIM_RECORDS)
-    if _PARAMETRIC_RECORDS:
-        _merge_into(BENCH_PARAMETRIC_PATH, _PARAMETRIC_RECORDS)

@@ -5,7 +5,7 @@
 knowledge of the intended context of the code, and interactive exploration
 using Isla."  This example shows that exploration: the same instructions
 under progressively stronger constraints, watching the traces shrink, plus
-the relocation-parametric traces used by the pKVM case study.
+the symbolic-immediate traces of the pKVM case study's relocated code.
 
 Run with:  python examples/explore_isla.py
 """

@@ -34,7 +34,6 @@ ISA005 error   arm claims a word outside its declared region
 ISA006 error   encoder/decoder disagreement (symbolic round-trip)
 ISA007 error   spec and implementation disagree on a witness word
 ISA008 error   defined-invalid space overlaps an arm's claim
-ISA009 error   decode arm has no family profile and no exemption
 ISA010 error   malformed constraint clause in the ISA spec itself
 ISA011 error   encoder packing malformed (fixed/places don't tile)
 ===== ======== ==================================================
@@ -77,7 +76,7 @@ _CATALOG_ENTRIES = (
     ("ISA006", ERROR, "encoder/decoder disagreement (symbolic round-trip)"),
     ("ISA007", ERROR, "spec and implementation disagree on a witness word"),
     ("ISA008", ERROR, "defined-invalid space overlaps an arm's claim"),
-    ("ISA009", ERROR, "decode arm has no family profile and no exemption"),
+    # ISA009 (the retired parametric-family audit) is not reused.
     ("ISA010", ERROR, "malformed constraint clause in the ISA spec itself"),
     ("ISA011", ERROR, "encoder packing malformed (fixed/places don't tile)"),
 )

@@ -29,10 +29,9 @@ The declarative layer is grounded against the *Python implementations* on
 concrete words (ISA007): solver models of each claim must reach the same
 decoder arm with the same field layout, enumerated invalid-space witnesses
 must raise, and probe words from the real encoders must satisfy the claim.
-Structural checks (ISA001/ISA002/ISA009/ISA010) validate field layouts,
-register-file widths, and the parametric-family audit with its recorded
-exemption mechanism.  Every check reports through the shared findings
-lattice (:mod:`repro.analysis.findings`).
+Structural checks (ISA001/ISA002/ISA010) validate field layouts,
+register-file widths and the spec's own clauses.  Every check reports
+through the shared findings lattice (:mod:`repro.analysis.findings`).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from ..obs import Counters
 from ..smt import builder as B
 from ..smt.solver import SAT, UNSAT, Solver
 from ..smt.terms import FALSE, TRUE, Term
-from .findings import CODE_CATALOG, INFO, Finding
+from .findings import CODE_CATALOG, Finding
 
 __all__ = [
     "ArmSpec",
@@ -97,16 +96,13 @@ class ArmSpec:
     ``match`` clauses (ANDed) are the exact word set the Python decoder arm
     accepts; ``region`` is the ISA-manual box containing it (claims must not
     escape it — ISA005); ``region ∧ ¬match`` is implicitly defined-invalid
-    for coverage.  ``family`` is ``"profiled"`` when the arm participates in
-    parametric-family execution, or ``"exempt:<reason>"`` to record a
-    deliberate opt-out (audited — ISA009).
+    for coverage.
     """
 
     name: str
     match: tuple
     region: tuple = ()
     encoder: EncoderSpec | None = None
-    family: str = "profiled"
 
 
 @dataclass(frozen=True)
@@ -362,39 +358,6 @@ class _Validator:
                         f"layout stops at bit {expect_hi + 1}; word not tiled",
                         where,
                     )
-
-    def check_family_audit(self) -> None:
-        spec_arms = {arm.name for arm in self.spec.arms}
-        for arm in sorted(spec_arms):
-            in_layouts = arm in self.spec.layouts
-            family = next(a.family for a in self.spec.arms if a.name == arm)
-            if family.startswith("exempt:"):
-                # Recorded exemptions are visible but advisory.
-                reason = family.split(":", 1)[1]
-                self.emit(
-                    "ISA009",
-                    f"arm {arm} exempt from family execution: {reason}",
-                    arm, severity=INFO,
-                )
-                continue
-            if family != "profiled":
-                self.emit(
-                    "ISA009",
-                    f"arm {arm} family must be 'profiled' or 'exempt:<reason>',"
-                    f" got {family!r}", arm,
-                )
-                continue
-            if not in_layouts:
-                self.emit(
-                    "ISA009",
-                    f"arm {arm} is profiled but has no structured field layout",
-                    arm,
-                )
-        for arm in sorted(set(self.spec.layouts) - spec_arms):
-            self.emit(
-                "ISA009",
-                f"field layout {arm} has no decode arm in the spec", arm,
-            )
 
     # -- claim compilation ------------------------------------------------
 
@@ -735,7 +698,6 @@ class _Validator:
     def run(self) -> list[Finding]:
         ISASPEC_STATS.inc("specs_validated")
         self.check_layouts()
-        self.check_family_audit()
         self.compile_arms()
         self.check_overlap()
         self.check_containment()

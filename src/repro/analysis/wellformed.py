@@ -16,7 +16,8 @@ wired in at the three trust boundaries:
 - trace emission (:mod:`repro.isla.executor`) as a debug assertion,
 - cache load (:mod:`repro.cache.store`) — a malformed deserialised trace
   reads as a miss and is evicted instead of poisoning the proof,
-- ITL replay (:mod:`repro.itl.opsem`) before a trace is first executed.
+- ITL replay (:mod:`repro.itl.opsem`) before a trace is first executed,
+  unless the emission check already passed for that trace object.
 
 Traces may legitimately mention *external* variables they never declare
 (symbolic opcode bits, device-chosen values); these are accepted unless
@@ -36,11 +37,9 @@ from .findings import ERROR, Finding
 __all__ = [
     "WellFormednessError",
     "assert_wellformed",
-    "check_substitution",
     "check_trace",
     "debug_checks_enabled",
     "is_wellformed",
-    "maybe_assert_substitution_wellformed",
     "maybe_assert_wellformed",
 ]
 
@@ -116,119 +115,16 @@ def debug_checks_enabled() -> bool:
     return __debug__
 
 
-def maybe_assert_wellformed(trace: Trace, regfile=None, where: str = "") -> None:
+def maybe_assert_wellformed(trace: Trace, regfile=None, where: str = "") -> bool:
     """The debug-assert flavour used at trace-emission time: no-op when
-    debug checks are disabled (``python -O`` or ``REPRO_WF_CHECK=0``)."""
-    if debug_checks_enabled():
-        assert_wellformed(trace, regfile, where)
+    debug checks are disabled (``python -O`` or ``REPRO_WF_CHECK=0``).
 
-
-# ---------------------------------------------------------------------------
-# Substitution well-formedness (WF010-WF012).
-# ---------------------------------------------------------------------------
-#
-# Parametric family instantiation (``repro.isla.parametric``) rewrites a
-# cached trace with a variable substitution plus a register rename.  Three
-# new failure modes open up that the plain trace judgement cannot see:
-# a replacement term of the wrong sort silently re-sorting downstream terms
-# (WF010), a replacement's free variable being captured by a binder of the
-# trace it is substituted into (WF011), and a register rename mapping a
-# register onto one of a different declared width (WF012).  The substituted
-# trace is additionally re-checked with the full judgement, so an SSA
-# violation introduced by the rewrite surfaces as the usual WF002/WF003.
-
-
-def check_substitution(
-    original: Trace,
-    substituted: Trace,
-    mapping: dict[Term, Term],
-    reg_renames: dict[str, str] | None = None,
-    regfile=None,
-    max_findings: int = 64,
-    recheck_trace: bool = True,
-) -> list[Finding]:
-    """Check a trace substitution; returns findings (empty = ok).
-
-    ``mapping`` maps variable terms of ``original`` to their replacement
-    terms; ``reg_renames`` maps renamed register base names old -> new.
-    ``recheck_trace=False`` skips the full trace judgement on the result —
-    for callers that feed ``substituted`` into a pipeline that re-checks
-    the final trace anyway (the parametric serve path), re-walking it here
-    is pure duplication.
+    Returns True when the check ran and passed, False when it was skipped.
     """
-    findings: list[Finding] = []
-
-    def report(code: str, message: str) -> None:
-        if len(findings) < max_findings:
-            findings.append(Finding(code, ERROR, message, "substitution"))
-
-    # Capture (WF011) needs the bound-name sets, but the common replacement
-    # is a literal with no free variables — compute them only on demand.
-    bound: set | None = None
-    for var, repl in mapping.items():
-        if not var.is_var():
-            report("WF010", f"substitution key {var!r} is not a variable")
-            continue
-        if var.sort != repl.sort:
-            report(
-                "WF010",
-                f"substitution for {var.name} changes sort "
-                f"{sort_to_text(var.sort)} -> {sort_to_text(repl.sort)}",
-            )
-        for v in repl.free_vars():
-            if v is var:
-                continue
-            if bound is None:
-                bound = _bound_names(original) | _bound_names(substituted)
-            if v.name in bound:
-                report(
-                    "WF011",
-                    f"substitution for {var.name} captures bound "
-                    f"variable {v.name}",
-                )
-    for old, new in (reg_renames or {}).items():
-        if regfile is None:
-            continue
-        try:
-            old_width = regfile.width_of(E.Reg(old))
-            new_width = regfile.width_of(E.Reg(new))
-        except KeyError as exc:
-            report("WF012", f"register rename {old} -> {new}: {exc}")
-            continue
-        if old_width != new_width:
-            report(
-                "WF012",
-                f"register rename {old} ({old_width} bits) -> "
-                f"{new} ({new_width} bits) changes width",
-            )
-    remaining = max_findings - len(findings)
-    if recheck_trace and remaining > 0:
-        findings.extend(
-            check_trace(substituted, regfile, max_findings=remaining)
-        )
-    return findings
-
-
-def maybe_assert_substitution_wellformed(
-    original: Trace,
-    substituted: Trace,
-    mapping: dict[Term, Term],
-    reg_renames: dict[str, str] | None = None,
-    regfile=None,
-    where: str = "",
-    recheck_trace: bool = True,
-) -> None:
-    """Debug-assert flavour of :func:`check_substitution` (same gating as
-    :func:`maybe_assert_wellformed`)."""
     if not debug_checks_enabled():
-        return
-    findings = check_substitution(
-        original, substituted, mapping, reg_renames, regfile,
-        recheck_trace=recheck_trace,
-    )
-    errors = [f for f in findings if f.severity == ERROR]
-    if errors:
-        raise WellFormednessError(errors, where)
+        return False
+    assert_wellformed(trace, regfile, where)
+    return True
 
 
 # ---------------------------------------------------------------------------

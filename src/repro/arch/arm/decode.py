@@ -445,17 +445,15 @@ DECODE_ARMS = tuple(fn.__name__.lstrip("_") for fn in _DECODERS)
 # Per-arm bit layouts as (name, hi, lo, kind) tuples, MSB-first, tiling all
 # 32 bits.  Kinds:
 #
-# - ``reg``    an operand register index (renameable across a family);
-# - ``imm``    an immediate the model reads *symbolically* (``fld``) — only
-#              these may stay free in a parametric family build;
+# - ``reg``    an operand register index;
+# - ``imm``    an immediate the model reads *symbolically* (``fld``);
 # - ``struct`` everything else: pattern bits, sub-opcode selectors, and any
-#              immediate the model consumes as a Python int (``fld_int``),
-#              which therefore pins the family.
+#              immediate the model consumes as a Python int (``fld_int``).
 #
 # The split between ``imm`` and ``struct`` mirrors ``arch.arm.model``: only
 # addsub_imm's imm12 and movewide's imm16 are read via symbolic ``fld``; every
 # other immediate feeds Python-side arithmetic (PC-relative offsets, rotation
-# amounts, ...) and must be concrete per family.
+# amounts, ...).
 
 _FIELD_TABLES: dict[str, tuple] = {
     "addsub_imm": (

@@ -8,6 +8,8 @@ little-endian bytes.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .regs import SYSREG_ENCODINGS
 
 XZR = 31
@@ -130,29 +132,36 @@ def mov_reg(rd: int, rm: int, sf: int = 1) -> int:
     return orr_reg(rd, XZR, rm, sf)
 
 
+@lru_cache(maxsize=None)
+def _bitmask_table(datasize: int) -> dict[int, tuple[int, int, int]]:
+    """Every logical immediate of ``datasize`` bits -> its ``(N, immr,
+    imms)``.  Encodings are walked by element size, then ``s``, then ``r``,
+    and the first one found for a value is kept."""
+    from .model import decode_bit_masks
+
+    table: dict[int, tuple[int, int, int]] = {}
+    for esize_log in range(1, 7):
+        esize = 1 << esize_log
+        if esize > datasize:
+            break
+        immn = 1 if esize == 64 else 0
+        for s in range(esize - 1):
+            imms = s if esize == 64 else (~(esize * 2 - 1) & 0x3F) | s
+            for r in range(esize):
+                value = decode_bit_masks(immn, imms, r, datasize)
+                table.setdefault(value, (immn, r, imms))
+    return table
+
+
 def encode_bitmask_immediate(value: int, datasize: int) -> tuple[int, int, int]:
     """Inverse of DecodeBitMasks: find (N, immr, imms) encoding ``value``.
 
     Raises ValueError when the value is not encodable as a logical immediate.
     """
-    from .model import decode_bit_masks
-
-    for esize_log in range(1, 7):
-        esize = 1 << esize_log
-        if esize > datasize:
-            break
-        for s in range(esize - 1):
-            for r in range(esize):
-                immn = 1 if esize == 64 else 0
-                imms = ((~(esize * 2 - 1) & 0x3F) | s) & 0x3F
-                if esize == 64:
-                    imms = s
-                try:
-                    if decode_bit_masks(immn, imms, r, datasize) == value:
-                        return immn, r, imms
-                except ValueError:
-                    continue
-    raise ValueError(f"0x{value:x} is not a logical immediate")
+    try:
+        return _bitmask_table(datasize)[value]
+    except KeyError:
+        raise ValueError(f"0x{value:x} is not a logical immediate") from None
 
 
 def and_imm(rd: int, rn: int, value: int, sf: int = 1) -> int:

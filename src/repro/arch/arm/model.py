@@ -1081,26 +1081,6 @@ class ArmModel(IsaModel):
     def _declare_registers(self, regfile: RegisterFile) -> None:
         R.declare_arm_registers(regfile)
 
-    def parametric_profile(self):
-        from ...isla.parametric import ParametricProfile
-        from . import decode
-
-        cached = getattr(self, "_parametric_profile", None)
-        if cached is not None:
-            return cached
-        # Index 31 is SP/XZR — structurally special in ``aget_X``/``aset_X``,
-        # so it can never be a renameable placeholder; 30 is the link
-        # register some arms touch structurally (bl/blr), so canonical
-        # placeholder indices avoid both.
-        self._parametric_profile = ParametricProfile(
-            arch=self.name,
-            decode_fields=decode.decode_fields,
-            reg_prefix="R",
-            special_indices=frozenset({31}),
-            canonical_indices=(0, 1, 2, 3, 4, 5, 6, 7),
-        )
-        return self._parametric_profile
-
     @sail_fn
     def execute(self, m: MachineInterface, opcode: Term) -> None:
         """``__DecodeA64``: dispatch on the encoding-class bit patterns."""

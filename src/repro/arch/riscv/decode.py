@@ -200,9 +200,7 @@ DECODE_ARMS = tuple(_MAJOR_ARMS.values())
 # ``struct`` for pattern/selector bits plus anything the model consumes as a
 # Python int (``fld_int`` — e.g. the srli/srai ``alt`` bit, so the whole
 # funct3==5 immediate is structural).  Scrambled B/J immediates are exposed
-# as the *raw* field positions; the model applies the same bit scatter to
-# both the family's free variable and a directly-executed concrete opcode,
-# so substitution folds them identically.
+# as the *raw* field positions; the model applies the bit scatter itself.
 
 _U_TYPE = (
     ("imm20", 31, 12, "imm"), ("rd", 11, 7, "reg"), ("major", 6, 0, "struct"),

@@ -382,25 +382,6 @@ class RiscvModel(IsaModel):
     def _declare_registers(self, regfile: RegisterFile) -> None:
         declare_riscv_registers(regfile)
 
-    def parametric_profile(self):
-        from ...isla.parametric import ParametricProfile
-        from . import decode
-
-        cached = getattr(self, "_parametric_profile", None)
-        if cached is not None:
-            return cached
-        # x0 reads as zero and swallows writes (``rX``/``wX`` special-case
-        # index 0), so it is never a renameable placeholder and canonical
-        # indices start at 1.
-        self._parametric_profile = ParametricProfile(
-            arch=self.name,
-            decode_fields=decode.decode_fields,
-            reg_prefix="x",
-            special_indices=frozenset({0}),
-            canonical_indices=(1, 2, 3, 4, 5, 6, 7, 8),
-        )
-        return self._parametric_profile
-
     def execute(self, m: MachineInterface, opcode: Term) -> None:
         major = fld_int(opcode, 6, 0)
         if major == 0b0110111:

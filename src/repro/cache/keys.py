@@ -29,7 +29,6 @@ _SEMANTIC_MODULES = (
     "repro.sail.iface",
     "repro.isla.executor",
     "repro.isla.footprint",
-    "repro.isla.parametric",
     "repro.isla.assumptions",
     "repro.smt.builder",
     "repro.smt.rewriter",
@@ -39,11 +38,21 @@ _SEMANTIC_MODULES = (
 )
 
 
-def _module_source(name: str) -> str:
+def _module_source(name: str, required: bool = False) -> str:
+    """The source of module ``name``, or a name-only stand-in.
+
+    ``required`` modules (the :data:`_SEMANTIC_MODULES`) must import: a
+    stale or misspelt entry there would otherwise drop out of every key.
+    """
     try:
         module = importlib.import_module(name)
+    except ImportError:
+        if required:
+            raise
+        return f"<no-source:{name}>"
+    try:
         return inspect.getsource(module)
-    except (ImportError, OSError, TypeError):
+    except (OSError, TypeError):
         # Source unavailable (frozen build): fall back to the module name
         # alone.  Weaker invalidation, still a stable key.
         return f"<no-source:{name}>"
@@ -74,7 +83,8 @@ def model_fingerprint(model) -> str:
     digest.update(f"{cls.__module__}.{cls.__qualname__}".encode())
     for name in sorted(set(names)):
         digest.update(name.encode())
-        digest.update(_module_source(name).encode())
+        source = _module_source(name, required=name in _SEMANTIC_MODULES)
+        digest.update(source.encode())
     fingerprint = digest.hexdigest()
     _model_fingerprints[cls] = fingerprint
     return fingerprint
@@ -111,7 +121,7 @@ def assumptions_fingerprint(model, assumptions) -> str:
     if assumptions is None:
         return "none"
     # Pin-only fingerprints are model-independent, so they memoize on the
-    # object (the hot path: family keys recompute this per served opcode).
+    # object (the hot path: every trace key recomputes this).
     # The length token catches callers that grow the dicts directly instead
     # of through ``pin``/``constrain`` (which also invalidate).
     token = (len(assumptions.pinned), len(assumptions.constrained))
@@ -142,39 +152,6 @@ def trace_key(model, opcode, assumptions, name_prefix: str = "v") -> str:
             "trace-v1",
             model_fingerprint(model),
             opcode_signature(opcode, model.instr_bytes * 8),
-            assumptions_fingerprint(model, assumptions),
-            f"prefix={name_prefix}",
-        )
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-# -- parametric family keys --------------------------------------------------
-
-
-def family_trace_key(
-    model,
-    arch: str,
-    arm: str,
-    field_summary: str,
-    assumptions,
-    name_prefix: str = "v",
-) -> str:
-    """Cache key for one parametric instruction-family execution.
-
-    ``field_summary`` is the profile's canonical rendering of the arm's bit
-    fields: concrete values for structural fields, equality-class labels for
-    register operands, ``?`` for free immediates (see
-    :meth:`repro.isla.parametric.ParametricEngine._family_info`).  Two
-    opcodes share a family exactly when they share the arm, the structural
-    bits, and the register aliasing pattern.
-    """
-    payload = "\n".join(
-        (
-            "family-v1",
-            model_fingerprint(model),
-            f"{arch}/{arm}",
-            field_summary,
             assumptions_fingerprint(model, assumptions),
             f"prefix={name_prefix}",
         )

@@ -95,13 +95,11 @@ def _append_exact(path: Path, payload: bytes) -> bool:
 #: ``smt_truncated_bytes`` were cut off the verdict log's corrupt tail on
 #: open (a crashed appender's torn final records); ``wellformed_rejects``
 #: (a subset of ``corrupt_entries``) parsed but failed the well-formedness
-#: check, each evicted on sight; ``family_*`` count parametric
-#: family-trace entries (see ``repro.isla.parametric``).
+#: check, each evicted on sight.
 DISK_COUNTERS = (
     "trace_hits", "trace_misses", "trace_writes",
     "smt_hits", "smt_misses", "smt_records", "smt_loaded", "smt_truncated_bytes",
     "corrupt_entries", "wellformed_rejects",
-    "family_hits", "family_misses", "family_writes",
 )
 
 
@@ -165,7 +163,6 @@ class DiskCache:
         self.root = Path(self.root)
         self._base = self.root / f"v{CACHE_FORMAT_VERSION}"
         self._traces = self._base / "traces"
-        self._families = self._base / "families"
         self._smt_path = self._base / "smt" / "verdicts.jsonl"
         self._traces.mkdir(parents=True, exist_ok=True)
         self._smt_path.parent.mkdir(parents=True, exist_ok=True)
@@ -181,9 +178,6 @@ class DiskCache:
 
     def _trace_path(self, key: str) -> Path:
         return self._traces / key[:2] / f"{key}.itl"
-
-    def _family_path(self, key: str) -> Path:
-        return self._families / key[:2] / f"{key}.itl"
 
     def _read_entry(self, path: Path):
         """Parse one self-delimiting trace entry.
@@ -286,34 +280,6 @@ class DiskCache:
         """
         if self._write_entry(self._trace_path(key), trace, meta):
             self.stats.inc("trace_writes")
-
-    # -- parametric family store --------------------------------------------
-    #
-    # Same entry format as the trace store, in a sibling ``families/`` tree:
-    # the stored trace is a *raw* (pre-simplification) parametric tree whose
-    # free operand variables (``?f_imm12`` and friends) ride in the extern
-    # signature, and the meta carries the family's instantiation contract
-    # (placeholder register bases, fixed registers, operand dependence).
-    # The well-formedness checker is not consulted on load: it judges
-    # finalised traces, and a family is instantiated — then simplified and
-    # checked — before anything downstream sees it.  A corrupt entry is a
-    # miss; the family simply rebuilds.
-
-    def load_family(self, key: str):
-        """Return ``(raw_trace, meta)`` for a cached family, or ``None``."""
-        status, hit = self._read_entry(self._family_path(key))
-        if status == "ok":
-            self.stats.inc("family_hits")
-            return hit
-        if status == "corrupt":
-            self.stats.inc("corrupt_entries")
-        self.stats.inc("family_misses")
-        return None
-
-    def store_family(self, key: str, trace, meta: dict) -> None:
-        """Persist one parametric family entry atomically."""
-        if self._write_entry(self._family_path(key), trace, meta):
-            self.stats.inc("family_writes")
 
     # -- SMT verdict store --------------------------------------------------
 

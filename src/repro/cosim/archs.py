@@ -18,10 +18,12 @@ pinned assumptions and are only authoritative inside them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..arch import registry
 from ..isla import Assumptions
 from ..itl.events import Reg
+from ..itl.machine import MachineState
 
 #: Mapped memory window for generated states: registers are biased to
 #: point into it so loads/stores hit real memory as well as the MMIO
@@ -51,6 +53,30 @@ class CosimArch:
             out.pin(reg, value, self.model.regfile.width_of(Reg.parse(reg)))
         return out
 
+    # The cached properties below are built once per profile; a frozen
+    # dataclass still has an instance ``__dict__`` for them to live in.
+
+    @cached_property
+    def regs(self) -> dict[str, Reg]:
+        """Every pinned, varied and flag register name, parsed."""
+        names = (*self.pins, *self.vary, *self.flags)
+        return {name: Reg.parse(name) for name in names}
+
+    @cached_property
+    def widths(self) -> tuple[tuple[str, int], ...]:
+        """``(name, width)`` of each varied register, in ``vary`` order."""
+        width_of = self.model.regfile.width_of
+        return tuple((name, width_of(self.regs[name])) for name in self.vary)
+
+    @cached_property
+    def base_state(self) -> MachineState:
+        """Every declared register at its reset value, then the pins.
+        Start states are copies of it; never mutate it."""
+        state = self.model.initial_state()
+        for name, value in self.pins.items():
+            state.write_reg(self.regs[name], value)
+        return state
+
     def pins_hold(self, state) -> bool:
         """Do the pinned-register assumptions still hold in ``state``?
 
@@ -58,8 +84,9 @@ class CosimArch:
         escapes them (eret, msr to a pinned register) the oracle side is
         no longer authoritative and the case must end.
         """
+        regs = self.regs
         for name, value in self.pins.items():
-            if state.read_reg(Reg.parse(name)) != value:
+            if state.read_reg(regs[name]) != value:
                 return False
         return True
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from ..itl.events import Reg
-from ..itl.machine import MachineState, diff_states
+from ..itl.machine import ADDR_MASK, MachineState, diff_states
 from .archs import CODE_BASE, MEM_BASE, MEM_LEN, CosimArch
 
 # ``diff_states`` is re-exported: ``perfbench/tracer.py`` times it here.
@@ -61,8 +61,7 @@ def random_case(arch: CosimArch, rng: random.Random, words: list[int]) -> Progra
     uniform bits."""
     regs = dict(arch.pins)
     mask = lambda v, w: v & ((1 << w) - 1)  # noqa: E731 — narrow regs (CR fields)
-    for name in arch.vary:
-        width = arch.model.regfile.width_of(Reg.parse(name))
+    for name, width in arch.widths:
         roll = rng.random()
         if roll < 0.3:
             regs[name] = mask(MEM_BASE + 8 * rng.randrange(MEM_LEN // 8 - 1), width)
@@ -80,16 +79,18 @@ def random_case(arch: CosimArch, rng: random.Random, words: list[int]) -> Progra
 
 
 def build_machine_state(arch: CosimArch, case: ProgramCase) -> MachineState:
-    """Materialise a :class:`MachineState` (every declared register at its
-    reset value, then pins, then the case's registers, memory, program)."""
-    state = arch.model.initial_state()
+    """Materialise a :class:`MachineState`: a copy of the arch's base state
+    (every declared register at its reset value, then the pins), then the
+    PC and the case's registers, memory and program."""
+    state = arch.base_state.copy()
     state.write_reg(arch.model.pc_reg, case.pc)
-    for name, value in arch.pins.items():
-        state.write_reg(Reg.parse(name), value)
+    known = arch.regs
     for name, value in case.regs.items():
-        state.write_reg(Reg.parse(name), value)
-    for addr, byte in case.mem.items():
-        state.write_mem(addr, byte, 1)
+        reg = known.get(name)
+        state.write_reg(Reg.parse(name) if reg is None else reg, value)
+    state.mem.update(
+        {addr & ADDR_MASK: byte & 0xFF for addr, byte in case.mem.items()}
+    )
     for i, word in enumerate(case.words):
         state.load_bytes(case.pc + 4 * i, word.to_bytes(4, "little"))
     return state

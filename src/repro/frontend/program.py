@@ -94,7 +94,7 @@ def generate_instruction_map(
     ``build()`` functions pick up parallelism and on-disk caching without
     signature changes.  With ``jobs > 1`` the per-opcode runs fan out
     across worker processes; the result is identical to the serial path.
-    Counts (family hits, cache lookups) land in the caller's run scope
+    Counts (cache lookups) land in the caller's run scope
     (:mod:`repro.obs`), whichever path served them.
     """
     from ..parallel.config import current_config

@@ -253,11 +253,8 @@ class IslaResult:
     #: True when the result was served from an on-disk cache (the metrics
     #: then describe the original, cached run).
     cached: bool = False
-    #: True when the trace was instantiated from a parametric family
-    #: (``repro.isla.parametric``) instead of executed directly.  The trace
-    #: itself is term-for-term identical either way; ``model_calls`` and
-    #: ``model_steps`` are 0 and ``solver_checks`` counts only the
-    #: instantiation guard.
+    #: Always ``False``: every trace is either executed directly or served
+    #: from the cache.  Kept for readers that still classify results by it.
     parametric: bool = False
 
 
@@ -319,33 +316,6 @@ def trace_for_opcode(
                 cached=True,
             )
 
-    if active_injector() is None and opcode.is_value():
-        from .parametric import engine
-
-        para = engine().try_parametric(
-            model, opcode, assumptions, max_paths, name_prefix, budget, cache
-        )
-        if para is not None:
-            trace, paths, guard_checks = para
-            result = IslaResult(
-                trace,
-                paths,
-                model_calls=0,
-                model_steps=0,
-                solver_checks=guard_checks,
-                parametric=True,
-            )
-            if key is not None:
-                meta = {
-                    "paths": result.paths,
-                    "model_calls": 0,
-                    "model_steps": 0,
-                    "solver_checks": guard_checks,
-                    "checks_skipped": 0,
-                }
-                cache.store_trace(key, trace, meta)
-            return result
-
     raw, metrics, exhausted = _enumerate_raw(
         model, opcode, assumptions, max_paths, name_prefix, budget
     )
@@ -384,16 +354,22 @@ def trace_for_opcode(
 
 
 def _finish_raw(raw: Trace, model: IsaModel, opcode: Term):
-    """The raw-to-final pipeline shared by direct and parametric paths."""
+    """Simplify a raw trace and check its well-formedness at emission.
+
+    A trace that passes is recorded as checked, so ITL replay does not
+    check it again (see :func:`repro.itl.opsem.note_wellformed`).
+    """
     from ..analysis.wellformed import maybe_assert_wellformed
+    from ..itl.opsem import note_wellformed
     from .footprint import simplify_trace
 
     trace = simplify_trace(raw)
-    maybe_assert_wellformed(
+    if maybe_assert_wellformed(
         trace,
         model.regfile,
         where=f"trace_for_opcode({opcode!r})",
-    )
+    ):
+        note_wellformed(trace)
     return trace
 
 
@@ -410,9 +386,7 @@ def _enumerate_raw(
     Returns ``(raw, metrics, exhausted)``: the unsimplified trace tree (or
     ``None`` if no path completed), the execution counters, and the name of
     the budget resource that ran out (``None`` for a complete enumeration).
-    This is the model-execution core of :func:`trace_for_opcode`, also
-    driven by :mod:`repro.isla.parametric` to build instruction families
-    from partially-symbolic opcodes.
+    This is the model-execution core of :func:`trace_for_opcode`.
     """
     path_limit = max_paths if budget is None else budget.path_limit(max_paths)
     runs: list[_Run] = []

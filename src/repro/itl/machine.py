@@ -95,7 +95,16 @@ def diff_states(
     addresses, then labels); empty means the states agree.  The first
     line's *subject* (``register R3``, ``memory 0x5008``, ``labels``) is
     what a divergence signature keeps.
+
+    Equal maps have no differences, so agreeing states (the common case in
+    lockstep co-simulation) return at once, before any sorting.
     """
+    if (
+        a.regs == b.regs
+        and a.mem == b.mem
+        and (labels_a is None or labels_b is None or labels_a == labels_b)
+    ):
+        return []
     out: list[str] = []
     for reg in sorted(set(a.regs) | set(b.regs), key=str):
         va, vb = a.read_reg(reg), b.read_reg(reg)

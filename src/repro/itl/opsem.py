@@ -48,10 +48,28 @@ class Failure(Exception):
         self.reason = reason
 
 
-#: Traces that already passed the pre-replay well-formedness check.  Keyed
-#: by value (Trace is a frozen dataclass), so structurally equal traces
-#: share a verdict; weak so the memo never outlives the traces.
-_wf_checked: "weakref.WeakSet[Trace]" = weakref.WeakSet()
+#: Traces that already passed the well-formedness check, keyed by
+#: ``id``.  A hit must be the very same object (``Trace.__hash__`` is
+#: structural, so a set would re-hash the whole tree on every lookup); the
+#: values are weak, so an entry dies with its trace and a recycled ``id``
+#: never matches.
+_wf_checked: "weakref.WeakValueDictionary[int, Trace]" = (
+    weakref.WeakValueDictionary()
+)
+
+
+def note_wellformed(trace: Trace) -> None:
+    """Record that ``trace`` passed the well-formedness check, so its
+    replays skip :func:`_check_wellformed`.
+
+    The executor calls this once its emission check
+    (``check_trace(trace, regfile)``) has passed.  That check implies
+    this module's (``check_trace(trace)``): the register file only adds
+    findings — every finding is an error, and the register-width branch
+    returns early only after it has reported — so a trace with no findings
+    under the register file has none without it.
+    """
+    _wf_checked[id(trace)] = trace
 
 
 def _check_wellformed(trace: Trace) -> None:
@@ -60,11 +78,11 @@ def _check_wellformed(trace: Trace) -> None:
     The operational semantics only makes sense over well-formed traces; an
     ill-sorted term or SSA violation would otherwise surface as a stuck
     expression deep inside ``evaluate``.  Skipped under ``python -O`` /
-    ``REPRO_WF_CHECK=0``, memoised per trace otherwise.
+    ``REPRO_WF_CHECK=0``, at most once per trace object otherwise.
     """
     from ..analysis.wellformed import debug_checks_enabled, is_wellformed
 
-    if not debug_checks_enabled() or trace in _wf_checked:
+    if not debug_checks_enabled() or _wf_checked.get(id(trace)) is trace:
         return
     if not is_wellformed(trace):
         from ..analysis.wellformed import check_trace
@@ -73,7 +91,7 @@ def _check_wellformed(trace: Trace) -> None:
         raise Failure(
             "ill-formed trace: " + (first.render() if first else "unknown")
         )
-    _wf_checked.add(trace)
+    note_wellformed(trace)
 
 
 class Discarded(Exception):

@@ -373,7 +373,6 @@ def _trace_worker(payload: dict) -> dict:
         "solver_checks": result.solver_checks,
         "checks_skipped": result.checks_skipped,
         "cached": result.cached,
-        "parametric": result.parametric,
     }
 
 
@@ -411,7 +410,6 @@ def _isla_result(item: dict):
         checks_skipped=item["checks_skipped"],
         exhausted=None,
         cached=item["cached"],
-        parametric=item["parametric"],
     )
 
 
@@ -678,7 +676,6 @@ def verify_case_parallel(
     report.solver_stats = solver_totals.snapshot()
     # Summed gauges mean nothing: the check-cache counters only.
     report.cache_stats = {name: cache_totals[name] for name in LRU_COUNTERS}
-    report.parametric_stats = run.snapshot("parametric.")
     obs.add(run.snapshot())
     if fault_count:
         report.faults = tuple(range(fault_count))  # count only; events stay

@@ -87,9 +87,6 @@ class RunReport:
     budget: Any = None  # resilience Budget
     solver_stats: dict[str, int] = field(default_factory=dict)
     cache_stats: dict[str, int] = field(default_factory=dict)
-    #: Parametric family-execution counters (``repro.isla.parametric``):
-    #: hits/builds/instantiations/guard failures attributable to this run.
-    parametric_stats: dict[str, int] = field(default_factory=dict)
     faults: tuple = ()  # tuple[FaultEvent, ...]
 
     @property

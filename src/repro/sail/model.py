@@ -51,16 +51,6 @@ class IsaModel(ABC):
         instructions), like the real Sail models do.
         """
 
-    def parametric_profile(self):
-        """The model's :class:`repro.isla.parametric.ParametricProfile`.
-
-        ``None`` (the default) opts the architecture out of parametric
-        family execution: every opcode runs through the direct per-opcode
-        symbolic path.  Architectures that expose structured decode fields
-        (``arch.<isa>.decode.decode_fields``) override this.
-        """
-        return None
-
     # -- conveniences -----------------------------------------------------------
 
     def initial_state(self, overrides: dict[str, int] | None = None) -> MachineState:

@@ -138,7 +138,6 @@ class JobRunner:
         telemetry.inc(f"outcome_{report.outcome}")
         telemetry.counters.add(report.solver_stats, "solver_")
         telemetry.counters.add(report.cache_stats, "cache_")
-        telemetry.counters.add(report.parametric_stats, "parametric_")
         service.refresh_gauges()
         job.mark_done(result)
         if job.latency_s is not None:

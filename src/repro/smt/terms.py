@@ -152,7 +152,7 @@ class Term:
         """The set of free variables of the term.
 
         Cached on the (interned, immutable) node, so repeated queries — the
-        trace simplifier, well-formedness checks, parametric instantiation —
+        trace simplifier, well-formedness checks, the cache key builder —
         cost one dict-slot read after the first walk.  The walk is iterative
         (term DAGs can be deeper than the recursion limit) and single-child
         nodes alias their child's frozenset, so extract/extend chains share

@@ -11,8 +11,8 @@ Two modes:
 - **ISA mode** (``--isa``): validate each architecture's declarative ISA
   specification (``arch/<name>/spec.py``) with the solver-backed
   :mod:`repro.analysis.isaspec` pass — field layouts, encoding overlap,
-  decode coverage, encoder/decoder agreement, family audit (``ISA*``
-  codes), proved exhaustively over the full word space.
+  decode coverage, encoder/decoder agreement (``ISA*`` codes), proved
+  exhaustively over the full word space.
 
 Exit-code contract (both modes): **0** no error-severity findings, **1**
 at least one error finding, **2** usage error.  Warnings and infos are

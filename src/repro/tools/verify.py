@@ -75,8 +75,8 @@ def _run_serial(module, name, kwargs, args, cache):
         else nullcontext()
     )
     previous = install_persistent_check_store(cache)
-    # Trace generation — where parametric families are built and hit —
-    # happens during the case *build*, so the run scope spans build + verify.
+    # Trace generation happens during the case *build*, so the run scope
+    # spans build + verify.
     try:
         t0 = time.perf_counter()
         with obs.scope() as run:
@@ -93,7 +93,6 @@ def _run_serial(module, name, kwargs, args, cache):
         install_persistent_check_store(previous)
         if cache is not None:
             cache.flush()
-    report.parametric_stats = run.snapshot("parametric.")
     obs.add(run.snapshot())
     timings = f"isla {t1 - t0:.2f}s, verify {t2 - t1:.2f}s"
     return case, report, timings
@@ -123,7 +122,6 @@ def _executor_stats(case) -> dict[str, int]:
     totals = {
         "paths": 0, "model_calls": 0, "model_steps": 0,
         "solver_checks": 0, "checks_skipped": 0, "cached_traces": 0,
-        "parametric_traces": 0,
     }
     for result in case.frontend.results.values():
         totals["paths"] += result.paths
@@ -132,7 +130,6 @@ def _executor_stats(case) -> dict[str, int]:
         totals["solver_checks"] += result.solver_checks
         totals["checks_skipped"] += result.checks_skipped
         totals["cached_traces"] += bool(result.cached)
-        totals["parametric_traces"] += bool(result.parametric)
     return totals
 
 
@@ -143,7 +140,6 @@ def _case_stats(case, report) -> dict:
         "blocks": len(report.blocks),
         "solver": dict(report.solver_stats),
         "cache": dict(report.cache_stats),
-        "parametric": dict(report.parametric_stats),
         "executor": _executor_stats(case),
     }
 
@@ -295,7 +291,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.stats_json:
         import json
 
-        groups = ("solver", "cache", "parametric", "executor")
+        groups = ("solver", "cache", "executor")
         totals = Counters()
         for entry in stats.values():
             for group in groups:

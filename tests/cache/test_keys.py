@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 from repro.arch.arm import ArmModel
 from repro.arch.riscv import RiscvModel
 from repro.cache import (
+    keys,
     model_fingerprint,
     opcode_signature,
     smt_query_key,
@@ -101,3 +106,21 @@ class TestSmtQueryKey:
         narrow = B.eq(B.var("v", bv_sort(8)), B.var("w", bv_sort(8)))
         wide = B.eq(B.var("v", bv_sort(16)), B.var("w", bv_sort(16)))
         assert smt_query_key([narrow]) != smt_query_key([wide])
+
+
+class TestSemanticModules:
+    """The modules hashed into every trace key fail closed."""
+
+    def test_every_listed_module_imports(self):
+        for name in keys._SEMANTIC_MODULES:
+            importlib.import_module(name)
+
+    def test_a_stale_entry_raises_instead_of_dropping_out(self, monkeypatch):
+        stale = keys._SEMANTIC_MODULES + ("repro.isla.no_such_module",)
+        monkeypatch.setattr(keys, "_SEMANTIC_MODULES", stale)
+        monkeypatch.setattr(keys, "_model_fingerprints", {})
+        with pytest.raises(ImportError):
+            model_fingerprint(ARM)
+
+    def test_an_optional_module_may_be_missing(self):
+        assert keys._module_source("repro.no_such") == "<no-source:repro.no_such>"

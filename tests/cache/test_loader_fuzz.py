@@ -1,6 +1,6 @@
 """Property (hypothesis): corrupt cache files read as counted misses.
 
-Whatever bytes sit in a trace entry, a family entry or the verdict log,
+Whatever bytes sit in a trace entry or the verdict log,
 opening the cache and loading from it never raises.  Each load returns a
 miss or a well-formed hit, and every entry the loader rejects is counted
 in ``corrupt_entries``.  A same-length change to a valid entry (bit rot,
@@ -109,33 +109,15 @@ def test_trace_entry_is_a_hit_or_a_counted_miss(data):
             assert cache.stats["corrupt_entries"] == 0
 
 
-@settings(max_examples=150, deadline=None)
-@given(entry_bytes)
-def test_family_entry_is_a_hit_or_a_counted_miss(data):
-    with tempfile.TemporaryDirectory() as root:
-        cache = DiskCache(root)
-        path = cache._family_path(KEY)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-        hit = cache.load_family(KEY)
-        if hit is None:
-            assert cache.stats["corrupt_entries"] == 1
-            assert cache.stats["family_misses"] == 1
-        else:
-            assert _well_formed_hit(hit)
-            assert cache.stats["corrupt_entries"] == 0
-
-
 @settings(max_examples=300, deadline=None)
-@given(_flipped_entry(), st.sampled_from(["trace", "family"]))
-def test_same_length_flips_never_load(data, kind):
+@given(_flipped_entry())
+def test_same_length_flips_never_load(data):
     with tempfile.TemporaryDirectory() as root:
         cache = DiskCache(root)
-        path = cache._trace_path(KEY) if kind == "trace" else cache._family_path(KEY)
+        path = cache._trace_path(KEY)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
-        load = cache.load_trace if kind == "trace" else cache.load_family
-        assert load(KEY) is None
+        assert cache.load_trace(KEY) is None
         assert cache.stats["corrupt_entries"] == 1
 
 

@@ -110,17 +110,17 @@ class TestDigest:
     body: any same-length damage is a counted miss, even when the damaged
     body still parses (and would pass the length check)."""
 
+    # Trace entries are the one entry kind; the tests keep their
+    # ``[trace]`` parameter so their ids stay stable.
     def _stored(self, tmp_path, kind):
+        assert kind == "trace"
         cache = DiskCache(tmp_path)
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
-        if kind == "trace":
-            cache.store_trace(key, result.trace, {"paths": result.paths})
-            return cache, cache._trace_path(key), lambda: cache.load_trace(key)
-        cache.store_family(key, result.trace, {"paths": result.paths})
-        return cache, cache._family_path(key), lambda: cache.load_family(key)
+        cache.store_trace(key, result.trace, {"paths": result.paths})
+        return cache, cache._trace_path(key), lambda: cache.load_trace(key)
 
-    @pytest.mark.parametrize("kind", ["trace", "family"])
+    @pytest.mark.parametrize("kind", ["trace"])
     def test_same_length_body_mutation_is_a_corrupt_miss(self, tmp_path, kind):
         cache, path, load = self._stored(tmp_path, kind)
         text = path.read_text()
@@ -132,7 +132,7 @@ class TestDigest:
         assert cache.stats["corrupt_entries"] == 1
         assert cache.stats["wellformed_rejects"] == 0  # stopped at the digest
 
-    @pytest.mark.parametrize("kind", ["trace", "family"])
+    @pytest.mark.parametrize("kind", ["trace"])
     def test_same_length_header_mutation_is_a_corrupt_miss(self, tmp_path, kind):
         cache, path, load = self._stored(tmp_path, kind)
         text = path.read_text()
@@ -339,8 +339,7 @@ class TestDurability:
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        cache.store_family(key, result.trace, {"paths": result.paths})
-        assert cache.stats["trace_writes"] == cache.stats["family_writes"] == 1
+        assert cache.stats["trace_writes"] == 1
         assert calls == []
 
     def test_tail_repair_still_fsyncs(self, tmp_path, monkeypatch):

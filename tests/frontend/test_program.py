@@ -13,7 +13,6 @@ from repro.isla import Assumptions
 from repro.itl import MachineState
 from repro.smt import builder as B
 
-from .._reference import direct_isla
 
 
 class TestProgramImage:
@@ -59,11 +58,8 @@ class TestInstructionMapGeneration:
         assert fe.traces[0x1004].cases is None
 
     def test_metrics_aggregate(self):
-        # Pin the direct symbolic path: a parametric instantiation honestly
-        # reports zero model steps (the model never ran for it).
         image = ProgramImage().place(0x1000, [A.nop(), A.nop()])
-        with direct_isla():
-            fe = generate_instruction_map(ArmModel(), image, Assumptions())
+        fe = generate_instruction_map(ArmModel(), image, Assumptions())
         assert fe.total_events == sum(t.num_events() for t in fe.traces.values())
         assert fe.total_paths == 2
         assert fe.total_model_steps > 0

@@ -10,7 +10,6 @@ from repro.itl import events as E
 from repro.itl import trace_to_sexpr
 from repro.smt import builder as B
 
-from .._reference import direct_isla
 
 
 @pytest.fixture(scope="module")
@@ -73,13 +72,8 @@ class TestFig3AddSp:
 
     def test_simplification_factor(self, arm):
         """The headline of §2.1: the trace is far smaller than the executed
-        model (146 lines / 9 functions for the real add).
-
-        Pinned to the direct symbolic path: a parametric instantiation
-        honestly reports zero model steps (the model never ran for it).
-        """
-        with direct_isla():
-            res = trace_for_opcode(arm, 0x910103FF, el2())
+        model (146 lines / 9 functions for the real add)."""
+        res = trace_for_opcode(arm, 0x910103FF, el2())
         assert res.model_steps > res.trace.num_events()
 
 

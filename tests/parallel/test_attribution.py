@@ -2,10 +2,11 @@
 the process was doing at the time.
 
 Two in-process jobs (``jobs=1``: trace generation and block proofs run in
-the calling thread) share the process-global parametric engine and check
-cache — the daemon's situation under ``--jobs 1 --runners 2``, or after
-its pool falls back in-process.  Each report must carry its own run's
-family counts only.
+the calling thread) count into the process at the same time — the
+daemon's situation under ``--jobs 1 --runners 2``, or after its pool falls
+back in-process.  Each run's scope must carry its own trace-cache counts
+only: a job on its own cache directory sees the same ``disk.trace_*``
+counts alone and next to another job.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import tempfile
 import threading
 
+from repro import obs
 from repro.cache import DiskCache
 from repro.parallel.scheduler import verify_case_parallel
 from repro.smt.solver import install_persistent_check_store, persistent_check_store
 
-JOBS = {"memcpy_riscv": "armv8_a", "binsearch_arm": "riscv64"}
+JOBS = ("memcpy_riscv", "binsearch_arm")
 ROUNDS = 4
 
 
@@ -25,12 +27,15 @@ def _run(name: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-attr-") as root:
         # Ephemeral: the block workers drop their handles on it after use.
         cache = DiskCache(root, ephemeral=True)
-        _case, report = verify_case_parallel(name, {"n": 6}, jobs=1, cache=cache)
+        with obs.scope() as run:
+            _case, report = verify_case_parallel(
+                name, {"n": 6}, jobs=1, cache=cache
+            )
     assert report.ok
-    return report.parametric_stats
+    return run.snapshot("disk.trace_")
 
 
-def test_concurrent_runs_keep_their_own_family_counts():
+def test_concurrent_runs_keep_their_own_trace_counts():
     # The on-disk verdict store is one process-global slot that each
     # in-process block worker installs and restores; two threads doing so
     # can leave one's store installed.  Restore it, so later tests do not
@@ -45,7 +50,7 @@ def test_concurrent_runs_keep_their_own_family_counts():
 def _compare_with_solo_runs() -> None:
     alone = {name: _run(name) for name in JOBS}
     for name in JOBS:
-        assert alone[name].get("family_instantiations", 0) > 0
+        assert alone[name].get("writes", 0) > 0
     for _ in range(ROUNDS):
         barrier = threading.Barrier(len(JOBS))
         stats: dict[str, dict] = {}
@@ -60,10 +65,5 @@ def _compare_with_solo_runs() -> None:
         for thread in threads:
             thread.join(timeout=300)
         assert not any(thread.is_alive() for thread in threads)
-        for name, other_arch in JOBS.items():
-            foreign = [key for key in stats[name] if other_arch in key]
-            assert foreign == [], f"{name} counted the other job's {foreign}"
-            assert (
-                stats[name]["family_instantiations"]
-                == alone[name]["family_instantiations"]
-            )
+        for name in JOBS:
+            assert stats[name] == alone[name], name

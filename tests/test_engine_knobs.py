@@ -1,9 +1,10 @@
 """The pipeline has one engine configuration.
 
-Incremental solving, goal slicing and parametric dispatch are always
-on; their parity with the simpler reference engines is tested through
-``tests/_reference.py``, not selected at run time.  This guard keeps kill
-switches from creeping back in as environment variables or CLI flags.
+Incremental solving and goal slicing are always on; their parity with
+the simpler reference engines is tested through ``tests/_reference.py``,
+not selected at run time.  This guard keeps kill switches from creeping
+back in as environment variables or CLI flags (``--no-parametric`` names
+an engine that no longer exists).
 """
 
 from __future__ import annotations

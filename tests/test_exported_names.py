@@ -8,7 +8,7 @@ validated ISA specs, a warm check cache) cannot change what it sees:
 
 - the ``/metrics.json`` counter and gauge names after one ``memcpy_arm``
   daemon job (in-process pool, on-disk cache);
-- the ``solver``/``cache``/``parametric``/``executor`` key sets of
+- the ``solver``/``cache``/``executor`` key sets of
   ``verify memcpy_arm --stats-json``.
 
 An intended rename regenerates the list::
@@ -28,7 +28,7 @@ import tempfile
 from pathlib import Path
 
 GOLDEN = Path(__file__).with_name("exported_names.json")
-GROUPS = ("solver", "cache", "parametric", "executor")
+GROUPS = ("solver", "cache", "executor")
 
 
 def _daemon_names(cache_dir: str) -> dict:

@@ -42,7 +42,7 @@ def test_add_is_order_independent(snapshots, rnd):
 
 
 @settings(max_examples=100, deadline=None)
-@given(SNAPSHOTS, st.sampled_from(["", "parametric.", "cache."]))
+@given(SNAPSHOTS, st.sampled_from(["", "disk.", "cache."]))
 def test_snapshot_survives_pickle_and_prefix_round_trip(snapshots, prefix):
     counters = Counters(["declared"])
     for snapshot in snapshots:

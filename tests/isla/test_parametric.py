@@ -5,6 +5,9 @@ Each decode arm exposes a per-word bit layout of ``reg``, ``imm`` and
 it.  These tests pin the layer on one assembled line per arm: the fields
 tile the word MSB-first and rebuild it, and the decoded operands survive
 a disassemble/assemble round trip.
+
+The module keeps the name it had when this layer fed parametric trace
+serving (since deleted), so its test ids stay stable.
 """
 
 import pytest

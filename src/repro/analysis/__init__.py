@@ -10,80 +10,43 @@ Three passes plus a lint driver (:mod:`repro.tools.lint`):
   against inferred footprints (unframed writes are errors, dead spec
   clauses are warnings);
 - :mod:`repro.analysis.isaspec` — solver-backed ISA-specification
-  validator: encoding overlap, decode coverage, and encoder/decoder
-  agreement proved exhaustively over the word space (``ISA*`` codes).
+  validator: encoding overlap and decode coverage proved exhaustively
+  over the word space, and the field tables grounded by reassembling
+  decoder witnesses (``ISA*`` codes).
 
 Findings share a small severity lattice with stable codes
 (:mod:`repro.analysis.findings`).
 """
 
-from .findings import (
-    CODE_CATALOG,
-    ERROR,
-    INFO,
-    WARNING,
-    Finding,
-    max_severity,
-    merge_findings,
-    render_findings,
-    worst_severity,
-)
-from .footprint import (
-    Footprint,
-    MemRegion,
-    block_footprints,
-    footprint_of_trace,
-)
-from .framelint import lint_case, lint_specs
-from .isaspec import (
-    ArmSpec,
-    EncoderSpec,
-    InvalidRegion,
-    IsaSpec,
-    SpecError,
-    available_archs,
-    isaspec_stats,
-    load_spec,
-    validate_arch,
-    validate_spec,
-)
-from .wellformed import (
-    WellFormednessError,
-    assert_wellformed,
-    check_trace,
-    debug_checks_enabled,
-    is_wellformed,
-)
+from importlib import import_module
 
-__all__ = [
-    "CODE_CATALOG",
-    "ERROR",
-    "INFO",
-    "WARNING",
-    "ArmSpec",
-    "EncoderSpec",
-    "Finding",
-    "Footprint",
-    "InvalidRegion",
-    "IsaSpec",
-    "MemRegion",
-    "SpecError",
-    "WellFormednessError",
-    "assert_wellformed",
-    "available_archs",
-    "block_footprints",
-    "check_trace",
-    "debug_checks_enabled",
-    "footprint_of_trace",
-    "is_wellformed",
-    "isaspec_stats",
-    "lint_case",
-    "lint_specs",
-    "load_spec",
-    "max_severity",
-    "merge_findings",
-    "render_findings",
-    "validate_arch",
-    "validate_spec",
-    "worst_severity",
-]
+#: Public name -> the submodule that defines it.  Submodules load on first
+#: use: the architectures' encoders import :mod:`repro.analysis.isaspec`
+#: while they load, and framelint reads :mod:`repro.logic`, which builds
+#: the cosim architectures.
+_EXPORTS = {
+    **dict.fromkeys((
+        "CODE_CATALOG", "ERROR", "INFO", "WARNING", "Finding", "max_severity",
+        "merge_findings", "render_findings", "worst_severity",
+    ), "findings"),
+    **dict.fromkeys((
+        "Footprint", "MemRegion", "block_footprints", "footprint_of_trace",
+    ), "footprint"),
+    **dict.fromkeys(("lint_case", "lint_specs"), "framelint"),
+    **dict.fromkeys((
+        "ArmSpec", "InvalidRegion", "IsaSpec", "SpecError", "available_archs",
+        "isaspec_stats", "load_spec", "validate_arch", "validate_spec",
+    ), "isaspec"),
+    **dict.fromkeys((
+        "WellFormednessError", "assert_wellformed", "check_trace",
+        "debug_checks_enabled", "is_wellformed",
+    ), "wellformed"),
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)

@@ -26,16 +26,13 @@ WF009 error    undeclared external variable (strict mode only)
 FP001 info     memory access with no base-register ± offset shape
 FL001 error    instruction writes a register no spec mentions
 FL002 warning  spec constrains a register outside the footprint
-ISA001 error   operand field layout malformed (overlap / gap / range)
-ISA002 error   register field width disagrees with the register file
+ISA001 error   arm field table malformed (overlap / gap / range)
 ISA003 error   two decode arms claim the same word (encoding overlap)
 ISA004 error   decode-coverage hole: word neither claimed nor invalid
 ISA005 error   arm claims a word outside its declared region
-ISA006 error   encoder/decoder disagreement (symbolic round-trip)
 ISA007 error   spec and implementation disagree on a witness word
 ISA008 error   defined-invalid space overlaps an arm's claim
 ISA010 error   malformed constraint clause in the ISA spec itself
-ISA011 error   encoder packing malformed (fixed/places don't tile)
 ===== ======== ==================================================
 """
 
@@ -68,17 +65,18 @@ _CATALOG_ENTRIES = (
     ("FP001", INFO, "memory access with no base-register ± offset shape"),
     ("FL001", ERROR, "instruction writes a register no spec mentions"),
     ("FL002", WARNING, "spec constrains a register outside the footprint"),
-    ("ISA001", ERROR, "operand field layout malformed (overlap / gap / range)"),
-    ("ISA002", ERROR, "register field width disagrees with the register file"),
+    ("ISA001", ERROR, "arm field table malformed (overlap / gap / range)"),
+    # ISA002 (register field width; field kinds are gone) is not reused.
     ("ISA003", ERROR, "two decode arms claim the same word (encoding overlap)"),
     ("ISA004", ERROR, "decode-coverage hole: word neither claimed nor invalid"),
     ("ISA005", ERROR, "arm claims a word outside its declared region"),
-    ("ISA006", ERROR, "encoder/decoder disagreement (symbolic round-trip)"),
+    # ISA006 (encoder/decoder table agreement; one table is left, and
+    # ISA007's reassembly round trip grounds it) is not reused.
     ("ISA007", ERROR, "spec and implementation disagree on a witness word"),
     ("ISA008", ERROR, "defined-invalid space overlaps an arm's claim"),
     # ISA009 (the retired parametric-family audit) is not reused.
     ("ISA010", ERROR, "malformed constraint clause in the ISA spec itself"),
-    ("ISA011", ERROR, "encoder packing malformed (fixed/places don't tile)"),
+    # ISA011 (encoder packing tiling; merged into ISA001) is not reused.
 )
 
 

@@ -6,9 +6,11 @@ instead of hoping a sampled corpus exercises every arm.  Each architecture
 contributes a declarative :class:`IsaSpec` (``arch/<name>/spec.py``): per
 decode arm an exact *claim* (the set of words the arm accepts) written in a
 small constraint language, a coarse *region* (the ISA-manual box the arm
-lives in), an encoder packing table, and a list of defined-invalid carve-outs
-covering every reserved/unmodelled hole.  The validator then proves, with the
-in-repo SMT core and **no sampling**:
+lives in), the arm's one field table, and a list of defined-invalid
+carve-outs covering every reserved/unmodelled hole.  The field tables are
+the only description of the encodings' bits: the encoders and assemblers
+pack every word through them (:mod:`repro.arch.encoding`).  The validator
+then proves, with the in-repo SMT core and **no sampling**:
 
 - *overlap* (ISA003): claims are pairwise disjoint over the full word space —
   each pair is either separated by conflicting fixed bits (mask arithmetic,
@@ -20,18 +22,17 @@ in-repo SMT core and **no sampling**:
   each subquery stays trivial.  Holes are reported as witness words.
 - *containment* (ISA005): each claim implies its region, so the residual
   ``region ∧ ¬claim`` is exactly the arm's reserved space.
-- *agreement* (ISA006/ISA011): the encoder packing tiles the word, its fixed
-  bits are consistent with the claim, and symbolically
-  ``extract(field, encode(vars)) == var`` for every operand — the solver-side
-  ``decode(encode(fields)) == fields`` round trip.
 
 The declarative layer is grounded against the *Python implementations* on
 concrete words (ISA007): solver models of each claim must reach the same
-decoder arm with the same field layout, enumerated invalid-space witnesses
-must raise, and probe words from the real encoders must satisfy the claim.
-Structural checks (ISA001/ISA002/ISA010) validate field layouts,
-register-file widths and the spec's own clauses.  Every check reports
-through the shared findings lattice (:mod:`repro.analysis.findings`).
+arm of the hand-written decoder and survive
+``assemble_line(disassemble(w)) == w`` — the assembler packs through the
+spec's field table, the disassembler is independent of it, so a misplaced
+field cannot round-trip.  Enumerated invalid-space witnesses must raise,
+and probe words from the real encoders must satisfy the claim.  Structural
+checks (ISA001/ISA010) validate the field tables and the spec's own
+clauses.  Every check reports through the shared findings lattice
+(:mod:`repro.analysis.findings`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .findings import CODE_CATALOG, Finding
 
 __all__ = [
     "ArmSpec",
-    "EncoderSpec",
     "InvalidRegion",
     "IsaSpec",
     "Raw",
@@ -76,33 +76,21 @@ class Raw:
 
 
 @dataclass(frozen=True)
-class EncoderSpec:
-    """The encoder's packing of one arm: fixed bits plus operand places.
-
-    ``fixed``/``fixed_mask`` give the constant bits; ``places`` is a tuple of
-    ``(field_name, lo, width)`` for every variable field, named to match the
-    arm's decode layout.  Together they must tile the word (ISA011).
-    """
-
-    fixed: int
-    fixed_mask: int
-    places: tuple
-
-
-@dataclass(frozen=True)
 class ArmSpec:
     """One decode arm: an exact claim inside a coarse region.
 
     ``match`` clauses (ANDed) are the exact word set the Python decoder arm
     accepts; ``region`` is the ISA-manual box containing it (claims must not
     escape it — ISA005); ``region ∧ ¬match`` is implicitly defined-invalid
-    for coverage.
+    for coverage.  ``fields`` is the arm's one field table: ``(name, hi,
+    lo)`` tuples tiling the word MSB-first (ISA001); the bits the claim
+    fixes need no operand.
     """
 
     name: str
     match: tuple
     region: tuple = ()
-    encoder: EncoderSpec | None = None
+    fields: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -120,17 +108,14 @@ class IsaSpec:
     arch: str
     arms: tuple
     invalid: tuple
-    #: arm name -> tuple of layout variants, each a tuple of
-    #: (name, hi, lo, kind) tuples tiling the word MSB-first.
-    layouts: dict
-    #: number of architectural registers (reg-kind field width check).
-    reg_count: int
     #: ``decode_arm(word) -> str`` from the real decoder; must raise on
     #: invalid words (exception type in ``invalid_exc``).
     decode_arm: Callable
-    #: ``decode_fields(word) -> (arm, fields) | None`` from the real decoder.
-    decode_fields: Callable
     invalid_exc: type
+    #: The real disassembler and assembler: every claimed witness must
+    #: survive ``assemble_line(disassemble(word)) == word``.
+    disassemble: Callable
+    assemble_line: Callable
     #: arm name -> concrete words from the *real* encoder (grounding probes).
     probes: dict
     #: (hi, lo) selector used to shard the coverage proof; shards enumerate
@@ -286,6 +271,8 @@ class _Validator:
         # Compiled claim/region terms per arm (skipping ISA010-broken arms).
         self.claims: dict[str, Term] = {}
         self.regions: dict[str, Term] = {}
+        # Arms whose field table tiles the word (ISA001-clean).
+        self.tiled: set[str] = set()
 
     # -- plumbing ---------------------------------------------------------
 
@@ -322,42 +309,37 @@ class _Validator:
 
     # -- structural checks ------------------------------------------------
 
-    def check_layouts(self) -> None:
+    def check_fields(self) -> None:
         width = self.spec.word_width
-        reg_bits = (self.spec.reg_count - 1).bit_length()
-        for arm, variants in sorted(self.spec.layouts.items()):
-            for idx, layout in enumerate(variants):
-                where = f"{arm}.layout[{idx}]"
-                expect_hi = width - 1
-                ok = True
-                for name, hi, lo, kind in layout:
-                    if not 0 <= lo <= hi < width:
-                        self.emit("ISA001", f"field {name} [{hi}:{lo}] out of word range", where)
-                        ok = False
-                        break
-                    if hi != expect_hi:
-                        gap_or_overlap = "overlaps" if hi > expect_hi else "leaves a gap above"
-                        self.emit(
-                            "ISA001",
-                            f"field {name} [{hi}:{lo}] {gap_or_overlap} bit {expect_hi}",
-                            where, field=name,
-                        )
-                        ok = False
-                        break
-                    expect_hi = lo - 1
-                    if kind == "reg" and hi - lo + 1 != reg_bits:
-                        self.emit(
-                            "ISA002",
-                            f"reg field {name} is {hi - lo + 1} bits; register file"
-                            f" has {self.spec.reg_count} registers ({reg_bits} bits)",
-                            where, field=name,
-                        )
-                if ok and expect_hi != -1:
+        for arm in self.spec.arms:
+            where = f"{arm.name}.fields"
+            names = [name for name, _, _ in arm.fields]
+            if len(set(names)) != len(names):
+                self.emit("ISA001", "field names repeat", where)
+                continue
+            expect_hi = width - 1
+            for name, hi, lo in arm.fields:
+                if not 0 <= lo <= hi < width:
+                    self.emit("ISA001", f"field {name} [{hi}:{lo}] out of word range", where)
+                    break
+                if hi != expect_hi:
+                    gap_or_overlap = "overlaps" if hi > expect_hi else "leaves a gap above"
                     self.emit(
                         "ISA001",
-                        f"layout stops at bit {expect_hi + 1}; word not tiled",
+                        f"field {name} [{hi}:{lo}] {gap_or_overlap} bit {expect_hi}",
+                        where, field=name,
+                    )
+                    break
+                expect_hi = lo - 1
+            else:
+                if expect_hi != -1:
+                    self.emit(
+                        "ISA001",
+                        f"fields stop at bit {expect_hi + 1}; word not tiled",
                         where,
                     )
+                else:
+                    self.tiled.add(arm.name)
 
     # -- claim compilation ------------------------------------------------
 
@@ -508,94 +490,48 @@ class _Validator:
                         f"invalid:{inv.name}*{arm.name}", verdict=verdict,
                     )
 
-    # -- encoder/decoder agreement ---------------------------------------
-
-    def check_encoders(self) -> None:
-        width = self.spec.word_width
-        for arm in self.spec.arms:
-            enc = arm.encoder
-            if enc is None or arm.name not in self.claims:
-                continue
-            where = f"{arm.name}.encoder"
-            mask = 0
-            overlap = False
-            for name, lo, bits in enc.places:
-                pmask = ((1 << bits) - 1) << lo
-                if pmask & (mask | enc.fixed_mask):
-                    self.emit("ISA011", f"place {name} overlaps earlier bits", where)
-                    overlap = True
-                mask |= pmask
-            if enc.fixed & ~enc.fixed_mask:
-                self.emit("ISA011", "fixed value sets bits outside fixed mask", where)
-                overlap = True
-            if not overlap and (mask | enc.fixed_mask) != (1 << width) - 1:
-                self.emit("ISA011", "fixed mask plus places do not tile the word", where)
-                overlap = True
-            if overlap:
-                continue
-            # Build encode(vars) symbolically.
-            word_enc = B.bv(enc.fixed, width)
-            vars_by_name: dict[str, Term] = {}
-            for name, lo, bits in enc.places:
-                v = B.bv_var(f"isa_e_{arm.name}_{name}", bits)
-                vars_by_name[name] = v
-                word_enc = B.bvor(word_enc, B.bvshl(
-                    B.zext_to(width, v), B.bv(lo, width)))
-            # Fixed bits must be consistent with the claim: some operand
-            # assignment yields a claimed word.
-            claim_enc = B.substitute(self.claims[arm.name], {self.word: word_enc})
-            if self._check(claim_enc) != SAT:
-                self.emit(
-                    "ISA006",
-                    f"no operand assignment of {arm.name}'s encoder satisfies"
-                    " the decode claim (fixed-bit clash)", where,
-                )
-                continue
-            # decode(encode(fields)) == fields, per field, proved — against
-            # every layout variant (e.g. ccmp's register vs immediate forms),
-            # deduplicating spans the variants share so each distinct
-            # (name, hi, lo) is discharged once.
-            names_seen = set()
-            spans_proved = set()
-            for layout in self.spec.layouts.get(arm.name, ()):
-                for name, hi, lo, kind in layout:
-                    names_seen.add(name)
-                    if (name, hi, lo) in spans_proved:
-                        continue
-                    spans_proved.add((name, hi, lo))
-                    v = vars_by_name.get(name)
-                    if v is None:
-                        fmask = ((1 << (hi - lo + 1)) - 1) << lo
-                        if fmask & enc.fixed_mask != fmask:
-                            self.emit(
-                                "ISA006",
-                                f"field {name} [{hi}:{lo}] is neither an encoder"
-                                " place nor fully fixed", where, field=name,
-                            )
-                        continue
-                    if v.sort.width != hi - lo + 1:
-                        self.emit(
-                            "ISA006",
-                            f"encoder packs {name} as {v.sort.width} bits;"
-                            f" decoder reads [{hi}:{lo}]", where, field=name,
-                        )
-                        continue
-                    roundtrip = B.eq(B.extract(hi, lo, word_enc), v)
-                    if roundtrip is not TRUE and self._check(B.not_(roundtrip)) != UNSAT:
-                        self.emit(
-                            "ISA006",
-                            f"decode(encode(fields)).{name} != fields.{name}"
-                            " (misplaced operand)", where, field=name,
-                        )
-            for name in vars_by_name:
-                if name not in names_seen:
-                    self.emit(
-                        "ISA006",
-                        f"encoder place {name} has no decode field", where,
-                        field=name,
-                    )
-
     # -- grounding against the Python implementations ---------------------
+
+    def _distinct_fields(self, arm: ArmSpec) -> Term:
+        """Every two equal-width fields the claim leaves free differ.
+
+        A witness meeting this tells swapped fields apart, so a table that
+        places one operand in another's bits cannot round-trip.
+        """
+        mask, _ = fixed_bits_of(arm.match, self.spec.word_width)
+        free = [
+            (hi, lo) for _, hi, lo in arm.fields
+            if hi > lo and (((1 << (hi - lo + 1)) - 1) << lo) & ~mask
+        ]
+        return B.and_(*[
+            B.not_(B.eq(B.extract(*a, self.word), B.extract(*b, self.word)))
+            for i, a in enumerate(free) for b in free[i + 1:]
+            if a[0] - a[1] == b[0] - b[1]
+        ])
+
+    def _roundtrip(self, arm: ArmSpec, w: int) -> None:
+        spec = self.spec
+        try:
+            text = spec.disassemble(w)
+            back = spec.assemble_line(text)
+        except Exception as exc:  # any failure to reassemble is the finding
+            self.emit(
+                "ISA007",
+                f"{arm.name} witness {w:#010x} does not reassemble: {exc}",
+                arm.name, witness=w,
+            )
+            return
+        if back != w:
+            differ = [
+                name for name, hi, lo in arm.fields
+                if (w ^ back) >> lo & ((1 << (hi - lo + 1)) - 1)
+            ]
+            self.emit(
+                "ISA007",
+                f"{arm.name} witness {w:#010x} ({text!r}) reassembles to"
+                f" {back:#010x}; fields {', '.join(differ)} differ",
+                arm.name, witness=w,
+            )
 
     def check_witnesses(self) -> None:
         spec = self.spec
@@ -603,7 +539,15 @@ class _Validator:
             claim = self.claims.get(arm.name)
             if claim is None:
                 continue
-            for w in self._enumerate(claim, self.witnesses):
+            tiled = arm.name in self.tiled
+            words = []
+            if tiled:
+                words = self._enumerate(
+                    B.and_(claim, self._distinct_fields(arm)), 1
+                )
+            words += [w for w in self._enumerate(claim, self.witnesses)
+                      if w not in words]
+            for w in words:
                 ISASPEC_STATS.inc("witnesses_checked")
                 try:
                     got = spec.decode_arm(w)
@@ -621,14 +565,8 @@ class _Validator:
                         arm.name, witness=w,
                     )
                     continue
-                decoded = spec.decode_fields(w)
-                variants = spec.layouts.get(arm.name, ())
-                if decoded is None or (variants and decoded[1] not in variants):
-                    self.emit(
-                        "ISA007",
-                        f"decode_fields({w:#010x}) layout not among {arm.name}'s"
-                        " spec variants", arm.name, witness=w,
-                    )
+                if tiled:  # a broken table is reported as ISA001
+                    self._roundtrip(arm, w)
         # Invalid space: enumerated witnesses must be rejected.  The space is
         # each arm's residual (region ∧ ¬claim) plus the hand carve-outs,
         # minus every claim (a residual word may legitimately belong to a
@@ -685,25 +623,17 @@ class _Validator:
                         f"encoder word {w:#010x} is outside {arm_name}'s claim",
                         arm_name, witness=w,
                     )
-                enc = arm.encoder
-                if enc is not None and w & enc.fixed_mask != enc.fixed:
-                    self.emit(
-                        "ISA007",
-                        f"encoder word {w:#010x} disagrees with {arm_name}'s"
-                        " fixed bits", arm_name, witness=w,
-                    )
 
     # -- driver -----------------------------------------------------------
 
     def run(self) -> list[Finding]:
         ISASPEC_STATS.inc("specs_validated")
-        self.check_layouts()
+        self.check_fields()
         self.compile_arms()
         self.check_overlap()
         self.check_containment()
         self.check_coverage()
         self.check_invalid_disjoint()
-        self.check_encoders()
         self.check_witnesses()
         self.check_probes()
         return self.findings

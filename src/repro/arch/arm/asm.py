@@ -1,21 +1,19 @@
 """A64 single-line assembler: the inverse of :mod:`repro.arch.arm.decode`.
 
 ``assemble_line`` parses exactly the grammar the disassembler emits and
-returns the 32-bit word.  The round-trip property
+hands the operands to :mod:`repro.arch.arm.encode`, which packs the word
+through the spec's field tables.  The round-trip property
 ``assemble_line(disassemble(op)) == op`` holds for every word the decoder
-accepts; the conformance tests fuzz it over random words and assert that
-every decoder arm is reached.
-
-This is deliberately a separate table from both the encoder
-(:mod:`repro.arch.arm.encode`) and the decoder, so round-trip tests
-exercise independent implementations.
+accepts.  The disassembler stays independent of the field tables, so the
+property grounds them: ``lint --isa`` checks it on solver witnesses, and
+the conformance tests fuzz it over random words and assert that every
+decoder arm is reached.
 """
 
 from __future__ import annotations
 
+from . import encode
 from .decode import COND_NAMES
-from .encode import encode_bitmask_immediate
-from .regs import ENCODING_TO_SYSREG
 
 
 class AsmError(Exception):
@@ -60,11 +58,10 @@ def _imm(tok: str) -> int:
     return int(tok[1:], 0)
 
 
-def _cond(tok: str) -> int:
-    try:
-        return COND_NAMES.index(tok)
-    except ValueError:
-        raise AsmError(f"bad condition {tok!r}") from None
+def _cond(tok: str) -> str:
+    if tok not in COND_NAMES:
+        raise AsmError(f"bad condition {tok!r}")
+    return tok
 
 
 _SHIFTS = {"lsl": 0, "lsr": 1, "asr": 2, "ror": 3}
@@ -81,81 +78,42 @@ def _shift_suffix(ops: list[str]) -> tuple[int, int]:
 # -- instruction families ----------------------------------------------------
 
 
-def _addsub_imm(is_sub: int, s: int, rd: int, rn: int, sf: int, ops: list[str]) -> int:
-    shift_type, amount = _shift_suffix(ops)
-    value = _imm(ops[-1])
-    if shift_type:
+def _addsub(mnemonic: str, ops: list[str]) -> int:
+    sub = int(mnemonic in ("sub", "subs", "cmp"))
+    s = int(mnemonic in ("adds", "subs", "cmp", "cmn"))
+    if mnemonic in ("cmp", "cmn"):
+        rd = 31
+        rn, sf = _reg(ops[0])
+        rest = ops[1:]
+    else:
+        rd, sf = _reg(ops[0])
+        rn, _ = _reg(ops[1])
+        rest = ops[2:]
+    shift, amount = _shift_suffix(rest)
+    if not rest[0].startswith("#"):
+        rm, _ = _reg(rest[0])
+        return encode.addsub_reg(
+            rd, rn, rm, sub=sub, s=s, sf=sf, shift=shift, amount=amount
+        )
+    value = _imm(rest[0])
+    if shift or amount not in (0, 12):
+        raise AsmError(f"bad immediate shift in {ops!r}")
+    if amount == 12:
         sh, imm12 = 1, value
     elif value > 0xFFF:
         sh, imm12 = 1, value >> 12
-        if imm12 << 12 != value or imm12 > 0xFFF:
+        if value & 0xFFF:
             raise AsmError(f"immediate {value:#x} not encodable")
     else:
         sh, imm12 = 0, value
-    return (
-        (sf << 31) | (is_sub << 30) | (s << 29) | (0b100010 << 23)
-        | (sh << 22) | (imm12 << 10) | (rn << 5) | rd
-    )
+    return encode.addsub_imm(rd, rn, imm12, sub=sub, s=s, sf=sf, shift12=sh)
 
 
-def _addsub_reg(is_sub: int, s: int, rd: int, rn: int, rm: int, sf: int,
-                shift_type: int, amount: int) -> int:
-    return (
-        (sf << 31) | (is_sub << 30) | (s << 29) | (0b01011 << 24)
-        | (shift_type << 22) | (rm << 16) | (amount << 10) | (rn << 5) | rd
-    )
-
-
-_LOGICAL_OPS = {
-    "and": (0b00, 0), "bic": (0b00, 1), "orr": (0b01, 0), "orn": (0b01, 1),
-    "eor": (0b10, 0), "eon": (0b10, 1), "ands": (0b11, 0), "bics": (0b11, 1),
-}
-
-
-def _logical_reg(name: str, rd: int, rn: int, rm: int, sf: int,
-                 shift_type: int, amount: int) -> int:
-    opc, invert = _LOGICAL_OPS[name]
-    return (
-        (sf << 31) | (opc << 29) | (0b01010 << 24) | (shift_type << 22)
-        | (invert << 21) | (rm << 16) | (amount << 10) | (rn << 5) | rd
-    )
-
-
-def _logical_imm(name: str, rd: int, rn: int, sf: int, value: int) -> int:
-    opc = {"and": 0b00, "orr": 0b01, "eor": 0b10, "ands": 0b11}[name]
-    immn, immr, imms = encode_bitmask_immediate(value, 64 if sf else 32)
-    return (
-        (sf << 31) | (opc << 29) | (0b100100 << 23) | (immn << 22)
-        | (immr << 16) | (imms << 10) | (rn << 5) | rd
-    )
-
-
-def _bitfield(opc: int, rd: int, rn: int, sf: int, immr: int, imms: int) -> int:
-    return (
-        (sf << 31) | (opc << 29) | (0b100110 << 23) | (sf << 22)
-        | (immr << 16) | (imms << 10) | (rn << 5) | rd
-    )
-
-
-_LDST_KEYS = {
-    "strb": (0b00, 0b00), "ldrb": (0b00, 0b01), "ldrsb": (0b00, 0b10),
-    "strh": (0b01, 0b00), "ldrh": (0b01, 0b01), "ldrsh": (0b01, 0b10),
-    "ldrsw": (0b10, 0b10),
-}
 _UNSCALED_TO_SCALED = {
     "ldur": "ldr", "stur": "str", "ldurb": "ldrb", "sturb": "strb",
     "ldurh": "ldrh", "sturh": "strh", "ldursb": "ldrsb",
     "ldursh": "ldrsh", "ldursw": "ldrsw",
 }
-_LDST_EXTENDS = {"lsl": 0b011, "uxtw": 0b010, "sxtw": 0b110}
-
-
-def _ldst_key(name: str, rt_sf: int) -> tuple[int, int]:
-    if name in _LDST_KEYS:
-        return _LDST_KEYS[name]
-    if name in ("str", "ldr"):
-        return (0b11 if rt_sf else 0b10), (0b00 if name == "str" else 0b01)
-    raise AsmError(f"unknown load/store {name!r}")
 
 
 def _parse_address(tok: str) -> tuple[str, list[str]]:
@@ -168,290 +126,176 @@ def _parse_address(tok: str) -> tuple[str, list[str]]:
     return ("pre" if writeback else "offset"), _split_ops(tok[1:-1])
 
 
-def _ldst(name: str, ops: list[str]) -> int:
-    rt, rt_sf = _reg(ops[0])
-    unscaled = name in _UNSCALED_TO_SCALED
-    size, opc = _ldst_key(_UNSCALED_TO_SCALED.get(name, name), rt_sf)
-    if len(ops) == 3:  # post-index: "rt, [rn], #imm"
-        mode, inner = _parse_address(ops[1])
+def _post_index(ops: list[str], at: int) -> tuple[str, list[str], int | None]:
+    """The address at ``ops[at]``, plus a trailing post-index immediate."""
+    mode, inner = _parse_address(ops[at])
+    if len(ops) == at + 2:
         if mode != "offset" or len(inner) != 1:
             raise AsmError(f"bad post-index form {ops!r}")
-        rn, _ = _reg(inner[0])
-        imm9 = _imm(ops[2]) & 0x1FF
-        return (
-            (size << 30) | (0b111000 << 24) | (opc << 22) | (imm9 << 12)
-            | (0b01 << 10) | (rn << 5) | rt
-        )
-    mode, inner = _parse_address(ops[1])
+        return "post", inner, _imm(ops[at + 1])
+    return mode, inner, None
+
+
+def _ldst(name: str, ops: list[str]) -> int:
+    rt, sf = _reg(ops[0])
+    mode, inner, post = _post_index(ops, 1)
     rn, _ = _reg(inner[0])
+    if mode == "post":
+        return encode.ldst_imm9(name, rt, rn, post, "post", sf)
     if mode == "pre":
-        imm9 = _imm(inner[1]) & 0x1FF
-        return (
-            (size << 30) | (0b111000 << 24) | (opc << 22) | (imm9 << 12)
-            | (0b11 << 10) | (rn << 5) | rt
-        )
-    if unscaled:
-        imm9 = _imm(inner[1]) & 0x1FF
-        return (
-            (size << 30) | (0b111000 << 24) | (opc << 22) | (imm9 << 12)
-            | (rn << 5) | rt
-        )
+        return encode.ldst_imm9(name, rt, rn, _imm(inner[1]), "pre", sf)
+    if name in _UNSCALED_TO_SCALED:
+        return encode.ldst_imm9(_UNSCALED_TO_SCALED[name], rt, rn, _imm(inner[1]), sf=sf)
     if len(inner) == 1 or inner[1].startswith("#"):  # scaled unsigned offset
         offset = _imm(inner[1]) if len(inner) > 1 else 0
-        imm12 = offset >> size
-        if imm12 << size != offset:
-            raise AsmError(f"offset {offset} not scalable by {1 << size}")
-        return (
-            (size << 30) | (0b111001 << 24) | (opc << 22) | (imm12 << 10)
-            | (rn << 5) | rt
-        )
+        return encode.ldst_imm(name, rt, rn, offset, sf)
     rm, _ = _reg(inner[1])  # register offset
-    s = 0
-    option = 0b011
+    extend, amount = "lsl", None
     if len(inner) > 2:
         parts = inner[2].split()
-        option = _LDST_EXTENDS[parts[0]]
+        extend = parts[0]
         if len(parts) > 1:
-            s = 1
-            if _imm(parts[1]) != size:
-                raise AsmError(f"bad shift amount in {inner[2]!r}")
-    return (
-        (size << 30) | (0b111000 << 24) | (opc << 22) | (1 << 21) | (rm << 16)
-        | (option << 13) | (s << 12) | (0b10 << 10) | (rn << 5) | rt
-    )
+            amount = _imm(parts[1])
+    return encode.ldst_reg(name, rt, rn, rm, extend, amount, sf)
 
 
 def _ldst_pair(name: str, ops: list[str]) -> int:
-    load = 1 if name == "ldp" else 0
     rt, sf = _reg(ops[0])
     rt2, _ = _reg(ops[1])
-    scale = 3 if sf else 2
-    if len(ops) == 4:  # post-index
-        mode, inner = _parse_address(ops[2])
-        imm = _imm(ops[3])
-        mode_bits = 0b001
-    else:
-        mode, inner = _parse_address(ops[2])
-        imm = _imm(inner[1]) if len(inner) > 1 else 0
-        mode_bits = 0b011 if mode == "pre" else 0b010
+    mode, inner, post = _post_index(ops, 2)
     rn, _ = _reg(inner[0])
-    imm7 = (imm >> scale) & 0x7F
-    if (imm7 << scale) - (imm7 >> 6 << (scale + 7)) != imm:
-        raise AsmError(f"pair offset {imm} not encodable")
+    if post is not None:
+        imm = post
+    else:
+        imm = _imm(inner[1]) if len(inner) > 1 else 0
+    return encode.ldst_pair(int(name == "ldp"), rt, rt2, rn, imm, mode, sf)
+
+
+def _sysreg(tok: str):
+    """A system register name, or the ``s<op0>_<op1>_c<n>_c<m>_<op2>``
+    encoding tuple the disassembler prints for unnamed ones."""
+    parts = tok.split("_")
+    if tok.upper() in encode.SYSREG_ENCODINGS or len(parts) != 5 or tok[:1] != "s":
+        return tok
     return (
-        ((0b10 if sf else 0b00) << 30) | (0b1010 << 26) | (mode_bits << 23)
-        | (load << 22) | (imm7 << 15) | (rt2 << 10) | (rn << 5) | rt
-    )
-
-
-def _sysreg_encoding(tok: str) -> tuple[int, int, int, int, int]:
-    for enc, name in ENCODING_TO_SYSREG.items():
-        if name.lower() == tok:
-            return enc
-    parts = tok.split("_")  # s<op0>_<op1>_c<cn>_c<cm>_<op2>
-    if len(parts) == 5 and parts[0][:1] == "s":
-        return (
-            int(parts[0][1:]), int(parts[1]), int(parts[2][1:]),
-            int(parts[3][1:]), int(parts[4]),
-        )
-    raise AsmError(f"unknown system register {tok!r}")
-
-
-def _mrs_msr(is_read: int, enc, rt: int) -> int:
-    op0, op1, cn, cm, op2 = enc
-    return (
-        (0b1101010100 << 22) | (is_read << 21) | (1 << 20) | ((op0 - 2) << 19)
-        | (op1 << 16) | (cn << 12) | (cm << 8) | (op2 << 5) | rt
+        int(parts[0][1:]), int(parts[1]), int(parts[2][1:]),
+        int(parts[3][1:]), int(parts[4]),
     )
 
 
 # -- the entry point ---------------------------------------------------------
+
+#: Mnemonics whose operands are all registers -> how many.
+_REG_ONLY = {"sdiv": 3, "udiv": 3, "mul": 3, "madd": 4, "msub": 4, "rbit": 2}
 
 
 def assemble_line(text: str) -> int:
     """Assemble one line of disassembler output back to its 32-bit word."""
     text = text.strip()
     mnemonic, _, rest = text.partition(" ")
-    ops = _split_ops(rest)
+    try:
+        return _assemble(mnemonic, _split_ops(rest))
+    # A missing operand, or one the encoder rejects (out of range,
+    # misaligned, unknown name).
+    except (IndexError, ValueError) as exc:
+        raise AsmError(f"cannot assemble {text!r}: {exc}") from None
 
-    if mnemonic == "nop":
-        return 0xD503201F
+
+def _assemble(mnemonic: str, ops: list[str]) -> int:
+    if mnemonic in ("nop", "eret"):
+        return getattr(encode, mnemonic)()
     if mnemonic == "hint":
-        return (0b11010101000000110010 << 12) | (_imm(ops[0]) << 5) | 0b11111
-    if mnemonic == "eret":
-        return (0b1101011 << 25) | (0b0100 << 21) | (0b11111_000000 << 10) | (31 << 5)
+        return encode.hint(_imm(ops[0]))
     if mnemonic == "ret":
-        rn = _reg(ops[0])[0] if ops else 30
-        return (0b1101011 << 25) | (0b0010 << 21) | (0b11111_000000 << 10) | (rn << 5)
+        return encode.ret(_reg(ops[0])[0] if ops else encode.LR)
     if mnemonic in ("br", "blr"):
-        opc = 0b0000 if mnemonic == "br" else 0b0001
-        return (0b1101011 << 25) | (opc << 21) | (0b11111_000000 << 10) | (_reg(ops[0])[0] << 5)
+        return getattr(encode, mnemonic)(_reg(ops[0])[0])
     if mnemonic in ("b", "bl"):
-        return (
-            ((1 if mnemonic == "bl" else 0) << 31) | (0b00101 << 26)
-            | ((_imm(ops[0]) >> 2) & 0x3FFFFFF)
-        )
+        return getattr(encode, mnemonic)(_imm(ops[0]))
     if mnemonic.startswith("b."):
-        return (
-            (0b01010100 << 24) | (((_imm(ops[0]) >> 2) & 0x7FFFF) << 5)
-            | _cond(mnemonic[2:])
-        )
+        return encode.b_cond(_cond(mnemonic[2:]), _imm(ops[0]))
     if mnemonic in ("cbz", "cbnz"):
         rt, sf = _reg(ops[0])
-        return (
-            (sf << 31) | (0b011010 << 25) | ((1 if mnemonic == "cbnz" else 0) << 24)
-            | (((_imm(ops[1]) >> 2) & 0x7FFFF) << 5) | rt
-        )
+        return getattr(encode, mnemonic)(rt, _imm(ops[1]), sf)
     if mnemonic in ("tbz", "tbnz"):
         rt, _ = _reg(ops[0])
-        bit = _imm(ops[1])
-        return (
-            ((bit >> 5) << 31) | (0b011011 << 25)
-            | ((1 if mnemonic == "tbnz" else 0) << 24) | ((bit & 31) << 19)
-            | (((_imm(ops[2]) >> 2) & 0x3FFF) << 5) | rt
-        )
+        return getattr(encode, mnemonic)(rt, _imm(ops[1]), _imm(ops[2]))
     if mnemonic in ("hvc", "svc"):
-        low = 0b00010 if mnemonic == "hvc" else 0b00001
-        return (0b11010100_000 << 21) | (_imm(ops[0]) << 5) | low
+        return getattr(encode, mnemonic)(_imm(ops[0]))
     if mnemonic == "mrs":
-        rt, _ = _reg(ops[0])
-        return _mrs_msr(1, _sysreg_encoding(ops[1]), rt)
+        return encode.mrs(_reg(ops[0])[0], _sysreg(ops[1]))
     if mnemonic == "msr":
-        rt, _ = _reg(ops[1])
-        return _mrs_msr(0, _sysreg_encoding(ops[0]), rt)
+        return encode.msr(_sysreg(ops[0]), _reg(ops[1])[0])
 
-    if mnemonic in ("adr", "adrp"):
-        rd, _ = _reg(ops[0])
-        page = 1 if mnemonic == "adrp" else 0
-        raw = (_imm(ops[1]) >> (12 if page else 0)) & 0x1FFFFF
-        return (page << 31) | ((raw & 3) << 29) | (0b10000 << 24) | ((raw >> 2) << 5) | rd
+    if mnemonic == "adr":
+        return encode.adr(_reg(ops[0])[0], _imm(ops[1]))
+    if mnemonic == "adrp":
+        pages, rem = divmod(_imm(ops[1]), 4096)
+        if rem:
+            raise AsmError(f"adrp offset {ops[1]} is not page-aligned")
+        return encode.adrp(_reg(ops[0])[0], pages)
 
     if mnemonic in ("add", "adds", "sub", "subs", "cmp", "cmn"):
-        is_sub = 1 if mnemonic in ("sub", "subs", "cmp") else 0
-        s = 1 if mnemonic in ("adds", "subs", "cmp", "cmn") else 0
-        if mnemonic in ("cmp", "cmn"):
-            rn, sf = _reg(ops[0])
-            rd = 31
-            rest_ops = ops[1:]
-        else:
-            rd, rd_sf = _reg(ops[0])
-            rn, sf = _reg(ops[1])
-            sf = rd_sf if ops[1] in ("sp", "wsp") else sf
-            rest_ops = ops[2:]
-        if rest_ops[0].startswith("#"):
-            return _addsub_imm(is_sub, s, rd, rn, sf, rest_ops)
-        shift_type, amount = _shift_suffix(rest_ops)
-        rm, _ = _reg(rest_ops[0])
-        return _addsub_reg(is_sub, s, rd, rn, rm, sf, shift_type, amount)
+        return _addsub(mnemonic, ops)
 
     if mnemonic == "mov":
         rd, sf = _reg(ops[0])
         if ops[1].startswith("#"):  # movz hw=0 alias
-            return (sf << 31) | (0b10 << 29) | (0b100101 << 23) | (_imm(ops[1]) << 5) | rd
-        rm, _ = _reg(ops[1])  # orr rd, xzr, rm
-        return _logical_reg("orr", rd, 31, rm, sf, 0, 0)
+            return encode.movz(rd, _imm(ops[1]), 0, sf)
+        return encode.mov_reg(rd, _reg(ops[1])[0], sf)
     if mnemonic in ("movn", "movz", "movk"):
         rd, sf = _reg(ops[0])
-        opc = {"movn": 0b00, "movz": 0b10, "movk": 0b11}[mnemonic]
-        shift_type, amount = _shift_suffix(ops)
-        if shift_type or amount:
-            if shift_type != 0 or amount % 16:
-                raise AsmError(f"bad movewide shift in {text!r}")
-        return (
-            (sf << 31) | (opc << 29) | (0b100101 << 23) | ((amount // 16) << 21)
-            | (_imm(ops[1]) << 5) | rd
-        )
+        shift, amount = _shift_suffix(ops)
+        if shift or amount % 16:
+            raise AsmError(f"bad movewide shift in {ops!r}")
+        return getattr(encode, mnemonic)(rd, _imm(ops[1]), amount // 16, sf)
 
     if mnemonic == "tst":
         rn, sf = _reg(ops[0])
         if ops[1].startswith("#"):
-            return _logical_imm("ands", 31, rn, sf, _imm(ops[1]))
-        shift_type, amount = _shift_suffix(ops)
-        rm, _ = _reg(ops[1])
-        return _logical_reg("ands", 31, rn, rm, sf, shift_type, amount)
-    if mnemonic in _LOGICAL_OPS:
+            return encode.tst_imm(rn, _imm(ops[1]), sf)
+        shift, amount = _shift_suffix(ops)
+        return encode.logical_reg("ands", 31, rn, _reg(ops[1])[0], sf, shift, amount)
+    if mnemonic in encode.LOGICAL:
         rd, sf = _reg(ops[0])
         rn, _ = _reg(ops[1])
         if ops[2].startswith("#"):
-            return _logical_imm(mnemonic, rd, rn, sf, _imm(ops[2]))
-        shift_type, amount = _shift_suffix(ops)
+            return encode.logical_imm(mnemonic, rd, rn, _imm(ops[2]), sf)
+        shift, amount = _shift_suffix(ops)
+        return encode.logical_reg(mnemonic, rd, rn, _reg(ops[2])[0], sf, shift, amount)
+
+    if mnemonic in ("lsr", "asr", "lsl", "ubfm", "sbfm", "uxtb"):
+        rd, sf = _reg(ops[0])
+        rn, _ = _reg(ops[1])
+        if mnemonic == "uxtb":
+            return encode.uxtb(rd, rn)
+        if mnemonic in ("ubfm", "sbfm"):
+            return getattr(encode, mnemonic)(rd, rn, _imm(ops[2]), _imm(ops[3]), sf)
+        return getattr(encode, mnemonic + "_imm")(rd, rn, _imm(ops[2]), sf)
+
+    if mnemonic == "cset":
+        rd, sf = _reg(ops[0])
+        return encode.cset(rd, _cond(ops[1]), sf)
+    if mnemonic in encode.CONDSEL:
+        rd, sf = _reg(ops[0])
+        rn, _ = _reg(ops[1])
         rm, _ = _reg(ops[2])
-        return _logical_reg(mnemonic, rd, rn, rm, sf, shift_type, amount)
-
-    if mnemonic in ("lsr", "asr", "lsl"):
-        rd, sf = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        width = 64 if sf else 32
-        shift = _imm(ops[2])
-        opc = 0b00 if mnemonic == "asr" else 0b10
-        if mnemonic == "lsl":
-            return _bitfield(opc, rd, rn, sf, (width - shift) % width, width - 1 - shift)
-        return _bitfield(opc, rd, rn, sf, shift, width - 1)
-    if mnemonic == "uxtb":
-        rd, _ = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        return _bitfield(0b10, rd, rn, 0, 0, 7)
-    if mnemonic in ("ubfm", "sbfm"):
-        rd, sf = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        opc = 0b10 if mnemonic == "ubfm" else 0b00
-        return _bitfield(opc, rd, rn, sf, _imm(ops[2]), _imm(ops[3]))
-
-    if mnemonic in ("csel", "csinc", "csinv", "csneg", "cset"):
-        rd, sf = _reg(ops[0])
-        if mnemonic == "cset":
-            rn = rm = 31
-            neg, o2, cond = 0, 1, _cond(ops[1]) ^ 1
-        else:
-            rn, _ = _reg(ops[1])
-            rm, _ = _reg(ops[2])
-            cond = _cond(ops[3])
-            neg = 1 if mnemonic in ("csinv", "csneg") else 0
-            o2 = 1 if mnemonic in ("csinc", "csneg") else 0
-        return (
-            (sf << 31) | (neg << 30) | (0b11010100 << 21) | (rm << 16)
-            | (cond << 12) | (o2 << 10) | (rn << 5) | rd
-        )
+        return encode.condsel(mnemonic, rd, rn, rm, _cond(ops[3]), sf)
     if mnemonic in ("ccmp", "ccmn"):
         rn, sf = _reg(ops[0])
-        nzcv = _imm(ops[2])
-        cond = _cond(ops[3])
-        op30 = 1 if mnemonic == "ccmp" else 0
-        base = (
-            (sf << 31) | (op30 << 30) | (0b111010010 << 21) | (cond << 12)
-            | (rn << 5) | nzcv
-        )
-        if ops[1].startswith("#"):
-            return base | (_imm(ops[1]) << 16) | (1 << 11)
-        return base | (_reg(ops[1])[0] << 16)
+        imm = ops[1].startswith("#")
+        op2 = _imm(ops[1]) if imm else _reg(ops[1])[0]
+        return encode.condcmp(mnemonic, rn, op2, _imm(ops[2]), _cond(ops[3]), sf, imm)
 
-    if mnemonic in ("sdiv", "udiv"):
-        rd, sf = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        rm, _ = _reg(ops[2])
-        return (
-            (sf << 31) | (0b0011010110 << 21) | (rm << 16) | (0b00001 << 11)
-            | ((1 if mnemonic == "sdiv" else 0) << 10) | (rn << 5) | rd
-        )
-    if mnemonic == "rbit":
-        rd, sf = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        return (sf << 31) | (0b101101011000000000000 << 10) | (rn << 5) | rd
-
-    if mnemonic in ("mul", "madd", "msub"):
-        rd, sf = _reg(ops[0])
-        rn, _ = _reg(ops[1])
-        rm, _ = _reg(ops[2])
-        ra = _reg(ops[3])[0] if mnemonic != "mul" else 31
-        sub = 1 if mnemonic == "msub" else 0
-        return (
-            (sf << 31) | (0b0011011000 << 21) | (rm << 16) | (sub << 15)
-            | (ra << 10) | (rn << 5) | rd
-        )
+    if mnemonic in _REG_ONLY:
+        if len(ops) != _REG_ONLY[mnemonic]:
+            raise AsmError(f"{mnemonic} takes {_REG_ONLY[mnemonic]} registers")
+        regs = [_reg(op) for op in ops]
+        return getattr(encode, mnemonic)(*(n for n, _ in regs), sf=regs[0][1])
 
     if mnemonic in ("ldp", "stp"):
         return _ldst_pair(mnemonic, ops)
-    if mnemonic in _LDST_KEYS or mnemonic in ("ldr", "str") or mnemonic in _UNSCALED_TO_SCALED:
+    if mnemonic.startswith(("ld", "st")):
         return _ldst(mnemonic, ops)
 
-    raise AsmError(f"cannot assemble {text!r}")
+    raise AsmError(f"cannot assemble {mnemonic!r}")

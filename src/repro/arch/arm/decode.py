@@ -438,192 +438,3 @@ _DECODERS = [
 #: Every decode-arm name, in decoder priority order.  The architecture
 #: registry exposes this as the authoritative arm list for coverage maps.
 DECODE_ARMS = tuple(fn.__name__.lstrip("_") for fn in _DECODERS)
-
-
-# -- structured operand fields ------------------------------------------------
-#
-# Per-arm bit layouts as (name, hi, lo, kind) tuples, MSB-first, tiling all
-# 32 bits.  Kinds:
-#
-# - ``reg``    an operand register index;
-# - ``imm``    an immediate the model reads *symbolically* (``fld``);
-# - ``struct`` everything else: pattern bits, sub-opcode selectors, and any
-#              immediate the model consumes as a Python int (``fld_int``).
-#
-# The split between ``imm`` and ``struct`` mirrors ``arch.arm.model``: only
-# addsub_imm's imm12 and movewide's imm16 are read via symbolic ``fld``; every
-# other immediate feeds Python-side arithmetic (PC-relative offsets, rotation
-# amounts, ...).
-
-_FIELD_TABLES: dict[str, tuple] = {
-    "addsub_imm": (
-        ("sf", 31, 31, "struct"), ("op", 30, 30, "struct"),
-        ("s", 29, 29, "struct"), ("fixed", 28, 23, "struct"),
-        ("sh", 22, 22, "struct"), ("imm12", 21, 10, "imm"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "addsub_reg": (
-        ("sf", 31, 31, "struct"), ("op", 30, 30, "struct"),
-        ("s", 29, 29, "struct"), ("fixed", 28, 24, "struct"),
-        ("shift", 23, 22, "struct"), ("fixed21", 21, 21, "struct"),
-        ("rm", 20, 16, "reg"), ("imm6", 15, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "logical_reg": (
-        ("sf", 31, 31, "struct"), ("opc", 30, 29, "struct"),
-        ("fixed", 28, 24, "struct"), ("shift", 23, 22, "struct"),
-        ("n", 21, 21, "struct"), ("rm", 20, 16, "reg"),
-        ("imm6", 15, 10, "struct"), ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "logical_imm": (
-        ("sf", 31, 31, "struct"), ("opc", 30, 29, "struct"),
-        ("fixed", 28, 23, "struct"), ("n", 22, 22, "struct"),
-        ("immr", 21, 16, "struct"), ("imms", 15, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "movewide": (
-        ("sf", 31, 31, "struct"), ("opc", 30, 29, "struct"),
-        ("fixed", 28, 23, "struct"), ("hw", 22, 21, "struct"),
-        ("imm16", 20, 5, "imm"), ("rd", 4, 0, "reg"),
-    ),
-    "bitfield": (
-        ("sf", 31, 31, "struct"), ("opc", 30, 29, "struct"),
-        ("fixed", 28, 23, "struct"), ("n", 22, 22, "struct"),
-        ("immr", 21, 16, "struct"), ("imms", 15, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "csel": (
-        ("sf", 31, 31, "struct"), ("neg", 30, 30, "struct"),
-        ("fixed29", 29, 29, "struct"), ("fixed", 28, 21, "struct"),
-        ("rm", 20, 16, "reg"), ("cond", 15, 12, "struct"),
-        ("fixed11", 11, 11, "struct"), ("o2", 10, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "div": (
-        ("sf", 31, 31, "struct"), ("fixed", 30, 21, "struct"),
-        ("rm", 20, 16, "reg"), ("fixed2", 15, 11, "struct"),
-        ("o1", 10, 10, "struct"), ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "rbit": (
-        ("sf", 31, 31, "struct"), ("fixed", 30, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "ldst_imm": (
-        ("size", 31, 30, "struct"), ("fixed", 29, 24, "struct"),
-        ("opc", 23, 22, "struct"), ("imm12", 21, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rt", 4, 0, "reg"),
-    ),
-    "ldst_reg": (
-        ("size", 31, 30, "struct"), ("fixed", 29, 24, "struct"),
-        ("opc", 23, 22, "struct"), ("fixed21", 21, 21, "struct"),
-        ("rm", 20, 16, "reg"), ("option", 15, 13, "struct"),
-        ("s", 12, 12, "struct"), ("fixed2", 11, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rt", 4, 0, "reg"),
-    ),
-    "ldst_imm9": (
-        ("size", 31, 30, "struct"), ("fixed", 29, 24, "struct"),
-        ("opc", 23, 22, "struct"), ("fixed21", 21, 21, "struct"),
-        ("imm9", 20, 12, "struct"), ("mode", 11, 10, "struct"),
-        ("rn", 9, 5, "reg"), ("rt", 4, 0, "reg"),
-    ),
-    "ldst_pair": (
-        ("opc", 31, 30, "struct"), ("fixed", 29, 26, "struct"),
-        ("mode", 25, 23, "struct"), ("l", 22, 22, "struct"),
-        ("imm7", 21, 15, "struct"), ("rt2", 14, 10, "reg"),
-        ("rn", 9, 5, "reg"), ("rt", 4, 0, "reg"),
-    ),
-    "adr": (
-        ("page", 31, 31, "struct"), ("immlo", 30, 29, "struct"),
-        ("fixed", 28, 24, "struct"), ("immhi", 23, 5, "struct"),
-        ("rd", 4, 0, "reg"),
-    ),
-    "madd": (
-        ("sf", 31, 31, "struct"), ("fixed", 30, 21, "struct"),
-        ("rm", 20, 16, "reg"), ("o0", 15, 15, "struct"),
-        ("ra", 14, 10, "reg"), ("rn", 9, 5, "reg"), ("rd", 4, 0, "reg"),
-    ),
-    "cbz": (
-        ("sf", 31, 31, "struct"), ("fixed", 30, 25, "struct"),
-        ("op", 24, 24, "struct"), ("imm19", 23, 5, "struct"),
-        ("rt", 4, 0, "reg"),
-    ),
-    "tbz": (
-        ("b5", 31, 31, "struct"), ("fixed", 30, 25, "struct"),
-        ("op", 24, 24, "struct"), ("b40", 23, 19, "struct"),
-        ("imm14", 18, 5, "struct"), ("rt", 4, 0, "reg"),
-    ),
-    "bcond": (
-        ("fixed", 31, 24, "struct"), ("imm19", 23, 5, "struct"),
-        ("fixed4", 4, 4, "struct"), ("cond", 3, 0, "struct"),
-    ),
-    "b_bl": (
-        ("op", 31, 31, "struct"), ("fixed", 30, 26, "struct"),
-        ("imm26", 25, 0, "struct"),
-    ),
-    "br_blr_ret": (
-        ("fixed", 31, 25, "struct"), ("opc", 24, 21, "struct"),
-        ("fixed2", 20, 10, "struct"), ("rn", 9, 5, "reg"),
-        ("fixed3", 4, 0, "struct"),
-    ),
-    "hint": (
-        ("fixed", 31, 12, "struct"), ("crm_op2", 11, 5, "struct"),
-        ("fixed2", 4, 0, "struct"),
-    ),
-    "sysreg": (
-        ("fixed", 31, 22, "struct"), ("l", 21, 21, "struct"),
-        ("fixed20", 20, 20, "struct"), ("enc", 19, 5, "struct"),
-        ("rt", 4, 0, "reg"),
-    ),
-    "hvc": (
-        ("fixed", 31, 21, "struct"), ("imm16", 20, 5, "struct"),
-        ("low", 4, 0, "struct"),
-    ),
-}
-
-
-def _ccmp_fields(op: int) -> tuple:
-    # Bit 11 selects the register vs immediate form: bits [20:16] are an
-    # operand register only in the register form.
-    rm_kind = "struct" if _f(op, 11, 11) else "reg"
-    return (
-        ("sf", 31, 31, "struct"), ("op", 30, 30, "struct"),
-        ("fixed", 29, 21, "struct"), ("rm_or_imm", 20, 16, rm_kind),
-        ("cond", 15, 12, "struct"), ("e", 11, 11, "struct"),
-        ("fixed10", 10, 10, "struct"), ("rn", 9, 5, "reg"),
-        ("o3", 4, 4, "struct"), ("nzcv", 3, 0, "struct"),
-    )
-
-
-def decode_fields(op: int):
-    """The decode arm claiming ``op`` plus its structured bit-field layout.
-
-    Returns ``(arm_name, fields)`` where ``fields`` is a tuple of
-    ``(name, hi, lo, kind)`` tuples tiling the full 32-bit word MSB-first,
-    with ``kind`` one of ``reg`` / ``imm`` / ``struct`` (see the table
-    comment above), or ``None`` when the opcode is outside the modelled
-    subset.
-    """
-    for matcher in _DECODERS:
-        if matcher(op) is not None:
-            arm = matcher.__name__.lstrip("_")
-            fields = (
-                _ccmp_fields(op) if arm == "ccmp" else _FIELD_TABLES[arm]
-            )
-            return arm, fields
-    return None
-
-
-def decode_operands(op: int) -> dict[str, int] | None:
-    """The operand fields (``reg`` and ``imm`` kinds) of ``op`` as a dict.
-
-    ``None`` when the opcode is outside the modelled subset.
-    """
-    decoded = decode_fields(op)
-    if decoded is None:
-        return None
-    _, fields = decoded
-    return {
-        name: _f(op, hi, lo)
-        for name, hi, lo, kind in fields
-        if kind in ("reg", "imm")
-    }

@@ -2,15 +2,27 @@
 
 Produces the 32-bit opcodes the case studies verify.  Register operands are
 integers 0..31 (31 = XZR/WZR or SP depending on context, as in the real
-encoding).  All encoders return ints; :func:`assemble` packs a sequence into
-little-endian bytes.
+encoding).  Every word is packed through the field tables of
+:mod:`repro.arch.arm.spec` (see :mod:`repro.arch.encoding`); these functions
+only turn operands into field values, and an operand that does not fit
+raises ``ValueError``.  :func:`assemble` packs a sequence into little-endian
+bytes.
+
+The per-arm builders (``addsub_imm``, ``logical_reg``, ``ldst_imm9``, ...)
+take every field as an operand; the mnemonic helpers (``add_imm``,
+``str64_pre``, ...) fix some of them.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from ..encoding import Encoding, aligned, bits, signed
 from .regs import SYSREG_ENCODINGS
+from .spec import ARMS
+
+#: The packer over the spec's field tables.
+ENCODING = Encoding(ARMS)
 
 XZR = 31
 SP = 31
@@ -19,77 +31,76 @@ LR = 30
 COND = {
     "eq": 0, "ne": 1, "cs": 2, "hs": 2, "cc": 3, "lo": 3, "mi": 4, "pl": 5,
     "vs": 6, "vc": 7, "hi": 8, "ls": 9, "ge": 10, "lt": 11, "gt": 12,
-    "le": 13, "al": 14,
+    "le": 13, "al": 14, "nv": 15,
 }
 
 
-def _check_reg(r: int) -> int:
-    if not 0 <= r <= 31:
-        raise ValueError(f"register out of range: {r}")
-    return r
+def _lookup(table: dict, key: str, what: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise ValueError(f"unknown {what} {key!r}") from None
 
 
-def _check_range(value: int, bits: int, what: str) -> int:
-    if not 0 <= value < (1 << bits):
-        raise ValueError(f"{what} out of range: {value}")
-    return value
-
-
-def _branch_offset(offset_bytes: int, bits: int) -> int:
-    if offset_bytes % 4:
-        raise ValueError("branch offset must be a multiple of 4")
-    words = offset_bytes // 4
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= words <= hi:
-        raise ValueError(f"branch offset {offset_bytes} out of range")
-    return words & ((1 << bits) - 1)
+def _branch_offset(offset_bytes: int, width: int) -> int:
+    return signed(aligned(offset_bytes, 2, "branch offset"), width, "branch offset")
 
 
 # -- arithmetic --------------------------------------------------------------
 
 
-def add_imm(rd: int, rn: int, imm12: int, sf: int = 1, shift12: bool = False) -> int:
-    return (
-        (sf << 31) | (0b00100010 << 23) | (int(shift12) << 22)
-        | (_check_range(imm12, 12, "imm12") << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rd)
+def addsub_imm(rd: int, rn: int, imm12: int, *, sub: int = 0, s: int = 0,
+               sf: int = 1, shift12: bool = False) -> int:
+    return ENCODING.pack(
+        "addsub_imm", sf=sf, op=sub, s=s, sh=int(shift12), imm12=imm12,
+        rn=rn, rd=rd,
     )
 
 
+def add_imm(rd: int, rn: int, imm12: int, sf: int = 1, shift12: bool = False) -> int:
+    return addsub_imm(rd, rn, imm12, sf=sf, shift12=shift12)
+
+
 def sub_imm(rd: int, rn: int, imm12: int, sf: int = 1) -> int:
-    return add_imm(rd, rn, imm12, sf) | (1 << 30)
+    return addsub_imm(rd, rn, imm12, sub=1, sf=sf)
 
 
 def adds_imm(rd: int, rn: int, imm12: int, sf: int = 1) -> int:
-    return add_imm(rd, rn, imm12, sf) | (1 << 29)
+    return addsub_imm(rd, rn, imm12, s=1, sf=sf)
 
 
 def subs_imm(rd: int, rn: int, imm12: int, sf: int = 1) -> int:
-    return add_imm(rd, rn, imm12, sf) | (1 << 30) | (1 << 29)
+    return addsub_imm(rd, rn, imm12, sub=1, s=1, sf=sf)
 
 
 def cmp_imm(rn: int, imm12: int, sf: int = 1) -> int:
     return subs_imm(XZR, rn, imm12, sf)
 
 
-def add_reg(rd: int, rn: int, rm: int, sf: int = 1, shift: int = 0, amount: int = 0) -> int:
-    return (
-        (sf << 31) | (0b0001011 << 24) | (shift << 22)
-        | (_check_reg(rm) << 16) | (_check_range(amount, 6, "shift") << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rd)
+def addsub_reg(rd: int, rn: int, rm: int, *, sub: int = 0, s: int = 0,
+               sf: int = 1, shift: int = 0, amount: int = 0) -> int:
+    if shift == 0b11:
+        raise ValueError("shift type ror is reserved for add/sub")
+    return ENCODING.pack(
+        "addsub_reg", sf=sf, op=sub, s=s, shift=shift, rm=rm, imm6=amount,
+        rn=rn, rd=rd,
     )
 
 
+def add_reg(rd: int, rn: int, rm: int, sf: int = 1, shift: int = 0, amount: int = 0) -> int:
+    return addsub_reg(rd, rn, rm, sf=sf, shift=shift, amount=amount)
+
+
 def sub_reg(rd: int, rn: int, rm: int, sf: int = 1) -> int:
-    return add_reg(rd, rn, rm, sf) | (1 << 30)
+    return addsub_reg(rd, rn, rm, sub=1, sf=sf)
 
 
 def subs_reg(rd: int, rn: int, rm: int, sf: int = 1) -> int:
-    return add_reg(rd, rn, rm, sf) | (1 << 30) | (1 << 29)
+    return addsub_reg(rd, rn, rm, sub=1, s=1, sf=sf)
 
 
 def adds_reg(rd: int, rn: int, rm: int, sf: int = 1) -> int:
-    return add_reg(rd, rn, rm, sf) | (1 << 29)
+    return addsub_reg(rd, rn, rm, s=1, sf=sf)
 
 
 def cmp_reg(rn: int, rm: int, sf: int = 1) -> int:
@@ -98,29 +109,36 @@ def cmp_reg(rn: int, rm: int, sf: int = 1) -> int:
 
 # -- logical -------------------------------------------------------------------
 
+#: Logical mnemonic -> (opc, N); N inverts the register form's second operand.
+LOGICAL = {
+    "and": (0b00, 0), "bic": (0b00, 1), "orr": (0b01, 0), "orn": (0b01, 1),
+    "eor": (0b10, 0), "eon": (0b10, 1), "ands": (0b11, 0), "bics": (0b11, 1),
+}
 
-def _logical_reg(opc: int, rd: int, rn: int, rm: int, sf: int, shift: int, amount: int, invert: int = 0) -> int:
-    return (
-        (sf << 31) | (opc << 29) | (0b01010 << 24) | (shift << 22) | (invert << 21)
-        | (_check_reg(rm) << 16) | (_check_range(amount, 6, "shift") << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rd)
+
+def logical_reg(name: str, rd: int, rn: int, rm: int, sf: int = 1,
+                shift: int = 0, amount: int = 0) -> int:
+    opc, invert = _lookup(LOGICAL, name, "logical op")
+    return ENCODING.pack(
+        "logical_reg", sf=sf, opc=opc, shift=shift, n=invert, rm=rm,
+        imm6=amount, rn=rn, rd=rd,
     )
 
 
 def and_reg(rd, rn, rm, sf=1):
-    return _logical_reg(0b00, rd, rn, rm, sf, 0, 0)
+    return logical_reg("and", rd, rn, rm, sf)
 
 
 def orr_reg(rd, rn, rm, sf=1, amount=0, shift=0):
-    return _logical_reg(0b01, rd, rn, rm, sf, shift, amount)
+    return logical_reg("orr", rd, rn, rm, sf, shift, amount)
 
 
 def eor_reg(rd, rn, rm, sf=1):
-    return _logical_reg(0b10, rd, rn, rm, sf, 0, 0)
+    return logical_reg("eor", rd, rn, rm, sf)
 
 
 def ands_reg(rd, rn, rm, sf=1):
-    return _logical_reg(0b11, rd, rn, rm, sf, 0, 0)
+    return logical_reg("ands", rd, rn, rm, sf)
 
 
 def tst_reg(rn, rm, sf=1):
@@ -164,17 +182,23 @@ def encode_bitmask_immediate(value: int, datasize: int) -> tuple[int, int, int]:
         raise ValueError(f"0x{value:x} is not a logical immediate") from None
 
 
-def and_imm(rd: int, rn: int, value: int, sf: int = 1) -> int:
-    datasize = 64 if sf else 32
-    immn, immr, imms = encode_bitmask_immediate(value, datasize)
-    return (
-        (sf << 31) | (0b00 << 29) | (0b100100 << 23) | (immn << 22)
-        | (immr << 16) | (imms << 10) | (_check_reg(rn) << 5) | _check_reg(rd)
+def logical_imm(name: str, rd: int, rn: int, value: int, sf: int = 1) -> int:
+    opc, invert = _lookup(LOGICAL, name, "logical op")
+    if invert:
+        raise ValueError(f"{name} has no immediate form")
+    immn, immr, imms = encode_bitmask_immediate(value, 64 if sf else 32)
+    return ENCODING.pack(
+        "logical_imm", sf=sf, opc=opc, n=immn, immr=immr, imms=imms, rn=rn,
+        rd=rd,
     )
 
 
+def and_imm(rd: int, rn: int, value: int, sf: int = 1) -> int:
+    return logical_imm("and", rd, rn, value, sf)
+
+
 def ands_imm(rd: int, rn: int, value: int, sf: int = 1) -> int:
-    return and_imm(rd, rn, value, sf) | (0b11 << 29)
+    return logical_imm("ands", rd, rn, value, sf)
 
 
 def tst_imm(rn: int, value: int, sf: int = 1) -> int:
@@ -185,11 +209,7 @@ def tst_imm(rn: int, value: int, sf: int = 1) -> int:
 
 
 def _movewide(opc: int, rd: int, imm16: int, hw: int, sf: int) -> int:
-    return (
-        (sf << 31) | (opc << 29) | (0b100101 << 23)
-        | (_check_range(hw, 2, "hw") << 21)
-        | (_check_range(imm16, 16, "imm16") << 5) | _check_reg(rd)
-    )
+    return ENCODING.pack("movewide", sf=sf, opc=opc, hw=hw, imm16=imm16, rd=rd)
 
 
 def movz(rd: int, imm16: int, hw: int = 0, sf: int = 1) -> int:
@@ -215,17 +235,31 @@ def mov_imm(rd: int, value: int, sf: int = 1) -> int:
 # -- bitfield ---------------------------------------------------------------------
 
 
-def ubfm(rd: int, rn: int, immr: int, imms: int, sf: int = 1) -> int:
-    n = sf
-    return (
-        (sf << 31) | (0b10 << 29) | (0b100110 << 23) | (n << 22)
-        | (immr << 16) | (imms << 10) | (_check_reg(rn) << 5) | _check_reg(rd)
+def _bitfield(opc: int, rd: int, rn: int, immr: int, imms: int, sf: int) -> int:
+    datasize = 64 if sf else 32
+    if not (0 <= immr < datasize and 0 <= imms < datasize):
+        raise ValueError(f"bitfield #{immr}, #{imms} out of range for {datasize} bits")
+    return ENCODING.pack(
+        "bitfield", sf=sf, opc=opc, n=sf, immr=immr, imms=imms, rn=rn, rd=rd,
     )
+
+
+def ubfm(rd: int, rn: int, immr: int, imms: int, sf: int = 1) -> int:
+    return _bitfield(0b10, rd, rn, immr, imms, sf)
+
+
+def sbfm(rd: int, rn: int, immr: int, imms: int, sf: int = 1) -> int:
+    return _bitfield(0b00, rd, rn, immr, imms, sf)
 
 
 def lsr_imm(rd: int, rn: int, shift: int, sf: int = 1) -> int:
     datasize = 64 if sf else 32
     return ubfm(rd, rn, shift, datasize - 1, sf)
+
+
+def asr_imm(rd: int, rn: int, shift: int, sf: int = 1) -> int:
+    datasize = 64 if sf else 32
+    return sbfm(rd, rn, shift, datasize - 1, sf)
 
 
 def lsl_imm(rd: int, rn: int, shift: int, sf: int = 1) -> int:
@@ -239,220 +273,247 @@ def uxtb(rd: int, rn: int) -> int:
 
 # -- conditional select ----------------------------------------------------------------
 
+#: Conditional-select mnemonic -> (op, o2).
+CONDSEL = {"csel": (0, 0), "csinc": (0, 1), "csinv": (1, 0), "csneg": (1, 1)}
+
+
+def _condsel(name: str, rd: int, rn: int, rm: int, cond: int, sf: int) -> int:
+    neg, o2 = _lookup(CONDSEL, name, "conditional select")
+    return ENCODING.pack(
+        "csel", sf=sf, neg=neg, rm=rm, cond=cond, o2=o2, rn=rn, rd=rd,
+    )
+
+
+def condsel(name: str, rd: int, rn: int, rm: int, cond: str, sf: int = 1) -> int:
+    return _condsel(name, rd, rn, rm, _lookup(COND, cond, "condition"), sf)
+
 
 def csel(rd: int, rn: int, rm: int, cond: str, sf: int = 1) -> int:
-    return (
-        (sf << 31) | (0b0011010100 << 21) | (_check_reg(rm) << 16)
-        | (COND[cond] << 12) | (_check_reg(rn) << 5) | _check_reg(rd)
-    )
+    return condsel("csel", rd, rn, rm, cond, sf)
 
 
 def csinc(rd: int, rn: int, rm: int, cond: str, sf: int = 1) -> int:
-    return csel(rd, rn, rm, cond, sf) | (1 << 10)
+    return condsel("csinc", rd, rn, rm, cond, sf)
 
 
 def cset(rd: int, cond: str, sf: int = 1) -> int:
-    inverted = COND[cond] ^ 1
-    code = (
-        (sf << 31) | (0b0011010100 << 21) | (XZR << 16)
-        | (inverted << 12) | (XZR << 5) | _check_reg(rd) | (1 << 10)
-    )
-    return code
+    inverted = _lookup(COND, cond, "condition") ^ 1
+    return _condsel("csinc", rd, XZR, XZR, inverted, sf)
 
 
 # -- loads / stores ---------------------------------------------------------------------
 
+#: Load/store mnemonic -> (size, opc); ``ldr``/``str`` take the size from
+#: the register width instead.
+_LDST = {
+    "strb": (0b00, 0b00), "ldrb": (0b00, 0b01), "ldrsb": (0b00, 0b10),
+    "strh": (0b01, 0b00), "ldrh": (0b01, 0b01), "ldrsh": (0b01, 0b10),
+    "ldrsw": (0b10, 0b10),
+}
+#: Register-offset extend -> option.
+_EXTENDS = {"lsl": 0b011, "uxtw": 0b010, "sxtw": 0b110}
+#: Single-register imm9 addressing mode -> mode bits.
+_IMM9_MODES = {"unscaled": 0b00, "post": 0b01, "pre": 0b11}
 
-def _ldst_imm(size: int, opc: int, rt: int, rn: int, imm: int) -> int:
-    scale = size
-    if imm % (1 << scale):
-        raise ValueError("unscaled immediate offset")
-    imm12 = _check_range(imm >> scale, 12, "imm12")
-    return (
-        (size << 30) | (0b111001 << 24) | (opc << 22) | (imm12 << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rt)
+
+def _size_opc(name: str, sf: int) -> tuple[int, int]:
+    if name in ("str", "ldr"):
+        return (0b11 if sf else 0b10), (0b00 if name == "str" else 0b01)
+    return _lookup(_LDST, name, "load/store")
+
+
+def ldst_imm(name: str, rt: int, rn: int, offset: int = 0, sf: int = 1) -> int:
+    """``name rt, [rn, #offset]``: the scaled unsigned-offset form."""
+    size, opc = _size_opc(name, sf)
+    return ENCODING.pack(
+        "ldst_imm", size=size, opc=opc,
+        imm12=aligned(offset, size, "unscaled immediate offset"), rn=rn, rt=rt,
+    )
+
+
+def ldst_reg(name: str, rt: int, rn: int, rm: int, extend: str = "lsl",
+             amount: int | None = None, sf: int = 1) -> int:
+    """``name rt, [rn, rm{, extend {#amount}}]``; the amount, when given,
+    must be the access size's log2."""
+    size, opc = _size_opc(name, sf)
+    if amount not in (None, size):
+        raise ValueError(f"{name} register offset shifts by #{size}, not #{amount}")
+    return ENCODING.pack(
+        "ldst_reg", size=size, opc=opc, rm=rm,
+        option=_lookup(_EXTENDS, extend, "extend"), s=int(amount is not None),
+        rn=rn, rt=rt,
+    )
+
+
+def ldst_imm9(name: str, rt: int, rn: int, imm9: int, mode: str = "unscaled",
+              sf: int = 1) -> int:
+    """The signed 9-bit forms: unscaled (``ldur``), post- or pre-index."""
+    size, opc = _size_opc(name, sf)
+    return ENCODING.pack(
+        "ldst_imm9", size=size, opc=opc, imm9=signed(imm9, 9, "imm9"),
+        mode=_lookup(_IMM9_MODES, mode, "addressing mode"), rn=rn, rt=rt,
     )
 
 
 def strb_imm(rt, rn, imm=0):
-    return _ldst_imm(0b00, 0b00, rt, rn, imm)
+    return ldst_imm("strb", rt, rn, imm)
 
 
 def ldrb_imm(rt, rn, imm=0):
-    return _ldst_imm(0b00, 0b01, rt, rn, imm)
+    return ldst_imm("ldrb", rt, rn, imm)
 
 
 def str32_imm(rt, rn, imm=0):
-    return _ldst_imm(0b10, 0b00, rt, rn, imm)
+    return ldst_imm("str", rt, rn, imm, sf=0)
 
 
 def ldr32_imm(rt, rn, imm=0):
-    return _ldst_imm(0b10, 0b01, rt, rn, imm)
+    return ldst_imm("ldr", rt, rn, imm, sf=0)
 
 
 def str64_imm(rt, rn, imm=0):
-    return _ldst_imm(0b11, 0b00, rt, rn, imm)
+    return ldst_imm("str", rt, rn, imm)
 
 
 def ldr64_imm(rt, rn, imm=0):
-    return _ldst_imm(0b11, 0b01, rt, rn, imm)
-
-
-def _ldst_reg(size: int, opc: int, rt: int, rn: int, rm: int, option: int, s: int) -> int:
-    return (
-        (size << 30) | (0b111000 << 24) | (opc << 22) | (1 << 21)
-        | (_check_reg(rm) << 16) | (option << 13) | (s << 12) | (0b10 << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rt)
-    )
+    return ldst_imm("ldr", rt, rn, imm)
 
 
 def ldrb_reg(rt, rn, rm):
-    return _ldst_reg(0b00, 0b01, rt, rn, rm, 0b011, 0)
+    return ldst_reg("ldrb", rt, rn, rm)
 
 
 def strb_reg(rt, rn, rm):
-    return _ldst_reg(0b00, 0b00, rt, rn, rm, 0b011, 0)
+    return ldst_reg("strb", rt, rn, rm)
 
 
 def ldr64_reg(rt, rn, rm, scaled=True):
-    return _ldst_reg(0b11, 0b01, rt, rn, rm, 0b011, 1 if scaled else 0)
+    return ldst_reg("ldr", rt, rn, rm, amount=3 if scaled else None)
 
 
 def str64_reg(rt, rn, rm, scaled=True):
-    return _ldst_reg(0b11, 0b00, rt, rn, rm, 0b011, 1 if scaled else 0)
-
-
-# -- load/store pairs and indexed addressing ----------------------------------------------
-
-
-def _ldst_imm9(size: int, opc: int, rt: int, rn: int, imm9: int, mode: int) -> int:
-    if not -256 <= imm9 <= 255:
-        raise ValueError(f"imm9 out of range: {imm9}")
-    return (
-        (size << 30) | (0b111000 << 24) | (opc << 22)
-        | ((imm9 & 0x1FF) << 12) | (mode << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rt)
-    )
+    return ldst_reg("str", rt, rn, rm, amount=3 if scaled else None)
 
 
 def str64_pre(rt, rn, imm):
     """str xt, [xn, #imm]!"""
-    return _ldst_imm9(0b11, 0b00, rt, rn, imm, 0b11)
+    return ldst_imm9("str", rt, rn, imm, "pre")
 
 
 def str64_post(rt, rn, imm):
     """str xt, [xn], #imm"""
-    return _ldst_imm9(0b11, 0b00, rt, rn, imm, 0b01)
+    return ldst_imm9("str", rt, rn, imm, "post")
 
 
 def ldr64_pre(rt, rn, imm):
-    return _ldst_imm9(0b11, 0b01, rt, rn, imm, 0b11)
+    return ldst_imm9("ldr", rt, rn, imm, "pre")
 
 
 def ldr64_post(rt, rn, imm):
-    return _ldst_imm9(0b11, 0b01, rt, rn, imm, 0b01)
+    return ldst_imm9("ldr", rt, rn, imm, "post")
 
 
 def stur64(rt, rn, imm):
-    return _ldst_imm9(0b11, 0b00, rt, rn, imm, 0b00)
+    return ldst_imm9("str", rt, rn, imm)
 
 
 def ldur64(rt, rn, imm):
-    return _ldst_imm9(0b11, 0b01, rt, rn, imm, 0b00)
+    return ldst_imm9("ldr", rt, rn, imm)
 
 
-def _ldst_pair(opc: int, load: int, rt: int, rt2: int, rn: int, imm: int, mode: int) -> int:
-    scale = 3 if opc == 0b10 else 2
-    if imm % (1 << scale):
-        raise ValueError("pair offset must be scaled")
-    imm7 = imm >> scale
-    if not -64 <= imm7 <= 63:
-        raise ValueError(f"pair offset out of range: {imm}")
-    return (
-        (opc << 30) | (0b101_0 << 26) | (mode << 23) | (load << 22)
-        | ((imm7 & 0x7F) << 15) | (_check_reg(rt2) << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rt)
+# -- load/store pairs ---------------------------------------------------------------------
+
+#: Pair addressing mode -> mode bits.
+_PAIR_MODES = {"post": 0b001, "offset": 0b010, "pre": 0b011}
+
+
+def ldst_pair(load: int, rt: int, rt2: int, rn: int, imm: int = 0,
+              mode: str = "offset", sf: int = 1) -> int:
+    imm7 = aligned(imm, 3 if sf else 2, "pair offset")
+    return ENCODING.pack(
+        "ldst_pair", opc=0b10 if sf else 0b00,
+        mode=_lookup(_PAIR_MODES, mode, "addressing mode"), l=load,
+        imm7=signed(imm7, 7, "pair offset"), rt2=rt2, rn=rn, rt=rt,
     )
 
 
 def stp64(rt, rt2, rn, imm=0):
     """stp xt, xt2, [xn, #imm]"""
-    return _ldst_pair(0b10, 0, rt, rt2, rn, imm, 0b010)
+    return ldst_pair(0, rt, rt2, rn, imm)
 
 
 def ldp64(rt, rt2, rn, imm=0):
-    return _ldst_pair(0b10, 1, rt, rt2, rn, imm, 0b010)
+    return ldst_pair(1, rt, rt2, rn, imm)
 
 
 def stp64_pre(rt, rt2, rn, imm):
     """stp xt, xt2, [xn, #imm]!  (the standard prologue idiom)"""
-    return _ldst_pair(0b10, 0, rt, rt2, rn, imm, 0b011)
+    return ldst_pair(0, rt, rt2, rn, imm, "pre")
 
 
 def ldp64_post(rt, rt2, rn, imm):
     """ldp xt, xt2, [xn], #imm  (the standard epilogue idiom)"""
-    return _ldst_pair(0b10, 1, rt, rt2, rn, imm, 0b001)
+    return ldst_pair(1, rt, rt2, rn, imm, "post")
 
 
 # -- conditional compare and division ------------------------------------------------------
 
 
-def _condcmp(op_bit: int, rn: int, op2: int, nzcv: int, cond: str, imm: int, sf: int) -> int:
-    return (
-        (sf << 31) | (op_bit << 30) | (1 << 29) | (0b11010010 << 21)
-        | (_check_range(op2, 5, "op2") << 16) | (COND[cond] << 12)
-        | (imm << 11) | (_check_reg(rn) << 5) | _check_range(nzcv, 4, "nzcv")
+def condcmp(name: str, rn: int, op2: int, nzcv: int, cond: str, sf: int = 1,
+            imm: bool = False) -> int:
+    """``ccmp``/``ccmn``; ``op2`` is a register, or a 5-bit immediate when
+    ``imm`` is set."""
+    return ENCODING.pack(
+        "ccmp", sf=sf, op=_lookup({"ccmn": 0, "ccmp": 1}, name, "compare"),
+        rm_or_imm=op2, cond=_lookup(COND, cond, "condition"), e=int(imm),
+        rn=rn, nzcv=nzcv,
     )
 
 
 def ccmp_reg(rn: int, rm: int, nzcv: int, cond: str, sf: int = 1) -> int:
-    return _condcmp(1, rn, _check_reg(rm), nzcv, cond, 0, sf)
+    return condcmp("ccmp", rn, rm, nzcv, cond, sf)
 
 
 def ccmp_imm(rn: int, imm5: int, nzcv: int, cond: str, sf: int = 1) -> int:
-    return _condcmp(1, rn, imm5, nzcv, cond, 1, sf)
+    return condcmp("ccmp", rn, imm5, nzcv, cond, sf, imm=True)
 
 
 def ccmn_reg(rn: int, rm: int, nzcv: int, cond: str, sf: int = 1) -> int:
-    return _condcmp(0, rn, _check_reg(rm), nzcv, cond, 0, sf)
+    return condcmp("ccmn", rn, rm, nzcv, cond, sf)
 
 
 def udiv(rd: int, rn: int, rm: int, sf: int = 1) -> int:
-    return (
-        (sf << 31) | (0b0011010110 << 21) | (_check_reg(rm) << 16)
-        | (0b00001 << 11) | (0 << 10) | (_check_reg(rn) << 5) | _check_reg(rd)
-    )
+    return ENCODING.pack("div", sf=sf, rm=rm, o1=0, rn=rn, rd=rd)
 
 
 def sdiv(rd: int, rn: int, rm: int, sf: int = 1) -> int:
-    return udiv(rd, rn, rm, sf) | (1 << 10)
+    return ENCODING.pack("div", sf=sf, rm=rm, o1=1, rn=rn, rd=rd)
 
 
 # -- PC-relative and multiply ------------------------------------------------------------
 
 
-def adr(rd: int, offset: int) -> int:
-    if not -(1 << 20) <= offset < (1 << 20):
-        raise ValueError(f"adr offset out of range: {offset}")
-    imm = offset & ((1 << 21) - 1)
-    return (
-        ((imm & 0b11) << 29) | (0b10000 << 24) | ((imm >> 2) << 5) | _check_reg(rd)
+def _adr(page: int, rd: int, offset: int) -> int:
+    imm = signed(offset, 21, "adr offset")
+    return ENCODING.pack(
+        "adr", page=page, immlo=bits(imm, 1, 0), immhi=bits(imm, 20, 2), rd=rd,
     )
+
+
+def adr(rd: int, offset: int) -> int:
+    return _adr(0, rd, offset)
 
 
 def adrp(rd: int, offset_pages: int) -> int:
-    return adr(rd, offset_pages) | (1 << 31)
+    return _adr(1, rd, offset_pages)
 
 
 def madd(rd, rn, rm, ra, sf=1):
-    return (
-        (sf << 31) | (0b0011011000 << 21) | (_check_reg(rm) << 16)
-        | (_check_reg(ra) << 10) | (_check_reg(rn) << 5) | _check_reg(rd)
-    )
+    return ENCODING.pack("madd", sf=sf, rm=rm, o0=0, ra=ra, rn=rn, rd=rd)
 
 
 def msub(rd, rn, rm, ra, sf=1):
-    return madd(rd, rn, rm, ra, sf) | (1 << 15)
+    return ENCODING.pack("madd", sf=sf, rm=rm, o0=1, ra=ra, rn=rn, rd=rd)
 
 
 def mul(rd, rn, rm, sf=1):
@@ -463,94 +524,100 @@ def mul(rd, rn, rm, sf=1):
 
 
 def b(offset: int) -> int:
-    return (0b000101 << 26) | _branch_offset(offset, 26)
+    return ENCODING.pack("b_bl", op=0, imm26=_branch_offset(offset, 26))
 
 
 def bl(offset: int) -> int:
-    return (0b100101 << 26) | _branch_offset(offset, 26)
+    return ENCODING.pack("b_bl", op=1, imm26=_branch_offset(offset, 26))
 
 
 def b_cond(cond: str, offset: int) -> int:
-    return (0b01010100 << 24) | (_branch_offset(offset, 19) << 5) | COND[cond]
-
-
-def cbz(rt: int, offset: int, sf: int = 1) -> int:
-    return (sf << 31) | (0b011010 << 25) | (_branch_offset(offset, 19) << 5) | _check_reg(rt)
-
-
-def cbnz(rt: int, offset: int, sf: int = 1) -> int:
-    return cbz(rt, offset, sf) | (1 << 24)
-
-
-def tbz(rt: int, bit: int, offset: int) -> int:
-    if not 0 <= bit < 64:
-        raise ValueError(f"bit out of range: {bit}")
-    b5, b40 = bit >> 5, bit & 0x1F
-    return (
-        (b5 << 31) | (0b011011 << 25) | (b40 << 19)
-        | (_branch_offset(offset, 14) << 5) | _check_reg(rt)
+    return ENCODING.pack(
+        "bcond", imm19=_branch_offset(offset, 19),
+        cond=_lookup(COND, cond, "condition"),
     )
 
 
+def cbz(rt: int, offset: int, sf: int = 1) -> int:
+    return ENCODING.pack("cbz", sf=sf, op=0, imm19=_branch_offset(offset, 19), rt=rt)
+
+
+def cbnz(rt: int, offset: int, sf: int = 1) -> int:
+    return ENCODING.pack("cbz", sf=sf, op=1, imm19=_branch_offset(offset, 19), rt=rt)
+
+
+def _tbz(op: int, rt: int, bit: int, offset: int) -> int:
+    if not 0 <= bit < 64:
+        raise ValueError(f"bit out of range: {bit}")
+    return ENCODING.pack(
+        "tbz", b5=bits(bit, 5, 5), op=op, b40=bits(bit, 4, 0),
+        imm14=_branch_offset(offset, 14), rt=rt,
+    )
+
+
+def tbz(rt: int, bit: int, offset: int) -> int:
+    return _tbz(0, rt, bit, offset)
+
+
 def tbnz(rt: int, bit: int, offset: int) -> int:
-    return tbz(rt, bit, offset) | (1 << 24)
+    return _tbz(1, rt, bit, offset)
 
 
 def br(rn: int) -> int:
-    return (0b1101011_0000_11111_000000 << 10) | (_check_reg(rn) << 5)
+    return ENCODING.pack("br_blr_ret", opc=0b0000, rn=rn)
 
 
 def blr(rn: int) -> int:
-    return (0b1101011_0001_11111_000000 << 10) | (_check_reg(rn) << 5)
+    return ENCODING.pack("br_blr_ret", opc=0b0001, rn=rn)
 
 
 def ret(rn: int = LR) -> int:
-    return (0b1101011_0010_11111_000000 << 10) | (_check_reg(rn) << 5)
+    return ENCODING.pack("br_blr_ret", opc=0b0010, rn=rn)
+
+
+def eret() -> int:
+    return ENCODING.pack("br_blr_ret", opc=0b0100, rn=31)
 
 
 # -- system ------------------------------------------------------------------------------------
 
 
+def hint(imm: int) -> int:
+    return ENCODING.pack("hint", crm_op2=imm)
+
+
 def nop() -> int:
-    return 0xD503201F
+    return hint(0)
 
 
-def _sysreg_op(name: str) -> tuple[int, int, int, int, int]:
-    try:
-        return SYSREG_ENCODINGS[name.upper()]
-    except KeyError:
-        raise ValueError(f"unknown system register {name}") from None
-
-
-def msr(sysreg: str, rt: int) -> int:
-    op0, op1, crn, crm, op2 = _sysreg_op(sysreg)
-    return (
-        (0b1101010100 << 22) | (0 << 21) | (1 << 20) | ((op0 - 2) << 19)
-        | (op1 << 16) | (crn << 12) | (crm << 8) | (op2 << 5) | _check_reg(rt)
+def _sysreg(l: int, sysreg, rt: int) -> int:
+    """``sysreg`` is a register name or its (op0, op1, CRn, CRm, op2)."""
+    if isinstance(sysreg, str):
+        sysreg = _lookup(SYSREG_ENCODINGS, sysreg.upper(), "system register")
+    op0, op1, crn, crm, op2 = sysreg
+    return ENCODING.pack(
+        "sysreg", l=l, o0=op0 - 2, op1=op1, crn=crn, crm=crm, op2=op2, rt=rt,
     )
 
 
-def mrs(rt: int, sysreg: str) -> int:
-    return msr(sysreg, rt) | (1 << 21)
+def msr(sysreg, rt: int) -> int:
+    return _sysreg(0, sysreg, rt)
+
+
+def mrs(rt: int, sysreg) -> int:
+    return _sysreg(1, sysreg, rt)
 
 
 def hvc(imm16: int = 0) -> int:
-    return (0b11010100_000 << 21) | (_check_range(imm16, 16, "imm16") << 5) | 0b00010
+    return ENCODING.pack("hvc", imm16=imm16, low=0b00010)
 
 
 def svc(imm16: int = 0) -> int:
-    return (0b11010100_000 << 21) | (_check_range(imm16, 16, "imm16") << 5) | 0b00001
-
-
-def eret() -> int:
-    return 0xD69F03E0
+    return ENCODING.pack("hvc", imm16=imm16, low=0b00001)
 
 
 def rbit(rd: int, rn: int, sf: int = 1) -> int:
-    return (
-        (sf << 31) | (0b101101011000000000000 << 10)
-        | (_check_reg(rn) << 5) | _check_reg(rd)
-    )
+    return ENCODING.pack("rbit", sf=sf, rn=rn, rd=rd)
 
 
 # -- program assembly -----------------------------------------------------------------------------

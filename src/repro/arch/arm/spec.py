@@ -5,8 +5,13 @@ Input to :mod:`repro.analysis.isaspec`: each of the 24 decode arms of
 coarse ISA-manual *region*, plus hand-authored defined-invalid carve-outs
 (SIMD/FP, unallocated op0 rows, reserved minor encodings) that complete the
 32-bit word space.  The validator proves pairwise disjointness and joint
-coverage, round-trips each encoder packing symbolically, and grounds the
-tables against the real Python decoder/encoder on witness and probe words.
+coverage, and grounds the claims against the hand-written decoder on
+witness and probe words.
+
+Each arm's field table is the only description of its bits:
+:mod:`repro.arch.arm.encode` packs every word through it
+(:mod:`repro.arch.encoding`), and the validator checks it by reassembling
+decoder witnesses — the decoder and disassembler stay independent of it.
 
 The one genuinely non-structural claim is ``logical_imm``'s bitmask
 canonicality (ASL ``DecodeBitMasks``): the leading-one pattern of
@@ -18,10 +23,8 @@ about the *exact* accepted set, not an approximation.
 
 from __future__ import annotations
 
-from ...analysis.isaspec import ArmSpec, EncoderSpec, InvalidRegion, IsaSpec, Raw
+from ...analysis.isaspec import ArmSpec, InvalidRegion, IsaSpec, Raw
 from ...smt import builder as B
-from . import decode, encode
-from .regs import SYSREG_ENCODINGS
 
 
 def _bitmask_canonical(word):
@@ -56,34 +59,26 @@ def _arms() -> tuple:
         ArmSpec(
             name="addsub_imm",
             match=(("eq", 28, 23, 0b100010),),
-            encoder=EncoderSpec(
-                fixed=0b100010 << 23, fixed_mask=0b111111 << 23,
-                places=(("sf", 31, 1), ("op", 30, 1), ("s", 29, 1),
-                        ("sh", 22, 1), ("imm12", 10, 12),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("op", 30, 30), ("s", 29, 29),
+                    ("fixed", 28, 23), ("sh", 22, 22), ("imm12", 21, 10),
+                    ("rn", 9, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="addsub_reg",
             match=(("eq", 28, 24, 0b01011), ("eq", 21, 21, 0),
                    ("ne", 23, 22, 0b11)),
             region=(("eq", 28, 24, 0b01011), ("eq", 21, 21, 0)),
-            encoder=EncoderSpec(
-                fixed=0b01011 << 24, fixed_mask=(0b11111 << 24) | (1 << 21),
-                places=(("sf", 31, 1), ("op", 30, 1), ("s", 29, 1),
-                        ("shift", 22, 2), ("rm", 16, 5), ("imm6", 10, 6),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("op", 30, 30), ("s", 29, 29),
+                    ("fixed", 28, 24), ("shift", 23, 22), ("fixed21", 21, 21),
+                    ("rm", 20, 16), ("imm6", 15, 10), ("rn", 9, 5),
+                    ("rd", 4, 0)),
         ),
         ArmSpec(
             name="logical_reg",
             match=(("eq", 28, 24, 0b01010),),
-            encoder=EncoderSpec(
-                fixed=0b01010 << 24, fixed_mask=0b11111 << 24,
-                places=(("sf", 31, 1), ("opc", 29, 2), ("shift", 22, 2),
-                        ("n", 21, 1), ("rm", 16, 5), ("imm6", 10, 6),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("opc", 30, 29), ("fixed", 28, 24),
+                    ("shift", 23, 22), ("n", 21, 21), ("rm", 20, 16),
+                    ("imm6", 15, 10), ("rn", 9, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="logical_imm",
@@ -91,22 +86,16 @@ def _arms() -> tuple:
                    ("not", ("and", ("eq", 31, 31, 0), ("eq", 22, 22, 1))),
                    Raw("bitmask_canonical", _bitmask_canonical)),
             region=(("eq", 28, 23, 0b100100),),
-            encoder=EncoderSpec(
-                fixed=0b100100 << 23, fixed_mask=0b111111 << 23,
-                places=(("sf", 31, 1), ("opc", 29, 2), ("n", 22, 1),
-                        ("immr", 16, 6), ("imms", 10, 6),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("opc", 30, 29), ("fixed", 28, 23),
+                    ("n", 22, 22), ("immr", 21, 16), ("imms", 15, 10),
+                    ("rn", 9, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="movewide",
             match=(("eq", 28, 23, 0b100101), ("in", 30, 29, (0b00, 0b10, 0b11))),
             region=(("eq", 28, 23, 0b100101),),
-            encoder=EncoderSpec(
-                fixed=0b100101 << 23, fixed_mask=0b111111 << 23,
-                places=(("sf", 31, 1), ("opc", 29, 2), ("hw", 21, 2),
-                        ("imm16", 5, 16), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("opc", 30, 29), ("fixed", 28, 23),
+                    ("hw", 22, 21), ("imm16", 20, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="bitfield",
@@ -116,69 +105,51 @@ def _arms() -> tuple:
                    ("or", ("eq", 31, 31, 1),
                     ("and", ("lt", 21, 16, 32), ("lt", 15, 10, 32)))),
             region=(("eq", 28, 23, 0b100110),),
-            encoder=EncoderSpec(
-                fixed=0b100110 << 23, fixed_mask=0b111111 << 23,
-                places=(("sf", 31, 1), ("opc", 29, 2), ("n", 22, 1),
-                        ("immr", 16, 6), ("imms", 10, 6),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("opc", 30, 29), ("fixed", 28, 23),
+                    ("n", 22, 22), ("immr", 21, 16), ("imms", 15, 10),
+                    ("rn", 9, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="csel",
             match=(("eq", 28, 21, 0b11010100), ("eq", 29, 29, 0),
                    ("eq", 11, 11, 0)),
             region=(("eq", 28, 21, 0b11010100), ("eq", 29, 29, 0)),
-            encoder=EncoderSpec(
-                fixed=0b11010100 << 21,
-                fixed_mask=(1 << 29) | (0xFF << 21) | (1 << 11),
-                places=(("sf", 31, 1), ("neg", 30, 1), ("rm", 16, 5),
-                        ("cond", 12, 4), ("o2", 10, 1),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("neg", 30, 30), ("fixed29", 29, 29),
+                    ("fixed", 28, 21), ("rm", 20, 16), ("cond", 15, 12),
+                    ("fixed11", 11, 11), ("o2", 10, 10), ("rn", 9, 5),
+                    ("rd", 4, 0)),
         ),
         ArmSpec(
             name="ccmp",
             match=(("eq", 29, 21, 0b111010010), ("eq", 10, 10, 0),
                    ("eq", 4, 4, 0)),
             region=(("eq", 29, 21, 0b111010010),),
-            encoder=EncoderSpec(
-                fixed=0b111010010 << 21,
-                fixed_mask=(0x1FF << 21) | (1 << 10) | (1 << 4),
-                places=(("sf", 31, 1), ("op", 30, 1), ("rm_or_imm", 16, 5),
-                        ("cond", 12, 4), ("e", 11, 1),
-                        ("rn", 5, 5), ("nzcv", 0, 4)),
-            ),
+            fields=(("sf", 31, 31), ("op", 30, 30), ("fixed", 29, 21),
+                    ("rm_or_imm", 20, 16), ("cond", 15, 12), ("e", 11, 11),
+                    ("fixed10", 10, 10), ("rn", 9, 5), ("o3", 4, 4),
+                    ("nzcv", 3, 0)),
         ),
         ArmSpec(
             name="div",
             match=(("eq", 30, 21, 0b0011010110), ("eq", 15, 11, 0b00001)),
             region=(("eq", 30, 21, 0b0011010110),),
-            encoder=EncoderSpec(
-                fixed=(0b0011010110 << 21) | (0b00001 << 11),
-                fixed_mask=(0x3FF << 21) | (0x1F << 11),
-                places=(("sf", 31, 1), ("rm", 16, 5), ("o1", 10, 1),
-                        ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("fixed", 30, 21), ("rm", 20, 16),
+                    ("fixed2", 15, 11), ("o1", 10, 10), ("rn", 9, 5),
+                    ("rd", 4, 0)),
         ),
         ArmSpec(
             name="rbit",
             match=(("eq", 30, 10, 0b1_0_11010110_00000_000000),),
             region=(("eq", 30, 29, 0b10), ("eq", 28, 21, 0b11010110)),
-            encoder=EncoderSpec(
-                fixed=0b1_0_11010110_00000_000000 << 10,
-                fixed_mask=((1 << 21) - 1) << 10,
-                places=(("sf", 31, 1), ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("fixed", 30, 10), ("rn", 9, 5),
+                    ("rd", 4, 0)),
         ),
         ArmSpec(
             name="ldst_imm",
             match=(("eq", 29, 24, 0b111001), _LDST_SIZED),
             region=(("eq", 29, 24, 0b111001),),
-            encoder=EncoderSpec(
-                fixed=0b111001 << 24, fixed_mask=0b111111 << 24,
-                places=(("size", 30, 2), ("opc", 22, 2), ("imm12", 10, 12),
-                        ("rn", 5, 5), ("rt", 0, 5)),
-            ),
+            fields=(("size", 31, 30), ("fixed", 29, 24), ("opc", 23, 22),
+                    ("imm12", 21, 10), ("rn", 9, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="ldst_reg",
@@ -187,90 +158,65 @@ def _arms() -> tuple:
                    ("in", 15, 13, (0b011, 0b010, 0b110))),
             region=(("eq", 29, 24, 0b111000), ("eq", 21, 21, 1),
                     ("eq", 11, 10, 0b10)),
-            encoder=EncoderSpec(
-                fixed=(0b111000 << 24) | (1 << 21) | (0b10 << 10),
-                fixed_mask=(0b111111 << 24) | (1 << 21) | (0b11 << 10),
-                places=(("size", 30, 2), ("opc", 22, 2), ("rm", 16, 5),
-                        ("option", 13, 3), ("s", 12, 1),
-                        ("rn", 5, 5), ("rt", 0, 5)),
-            ),
+            fields=(("size", 31, 30), ("fixed", 29, 24), ("opc", 23, 22),
+                    ("fixed21", 21, 21), ("rm", 20, 16), ("option", 15, 13),
+                    ("s", 12, 12), ("fixed2", 11, 10), ("rn", 9, 5),
+                    ("rt", 4, 0)),
         ),
         ArmSpec(
             name="ldst_imm9",
             match=(("eq", 29, 24, 0b111000), ("eq", 21, 21, 0),
                    ("ne", 11, 10, 0b10), _LDST_SIZED),
             region=(("eq", 29, 24, 0b111000), ("eq", 21, 21, 0)),
-            encoder=EncoderSpec(
-                fixed=0b111000 << 24,
-                fixed_mask=(0b111111 << 24) | (1 << 21),
-                places=(("size", 30, 2), ("opc", 22, 2), ("imm9", 12, 9),
-                        ("mode", 10, 2), ("rn", 5, 5), ("rt", 0, 5)),
-            ),
+            fields=(("size", 31, 30), ("fixed", 29, 24), ("opc", 23, 22),
+                    ("fixed21", 21, 21), ("imm9", 20, 12), ("mode", 11, 10),
+                    ("rn", 9, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="ldst_pair",
             match=(("eq", 29, 26, 0b1010), ("in", 31, 30, (0b00, 0b10)),
                    ("in", 25, 23, (0b001, 0b010, 0b011))),
             region=(("eq", 29, 26, 0b1010), ("eq", 25, 25, 0)),
-            encoder=EncoderSpec(
-                fixed=0b1010 << 26, fixed_mask=0b1111 << 26,
-                places=(("opc", 30, 2), ("mode", 23, 3), ("l", 22, 1),
-                        ("imm7", 15, 7), ("rt2", 10, 5),
-                        ("rn", 5, 5), ("rt", 0, 5)),
-            ),
+            fields=(("opc", 31, 30), ("fixed", 29, 26), ("mode", 25, 23),
+                    ("l", 22, 22), ("imm7", 21, 15), ("rt2", 14, 10),
+                    ("rn", 9, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="adr",
             match=(("eq", 28, 24, 0b10000),),
-            encoder=EncoderSpec(
-                fixed=0b10000 << 24, fixed_mask=0b11111 << 24,
-                places=(("page", 31, 1), ("immlo", 29, 2), ("immhi", 5, 19),
-                        ("rd", 0, 5)),
-            ),
+            fields=(("page", 31, 31), ("immlo", 30, 29), ("fixed", 28, 24),
+                    ("immhi", 23, 5), ("rd", 4, 0)),
         ),
         ArmSpec(
             name="madd",
             match=(("eq", 30, 21, 0b0011011000),),
-            encoder=EncoderSpec(
-                fixed=0b0011011000 << 21, fixed_mask=0x3FF << 21,
-                places=(("sf", 31, 1), ("rm", 16, 5), ("o0", 15, 1),
-                        ("ra", 10, 5), ("rn", 5, 5), ("rd", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("fixed", 30, 21), ("rm", 20, 16),
+                    ("o0", 15, 15), ("ra", 14, 10), ("rn", 9, 5),
+                    ("rd", 4, 0)),
         ),
         ArmSpec(
             name="cbz",
             match=(("eq", 30, 25, 0b011010),),
-            encoder=EncoderSpec(
-                fixed=0b011010 << 25, fixed_mask=0b111111 << 25,
-                places=(("sf", 31, 1), ("op", 24, 1), ("imm19", 5, 19),
-                        ("rt", 0, 5)),
-            ),
+            fields=(("sf", 31, 31), ("fixed", 30, 25), ("op", 24, 24),
+                    ("imm19", 23, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="tbz",
             match=(("eq", 30, 25, 0b011011),),
-            encoder=EncoderSpec(
-                fixed=0b011011 << 25, fixed_mask=0b111111 << 25,
-                places=(("b5", 31, 1), ("op", 24, 1), ("b40", 19, 5),
-                        ("imm14", 5, 14), ("rt", 0, 5)),
-            ),
+            fields=(("b5", 31, 31), ("fixed", 30, 25), ("op", 24, 24),
+                    ("b40", 23, 19), ("imm14", 18, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="bcond",
             match=(("eq", 31, 24, 0b01010100), ("eq", 4, 4, 0)),
             region=(("eq", 31, 24, 0b01010100),),
-            encoder=EncoderSpec(
-                fixed=0b01010100 << 24, fixed_mask=(0xFF << 24) | (1 << 4),
-                places=(("imm19", 5, 19), ("cond", 0, 4)),
-            ),
+            fields=(("fixed", 31, 24), ("imm19", 23, 5), ("fixed4", 4, 4),
+                    ("cond", 3, 0)),
         ),
         ArmSpec(
             name="b_bl",
             match=(("eq", 30, 26, 0b00101),),
-            encoder=EncoderSpec(
-                fixed=0b00101 << 26, fixed_mask=0b11111 << 26,
-                places=(("op", 31, 1), ("imm26", 0, 26)),
-            ),
+            fields=(("op", 31, 31), ("fixed", 30, 26), ("imm26", 25, 0)),
         ),
         ArmSpec(
             name="br_blr_ret",
@@ -279,41 +225,29 @@ def _arms() -> tuple:
                    ("or", ("in", 24, 21, (0b0000, 0b0001, 0b0010)),
                     ("and", ("eq", 24, 21, 0b0100), ("eq", 9, 5, 31)))),
             region=(("eq", 31, 25, 0b1101011),),
-            encoder=EncoderSpec(
-                fixed=(0b1101011 << 25) | (0b11111_000000 << 10),
-                fixed_mask=(0x7F << 25) | (0x7FF << 10) | 0x1F,
-                places=(("opc", 21, 4), ("rn", 5, 5)),
-            ),
+            fields=(("fixed", 31, 25), ("opc", 24, 21), ("fixed2", 20, 10),
+                    ("rn", 9, 5), ("fixed3", 4, 0)),
         ),
         ArmSpec(
             name="hint",
             match=(("eq", 31, 12, 0b11010101000000110010),
                    ("eq", 4, 0, 0b11111)),
             region=(("eq", 31, 22, 0b1101010100), ("eq", 20, 20, 0)),
-            encoder=EncoderSpec(
-                fixed=(0b11010101000000110010 << 12) | 0b11111,
-                fixed_mask=(0xFFFFF << 12) | 0x1F,
-                places=(("crm_op2", 5, 7),),
-            ),
+            fields=(("fixed", 31, 12), ("crm_op2", 11, 5), ("fixed2", 4, 0)),
         ),
         ArmSpec(
             name="sysreg",
             match=(("eq", 31, 22, 0b1101010100), ("eq", 20, 20, 1)),
-            encoder=EncoderSpec(
-                fixed=(0b1101010100 << 22) | (1 << 20),
-                fixed_mask=(0x3FF << 22) | (1 << 20),
-                places=(("l", 21, 1), ("enc", 5, 15), ("rt", 0, 5)),
-            ),
+            fields=(("fixed", 31, 22), ("l", 21, 21), ("fixed20", 20, 20),
+                    ("o0", 19, 19), ("op1", 18, 16), ("crn", 15, 12),
+                    ("crm", 11, 8), ("op2", 7, 5), ("rt", 4, 0)),
         ),
         ArmSpec(
             name="hvc",
             match=(("eq", 31, 21, 0b11010100_000),
                    ("in", 4, 0, (0b00001, 0b00010))),
             region=(("eq", 31, 21, 0b11010100_000),),
-            encoder=EncoderSpec(
-                fixed=0b11010100_000 << 21, fixed_mask=0x7FF << 21,
-                places=(("imm16", 5, 16), ("low", 0, 5)),
-            ),
+            fields=(("fixed", 31, 21), ("imm16", 20, 5), ("low", 4, 0)),
         ),
     )
 
@@ -366,15 +300,10 @@ _INVALID = (
 )
 
 
-def _layouts() -> dict:
-    layouts = {arm: (table,) for arm, table in decode._FIELD_TABLES.items()}
-    # ccmp's [20:16] is a register only in the register form (bit 11 clear).
-    layouts["ccmp"] = (decode._ccmp_fields(0), decode._ccmp_fields(1 << 11))
-    return layouts
-
-
 def _probes() -> dict:
-    e = encode
+    from . import encode as e
+    from .regs import SYSREG_ENCODINGS
+
     sysreg_name = next(iter(SYSREG_ENCODINGS))
     return {
         "addsub_imm": (
@@ -444,16 +373,21 @@ def _probes() -> dict:
     }
 
 
+#: The arms, built once: :mod:`repro.arch.arm.encode` packs through them.
+ARMS = _arms()
+
+
 def build_spec() -> IsaSpec:
+    from . import asm, decode
+
     return IsaSpec(
         arch="arm",
-        arms=_arms(),
+        arms=ARMS,
         invalid=_INVALID,
-        layouts=_layouts(),
-        reg_count=32,
         decode_arm=decode.decode_arm,
-        decode_fields=decode.decode_fields,
         invalid_exc=decode.UnknownInstruction,
+        disassemble=decode.disassemble,
+        assemble_line=asm.assemble_line,
         probes=_probes(),
         coverage_shard=(28, 25),
     )

@@ -288,94 +288,3 @@ DECODE_ARMS = (
     "mtspr", "mfspr", "lwz", "lbz", "stw", "stb", "ld", "std",
     "b", "bc", "bclr", "bcctr",
 )
-
-
-# -- structured operand fields ------------------------------------------------
-#
-# Per-arm bit layouts as (name, hi, lo, kind) tuples, MSB-first, tiling all
-# 32 bits.  Kinds mirror ``arch.arm.decode``: ``reg`` operand register
-# indices, ``imm`` immediates the model reads symbolically (``fld``), and
-# ``struct`` for pattern/selector bits plus anything the model consumes as
-# a Python int (``fld_int`` — BO/BI/SPR fields and the AA/LK/Rc flags).
-
-_MAJOR = ("major", 31, 26, "struct")
-
-_D_ARITH = (_MAJOR, ("rt", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("si", 15, 0, "imm"))
-_D_LOGIC = (_MAJOR, ("rs", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("ui", 15, 0, "imm"))
-_D_CMP = (_MAJOR, ("bf", 25, 23, "struct"), ("res", 22, 22, "struct"),
-          ("l", 21, 21, "struct"), ("ra", 20, 16, "reg"), ("si", 15, 0, "imm"))
-_D_LOAD = (_MAJOR, ("rt", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-           ("d", 15, 0, "imm"))
-_D_STORE = (_MAJOR, ("rs", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("d", 15, 0, "imm"))
-_DS_LOAD = (_MAJOR, ("rt", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("ds", 15, 2, "imm"), ("xo", 1, 0, "struct"))
-_DS_STORE = (_MAJOR, ("rs", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-             ("ds", 15, 2, "imm"), ("xo", 1, 0, "struct"))
-_I_FORM = (_MAJOR, ("li", 25, 2, "imm"), ("aa", 1, 1, "struct"),
-           ("lk", 0, 0, "struct"))
-_B_FORM = (_MAJOR, ("bo", 25, 21, "struct"), ("bi", 20, 16, "struct"),
-           ("bd", 15, 2, "imm"), ("aa", 1, 1, "struct"), ("lk", 0, 0, "struct"))
-_XL_FORM = (_MAJOR, ("bo", 25, 21, "struct"), ("bi", 20, 16, "struct"),
-            ("bh", 15, 11, "struct"), ("xo", 10, 1, "struct"),
-            ("lk", 0, 0, "struct"))
-_XO_FORM = (_MAJOR, ("rt", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("rb", 15, 11, "reg"), ("oe", 10, 10, "struct"),
-            ("xo", 9, 1, "struct"), ("rc", 0, 0, "struct"))
-_X_LOGIC = (_MAJOR, ("rs", 25, 21, "reg"), ("ra", 20, 16, "reg"),
-            ("rb", 15, 11, "reg"), ("xo", 10, 1, "struct"),
-            ("rc", 0, 0, "struct"))
-_X_CMP = (_MAJOR, ("bf", 25, 23, "struct"), ("res", 22, 22, "struct"),
-          ("l", 21, 21, "struct"), ("ra", 20, 16, "reg"),
-          ("rb", 15, 11, "reg"), ("xo", 10, 1, "struct"),
-          ("rc", 0, 0, "struct"))
-_X_MTSPR = (_MAJOR, ("rs", 25, 21, "reg"), ("spr", 20, 11, "struct"),
-            ("xo", 10, 1, "struct"), ("rc", 0, 0, "struct"))
-_X_MFSPR = (_MAJOR, ("rt", 25, 21, "reg"), ("spr", 20, 11, "struct"),
-            ("xo", 10, 1, "struct"), ("rc", 0, 0, "struct"))
-
-_LAYOUTS = {
-    "addi": _D_ARITH, "addis": _D_ARITH,
-    "ori": _D_LOGIC, "oris": _D_LOGIC, "xori": _D_LOGIC, "xoris": _D_LOGIC,
-    "andi": _D_LOGIC, "andis": _D_LOGIC,
-    "cmpi": _D_CMP, "cmpli": _D_CMP,
-    "cmp": _X_CMP, "cmpl": _X_CMP,
-    "lwz": _D_LOAD, "lbz": _D_LOAD, "stw": _D_STORE, "stb": _D_STORE,
-    "ld": _DS_LOAD, "std": _DS_STORE,
-    "b": _I_FORM, "bc": _B_FORM, "bclr": _XL_FORM, "bcctr": _XL_FORM,
-    "add": _XO_FORM, "subf": _XO_FORM,
-    "and": _X_LOGIC, "or": _X_LOGIC, "xor": _X_LOGIC,
-    "mtspr": _X_MTSPR, "mfspr": _X_MFSPR,
-}
-
-
-def decode_fields(op: int):
-    """The decode arm claiming ``op`` plus its structured bit-field layout.
-
-    Returns ``(arm_name, fields)`` with ``fields`` a tuple of
-    ``(name, hi, lo, kind)`` tuples tiling the 32-bit word MSB-first, or
-    ``None`` when the opcode is outside the modelled subset.
-    """
-    try:
-        arm = decode_arm(op)
-    except UnknownInstruction:
-        return None
-    return arm, _LAYOUTS[arm]
-
-
-def decode_operands(op: int) -> dict[str, int] | None:
-    """The operand fields (``reg`` and ``imm`` kinds) of ``op`` as a dict.
-
-    ``None`` when the opcode is outside the modelled subset.
-    """
-    decoded = decode_fields(op)
-    if decoded is None:
-        return None
-    _, fields = decoded
-    return {
-        name: _f(op, hi, lo)
-        for name, hi, lo, kind in fields
-        if kind in ("reg", "imm")
-    }

@@ -1,15 +1,21 @@
 """Instruction encoders for the modelled OpenPOWER fixed-point subset.
 
-Argument order follows the assembly operand order (destination first);
-the packers place them at the architectural field positions.  Range
-errors raise ``ValueError`` early rather than silently truncating.
+Argument order follows the assembly operand order (destination first).
+Every word is packed through the field tables of :mod:`repro.arch.ppc.spec`
+(see :mod:`repro.arch.encoding`); these functions only turn operands into
+field values, and an operand that does not fit raises ``ValueError``.
 Python-keyword clashes follow the usual convention: ``and_``/``or_``,
 and the record forms ``andi.``/``andis.`` are ``andi_``/``andis_``.
 """
 
 from __future__ import annotations
 
+from ..encoding import Encoding, aligned, signed
 from .regs import SPR_CTR, SPR_FIELD, SPR_LR, SPR_XER
+from .spec import ARMS
+
+#: The packer over the spec's field tables.
+ENCODING = Encoding(ARMS)
 
 
 def reg(r) -> int:
@@ -34,31 +40,15 @@ def crf(bf) -> int:
     return bf
 
 
-def _signed(value: int, bits: int, what: str) -> int:
-    if not -(1 << (bits - 1)) <= value < (1 << (bits - 1)):
-        raise ValueError(f"{what} {value} does not fit in {bits} signed bits")
-    return value & ((1 << bits) - 1)
-
-
-def _unsigned(value: int, bits: int, what: str) -> int:
-    if not 0 <= value < (1 << bits):
-        raise ValueError(f"{what} {value} does not fit in {bits} unsigned bits")
-    return value
-
-
-def _d_form(major: int, rt: int, ra: int, imm16: int) -> int:
-    return (major << 26) | (reg(rt) << 21) | (reg(ra) << 16) | imm16
-
-
 # -- D-form arithmetic and logical immediates --------------------------------
 
 
 def addi(rt, ra, si: int) -> int:
-    return _d_form(14, rt, ra, _signed(si, 16, "SI"))
+    return ENCODING.pack("addi", rt=reg(rt), ra=reg(ra), si=signed(si, 16, "SI"))
 
 
 def addis(rt, ra, si: int) -> int:
-    return _d_form(15, rt, ra, _signed(si, 16, "SI"))
+    return ENCODING.pack("addis", rt=reg(rt), ra=reg(ra), si=signed(si, 16, "SI"))
 
 
 def li(rt, si: int) -> int:
@@ -69,33 +59,33 @@ def lis(rt, si: int) -> int:
     return addis(rt, 0, si)
 
 
-def _logic_imm(major: int, ra, rs, ui: int) -> int:
-    # Encoding order is RS, RA even though assembly order is RA, RS.
-    return _d_form(major, rs, ra, _unsigned(ui, 16, "UI"))
+def _logic_imm(arm: str, ra, rs, ui: int) -> int:
+    # Assembly order is RA, RS; the field table places RS at [25:21].
+    return ENCODING.pack(arm, rs=reg(rs), ra=reg(ra), ui=ui)
 
 
 def ori(ra, rs, ui: int) -> int:
-    return _logic_imm(24, ra, rs, ui)
+    return _logic_imm("ori", ra, rs, ui)
 
 
 def oris(ra, rs, ui: int) -> int:
-    return _logic_imm(25, ra, rs, ui)
+    return _logic_imm("oris", ra, rs, ui)
 
 
 def xori(ra, rs, ui: int) -> int:
-    return _logic_imm(26, ra, rs, ui)
+    return _logic_imm("xori", ra, rs, ui)
 
 
 def xoris(ra, rs, ui: int) -> int:
-    return _logic_imm(27, ra, rs, ui)
+    return _logic_imm("xoris", ra, rs, ui)
 
 
 def andi_(ra, rs, ui: int) -> int:
-    return _logic_imm(28, ra, rs, ui)
+    return _logic_imm("andi", ra, rs, ui)
 
 
 def andis_(ra, rs, ui: int) -> int:
-    return _logic_imm(29, ra, rs, ui)
+    return _logic_imm("andis", ra, rs, ui)
 
 
 def nop() -> int:
@@ -105,93 +95,76 @@ def nop() -> int:
 # -- compares ----------------------------------------------------------------
 
 
-def _cmp_imm(major: int, bf, ell: int, ra, imm16: int) -> int:
-    return (major << 26) | (crf(bf) << 23) | (ell << 21) | (reg(ra) << 16) | imm16
-
-
 def cmpdi(bf, ra, si: int) -> int:
-    return _cmp_imm(11, bf, 1, ra, _signed(si, 16, "SI"))
+    return ENCODING.pack("cmpi", bf=crf(bf), l=1, ra=reg(ra), si=signed(si, 16, "SI"))
 
 
 def cmpwi(bf, ra, si: int) -> int:
-    return _cmp_imm(11, bf, 0, ra, _signed(si, 16, "SI"))
+    return ENCODING.pack("cmpi", bf=crf(bf), l=0, ra=reg(ra), si=signed(si, 16, "SI"))
 
 
 def cmpldi(bf, ra, ui: int) -> int:
-    return _cmp_imm(10, bf, 1, ra, _unsigned(ui, 16, "UI"))
+    return ENCODING.pack("cmpli", bf=crf(bf), l=1, ra=reg(ra), ui=ui)
 
 
 def cmplwi(bf, ra, ui: int) -> int:
-    return _cmp_imm(10, bf, 0, ra, _unsigned(ui, 16, "UI"))
-
-
-def _cmp_reg(xo: int, bf, ell: int, ra, rb) -> int:
-    return (
-        (31 << 26) | (crf(bf) << 23) | (ell << 21) | (reg(ra) << 16)
-        | (reg(rb) << 11) | (xo << 1)
-    )
+    return ENCODING.pack("cmpli", bf=crf(bf), l=0, ra=reg(ra), ui=ui)
 
 
 def cmpd(bf, ra, rb) -> int:
-    return _cmp_reg(0, bf, 1, ra, rb)
+    return ENCODING.pack("cmp", bf=crf(bf), l=1, ra=reg(ra), rb=reg(rb))
 
 
 def cmpw(bf, ra, rb) -> int:
-    return _cmp_reg(0, bf, 0, ra, rb)
+    return ENCODING.pack("cmp", bf=crf(bf), l=0, ra=reg(ra), rb=reg(rb))
 
 
 def cmpld(bf, ra, rb) -> int:
-    return _cmp_reg(32, bf, 1, ra, rb)
+    return ENCODING.pack("cmpl", bf=crf(bf), l=1, ra=reg(ra), rb=reg(rb))
 
 
 def cmplw(bf, ra, rb) -> int:
-    return _cmp_reg(32, bf, 0, ra, rb)
+    return ENCODING.pack("cmpl", bf=crf(bf), l=0, ra=reg(ra), rb=reg(rb))
 
 
 # -- loads and stores --------------------------------------------------------
 
 
+def _words(offset: int, bits: int, what: str) -> int:
+    """A byte offset or displacement as its ``bits - 2``-bit word field."""
+    aligned(offset, 2, what)
+    return signed(offset, bits, what) >> 2
+
+
 def lwz(rt, ra, d: int) -> int:
-    return _d_form(32, rt, ra, _signed(d, 16, "D"))
+    return ENCODING.pack("lwz", rt=reg(rt), ra=reg(ra), d=signed(d, 16, "D"))
 
 
 def lbz(rt, ra, d: int) -> int:
-    return _d_form(34, rt, ra, _signed(d, 16, "D"))
+    return ENCODING.pack("lbz", rt=reg(rt), ra=reg(ra), d=signed(d, 16, "D"))
 
 
 def stw(rs, ra, d: int) -> int:
-    return _d_form(36, rs, ra, _signed(d, 16, "D"))
+    return ENCODING.pack("stw", rs=reg(rs), ra=reg(ra), d=signed(d, 16, "D"))
 
 
 def stb(rs, ra, d: int) -> int:
-    return _d_form(38, rs, ra, _signed(d, 16, "D"))
-
-
-def _ds_form(major: int, rt, ra, ds: int) -> int:
-    if ds % 4:
-        raise ValueError(f"DS displacement {ds} is not a multiple of 4")
-    return _d_form(major, rt, ra, _signed(ds, 16, "DS"))
+    return ENCODING.pack("stb", rs=reg(rs), ra=reg(ra), d=signed(d, 16, "D"))
 
 
 def ld(rt, ra, ds: int) -> int:
-    return _ds_form(58, rt, ra, ds)
+    return ENCODING.pack("ld", rt=reg(rt), ra=reg(ra), ds=_words(ds, 16, "DS"))
 
 
 def std(rs, ra, ds: int) -> int:
-    return _ds_form(62, rs, ra, ds)
+    return ENCODING.pack("std", rs=reg(rs), ra=reg(ra), ds=_words(ds, 16, "DS"))
 
 
 # -- branches ----------------------------------------------------------------
 
 
-def _branch_target(offset: int, bits: int, what: str) -> int:
-    if offset % 4:
-        raise ValueError(f"{what} {offset} is not a multiple of 4")
-    return _signed(offset, bits, what)
-
-
 def b(offset: int, lk: int = 0) -> int:
-    return (18 << 26) | _branch_target(offset, 26, "LI") & ~0b11 | lk
+    return ENCODING.pack("b", li=_words(offset, 26, "LI"), lk=lk)
 
 
 def bl(offset: int) -> int:
@@ -199,59 +172,60 @@ def bl(offset: int) -> int:
 
 
 def bc(bo: int, bi: int, bd: int, lk: int = 0) -> int:
-    return (
-        (16 << 26) | (_unsigned(bo, 5, "BO") << 21)
-        | (_unsigned(bi, 5, "BI") << 16)
-        | _branch_target(bd, 16, "BD") & ~0b11 | lk
-    )
+    return ENCODING.pack("bc", bo=bo, bi=bi, bd=_words(bd, 16, "BD"), lk=lk)
 
 
 def bcl(bo: int, bi: int, bd: int) -> int:
     return bc(bo, bi, bd, lk=1)
 
 
-def bdnz(bd: int) -> int:
-    return bc(16, 0, bd)
+def bdnz(bd: int, lk: int = 0) -> int:
+    return bc(16, 0, bd, lk)
+
+
+#: Extended conditional branches: condition -> (BO, CR bit in the field).
+#: BO=12 branches when the bit is set, BO=4 when it is clear.
+BRANCH_CONDS = {"lt": (12, 0), "gt": (12, 1), "eq": (12, 2), "so": (12, 3),
+                "ge": (4, 0), "le": (4, 1), "ne": (4, 2), "ns": (4, 3)}
+
+
+def bcond(cond: str, bf, bd: int, lk: int = 0) -> int:
+    """``b<cond>[l] crN, bd``: a ``bc`` testing one bit of CR field ``bf``."""
+    bo, bit = BRANCH_CONDS[cond]
+    return bc(bo, 4 * crf(bf) + bit, bd, lk)
 
 
 def blt(bf, bd: int) -> int:
-    return bc(12, 4 * crf(bf) + 0, bd)
+    return bcond("lt", bf, bd)
 
 
 def bgt(bf, bd: int) -> int:
-    return bc(12, 4 * crf(bf) + 1, bd)
+    return bcond("gt", bf, bd)
 
 
 def beq(bf, bd: int) -> int:
-    return bc(12, 4 * crf(bf) + 2, bd)
+    return bcond("eq", bf, bd)
 
 
 def bge(bf, bd: int) -> int:
-    return bc(4, 4 * crf(bf) + 0, bd)
+    return bcond("ge", bf, bd)
 
 
 def ble(bf, bd: int) -> int:
-    return bc(4, 4 * crf(bf) + 1, bd)
+    return bcond("le", bf, bd)
 
 
 def bne(bf, bd: int) -> int:
-    return bc(4, 4 * crf(bf) + 2, bd)
+    return bcond("ne", bf, bd)
 
 
 def bclr(bo: int, bi: int, lk: int = 0) -> int:
-    return (
-        (19 << 26) | (_unsigned(bo, 5, "BO") << 21)
-        | (_unsigned(bi, 5, "BI") << 16) | (16 << 1) | lk
-    )
+    return ENCODING.pack("bclr", bo=bo, bi=bi, lk=lk)
 
 
 def bcctr(bo: int, bi: int, lk: int = 0) -> int:
-    if not bo & 0b00100:
-        raise ValueError("bcctr must not decrement CTR (BO bit 2 clear)")
-    return (
-        (19 << 26) | (_unsigned(bo, 5, "BO") << 21)
-        | (_unsigned(bi, 5, "BI") << 16) | (528 << 1) | lk
-    )
+    """The claim fixes BO[2]: bcctr must not decrement CTR."""
+    return ENCODING.pack("bcctr", bo=bo, bi=bi, lk=lk)
 
 
 def blr() -> int:
@@ -273,71 +247,57 @@ def bctrl() -> int:
 # -- major 31 (X / XO forms) -------------------------------------------------
 
 
-def _xo_arith(xo: int, rt, ra, rb) -> int:
-    return (
-        (31 << 26) | (reg(rt) << 21) | (reg(ra) << 16) | (reg(rb) << 11)
-        | (xo << 1)
-    )
-
-
 def add(rt, ra, rb) -> int:
-    return _xo_arith(266, rt, ra, rb)
+    return ENCODING.pack("add", rt=reg(rt), ra=reg(ra), rb=reg(rb))
 
 
 def subf(rt, ra, rb) -> int:
-    return _xo_arith(40, rt, ra, rb)
+    return ENCODING.pack("subf", rt=reg(rt), ra=reg(ra), rb=reg(rb))
 
 
-def _x_logic(xo: int, ra, rs, rb) -> int:
-    # Encoding order is RS, RA, RB even though assembly order is RA, RS, RB.
-    return (
-        (31 << 26) | (reg(rs) << 21) | (reg(ra) << 16) | (reg(rb) << 11)
-        | (xo << 1)
-    )
+def _x_logic(arm: str, ra, rs, rb) -> int:
+    # Assembly order is RA, RS, RB; the field table places RS at [25:21].
+    return ENCODING.pack(arm, rs=reg(rs), ra=reg(ra), rb=reg(rb))
 
 
 def and_(ra, rs, rb) -> int:
-    return _x_logic(28, ra, rs, rb)
+    return _x_logic("and", ra, rs, rb)
 
 
 def or_(ra, rs, rb) -> int:
-    return _x_logic(444, ra, rs, rb)
+    return _x_logic("or", ra, rs, rb)
 
 
 def xor(ra, rs, rb) -> int:
-    return _x_logic(316, ra, rs, rb)
+    return _x_logic("xor", ra, rs, rb)
 
 
 def mr(ra, rs) -> int:
     return or_(ra, rs, rs)
 
 
-def _spr_form(xo: int, rt, spr: int) -> int:
-    return (31 << 26) | (reg(rt) << 21) | (SPR_FIELD[spr] << 11) | (xo << 1)
-
-
 def mtctr(rs) -> int:
-    return _spr_form(467, rs, SPR_CTR)
+    return ENCODING.pack("mtspr", rs=reg(rs), spr=SPR_FIELD[SPR_CTR])
 
 
 def mtlr(rs) -> int:
-    return _spr_form(467, rs, SPR_LR)
+    return ENCODING.pack("mtspr", rs=reg(rs), spr=SPR_FIELD[SPR_LR])
 
 
 def mtxer(rs) -> int:
-    return _spr_form(467, rs, SPR_XER)
+    return ENCODING.pack("mtspr", rs=reg(rs), spr=SPR_FIELD[SPR_XER])
 
 
 def mfctr(rt) -> int:
-    return _spr_form(339, rt, SPR_CTR)
+    return ENCODING.pack("mfspr", rt=reg(rt), spr=SPR_FIELD[SPR_CTR])
 
 
 def mflr(rt) -> int:
-    return _spr_form(339, rt, SPR_LR)
+    return ENCODING.pack("mfspr", rt=reg(rt), spr=SPR_FIELD[SPR_LR])
 
 
 def mfxer(rt) -> int:
-    return _spr_form(339, rt, SPR_XER)
+    return ENCODING.pack("mfspr", rt=reg(rt), spr=SPR_FIELD[SPR_XER])
 
 
 def assemble(opcodes: list[int]) -> bytes:

@@ -4,19 +4,18 @@ This is the input to :mod:`repro.analysis.isaspec`: every decode arm of
 :mod:`repro.arch.ppc.decode` restated as an exact bitvector claim, plus
 the defined-invalid space (unallocated primary opcodes; reserved minor
 encodings fall out as region residuals).  The validator proves the claims
-pairwise disjoint and jointly covering, round-trips the encoder packing
-symbolically, and grounds everything against the real Python
-decoder/encoder on witness and probe words.
+pairwise disjoint and jointly covering, and grounds them against the
+hand-written decoder on witness and probe words.
 
-The tables here are deliberately *independent* re-derivations from the
-Power ISA manual's shapes — agreement with ``decode.py``/``encode.py`` is
-proved, not assumed.
+Each arm's field table is the only description of its bits:
+:mod:`repro.arch.ppc.encode` packs every word through it
+(:mod:`repro.arch.encoding`), and the validator checks it by reassembling
+decoder witnesses — the decoder and disassembler stay independent of it.
 """
 
 from __future__ import annotations
 
-from ...analysis.isaspec import ArmSpec, EncoderSpec, InvalidRegion, IsaSpec
-from . import decode, encode
+from ...analysis.isaspec import ArmSpec, InvalidRegion, IsaSpec
 
 # Primary opcodes (bits [31:26]) of the modelled subset.
 _MAJORS = {
@@ -33,129 +32,113 @@ _XOS = {"cmp": 0, "and": 28, "cmpl": 32, "subf": 40, "add": 266,
 #: SPR instruction-field values for XER(1), LR(8), CTR(9) — swapped halves.
 _SPR_FIELDS = (32, 256, 288)
 
-_MAJOR_MASK = 0x3F << 26
-
 
 def _major(name: str) -> tuple:
     return ("eq", 31, 26, _MAJORS[name])
 
 
-def _d_encoder(major: int, top: str, imm: str) -> EncoderSpec:
-    return EncoderSpec(
-        fixed=major << 26, fixed_mask=_MAJOR_MASK,
-        places=((top, 21, 5), ("ra", 16, 5), (imm, 0, 16)),
-    )
+_MAJOR = ("major", 31, 26)
 
 
-def _x_encoder(xo: int, places: tuple) -> EncoderSpec:
-    return EncoderSpec(
-        fixed=(31 << 26) | (xo << 1),
-        fixed_mask=_MAJOR_MASK | (0x3FF << 1) | 1,
-        places=places,
-    )
+def _d_form(top: str, imm: str) -> tuple:
+    return (_MAJOR, (top, 25, 21), ("ra", 20, 16), (imm, 15, 0))
 
 
-_GPR3 = (("rt", 21, 5), ("ra", 16, 5), ("rb", 11, 5))
-_XL_PLACES = (("bo", 21, 5), ("bi", 16, 5), ("lk", 0, 1))
+def _ds_form(top: str) -> tuple:
+    return (_MAJOR, (top, 25, 21), ("ra", 20, 16), ("ds", 15, 2), ("xo", 1, 0))
+
+
+def _cmp_form(last: tuple) -> tuple:
+    return (_MAJOR, ("bf", 25, 23), ("res", 22, 22), ("l", 21, 21),
+            ("ra", 20, 16)) + last
+
+
+_XL_FORM = (_MAJOR, ("bo", 25, 21), ("bi", 20, 16), ("bh", 15, 11),
+            ("xo", 10, 1), ("lk", 0, 0))
+_XO_FORM = (_MAJOR, ("rt", 25, 21), ("ra", 20, 16), ("rb", 15, 11),
+            ("oe", 10, 10), ("xo", 9, 1), ("rc", 0, 0))
+_X_LOGIC = (_MAJOR, ("rs", 25, 21), ("ra", 20, 16), ("rb", 15, 11),
+            ("xo", 10, 1), ("rc", 0, 0))
+_X_CMP = _cmp_form((("rb", 15, 11), ("xo", 10, 1), ("rc", 0, 0)))
+
+
+def _x_spr(top: str) -> tuple:
+    return (_MAJOR, (top, 25, 21), ("spr", 20, 11), ("xo", 10, 1), ("rc", 0, 0))
 
 
 def _arms() -> tuple:
     arms = [
         # -- D-form arithmetic / logical immediates (whole-major claims) --
         ArmSpec(name="addi", match=(_major("addi"),),
-                encoder=_d_encoder(14, "rt", "si")),
+                fields=_d_form("rt", "si")),
         ArmSpec(name="addis", match=(_major("addis"),),
-                encoder=_d_encoder(15, "rt", "si")),
+                fields=_d_form("rt", "si")),
         ArmSpec(name="ori", match=(_major("ori"),),
-                encoder=_d_encoder(24, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         ArmSpec(name="oris", match=(_major("oris"),),
-                encoder=_d_encoder(25, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         ArmSpec(name="xori", match=(_major("xori"),),
-                encoder=_d_encoder(26, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         ArmSpec(name="xoris", match=(_major("xoris"),),
-                encoder=_d_encoder(27, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         ArmSpec(name="andi", match=(_major("andi"),),
-                encoder=_d_encoder(28, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         ArmSpec(name="andis", match=(_major("andis"),),
-                encoder=_d_encoder(29, "rs", "ui")),
+                fields=_d_form("rs", "ui")),
         # -- D-form compares (bit 22 reserved-zero) --
         ArmSpec(
             name="cmpi",
             match=(_major("cmpi"), ("eq", 22, 22, 0)),
             region=(_major("cmpi"),),
-            encoder=EncoderSpec(
-                fixed=11 << 26, fixed_mask=_MAJOR_MASK | (1 << 22),
-                places=(("bf", 23, 3), ("l", 21, 1), ("ra", 16, 5),
-                        ("si", 0, 16)),
-            ),
+            fields=_cmp_form((("si", 15, 0),)),
         ),
         ArmSpec(
             name="cmpli",
             match=(_major("cmpli"), ("eq", 22, 22, 0)),
             region=(_major("cmpli"),),
-            encoder=EncoderSpec(
-                fixed=10 << 26, fixed_mask=_MAJOR_MASK | (1 << 22),
-                places=(("bf", 23, 3), ("l", 21, 1), ("ra", 16, 5),
-                        ("si", 0, 16)),
-            ),
+            fields=_cmp_form((("ui", 15, 0),)),
         ),
         # -- D-form loads / stores (whole-major claims) --
         ArmSpec(name="lwz", match=(_major("lwz"),),
-                encoder=_d_encoder(32, "rt", "d")),
+                fields=_d_form("rt", "d")),
         ArmSpec(name="lbz", match=(_major("lbz"),),
-                encoder=_d_encoder(34, "rt", "d")),
+                fields=_d_form("rt", "d")),
         ArmSpec(name="stw", match=(_major("stw"),),
-                encoder=_d_encoder(36, "rs", "d")),
+                fields=_d_form("rs", "d")),
         ArmSpec(name="stb", match=(_major("stb"),),
-                encoder=_d_encoder(38, "rs", "d")),
+                fields=_d_form("rs", "d")),
         # -- DS-form doubleword loads / stores (XO bits [1:0] zero) --
         ArmSpec(
             name="ld",
             match=(_major("ld"), ("eq", 1, 0, 0)),
             region=(_major("ld"),),
-            encoder=EncoderSpec(
-                fixed=58 << 26, fixed_mask=_MAJOR_MASK | 0b11,
-                places=(("rt", 21, 5), ("ra", 16, 5), ("ds", 2, 14)),
-            ),
+            fields=_ds_form("rt"),
         ),
         ArmSpec(
             name="std",
             match=(_major("std"), ("eq", 1, 0, 0)),
             region=(_major("std"),),
-            encoder=EncoderSpec(
-                fixed=62 << 26, fixed_mask=_MAJOR_MASK | 0b11,
-                places=(("rs", 21, 5), ("ra", 16, 5), ("ds", 2, 14)),
-            ),
+            fields=_ds_form("rs"),
         ),
         # -- branches (relative only: AA == 0) --
         ArmSpec(
             name="b",
             match=(_major("b"), ("eq", 1, 1, 0)),
             region=(_major("b"),),
-            encoder=EncoderSpec(
-                fixed=18 << 26, fixed_mask=_MAJOR_MASK | (1 << 1),
-                places=(("li", 2, 24), ("lk", 0, 1)),
-            ),
+            fields=(_MAJOR, ("li", 25, 2), ("aa", 1, 1), ("lk", 0, 0)),
         ),
         ArmSpec(
             name="bc",
             match=(_major("bc"), ("eq", 1, 1, 0)),
             region=(_major("bc"),),
-            encoder=EncoderSpec(
-                fixed=16 << 26, fixed_mask=_MAJOR_MASK | (1 << 1),
-                places=(("bo", 21, 5), ("bi", 16, 5), ("bd", 2, 14),
-                        ("lk", 0, 1)),
-            ),
+            fields=(_MAJOR, ("bo", 25, 21), ("bi", 20, 16), ("bd", 15, 2),
+                    ("aa", 1, 1), ("lk", 0, 0)),
         ),
         ArmSpec(
             name="bclr",
             match=(_major("xl"), ("eq", 15, 11, 0), ("eq", 10, 1, 16)),
             region=(_major("xl"),),
-            encoder=EncoderSpec(
-                fixed=(19 << 26) | (16 << 1),
-                fixed_mask=_MAJOR_MASK | (0x1F << 11) | (0x3FF << 1),
-                places=_XL_PLACES,
-            ),
+            fields=_XL_FORM,
         ),
         ArmSpec(
             name="bcctr",
@@ -163,49 +146,39 @@ def _arms() -> tuple:
             match=(_major("xl"), ("eq", 15, 11, 0), ("eq", 10, 1, 528),
                    ("eq", 23, 23, 1)),
             region=(_major("xl"),),
-            encoder=EncoderSpec(
-                fixed=(19 << 26) | (528 << 1),
-                fixed_mask=_MAJOR_MASK | (0x1F << 11) | (0x3FF << 1),
-                places=_XL_PLACES,
-            ),
+            fields=_XL_FORM,
         ),
         # -- major 31: XO-form arithmetic (OE and Rc reserved-zero) --
         ArmSpec(
             name="add",
             match=(_major("x"), ("eq", 10, 1, _XOS["add"]), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(_XOS["add"], _GPR3),
+            fields=_XO_FORM,
         ),
         ArmSpec(
             name="subf",
             match=(_major("x"), ("eq", 10, 1, _XOS["subf"]), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(_XOS["subf"], _GPR3),
+            fields=_XO_FORM,
         ),
         # -- major 31: X-form logicals (Rc reserved-zero) --
         ArmSpec(
             name="and",
             match=(_major("x"), ("eq", 10, 1, _XOS["and"]), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(
-                _XOS["and"], (("rs", 21, 5), ("ra", 16, 5), ("rb", 11, 5))
-            ),
+            fields=_X_LOGIC,
         ),
         ArmSpec(
             name="or",
             match=(_major("x"), ("eq", 10, 1, _XOS["or"]), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(
-                _XOS["or"], (("rs", 21, 5), ("ra", 16, 5), ("rb", 11, 5))
-            ),
+            fields=_X_LOGIC,
         ),
         ArmSpec(
             name="xor",
             match=(_major("x"), ("eq", 10, 1, _XOS["xor"]), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(
-                _XOS["xor"], (("rs", 21, 5), ("ra", 16, 5), ("rb", 11, 5))
-            ),
+            fields=_X_LOGIC,
         ),
         # -- major 31: X-form compares (bit 22 and Rc reserved-zero) --
         ArmSpec(
@@ -213,24 +186,14 @@ def _arms() -> tuple:
             match=(_major("x"), ("eq", 10, 1, _XOS["cmp"]),
                    ("eq", 22, 22, 0), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=EncoderSpec(
-                fixed=(31 << 26) | (_XOS["cmp"] << 1),
-                fixed_mask=_MAJOR_MASK | (1 << 22) | (0x3FF << 1) | 1,
-                places=(("bf", 23, 3), ("l", 21, 1), ("ra", 16, 5),
-                        ("rb", 11, 5)),
-            ),
+            fields=_X_CMP,
         ),
         ArmSpec(
             name="cmpl",
             match=(_major("x"), ("eq", 10, 1, _XOS["cmpl"]),
                    ("eq", 22, 22, 0), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=EncoderSpec(
-                fixed=(31 << 26) | (_XOS["cmpl"] << 1),
-                fixed_mask=_MAJOR_MASK | (1 << 22) | (0x3FF << 1) | 1,
-                places=(("bf", 23, 3), ("l", 21, 1), ("ra", 16, 5),
-                        ("rb", 11, 5)),
-            ),
+            fields=_X_CMP,
         ),
         # -- major 31: SPR moves (only XER/LR/CTR modelled) --
         ArmSpec(
@@ -238,45 +201,22 @@ def _arms() -> tuple:
             match=(_major("x"), ("eq", 10, 1, _XOS["mtspr"]),
                    ("in", 20, 11, _SPR_FIELDS), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(
-                _XOS["mtspr"], (("rs", 21, 5), ("spr", 11, 10))
-            ),
+            fields=_x_spr("rs"),
         ),
         ArmSpec(
             name="mfspr",
             match=(_major("x"), ("eq", 10, 1, _XOS["mfspr"]),
                    ("in", 20, 11, _SPR_FIELDS), ("eq", 0, 0, 0)),
             region=(_major("x"),),
-            encoder=_x_encoder(
-                _XOS["mfspr"], (("rt", 21, 5), ("spr", 11, 10))
-            ),
+            fields=_x_spr("rt"),
         ),
     ]
     return tuple(arms)
 
 
-def _layouts() -> dict:
-    d = decode
-    return {
-        "addi": (d._D_ARITH,), "addis": (d._D_ARITH,),
-        "ori": (d._D_LOGIC,), "oris": (d._D_LOGIC,),
-        "xori": (d._D_LOGIC,), "xoris": (d._D_LOGIC,),
-        "andi": (d._D_LOGIC,), "andis": (d._D_LOGIC,),
-        "cmpi": (d._D_CMP,), "cmpli": (d._D_CMP,),
-        "cmp": (d._X_CMP,), "cmpl": (d._X_CMP,),
-        "lwz": (d._D_LOAD,), "lbz": (d._D_LOAD,),
-        "stw": (d._D_STORE,), "stb": (d._D_STORE,),
-        "ld": (d._DS_LOAD,), "std": (d._DS_STORE,),
-        "b": (d._I_FORM,), "bc": (d._B_FORM,),
-        "bclr": (d._XL_FORM,), "bcctr": (d._XL_FORM,),
-        "add": (d._XO_FORM,), "subf": (d._XO_FORM,),
-        "and": (d._X_LOGIC,), "or": (d._X_LOGIC,), "xor": (d._X_LOGIC,),
-        "mtspr": (d._X_MTSPR,), "mfspr": (d._X_MFSPR,),
-    }
-
-
 def _probes() -> dict:
-    e = encode
+    from . import encode as e
+
     return {
         "addi": (e.addi(3, 4, -5), e.li(5, 100), e.addi(0, 1, 32767)),
         "addis": (e.addis(3, 4, 17), e.lis(6, -1)),
@@ -311,21 +251,26 @@ def _probes() -> dict:
     }
 
 
+#: The arms, built once: :mod:`repro.arch.ppc.encode` packs through them.
+ARMS = _arms()
+
+
 def build_spec() -> IsaSpec:
+    from . import asm, decode
+
     return IsaSpec(
         arch="ppc",
-        arms=_arms(),
+        arms=ARMS,
         invalid=(
             InvalidRegion(
                 name="unallocated_major",
                 clauses=(("notin", 31, 26, tuple(sorted(_MAJORS.values()))),),
             ),
         ),
-        layouts=_layouts(),
-        reg_count=32,
         decode_arm=decode.decode_arm,
-        decode_fields=decode.decode_fields,
         invalid_exc=decode.UnknownInstruction,
+        disassemble=decode.disassemble,
+        assemble_line=asm.assemble_line,
         probes=_probes(),
         coverage_shard=(31, 26),
     )

@@ -190,105 +190,3 @@ def decode_arm(op: int) -> str:
 #: Every decode-arm name, in major-opcode order.  The architecture registry
 #: exposes this as the authoritative arm list for coverage maps.
 DECODE_ARMS = tuple(_MAJOR_ARMS.values())
-
-
-# -- structured operand fields ------------------------------------------------
-#
-# Per-arm bit layouts as (name, hi, lo, kind) tuples, MSB-first, tiling all
-# 32 bits.  Kinds mirror ``arch.arm.decode``: ``reg`` operand register
-# indices, ``imm`` immediates the model reads symbolically (``fld``), and
-# ``struct`` for pattern/selector bits plus anything the model consumes as a
-# Python int (``fld_int`` — e.g. the srli/srai ``alt`` bit, so the whole
-# funct3==5 immediate is structural).  Scrambled B/J immediates are exposed
-# as the *raw* field positions; the model applies the bit scatter itself.
-
-_U_TYPE = (
-    ("imm20", 31, 12, "imm"), ("rd", 11, 7, "reg"), ("major", 6, 0, "struct"),
-)
-_R_TYPE = (
-    ("funct7", 31, 25, "struct"), ("rs2", 24, 20, "reg"),
-    ("rs1", 19, 15, "reg"), ("funct3", 14, 12, "struct"),
-    ("rd", 11, 7, "reg"), ("major", 6, 0, "struct"),
-)
-
-
-def _i_type(imm_kind: str) -> tuple:
-    return (
-        ("imm12", 31, 20, imm_kind), ("rs1", 19, 15, "reg"),
-        ("funct3", 14, 12, "struct"), ("rd", 11, 7, "reg"),
-        ("major", 6, 0, "struct"),
-    )
-
-
-def _s_or_b_type(imm_kind: str) -> tuple:
-    return (
-        ("imm_hi", 31, 25, imm_kind), ("rs2", 24, 20, "reg"),
-        ("rs1", 19, 15, "reg"), ("funct3", 14, 12, "struct"),
-        ("imm_lo", 11, 7, imm_kind), ("major", 6, 0, "struct"),
-    )
-
-
-def _riscv_fields(op: int) -> tuple:
-    major = _f(op, 6, 0)
-    funct3 = _f(op, 14, 12)
-    if major in (0b0110111, 0b0010111, 0b1101111):  # lui / auipc / jal
-        return _U_TYPE
-    if major in (0b1100111, 0b0000011):  # jalr / load
-        return _i_type("imm")
-    if major == 0b1100011:  # branch
-        return _s_or_b_type("imm")
-    if major == 0b0100011:  # store
-        return _s_or_b_type("imm")
-    if major in (0b0010011, 0b0011011):  # op_imm / op_imm32
-        # funct3==5 (srli/srai) routes bit 30 through ``fld_int``; the whole
-        # immediate is structural there.  Shifts (funct3==1) mask the shamt
-        # symbolically, so their immediate stays free.
-        return _i_type("struct" if funct3 == 5 else "imm")
-    if major in (0b0110011, 0b0111011):  # op / op32
-        return _R_TYPE
-    if major == 0b0001111:  # fence (single canonical encoding)
-        return (
-            ("fm_pred_succ", 31, 20, "struct"), ("rs1", 19, 15, "struct"),
-            ("funct3", 14, 12, "struct"), ("rd", 11, 7, "struct"),
-            ("major", 6, 0, "struct"),
-        )
-    # system: csr register forms (funct3 in {1,2,3}) use rs1 as a register;
-    # immediate forms use it as a zimm payload, and funct3==0 (ecall/...)
-    # requires rd=rs1=0.  rd is written for every csr form.
-    rs1_kind = "reg" if funct3 in (1, 2, 3) else "struct"
-    rd_kind = "reg" if funct3 != 0 else "struct"
-    return (
-        ("funct12", 31, 20, "struct"), ("rs1", 19, 15, rs1_kind),
-        ("funct3", 14, 12, "struct"), ("rd", 11, 7, rd_kind),
-        ("major", 6, 0, "struct"),
-    )
-
-
-def decode_fields(op: int):
-    """The decode arm claiming ``op`` plus its structured bit-field layout.
-
-    Returns ``(arm_name, fields)`` with ``fields`` a tuple of
-    ``(name, hi, lo, kind)`` tuples tiling the 32-bit word MSB-first, or
-    ``None`` when the opcode is outside the modelled subset.
-    """
-    try:
-        arm = decode_arm(op)
-    except UnknownInstruction:
-        return None
-    return arm, _riscv_fields(op)
-
-
-def decode_operands(op: int) -> dict[str, int] | None:
-    """The operand fields (``reg`` and ``imm`` kinds) of ``op`` as a dict.
-
-    ``None`` when the opcode is outside the modelled subset.
-    """
-    decoded = decode_fields(op)
-    if decoded is None:
-        return None
-    _, fields = decoded
-    return {
-        name: _f(op, hi, lo)
-        for name, hi, lo, kind in fields
-        if kind in ("reg", "imm")
-    }

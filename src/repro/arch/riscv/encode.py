@@ -1,6 +1,18 @@
-"""RV64I instruction encoder."""
+"""RV64I instruction encoder.
+
+Every word is packed through the field tables of
+:mod:`repro.arch.riscv.spec` (see :mod:`repro.arch.encoding`); these
+functions only turn operands into field values.  An operand that does not
+fit raises ``ValueError``.
+"""
 
 from __future__ import annotations
+
+from ..encoding import Encoding, aligned, bits, signed
+from .spec import ARMS
+
+#: The packer over the spec's field tables.
+ENCODING = Encoding(ARMS)
 
 RA = 1  # return-address register x1
 SP = 2
@@ -21,7 +33,7 @@ def reg(name: str | int) -> int:
     else:
         n = ABI_NAMES.get(name)
         if n is None:
-            if name.startswith("x"):
+            if name.startswith("x") and name[1:].isdigit():
                 n = int(name[1:])
             else:
                 raise ValueError(f"unknown register {name}")
@@ -30,37 +42,45 @@ def reg(name: str | int) -> int:
     return n
 
 
-def _signed(value: int, bits: int, what: str) -> int:
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= value <= hi:
-        raise ValueError(f"{what} out of range: {value}")
-    return value & ((1 << bits) - 1)
-
-
-def _r(funct7: int, rs2: int, rs1: int, funct3: int, rd: int, opcode: int) -> int:
-    return (funct7 << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-
-
-def _i(imm: int, rs1: int, funct3: int, rd: int, opcode: int) -> int:
-    return (_signed(imm, 12, "imm") << 20) | (rs1 << 15) | (funct3 << 12) | (rd << 7) | opcode
-
-
-def _s(imm: int, rs2: int, rs1: int, funct3: int, opcode: int) -> int:
-    imm = _signed(imm, 12, "imm")
-    return (
-        ((imm >> 5) << 25) | (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
-        | ((imm & 0x1F) << 7) | opcode
+def _i(arm: str, funct3: int, rd, rs1, imm: int) -> int:
+    return ENCODING.pack(
+        arm, imm12=signed(imm, 12, "imm"), rs1=reg(rs1), funct3=funct3,
+        rd=reg(rd),
     )
 
 
-def _b(imm: int, rs2: int, rs1: int, funct3: int) -> int:
-    imm = _signed(imm, 13, "branch offset")
-    if imm & 1:
-        raise ValueError("branch offset must be even")
-    return (
-        (((imm >> 12) & 1) << 31) | (((imm >> 5) & 0x3F) << 25)
-        | (rs2 << 20) | (rs1 << 15) | (funct3 << 12)
-        | (((imm >> 1) & 0xF) << 8) | (((imm >> 11) & 1) << 7) | 0b1100011
+def _shift(arm: str, funct3: int, rd, rs1, shamt: int, width: int,
+           arith: bool = False) -> int:
+    if not 0 <= shamt < width:
+        raise ValueError(f"shift amount out of range: {shamt}")
+    return ENCODING.pack(
+        arm, imm12=shamt + (0x400 if arith else 0), rs1=reg(rs1),
+        funct3=funct3, rd=reg(rd),
+    )
+
+
+def _r(arm: str, funct7: int, funct3: int, rd, rs1, rs2) -> int:
+    return ENCODING.pack(
+        arm, funct7=funct7, rs2=reg(rs2), rs1=reg(rs1), funct3=funct3,
+        rd=reg(rd),
+    )
+
+
+def _s(funct3: int, rs2, rs1, imm: int) -> int:
+    imm = signed(imm, 12, "imm")
+    return ENCODING.pack(
+        "store", imm11_5=bits(imm, 11, 5), rs2=reg(rs2), rs1=reg(rs1),
+        funct3=funct3, imm4_0=bits(imm, 4, 0),
+    )
+
+
+def _b(funct3: int, rs1, rs2, offset: int) -> int:
+    aligned(offset, 1, "branch offset")
+    imm = signed(offset, 13, "branch offset")
+    return ENCODING.pack(
+        "branch", imm12=bits(imm, 12, 12), imm10_5=bits(imm, 10, 5),
+        rs2=reg(rs2), rs1=reg(rs1), funct3=funct3, imm4_1=bits(imm, 4, 1),
+        imm11=bits(imm, 11, 11),
     )
 
 
@@ -68,26 +88,24 @@ def _b(imm: int, rs2: int, rs1: int, funct3: int) -> int:
 
 
 def lui(rd, imm20):
-    return ((imm20 & 0xFFFFF) << 12) | (reg(rd) << 7) | 0b0110111
+    return ENCODING.pack("lui", imm20=imm20, rd=reg(rd))
 
 
 def auipc(rd, imm20):
-    return ((imm20 & 0xFFFFF) << 12) | (reg(rd) << 7) | 0b0010111
+    return ENCODING.pack("auipc", imm20=imm20, rd=reg(rd))
 
 
 def jal(rd, offset):
-    imm = _signed(offset, 21, "jal offset")
-    if imm & 1:
-        raise ValueError("jal offset must be even")
-    return (
-        (((imm >> 20) & 1) << 31) | (((imm >> 1) & 0x3FF) << 21)
-        | (((imm >> 11) & 1) << 20) | (((imm >> 12) & 0xFF) << 12)
-        | (reg(rd) << 7) | 0b1101111
+    aligned(offset, 1, "jal offset")
+    imm = signed(offset, 21, "jal offset")
+    return ENCODING.pack(
+        "jal", imm20=bits(imm, 20, 20), imm10_1=bits(imm, 10, 1),
+        imm11=bits(imm, 11, 11), imm19_12=bits(imm, 19, 12), rd=reg(rd),
     )
 
 
 def jalr(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b000, reg(rd), 0b1100111)
+    return _i("jalr", 0b000, rd, rs1, imm)
 
 
 def ret():
@@ -102,27 +120,27 @@ def j(offset):
 
 
 def beq(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b000)
+    return _b(0b000, rs1, rs2, offset)
 
 
 def bne(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b001)
+    return _b(0b001, rs1, rs2, offset)
 
 
 def blt(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b100)
+    return _b(0b100, rs1, rs2, offset)
 
 
 def bge(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b101)
+    return _b(0b101, rs1, rs2, offset)
 
 
 def bltu(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b110)
+    return _b(0b110, rs1, rs2, offset)
 
 
 def bgeu(rs1, rs2, offset):
-    return _b(offset, reg(rs2), reg(rs1), 0b111)
+    return _b(0b111, rs1, rs2, offset)
 
 
 def beqz(rs1, offset):
@@ -137,86 +155,86 @@ def bnez(rs1, offset):
 
 
 def lb(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b000, reg(rd), 0b0000011)
+    return _i("load", 0b000, rd, rs1, imm)
 
 
 def lh(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b001, reg(rd), 0b0000011)
+    return _i("load", 0b001, rd, rs1, imm)
 
 
 def lw(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b010, reg(rd), 0b0000011)
+    return _i("load", 0b010, rd, rs1, imm)
 
 
 def ld(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b011, reg(rd), 0b0000011)
+    return _i("load", 0b011, rd, rs1, imm)
 
 
 def lbu(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b100, reg(rd), 0b0000011)
+    return _i("load", 0b100, rd, rs1, imm)
 
 
 def lhu(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b101, reg(rd), 0b0000011)
+    return _i("load", 0b101, rd, rs1, imm)
 
 
 def lwu(rd, rs1, imm=0):
-    return _i(imm, reg(rs1), 0b110, reg(rd), 0b0000011)
+    return _i("load", 0b110, rd, rs1, imm)
 
 
 def sb(rs2, rs1, imm=0):
-    return _s(imm, reg(rs2), reg(rs1), 0b000, 0b0100011)
+    return _s(0b000, rs2, rs1, imm)
 
 
 def sh(rs2, rs1, imm=0):
-    return _s(imm, reg(rs2), reg(rs1), 0b001, 0b0100011)
+    return _s(0b001, rs2, rs1, imm)
 
 
 def sw(rs2, rs1, imm=0):
-    return _s(imm, reg(rs2), reg(rs1), 0b010, 0b0100011)
+    return _s(0b010, rs2, rs1, imm)
 
 
 def sd(rs2, rs1, imm=0):
-    return _s(imm, reg(rs2), reg(rs1), 0b011, 0b0100011)
+    return _s(0b011, rs2, rs1, imm)
 
 
-# -- OP-IMM -------------------------------------------------------------------------------
+# -- OP-IMM / OP-IMM-32 ---------------------------------------------------------------------
 
 
 def addi(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b000, reg(rd), 0b0010011)
+    return _i("op_imm", 0b000, rd, rs1, imm)
 
 
 def slti(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b010, reg(rd), 0b0010011)
+    return _i("op_imm", 0b010, rd, rs1, imm)
 
 
 def sltiu(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b011, reg(rd), 0b0010011)
+    return _i("op_imm", 0b011, rd, rs1, imm)
 
 
 def xori(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b100, reg(rd), 0b0010011)
+    return _i("op_imm", 0b100, rd, rs1, imm)
 
 
 def ori(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b110, reg(rd), 0b0010011)
+    return _i("op_imm", 0b110, rd, rs1, imm)
 
 
 def andi(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b111, reg(rd), 0b0010011)
+    return _i("op_imm", 0b111, rd, rs1, imm)
 
 
 def slli(rd, rs1, shamt):
-    return _i(shamt, reg(rs1), 0b001, reg(rd), 0b0010011)
+    return _shift("op_imm", 0b001, rd, rs1, shamt, 64)
 
 
 def srli(rd, rs1, shamt):
-    return _i(shamt, reg(rs1), 0b101, reg(rd), 0b0010011)
+    return _shift("op_imm", 0b101, rd, rs1, shamt, 64)
 
 
 def srai(rd, rs1, shamt):
-    return _i(shamt | 0x400, reg(rs1), 0b101, reg(rd), 0b0010011)
+    return _shift("op_imm", 0b101, rd, rs1, shamt, 64, arith=True)
 
 
 def mv(rd, rs1):
@@ -231,62 +249,93 @@ def nop():
     return addi(0, 0, 0)
 
 
-# -- OP ------------------------------------------------------------------------------------------
-
-
-def add(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b000, reg(rd), 0b0110011)
-
-
-def sub(rd, rs1, rs2):
-    return _r(0b0100000, reg(rs2), reg(rs1), 0b000, reg(rd), 0b0110011)
-
-
-def sll(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b001, reg(rd), 0b0110011)
-
-
-def slt(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b010, reg(rd), 0b0110011)
-
-
-def sltu(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b011, reg(rd), 0b0110011)
-
-
-def xor(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b100, reg(rd), 0b0110011)
-
-
-def srl(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b101, reg(rd), 0b0110011)
-
-
-def sra(rd, rs1, rs2):
-    return _r(0b0100000, reg(rs2), reg(rs1), 0b101, reg(rd), 0b0110011)
-
-
-def or_(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b110, reg(rd), 0b0110011)
-
-
-def and_(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b111, reg(rd), 0b0110011)
-
-
-def addw(rd, rs1, rs2):
-    return _r(0, reg(rs2), reg(rs1), 0b000, reg(rd), 0b0111011)
-
-
 def addiw(rd, rs1, imm):
-    return _i(imm, reg(rs1), 0b000, reg(rd), 0b0011011)
+    return _i("op_imm32", 0b000, rd, rs1, imm)
+
+
+def slliw(rd, rs1, shamt):
+    return _shift("op_imm32", 0b001, rd, rs1, shamt, 32)
 
 
 def srliw(rd, rs1, shamt):
-    return _i(shamt, reg(rs1), 0b101, reg(rd), 0b0011011)
+    return _shift("op_imm32", 0b101, rd, rs1, shamt, 32)
 
 
-# -- Zicsr and machine-mode system instructions -----------------------------------
+def sraiw(rd, rs1, shamt):
+    return _shift("op_imm32", 0b101, rd, rs1, shamt, 32, arith=True)
+
+
+# -- OP / OP-32 ------------------------------------------------------------------------------------
+
+
+def add(rd, rs1, rs2):
+    return _r("op", 0, 0b000, rd, rs1, rs2)
+
+
+def sub(rd, rs1, rs2):
+    return _r("op", 0b0100000, 0b000, rd, rs1, rs2)
+
+
+def sll(rd, rs1, rs2):
+    return _r("op", 0, 0b001, rd, rs1, rs2)
+
+
+def slt(rd, rs1, rs2):
+    return _r("op", 0, 0b010, rd, rs1, rs2)
+
+
+def sltu(rd, rs1, rs2):
+    return _r("op", 0, 0b011, rd, rs1, rs2)
+
+
+def xor(rd, rs1, rs2):
+    return _r("op", 0, 0b100, rd, rs1, rs2)
+
+
+def srl(rd, rs1, rs2):
+    return _r("op", 0, 0b101, rd, rs1, rs2)
+
+
+def sra(rd, rs1, rs2):
+    return _r("op", 0b0100000, 0b101, rd, rs1, rs2)
+
+
+def or_(rd, rs1, rs2):
+    return _r("op", 0, 0b110, rd, rs1, rs2)
+
+
+def and_(rd, rs1, rs2):
+    return _r("op", 0, 0b111, rd, rs1, rs2)
+
+
+def addw(rd, rs1, rs2):
+    return _r("op32", 0, 0b000, rd, rs1, rs2)
+
+
+def subw(rd, rs1, rs2):
+    return _r("op32", 0b0100000, 0b000, rd, rs1, rs2)
+
+
+def sllw(rd, rs1, rs2):
+    return _r("op32", 0, 0b001, rd, rs1, rs2)
+
+
+def srlw(rd, rs1, rs2):
+    return _r("op32", 0, 0b101, rd, rs1, rs2)
+
+
+def sraw(rd, rs1, rs2):
+    return _r("op32", 0b0100000, 0b101, rd, rs1, rs2)
+
+
+# -- fence, Zicsr and machine-mode system instructions ---------------------------
+
+
+def fence():
+    """The full ``fence`` (every predecessor/successor bit), the only
+    fence the model decodes: the arm's claim fixes the whole word."""
+    return ENCODING.pack("fence")
+
 
 CSR_NAMES = {
     "mstatus": 0x300, "misa": 0x301, "mie": 0x304, "mtvec": 0x305,
@@ -295,23 +344,18 @@ CSR_NAMES = {
 }
 
 
-def _csr_addr(csr: str | int) -> int:
-    if isinstance(csr, int):
-        addr = csr
-    else:
-        addr = CSR_NAMES.get(csr)
-        if addr is None:
-            raise ValueError(f"unknown CSR {csr}")
-    if not 0 <= addr < 4096:
-        raise ValueError(f"CSR address out of range: {addr}")
-    return addr
+def _system(funct12: int, funct3: int = 0, rd=0, rs1: int = 0) -> int:
+    return ENCODING.pack(
+        "system", funct12=funct12, rs1=rs1, funct3=funct3, rd=reg(rd),
+    )
 
 
 def _csr(funct3: int, rd, rs1: int, csr) -> int:
-    return (
-        (_csr_addr(csr) << 20) | (rs1 << 15) | (funct3 << 12)
-        | (reg(rd) << 7) | 0b1110011
-    )
+    if isinstance(csr, str):
+        if csr not in CSR_NAMES:
+            raise ValueError(f"unknown CSR {csr}")
+        csr = CSR_NAMES[csr]
+    return _system(csr, funct3, rd, rs1)
 
 
 def csrrw(rd, csr, rs1):
@@ -327,20 +371,14 @@ def csrrc(rd, csr, rs1):
 
 
 def csrrwi(rd, csr, uimm):
-    if not 0 <= uimm < 32:
-        raise ValueError("uimm out of range")
     return _csr(0b101, rd, uimm, csr)
 
 
 def csrrsi(rd, csr, uimm):
-    if not 0 <= uimm < 32:
-        raise ValueError("uimm out of range")
     return _csr(0b110, rd, uimm, csr)
 
 
 def csrrci(rd, csr, uimm):
-    if not 0 <= uimm < 32:
-        raise ValueError("uimm out of range")
     return _csr(0b111, rd, uimm, csr)
 
 
@@ -355,19 +393,19 @@ def csrw(csr, rs1):
 
 
 def ecall():
-    return 0x00000073
+    return _system(0)
 
 
 def ebreak():
-    return 0x00100073
+    return _system(1)
 
 
 def mret():
-    return 0x30200073
+    return _system(0x302)
 
 
 def wfi():
-    return 0x10500073
+    return _system(0x105)
 
 
 def assemble(opcodes: list[int]) -> bytes:

@@ -4,19 +4,20 @@ This is the input to :mod:`repro.analysis.isaspec`: every decode arm of
 :mod:`repro.arch.riscv.decode` restated as an exact bitvector claim, plus
 the defined-invalid space (unallocated major opcodes; reserved minor
 encodings fall out as region residuals).  The validator proves the claims
-pairwise disjoint and jointly covering, round-trips the encoder packing
-symbolically, and grounds everything against the real Python
-decoder/encoder on witness and probe words.
+pairwise disjoint and jointly covering, and grounds them against the
+hand-written decoder on witness and probe words.
 
-The tables here are deliberately *independent* re-derivations from the ISA
-manual's shapes — agreement with ``decode.py``/``encode.py`` is proved, not
-assumed.
+Each arm's field table is the only description of its bits:
+:mod:`repro.arch.riscv.encode` packs every word through it
+(:mod:`repro.arch.encoding`), and the validator checks it by reassembling
+decoder witnesses — the decoder and disassembler stay independent of it.
+Scrambled immediates are split into their ISA-manual slices
+(``imm10_5`` is ``imm[10:5]``).
 """
 
 from __future__ import annotations
 
-from ...analysis.isaspec import ArmSpec, EncoderSpec, InvalidRegion, IsaSpec
-from . import decode, encode
+from ...analysis.isaspec import ArmSpec, InvalidRegion, IsaSpec
 
 # Major opcodes (bits [6:0]) of the modelled subset.
 _MAJORS = {
@@ -32,72 +33,64 @@ def _major(name: str) -> tuple:
     return ("eq", 6, 0, _MAJORS[name])
 
 
-_U_PLACES = (("imm20", 12, 20), ("rd", 7, 5))
-_I_PLACES = (("imm12", 20, 12), ("rs1", 15, 5), ("rd", 7, 5))
-_SB_PLACES = (
-    ("imm_hi", 25, 7), ("rs2", 20, 5), ("rs1", 15, 5),
-    ("funct3", 12, 3), ("imm_lo", 7, 5),
+_MAJOR = ("major", 6, 0)
+_U_TYPE = (("imm20", 31, 12), ("rd", 11, 7), _MAJOR)
+_J_TYPE = (
+    ("imm20", 31, 31), ("imm10_1", 30, 21), ("imm11", 20, 20),
+    ("imm19_12", 19, 12), ("rd", 11, 7), _MAJOR,
 )
-_R_PLACES = (
-    ("funct7", 25, 7), ("rs2", 20, 5), ("rs1", 15, 5),
-    ("funct3", 12, 3), ("rd", 7, 5),
+_I_TYPE = (
+    ("imm12", 31, 20), ("rs1", 19, 15), ("funct3", 14, 12), ("rd", 11, 7),
+    _MAJOR,
 )
-
-
-def _u_encoder(name: str) -> EncoderSpec:
-    return EncoderSpec(fixed=_MAJORS[name], fixed_mask=0x7F, places=_U_PLACES)
-
-
-def _i_encoder(name: str, funct3: int | None = None) -> EncoderSpec:
-    if funct3 is None:
-        return EncoderSpec(
-            fixed=_MAJORS[name], fixed_mask=0x7F,
-            places=_I_PLACES + (("funct3", 12, 3),),
-        )
-    return EncoderSpec(
-        fixed=_MAJORS[name] | (funct3 << 12), fixed_mask=0x7F | (0b111 << 12),
-        places=_I_PLACES,
-    )
+_S_TYPE = (
+    ("imm11_5", 31, 25), ("rs2", 24, 20), ("rs1", 19, 15),
+    ("funct3", 14, 12), ("imm4_0", 11, 7), _MAJOR,
+)
+_B_TYPE = (
+    ("imm12", 31, 31), ("imm10_5", 30, 25), ("rs2", 24, 20), ("rs1", 19, 15),
+    ("funct3", 14, 12), ("imm4_1", 11, 8), ("imm11", 7, 7), _MAJOR,
+)
+_R_TYPE = (
+    ("funct7", 31, 25), ("rs2", 24, 20), ("rs1", 19, 15),
+    ("funct3", 14, 12), ("rd", 11, 7), _MAJOR,
+)
+#: System words: ``funct12`` is the CSR address, ``rs1`` a register or the
+#: 5-bit ``zimm`` of the immediate CSR forms.
+_SYSTEM = (
+    ("funct12", 31, 20), ("rs1", 19, 15), ("funct3", 14, 12), ("rd", 11, 7),
+    _MAJOR,
+)
 
 
 def _arms() -> tuple:
     arms = [
-        ArmSpec(
-            name="lui", match=(_major("lui"),), encoder=_u_encoder("lui"),
-        ),
-        ArmSpec(
-            name="auipc", match=(_major("auipc"),), encoder=_u_encoder("auipc"),
-        ),
-        ArmSpec(
-            name="jal", match=(_major("jal"),), encoder=_u_encoder("jal"),
-        ),
+        ArmSpec(name="lui", match=(_major("lui"),), fields=_U_TYPE),
+        ArmSpec(name="auipc", match=(_major("auipc"),), fields=_U_TYPE),
+        ArmSpec(name="jal", match=(_major("jal"),), fields=_J_TYPE),
         ArmSpec(
             name="jalr",
             match=(_major("jalr"), ("eq", 14, 12, 0)),
             region=(_major("jalr"),),
-            encoder=_i_encoder("jalr", funct3=0),
+            fields=_I_TYPE,
         ),
         ArmSpec(
             name="branch",
             match=(_major("branch"), ("in", 14, 12, (0, 1, 4, 5, 6, 7))),
             region=(_major("branch"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["branch"], fixed_mask=0x7F, places=_SB_PLACES,
-            ),
+            fields=_B_TYPE,
         ),
         ArmSpec(
             name="load",
             match=(_major("load"), ("lt", 14, 12, 7)),
             region=(_major("load"),),
-            encoder=_i_encoder("load"),
+            fields=_I_TYPE,
         ),
         ArmSpec(
             name="store",
             match=(_major("store"), ("lt", 14, 12, 4)),
             region=(_major("store"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["store"], fixed_mask=0x7F, places=_SB_PLACES,
-            ),
+            fields=_S_TYPE,
         ),
         ArmSpec(
             name="op_imm",
@@ -110,7 +103,7 @@ def _arms() -> tuple:
                   ("in", 31, 26, (0b000000, 0b010000)))),
             ),
             region=(_major("op_imm"),),
-            encoder=_i_encoder("op_imm"),
+            fields=_I_TYPE,
         ),
         ArmSpec(
             name="op_imm32",
@@ -123,7 +116,7 @@ def _arms() -> tuple:
                   ("in", 31, 25, (0b0000000, 0b0100000)))),
             ),
             region=(_major("op_imm32"),),
-            encoder=_i_encoder("op_imm32"),
+            fields=_I_TYPE,
         ),
         ArmSpec(
             name="op",
@@ -134,9 +127,7 @@ def _arms() -> tuple:
                  ("and", ("eq", 31, 25, 0b0100000), ("in", 14, 12, (0, 5)))),
             ),
             region=(_major("op"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["op"], fixed_mask=0x7F, places=_R_PLACES,
-            ),
+            fields=_R_TYPE,
         ),
         ArmSpec(
             name="op32",
@@ -147,21 +138,16 @@ def _arms() -> tuple:
                  ("and", ("eq", 31, 25, 0b0100000), ("in", 14, 12, (0, 5)))),
             ),
             region=(_major("op32"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["op32"], fixed_mask=0x7F, places=_R_PLACES,
-            ),
+            fields=_R_TYPE,
         ),
         ArmSpec(
             name="fence",
             # Only the canonical full fence word is modelled.
             match=(("eq", 31, 0, 0x0FF0000F),),
             region=(_major("fence"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["fence"], fixed_mask=0x7F,
-                places=(
-                    ("fm_pred_succ", 20, 12), ("rs1", 15, 5),
-                    ("funct3", 12, 3), ("rd", 7, 5),
-                ),
+            fields=(
+                ("fm_pred_succ", 31, 20), ("rs1", 19, 15),
+                ("funct3", 14, 12), ("rd", 11, 7), _MAJOR,
             ),
         ),
         ArmSpec(
@@ -174,46 +160,15 @@ def _arms() -> tuple:
                   ("in", 31, 20, (0, 1, 0x302, 0x105)))),
             ),
             region=(_major("system"),),
-            encoder=EncoderSpec(
-                fixed=_MAJORS["system"], fixed_mask=0x7F,
-                places=(
-                    ("funct12", 20, 12), ("rs1", 15, 5),
-                    ("funct3", 12, 3), ("rd", 7, 5),
-                ),
-            ),
+            fields=_SYSTEM,
         ),
     ]
     return tuple(arms)
 
 
-def _layouts() -> dict:
-    i_imm = decode._i_type("imm")
-    i_struct = decode._i_type("struct")
-    sb = decode._s_or_b_type("imm")
-    fence = decode._riscv_fields(0x0FF0000F)
-    # system layout variants by funct3 class: csr-reg / csr-imm / ecall-class.
-    sys_reg = decode._riscv_fields(encode.csrrw(1, "mstatus", 2))
-    sys_imm = decode._riscv_fields(encode.csrrwi(1, "mstatus", 3))
-    sys_bare = decode._riscv_fields(encode.ecall())
-    return {
-        "lui": (decode._U_TYPE,),
-        "auipc": (decode._U_TYPE,),
-        "jal": (decode._U_TYPE,),
-        "jalr": (i_imm,),
-        "branch": (sb,),
-        "load": (i_imm,),
-        "store": (sb,),
-        "op_imm": (i_imm, i_struct),
-        "op_imm32": (i_imm, i_struct),
-        "op": (decode._R_TYPE,),
-        "op32": (decode._R_TYPE,),
-        "fence": (fence,),
-        "system": (sys_reg, sys_imm, sys_bare),
-    }
-
-
 def _probes() -> dict:
-    e = encode
+    from . import encode as e
+
     return {
         "lui": (e.lui(5, 0x12345), e.lui(0, 0xFFFFF)),
         "auipc": (e.auipc(3, 1), e.auipc(31, 0)),
@@ -251,21 +206,26 @@ def _probes() -> dict:
     }
 
 
+#: The arms, built once: :mod:`repro.arch.riscv.encode` packs through them.
+ARMS = _arms()
+
+
 def build_spec() -> IsaSpec:
+    from . import asm, decode
+
     return IsaSpec(
         arch="riscv",
-        arms=_arms(),
+        arms=ARMS,
         invalid=(
             InvalidRegion(
                 name="unallocated_major",
                 clauses=(("notin", 6, 0, tuple(sorted(_MAJORS.values()))),),
             ),
         ),
-        layouts=_layouts(),
-        reg_count=32,
         decode_arm=decode.decode_arm,
-        decode_fields=decode.decode_fields,
         invalid_exc=decode.UnknownInstruction,
+        disassemble=decode.disassemble,
+        assemble_line=asm.assemble_line,
         probes=_probes(),
         coverage_shard=None,
     )

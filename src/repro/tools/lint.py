@@ -10,9 +10,9 @@ Two modes:
   ``FL002`` dead spec clause, ``FP001`` unknown memory shape).
 - **ISA mode** (``--isa``): validate each architecture's declarative ISA
   specification (``arch/<name>/spec.py``) with the solver-backed
-  :mod:`repro.analysis.isaspec` pass — field layouts, encoding overlap,
-  decode coverage, encoder/decoder agreement (``ISA*`` codes), proved
-  exhaustively over the full word space.
+  :mod:`repro.analysis.isaspec` pass — field tables, encoding overlap and
+  decode coverage (``ISA*`` codes), proved exhaustively over the full word
+  space, and the field tables grounded by reassembling decoder witnesses.
 
 Exit-code contract (both modes): **0** no error-severity findings, **1**
 at least one error finding, **2** usage error.  Warnings and infos are

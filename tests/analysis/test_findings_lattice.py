@@ -116,10 +116,13 @@ class TestStableCodes:
             assert meaning
 
     def test_isaspec_codes_are_all_registered(self):
-        # ISA009, the parametric-family audit, is retired and not reused.
-        live = {f"ISA{n:03d}" for n in range(1, 12)} - {"ISA009"}
+        # Retired codes are not reused: ISA009 (the parametric-family
+        # audit), ISA002 and ISA006 (field kinds and the second encoder
+        # table are gone), ISA011 (merged into ISA001).
+        retired = {"ISA002", "ISA006", "ISA009", "ISA011"}
+        live = {f"ISA{n:03d}" for n in range(1, 12)} - retired
         assert live <= set(CODE_CATALOG)
-        assert "ISA009" not in CODE_CATALOG
+        assert not retired & set(CODE_CATALOG)
         assert CODE_CATALOG["FL002"][0] == WARNING
         assert CODE_CATALOG["FP001"][0] == INFO
 

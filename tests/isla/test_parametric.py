@@ -1,21 +1,28 @@
-"""The structured operand decode layer (``arch.*.decode.decode_fields``).
+"""The spec field tables (``arch/*/spec.py``) on real instructions.
 
-Each decode arm exposes a per-word bit layout of ``reg``, ``imm`` and
-``struct`` fields; the ISA specs (``arch/*/spec.py``) are checked against
-it.  These tests pin the layer on one assembled line per arm: the fields
-tile the word MSB-first and rebuild it, and the decoded operands survive
-a disassemble/assemble round trip.
+Each decode arm has one ``(name, hi, lo)`` field table, and every encoder
+and assembler packs its words through it.  These tests pin the tables on
+one assembled line per arm: the arm's fields tile the word MSB-first and
+rebuild it, and the operand fields survive a disassemble/assemble round
+trip through the independent disassembler.
 
-The module keeps the name it had when this layer fed parametric trace
-serving (since deleted), so its test ids stay stable.
+The module keeps the name it had when a per-arm decode layout fed
+parametric trace serving (both since deleted), so its test ids stay
+stable.
 """
 
 import pytest
 
+from repro.analysis.isaspec import eval_clauses, fixed_bits_of
 from repro.arch.arm import asm as arm_asm
 from repro.arch.arm import decode as arm_decode
+from repro.arch.arm import spec as arm_spec
+from repro.arch.ppc import asm as ppc_asm
+from repro.arch.ppc import decode as ppc_decode
+from repro.arch.ppc import spec as ppc_spec
 from repro.arch.riscv import asm as riscv_asm
 from repro.arch.riscv import decode as riscv_decode
+from repro.arch.riscv import spec as riscv_spec
 
 ARM_ARM_LINES = [
     ("addsub_imm", "add x1, x2, #12"),
@@ -63,53 +70,98 @@ RISCV_ARM_LINES = [
     ("system", "csrrw t0, mscratch, t1"),
 ]
 
+PPC_ARM_LINES = [
+    ("addi", "addi r3, r4, -5"),
+    ("addis", "lis r6, 17"),
+    ("ori", "ori r3, r4, 255"),
+    ("oris", "oris r5, r6, 1"),
+    ("xori", "xori r7, r8, 61680"),
+    ("xoris", "xoris r9, r10, 32768"),
+    ("andi", "andi. r11, r12, 255"),
+    ("andis", "andis. r13, r14, 3"),
+    ("cmpi", "cmpdi cr1, r3, -1"),
+    ("cmpli", "cmplwi cr2, r6, 65535"),
+    ("cmp", "cmpd cr0, r3, r4"),
+    ("cmpl", "cmplw cr3, r9, r10"),
+    ("add", "add r3, r4, r5"),
+    ("subf", "subf r6, r7, r8"),
+    ("and", "and r9, r10, r11"),
+    ("or", "or r12, r13, r14"),
+    ("xor", "xor r17, r18, r19"),
+    ("mtspr", "mtctr r3"),
+    ("mfspr", "mflr r7"),
+    ("lwz", "lwz r3, 8(r4)"),
+    ("lbz", "lbz r6, -1(r7)"),
+    ("stw", "stw r8, 12(r9)"),
+    ("stb", "stb r10, -3(r11)"),
+    ("ld", "ld r3, 16(r4)"),
+    ("std", "std r7, -24(r8)"),
+    ("b", "bl -12"),
+    ("bc", "bne cr2, -16"),
+    ("bclr", "bclr 12, 2"),
+    ("bcctr", "bctrl"),
+]
+
+_ISAS = {
+    "arm": (arm_decode, arm_asm, arm_spec, ARM_ARM_LINES),
+    "riscv": (riscv_decode, riscv_asm, riscv_spec, RISCV_ARM_LINES),
+    "ppc": (ppc_decode, ppc_asm, ppc_spec, PPC_ARM_LINES),
+}
+
 _DECODE_CASES = [
-    pytest.param(arm_decode, arm_asm, arm, line, id=f"arm-{line}")
-    for arm, line in ARM_ARM_LINES
-] + [
-    pytest.param(riscv_decode, riscv_asm, arm, line, id=f"riscv-{line}")
-    for arm, line in RISCV_ARM_LINES
+    pytest.param(decode, asm, spec, arm, line, id=f"{isa}-{line}")
+    for isa, (decode, asm, spec, lines) in _ISAS.items()
+    for arm, line in lines
 ]
 
 
+def _fields(spec, arm):
+    return next(a.fields for a in spec.ARMS if a.name == arm)
+
+
+def _operands(spec, arm, op):
+    """The values of the fields the arm's claim leaves free."""
+    claim = next(a.match for a in spec.ARMS if a.name == arm)
+    fixed, _ = fixed_bits_of(claim)
+    return {
+        name: (op >> lo) & ((1 << (hi - lo + 1)) - 1)
+        for name, hi, lo in _fields(spec, arm)
+        if (((1 << (hi - lo + 1)) - 1) << lo) & ~fixed
+    }
+
+
 class TestDecodeFields:
-    @pytest.mark.parametrize("decode,asm,arm,line", _DECODE_CASES)
-    def test_fields_tile_and_reconstruct(self, decode, asm, arm, line):
+    @pytest.mark.parametrize("decode,asm,spec,arm,line", _DECODE_CASES)
+    def test_fields_tile_and_reconstruct(self, decode, asm, spec, arm, line):
         op = asm.assemble_line(line)
-        decoded = decode.decode_fields(op)
-        assert decoded is not None
-        got_arm, fields = decoded
-        assert got_arm == arm
+        assert decode.decode_arm(op) == arm
+        fields = _fields(spec, arm)
         # MSB-first, contiguous, tiling the full 32-bit word.
         assert fields[0][1] == 31 and fields[-1][2] == 0
-        for (_, _, lo, _), (_, hi, _, _) in zip(fields, fields[1:]):
+        for (_, _, lo), (_, hi, _) in zip(fields, fields[1:]):
             assert lo == hi + 1
         rebuilt = 0
-        for name, hi, lo, kind in fields:
-            assert kind in ("reg", "imm", "struct"), name
+        for _, hi, lo in fields:
             rebuilt |= ((op >> lo) & ((1 << (hi - lo + 1)) - 1)) << lo
         assert rebuilt == op
 
-    @pytest.mark.parametrize("decode,asm,arm,line", _DECODE_CASES)
-    def test_operands_roundtrip_through_asm(self, decode, asm, arm, line):
+    @pytest.mark.parametrize("decode,asm,spec,arm,line", _DECODE_CASES)
+    def test_operands_roundtrip_through_asm(self, decode, asm, spec, arm, line):
         op = asm.assemble_line(line)
         reassembled = asm.assemble_line(decode.disassemble(op))
         assert reassembled == op
-        operands = decode.decode_operands(op)
-        assert operands is not None
-        assert decode.decode_operands(reassembled) == operands
+        assert _operands(spec, arm, reassembled) == _operands(spec, arm, op)
 
     def test_every_arm_arm_covered(self):
-        assert {arm for arm, _ in ARM_ARM_LINES} == (
-            set(arm_decode._FIELD_TABLES) | {"ccmp"}
-        )
+        assert {arm for arm, _ in ARM_ARM_LINES} == set(arm_decode.DECODE_ARMS)
 
     def test_every_riscv_arm_covered(self):
-        assert {arm for arm, _ in RISCV_ARM_LINES} == set(
-            riscv_decode._MAJOR_ARMS.values()
-        )
+        assert {arm for arm, _ in RISCV_ARM_LINES} == set(riscv_decode.DECODE_ARMS)
+
+    def test_every_ppc_arm_covered(self):
+        assert {arm for arm, _ in PPC_ARM_LINES} == set(ppc_decode.DECODE_ARMS)
 
     def test_out_of_subset_returns_none(self):
-        assert arm_decode.decode_fields(0xFFFFFFFF) is None
-        assert arm_decode.decode_operands(0xFFFFFFFF) is None
-        assert riscv_decode.decode_fields(0) is None
+        """Words outside the modelled subset match no arm's field table."""
+        for spec, word in ((arm_spec, 0xFFFFFFFF), (riscv_spec, 0)):
+            assert not [a for a in spec.ARMS if eval_clauses(a.match, word)]

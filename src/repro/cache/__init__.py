@@ -18,7 +18,8 @@ trace key, editing the ISA model or any module of the semantic core also
 invalidates exactly the entries it could affect.
 
 A process holds one handle per root (:func:`open_cache`), so the verdict
-log is parsed once however many runs, workers or jobs share the root.
+log is parsed once however many runs, workers or jobs share the root, and
+a trace the handle has stored or loaded is served from memory.
 
 The cache is an optimisation, never an oracle: entries only memoise results
 that are deterministic functions of their key, a corrupt entry reads as a

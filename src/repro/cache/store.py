@@ -18,6 +18,15 @@ as a counted miss, and a loaded trace must still pass the well-formedness
 check, so a crash can cost warm entries, which are reproducible, but never
 correctness.
 
+A handle remembers every trace it has stored or loaded, the way it holds
+the verdict log in memory: a trace key names a pure function of the
+model, the opcode and the assumptions, so a hit on a trace this process
+already holds is served from the handle without touching the file.  Only
+the direct path's own result or a trace that passed the load-time checks
+is ever held, so a held trace needs no re-check; the disk stays
+untrusted, and every other handle (another process) still digests,
+parses and checks each entry it reads.
+
 The SMT store is an append-only JSONL so concurrent workers can record
 verdicts without coordination: each line is a self-contained
 ``{"k": key, "r": verdict}`` record, duplicate lines are idempotent
@@ -92,12 +101,14 @@ def _append_exact(path: Path, payload: bytes) -> bool:
 
 
 #: Counters of one :class:`DiskCache` handle (``DiskCache.stats``).
+#: ``trace_mem_hits`` (a subset of ``trace_hits``) were served from the
+#: traces the handle holds, without reading the file;
 #: ``smt_truncated_bytes`` were cut off the verdict log's corrupt tail on
 #: open (a crashed appender's torn final records); ``wellformed_rejects``
 #: (a subset of ``corrupt_entries``) parsed but failed the well-formedness
 #: check, each evicted on sight.
 DISK_COUNTERS = (
-    "trace_hits", "trace_misses", "trace_writes",
+    "trace_hits", "trace_mem_hits", "trace_misses", "trace_writes",
     "smt_hits", "smt_misses", "smt_records", "smt_loaded", "smt_truncated_bytes",
     "corrupt_entries", "wellformed_rejects",
 )
@@ -117,6 +128,26 @@ def _entry_digest(meta: dict, body: str) -> str:
     h.update(b"\n")
     h.update(body.encode())
     return h.hexdigest()
+
+
+def _seal_entry(trace, meta: dict) -> tuple[dict, str]:
+    """A trace entry: its header fields, exactly as a reader parses them
+    back, and its text (the header line, then the printed trace)."""
+    body, extern = encode_trace(trace)
+    # Round-trip through JSON first: the digest must be over the header
+    # exactly as a reader will parse it back.
+    meta = json.loads(json.dumps(dict(meta, extern=extern)))
+    meta["digest"] = _entry_digest(meta, body)
+    # Self-delimiting: the header records the total length so a
+    # truncated file is detected without trusting the parser.
+    meta["end"] = 0
+    while True:
+        header = _header_json(meta)
+        total = len(header) + 1 + len(body)
+        if meta["end"] == total:
+            break
+        meta["end"] = total
+    return meta, f"{header}\n{body}"
 
 
 def encode_trace(trace) -> tuple[str, list]:
@@ -144,9 +175,11 @@ class DiskCache:
 
     Creates the versioned layout on first use and loads the SMT verdict log
     eagerly (it is the hot store — consulted on every solver miss — so it
-    must be a dict lookup, not file IO).  Code that runs in a process
-    should use :func:`open_cache`, which shares one handle per root; a
-    second ``DiskCache`` on the same root models a second process.
+    must be a dict lookup, not file IO).  It also holds every trace it
+    stores or loads, so it reads each entry from disk at most once.  Code
+    that runs in a process should use :func:`open_cache`, which shares one
+    handle per root; a second ``DiskCache`` on the same root models a
+    second process.
     """
 
     root: Path
@@ -167,6 +200,9 @@ class DiskCache:
         self._traces.mkdir(parents=True, exist_ok=True)
         self._smt_path.parent.mkdir(parents=True, exist_ok=True)
         self._smt: dict[str, str] = {}
+        # Trace key -> (trace, meta): what this handle stored, or loaded
+        # past the digest and well-formedness checks.
+        self._held: dict[str, tuple] = {}
         self._smt_pending: list[str] = []
         # One handle may be shared by every job thread of the daemon: the
         # in-memory views and pending buffers need mutual exclusion even
@@ -203,37 +239,25 @@ class DiskCache:
             return "corrupt", None
         return "ok", (trace, meta)
 
-    def _write_entry(self, path: Path, trace, meta: dict) -> bool:
+    def _write_entry(self, path: Path, text: str) -> bool:
         """Atomically persist one trace entry; ``False`` on OS failure.
 
         No ``fsync``: the length and digest in the header make a damaged
         entry a counted miss (see the module docstring).
         """
-        body, extern = encode_trace(trace)
-        # Round-trip through JSON first: the digest must be over the header
-        # exactly as a reader will parse it back.
-        meta = json.loads(json.dumps(dict(meta, extern=extern)))
-        meta["digest"] = _entry_digest(meta, body)
-        # Self-delimiting: the header records the total length so a
-        # truncated file is detected without trusting the parser.
-        meta["end"] = 0
-        while True:
-            header = _header_json(meta)
-            total = len(header) + 1 + len(body)
-            if meta["end"] == total:
-                break
-            meta["end"] = total
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        tmp: str | None = None
         try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                handle.write(f"{header}\n{body}".encode())
+                handle.write(text.encode())
             os.replace(tmp, path)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             return False  # a full disk must not fail the run
         return True
 
@@ -241,13 +265,20 @@ class DiskCache:
         """Return ``(trace, meta)`` for a cached Isla result, or ``None``.
 
         ``meta`` carries the stored execution metrics (``paths``,
-        ``model_calls``, ``model_steps``, ``solver_checks``).  An entry
-        that parses but fails the well-formedness checker is treated
-        exactly like a torn write: counted, *evicted*, and reported as a
-        miss — a cache must never be able to feed the proof pipeline an
-        ill-formed trace (a buggy or version-skewed writer, whose entry
-        carries a valid digest).
+        ``model_calls``, ``model_steps``, ``solver_checks``).  A trace this
+        handle already holds is served as is (``trace_mem_hits``); any
+        other is read from disk.  An entry that parses but fails the
+        well-formedness checker is treated exactly like a torn write:
+        counted, *evicted*, and reported as a miss — a cache must never be
+        able to feed the proof pipeline an ill-formed trace (a buggy or
+        version-skewed writer, whose entry carries a valid digest).  Only
+        an entry that passes is held.
         """
+        held = self._held.get(key)
+        if held is not None:
+            self.stats.inc("trace_hits")
+            self.stats.inc("trace_mem_hits")
+            return held
         path = self._trace_path(key)
         status, hit = self._read_entry(path)
         if status == "miss":
@@ -269,16 +300,20 @@ class DiskCache:
             except OSError:
                 pass
             return None
+        self._held[key] = hit
         self.stats.inc("trace_hits")
-        return trace, meta
+        return hit
 
     def store_trace(self, key: str, trace, meta: dict) -> None:
-        """Persist a *complete* Isla result atomically.
+        """Persist a *complete* Isla result atomically, and hold it.
 
         ``meta`` must already carry the metrics; the external-variable
-        signature is computed here from the trace itself.
+        signature is computed here from the trace itself.  The handle
+        holds the result even when the write fails.
         """
-        if self._write_entry(self._trace_path(key), trace, meta):
+        meta, text = _seal_entry(trace, meta)
+        self._held[key] = (trace, meta)
+        if self._write_entry(self._trace_path(key), text):
             self.stats.inc("trace_writes")
 
     # -- SMT verdict store --------------------------------------------------

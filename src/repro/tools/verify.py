@@ -50,11 +50,12 @@ def _build_kwargs(module, n):
 def _render_cache_line(run, preloaded: int) -> str:
     """This invocation's disk-cache activity (its run scope's ``disk.*``
     counts, workers included); "preloaded" counts the verdicts the shared
-    handle already held when the invocation began."""
+    handle already held when the invocation began, and the trace hits
+    "from memory" are those a handle served without reading the file."""
     return (
         f"cache: traces {run['disk.trace_hits']} hits / {run['disk.trace_misses']} "
         f"misses, smt {run['disk.smt_hits']} hits / {run['disk.smt_misses']} misses "
-        f"({preloaded} preloaded)"
+        f"({preloaded} preloaded), {run['disk.trace_mem_hits']} trace hits from memory"
     )
 
 

@@ -121,7 +121,7 @@ class TestSeededMutations:
         text = path.read_text()
         assert text.count(" 8)") == 1
         path.write_text(text.replace(" 8)", " 4)"))  # 64-bit data, size 4
-        return cache, key, path
+        return key, path
 
     def test_corrupted_cache_entry_is_rejected(self, tmp_path):
         """Mutation: a cached entry parses but violates the judgement.
@@ -130,9 +130,10 @@ class TestSeededMutations:
         rot), so the digest accepts it: the well-formedness gate must
         reject it, bump ``wellformed_rejects``, and evict it from disk.
         """
-        cache, key, path = self._store_mutated_entry(tmp_path)
+        key, path = self._store_mutated_entry(tmp_path)
         _reseal(path)
 
+        cache = DiskCache(tmp_path)  # a second process reads the entry
         assert cache.load_trace(key) is None
         assert cache.stats["wellformed_rejects"] == 1
         assert cache.stats["corrupt_entries"] == 1
@@ -142,8 +143,9 @@ class TestSeededMutations:
     def test_unsealed_mutation_is_a_digest_miss(self, tmp_path):
         """The same mutation without resealing stops at the digest: a
         counted corrupt miss before the entry is even parsed."""
-        cache, key, path = self._store_mutated_entry(tmp_path)
+        key, path = self._store_mutated_entry(tmp_path)
 
+        cache = DiskCache(tmp_path)  # a second process reads the entry
         assert cache.load_trace(key) is None
         assert cache.stats["wellformed_rejects"] == 0
         assert cache.stats["corrupt_entries"] == 1
@@ -159,8 +161,8 @@ class TestSeededMutations:
             DeclareConst(x, bv_sort(64)), DeclareConst(x, bv_sort(64))
         )
         assert not is_wellformed(skewed)
-        cache = DiskCache(tmp_path)
-        cache.store_trace("ab" * 32, skewed, {"paths": 1})
+        DiskCache(tmp_path).store_trace("ab" * 32, skewed, {"paths": 1})
+        cache = DiskCache(tmp_path)  # a second process reads the entry
         assert cache.load_trace("ab" * 32) is None
         assert cache.stats["wellformed_rejects"] == 1
         assert not cache._trace_path("ab" * 32).exists()

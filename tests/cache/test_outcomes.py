@@ -75,3 +75,56 @@ def test_fault_injection_bypasses_cache(tmp_path):
     assert not result.cached
     assert warm.stats["trace_hits"] == 0
     assert warm.stats["trace_writes"] == 0
+
+
+def _certs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def _verify(argv, capsys):
+    from repro.tools.verify import main
+
+    clear_check_cache()  # each run starts from the same solver state
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_repeated_cli_runs_match_no_cache(tmp_path, capsys, monkeypatch):
+    """Two ``verify`` runs in one process on one root: both give the
+    ``--no-cache`` certificates, and the second reads no trace file."""
+    argv = ["memcpy_arm", "--n", "2"]
+    _verify(argv + ["--no-cache", "--cert-dir", str(tmp_path / "plain")], capsys)
+    root = str(tmp_path / "c")
+    _verify(argv + ["--cache-dir", root, "--cert-dir", str(tmp_path / "cold")], capsys)
+    reads = []
+    real = DiskCache._read_entry
+    monkeypatch.setattr(
+        DiskCache, "_read_entry", lambda self, path: (reads.append(path), real(self, path))[1]
+    )
+    _verify(argv + ["--cache-dir", root, "--cert-dir", str(tmp_path / "warm")], capsys)
+    assert reads == []
+    plain = _certs(tmp_path / "plain")
+    assert plain and _certs(tmp_path / "cold") == plain == _certs(tmp_path / "warm")
+
+
+def test_full_disk_does_not_fail_the_run(tmp_path, capsys, monkeypatch):
+    """Every trace write fails with ENOSPC: the run still verifies, with
+    the ``--no-cache`` certificate, and the handle serves its traces."""
+    import re
+
+    from repro.cache import store
+
+    def enospc(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    _verify(["rbit", "--no-cache", "--cert-dir", str(tmp_path / "plain")], capsys)
+    monkeypatch.setattr(store.tempfile, "mkstemp", enospc)
+    root = tmp_path / "c"
+    argv = ["rbit", "--cache-dir", str(root), "--cert-dir", str(tmp_path / "full"), "-v"]
+    _verify(argv, capsys)
+    assert not list(root.glob("v*/traces/*/*"))  # nothing reached the disk
+    assert _certs(tmp_path / "full") == _certs(tmp_path / "plain")
+    line = _verify(argv, capsys)
+    hits, misses = map(int, re.search(r"traces (\d+) hits / (\d+) misses", line).groups())
+    memory = int(re.search(r"(\d+) trace hits from memory", line)[1])
+    assert hits > 0 and misses == 0 and memory == hits

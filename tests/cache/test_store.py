@@ -82,11 +82,13 @@ class TestTraceStore:
             path.write_text(text + "trailing junk")
         else:
             path.write_text("not a cache entry at all")
-        assert cache.load_trace(key) is None
-        assert cache.stats["corrupt_entries"] == 1
+        # Read back as another process would: the writer holds its trace.
+        reader = DiskCache(tmp_path)
+        assert reader.load_trace(key) is None
+        assert reader.stats["corrupt_entries"] == 1
         # A corrupt entry must be recoverable by simply re-storing.
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        assert cache.load_trace(key) is not None
+        assert reader.load_trace(key) is not None
 
     def test_versioned_layout(self, tmp_path):
         """Entries live under v<FORMAT>; other versions are unreachable."""
@@ -118,7 +120,10 @@ class TestDigest:
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        return cache, cache._trace_path(key), lambda: cache.load_trace(key)
+        # Read back through a second handle (another process): the writer
+        # serves the trace it holds, whatever happens to its file.
+        reader = DiskCache(tmp_path)
+        return reader, cache._trace_path(key), lambda: reader.load_trace(key)
 
     @pytest.mark.parametrize("kind", ["trace"])
     def test_same_length_body_mutation_is_a_corrupt_miss(self, tmp_path, kind):
@@ -196,6 +201,90 @@ class TestHandles:
             os._exit(0 if not store._HANDLES else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _skewed_trace():
+    """A trace a buggy writer could seal: it parses, but declares its one
+    variable twice."""
+    from repro import itl
+    from repro.smt import builder as B
+    from repro.smt.sorts import bv_sort
+
+    x = B.bv_var("x", 64)
+    return itl.Trace.lin(
+        itl.DeclareConst(x, bv_sort(64)), itl.DeclareConst(x, bv_sort(64))
+    )
+
+
+class TestHeldTraces:
+    """A handle holds the traces it stored or loaded and serves them
+    without reading the file; other handles (other processes) still
+    digest, parse and check every entry they read."""
+
+    def test_hit_returns_the_stored_object(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        cache.store_trace(key, result.trace, {"paths": result.paths})
+        trace, meta = cache.load_trace(key)
+        assert trace is result.trace
+        # The meta is exactly what a disk read parses back.
+        assert meta == DiskCache(tmp_path).load_trace(key)[1]
+        assert meta["paths"] == result.paths
+        assert cache.stats["trace_hits"] == cache.stats["trace_mem_hits"] == 1
+
+    def test_a_disk_hit_is_held(self, tmp_path):
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        DiskCache(tmp_path).store_trace(key, result.trace, {"paths": 1})
+        reader = DiskCache(tmp_path)
+        first = reader.load_trace(key)
+        assert reader.stats["trace_mem_hits"] == 0
+        reader._trace_path(key).unlink()
+        assert reader.load_trace(key) is first
+        assert reader.stats["trace_hits"] == 2
+        assert reader.stats["trace_mem_hits"] == 1
+
+    def test_damaged_file_writer_serves_reader_evicts(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        cache.store_trace(key, result.trace, {"paths": result.paths})
+        # A version-skewed writer replaces the entry with a sealed,
+        # ill-formed one.
+        DiskCache(tmp_path).store_trace(key, _skewed_trace(), {"paths": 1})
+        assert cache.load_trace(key)[0] is result.trace
+        reader = DiskCache(tmp_path)
+        assert reader.load_trace(key) is None
+        assert reader.stats["corrupt_entries"] == 1
+        assert reader.stats["wellformed_rejects"] == 1
+        assert reader.stats["trace_misses"] == 1
+        assert not cache._trace_path(key).exists()  # evicted on sight
+        assert cache.load_trace(key)[0] is result.trace
+
+    def test_wellformed_reject_is_not_held(self, tmp_path):
+        key = "ab" * 32
+        reader = DiskCache(tmp_path)
+        for attempt in (1, 2):
+            DiskCache(tmp_path).store_trace(key, _skewed_trace(), {"paths": 1})
+            assert reader.load_trace(key) is None
+            assert reader.stats["wellformed_rejects"] == attempt
+            assert reader.stats["trace_misses"] == attempt
+        assert reader.stats["trace_hits"] == 0
+
+    def test_dropped_ephemeral_root_reopens_empty(self, tmp_path):
+        cache = open_cache(tmp_path)
+        cache.ephemeral = True
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        cache.store_trace(key, result.trace, {"paths": result.paths})
+        drop_cache(tmp_path)
+        reopened = open_cache(tmp_path)
+        assert reopened is not cache
+        trace, _ = reopened.load_trace(key)
+        assert trace is not result.trace  # parsed from the file
+        assert reopened.stats["trace_mem_hits"] == 0
+        drop_cache(tmp_path)
 
 
 class TestSmtStore:

@@ -3,6 +3,11 @@
 Cross-process protocol
 ======================
 
+The protocol below applies to process workers only.  When the pool runs
+in-process (:attr:`WorkerPool.in_process`), block proofs run directly on
+the case the driver built and return their :class:`~repro.logic.proof.Proof`
+objects; trace tasks still use the payload codec either way.
+
 SMT terms are hash-consed into a per-process intern table and deliberately
 unpicklable (identity *is* semantics: hot paths compare ``is TRUE``).  So
 nothing model- or term-shaped ever crosses a process boundary.  Payloads
@@ -22,12 +27,13 @@ invariants.  Workers are pure functions of their payload; the parent
 merges worker results in block-address order, making the merged report and
 certificate independent of scheduling order.
 
-Fault injection composes deterministically: each block worker derives its
+Fault injection composes deterministically: each block derives its
 injector seed by hashing ``(run seed, block address)``, so the schedule a
 block sees depends only on the run seed and the block — not on which
-worker ran it or when.  (The *schedule* differs from a serial governed run,
-which shares one per-site counter stream across blocks; determinism here
-means parallel-run-to-parallel-run reproducibility.)
+worker ran it, in which process, or when.  (The *schedule* differs from a
+serial governed run, which shares one per-site counter stream across
+blocks; determinism here means parallel-run-to-parallel-run
+reproducibility.)
 """
 
 from __future__ import annotations
@@ -178,6 +184,13 @@ class WorkerPool:
         self.jobs = max(1, jobs)
         self._executor = None
         self.unavailable = jobs <= 1
+
+    @property
+    def in_process(self) -> bool:
+        """Whether tasks run serially in the calling process: one job, or
+        a pool that could not start.  Until a pool starts, it counts as a
+        process pool."""
+        return self.unavailable
 
     def _ensure(self):
         if self._executor is None and not self.unavailable:
@@ -459,63 +472,51 @@ def _block_fault_seed(seed: int, addr: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@_scoped
-def _verify_block_worker(payload: dict) -> dict:
+def _verify_block(case, payload: dict) -> dict:
+    """Verify one block of a built case under the payload's budget share and
+    fault seed.  The result carries the :class:`~repro.logic.proof.Proof`
+    object; only a process worker turns it into JSON."""
     from contextlib import nullcontext
 
     from .. import casestudies
     from ..logic.automation import verify_program
     from ..resilience import Budget, BudgetSpec, FaultInjector, inject
-    from ..smt.solver import install_persistent_check_store
-    from .config import configured
 
-    module = getattr(casestudies, payload["case"])
-    cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     addr = payload["addr"]
-    previous = install_persistent_check_store(cache)
-    try:
-        # Rebuild the case in-process (traces come warm from the shared
-        # disk cache).  The build runs fault-free, matching the serial
-        # driver where only the verify phase is inside the injection scope.
-        with configured(jobs=1, cache=cache):
-            case = module.build(**dict(payload["kwargs"]))
-        budget = (
-            Budget(BudgetSpec(**payload["budget_spec"]))
-            if payload["budget_spec"] is not None
-            else None
-        )
-        fault = payload["fault"]
-        if fault is not None:
-            # Fault schedules are pure functions of (seed, site, per-site
-            # counter) — but how many *decisions* a site sees depends on
-            # which queries short-circuit in the in-memory check cache, and
-            # a pooled worker's cache holds whatever earlier tasks left
-            # behind.  Start the injected verify phase cache-cold so the
-            # decision stream (and hence the certificate) is a function of
-            # the payload alone, not of task-to-worker placement.
-            from ..smt.solver import clear_check_cache
+    budget = (
+        Budget(BudgetSpec(**payload["budget_spec"]))
+        if payload["budget_spec"] is not None
+        else None
+    )
+    fault = payload["fault"]
+    if fault is not None:
+        # Fault schedules are pure functions of (seed, site, per-site
+        # counter) — but how many *decisions* a site sees depends on
+        # which queries short-circuit in the in-memory check cache, and
+        # a pooled worker's cache holds whatever earlier tasks left
+        # behind.  Start the injected verify phase cache-cold so the
+        # decision stream (and hence the certificate) is a function of
+        # the payload alone, not of task-to-worker placement.
+        from ..smt.solver import clear_check_cache
 
-            clear_check_cache()
-        injection = (
-            inject(
-                FaultInjector(
-                    _block_fault_seed(fault["seed"], addr), rate=fault["rate"]
-                )
+        clear_check_cache()
+    injection = (
+        inject(
+            FaultInjector(
+                _block_fault_seed(fault["seed"], addr), rate=fault["rate"]
             )
-            if fault is not None
-            else nullcontext()
         )
-        with injection:
-            report = verify_program(
-                case.frontend.traces,
-                case.specs,
-                pc_for(module),
-                budget=budget,
-                blocks=[addr],
-            )
-    finally:
-        install_persistent_check_store(previous)
-        _release_worker_cache(payload, cache)
+        if fault is not None
+        else nullcontext()
+    )
+    with injection:
+        report = verify_program(
+            case.frontend.traces,
+            case.specs,
+            pc_for(getattr(casestudies, payload["case"])),
+            budget=budget,
+            blocks=[addr],
+        )
     outcome = report.blocks[addr]
     return {
         "addr": addr,
@@ -524,12 +525,36 @@ def _verify_block_worker(payload: dict) -> dict:
             "reason": outcome.reason,
             "residuals": outcome.residuals,
         },
-        "proof": report.proof.to_json(),
+        "proof": report.proof,
         "solver_stats": report.solver_stats,
         "cache_stats": report.cache_stats,
         "budget": budget.snapshot() if budget is not None else None,
         "faults": len(report.faults),
     }
+
+
+@_scoped
+def _verify_block_worker(payload: dict) -> dict:
+    """The process worker: rebuild the case, then :func:`_verify_block`."""
+    from .. import casestudies
+    from ..smt.solver import install_persistent_check_store
+    from .config import configured
+
+    module = getattr(casestudies, payload["case"])
+    cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
+    previous = install_persistent_check_store(cache)
+    try:
+        # Traces come warm from the shared disk cache.  The build runs
+        # fault-free, matching the serial driver where only the verify
+        # phase is inside the injection scope.
+        with configured(jobs=1, cache=cache):
+            case = module.build(**dict(payload["kwargs"]))
+        result = _verify_block(case, payload)
+    finally:
+        install_persistent_check_store(previous)
+        _release_worker_cache(payload, cache)
+    result["proof"] = result["proof"].to_json()
+    return result
 
 
 def verify_case_parallel(
@@ -543,8 +568,9 @@ def verify_case_parallel(
     pool: WorkerPool | None = None,
     batcher=None,
     progress=None,
+    on_built=None,
 ):
-    """Build a case study and verify each block in its own worker.
+    """Build a case study and verify each block as its own task.
 
     Returns ``(case, report)`` where ``report`` is a merged
     :class:`~repro.resilience.outcome.RunReport`.  The merge is performed
@@ -552,89 +578,100 @@ def verify_case_parallel(
     budget absorption — so the result is a deterministic function of the
     inputs, independent of worker scheduling.
 
+    When the pool runs in-process (:attr:`WorkerPool.in_process`), each
+    block is verified directly on the case built here.  Otherwise each
+    block goes to a process worker that rebuilds the case; without a
+    caller ``cache`` those workers share an ephemeral cache scoped to this
+    call, so they start warm without anything being persisted.
+
     The run-wide ``budget_spec`` is partitioned across blocks with
     :meth:`~repro.resilience.budget.BudgetSpec.partition` (conflicts
-    divided, deadline and per-query knobs replicated) and worker
+    divided, deadline and per-query knobs replicated) and block
     consumption is folded back into one run-wide budget via
     :meth:`~repro.resilience.budget.Budget.absorb`.
 
-    Fail-soft dispatch: block workers run through
-    :meth:`WorkerPool.map_tasks_graceful`, so a killed worker process or a
-    graceful drain (SIGINT/SIGTERM) turns the affected blocks into
-    ``unknown`` outcomes — never a traceback, never a silent ``verified``
-    — and their partitioned budget shares are *not* absorbed (the parent
-    budget only ever records resources a worker actually reported
-    consuming).
+    Fail-soft dispatch: block tasks run through
+    :meth:`WorkerPool.map_tasks_graceful`, so a killed worker process, a
+    raising block or a graceful drain (SIGINT/SIGTERM) turns the affected
+    blocks into ``unknown`` outcomes — never a traceback, never a silent
+    ``verified`` — and their partitioned budget shares are *not* absorbed
+    (the parent budget only ever records resources a block actually
+    reported consuming).
 
     ``batcher`` optionally routes the build's trace generation through a
     shared :class:`repro.service.batcher.TraceBatcher` (the daemon's
-    cross-job dedup layer); ``progress(addr, outcome)`` fires as each
-    block's verdict arrives.
+    cross-job dedup layer); ``on_built(case)`` fires once the build is
+    done, before any block starts; ``progress(addr, outcome)`` fires as
+    each block's verdict arrives.
     """
     import tempfile
 
     from .. import casestudies
     from ..logic.proof import Proof
     from ..resilience import Budget
-    from ..resilience.outcome import BlockOutcome, RunReport
+    from ..resilience.outcome import UNKNOWN, BlockOutcome, RunReport
     from ..smt.solver import LRU_COUNTERS
     from .config import configured
 
     module = getattr(casestudies, name)
     build_kwargs = build_kwargs or {}
 
+    own_pool = pool is None
+    pool = pool or WorkerPool(jobs)
     ephemeral = None
-    if cache is None:
-        # Block workers rebuild the case; without a shared cache every
-        # worker would redo the whole image's symbolic execution.  An
-        # ephemeral cache scoped to this call keeps workers warm without
-        # persisting anything.
-        ephemeral = tempfile.TemporaryDirectory(prefix="repro-cache-")
-        cache = open_cache(ephemeral.name)
-        cache.ephemeral = True
     try:
-        own_pool = pool is None
-        pool = pool or WorkerPool(jobs)
-        try:
-            # The job's run scope; the block workers' counts join it below.
-            with configured(
-                jobs=jobs, cache=cache, pool=pool, batcher=batcher
-            ), obs.scope() as run:
-                case = module.build(**build_kwargs)
+        if cache is None and not getattr(pool, "in_process", False):
+            # Process workers rebuild the case; without a shared cache
+            # every worker would redo the whole image's symbolic execution.
+            ephemeral = tempfile.TemporaryDirectory(prefix="repro-cache-")
+            cache = open_cache(ephemeral.name)
+            cache.ephemeral = True
+        # The job's run scope; the blocks' counts join it below.
+        with configured(
+            jobs=jobs, cache=cache, pool=pool, batcher=batcher
+        ), obs.scope() as run:
+            case = module.build(**build_kwargs)
+        if cache is not None:
             cache.flush()
-            addrs = sorted(case.specs)
-            specs = (
-                budget_spec.partition(len(addrs))
-                if budget_spec is not None and addrs
-                else [None] * len(addrs)
-            )
-            fault = (
-                {"seed": fault_seed, "rate": fault_rate}
-                if fault_seed is not None
-                else None
-            )
-            payloads = [
-                {
-                    "case": name,
-                    "kwargs": sorted(build_kwargs.items()),
-                    "addr": addr,
-                    **_cache_payload(cache),
-                    "budget_spec": asdict(spec) if spec is not None else None,
-                    "fault": fault,
-                }
-                for addr, spec in zip(addrs, specs)
-            ]
-            on_result = None
-            if progress is not None:
-                def on_result(index, item, _progress=progress):
-                    _progress(item["addr"], item["outcome"]["outcome"])
-            raw = pool.map_tasks_graceful(
-                _verify_block_worker, payloads, on_result=on_result
-            )
-        finally:
-            if own_pool:
-                pool.close()
+        if on_built is not None:
+            on_built(case)
+        addrs = sorted(case.specs)
+        specs = (
+            budget_spec.partition(len(addrs))
+            if budget_spec is not None and addrs
+            else [None] * len(addrs)
+        )
+        fault = (
+            {"seed": fault_seed, "rate": fault_rate}
+            if fault_seed is not None
+            else None
+        )
+        payloads = [
+            {
+                "case": name,
+                "kwargs": sorted(build_kwargs.items()),
+                "addr": addr,
+                **_cache_payload(cache),
+                "budget_spec": asdict(spec) if spec is not None else None,
+                "fault": fault,
+            }
+            for addr, spec in zip(addrs, specs)
+        ]
+        # A pool that failed to start during the build runs in-process too.
+        in_process = getattr(pool, "in_process", False)
+        task = (
+            _scoped(functools.partial(_verify_block, case))
+            if in_process
+            else _verify_block_worker
+        )
+        on_result = None
+        if progress is not None:
+            def on_result(index, item, _progress=progress):
+                _progress(item["addr"], item["outcome"]["outcome"])
+        raw = pool.map_tasks_graceful(task, payloads, on_result=on_result)
     finally:
+        if own_pool:
+            pool.close()
         if ephemeral is not None:
             drop_cache(ephemeral.name)
             ephemeral.cleanup()
@@ -651,14 +688,12 @@ def verify_case_parallel(
     for payload, item in zip(payloads, raw):
         addr = payload["addr"]
         if isinstance(item, TaskFailure):
-            from ..resilience.outcome import UNKNOWN
-
             report.blocks[addr] = BlockOutcome(addr, UNKNOWN, reason=item.reason)
             merged_proof.outcomes[addr] = UNKNOWN
-            # The dead/cancelled worker reported no consumption: its
+            # The dead/cancelled task reported no consumption: its
             # partitioned budget share stays unspent in the parent.
             continue
-        sub = Proof.from_json(item["proof"])
+        sub = item["proof"] if in_process else Proof.from_json(item["proof"])
         merged_proof.steps.extend(sub.steps)
         merged_proof.blocks_verified.extend(sub.blocks_verified)
         merged_proof.residual_obligations.extend(sub.residual_obligations)

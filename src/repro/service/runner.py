@@ -83,6 +83,11 @@ class JobRunner:
         spec = service.queue.job_budget_spec(job)
         t0 = time.perf_counter()
 
+        def built(case) -> None:
+            job.add_event(
+                "build-done", instrs=case.asm_line_count, blocks=len(case.specs)
+            )
+
         def progress(addr: int, outcome: str) -> None:
             job.add_event("block-done", addr=f"0x{addr:x}", outcome=outcome)
 
@@ -96,11 +101,7 @@ class JobRunner:
                 pool=service.pool,
                 batcher=service.batcher,
                 progress=progress,
-            )
-            job.add_event(
-                "build-done",
-                instrs=case.asm_line_count,
-                blocks=len(case.specs),
+                on_built=built,
             )
             try:
                 check = check_proof(report.proof, expected_blocks=set(case.specs))

@@ -57,7 +57,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--pool-jobs", type=int, default=1,
-        help="worker processes inside each shard",
+        help="worker processes inside each shard; 1 runs every job "
+        "in the shard's process and proves its blocks on the built case",
     )
     parser.add_argument(
         "--block-jobs", type=int, default=1,

@@ -120,7 +120,7 @@ def test_fleet_soak_throughput(bench_cosim_record):
         ),
         shards=FLEET_SHARDS,
     )
-    router = FleetRouter(supervisor, poll_s=0.02)
+    router = FleetRouter(supervisor)
     router.start()
     try:
         t0 = time.perf_counter()

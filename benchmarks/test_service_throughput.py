@@ -125,7 +125,7 @@ def _fleet_round(shards: int) -> tuple[float, int]:
         ),
         shards=shards,
     )
-    router = FleetRouter(supervisor, poll_s=0.02)
+    router = FleetRouter(supervisor)
     router.start()
     try:
         t0 = time.perf_counter()

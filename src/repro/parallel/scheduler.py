@@ -6,7 +6,8 @@ Cross-process protocol
 The protocol below applies to process workers only.  When the pool runs
 in-process (:attr:`WorkerPool.in_process`), block proofs run directly on
 the case the driver built and return their :class:`~repro.logic.proof.Proof`
-objects; trace tasks still use the payload codec either way.
+objects, and trace tasks return their :class:`~repro.isla.executor.IslaResult`
+objects (:func:`_trace_task_for`).
 
 SMT terms are hash-consed into a per-process intern table and deliberately
 unpicklable (identity *is* semantics: hot paths compare ``is TRUE``).  So
@@ -359,9 +360,8 @@ def _scoped(task):
     return worker
 
 
-@_scoped
-def _trace_worker(payload: dict) -> dict:
-    from ..cache.store import encode_trace
+def _run_isla(payload: dict):
+    """Run Isla for one trace payload; the :class:`IslaResult` itself."""
     from ..isla.executor import trace_for_opcode
     from ..smt.solver import install_persistent_check_store
 
@@ -371,10 +371,18 @@ def _trace_worker(payload: dict) -> dict:
     cache = open_cache(payload["cache_dir"]) if payload["cache_dir"] else None
     previous = install_persistent_check_store(cache)
     try:
-        result = trace_for_opcode(model, opcode, assumptions, cache=cache)
+        return trace_for_opcode(model, opcode, assumptions, cache=cache)
     finally:
         install_persistent_check_store(previous)
         _release_worker_cache(payload, cache)
+
+
+@_scoped
+def _trace_worker(payload: dict) -> dict:
+    """The trace task for process workers: the trace travels as text."""
+    from ..cache.store import encode_trace
+
+    result = _run_isla(payload)
     body, extern = encode_trace(result.trace)
     return {
         "addr": payload["addr"],
@@ -387,6 +395,26 @@ def _trace_worker(payload: dict) -> dict:
         "checks_skipped": result.checks_skipped,
         "cached": result.cached,
     }
+
+
+@_scoped
+def _trace_task(payload: dict) -> dict:
+    """The trace task for an in-process pool: the result never leaves the
+    process, so it stays an :class:`IslaResult` object."""
+    return {"addr": payload["addr"], "result": _run_isla(payload)}
+
+
+def _runs_in_process(pool) -> bool:
+    """Whether ``pool`` runs trace tasks in the calling process: no pool,
+    or :attr:`WorkerPool.in_process`.  A pool without the property counts
+    as a process pool."""
+    return pool is None or getattr(pool, "in_process", False)
+
+
+def _trace_task_for(pool):
+    """The trace task ``pool`` runs: :func:`_trace_task` in-process,
+    :func:`_trace_worker` across processes."""
+    return _trace_task if _runs_in_process(pool) else _trace_worker
 
 
 def _trace_payloads(model, image, default_assumptions, per_address, cache) -> list:
@@ -410,10 +438,14 @@ def _trace_payloads(model, image, default_assumptions, per_address, cache) -> li
 
 
 def _isla_result(item: dict):
-    """A :func:`_trace_worker` result, parsed into this process's terms."""
+    """A trace task's :class:`IslaResult`: :func:`_trace_task` carries it
+    as is; a :func:`_trace_worker` result is parsed into this process's
+    terms."""
     from ..cache.store import decode_trace
     from ..isla.executor import IslaResult
 
+    if "result" in item:
+        return item["result"]
     return IslaResult(
         decode_trace(item["trace"], item["extern"]),
         paths=item["paths"],
@@ -449,7 +481,7 @@ def generate_traces_parallel(
     own_pool = pool is None
     pool = pool or WorkerPool(jobs)
     try:
-        raw = pool.map_tasks(_trace_worker, payloads)
+        raw = pool.map_tasks(_trace_task_for(pool), payloads)
     finally:
         if own_pool:
             pool.close()

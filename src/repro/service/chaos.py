@@ -124,7 +124,6 @@ class ChaosFleet:
             self.supervisor,
             journal_path=journal_path,
             telemetry=self.telemetry,
-            poll_s=0.02,
             requeue_delay_s=0.05,
             job_timeout_s=job_timeout_s,
             breaker_kwargs={"failure_threshold": 2, "cooldown_s": 0.1,

@@ -308,28 +308,30 @@ class ServiceClient:
         self,
         job_id: str,
         timeout: float | None = None,
-        poll_s: float = 0.1,
         on_event=None,
     ) -> dict:
         """Block until the job is terminal; returns the final job summary.
 
         ``on_event`` (if given) is called with each
         :class:`~repro.service.protocol.JobEvent` JSON dict as it arrives.
+        Each long-poll returns as soon as the job has a new event, and its
+        reply carries the job's state, so nothing sleeps between polls.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         seq = 0
         while True:
-            batch = self.events(job_id, since=seq, wait_s=min(5.0, poll_s * 50))
+            wait_s = 5.0
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
+            batch = self.events(job_id, since=seq, wait_s=wait_s)
             for event in batch["events"]:
                 seq = event["seq"] + 1
                 if on_event is not None:
                     on_event(event)
-            status = self.status(job_id)
-            if status["state"] in ("done", "failed", "cancelled"):
-                return status
-            if deadline is not None and time.monotonic() > deadline:
-                raise TimeoutError(f"job {job_id} still {status['state']}")
-            time.sleep(poll_s)
+            if batch["state"] in ("done", "failed", "cancelled"):
+                return self.status(job_id)
+            if deadline is not None and time.monotonic() >= deadline:
+                raise TimeoutError(f"job {job_id} still {batch['state']}")
 
     def run(
         self,

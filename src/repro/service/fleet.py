@@ -20,13 +20,14 @@ This is the front door of the sharded verification fleet.  One
   deterministic: same request, same certificate, bit for bit.
 
 Placement is at-least-once, completion is exactly-once-per-content-hash:
-a shard that dies mid-job loses it (the poll sees the connection die or a
-404 from the restarted shard's empty job table) and the router requeues
-it elsewhere; the journal's first ``done`` record for a hash wins and
-every later submit of that hash is served from it.
+a shard that dies mid-job loses it (the router's long-poll on the job's
+events sees the connection die or a 404 from the restarted shard's empty
+job table) and the router requeues it elsewhere; the journal's first
+``done`` record for a hash wins and every later submit of that hash is
+served from it.
 
 The router speaks HTTP through the same front end as a shard
-(:mod:`~repro.service.http`); dispatch and polling run on plain threads.
+(:mod:`~repro.service.http`); dispatch and watching run on plain threads.
 It exposes the same job surface (``/jobs``, ``/jobs/<id>``,
 ``.../report``, ``.../events``) so
 :class:`~repro.service.client.ServiceClient` — and therefore
@@ -143,6 +144,11 @@ class FleetJob(JobRecord):
         return snap
 
 
+#: Longest one long-poll of a placed job waits for its next event.  It
+#: bounds how long :meth:`FleetRouter.stop` waits for a dispatcher.
+WATCH_WAIT_S = 0.5
+
+
 class _JobLost(Exception):
     """The placed shard died or forgot the job; it must be requeued."""
 
@@ -158,7 +164,6 @@ class FleetRouter(HttpFrontEnd):
         dispatchers: int | None = None,
         max_queue: int = 256,
         job_timeout_s: float = 600.0,
-        poll_s: float = 0.05,
         requeue_delay_s: float = 0.1,
         ring_replicas: int = 64,
         breaker_kwargs: dict | None = None,
@@ -170,7 +175,6 @@ class FleetRouter(HttpFrontEnd):
         self.journal: JobJournal | None = None
         self.max_queue = max_queue
         self.job_timeout_s = job_timeout_s
-        self.poll_s = poll_s
         self.requeue_delay_s = requeue_delay_s
         self.ring = HashRing(supervisor.shard_ids, replicas=ring_replicas)
         self.breakers = {
@@ -502,28 +506,30 @@ class FleetRouter(HttpFrontEnd):
         self._finish_done(job, result)
 
     def _watch(self, job, shard_id: str, remote_id: str, client) -> dict:
-        """Poll the placed job to completion; raises :class:`_JobLost` when
-        the shard dies or forgets it."""
+        """Long-poll the placed job's events to completion; raises
+        :class:`_JobLost` when the shard dies or forgets it."""
         misses = 0
+        seq = 0
         while True:
             if self._stop.is_set():
                 raise _RouterStopping()
-            if (
-                self.job_timeout_s is not None
-                and time.time() - job.created > self.job_timeout_s
-            ):
-                raise _RemoteFailure(
-                    f"job exceeded fleet timeout ({self.job_timeout_s}s)"
-                )
+            wait_s = WATCH_WAIT_S
+            if self.job_timeout_s is not None:
+                left = self.job_timeout_s - (time.time() - job.created)
+                if left < 0:
+                    raise _RemoteFailure(
+                        f"job exceeded fleet timeout ({self.job_timeout_s}s)"
+                    )
+                wait_s = min(wait_s, left)
             try:
-                status = client.status(remote_id)
+                batch = client.events(remote_id, since=seq, wait_s=wait_s)
             except (ServiceTimeout, ServiceUnavailable) as exc:
                 # Subclass order matters: these ARE ServiceErrors, but they
                 # mean "can't reach the shard", not "the shard said no".
                 misses += 1
                 if misses >= 3 or not self.supervisor.is_up(shard_id):
                     raise _JobLost(f"shard unreachable: {exc}") from exc
-                time.sleep(self.poll_s)
+                self._stop.wait(self.requeue_delay_s)
                 continue
             except ServiceError as exc:
                 if exc.status == 404:
@@ -531,7 +537,10 @@ class FleetRouter(HttpFrontEnd):
                     raise _JobLost("shard restarted; job table empty") from exc
                 raise _RemoteFailure(exc.reason) from exc
             misses = 0
-            state = status["state"]
+            events = batch["events"]
+            if events:
+                seq = events[-1]["seq"] + 1
+            state = batch["state"]
             if state == "done":
                 try:
                     return client.report(remote_id)
@@ -544,8 +553,11 @@ class FleetRouter(HttpFrontEnd):
                         ) from exc
                     raise _RemoteFailure(exc.reason) from exc
             if state in ("failed", "cancelled"):
-                raise _RemoteFailure(status.get("error") or f"job {state}")
-            time.sleep(self.poll_s)
+                # The terminal event comes in the same reply as its state.
+                data = events[-1]["data"] if events else {}
+                raise _RemoteFailure(
+                    data.get("error") or data.get("reason") or f"job {state}"
+                )
 
     def _requeue(self, job: FleetJob, reason: str) -> None:
         if job.terminal:

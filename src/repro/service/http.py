@@ -377,15 +377,20 @@ class HttpFrontEnd:
                 since, wait_s = parse_events_query(query)
             except ValueError as exc:
                 raise HttpError(400, str(exc)) from None
-            loop = asyncio.get_running_loop()
-            deadline = loop.time() + wait_s
-            events = job.events_since(since)
-            while not events and not job.terminal and loop.time() < deadline:
-                await asyncio.sleep(0.05)
-                events = job.events_since(since)
+            if wait_s > 0:
+                # Push, not poll: the job wakes this future when its next
+                # event is recorded, from whichever thread records it.
+                waiter = job.waiter(since, asyncio.get_running_loop())
+                if waiter is not None:
+                    try:
+                        await asyncio.wait_for(waiter, wait_s)
+                    except asyncio.TimeoutError:
+                        pass
+                    finally:
+                        job.drop_waiter(waiter)
+            state, events = job.poll(since)
             return Reply(
-                200,
-                {"state": job.state, "events": [e.to_json() for e in events]},
+                200, {"state": state, "events": [e.to_json() for e in events]}
             )
         if method == "POST" and rest == ["cancel"]:
             cancelled, note = self.cancel(job)

@@ -34,6 +34,7 @@ FAILED_STATE = "failed"
 CANCELLED = "cancelled"
 
 JOB_STATES = (QUEUED, RUNNING, DONE, FAILED_STATE, CANCELLED)
+TERMINAL_STATES = (DONE, FAILED_STATE, CANCELLED)
 
 #: Priority classes, best first.  The queue is strict-priority with FIFO
 #: within a class; admission control may reject ``bulk`` first under load.
@@ -168,6 +169,11 @@ class JobEvent:
         return {"seq": self.seq, "ts": self.ts, "kind": self.kind, "data": self.data}
 
 
+def _wake(future) -> None:
+    if not future.done():
+        future.set_result(None)
+
+
 @dataclass
 class JobRecord:
     """Server-side state of one job (thread-safe where it must be).
@@ -189,19 +195,53 @@ class JobRecord:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[JobEvent] = []
+        #: ``(loop, future)`` of each long-poll waiting for the next event.
+        self._waiters: list[tuple] = []
         self.add_event("queued", case=self.request.case)
 
     # -- events -------------------------------------------------------------
 
     def add_event(self, kind: str, **data) -> JobEvent:
         with self._lock:
-            event = JobEvent(len(self._events), time.time(), kind, data)
-            self._events.append(event)
-            return event
+            return self._append(kind, data)
+
+    def _append(self, kind: str, data: dict) -> JobEvent:
+        """Record an event and wake every waiting long-poll; the caller
+        holds the lock."""
+        event = JobEvent(len(self._events), time.time(), kind, data)
+        self._events.append(event)
+        for loop, waiter in self._waiters:
+            try:
+                loop.call_soon_threadsafe(_wake, waiter)
+            except RuntimeError:  # that poll's event loop has closed
+                pass
+        self._waiters.clear()
+        return event
 
     def events_since(self, seq: int) -> list[JobEvent]:
+        return self.poll(seq)[1]
+
+    def poll(self, seq: int) -> tuple[str, list[JobEvent]]:
+        """The state and the events from ``seq`` on, read together: a
+        terminal state's own event is always among the events after it."""
         with self._lock:
-            return self._events[max(0, seq):]
+            return self.state, self._events[max(0, seq):]
+
+    def waiter(self, seq: int, loop):
+        """A future on ``loop`` that resolves at the job's next event, or
+        ``None`` when there is no need to wait: the job is terminal, or it
+        already has events from ``seq`` on.  Release it with
+        :meth:`drop_waiter`."""
+        with self._lock:
+            if len(self._events) > seq or self.state in TERMINAL_STATES:
+                return None
+            future = loop.create_future()
+            self._waiters.append((loop, future))
+            return future
+
+    def drop_waiter(self, future) -> None:
+        with self._lock:
+            self._waiters = [w for w in self._waiters if w[1] is not future]
 
     @property
     def num_events(self) -> int:
@@ -209,26 +249,29 @@ class JobRecord:
             return len(self._events)
 
     # -- state transitions ---------------------------------------------------
+    #
+    # Each transition records its event under the same lock hold as the
+    # state, so :meth:`poll` never sees one without the other.
 
     def mark_running(self) -> None:
         with self._lock:
             self.state = RUNNING
             self.started = time.time()
-        self.add_event("started")
+            self._append("started", {})
 
     def mark_done(self, result: dict) -> None:
         with self._lock:
             self.state = DONE
             self.finished = time.time()
             self.result = result
-        self.add_event("done", outcome=result.get("outcome"))
+            self._append("done", {"outcome": result.get("outcome")})
 
     def mark_failed(self, error: str) -> None:
         with self._lock:
             self.state = FAILED_STATE
             self.finished = time.time()
             self.error = error
-        self.add_event("failed", error=error)
+            self._append("failed", {"error": error})
 
     def mark_cancelled(self, reason: str = "") -> None:
         with self._lock:
@@ -236,11 +279,11 @@ class JobRecord:
             self.finished = time.time()
             if reason:
                 self.error = reason
-        self.add_event("cancelled", reason=reason)
+            self._append("cancelled", {"reason": reason})
 
     @property
     def terminal(self) -> bool:
-        return self.state in (DONE, FAILED_STATE, CANCELLED)
+        return self.state in TERMINAL_STATES
 
     @property
     def latency_s(self) -> float | None:

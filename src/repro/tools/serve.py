@@ -65,7 +65,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--batch-window", type=float, default=0.01, metavar="S",
-        help="batching collection window in seconds",
+        help="batching collection window in seconds (process pools only)",
     )
     parser.add_argument(
         "--shard-id", default=None,

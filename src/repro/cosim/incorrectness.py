@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..cosim.archs import COSIM_ARCHS
-from ..cosim.interp import CosimDomainError, CosimUnsupported, interp_for
-from ..cosim.state import ProgramCase, build_machine_state
+from .archs import COSIM_ARCHS
+from .interp import CosimDomainError, CosimUnsupported, interp_for
+from .state import ProgramCase, build_machine_state
 from ..itl.events import Reg
 from ..sail.iface import ModelError
 

@@ -13,14 +13,6 @@ from .assertions import (
 )
 from .automation import EngineConfig, ProofEngine, verify_program
 from .context import Context, ProofError
-from .incorrectness import (
-    BadStatePred,
-    RefutationCertificate,
-    RefutationCheckFailure,
-    RefutationError,
-    check_refutation,
-    reaches_bad_state,
-)
 from .proof import Proof, ProofStep, SideCondition
 from .spec import (
     LabelSpec,
@@ -34,11 +26,9 @@ from .spec import (
 )
 
 __all__ = [
-    "BadStatePred", "Context", "EngineConfig", "InstrPre", "LabelSpec",
-    "MMIO", "MemArray", "MemPointsTo", "Pred", "PredBuilder", "Proof",
-    "ProofEngine", "ProofError", "ProofStep", "RefutationCertificate",
-    "RefutationCheckFailure", "RefutationError", "RegCol", "RegPointsTo",
-    "SAnything", "SChoice", "SideCondition", "SpecAssertion", "SRead",
-    "SRec", "SStop", "SWrite", "check_refutation", "reaches_bad_state",
-    "spec_allows", "verify_program",
+    "Context", "EngineConfig", "InstrPre", "LabelSpec", "MMIO", "MemArray",
+    "MemPointsTo", "Pred", "PredBuilder", "Proof", "ProofEngine",
+    "ProofError", "ProofStep", "RegCol", "RegPointsTo", "SAnything",
+    "SChoice", "SideCondition", "SpecAssertion", "SRead", "SRec", "SStop",
+    "SWrite", "spec_allows", "verify_program",
 ]

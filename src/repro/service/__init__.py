@@ -42,6 +42,11 @@ resident and serves verification over a local socket:
   tails) asserting the fleet's termination/byte-identity/no-double-run
   contract.
 
+Importing the package loads the service layer only.  :class:`TraceBatcher`
+and :class:`VerificationService` drive the proof pipeline, so they load
+on first use: a fleet router, which routes jobs but runs none, never
+compiles the pipeline.
+
 The service guarantee: results are byte-identical to ``tools/verify`` —
 same certificates, same outcome lattice, same fail-safe degradation when
 budgets exhaust.  The daemon — and the fleet above it — only changes
@@ -49,7 +54,8 @@ budgets exhaust.  The daemon — and the fleet above it — only changes
 against warm state), never *what* is computed.
 """
 
-from .batcher import TraceBatcher
+from importlib import import_module
+
 from .breaker import CircuitBreaker
 from .client import (
     FailoverClient,
@@ -73,7 +79,6 @@ from .protocol import (
     SubmitRequest,
 )
 from .queue import AdmissionError, JobQueue
-from .server import VerificationService
 from .supervisor import (
     LocalShard,
     ProcessShard,
@@ -91,3 +96,12 @@ __all__ = [
     "ShardSupervisor", "SubmitRequest", "Telemetry", "TraceBatcher",
     "VerificationService", "job_content_hash",
 ]
+
+#: Exports that import the proof pipeline, by defining module.
+_PIPELINE = {"TraceBatcher": "batcher", "VerificationService": "server"}
+
+
+def __getattr__(name: str):
+    if name not in _PIPELINE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_PIPELINE[name]}", __name__), name)

@@ -217,7 +217,10 @@ def run_campaign(
 ) -> ChaosReport:
     """One seeded chaos campaign: submit every case into a LocalShard fleet
     while faults fire, wait for universal termination, and return the
-    certificates and counters for the caller's invariant checks.
+    certificates and counters for the caller's invariant checks.  The
+    fleet stays up, under injection, until the supervisor has finished
+    ``miss_limit + 1`` monitor rounds, so the heartbeat site is consulted
+    however short the jobs are.
 
     ``corrupt_tail`` ("truncate" | "garbage") damages the journal *before*
     the fleet opens it, modelling a crash that tore the previous router's
@@ -252,6 +255,13 @@ def run_campaign(
             fleet.wait_all(
                 list(fleet.router.jobs.values()), timeout_s=timeout_s
             )
+            # Enough probes for the heartbeat site to fire and for delayed
+            # heartbeats to declare a shard dead, however soon jobs end.
+            supervisor = fleet.supervisor
+            if not supervisor.wait_rounds(supervisor.miss_limit + 1, timeout_s):
+                raise AssertionError(
+                    f"supervisor finished only {supervisor.rounds} monitor rounds"
+                )
             fleet.wait_healed(timeout_s=timeout_s)
             for job in jobs:
                 if job.state == "done":

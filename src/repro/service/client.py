@@ -102,9 +102,15 @@ class _UnixHTTPConnection(http.client.HTTPConnection):
 
     def connect(self) -> None:
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        if self.timeout is not None:
-            sock.settimeout(self.timeout)
-        sock.connect(self._socket_path)
+        try:
+            if self.timeout is not None:
+                sock.settimeout(self.timeout)
+            sock.connect(self._socket_path)
+        except OSError:
+            # A shard that is not listening yet fails every start-up
+            # probe; each one must not hold a descriptor until collected.
+            sock.close()
+            raise
         sock.settimeout(self._read_timeout)
         self.sock = sock
 
@@ -282,10 +288,20 @@ class ServiceClient:
     def report(self, job_id: str) -> dict:
         return self._request("GET", f"/jobs/{job_id}/report")[1]
 
-    def events(self, job_id: str, since: int = 0, wait_s: float = 0.0) -> dict:
-        return self._request(
-            "GET", f"/jobs/{job_id}/events?since={since}&wait={wait_s}"
-        )[1]
+    def events(
+        self,
+        job_id: str,
+        since: int = 0,
+        wait_s: float = 0.0,
+        until_terminal: bool = False,
+    ) -> dict:
+        """The job's state and its events from ``since`` on.  A long-poll
+        (``wait_s > 0``) answers at the next event, or with
+        ``until_terminal`` only once the job is terminal."""
+        path = f"/jobs/{job_id}/events?since={since}&wait={wait_s}"
+        if until_terminal:
+            path += "&until=terminal"
+        return self._request("GET", path)[1]
 
     def cancel(self, job_id: str) -> dict:
         return self._request("POST", f"/jobs/{job_id}/cancel")[1]

@@ -144,8 +144,8 @@ class FleetJob(JobRecord):
         return snap
 
 
-#: Longest one long-poll of a placed job waits for its next event.  It
-#: bounds how long :meth:`FleetRouter.stop` waits for a dispatcher.
+#: Longest one long-poll of a placed job waits for its terminal state.
+#: It bounds how long :meth:`FleetRouter.stop` waits for a dispatcher.
 WATCH_WAIT_S = 0.5
 
 
@@ -506,7 +506,8 @@ class FleetRouter(HttpFrontEnd):
         self._finish_done(job, result)
 
     def _watch(self, job, shard_id: str, remote_id: str, client) -> dict:
-        """Long-poll the placed job's events to completion; raises
+        """Long-poll the placed job until it is terminal, one request per
+        job plus one per :data:`WATCH_WAIT_S` of running; raises
         :class:`_JobLost` when the shard dies or forgets it."""
         misses = 0
         seq = 0
@@ -522,7 +523,9 @@ class FleetRouter(HttpFrontEnd):
                     )
                 wait_s = min(wait_s, left)
             try:
-                batch = client.events(remote_id, since=seq, wait_s=wait_s)
+                batch = client.events(
+                    remote_id, since=seq, wait_s=wait_s, until_terminal=True
+                )
             except (ServiceTimeout, ServiceUnavailable) as exc:
                 # Subclass order matters: these ARE ServiceErrors, but they
                 # mean "can't reach the shard", not "the shard said no".

@@ -17,7 +17,8 @@ HTTP surface (all JSON unless noted; one request per connection)::
     GET  /jobs/<id>               one summary
     GET  /jobs/<id>/report        full result incl. certificate (409 if
                                   not finished)
-    GET  /jobs/<id>/events        ?since=N&wait=S  long-poll progress
+    GET  /jobs/<id>/events        ?since=N&wait=S  long-poll progress;
+                                  &until=terminal waits for the end
     POST /jobs/<id>/cancel        cancel queued (flag running) jobs
     GET  /metrics                 Prometheus text exposition
     GET  /metrics.json            raw telemetry snapshot
@@ -374,13 +375,16 @@ class HttpFrontEnd:
             return Reply(409, {"error": error, "state": job.state})
         if method == "GET" and rest == ["events"]:
             try:
-                since, wait_s = parse_events_query(query)
+                since, wait_s, terminal = parse_events_query(query)
             except ValueError as exc:
                 raise HttpError(400, str(exc)) from None
             if wait_s > 0:
                 # Push, not poll: the job wakes this future when its next
-                # event is recorded, from whichever thread records it.
-                waiter = job.waiter(since, asyncio.get_running_loop())
+                # event (or terminal event) is recorded, from whichever
+                # thread records it.
+                waiter = job.waiter(
+                    since, asyncio.get_running_loop(), terminal=terminal
+                )
                 if waiter is not None:
                     try:
                         await asyncio.wait_for(waiter, wait_s)

@@ -56,32 +56,38 @@ class AdmissionError(Exception):
 
 
 def check_case(case: str) -> None:
-    """Admit only a case study the pipeline knows: a name exported by
-    :mod:`repro.casestudies`, or ``cosim:<arch>`` for a co-simulation
-    architecture.  Raises :class:`AdmissionError` otherwise."""
-    from .. import casestudies
-
+    """Admit only a case study the pipeline knows: a name in
+    :data:`repro.cases.CASE_STUDIES`, or ``cosim:<arch>`` for a registered
+    architecture.  Raises :class:`AdmissionError` otherwise.  Both tables
+    are plain data, so a router that admits jobs loads no case module,
+    architecture model or co-simulation code."""
     if case.startswith("cosim:"):
-        from ..cosim.archs import COSIM_ARCHS
+        from ..arch import registry
 
-        known = case.split(":", 1)[1] in COSIM_ARCHS
+        known = case.split(":", 1)[1] in registry.names()
     else:
-        known = case in casestudies.__all__ and (
-            getattr(casestudies, case, None) is not None
-        )
+        from ..cases import CASE_STUDIES
+
+        known = case in CASE_STUDIES
     if not known:
         raise AdmissionError(f"unknown case study {case!r}")
 
 
-def parse_events_query(query: dict) -> tuple[int, float]:
-    """``(since, wait_s)`` from a ``/jobs/<id>/events`` query string.
+def parse_events_query(query: dict) -> tuple[int, float, bool]:
+    """``(since, wait_s, terminal)`` from a ``/jobs/<id>/events`` query.
 
     ``since`` is how many events the client has already seen and ``wait``
     the long-poll allowance in seconds, capped at 30; both default to 0.
-    Raises ``ValueError`` naming the parameter that is malformed.
+    ``until=terminal`` makes the long-poll answer only at a terminal
+    state (or when ``wait`` runs out) rather than at the next event; the
+    default is ``until=event``.  Raises ``ValueError`` naming the
+    parameter that is malformed.
     """
     since = query.get("since") or "0"
     wait = query.get("wait") or "0"
+    until = query.get("until") or "event"
+    if until not in ("event", "terminal"):
+        raise ValueError(f"'until' must be 'event' or 'terminal', got {until!r}")
     try:
         since_n = int(since)
     except ValueError:
@@ -90,7 +96,7 @@ def parse_events_query(query: dict) -> tuple[int, float]:
         wait_s = float(wait)
     except ValueError:
         raise ValueError(f"'wait' must be a number, got {wait!r}") from None
-    return since_n, min(30.0, wait_s)
+    return since_n, min(30.0, wait_s), until == "terminal"
 
 
 @dataclass(frozen=True)
@@ -195,7 +201,8 @@ class JobRecord:
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self._events: list[JobEvent] = []
-        #: ``(loop, future)`` of each long-poll waiting for the next event.
+        #: ``(loop, future, terminal)`` of each waiting long-poll; one with
+        #: ``terminal`` set waits for a terminal state, not the next event.
         self._waiters: list[tuple] = []
         self.add_event("queued", case=self.request.case)
 
@@ -210,12 +217,17 @@ class JobRecord:
         holds the lock."""
         event = JobEvent(len(self._events), time.time(), kind, data)
         self._events.append(event)
-        for loop, waiter in self._waiters:
+        terminal = self.state in TERMINAL_STATES
+        waiting = []
+        for loop, waiter, until_terminal in self._waiters:
+            if until_terminal and not terminal:
+                waiting.append((loop, waiter, until_terminal))
+                continue
             try:
                 loop.call_soon_threadsafe(_wake, waiter)
             except RuntimeError:  # that poll's event loop has closed
                 pass
-        self._waiters.clear()
+        self._waiters = waiting
         return event
 
     def events_since(self, seq: int) -> list[JobEvent]:
@@ -227,16 +239,19 @@ class JobRecord:
         with self._lock:
             return self.state, self._events[max(0, seq):]
 
-    def waiter(self, seq: int, loop):
-        """A future on ``loop`` that resolves at the job's next event, or
-        ``None`` when there is no need to wait: the job is terminal, or it
-        already has events from ``seq`` on.  Release it with
+    def waiter(self, seq: int, loop, terminal: bool = False):
+        """A future on ``loop`` that resolves at the job's next event (with
+        ``terminal``, at its terminal transition), or ``None`` when there
+        is no need to wait: the job is terminal, or, without ``terminal``,
+        it already has events from ``seq`` on.  Release it with
         :meth:`drop_waiter`."""
         with self._lock:
-            if len(self._events) > seq or self.state in TERMINAL_STATES:
+            if self.state in TERMINAL_STATES or (
+                not terminal and len(self._events) > seq
+            ):
                 return None
             future = loop.create_future()
-            self._waiters.append((loop, future))
+            self._waiters.append((loop, future, terminal))
             return future
 
     def drop_waiter(self, future) -> None:

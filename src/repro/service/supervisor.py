@@ -6,9 +6,11 @@ behind the fleet router.  Each shard slot holds one live
 ``tools/serve`` subprocess on a Unix socket, SIGKILL-able) or a
 :class:`LocalShard` (an in-thread daemon used by tests and the chaos
 suite, "killed" by abandoning its state without draining).  The
-supervisor's monitor thread probes every shard's ``/healthz`` on a fixed
-cadence; ``miss_limit`` consecutive failed heartbeats declare the shard
-dead, after which it is restarted with bounded exponential backoff
+supervisor launches every shard before it waits on any, so a fleet of
+subprocess shards is up as soon as its slowest shard is.  Its monitor
+thread probes every shard's ``/healthz`` on a fixed cadence;
+``miss_limit`` consecutive failed heartbeats declare the shard dead,
+after which it is restarted with bounded exponential backoff
 (``backoff_base_s * 2^attempts``, capped) — the same shape as the budget
 ladder and the client's retry backoff.  A shard that then stays up for
 ``stable_reset_s`` gets its backoff reset; a flapping one climbs the
@@ -52,8 +54,23 @@ class ShardHandle:
 
     shard_id: str
 
-    def start(self, timeout_s: float = 30.0) -> None:
+    def launch(self) -> None:
+        """Begin starting the shard; :meth:`wait_ready` finishes the job."""
         raise NotImplementedError
+
+    def wait_ready(self, timeout_s: float = 30.0) -> None:
+        """Block until a launched shard serves, or raise; nothing to do
+        for a handle whose :meth:`launch` already waited."""
+
+    def start(self, timeout_s: float = 30.0) -> None:
+        """Launch the shard and wait for it; a shard that never comes up
+        is stopped before the error propagates."""
+        self.launch()
+        try:
+            self.wait_ready(timeout_s)
+        except BaseException:
+            self.stop()
+            raise
 
     def stop(self) -> None:
         raise NotImplementedError
@@ -107,7 +124,10 @@ class LocalShard(ShardHandle):
         self.host: str | None = None
         self.port: int | None = None
 
-    def start(self, timeout_s: float = 30.0) -> None:
+    def launch(self) -> None:
+        """Start the service and wait for its socket.  In-process shards
+        share process globals (the solver's check store among them), so
+        they start one at a time: :meth:`wait_ready` has nothing left."""
         import asyncio
 
         from .server import VerificationService
@@ -130,7 +150,7 @@ class LocalShard(ShardHandle):
             daemon=True,
         )
         self._thread.start()
-        if not ready.wait(timeout_s):
+        if not ready.wait(30.0):
             raise RuntimeError(f"{self.shard_id} never bound its socket")
         self.host, self.port = bound["addr"]
 
@@ -183,7 +203,8 @@ class ProcessShard(ShardHandle):
         )
         self._proc: subprocess.Popen | None = None
 
-    def start(self, timeout_s: float = 30.0) -> None:
+    def launch(self) -> None:
+        """Spawn the ``tools/serve`` process without waiting for it."""
         os.makedirs(self.run_dir, exist_ok=True)
         try:
             os.unlink(self.socket_path)
@@ -218,6 +239,9 @@ class ProcessShard(ShardHandle):
         self._proc = subprocess.Popen(
             argv, stdout=self._log, stderr=self._log, env=env
         )
+
+    def wait_ready(self, timeout_s: float = 30.0) -> None:
+        """Poll ``/healthz`` until the launched process answers."""
         client = self.make_client(
             timeout=2.0, connect_timeout=1.0
         )
@@ -243,7 +267,9 @@ class ProcessShard(ShardHandle):
             try:
                 self.make_client(timeout=5.0, connect_timeout=1.0).shutdown()
             except (ServiceError, OSError):
-                pass
+                # Not listening (yet, or any more): nothing else will ask
+                # it to exit.  ``tools/serve`` drains on SIGTERM.
+                self._proc.terminate()
             try:
                 self._proc.wait(timeout=30)
             except subprocess.TimeoutExpired:
@@ -333,6 +359,10 @@ class ShardSupervisor:
             else [None] * shards
         )
         self._lock = threading.Lock()
+        self._round_done = threading.Condition(self._lock)
+        #: Monitor rounds finished since construction (every slot probed
+        #: or restart-checked once per round).
+        self.rounds = 0
         self.slots = [
             ShardSlot(
                 index=i,
@@ -348,10 +378,26 @@ class ShardSupervisor:
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        for slot in self.slots:
-            slot.handle.start()
-            slot.state = UP
-            slot.became_up_at = self.clock()
+        """Launch every shard, then wait for each: the fleet is up after
+        its slowest shard, not after the sum of them.  If any shard fails
+        to start, every shard launched so far is stopped and the first
+        error propagates."""
+        launched: list[ShardSlot] = []
+        try:
+            for slot in self.slots:
+                launched.append(slot)
+                slot.handle.launch()
+            for slot in self.slots:
+                slot.handle.wait_ready()
+                slot.state = UP
+                slot.became_up_at = self.clock()
+        except BaseException:
+            for slot in launched:
+                try:
+                    slot.handle.stop()
+                except Exception:  # noqa: BLE001 — the first error wins
+                    pass
+            raise
         self._stop.clear()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name="shard-supervisor", daemon=True
@@ -441,6 +487,17 @@ class ShardSupervisor:
                     self._log(
                         "supervisor-error", shard=slot.shard_id, error=str(exc)
                     )
+            with self._round_done:
+                self.rounds += 1
+                self._round_done.notify_all()
+
+    def wait_rounds(self, rounds: int, timeout_s: float) -> bool:
+        """Block until the monitor has finished ``rounds`` rounds in all;
+        False if ``timeout_s`` ran out first."""
+        with self._round_done:
+            return self._round_done.wait_for(
+                lambda: self.rounds >= rounds, timeout_s
+            )
 
     def _heartbeat(self, slot: ShardSlot) -> None:
         delayed = fault_at("service.heartbeat") == "delay"

@@ -77,6 +77,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    # Everything a job runs is imported before the socket binds, so no
+    # job pays for compiling it.
+    from .. import casestudies, cosim  # noqa: F401
+    from ..logic import checker  # noqa: F401
     from ..resilience import BudgetSpec
     from ..service.server import VerificationService
     from ..service.telemetry import Telemetry, stderr_telemetry

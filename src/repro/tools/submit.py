@@ -76,9 +76,9 @@ def _run_case(client, name: str, args, cert_dir) -> bool:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .. import casestudies
+    from ..cases import CASE_STUDIES
 
-    all_names = list(casestudies.__all__)
+    all_names = list(CASE_STUDIES)
     parser = argparse.ArgumentParser(prog="repro.tools.submit", description=__doc__)
     parser.add_argument("case", nargs="?", choices=all_names)
     parser.add_argument("--all", action="store_true", help="submit every case study")

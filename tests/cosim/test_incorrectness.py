@@ -10,8 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cosim.archs import COSIM_ARCHS
-from repro.cosim.state import ProgramCase
-from repro.logic import (
+from repro.cosim.incorrectness import (
     BadStatePred,
     RefutationCertificate,
     RefutationCheckFailure,
@@ -19,6 +18,7 @@ from repro.logic import (
     check_refutation,
     reaches_bad_state,
 )
+from repro.cosim.state import ProgramCase
 
 ARM = COSIM_ARCHS["arm"]
 RISCV = COSIM_ARCHS["riscv"]

@@ -141,3 +141,33 @@ def test_all_four_fault_classes_were_covered():
         "service.heartbeat",
         "service.journal",
     } <= sites, _COVERAGE
+
+
+@pytest.mark.parametrize("cases", [CASES, ()], ids=["instant-jobs", "no-jobs"])
+def test_instant_jobs_still_see_a_delayed_heartbeat(
+    tmp_path, monkeypatch, cases
+):
+    """Every job finishes the moment a runner takes it (or there is none),
+    yet the campaign lasts the monitor rounds a delayed heartbeat needs to
+    fire."""
+    from repro.service.runner import JobRunner
+
+    def instant(self, job) -> None:
+        job.mark_running()
+        job.mark_done(
+            {"outcome": "verified", "certificate": job.request.case,
+             "budget": None}
+        )
+
+    monkeypatch.setattr(JobRunner, "run_job", instant)
+    report = run_campaign(
+        seed=2,
+        cases=cases,
+        rate=0.9,
+        sites=("service.heartbeat",),
+        max_faults=6,
+        journal_path=str(tmp_path / "fleet.journal"),
+    )
+    assert report.outcomes == {case: "done" for case in cases}
+    assert report.certificates == {case: case for case in cases}
+    assert report.counters.get("heartbeats_delayed", 0) >= 1

@@ -275,3 +275,108 @@ def test_no_wakeup_is_lost_under_thread_contention():
     assert [event.seq for event in seen] == list(range(1 + 4 * 50 + 1))
     assert seen[-1].kind == "done"
     assert record._waiters == []
+
+
+def test_a_terminal_long_poll_answers_once_at_the_end(one_job):
+    server, host, port = one_job
+    record = server.record
+
+    def progress() -> None:
+        record.mark_running()
+        record.add_event("build-done")
+        time.sleep(0.1)
+        record.add_event("block-done", addr="0x0")
+        record.mark_done({"outcome": "verified"})
+
+    timer = threading.Timer(0.2, progress)
+    start = time.monotonic()
+    timer.start()
+    try:
+        status, body = get_json(
+            host, port,
+            f"/jobs/{record.id}/events?since=1&wait=20&until=terminal",
+        )
+    finally:
+        timer.join()
+    assert status == 200, body
+    assert time.monotonic() - start < 10
+    assert body["state"] == "done"
+    assert [event["kind"] for event in body["events"]] == [
+        "started", "build-done", "block-done", "done"
+    ]
+    assert record._waiters == []
+
+
+def test_a_terminal_long_poll_waits_out_its_allowance(one_job):
+    server, host, port = one_job
+    record = server.record
+    record.mark_running()
+    status, body = get_json(
+        host, port, f"/jobs/{record.id}/events?since=0&wait=0.2&until=terminal"
+    )
+    assert status == 200
+    assert body["state"] == "running"
+    assert [event["kind"] for event in body["events"]] == ["queued", "started"]
+    assert record._waiters == []
+
+
+def test_an_unknown_until_is_refused(one_job):
+    server, host, port = one_job
+    status, body = get_json(
+        host, port, f"/jobs/{server.record.id}/events?wait=1&until=forever"
+    )
+    assert status == 400
+    assert "until" in body["error"]
+
+
+def test_only_a_terminal_transition_wakes_a_terminal_waiter():
+    import asyncio
+
+    async def scenario() -> tuple[bool, bool]:
+        loop = asyncio.get_running_loop()
+        record = JobRecord(request=SubmitRequest(case="rbit"))
+        next_event = record.waiter(1, loop)
+        terminal = record.waiter(1, loop, terminal=True)
+        record.add_event("build-done")
+        await asyncio.sleep(0)
+        woken = (next_event.done(), terminal.done())
+        record.mark_done({"outcome": "verified"})
+        await asyncio.wait_for(terminal, 5)
+        return woken + (record._waiters == [],)
+
+    assert asyncio.run(scenario()) == (True, False, True)
+
+
+def test_the_router_watches_a_job_with_one_long_poll(monkeypatch):
+    """However many events the shard job records, the router's watch
+    answers once, at its terminal state."""
+    from repro.service import fleet
+
+    expected = serial_certificate("binsearch_arm", {"n": 6})
+    monkeypatch.setattr(fleet, "WATCH_WAIT_S", 30.0)
+    shards: list[CountingShard] = []
+
+    def factory(_slot, shard_id, _generation, spec):
+        shard = CountingShard(shard_id, budget_spec=spec)
+        shards.append(shard)
+        return shard
+
+    router = FleetRouter(ShardSupervisor(factory, shards=1))
+    router.start()
+    try:
+        job = router.submit(SubmitRequest(case="binsearch_arm", kwargs={"n": 6}))
+        deadline = time.monotonic() + 120
+        while not job.terminal and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert job.state == "done", job.error
+        (shard_job,) = shards[0].service.jobs.values()
+        shard_events = shard_job.num_events
+    finally:
+        router.stop()
+    assert job.result["certificate"] == expected
+    assert shard_events > 3
+    methods = [
+        (method, path.split("?")[0].rsplit("/", 1)[-1])
+        for method, path in shards[0].job_requests
+    ]
+    assert methods == [("POST", "jobs"), ("GET", "events"), ("GET", "report")]

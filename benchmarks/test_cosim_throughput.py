@@ -116,7 +116,7 @@ def test_fleet_soak_throughput(bench_cosim_record):
 
     supervisor = ShardSupervisor(
         lambda _slot, sid, _gen, spec: LocalShard(
-            sid, pool_jobs=1, block_jobs=1, runners=1, budget_spec=spec
+            sid, runners=1, budget_spec=spec
         ),
         shards=FLEET_SHARDS,
     )

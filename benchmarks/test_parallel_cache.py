@@ -1,4 +1,4 @@
-"""Serial vs parallel vs warm-cache timings for the verification driver.
+"""Cold vs warm-cache timings for the verification driver.
 
 Run with::
 
@@ -6,15 +6,14 @@ Run with::
 
 Three configurations per case study, Fig. 12-style:
 
-- **serial**: ``jobs=1``, no cache (the seed pipeline's behaviour);
-- **parallel**: ``jobs=4`` block fan-out filling a cold on-disk cache;
-- **warm**: serial rerun against the cache the parallel run filled.
+- **serial**: no cache (the seed pipeline's behaviour);
+- **cold**: the per-block driver (the daemon's path) filling a cold
+  on-disk cache;
+- **warm**: serial rerun against the cache the cold run filled.
 
 Hard assertions cover only the deterministic facts — warm-run hit counts
-and byte-identical certificates across all three configurations.
-Wall-clock speedup is asserted only when the machine actually has spare
-cores (``os.cpu_count()``); on a saturated box the interesting numbers
-live in the printed table, not the gate.
+and byte-identical certificates across all three configurations; the
+serial and warm timings live in the printed table.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ CASES = {
     "binsearch/arm": ("binsearch_arm", {"n": 4}),
     "uart": ("uart", {}),
 }
-JOBS = 4
 
 
 @dataclass
 class Row:
     name: str
     serial_s: float
-    parallel_s: float
     warm_s: float
     trace_hits: int
     trace_misses: int
@@ -54,14 +51,14 @@ class Row:
 
     def format(self) -> str:
         return (
-            f"{self.name:<16} {self.serial_s:>8.3f} {self.parallel_s:>8.3f} "
+            f"{self.name:<16} {self.serial_s:>8.3f} "
             f"{self.warm_s:>8.3f}  {self.trace_hits:>4}/{self.trace_misses:<4} "
             f"{self.smt_hits:>5}/{self.smt_misses:<4}"
         )
 
 
 HEADER = (
-    f"{'Test':<16} {'ser(s)':>8} {'par(s)':>8} {'warm(s)':>8}  "
+    f"{'Test':<16} {'ser(s)':>8} {'warm(s)':>8}  "
     f"{'tr h/m':>9} {'smt h/m':>10}"
 )
 
@@ -73,7 +70,7 @@ def _serial_governed_run(name, kwargs, cache):
     previous = install_persistent_check_store(cache)
     t0 = time.perf_counter()
     try:
-        with configured(jobs=1, cache=cache):
+        with configured(cache=cache):
             case = module.build(**kwargs)
         report = verify_program(case.frontend.traces, case.specs, pc_for(module))
     finally:
@@ -92,11 +89,14 @@ def all_rows(tmp_path_factory):
         _, serial_report, serial_s = _serial_governed_run(name, kwargs, cache=None)
 
         cold_cache = DiskCache(cache_dir)
-        t0 = time.perf_counter()
-        case, cold_report = verify_case_parallel(
-            name, kwargs, jobs=JOBS, cache=cold_cache
-        )
-        parallel_s = time.perf_counter() - t0
+        # The daemon installs its cache as the verdict store for its life;
+        # the driver itself installs none.
+        clear_check_cache()
+        previous = install_persistent_check_store(cold_cache)
+        try:
+            case, cold_report = verify_case_parallel(name, kwargs, cache=cold_cache)
+        finally:
+            install_persistent_check_store(previous)
         cold_cache.flush()
 
         warm_cache = DiskCache(cache_dir)
@@ -105,7 +105,6 @@ def all_rows(tmp_path_factory):
         rows[label] = Row(
             name=label,
             serial_s=serial_s,
-            parallel_s=parallel_s,
             warm_s=warm_s,
             trace_hits=warm_cache.stats["trace_hits"],
             trace_misses=warm_cache.stats["trace_misses"],
@@ -125,7 +124,7 @@ def test_print_table(all_rows, capsys):
     rows, _ = all_rows
     with capsys.disabled():
         print()
-        print(f"Parallel/cache driver timings (jobs={JOBS}, cpus={os.cpu_count()})")
+        print(f"Cold/warm cache driver timings (cpus={os.cpu_count()})")
         print(HEADER)
         print("-" * len(HEADER))
         for row in rows.values():
@@ -133,7 +132,7 @@ def test_print_table(all_rows, capsys):
 
 
 def test_certificates_invariant_across_configurations(all_rows):
-    """The headline guarantee: scheduling and caching change timings only."""
+    """The headline guarantee: the driver and caching change timings only."""
     _, proofs = all_rows
     for label, p in proofs.items():
         assert p["serial"] == p["cold"] == p["warm"], label
@@ -146,15 +145,6 @@ def test_warm_run_serves_every_trace(all_rows):
         assert row.trace_hits == proofs[label]["n_opcodes"], label
         assert row.smt_misses == 0, label
         assert row.smt_hits > 0, label
-
-
-@pytest.mark.skipif(
-    (os.cpu_count() or 1) < 4, reason="speedup needs actual spare cores"
-)
-def test_parallel_speedup_with_spare_cores(all_rows):
-    rows, _ = all_rows
-    slowest = max(rows.values(), key=lambda r: r.serial_s)
-    assert slowest.parallel_s < slowest.serial_s * 1.5
 
 
 def test_warm_run_beats_cold_on_trace_generation(all_rows):

@@ -51,8 +51,6 @@ def _round(client, cases, concurrency=4):
 def test_service_cold_vs_warm(bench_service_record, tmp_path):
     service = VerificationService(
         cache_dir=str(tmp_path / "cache"),
-        pool_jobs=2,
-        block_jobs=2,
         runners=2,
     )
     thread, (host, port) = _launch(service)
@@ -121,7 +119,7 @@ def _fleet_round(shards: int) -> tuple[float, int]:
 
     supervisor = ShardSupervisor(
         lambda _slot, sid, _gen, spec: LocalShard(
-            sid, pool_jobs=1, block_jobs=1, runners=1, budget_spec=spec
+            sid, runners=1, budget_spec=spec
         ),
         shards=shards,
     )

@@ -18,7 +18,7 @@ trace key, editing the ISA model or any module of the semantic core also
 invalidates exactly the entries it could affect.
 
 A process holds one handle per root (:func:`open_cache`), so the verdict
-log is parsed once however many runs, workers or jobs share the root, and
+log is parsed once however many runs or jobs share the root, and
 a trace the handle has stored or loaded is served from memory.
 
 The cache is an optimisation, never an oracle: entries only memoise results
@@ -35,13 +35,12 @@ from .keys import (
     smt_query_key,
     trace_key,
 )
-from .store import DiskCache, drop_cache, open_cache, resolve_cache
+from .store import DiskCache, open_cache, resolve_cache
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "DiskCache",
     "assumptions_fingerprint",
-    "drop_cache",
     "model_fingerprint",
     "opcode_signature",
     "open_cache",

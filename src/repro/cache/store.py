@@ -27,13 +27,13 @@ is ever held, so a held trace needs no re-check; the disk stays
 untrusted, and every other handle (another process) still digests,
 parses and checks each entry it reads.
 
-The SMT store is an append-only JSONL so concurrent workers can record
+The SMT store is an append-only JSONL so concurrent processes can record
 verdicts without coordination: each line is a self-contained
 ``{"k": key, "r": verdict}`` record, duplicate lines are idempotent
 (the verdict is a deterministic function of the key), and a torn final
 tail is truncated off the file on load.
 
-Concurrency discipline (daemon workers + CLI runs sharing one directory):
+Concurrency discipline (daemons and CLI runs sharing one directory):
 trace entries are written to a temp file and atomically renamed, so a
 reader can never observe a half entry; JSONL appends go through
 :func:`_append_exact`, which takes an advisory ``flock`` on the log file
@@ -153,7 +153,7 @@ def _seal_entry(trace, meta: dict) -> tuple[dict, str]:
 def encode_trace(trace) -> tuple[str, list]:
     """A trace as text: its printed body, and the ``(name, sort)``
     signature of the external variables it mentions but never declares
-    (the one encoding of cache entries and of trace-worker results)."""
+    (the encoding of trace cache entries)."""
     from ..itl.printer import trace_to_sexpr
 
     extern = sorted((v.name, sort_to_text(v.sort)) for v in _undeclared_vars(trace))
@@ -188,9 +188,6 @@ class DiskCache:
     stats: Counters = field(
         default_factory=lambda: Counters(DISK_COUNTERS, scoped_as="disk.")
     )
-    #: A temporary root that dies with its job: workers drop their handle
-    #: on it after each task instead of keeping it for the process's life.
-    ephemeral: bool = False
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
@@ -434,23 +431,11 @@ _HANDLES: dict[str, DiskCache] = {}
 _HANDLES_LOCK = threading.Lock()
 
 
-def _forget_parent_handles() -> None:
-    # A forked child opens its own handles: the parent's pending verdicts
-    # are the parent's to flush, and its locks may have been held mid-fork.
-    global _HANDLES_LOCK
-    _HANDLES.clear()
-    _HANDLES_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_parent_handles)
-
-
 def open_cache(root) -> DiskCache:
     """This process's shared handle on ``root``, opened on first use.
 
     Keyed by absolute path, so the verdict log is parsed once per process
-    and root however many runs, workers or jobs use it.
+    and root however many runs or jobs use it.
     """
     key = os.path.abspath(root)
     with _HANDLES_LOCK:
@@ -458,15 +443,6 @@ def open_cache(root) -> DiskCache:
         if cache is None:
             cache = _HANDLES[key] = DiskCache(Path(key))
     return cache
-
-
-def drop_cache(root) -> None:
-    """Flush and forget this process's handle on ``root``, if it has one
-    (for a temporary root that is about to be deleted)."""
-    with _HANDLES_LOCK:
-        cache = _HANDLES.pop(os.path.abspath(root), None)
-    if cache is not None:
-        cache.flush()
 
 
 def resolve_cache(cache_dir: str | None, no_cache: bool = False) -> DiskCache | None:

@@ -83,25 +83,20 @@ def generate_instruction_map(
     default_assumptions: Assumptions | None = None,
     per_address: dict[int, Assumptions] | None = None,
     *,
-    jobs: int | None = None,
     cache=None,
 ) -> FrontendResult:
-    """Run Isla on every opcode of the image.
+    """Run Isla on every opcode of the image, in address order.
 
-    ``jobs`` and ``cache`` default to the ambient
+    ``cache`` defaults to the ambient
     :class:`~repro.parallel.config.PipelineConfig` (scoped by the driver
     via :func:`~repro.parallel.config.configured`), so the nine case-study
-    ``build()`` functions pick up parallelism and on-disk caching without
-    signature changes.  With ``jobs > 1`` the per-opcode runs fan out
-    across worker processes; the result is identical to the serial path.
-    Counts (cache lookups) land in the caller's run scope
-    (:mod:`repro.obs`), whichever path served them.
+    ``build()`` functions pick up on-disk caching and the daemon's trace
+    batcher without signature changes.  Counts (cache lookups) land in the
+    caller's run scope (:mod:`repro.obs`), whichever path served them.
     """
     from ..parallel.config import current_config
 
     config = current_config()
-    if jobs is None:
-        jobs = config.jobs
     if cache is None:
         cache = config.cache
     if config.batcher is not None:
@@ -114,18 +109,6 @@ def generate_instruction_map(
             return config.batcher.generate(
                 model, image, default_assumptions, per_address
             )
-    if jobs > 1 and len(image.opcodes) > 1:
-        from ..parallel.scheduler import generate_traces_parallel
-
-        return generate_traces_parallel(
-            model,
-            image,
-            default_assumptions,
-            per_address,
-            jobs=jobs,
-            cache=cache,
-            pool=config.pool,
-        )
     per_address = per_address or {}
     traces: dict[int, Trace] = {}
     results: dict[int, IslaResult] = {}

@@ -132,7 +132,7 @@ class ProofEngine:
         ``verified`` verdict is exactly as strong as the ungoverned path.
 
         ``blocks`` restricts verification to a subset of the spec'd block
-        addresses (the parallel driver gives each worker one block).  The
+        addresses (the per-block driver verifies one block at a time).  The
         engine still needs the *full* spec map — other blocks' specs are
         used at continuation points — but only the listed blocks are
         verified and reported.
@@ -222,8 +222,8 @@ class ProofEngine:
         self._current_block = addr
         # Fresh-name numbering restarts per block, so a block's proof steps
         # (and the solver queries they induce) are a function of the block
-        # alone — the serial whole-program run and the parallel per-block
-        # workers then produce byte-identical certificates and share SMT
+        # alone — the serial whole-program run and the per-block driver
+        # then produce byte-identical certificates and share SMT
         # cache entries.  Contexts are per-block, so reuse cannot collide.
         self._uniq = 0
         residuals_before = len(self.proof.residual_obligations)

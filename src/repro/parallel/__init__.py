@@ -1,41 +1,29 @@
-"""Parallel, cache-aware orchestration of the verification pipeline.
+"""Cache-aware orchestration of the verification pipeline.
 
-Islaris's pipeline is embarrassingly parallel at two grains: each opcode's
-symbolic execution is independent, and each block specification's proof is
-independent (the paper runs its per-instruction spec proofs the same way).
-This package fans both across a ``ProcessPoolExecutor``:
+Each block specification's proof is independent (the paper proves its
+per-instruction specs the same way), so the driver proves blocks one at a
+time on the case it built, each with its own budget share and fault seed:
 
-- :func:`~repro.parallel.scheduler.generate_traces_parallel` — per-opcode
-  Isla fan-out behind :func:`repro.frontend.program.generate_instruction_map`;
 - :func:`~repro.parallel.scheduler.verify_case_parallel` — builds a case
-  study, then verifies each block in its own worker and merges the results
-  into one deterministic :class:`~repro.resilience.outcome.RunReport`;
+  study, then verifies each block as its own fail-soft task and merges the
+  results into one deterministic
+  :class:`~repro.resilience.outcome.RunReport`;
 - :class:`~repro.parallel.config.PipelineConfig` — a context-scoped knob
-  (``jobs``, ``cache``, worker pool) so case-study ``build()`` functions
-  pick up parallelism and caching without signature changes.
+  (``cache``, ``batcher``) so case-study ``build()`` functions pick up the
+  on-disk cache and the daemon's trace batcher without signature changes.
 
-Determinism is a hard requirement, not an aspiration: SMT terms are
-interned per process and deliberately unpicklable, so every cross-process
-payload is *text* (opcode hex or sexprs, printed assumption constraints,
-trace sexprs, proof JSON) that each side parses into its own intern table.
-Workers are pure functions of their payload; the parent merges results in
-block-address order, so outcome maps, certificates and budget accounting
-are identical regardless of worker scheduling.  With ``jobs=1`` (or when
-process pools are unavailable) the same code runs in-process, serially.
+Everything runs in the calling process.  Parallelism across jobs comes
+from separate processes: fleet shards (:mod:`repro.service.supervisor`).
+The merge runs in block-address order, so outcome maps, certificates and
+budget accounting are byte-identical to the serial CLI's.
 """
 
 from .config import PipelineConfig, configured, current_config
-from .scheduler import (
-    WorkerPool,
-    generate_traces_parallel,
-    verify_case_parallel,
-)
+from .scheduler import verify_case_parallel
 
 __all__ = [
     "PipelineConfig",
-    "WorkerPool",
     "configured",
     "current_config",
-    "generate_traces_parallel",
     "verify_case_parallel",
 ]

@@ -1,15 +1,14 @@
 """Context-scoped pipeline configuration.
 
 Case studies call :func:`repro.frontend.program.generate_instruction_map`
-from deep inside their ``build()`` functions; threading ``jobs``/``cache``
-arguments through every one of them would couple all nine modules to the
+from deep inside their ``build()`` functions; threading a ``cache``
+argument through every one of them would couple all nine modules to the
 driver.  Instead the driver scopes a :class:`PipelineConfig` via
 :func:`configured` and the frontend consults :func:`current_config` — the
 same ambient-context pattern the fault injector uses.
 
 The config is a :class:`contextvars.ContextVar`, so it is per-thread/task
-and never leaks across unrelated work; worker processes start from the
-default (serial, uncached) config and scope their own.
+and never leaks across unrelated work.
 """
 
 from __future__ import annotations
@@ -22,21 +21,16 @@ from typing import Any
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Ambient knobs for the trace-generation/verification pipeline.
+    """Ambient knobs for trace generation.
 
-    ``jobs`` is the worker-process count (1 = in-process, serial);
-    ``cache`` an optional :class:`repro.cache.DiskCache`; ``pool`` an
-    optional :class:`~repro.parallel.scheduler.WorkerPool` to reuse across
-    phases (one pool per driver invocation, not per opcode batch);
-    ``batcher`` an optional :class:`repro.service.batcher.TraceBatcher`
-    that coalesces identical trace requests across concurrent jobs (the
-    verification daemon's dedup layer) — when set, the frontend routes
-    per-opcode Isla runs through it instead of fanning out directly.
+    ``cache`` an optional :class:`repro.cache.DiskCache`; ``batcher`` an
+    optional :class:`repro.service.batcher.TraceBatcher` that coalesces
+    identical trace requests across concurrent jobs (the verification
+    daemon's dedup layer) — when set, the frontend routes per-opcode Isla
+    runs through it.
     """
 
-    jobs: int = 1
     cache: Any = None
-    pool: Any = None
     batcher: Any = None
 
 
@@ -50,13 +44,9 @@ def current_config() -> PipelineConfig:
 
 
 @contextmanager
-def configured(
-    jobs: int = 1, cache: Any = None, pool: Any = None, batcher: Any = None
-):
+def configured(cache: Any = None, batcher: Any = None):
     """Scope a :class:`PipelineConfig` for the dynamic extent of a block."""
-    token = _CONFIG.set(
-        PipelineConfig(jobs=jobs, cache=cache, pool=pool, batcher=batcher)
-    )
+    token = _CONFIG.set(PipelineConfig(cache=cache, batcher=batcher))
     try:
         yield _CONFIG.get()
     finally:

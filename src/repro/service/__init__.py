@@ -1,7 +1,7 @@
 """``repro.service`` — the persistent verification daemon.
 
-Every capability of the pipeline (governed verification, parallel block
-workers, the on-disk trace/SMT cache, incremental solver contexts) is
+Every capability of the pipeline (governed verification, per-block
+proofs, the on-disk trace/SMT cache, incremental solver contexts) is
 reachable through one-shot CLI runs, but each invocation pays cold-start
 for the state the previous run just warmed.  This package keeps that state
 resident and serves verification over a local socket:
@@ -12,8 +12,8 @@ resident and serves verification over a local socket:
   control backed by :mod:`repro.resilience` budgets;
 - :mod:`~repro.service.batcher` — the cross-job dedup/batching layer:
   identical (model, opcode, assumptions) trace requests coalesce onto one
-  in-flight computation before dispatch to the resident worker pool;
-- :mod:`~repro.service.runner` — job execution against the resident pool,
+  in-flight Isla run, and every successful run is kept for later jobs;
+- :mod:`~repro.service.runner` — job execution against the resident state,
   with per-job budget partitions absorbed back on completion;
 - :mod:`~repro.service.telemetry` — service counters (queue depth, batch
   sizes, dedup hits, latency percentiles) merged with the solver/cache/

@@ -56,7 +56,7 @@ def serial_certificate(case_name: str, kwargs: dict | None = None) -> str:
     from ..parallel.scheduler import pc_for
 
     module = getattr(casestudies, case_name)
-    with configured(jobs=1):
+    with configured():
         case = module.build(**(kwargs or {}))
     report = verify_program(case.frontend.traces, case.specs, pc_for(module))
     return report.proof.to_json()
@@ -103,8 +103,6 @@ class ChaosFleet:
         def factory(_slot, shard_id, _generation, budget_spec):
             return LocalShard(
                 shard_id,
-                pool_jobs=1,
-                block_jobs=1,
                 runners=1,
                 budget_spec=budget_spec,
             )

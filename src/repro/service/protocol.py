@@ -1,8 +1,7 @@
 """The service wire protocol: jobs, states, events, results.
 
-Everything here is plain JSON-able data — the same discipline as the
-worker payloads in :mod:`repro.parallel.scheduler`: nothing term- or
-model-shaped crosses the socket.  A verification *result* is the full
+Everything here is plain JSON-able data: nothing term- or model-shaped
+crosses the socket.  A verification *result* is the full
 governed report (outcome lattice verdicts, statistics) plus the proof
 certificate exactly as :meth:`repro.logic.proof.Proof.to_json` prints it,
 so a client can byte-compare a daemon run against a serial CLI run.

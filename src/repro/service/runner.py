@@ -3,7 +3,7 @@
 A :class:`JobRunner` is one daemon-side worker thread.  It pulls jobs off
 the :class:`~repro.service.queue.JobQueue`, runs them through
 :func:`~repro.parallel.scheduler.verify_case_parallel` against the
-*resident* worker pool, cache, and batcher (this is where the daemon's
+*resident* cache and batcher (this is where the daemon's
 whole advantage lives — nothing is rebuilt per job), re-checks the proof
 with the independent checker, and publishes the encoded result.
 
@@ -11,9 +11,9 @@ Budget round-trip: the job's partitioned
 :class:`~repro.resilience.budget.BudgetSpec` comes from the queue
 (:meth:`~repro.service.queue.JobQueue.job_budget_spec`), and whatever the
 run *actually consumed* — reported by the merged run budget — is absorbed
-back into the service pool on completion.  A job whose workers died
-reports only the consumption of the workers that finished; the lost
-shares return to the pool untouched.
+back into the service pool on completion.  A job with failed blocks
+reports only the consumption of the blocks that finished; the failed
+blocks' shares return to the pool untouched.
 """
 
 from __future__ import annotations
@@ -95,10 +95,8 @@ class JobRunner:
             case, report = verify_case_parallel(
                 job.request.case,
                 dict(job.request.kwargs),
-                jobs=service.block_jobs,
                 cache=service.cache,
                 budget_spec=spec,
-                pool=service.pool,
                 batcher=service.batcher,
                 progress=progress,
                 on_built=built,

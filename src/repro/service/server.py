@@ -1,15 +1,13 @@
 """The verification daemon: an asyncio front end over resident state.
 
-The service owns exactly one of each warm resource — a
-:class:`~repro.parallel.scheduler.WorkerPool`, an optional
+The service owns exactly one of each warm resource — an optional
 :class:`~repro.cache.DiskCache` (installed process-wide as the solver's
-persistent check store, as ``tools/verify`` does per run), and a
+persistent check store, as ``tools/verify`` does per run) and a
 :class:`~repro.service.batcher.TraceBatcher` — and any number of
 :class:`~repro.service.runner.JobRunner` threads executing jobs against
 them.  The asyncio layer is deliberately thin: parse a request, touch the
 (thread-safe) job table/queue, serialise JSON.  All heavy work happens in
-runner threads and worker processes; the event loop never blocks on a
-solver.
+runner threads; the event loop never blocks on a solver.
 
 The HTTP surface and its request bounds live in :mod:`~repro.service.http`;
 this class supplies the job table behind them.
@@ -32,17 +30,13 @@ class VerificationService(HttpFrontEnd):
     def __init__(
         self,
         cache_dir: str | None = None,
-        pool_jobs: int = 2,
-        block_jobs: int = 2,
         runners: int = 2,
         max_queue: int = 64,
         service_spec=None,
-        batch_window_s: float = 0.01,
         telemetry: Telemetry | None = None,
         shard_id: str | None = None,
     ) -> None:
         from ..cache import open_cache
-        from ..parallel.scheduler import WorkerPool
         from .batcher import TraceBatcher
         from .runner import JobRunner
 
@@ -51,14 +45,7 @@ class VerificationService(HttpFrontEnd):
         #: heartbeat can confirm it reached the shard it meant to.
         self.shard_id = shard_id
         self.cache = open_cache(cache_dir) if cache_dir else None
-        self.pool = WorkerPool(pool_jobs)
-        self.batcher = TraceBatcher(
-            pool=self.pool,
-            cache=self.cache,
-            window_s=batch_window_s,
-            telemetry=self.telemetry,
-        )
-        self.block_jobs = block_jobs
+        self.batcher = TraceBatcher(cache=self.cache, telemetry=self.telemetry)
         self.queue = JobQueue(
             max_depth=max_queue, service_spec=service_spec, shares=max(1, runners)
         )
@@ -84,7 +71,6 @@ class VerificationService(HttpFrontEnd):
         self.telemetry.log(
             "service-started",
             runners=len(self._runners),
-            pool_jobs=self.pool.jobs,
             cache=str(self.cache.root) if self.cache else None,
         )
 
@@ -109,7 +95,6 @@ class VerificationService(HttpFrontEnd):
         for runner in self._runners:
             runner.join(timeout=60)
         self.batcher.close()
-        self.pool.close()
         if self.cache is not None:
             self.cache.flush()
         install_persistent_check_store(self._previous_store)

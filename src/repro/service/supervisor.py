@@ -103,8 +103,6 @@ class LocalShard(ShardHandle):
     def __init__(
         self,
         shard_id: str,
-        pool_jobs: int = 1,
-        block_jobs: int = 1,
         runners: int = 1,
         cache_dir: str | None = None,
         budget_spec: BudgetSpec | None = None,
@@ -112,8 +110,6 @@ class LocalShard(ShardHandle):
     ) -> None:
         self.shard_id = shard_id
         self._config = dict(
-            pool_jobs=pool_jobs,
-            block_jobs=block_jobs,
             runners=runners,
             cache_dir=cache_dir,
             service_spec=budget_spec,
@@ -184,8 +180,6 @@ class ProcessShard(ShardHandle):
         shard_id: str,
         run_dir: str,
         cache_dir: str | None = None,
-        pool_jobs: int = 1,
-        block_jobs: int = 1,
         runners: int = 1,
         budget_spec: BudgetSpec | None = None,
         generation: int = 0,
@@ -193,8 +187,6 @@ class ProcessShard(ShardHandle):
         self.shard_id = shard_id
         self.run_dir = run_dir
         self.cache_dir = cache_dir
-        self.pool_jobs = pool_jobs
-        self.block_jobs = block_jobs
         self.runners = runners
         self.budget_spec = budget_spec
         self.generation = generation
@@ -213,8 +205,6 @@ class ProcessShard(ShardHandle):
         argv = [
             sys.executable, "-m", "repro.tools.serve",
             "--socket", self.socket_path,
-            "--jobs", str(self.pool_jobs),
-            "--block-jobs", str(self.block_jobs),
             "--runners", str(self.runners),
             "--shard-id", self.shard_id,
         ]
@@ -278,9 +268,14 @@ class ProcessShard(ShardHandle):
         self._log.close()
 
     def kill(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
+        """SIGKILL the process and close its log; :meth:`stop` afterwards
+        has nothing left to do."""
+        if self._proc is None:
+            return
+        if self._proc.poll() is None:
             os.kill(self._proc.pid, signal.SIGKILL)
             self._proc.wait(timeout=10)
+        self._log.close()
 
     def make_client(self, **kwargs) -> ServiceClient:
         return ServiceClient(socket_path=self.socket_path, **kwargs)

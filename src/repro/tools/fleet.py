@@ -56,15 +56,6 @@ def main(argv: list[str] | None = None) -> int:
         "restarted shard comes back warm",
     )
     parser.add_argument(
-        "--pool-jobs", type=int, default=1,
-        help="worker processes inside each shard; 1 runs every job "
-        "in the shard's process and proves its blocks on the built case",
-    )
-    parser.add_argument(
-        "--block-jobs", type=int, default=1,
-        help="per-job block fan-out inside each shard",
-    )
-    parser.add_argument(
         "--runners", type=int, default=1,
         help="concurrent jobs per shard",
     )
@@ -119,8 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             shard_id,
             run_dir=run_dir,
             cache_dir=cache_dir,
-            pool_jobs=args.pool_jobs,
-            block_jobs=args.block_jobs,
             runners=args.runners,
             budget_spec=budget_spec,
             generation=generation,

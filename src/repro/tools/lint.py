@@ -64,7 +64,7 @@ def lint_one(name: str, n: int | None, cache=None):
     from .verify import _build_kwargs
 
     module = getattr(casestudies, name)
-    with configured(jobs=1, cache=cache):
+    with configured(cache=cache):
         case = module.build(**_build_kwargs(module, n))
     if cache is not None:
         cache.flush()

@@ -1,7 +1,7 @@
 """CLI: run the persistent verification daemon.
 
 Starts a :class:`repro.service.server.VerificationService` — resident
-worker pool, on-disk cache, cross-job trace batcher — and serves the JSON
+on-disk cache and cross-job trace batcher — and serves the JSON
 job API over local TCP (default) or a Unix domain socket.  Pair with
 ``python -m repro.tools.submit`` or any HTTP client.
 
@@ -11,7 +11,7 @@ cancelled, in-flight jobs finish their current blocks and report the rest
 
 Examples::
 
-    python -m repro.tools.serve --port 8642 --cache-dir .repro-cache --jobs 4
+    python -m repro.tools.serve --port 8642 --cache-dir .repro-cache
     python -m repro.tools.serve --socket /tmp/repro.sock --runners 2
     python -m repro.tools.serve --deadline 300 --conflicts 500000   # service pool
 """
@@ -40,14 +40,6 @@ def main(argv: list[str] | None = None) -> int:
         help="on-disk trace/SMT cache kept warm across jobs",
     )
     parser.add_argument(
-        "--jobs", type=int, default=2,
-        help="worker processes in the resident pool (trace + block workers)",
-    )
-    parser.add_argument(
-        "--block-jobs", type=int, default=2,
-        help="per-job block fan-out (payload-level parallelism inside one job)",
-    )
-    parser.add_argument(
         "--runners", type=int, default=2,
         help="concurrent jobs executed by the daemon",
     )
@@ -62,10 +54,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--conflicts", type=int, default=None,
         help="service-wide SAT-conflict pool; jobs are rejected once spent",
-    )
-    parser.add_argument(
-        "--batch-window", type=float, default=0.01, metavar="S",
-        help="batching collection window in seconds (process pools only)",
     )
     parser.add_argument(
         "--shard-id", default=None,
@@ -92,12 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     service = VerificationService(
         cache_dir=args.cache_dir,
-        pool_jobs=args.jobs,
-        block_jobs=args.block_jobs,
         runners=args.runners,
         max_queue=args.max_queue,
         service_spec=service_spec,
-        batch_window_s=args.batch_window,
         shard_id=args.shard_id,
         telemetry=Telemetry() if args.quiet else stderr_telemetry(),
     )

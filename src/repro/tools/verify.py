@@ -6,17 +6,16 @@ exits non-zero unless every block verified cleanly and the independent
 checker re-validated the proof.  Budgets and deterministic fault injection
 are exposed for resilience experiments.
 
-Parallelism and caching (see :mod:`repro.parallel` / :mod:`repro.cache`):
-``--jobs N`` fans per-opcode symbolic execution and per-block proofs across
-N worker processes; ``--cache-dir`` points at an on-disk trace/SMT cache so
-reruns are near-instant (also honoured from ``$REPRO_CACHE_DIR``;
-``--no-cache`` disables both).  Results — outcome maps and certificates —
-are byte-identical across ``--jobs`` settings and cache states.
+Caching (see :mod:`repro.cache`): ``--cache-dir`` points at an on-disk
+trace/SMT cache so reruns are near-instant (also honoured from
+``$REPRO_CACHE_DIR``; ``--no-cache`` disables both).  Results — outcome
+maps and certificates — are byte-identical across cache states and
+against the daemon.
 
 Examples::
 
     python -m repro.tools.verify memcpy_arm --n 4
-    python -m repro.tools.verify --all --jobs 4 --cache-dir .repro-cache
+    python -m repro.tools.verify --all --cache-dir .repro-cache
     python -m repro.tools.verify memcpy_riscv --deadline 0.5 --conflicts 20000
     python -m repro.tools.verify binsearch_riscv --fault-seed 7 --fault-rate 0.1
 """
@@ -49,7 +48,7 @@ def _build_kwargs(module, n):
 
 def _render_cache_line(run, preloaded: int) -> str:
     """This invocation's disk-cache activity (its run scope's ``disk.*``
-    counts, workers included); "preloaded" counts the verdicts the shared
+    counts); "preloaded" counts the verdicts the shared
     handle already held when the invocation began, and the trace hits
     "from memory" are those a handle served without reading the file."""
     return (
@@ -59,7 +58,7 @@ def _render_cache_line(run, preloaded: int) -> str:
     )
 
 
-def _run_serial(module, name, kwargs, args, cache):
+def _run_serial(module, kwargs, args, cache):
     from contextlib import nullcontext
 
     from .. import obs
@@ -81,7 +80,7 @@ def _run_serial(module, name, kwargs, args, cache):
     try:
         t0 = time.perf_counter()
         with obs.scope() as run:
-            with configured(jobs=1, cache=cache):
+            with configured(cache=cache):
                 case = module.build(**kwargs)
             t1 = time.perf_counter()
             with injection:
@@ -96,25 +95,6 @@ def _run_serial(module, name, kwargs, args, cache):
             cache.flush()
     obs.add(run.snapshot())
     timings = f"isla {t1 - t0:.2f}s, verify {t2 - t1:.2f}s"
-    return case, report, timings
-
-
-def _run_parallel(module, name, kwargs, args, cache, pool):
-    from ..parallel.scheduler import verify_case_parallel
-
-    t0 = time.perf_counter()
-    case, report = verify_case_parallel(
-        name,
-        kwargs,
-        jobs=args.jobs,
-        cache=cache,
-        budget_spec=_build_budget_spec(args),
-        fault_seed=args.fault_seed,
-        fault_rate=args.fault_rate,
-        pool=pool,
-    )
-    t1 = time.perf_counter()
-    timings = f"jobs={args.jobs} build+verify {t1 - t0:.2f}s"
     return case, report, timings
 
 
@@ -145,9 +125,7 @@ def _case_stats(case, report) -> dict:
     }
 
 
-def run_one(
-    name: str, n: int | None, args, pool=None, cache=None, stats_out=None
-) -> bool:
+def run_one(name: str, n: int | None, args, cache=None, stats_out=None) -> bool:
     from .. import casestudies
     from ..logic.checker import CheckFailure, check_proof
 
@@ -157,10 +135,7 @@ def run_one(
         return False
     kwargs = _build_kwargs(module, n)
 
-    if args.jobs > 1:
-        case, report, timings = _run_parallel(module, name, kwargs, args, cache, pool)
-    else:
-        case, report, timings = _run_serial(module, name, kwargs, args, cache)
+    case, report, timings = _run_serial(module, kwargs, args, cache)
 
     # The checker runs outside injection: the certificate must stand on its
     # own regardless of how flaky the run that produced it was.
@@ -206,11 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--all", action="store_true", help="run every case study")
     parser.add_argument("--n", type=int, default=None, help="array length where applicable")
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for trace generation and block proofs "
-             "(1 = serial, in-process)",
-    )
-    parser.add_argument(
         "--cache-dir", default=None,
         help="on-disk trace/SMT cache directory (default: $REPRO_CACHE_DIR "
              "if set, else no persistent cache)",
@@ -238,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--cert-dir", default=None, metavar="DIR",
         help="write each case's proof certificate to DIR/<case>.cert.json "
-             "(byte-identical across --jobs settings and against the daemon)",
+             "(byte-identical across cache states and against the daemon)",
     )
     parser.add_argument(
         "--stats-json", default=None, metavar="PATH",
@@ -260,11 +230,6 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
     preloaded = cache.stats["smt_loaded"] + cache.stats["smt_records"] if cache else 0
-    pool = None
-    if args.jobs > 1:
-        from ..parallel import WorkerPool
-
-        pool = WorkerPool(args.jobs)
     stats: dict = {}
     # SIGINT/SIGTERM drain gracefully: in-flight blocks finish, the
     # rest land on the unknown rung, caches flush on the way out, and
@@ -275,7 +240,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             ok = all(
                 [
-                    run_one(name, args.n, args, pool=pool, cache=cache, stats_out=stats)
+                    run_one(name, args.n, args, cache=cache, stats_out=stats)
                     for name in names
                 ]
             )
@@ -283,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
                 print("shutdown requested: run drained, partial results above",
                       file=sys.stderr)
         finally:
-            if pool is not None:
-                pool.close()
             if cache is not None:
                 cache.flush()
                 if args.verbose:

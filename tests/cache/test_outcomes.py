@@ -26,7 +26,7 @@ def _run(cache):
     clear_check_cache()  # in-memory LRU must not shadow the disk store
     previous = install_persistent_check_store(cache)
     try:
-        with configured(jobs=1, cache=cache):
+        with configured(cache=cache):
             case = module.build(**KWARGS)
         report = verify_program(case.frontend.traces, case.specs, pc_for(module))
     finally:

@@ -11,7 +11,6 @@ from repro.arch.arm import ArmModel
 from repro.cache import (
     CACHE_FORMAT_VERSION,
     DiskCache,
-    drop_cache,
     open_cache,
     resolve_cache,
     trace_key,
@@ -176,14 +175,6 @@ class TestHandles:
             open_cache(tmp_path)
         assert len(loads) == 1
 
-    def test_drop_cache_flushes_and_forgets(self, tmp_path):
-        cache = open_cache(tmp_path)
-        cache.smt_record("a" * 64, "sat")
-        drop_cache(tmp_path)
-        assert DiskCache(tmp_path).smt_lookup("a" * 64) == "sat"
-        assert open_cache(tmp_path) is not cache
-        drop_cache(tmp_path / "never-opened")  # a no-op
-
     def test_resolve_cache_precedence(self, tmp_path, monkeypatch):
         env, flag = tmp_path / "env", tmp_path / "flag"
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
@@ -192,15 +183,6 @@ class TestHandles:
         assert resolve_cache(None) is open_cache(env)
         assert resolve_cache(str(flag)) is open_cache(flag)
         assert resolve_cache(str(flag), no_cache=True) is None
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_opens_its_own_handle(self, tmp_path):
-        open_cache(tmp_path)
-        pid = os.fork()
-        if pid == 0:  # child: the parent's handles are not inherited
-            os._exit(0 if not store._HANDLES else 1)
-        _, status = os.waitpid(pid, 0)
-        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def _skewed_trace():
@@ -271,20 +253,6 @@ class TestHeldTraces:
             assert reader.stats["wellformed_rejects"] == attempt
             assert reader.stats["trace_misses"] == attempt
         assert reader.stats["trace_hits"] == 0
-
-    def test_dropped_ephemeral_root_reopens_empty(self, tmp_path):
-        cache = open_cache(tmp_path)
-        cache.ephemeral = True
-        result = _fresh_trace()
-        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
-        cache.store_trace(key, result.trace, {"paths": result.paths})
-        drop_cache(tmp_path)
-        reopened = open_cache(tmp_path)
-        assert reopened is not cache
-        trace, _ = reopened.load_trace(key)
-        assert trace is not result.trace  # parsed from the file
-        assert reopened.stats["trace_mem_hits"] == 0
-        drop_cache(tmp_path)
 
 
 class TestSmtStore:

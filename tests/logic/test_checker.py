@@ -127,7 +127,7 @@ class TestOneQueryPerJudgment:
         from repro.parallel.scheduler import pc_for
 
         module = casestudies.memcpy_riscv
-        with configured(jobs=1):
+        with configured():
             case = module.build()
         proof = verify_program(case.frontend.traces, case.specs, pc_for(module)).proof
         counted.clear()  # the automation's own queries do not count

@@ -32,7 +32,7 @@ def _certificate(name: str, engines, **kwargs) -> str:
             for engine in engines:
                 stack.enter_context(engine())
             module = getattr(casestudies, name)
-            with configured(jobs=1, cache=None):
+            with configured(cache=None):
                 case = module.build(**kwargs)
             report = verify_program(case.frontend.traces, case.specs, pc_for(module))
         assert report.ok

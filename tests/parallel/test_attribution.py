@@ -1,10 +1,9 @@
 """Counts are attributed to the run that caused them, not to whatever else
 the process was doing at the time.
 
-Two in-process jobs (``jobs=1``: trace generation and block proofs run in
-the calling thread) count into the process at the same time — the
-daemon's situation under ``--jobs 1 --runners 2``, or after its pool falls
-back in-process.  Each run's scope must carry its own trace-cache counts
+Two jobs (trace generation and block proofs run in the calling thread)
+count into the process at the same time — the daemon's situation under
+``--runners 2``.  Each run's scope must carry its own trace-cache counts
 only: a job on its own cache directory sees the same ``disk.trace_*``
 counts alone and next to another job.
 """
@@ -25,21 +24,16 @@ ROUNDS = 4
 
 def _run(name: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-attr-") as root:
-        # Ephemeral: the block workers drop their handles on it after use.
-        cache = DiskCache(root, ephemeral=True)
+        cache = DiskCache(root)
         with obs.scope() as run:
-            _case, report = verify_case_parallel(
-                name, {"n": 6}, jobs=1, cache=cache
-            )
+            _case, report = verify_case_parallel(name, {"n": 6}, cache=cache)
     assert report.ok
     return run.snapshot("disk.trace_")
 
 
 def test_concurrent_runs_keep_their_own_trace_counts():
-    # The on-disk verdict store is one process-global slot that each
-    # in-process block worker installs and restores; two threads doing so
-    # can leave one's store installed.  Restore it, so later tests do not
-    # answer queries from a store this test left behind.
+    # The on-disk verdict store is one process-global slot; restore it, so
+    # later tests do not answer queries from a store this test left behind.
     store = persistent_check_store()
     try:
         _compare_with_solo_runs()

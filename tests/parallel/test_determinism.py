@@ -1,9 +1,11 @@
-"""Run-to-run determinism of the parallel driver.
+"""Run-to-run determinism of the per-block driver.
 
-The whole case-study suite runs twice at ``jobs=4`` with a fixed fault
-seed; outcome maps and proof certificates must be byte-identical.  This is
-the end-to-end guarantee the scheduler's design (address-ordered merges,
-per-block fault seeds, cache-insensitive outcomes) exists to provide.
+The whole case-study suite runs twice with a fixed fault seed; outcome
+maps and proof certificates must be byte-identical.  This is the
+end-to-end guarantee the driver's design (address-ordered merges,
+per-block fault seeds, cache-insensitive outcomes) exists to provide.  And
+without faults, the driver's certificate is the serial CLI's, byte for
+byte — the serial = daemon invariant.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ import inspect
 import pytest
 
 from repro import casestudies
+from repro.logic.proof import Proof
 from repro.parallel.scheduler import verify_case_parallel
+from repro.tools import verify
 
-JOBS = 4
 FAULT_SEED = 20260807
 
 
@@ -32,7 +35,6 @@ def _run_suite(fault_seed=None):
         _, report = verify_case_parallel(
             name,
             _kwargs(module),
-            jobs=JOBS,
             fault_seed=fault_seed,
             fault_rate=0.02,
         )
@@ -67,12 +69,18 @@ def test_suite_is_deterministic_under_fault_injection():
 
 
 @pytest.mark.parametrize("name", ["memcpy_arm", "binsearch_riscv", "memcpy_ppc"])
-def test_jobs_invariance(name):
-    """jobs=1 and jobs=4 produce byte-identical certificates."""
+def test_jobs_invariance(name, tmp_path):
+    """The serial ``tools/verify --cert-dir`` certificate and the per-block
+    driver's are byte-identical."""
     module = getattr(casestudies, name)
-    _, serial = verify_case_parallel(name, _kwargs(module), jobs=1)
-    _, pooled = verify_case_parallel(name, _kwargs(module), jobs=JOBS)
-    assert serial.proof.to_json() == pooled.proof.to_json()
-    assert {a: b.outcome for a, b in serial.blocks.items()} == {
+    argv = [name, "--no-cache", "--cert-dir", str(tmp_path)]
+    if _kwargs(module):
+        argv += ["--n", "3"]
+    assert verify.main(argv) == 0
+    text = (tmp_path / f"{name}.cert.json").read_text()
+    serial = Proof.from_json(text)
+    _, pooled = verify_case_parallel(name, _kwargs(module))
+    assert text == pooled.proof.to_json()
+    assert serial.outcomes == {
         a: b.outcome for a, b in pooled.blocks.items()
     }

@@ -9,15 +9,10 @@ with a uniform reason — never a torn certificate, never a traceback.
 from __future__ import annotations
 
 import signal
-import time
 
 import pytest
 
-from repro.parallel.scheduler import (
-    TaskFailure,
-    WorkerPool,
-    verify_case_parallel,
-)
+from repro.parallel.scheduler import verify_case_parallel
 from repro.resilience import (
     SHUTDOWN_REASON,
     handle_signals,
@@ -32,11 +27,6 @@ def _clean_shutdown_state():
     reset_shutdown()
     yield
     reset_shutdown()
-
-
-def _sleeper(payload):
-    time.sleep(payload["sleep"])
-    return payload["value"]
 
 
 class TestShutdownEvent:
@@ -75,43 +65,6 @@ class TestSignalHandling:
         assert not shutdown_requested()
 
 
-class TestPoolDrain:
-    def test_serial_pool_drains_remaining_payloads(self):
-        pool = WorkerPool(1)
-        payloads = [{"sleep": 0, "value": i} for i in range(3)]
-        request_shutdown()
-        results = pool.map_tasks_graceful(_sleeper, payloads)
-        assert all(
-            isinstance(r, TaskFailure) and r.reason == SHUTDOWN_REASON
-            for r in results
-        )
-
-    def test_process_pool_keeps_inflight_drops_unstarted(self):
-        pool = WorkerPool(2)
-        try:
-            done_once = []
-
-            def on_result(index, result):
-                if not done_once:
-                    done_once.append(index)
-                    request_shutdown()
-
-            payloads = [{"sleep": 0.3, "value": i} for i in range(8)]
-            results = pool.map_tasks_graceful(
-                _sleeper, payloads, on_result=on_result
-            )
-        finally:
-            pool.close()
-        successes = [r for r in results if not isinstance(r, TaskFailure)]
-        drained = [r for r in results if isinstance(r, TaskFailure)]
-        # The first completion triggered the drain: something finished,
-        # something was cancelled before starting, nothing was lost.
-        assert successes
-        assert drained
-        assert len(successes) + len(drained) == len(payloads)
-        assert all(r.reason == SHUTDOWN_REASON for r in drained)
-
-
 class TestVerificationDrain:
     def test_governed_run_parks_blocks_on_unknown(self):
         from repro import casestudies
@@ -119,7 +72,7 @@ class TestVerificationDrain:
         from repro.parallel.config import configured
         from repro.parallel.scheduler import pc_for
 
-        with configured(jobs=1):
+        with configured():
             case = casestudies.memcpy_arm.build(n=3)
         request_shutdown()
         report = verify_program(
@@ -139,7 +92,7 @@ class TestVerificationDrain:
 
     def test_parallel_driver_drains_to_partial_report(self):
         request_shutdown()
-        case, report = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=1)
+        case, report = verify_case_parallel("memcpy_arm", {"n": 3})
         assert set(report.blocks) == set(case.specs)
         assert all(
             b.outcome == "unknown" and b.reason == SHUTDOWN_REASON

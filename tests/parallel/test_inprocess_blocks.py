@@ -1,13 +1,10 @@
-"""An in-process pool verifies a job's blocks on the case it already built.
+"""The driver verifies a job's blocks on the case it already built.
 
-``verify_case_parallel`` with a pool that runs in-process (one job, or a
-pool that could not start — fleet shards and ``serve --jobs 1``) builds the
-case once and proves every block on it: no per-block rebuild, no ephemeral
-``repro-cache-*`` root, no certificate JSON round trip.  Everything a
-process worker guarantees still holds: certificates equal the serial CLI's,
-per-block fault seeds and budget shares give the same outcomes as a real
-process pool, a raising block or a drain lands ``unknown``, and pools that
-do not declare themselves in-process keep the process worker.
+``verify_case_parallel`` builds the case once and proves every block on it:
+no per-block rebuild, no temporary cache root, no certificate JSON round
+trip.  Certificates equal the serial CLI's, per-block fault seeds and
+budget shares give the same outcomes whatever the solver's caches hold,
+and a raising block or a drain lands ``unknown``.
 """
 
 from __future__ import annotations
@@ -17,19 +14,14 @@ import tempfile
 import pytest
 
 from repro import casestudies
-from repro.parallel.scheduler import (
-    TaskFailure,
-    WorkerPool,
-    _verify_block_worker,
-    verify_case_parallel,
-)
+from repro.parallel.scheduler import verify_case_parallel
 from repro.resilience import (
     SHUTDOWN_REASON,
     BudgetSpec,
     request_shutdown,
     reset_shutdown,
 )
-from repro.smt.solver import install_persistent_check_store
+from repro.smt.solver import clear_check_cache, install_persistent_check_store
 
 CASES = [("memcpy_arm", 3), ("binsearch_riscv", 3), ("pkvm", None)]
 
@@ -51,31 +43,6 @@ def _kwargs(name: str, n: int | None) -> dict:
 
 def _outcomes(report) -> dict:
     return {addr: block.outcome for addr, block in report.blocks.items()}
-
-
-class TestPoolDeclaresItsPath:
-    def test_one_job_is_in_process(self):
-        assert WorkerPool(1).in_process
-        assert not WorkerPool(2).in_process
-
-    def test_pool_without_the_property_keeps_the_process_worker(self):
-        seen = []
-
-        class _Stub:
-            jobs = 2
-
-            def map_tasks(self, fn, payloads):
-                return [fn(p) for p in payloads]
-
-            def map_tasks_graceful(self, fn, payloads, on_result=None):
-                seen.append(fn)
-                return [TaskFailure("stub") for _ in payloads]
-
-            def close(self):
-                pass
-
-        verify_case_parallel("rbit", jobs=2, pool=_Stub())
-        assert seen == [_verify_block_worker]
 
 
 @pytest.mark.parametrize("name,n", CASES)
@@ -102,10 +69,7 @@ def test_one_build_no_temp_cache_serial_certificate(
         return real_tempdir(*args, **kwargs)
 
     monkeypatch.setattr(tempfile, "TemporaryDirectory", recording_tempdir)
-    with WorkerPool(1) as pool:
-        case, report = verify_case_parallel(
-            name, kwargs, jobs=1, pool=pool
-        )
+    case, report = verify_case_parallel(name, kwargs)
     assert len(builds) == 1
     assert prefixes == []
     assert report.ok
@@ -120,50 +84,51 @@ def test_one_build_no_temp_cache_serial_certificate(
 
 
 @pytest.mark.parametrize("fault_seed", [20260807, 5])
-def test_fault_schedule_matches_process_pool(fault_seed):
-    """Per-block fault seeds do not depend on where the block runs."""
+def test_fault_schedule_ignores_warm_caches(fault_seed):
+    """Per-block fault seeds give the same schedule on a cold solver cache
+    and on one a fault-free run of the same case has just warmed."""
     degraded = 0
     for name in ("memcpy_arm", "binsearch_riscv"):
-        runs = {}
-        for jobs in (1, 2):
+        runs = []
+        clear_check_cache()
+        for warm_up in (False, True):
+            if warm_up:
+                verify_case_parallel(name, {"n": 3})
             _case, report = verify_case_parallel(
-                name, {"n": 3}, jobs=jobs,
-                fault_seed=fault_seed, fault_rate=0.05,
+                name, {"n": 3}, fault_seed=fault_seed, fault_rate=0.05
             )
-            runs[jobs] = (
-                _outcomes(report), len(report.faults), report.proof.to_json()
+            runs.append(
+                (_outcomes(report), len(report.faults), report.proof.to_json())
             )
-        assert runs[1] == runs[2], name
-        assert runs[1][1] > 0
-        degraded += list(runs[1][0].values()).count("degraded")
+        assert runs[0] == runs[1], name
+        assert runs[0][1] > 0
+        degraded += list(runs[0][0].values()).count("degraded")
     # Each seed degrades a block in one of the two cases.
     assert degraded > 0
 
 
 @pytest.mark.parametrize("allowance", [0, 100_000])
-def test_budget_shares_match_process_pool(allowance):
+def test_budget_shares_ignore_warm_caches(allowance):
     spec = BudgetSpec(conflict_allowance=allowance)
-    runs = {}
-    for jobs in (1, 2):
+    runs = []
+    clear_check_cache()
+    for _ in range(2):
         _case, report = verify_case_parallel(
-            "binsearch_riscv", {"n": 3}, jobs=jobs, budget_spec=spec
+            "binsearch_riscv", {"n": 3}, budget_spec=spec
         )
         snapshot = report.budget.snapshot()
         del snapshot["elapsed_s"]
-        runs[jobs] = (_outcomes(report), snapshot, report.proof.to_json())
-    assert runs[1] == runs[2]
+        runs.append((_outcomes(report), snapshot, report.proof.to_json()))
+    assert runs[0] == runs[1]
     if allowance == 0:
-        assert "unknown" in runs[1][0].values()
-        assert runs[1][1]["exhausted"] == "conflicts"
+        assert "unknown" in runs[0][0].values()
+        assert runs[0][1]["exhausted"] == "conflicts"
 
 
 def test_raising_block_lands_unknown_others_verify(monkeypatch):
     from repro.logic import automation
 
-    with WorkerPool(1) as pool:
-        case, _report = verify_case_parallel(
-            "binsearch_riscv", {"n": 3}, jobs=1, pool=pool
-        )
+    case, _report = verify_case_parallel("binsearch_riscv", {"n": 3})
     target = sorted(case.specs)[1]
     verify_program = automation.verify_program
 
@@ -173,10 +138,7 @@ def test_raising_block_lands_unknown_others_verify(monkeypatch):
         return verify_program(*args, blocks=blocks, **kwargs)
 
     monkeypatch.setattr(automation, "verify_program", flaky)
-    with WorkerPool(1) as pool:
-        case, report = verify_case_parallel(
-            "binsearch_riscv", {"n": 3}, jobs=1, pool=pool
-        )
+    case, report = verify_case_parallel("binsearch_riscv", {"n": 3})
     assert report.blocks[target].outcome == "unknown"
     assert report.blocks[target].reason == "RuntimeError: block exploded"
     assert report.proof.outcomes[target] == "unknown"
@@ -194,11 +156,9 @@ def test_drain_from_progress_parks_the_rest():
 
     reset_shutdown()
     try:
-        with WorkerPool(1) as pool:
-            case, report = verify_case_parallel(
-                "binsearch_riscv", {"n": 3}, jobs=1, pool=pool,
-                progress=progress,
-            )
+        case, report = verify_case_parallel(
+            "binsearch_riscv", {"n": 3}, progress=progress
+        )
     finally:
         reset_shutdown()
     first, *rest = sorted(case.specs)
@@ -221,26 +181,5 @@ def test_in_process_results_skip_certificate_json(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(Proof, "from_json", staticmethod(counting))
-    with WorkerPool(1) as pool:
-        verify_case_parallel("memcpy_arm", {"n": 3}, jobs=1, pool=pool)
+    verify_case_parallel("memcpy_arm", {"n": 3})
     assert calls == []
-
-    class _ProcessStandIn:
-        """Runs the process worker in this process, as a process pool's
-        results would arrive."""
-
-        jobs = 2
-
-        def map_tasks(self, fn, payloads):
-            return [fn(p) for p in payloads]
-
-        def map_tasks_graceful(self, fn, payloads, on_result=None):
-            return [fn(p) for p in payloads]
-
-        def close(self):
-            pass
-
-    case, _report = verify_case_parallel(
-        "memcpy_arm", {"n": 3}, jobs=2, pool=_ProcessStandIn()
-    )
-    assert len(calls) == len(case.specs)

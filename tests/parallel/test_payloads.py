@@ -1,85 +1,8 @@
-"""The cross-process protocol is all plain data; these pin its round-trips.
-
-SMT terms are hash-consed and unpicklable, so every payload codec has to
-rebuild semantically identical objects inside a fresh intern table.  Within
-one process, hash-consing makes "semantically identical" checkable as
-``is``-identity after a round-trip.
-"""
+"""Per-block fault seeds are a pure function of the run seed and the block."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.arch.arm import ArmModel
-from repro.arch.riscv import RiscvModel
-from repro.isla import Assumptions
-from repro.itl.events import Reg
-from repro.parallel.scheduler import (
-    _assumptions_from_payload,
-    _assumptions_payload,
-    _block_fault_seed,
-    _model_from_spec,
-    _model_spec,
-    _opcode_from_payload,
-    _opcode_payload,
-)
-from repro.smt import builder as B
-
-ARM = ArmModel()
-
-
-class TestModelSpec:
-    @pytest.mark.parametrize("model_cls", [ArmModel, RiscvModel])
-    def test_roundtrip(self, model_cls):
-        spec = _model_spec(model_cls())
-        rebuilt = _model_from_spec(spec)
-        assert type(rebuilt) is model_cls
-
-    def test_spec_is_plain_data(self):
-        spec = _model_spec(ARM)
-        assert spec == ("repro.arch.arm.model", "ArmModel")
-
-
-class TestOpcodePayload:
-    def test_int(self):
-        payload = _opcode_payload(0x8B030041)
-        assert payload == {"int": 0x8B030041}
-        assert _opcode_from_payload(payload) == 0x8B030041
-
-    def test_concrete_term_keeps_width(self):
-        term = B.bv(0x13, 32)
-        rebuilt = _opcode_from_payload(_opcode_payload(term))
-        assert rebuilt is term  # hash-consing: equal means identical
-
-    def test_symbolic_term(self):
-        term = B.concat(B.bv_var("imm", 12), B.bv(0x93, 20))
-        rebuilt = _opcode_from_payload(_opcode_payload(term))
-        assert rebuilt is term
-
-
-class TestAssumptionsPayload:
-    def test_pins_roundtrip(self):
-        src = Assumptions()
-        src.pin("PSTATE.EL", 2, ARM.regfile.width_of(Reg.parse("PSTATE.EL")))
-        src.pin("SP_EL2", 0x5000, 64)
-        out = _assumptions_from_payload(_assumptions_payload(ARM, src))
-        assert set(out.pinned) == set(src.pinned)
-        for reg, value in src.pinned.items():
-            assert out.pinned[reg] is value
-
-    def test_constraints_roundtrip_extensionally(self):
-        src = Assumptions()
-        src.constrain("R3", lambda v: B.bvult(v, B.bv(256, 64)))
-        out = _assumptions_from_payload(_assumptions_payload(ARM, src))
-        reg = Reg.parse("R3")
-        probe = B.bv_var("p", 64)
-        assert out.constrained[reg](probe) is src.constrained[reg](probe)
-        concrete = B.bv(7, 64)
-        assert out.constrained[reg](concrete) is src.constrained[reg](concrete)
-
-    def test_none_becomes_empty(self):
-        out = _assumptions_from_payload(_assumptions_payload(ARM, None))
-        assert not out.pinned and not out.constrained
+from repro.parallel.scheduler import _block_fault_seed
 
 
 class TestBlockFaultSeed:

@@ -1,64 +1,30 @@
-"""The worker pool, budget partitioning, and the parallel verify driver."""
+"""Budget partitioning and the per-block verify driver."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.parallel.scheduler import WorkerPool, verify_case_parallel
+from repro import casestudies
+from repro.parallel.scheduler import verify_case_parallel
 from repro.resilience import Budget, BudgetSpec
 
 
-def _double(x):
-    return x * 2
-
-
-def _boom(x):
-    raise ValueError(f"task {x}")
-
-
-def _open_handles(_payload=None) -> int:
+def _open_handles() -> int:
     from repro.cache import store
 
     return len(store._HANDLES)
 
 
-class TestWorkerPool:
-    def test_jobs_one_never_builds_a_pool(self):
-        pool = WorkerPool(1)
-        assert pool.unavailable
-        assert pool.map_tasks(_double, [1, 2, 3]) == [2, 4, 6]
-        assert pool._executor is None
+def _serial_report(name: str, kwargs: dict | None = None):
+    """The serial CLI's run: build once, verify the whole program."""
+    from repro.logic.automation import verify_program
+    from repro.parallel.config import configured
+    from repro.parallel.scheduler import pc_for
 
-    def test_results_in_payload_order(self):
-        with WorkerPool(2) as pool:
-            assert pool.map_tasks(_double, list(range(8))) == [
-                2 * i for i in range(8)
-            ]
-
-    def test_task_exceptions_propagate(self):
-        """A genuine task failure is the caller's problem, not the pool's."""
-        with WorkerPool(2) as pool:
-            with pytest.raises(ValueError):
-                pool.map_tasks(_boom, [1])
-        pool = WorkerPool(1)
-        with pytest.raises(ValueError):
-            pool.map_tasks(_boom, [1])
-
-    def test_broken_pool_degrades_to_serial(self):
-        from concurrent.futures.process import BrokenProcessPool
-
-        class _Broken:
-            def submit(self, fn, payload):
-                raise BrokenProcessPool("worker died")
-
-            def shutdown(self, **kwargs):
-                pass
-
-        pool = WorkerPool(4)
-        pool._executor = _Broken()
-        assert pool.map_tasks(_double, [5, 6]) == [10, 12]
-        assert pool.unavailable  # and it stays in-process from here on
-        assert pool.map_tasks(_double, [7]) == [14]
+    module = getattr(casestudies, name)
+    with configured():
+        case = module.build(**(kwargs or {}))
+    return verify_program(case.frontend.traces, case.specs, pc_for(module))
 
 
 class TestBudgetPartition:
@@ -94,8 +60,9 @@ class TestBudgetPartition:
 
 class TestVerifyCaseParallel:
     def test_serial_fallback_matches_pool(self):
-        _, serial = verify_case_parallel("rbit", jobs=1)
-        _, pooled = verify_case_parallel("rbit", jobs=2)
+        """The per-block driver agrees with the serial whole-program run."""
+        serial = _serial_report("rbit")
+        _, pooled = verify_case_parallel("rbit")
         assert serial.ok and pooled.ok
         assert {a: b.outcome for a, b in serial.blocks.items()} == {
             a: b.outcome for a, b in pooled.blocks.items()
@@ -104,38 +71,26 @@ class TestVerifyCaseParallel:
 
     def test_budget_folds_back_into_run_budget(self):
         spec = BudgetSpec(conflict_allowance=10_000_000)
-        _, report = verify_case_parallel("rbit", jobs=2, budget_spec=spec)
+        _, report = verify_case_parallel("rbit", budget_spec=spec)
         assert report.ok
         assert report.budget is not None
         assert report.budget.spec.conflict_allowance == 10_000_000
 
     def test_multi_block_certificate_matches_pool(self):
-        """Block workers run in address order; a two-block case merges
-        into the serial certificate, byte for byte."""
-        _, serial = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=1)
-        _, pooled = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=2)
+        """Blocks run in address order; a two-block case merges into the
+        serial certificate, byte for byte."""
+        serial = _serial_report("memcpy_arm", {"n": 3})
+        _, pooled = verify_case_parallel("memcpy_arm", {"n": 3})
         assert len(serial.blocks) == 2
         assert serial.proof.to_json() == pooled.proof.to_json()
 
 
 class TestEphemeralHandles:
-    """A ``cache=None`` job verifies against a temporary cache; no process
-    keeps a handle on that root once the job is over."""
+    """A ``cache=None`` job opens no cache handle."""
 
     def test_serial_fallback_leaves_no_handle(self):
         before = _open_handles()
         for _ in range(3):
-            _, report = verify_case_parallel("rbit", jobs=1)
+            _, report = verify_case_parallel("rbit")
             assert report.ok
         assert _open_handles() == before
-
-    def test_pooled_workers_leave_no_handle(self):
-        before = _open_handles()
-        with WorkerPool(2) as pool:
-            for _ in range(3):
-                _, report = verify_case_parallel("memcpy_arm", {"n": 3}, jobs=2, pool=pool)
-                assert report.ok
-            assert not pool.unavailable
-            in_workers = pool.map_tasks(_open_handles, range(8))
-        assert _open_handles() == before
-        assert in_workers == [0] * 8

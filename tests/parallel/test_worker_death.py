@@ -1,121 +1,42 @@
-"""A worker process dying mid-block must never corrupt the run.
+"""A block that dies mid-proof must never corrupt the run.
 
-Two layers under test.  At the pool layer, ``map_tasks_graceful`` keeps
-results that completed before the death, reports the rest as typed
-:class:`TaskFailure` entries, and rebuilds the executor so a resident
-daemon pool survives.  At the driver layer, ``verify_case_parallel`` turns
-a dead worker's blocks into ``unknown`` outcomes — never a silent
-``verified`` — and leaves the dead share of the partitioned budget
-*unspent* in the parent (consumption is absorbed from worker reports, and
-a dead worker reported nothing).
+``verify_case_parallel`` turns a failed block into an ``unknown`` outcome —
+never a silent ``verified`` — and leaves the failed block's share of the
+partitioned budget *unspent* in the run budget (consumption is absorbed
+from the blocks that finished, and a failed block reported nothing).
 """
 
 from __future__ import annotations
 
-import os
-import time
+import pytest
 
-from repro.parallel.scheduler import (
-    WORKER_DIED,
-    TaskFailure,
-    WorkerPool,
-    _verify_block_worker,
-    verify_case_parallel,
-)
+from repro.parallel import scheduler
+from repro.parallel.scheduler import verify_case_parallel
 from repro.resilience import BudgetSpec
 
-
-def _task(payload):
-    if payload.get("sleep"):
-        time.sleep(payload["sleep"])
-    if payload.get("die"):
-        os._exit(1)
-    return payload["value"]
+DIED = "RuntimeError: block died"
 
 
-def _block_worker_or_die(payload):
-    """Picklable dispatcher for the end-to-end kill test: doctored
-    payloads kill the worker process, real ones verify their block."""
-    if payload.get("die"):
-        return _task(payload)
-    return _verify_block_worker(payload)
+@pytest.fixture
+def dying_blocks(monkeypatch):
+    """Make the chosen block addresses raise instead of proving; every
+    surviving block charges ``charge`` conflicts to its budget share, since
+    block proofs this small consume none for real and a known charge makes
+    the absorb arithmetic observable."""
+    verify_block = scheduler._verify_block
 
+    def install(die=lambda addr: False, charge: int = 0):
+        def patched(case, pc, addr, budget, fault):
+            if die(addr):
+                raise RuntimeError("block died")
+            report = verify_block(case, pc, addr, budget, fault)
+            if budget is not None:
+                budget.charge_conflicts(charge)
+            return report
 
-class TestPoolSurvivesWorkerDeath:
-    def test_completed_results_kept_dead_marked_rebuilt(self):
-        pool = WorkerPool(2)
-        try:
-            payloads = [
-                {"value": "a"},
-                {"value": "b"},
-                # The killer sleeps so the cheap tasks finish first: their
-                # results must survive the pool breaking afterwards.
-                {"value": "x", "die": True, "sleep": 1.0},
-            ]
-            results = pool.map_tasks_graceful(_task, payloads)
-            assert results[0] == "a"
-            assert results[1] == "b"
-            assert isinstance(results[2], TaskFailure)
-            assert results[2].reason == WORKER_DIED
-            # The poisoned executor was discarded but the pool is NOT
-            # demoted to serial: the next batch gets fresh processes.
-            assert pool._executor is None
-            assert not pool.unavailable
-            assert pool.map_tasks_graceful(_task, [{"value": 41}]) == [41]
-        finally:
-            pool.close()
+        monkeypatch.setattr(scheduler, "_verify_block", patched)
 
-    def test_on_result_fires_only_for_successes(self):
-        pool = WorkerPool(2)
-        seen = []
-        try:
-            payloads = [
-                {"value": "ok"},
-                {"value": "x", "die": True, "sleep": 0.8},
-            ]
-            pool.map_tasks_graceful(
-                _task, payloads, on_result=lambda i, r: seen.append((i, r))
-            )
-        finally:
-            pool.close()
-        assert (0, "ok") in seen
-        assert all(index != 1 for index, _ in seen)
-
-
-class _DeadlyPool:
-    """A pool stub: every payload runs in-process except the chosen block
-    address, which 'dies' exactly as a killed worker would surface.
-
-    ``charge`` adds that many conflicts to each *surviving* worker's
-    reported budget snapshot — block proofs this small consume zero
-    conflicts for real, so the known charge makes absorb arithmetic
-    observable."""
-
-    def __init__(self, die_addr, charge: int = 0):
-        self.die_addr = die_addr
-        self.charge = charge
-        self.jobs = 2
-
-    def map_tasks(self, fn, payloads):
-        # Trace generation runs in-process; only block verification dies.
-        return [fn(payload) for payload in payloads]
-
-    def map_tasks_graceful(self, fn, payloads, on_result=None):
-        out = []
-        for i, payload in enumerate(payloads):
-            if payload.get("addr") == self.die_addr:
-                out.append(TaskFailure(WORKER_DIED))
-                continue
-            result = fn(payload)
-            if self.charge and result.get("budget") is not None:
-                result["budget"]["conflicts_used"] += self.charge
-            out.append(result)
-            if on_result is not None:
-                on_result(i, result)
-        return out
-
-    def close(self):
-        pass
+    return install
 
 
 class TestDriverBudgetRoundTrip:
@@ -127,17 +48,16 @@ class TestDriverBudgetRoundTrip:
         from repro import casestudies
         from repro.parallel.config import configured
 
-        with configured(jobs=1):
+        with configured():
             case = casestudies.memcpy_arm.build(**self.KWARGS)
         return sorted(case.specs)[-1]
 
-    def test_dead_block_lands_unknown_never_verified(self):
+    def test_dead_block_lands_unknown_never_verified(self, dying_blocks):
         die_addr = self._die_addr()
-        case, report = verify_case_parallel(
-            self.CASE, dict(self.KWARGS), jobs=2, pool=_DeadlyPool(die_addr)
-        )
+        dying_blocks(die=lambda addr: addr == die_addr)
+        case, report = verify_case_parallel(self.CASE, dict(self.KWARGS))
         assert report.blocks[die_addr].outcome == "unknown"
-        assert report.blocks[die_addr].reason == WORKER_DIED
+        assert report.blocks[die_addr].reason == DIED
         assert not report.ok
         assert report.outcome == "unknown"
         # The certificate agrees: the block is recorded unknown, not among
@@ -152,22 +72,22 @@ class TestDriverBudgetRoundTrip:
             if addr != die_addr:
                 assert report.blocks[addr].outcome == "verified"
 
-    def test_dead_share_returns_to_parent_budget(self):
+    def test_dead_share_returns_to_parent_budget(self, dying_blocks):
         die_addr = self._die_addr()
         spec = BudgetSpec(conflict_allowance=self.ALLOWANCE)
         charge = 7
+        dying_blocks(charge=charge)
         _case, healthy = verify_case_parallel(
-            self.CASE, dict(self.KWARGS), jobs=2, budget_spec=spec,
-            pool=_DeadlyPool(die_addr=None, charge=charge),
+            self.CASE, dict(self.KWARGS), budget_spec=spec
         )
+        dying_blocks(die=lambda addr: addr == die_addr, charge=charge)
         _case, wounded = verify_case_parallel(
-            self.CASE, dict(self.KWARGS), jobs=2, budget_spec=spec,
-            pool=_DeadlyPool(die_addr, charge=charge),
+            self.CASE, dict(self.KWARGS), budget_spec=spec
         )
-        # Every surviving worker reports exactly ``charge`` conflicts.
+        # Every surviving block reports exactly ``charge`` conflicts.
         n_blocks = len(healthy.blocks)
         assert healthy.budget.conflicts_used == charge * n_blocks
-        # The dead worker reported nothing: the parent absorbs one report
+        # The dead block reported nothing: the run absorbs one report
         # fewer, and the dead partition share returns to the pool intact.
         assert wounded.budget.conflicts_used == charge * (n_blocks - 1)
         assert wounded.budget.exhausted is None
@@ -176,61 +96,13 @@ class TestDriverBudgetRoundTrip:
             == self.ALLOWANCE - charge * (n_blocks - 1)
         )
 
-    def test_all_workers_dead_is_total_unknown_not_a_crash(self):
-        class _Morgue:
-            jobs = 2
-
-            def map_tasks(self, fn, payloads):
-                return [fn(payload) for payload in payloads]
-
-            def map_tasks_graceful(self, fn, payloads, on_result=None):
-                return [TaskFailure(WORKER_DIED)] * len(payloads)
-
-            def close(self):
-                pass
-
+    def test_all_workers_dead_is_total_unknown_not_a_crash(self, dying_blocks):
+        dying_blocks(die=lambda addr: True)
         spec = BudgetSpec(conflict_allowance=self.ALLOWANCE)
         case, report = verify_case_parallel(
-            self.CASE, dict(self.KWARGS), jobs=2, budget_spec=spec,
-            pool=_Morgue(),
+            self.CASE, dict(self.KWARGS), budget_spec=spec
         )
         assert set(report.blocks) == set(case.specs)
         assert all(b.outcome == "unknown" for b in report.blocks.values())
         assert report.budget.conflicts_used == 0
         assert report.budget.remaining_conflicts() == self.ALLOWANCE
-
-
-def test_real_kill_through_the_driver():
-    """End-to-end: a genuine worker process death (not a stub) during a
-    parallel run degrades to unknown outcomes without an exception."""
-    from repro import casestudies
-    from repro.parallel.config import configured
-
-    with configured(jobs=1):
-        case = casestudies.memcpy_arm.build(n=3)
-    target = sorted(case.specs)[0]
-
-    class _Assassin(WorkerPool):
-        def map_tasks_graceful(self, fn, payloads, on_result=None):
-            if fn is _verify_block_worker:
-                doctored = [
-                    {"value": None, "die": True, "sleep": 0.2}
-                    if p.get("addr") == target
-                    else p
-                    for p in payloads
-                ]
-                return super().map_tasks_graceful(
-                    _block_worker_or_die, doctored, on_result=on_result
-                )
-            return super().map_tasks_graceful(fn, payloads, on_result=on_result)
-
-    pool = _Assassin(2)
-    try:
-        _case, report = verify_case_parallel(
-            "memcpy_arm", {"n": 3}, jobs=2, pool=pool
-        )
-    finally:
-        pool.close()
-    assert report.blocks[target].outcome == "unknown"
-    assert report.blocks[target].reason == WORKER_DIED
-    assert not report.ok

@@ -12,96 +12,104 @@ from repro import obs
 from repro.arch.arm import ArmModel, encode as A
 from repro.frontend import ProgramImage, generate_instruction_map
 from repro.isla import Assumptions
-from repro.parallel.scheduler import (
-    TaskFailure,
-    WorkerPool,
-    generate_traces_parallel,
-)
+from repro.itl.events import Reg
+from repro.service import batcher as batcher_module
 from repro.service.batcher import TraceBatcher
 from repro.service.telemetry import Telemetry
 
 
-class CountingPool:
-    """Executes trace payloads in-process, recording every dispatch."""
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Record the opcode of every Isla run the batcher dispatches; the runs
+    themselves are real."""
+    calls = []
+    run = batcher_module.trace_for_opcode
 
-    def __init__(self):
-        self.dispatched = []
+    def counting(model, opcode, assumptions, **kwargs):
+        calls.append(opcode)
+        return run(model, opcode, assumptions, **kwargs)
 
-    def map_tasks_graceful(self, fn, payloads, on_result=None):
-        self.dispatched.extend(payloads)
-        return [fn(payload) for payload in payloads]
+    monkeypatch.setattr(batcher_module, "trace_for_opcode", counting)
+    return calls
 
 
-class FailingPool:
-    def map_tasks_graceful(self, fn, payloads, on_result=None):
-        return [TaskFailure("boom")] * len(payloads)
+def _failing(monkeypatch, failures: int | None = None) -> list:
+    """Make the first ``failures`` dispatched runs raise (all of them with
+    ``None``); returns the list of every dispatched opcode."""
+    calls = []
+    run = batcher_module.trace_for_opcode
+
+    def flaky(model, opcode, assumptions, **kwargs):
+        calls.append(opcode)
+        if failures is None or len(calls) <= failures:
+            raise RuntimeError("boom")
+        return run(model, opcode, assumptions, **kwargs)
+
+    monkeypatch.setattr(batcher_module, "trace_for_opcode", flaky)
+    return calls
+
+
+def _image(*words, at: int = 0x1000) -> ProgramImage:
+    return ProgramImage().place(at, list(words))
 
 
 class TestKeys:
-    def test_exact_key_ignores_address(self):
-        payload = {"model": "m", "opcode": 7, "assumptions": [], "addr": 0x1000}
-        other = dict(payload, addr=0x2000)
-        assert TraceBatcher._exact_key(payload) == TraceBatcher._exact_key(other)
+    def test_exact_key_ignores_address(self, dispatched):
+        model = ArmModel()
+        with TraceBatcher() as batcher:
+            first = batcher.generate(model, _image(A.nop()), Assumptions())
+            second = batcher.generate(
+                model, _image(A.nop(), at=0x2000), Assumptions()
+            )
+        assert len(dispatched) == 1
+        assert second.traces[0x2000] == first.traces[0x1000]
 
-    def test_exact_key_covers_inputs(self):
-        base = {"model": "m", "opcode": 7, "assumptions": []}
-        assert TraceBatcher._exact_key(base) != TraceBatcher._exact_key(
-            dict(base, opcode=8)
-        )
-        assert TraceBatcher._exact_key(base) != TraceBatcher._exact_key(
-            dict(base, assumptions=[["PSTATE.EL", 2]])
-        )
-
-    def test_no_cache_falls_back_to_exact(self):
-        batcher = TraceBatcher(cache=None)
-        payload = {"model": "m", "opcode": 7, "assumptions": []}
-        assert batcher._exact_key(payload).startswith("x:")
+    def test_exact_key_covers_inputs(self, dispatched):
+        model = ArmModel()
+        pinned = Assumptions()
+        pinned.pin("PSTATE.EL", 2, model.regfile.width_of(Reg.parse("PSTATE.EL")))
+        with TraceBatcher() as batcher:
+            batcher.generate(model, _image(A.nop()), Assumptions())
+            batcher.generate(model, _image(A.ret()), Assumptions())
+            batcher.generate(model, _image(A.nop()), pinned)
+        assert dispatched == [A.nop(), A.ret(), A.nop()]
 
 
 class TestGenerate:
     def test_results_identical_to_serial_frontend(self):
         model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.add_imm(0, 0, 5), A.ret()])
+        image = _image(A.add_imm(0, 0, 5), A.ret())
         serial = generate_instruction_map(model, image, Assumptions())
-        with TraceBatcher(window_s=0) as batcher:
+        with TraceBatcher() as batcher:
             batched = batcher.generate(model, image, Assumptions())
         assert sorted(batched.traces) == sorted(serial.traces)
         for addr in serial.traces:
             assert batched.traces[addr] == serial.traces[addr]
 
-    def test_identical_opcodes_deduplicate(self):
+    def test_identical_opcodes_deduplicate(self, dispatched):
         model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.nop(), A.nop()])
         telemetry = Telemetry()
-        pool = CountingPool()
-        # A real collection window: with window_s=0 the dispatcher may
-        # finish the first request (warm process-global caches make the
-        # worker near-instant) before the second is enqueued, and the
-        # dedup hit this test asserts would legitimately not happen.
-        with TraceBatcher(pool=pool, window_s=0.2, telemetry=telemetry) as batcher:
-            result = batcher.generate(model, image, Assumptions())
+        with TraceBatcher(telemetry=telemetry) as batcher:
+            result = batcher.generate(model, _image(A.nop(), A.nop()), Assumptions())
         assert sorted(result.traces) == [0x1000, 0x1004]
         assert result.traces[0x1000] == result.traces[0x1004]
         counters = telemetry.snapshot()["counters"]
         assert counters["trace_requests"] == 2
         assert counters["dedup_hits"] == 1
         assert counters["batches"] >= 1
-        assert len(pool.dispatched) == 1  # one leader, one follower
+        assert len(dispatched) == 1  # one leader, one follower
 
-    def test_single_flight_across_threads(self):
+    def test_single_flight_across_threads(self, dispatched):
         model = ArmModel()
         telemetry = Telemetry()
-        pool = CountingPool()
         barrier = threading.Barrier(2)
         results = []
 
         def submit():
-            image = ProgramImage().place(0x1000, [A.nop()])
             barrier.wait()
-            results.append(batcher.generate(model, image, Assumptions()))
+            results.append(batcher.generate(model, _image(A.nop()), Assumptions()))
 
-        # A generous window so both threads land inside one batch.
-        with TraceBatcher(pool=pool, window_s=0.4, telemetry=telemetry) as batcher:
+        with TraceBatcher(telemetry=telemetry) as batcher:
             threads = [threading.Thread(target=submit) for _ in range(2)]
             for t in threads:
                 t.start()
@@ -109,61 +117,44 @@ class TestGenerate:
                 t.join(timeout=60)
         assert len(results) == 2
         assert results[0].traces[0x1000] == results[1].traces[0x1000]
-        assert len(pool.dispatched) == 1
+        assert len(dispatched) == 1
         assert telemetry.snapshot()["counters"]["dedup_hits"] == 1
 
-    def test_worker_failure_propagates_to_waiters(self):
-        model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.nop()])
-        with TraceBatcher(pool=FailingPool(), window_s=0) as batcher:
+    def test_worker_failure_propagates_to_waiters(self, monkeypatch):
+        _failing(monkeypatch)
+        with TraceBatcher() as batcher:
             with pytest.raises(RuntimeError, match="boom"):
-                batcher.generate(model, image, Assumptions())
+                batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
 
     def test_close_joins_dispatcher(self):
-        batcher = TraceBatcher(window_s=0)
-        image = ProgramImage().place(0x1000, [A.nop()])
-        batcher.generate(ArmModel(), image, Assumptions())
+        batcher = TraceBatcher()
+        batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
         batcher.close()
         assert batcher._dispatcher is None or not batcher._dispatcher.is_alive()
 
 
-class MarkingPool(CountingPool):
-    """A :class:`CountingPool` whose every task reports one
-    ``test.leader_runs`` count, so a test can see where counts land."""
-
-    def map_tasks_graceful(self, fn, payloads, on_result=None):
-        results = super().map_tasks_graceful(fn, payloads, on_result)
-        for result in results:
-            result["counters"] = {**result["counters"], "test.leader_runs": 1}
-        return results
-
-
-class FlakyPool(CountingPool):
-    """Fails its first batch, then runs like a :class:`CountingPool`."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
-
-    def map_tasks_graceful(self, fn, payloads, on_result=None):
-        self.calls += 1
-        if self.calls == 1:
-            return [TaskFailure("boom")] * len(payloads)
-        return super().map_tasks_graceful(fn, payloads, on_result)
-
-
 class TestKeptTraces:
-    def test_kept_key_is_a_hit_that_does_not_dispatch(self):
+    def test_kept_key_is_a_hit_that_does_not_dispatch(self, monkeypatch):
         model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.add_imm(0, 0, 5)])
+        image = _image(A.add_imm(0, 0, 5))
         telemetry = Telemetry()
-        pool = MarkingPool()
-        with TraceBatcher(pool=pool, window_s=0, telemetry=telemetry) as batcher:
+        calls = []
+        run = batcher_module.trace_for_opcode
+
+        def marking(*args, **kwargs):
+            # Counts in the leader's run scope, so the test can see where
+            # the leader's counts land.
+            calls.append(args)
+            obs.count("test.leader_runs")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(batcher_module, "trace_for_opcode", marking)
+        with TraceBatcher(telemetry=telemetry) as batcher:
             with obs.scope() as first_run:
                 first = batcher.generate(model, image, Assumptions())
             with obs.scope() as second_run:
                 second = batcher.generate(model, image, Assumptions())
-        assert len(pool.dispatched) == 1
+        assert len(calls) == 1
         counters = telemetry.snapshot()["counters"]
         assert counters["trace_requests"] == 2
         assert counters["dedup_hits"] == 1
@@ -174,88 +165,47 @@ class TestKeptTraces:
         assert first_run.snapshot("test.") == {"leader_runs": 1}
         assert second_run.snapshot("test.") == {}
 
-    def test_failed_leader_is_not_kept(self):
+    def test_failed_leader_is_not_kept(self, monkeypatch):
         model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.nop()])
+        image = _image(A.nop())
         telemetry = Telemetry()
-        pool = FlakyPool()
-        with TraceBatcher(pool=pool, window_s=0, telemetry=telemetry) as batcher:
+        calls = _failing(monkeypatch, failures=1)
+        with TraceBatcher(telemetry=telemetry) as batcher:
             with pytest.raises(RuntimeError, match="boom"):
                 batcher.generate(model, image, Assumptions())
             retry = batcher.generate(model, image, Assumptions())
-        assert pool.calls == 2
-        assert len(pool.dispatched) == 1
+        assert len(calls) == 2
         assert retry.results[0x1000].cached is False
         assert "dedup_hits" not in telemetry.snapshot()["counters"]
 
 
 def test_in_process_batcher_has_no_collection_window():
-    """Without a process pool nothing can join a batch, so a window far
-    longer than the run must not delay it."""
-    image = ProgramImage().place(0x1000, [A.nop()])
-    with TraceBatcher(pool=None, window_s=10) as batcher:
+    """Nothing waits for other jobs to join a batch: a lone request is
+    dispatched at once."""
+    with TraceBatcher() as batcher:
         start = time.monotonic()
-        batcher.generate(ArmModel(), image, Assumptions())
+        batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
         assert time.monotonic() - start < 5
 
 
-def _codec_forbidden(*_args, **_kwargs):
-    raise AssertionError("an in-process trace went through the text codec")
-
-
-class TestInProcessCodec:
-    @pytest.mark.parametrize("pool", [None, "worker-pool"])
-    def test_in_process_batcher_skips_the_codec(self, monkeypatch, pool):
-        model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.add_imm(0, 0, 5), A.ret()])
-        serial = generate_instruction_map(model, image, Assumptions())
-        monkeypatch.setattr("repro.cache.store.encode_trace", _codec_forbidden)
-        monkeypatch.setattr("repro.cache.store.decode_trace", _codec_forbidden)
-        with WorkerPool(1) as workers:
-            assert workers.in_process
-            chosen = workers if pool else None
-            with TraceBatcher(pool=chosen, window_s=0.5) as batcher:
-                batched = batcher.generate(model, image, Assumptions())
-        assert batched.traces == serial.traces
-
-    def test_in_process_parallel_generation_skips_the_codec(self, monkeypatch):
-        model = ArmModel()
-        image = ProgramImage().place(0x1000, [A.add_imm(0, 0, 5), A.ret()])
-        serial = generate_instruction_map(model, image, Assumptions())
-        monkeypatch.setattr("repro.cache.store.encode_trace", _codec_forbidden)
-        monkeypatch.setattr("repro.cache.store.decode_trace", _codec_forbidden)
-        with WorkerPool(1) as workers:
-            parallel = generate_traces_parallel(
-                model, image, Assumptions(), pool=workers
-            )
-        assert parallel.traces == serial.traces
-
-
-class InProcessCountingPool(CountingPool):
-    in_process = True
-
-
-def test_single_flight_and_keeping_hold_under_thread_contention():
+def test_single_flight_and_keeping_hold_under_thread_contention(dispatched):
     """Eight job threads on two cores ask for overlapping opcode sets:
     every distinct key is dispatched once, and every other request is a
     hit that gets the serial trace."""
     model = ArmModel()
     words = [A.nop(), A.ret(), A.add_imm(0, 0, 5), A.add_imm(1, 1, 7)]
-    serial = generate_instruction_map(
-        model, ProgramImage().place(0x1000, words), Assumptions()
-    ).traces
+    serial = generate_instruction_map(model, _image(*words), Assumptions()).traces
     by_word = {word: serial[0x1000 + 4 * i] for i, word in enumerate(words)}
     telemetry = Telemetry()
-    pool = InProcessCountingPool()
     results, errors = [], []
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        with TraceBatcher(pool=pool, telemetry=telemetry) as batcher:
+        with TraceBatcher(telemetry=telemetry) as batcher:
 
             def job(offset: int) -> None:
                 chosen = [words[(offset + i) % len(words)] for i in range(3)]
-                image = ProgramImage().place(0x2000, chosen)
+                image = _image(*chosen, at=0x2000)
                 try:
                     for _ in range(5):
                         result = batcher.generate(model, image, Assumptions())
@@ -278,7 +228,7 @@ def test_single_flight_and_keeping_hold_under_thread_contention():
     for chosen, result in results:
         for i, word in enumerate(chosen):
             assert result.traces[0x2000 + 4 * i] == by_word[word]
-    assert len(pool.dispatched) == len(words)
+    assert len(dispatched) == len(words)
     counters = telemetry.snapshot()["counters"]
     assert counters["trace_requests"] == 40 * 3
     assert counters["dedup_hits"] == 40 * 3 - len(words)

@@ -24,7 +24,7 @@ PER_JOB_CASES = 10
 @pytest.fixture(scope="module")
 def storm_run():
     """One bulk storm + one trailing interactive job, run to completion."""
-    service = VerificationService(pool_jobs=1, block_jobs=1, runners=1)
+    service = VerificationService(runners=1)
     service.start()
     try:
         # Warm the shared trace cache so bulk job durations are comparable.

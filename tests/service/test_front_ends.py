@@ -22,7 +22,7 @@ KINDS = ["daemon", "fleet"]
 
 def _front_end(kind: str):
     if kind == "daemon":
-        return VerificationService(pool_jobs=1, runners=1)
+        return VerificationService(runners=1)
     supervisor = ShardSupervisor(
         lambda _s, sid, _g, spec: LocalShard(sid, budget_spec=spec),
         shards=1,

@@ -1,29 +1,22 @@
 """A job's event stream follows the run: the build finishes first.
 
-``build-done`` fires once the case is built, before the first block starts,
-whether the blocks run in-process on the built case or in worker processes.
+``build-done`` fires once the case is built, before the first block starts.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.service.protocol import JobRecord, SubmitRequest
 from repro.service.runner import JobRunner
 from repro.service.server import VerificationService
 
 
-@pytest.mark.parametrize("pool_jobs", [1, 2])
-def test_build_done_once_before_every_block(pool_jobs):
-    service = VerificationService(
-        pool_jobs=pool_jobs, block_jobs=pool_jobs, runners=1
-    )
+def test_build_done_once_before_every_block():
+    service = VerificationService(runners=1)
     job = JobRecord(SubmitRequest("binsearch_riscv", {"n": 3}))
     try:
         JobRunner(service, "runner-test").run_job(job)
     finally:
         service.batcher.close()
-        service.pool.close()
     assert job.state == "done", job.error
     kinds = [event.kind for event in job.events_since(0)]
     assert kinds.count("build-done") == 1

@@ -1,8 +1,6 @@
 """End-to-end daemon tests: HTTP API, job lifecycle, byte-identity.
 
-The daemon runs in a background thread on an ephemeral port with a serial
-in-process worker pool (``pool_jobs=1``) — same results as worker
-processes, much cheaper to spin up under pytest.
+The daemon runs in a background thread on an ephemeral port.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from ._http import launch
 
 @pytest.fixture(scope="module")
 def daemon():
-    service = VerificationService(pool_jobs=1, block_jobs=1, runners=2)
+    service = VerificationService(runners=2)
     thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)
     yield service, client
@@ -38,7 +36,7 @@ def _serial_certificate(case_name: str) -> str:
     from repro.parallel.scheduler import pc_for
 
     module = getattr(casestudies, case_name)
-    with configured(jobs=1):
+    with configured():
         case = module.build()
     report = verify_program(case.frontend.traces, case.specs, pc_for(module))
     return report.proof.to_json()
@@ -165,7 +163,7 @@ class TestTelemetryEndpoints:
         # The handle's full counter snapshot is surfaced, not just the hit
         # counters — ill-formed-entry evictions (PR 4) are fleet-visible.
         service = VerificationService(
-            cache_dir=str(tmp_path), pool_jobs=1, runners=1
+            cache_dir=str(tmp_path), runners=1
         )
         try:
             service.refresh_gauges()
@@ -176,12 +174,11 @@ class TestTelemetryEndpoints:
             assert "disk_smt_hits" in gauges
         finally:
             service.batcher.close()
-            service.pool.close()
 
 
 class TestTransportsAndShutdown:
     def test_unix_socket_transport(self, tmp_path):
-        service = VerificationService(pool_jobs=1, runners=1)
+        service = VerificationService(runners=1)
         socket_path = str(tmp_path / "repro.sock")
         bound = {}
         ready = threading.Event()
@@ -205,7 +202,7 @@ class TestTransportsAndShutdown:
         assert not thread.is_alive()
 
     def test_shutdown_drains_and_stops(self, tmp_path):
-        service = VerificationService(pool_jobs=1, runners=1)
+        service = VerificationService(runners=1)
         thread, (host, port) = launch(service)
         client = ServiceClient(host=host, port=port)
         assert client.shutdown()["draining"] is True

@@ -38,7 +38,7 @@ FAST = dict(
 
 def _local_factory(_slot, shard_id, _generation, budget_spec):
     return LocalShard(
-        shard_id, pool_jobs=1, block_jobs=1, runners=1, budget_spec=budget_spec
+        shard_id, runners=1, budget_spec=budget_spec
     )
 
 
@@ -240,6 +240,19 @@ class TestBudgetPool:
 
 
 class TestProcessShard:
+    def test_kill_closes_the_log(self, tmp_path):
+        """A killed shard's log file is closed with it, and a later
+        ``stop()`` has nothing left to do."""
+        shard = ProcessShard("shard-0", run_dir=str(tmp_path), runners=1)
+        shard.start()
+        try:
+            shard.kill()
+            assert shard._proc.poll() is not None
+            assert shard._log.closed
+        finally:
+            shard.stop()
+        assert shard._log.closed
+
     def test_sigkill_restart_with_fresh_pid(self, tmp_path):
         """The real thing: a subprocess shard, SIGKILLed, restarted by the
         supervisor as a new process within the backoff bound."""
@@ -248,8 +261,6 @@ class TestProcessShard:
             return ProcessShard(
                 shard_id,
                 run_dir=str(tmp_path),
-                pool_jobs=1,
-                block_jobs=1,
                 runners=1,
                 budget_spec=budget_spec,
                 generation=generation,

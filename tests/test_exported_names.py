@@ -37,7 +37,7 @@ def _daemon_names(cache_dir: str) -> dict:
     from tests.service._http import launch
 
     service = VerificationService(
-        cache_dir=cache_dir, pool_jobs=1, block_jobs=1, runners=1
+        cache_dir=cache_dir, runners=1
     )
     thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)

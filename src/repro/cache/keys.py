@@ -31,7 +31,6 @@ _SEMANTIC_MODULES = (
     "repro.isla.footprint",
     "repro.isla.assumptions",
     "repro.smt.builder",
-    "repro.smt.rewriter",
     "repro.smt.terms",
     "repro.itl.events",
     "repro.itl.trace",

@@ -96,6 +96,17 @@ class CheckReport:
         return text
 
 
+def check_certificate(text: str | bytes) -> CheckReport:
+    """Load and re-validate a serialised certificate.  A certificate is
+    untrusted input: a malformed one is a :class:`CheckFailure` like any
+    other rejection."""
+    try:
+        proof = Proof.from_json(text)
+    except ValueError as exc:
+        raise CheckFailure(f"malformed certificate: {exc}") from None
+    return check_proof(proof)
+
+
 def check_proof(proof: Proof, expected_blocks: set[int] | None = None) -> CheckReport:
     """Re-validate a proof object; raises :class:`CheckFailure` on any
     discrepancy."""

@@ -20,7 +20,7 @@ from typing import Callable
 from ..resilience.outcome import ResidualObligation
 from ..smt import builder as B
 from ..smt.smtlib import term_to_sexpr
-from ..smt.sorts import sort_from_text, sort_to_text
+from ..smt.sorts import BOOL, sort_from_text, sort_to_text
 from ..smt.terms import Term
 
 
@@ -111,19 +111,27 @@ class Proof:
         return json.dumps(payload)
 
     @staticmethod
-    def from_json(text: str) -> "Proof":
-        data = json.loads(text)
-        if data.get("version") != 1:
+    def from_json(text: str | bytes) -> "Proof":
+        """Load a certificate.  A certificate is untrusted input: anything
+        malformed — bad JSON, another version, a missing or mistyped field,
+        a term that does not parse to a formula — is a :class:`ValueError`.
+        """
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate nested too deeply") from None
+        if _field(data, "version", int) != 1:
             raise ValueError("unsupported proof format version")
         proof = Proof()
-        proof.blocks_verified = list(data["blocks_verified"])
-        for item in data["steps"]:
+        proof.blocks_verified = _ints(data, "blocks_verified")
+        for item in _field(data, "steps", list):
             proof.add(_step_from_dict(item))
-        for item in data.get("residual_obligations", []):
+        for item in _field(data, "residual_obligations", list, []):
             proof.residual_obligations.append(_residual_from_dict(item))
-        proof.outcomes = {
-            int(addr): outcome for addr, outcome in data.get("outcomes", {}).items()
-        }
+        for addr, outcome in _field(data, "outcomes", dict, {}).items():
+            if not isinstance(outcome, str):
+                raise ValueError(f"outcome of block {addr!r} must be a string")
+            proof.outcomes[int(addr)] = outcome
         return proof
 
 
@@ -142,20 +150,57 @@ def _term_record(term: Term) -> dict:
     }
 
 
-def _term_from_record(record: dict) -> Term:
+_REQUIRED = object()
+
+
+def _is(value, kind: type) -> bool:
+    # JSON ``true``/``false`` load as bools, which Python counts as ints.
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _field(data, key: str, kind: type, default=_REQUIRED):
+    """``data[key]``, which must be a ``kind``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected an object with field {key!r}")
+    if key not in data:
+        if default is _REQUIRED:
+            raise ValueError(f"missing field {key!r}")
+        return default
+    value = data[key]
+    if not _is(value, kind):
+        raise ValueError(f"field {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _ints(data, key: str) -> list[int]:
+    values = _field(data, key, list)
+    if not all(_is(v, int) for v in values):
+        raise ValueError(f"field {key!r} must hold integers")
+    return values
+
+
+def _formula_from_record(record) -> Term:
+    """Parse a recorded side-condition term, which must be boolean."""
     # Imported here: only certificate loading needs the parser, so
     # verification start-up does not pay for it.
-    from ..itl.parser import TermParser, read_sexpr, tokenize
+    from ..itl.parser import ParseError, TermParser, read_sexpr, tokenize
 
-    env = {
-        name: B.var(name, sort_from_text(sort_text))
-        for name, sort_text in record["vars"].items()
-    }
-    tokens = tokenize(record["sexpr"])
-    tree, pos = read_sexpr(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError("trailing tokens in term")
-    return TermParser(env).parse(tree)
+    sexpr = _field(record, "sexpr", str)
+    sorts = _field(record, "vars", dict)
+    if not all(isinstance(text, str) for text in sorts.values()):
+        raise ValueError("variable sorts must be strings")
+    try:
+        env = {name: B.var(name, sort_from_text(text)) for name, text in sorts.items()}
+        tokens = tokenize(sexpr)
+        tree, pos = read_sexpr(tokens, 0)
+        if pos != len(tokens):
+            raise ValueError("trailing tokens in term")
+        term = TermParser(env).parse(tree)
+    except (ParseError, TypeError, IndexError, RecursionError) as exc:
+        raise ValueError(f"malformed term {sexpr[:80]!r}: {exc}") from None
+    if term.sort != BOOL:
+        raise ValueError(f"term {sexpr[:80]!r} is not a formula")
+    return term
 
 
 def _step_to_dict(step: ProofStep, record: Callable[[Term], dict]) -> dict:
@@ -187,25 +232,31 @@ def _residual_to_dict(
     }
 
 
-def _residual_from_dict(item: dict) -> ResidualObligation:
+def _residual_from_dict(item) -> ResidualObligation:
     return ResidualObligation(
-        block=item["block"],
-        description=item["description"],
-        goal=_term_from_record(item["goal"]),
-        assumptions=tuple(_term_from_record(a) for a in item["assumptions"]),
-        reason=item["reason"],
+        block=_field(item, "block", int),
+        description=_field(item, "description", str),
+        goal=_formula_from_record(_field(item, "goal", dict)),
+        assumptions=tuple(
+            _formula_from_record(a) for a in _field(item, "assumptions", list)
+        ),
+        reason=_field(item, "reason", str),
     )
 
 
-def _step_from_dict(item: dict) -> ProofStep:
+def _step_from_dict(item) -> ProofStep:
     conditions = tuple(
         SideCondition(
-            tuple(_term_from_record(a) for a in sc["assumptions"]),
-            _term_from_record(sc["goal"]),
-            sc["description"],
+            tuple(_formula_from_record(a) for a in _field(sc, "assumptions", list)),
+            _formula_from_record(_field(sc, "goal", dict)),
+            _field(sc, "description", str),
         )
-        for sc in item["side_conditions"]
+        for sc in _field(item, "side_conditions", list)
     )
     return ProofStep(
-        item["rule"], item["detail"], item["block"], tuple(item["path"]), conditions
+        _field(item, "rule", str),
+        _field(item, "detail", str),
+        _field(item, "block", int),
+        tuple(_ints(item, "path")),
+        conditions,
     )

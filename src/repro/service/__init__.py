@@ -36,11 +36,7 @@ resident and serves verification over a local socket:
   recovery, and content-hash completion dedup;
 - :mod:`~repro.service.fleet` — the fleet router: consistent-hash job
   placement by request content hash, failover, journal-backed replay,
-  and a fleet-wide HTTP front end speaking the single-daemon API;
-- :mod:`~repro.service.chaos` — the seeded service-layer chaos harness
-  (shard kills, dropped connections, delayed heartbeats, torn journal
-  tails) asserting the fleet's termination/byte-identity/no-double-run
-  contract.
+  and a fleet-wide HTTP front end speaking the single-daemon API.
 
 Importing the package loads the service layer only.  :class:`TraceBatcher`
 and :class:`VerificationService` drive the proof pipeline, so they load

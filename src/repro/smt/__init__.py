@@ -11,8 +11,7 @@ without external dependencies:
 - :mod:`~repro.smt.sat`: a CDCL SAT core,
 - :mod:`~repro.smt.cnf` / :mod:`~repro.smt.bitblast`: Tseitin encoding and
   bit-blasting,
-- :mod:`~repro.smt.solver`: the scoped assertion-stack façade,
-- :mod:`~repro.smt.rewriter`: contextual simplification under constraints.
+- :mod:`~repro.smt.solver`: the scoped assertion-stack façade.
 """
 
 from . import builder, terms
@@ -55,7 +54,6 @@ from .builder import (
     zext_to,
 )
 from .interp import EvalError, evaluate
-from .rewriter import ContextualSimplifier, simplify
 from .smtlib import term_to_sexpr
 from .solver import (
     SAT,
@@ -71,7 +69,7 @@ from .terms import FALSE, TRUE, Term
 
 __all__ = [
     "BOOL", "FALSE", "SAT", "TRUE", "UNKNOWN", "UNSAT",
-    "BitVecSort", "BoolSort", "ContextualSimplifier", "EvalError", "Solver",
+    "BitVecSort", "BoolSort", "EvalError", "Solver",
     "Sort", "Term",
     "and_", "bool_val", "bool_var", "builder", "bv", "bv_sort", "bv_var",
     "bvadd", "bvand", "bvashr", "bvlshr", "bvmul", "bvneg", "bvnot", "bvor",
@@ -79,7 +77,7 @@ __all__ = [
     "check_cache_stats", "clear_check_cache", "concat", "concat_many",
     "eq", "evaluate", "extract", "false", "ite", "not_", "or_",
     "set_check_cache_capacity",
-    "sign_extend", "simplify", "substitute",
+    "sign_extend", "substitute",
     "term_to_sexpr", "terms", "true", "truncate", "var", "xor",
     "zero_extend", "zext_to",
 ]

@@ -2,13 +2,17 @@
 
 The independent-checker workflow across process boundaries::
 
-    python -m repro.tools.verify memcpy_arm --emit-proof proof.json  # (or API)
-    python -m repro.tools.check proof.json
+    python -m repro.tools.verify memcpy_arm --cert-dir certs  # (or API)
+    python -m repro.tools.check certs/memcpy_arm.cert.json
 
 Example of producing a certificate from the API::
 
     proof = ProofEngine(traces, specs, PC).verify_all()
     open("proof.json", "w").write(proof.to_json())
+
+Exit status: 0 prints ``OK``; 1 prints ``REJECTED: <reason>`` for a
+certificate that is malformed or does not re-validate; 2 is a usage error,
+an unreadable file included.
 """
 
 from __future__ import annotations
@@ -22,13 +26,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("proof", help="path to a serialised proof (JSON)")
     args = parser.parse_args(argv)
 
-    from ..logic.checker import CheckFailure, check_proof
-    from ..logic.proof import Proof
+    from ..logic.checker import CheckFailure, check_certificate
 
-    with open(args.proof) as handle:
-        proof = Proof.from_json(handle.read())
     try:
-        report = check_proof(proof)
+        with open(args.proof, "rb") as handle:
+            text = handle.read()
+    except OSError as exc:
+        parser.error(f"cannot read {args.proof}: {exc.strerror}")
+    try:
+        report = check_certificate(text)
     except CheckFailure as exc:
         print(f"REJECTED: {exc}", file=sys.stderr)
         return 1

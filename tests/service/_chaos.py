@@ -40,20 +40,20 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from ..resilience.faults import SERVICE_SITES, FaultInjector, fault_at, inject
-from .fleet import FleetRouter
-from .protocol import SubmitRequest
-from .supervisor import LocalShard, ShardSupervisor
-from .telemetry import Telemetry
+from repro.resilience.faults import SERVICE_SITES, FaultInjector, fault_at, inject
+from repro.service.fleet import FleetRouter
+from repro.service.protocol import SubmitRequest
+from repro.service.supervisor import LocalShard, ShardSupervisor
+from repro.service.telemetry import Telemetry
 
 
 def serial_certificate(case_name: str, kwargs: dict | None = None) -> str:
     """The ground truth: the certificate a serial, fault-free, cache-free
     run produces — what every chaos run must match byte for byte."""
-    from .. import casestudies
-    from ..logic.automation import verify_program
-    from ..parallel.config import configured
-    from ..parallel.scheduler import pc_for
+    from repro import casestudies
+    from repro.logic.automation import verify_program
+    from repro.parallel.config import configured
+    from repro.parallel.scheduler import pc_for
 
     module = getattr(casestudies, case_name)
     with configured():

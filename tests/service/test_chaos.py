@@ -19,7 +19,7 @@ import functools
 
 import pytest
 
-from repro.service.chaos import run_campaign, serial_certificate
+from ._chaos import run_campaign, serial_certificate
 
 CASES = ("rbit", "uart", "hvc", "unaligned")
 SWEEP_SEEDS = tuple(range(1, 26))

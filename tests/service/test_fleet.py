@@ -15,16 +15,17 @@ import functools
 import pytest
 
 from repro.service import journal as journal_mod
-from repro.service.chaos import (
-    ChaosFleet,
-    corrupt_journal_tail,
-    serial_certificate,
-)
 from repro.service.fleet import FleetRouter, HashRing, job_content_hash
 from repro.service.journal import JobJournal
 from repro.service.protocol import SubmitRequest
 from repro.service.queue import AdmissionError
 from repro.service.supervisor import LocalShard, ShardSupervisor
+
+from ._chaos import (
+    ChaosFleet,
+    corrupt_journal_tail,
+    serial_certificate,
+)
 
 SHARDS = ["shard-0", "shard-1", "shard-2"]
 KEYS = [f"key-{i}" for i in range(300)]

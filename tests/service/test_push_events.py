@@ -13,13 +13,13 @@ import time
 
 import pytest
 
-from repro.service.chaos import serial_certificate
 from repro.service.fleet import WATCH_WAIT_S, FleetRouter
 from repro.service.http import HttpFrontEnd
 from repro.service.protocol import JobRecord, SubmitRequest
 from repro.service.supervisor import LocalShard, ShardSupervisor
 from repro.service.telemetry import Telemetry
 
+from ._chaos import serial_certificate
 from ._http import get_json, launch
 
 
@@ -172,7 +172,7 @@ def test_router_watches_a_slow_job_with_o_events_requests(monkeypatch):
 
 def test_shard_killed_during_a_long_poll_gets_its_job_requeued(monkeypatch):
     from repro.parallel import scheduler
-    from repro.service.chaos import ChaosFleet
+    from ._chaos import ChaosFleet
 
     expected = serial_certificate("rbit")
     verify = scheduler.verify_case_parallel

@@ -272,6 +272,7 @@ def trace_for_opcode(
     budget: Budget | None = None,
     partial_on_exhaustion: bool = False,
     cache=None,
+    cache_key: str | None = None,
 ) -> IslaResult:
     """Run Isla on one opcode: returns the (pruned, simplified) ITL trace.
 
@@ -289,7 +290,9 @@ def trace_for_opcode(
     ``cache`` is an optional :class:`repro.cache.DiskCache`.  Only
     *complete* enumerations are ever stored or served (a partial trace is
     an artefact of one run's budget, not of the instruction), and the cache
-    is bypassed entirely while a fault injector is active.
+    is bypassed entirely while a fault injector is active.  A caller that
+    already holds :func:`~repro.cache.keys.trace_key` of these arguments
+    passes it as ``cache_key`` so the key is not computed twice.
     """
     from ..resilience.faults import active_injector
 
@@ -301,7 +304,7 @@ def trace_for_opcode(
     if cache is not None and active_injector() is None:
         from ..cache.keys import trace_key
 
-        key = trace_key(model, opcode, assumptions, name_prefix)
+        key = cache_key or trace_key(model, opcode, assumptions, name_prefix)
         hit = cache.load_trace(key)
         if hit is not None:
             trace, meta = hit

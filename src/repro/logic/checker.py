@@ -13,8 +13,9 @@ Each judgment is decided by exactly one refutation query on a fresh solver
 with the result cache disabled: ``assumptions ∧ ¬goal`` must be UNSAT.  A
 separate consistency query on the assumptions is subsumed — inconsistent
 assumptions make the refutation query UNSAT too, so a vacuous judgment is
-still accepted.  An UNKNOWN answer (the conflict limit) fails closed: the
-side condition is rejected.
+still accepted.  A certificate is untrusted input, so each query is
+bounded by :data:`MAX_CONFLICTS`; an UNKNOWN answer (the conflict limit)
+fails closed: the side condition is rejected.
 
 Governed (degraded) proofs carry *residual obligations* — side conditions
 the automation could not decide.  The checker re-attempts each residual
@@ -38,6 +39,12 @@ from ..resilience.outcome import VERIFIED
 from ..smt import builder as B
 from ..smt.solver import SAT, UNSAT, Solver
 from .proof import Proof, ProofStep
+
+#: The SAT conflict bound of one checker query.  Every side condition of
+#: the 51 benchmark certificates is decided with no conflict at all, while
+#: a hostile goal such as 64-bit ``bvmul`` commutativity needs far more
+#: than this and is rejected in seconds instead of holding the checker.
+MAX_CONFLICTS = 1_000
 
 #: Every rule the automation may emit.  An unknown tag is a checker failure.
 KNOWN_RULES = frozenset(
@@ -181,6 +188,6 @@ def _refute(judgment) -> str:
     """Decide ``assumptions ⊨ goal`` with one query on a fresh, uncached
     solver: UNSAT of ``assumptions ∧ ¬goal`` means the judgment holds —
     including vacuously, when the assumptions alone are inconsistent."""
-    solver = Solver(use_global_cache=False)
+    solver = Solver(use_global_cache=False, max_conflicts=MAX_CONFLICTS)
     solver.add(*judgment.assumptions)
     return solver.check(B.not_(judgment.goal))

@@ -34,9 +34,10 @@ resident and serves verification over a local socket:
 - :mod:`~repro.service.journal` — the crash-safe job journal: an
   append-only fsync'd WAL with CRC'd records, truncate-on-open tail
   recovery, and content-hash completion dedup;
-- :mod:`~repro.service.fleet` — the fleet router: consistent-hash job
-  placement by request content hash, failover, journal-backed replay,
-  and a fleet-wide HTTP front end speaking the single-daemon API.
+- :mod:`~repro.service.fleet` — the fleet router: each job placed on
+  the healthy shard with the fewest outstanding jobs, failover,
+  journal-backed replay, and a fleet-wide HTTP front end speaking the
+  single-daemon API.
 
 Importing the package loads the service layer only.  :class:`TraceBatcher`
 and :class:`VerificationService` drive the proof pipeline, so they load
@@ -60,7 +61,7 @@ from .client import (
     ServiceTimeout,
     ServiceUnavailable,
 )
-from .fleet import FleetJob, FleetRouter, HashRing, job_content_hash
+from .fleet import FleetJob, FleetRouter, job_content_hash
 from .journal import JobJournal
 from .protocol import (
     CANCELLED,
@@ -85,7 +86,7 @@ from .telemetry import Telemetry
 
 __all__ = [
     "AdmissionError", "CANCELLED", "CircuitBreaker", "DONE", "FAILED_STATE",
-    "FailoverClient", "FleetJob", "FleetRouter", "HashRing", "JOB_STATES",
+    "FailoverClient", "FleetJob", "FleetRouter", "JOB_STATES",
     "JobEvent", "JobJournal", "JobQueue", "JobRecord", "LocalShard",
     "PRIORITIES", "ProcessShard", "QUEUED", "RUNNING", "ServiceClient",
     "ServiceError", "ServiceTimeout", "ServiceUnavailable", "ShardHandle",

@@ -9,7 +9,8 @@ the *same* Isla runs.  The batcher is a single-flight layer in front of
 - every per-opcode request is keyed by
   :func:`~repro.cache.keys.trace_key` of its (model, opcode, assumptions),
   the key the disk cache already uses, so requests differing only in
-  their address coalesce;
+  their address coalesce; a leader's run reuses the key for its disk
+  lookup;
 - the first request for a key becomes the *leader* and is queued for
   dispatch; every later request for the key is a *hit* (``dedup_hits``)
   and subscribes to the leader's future, whether it is still in flight
@@ -90,7 +91,8 @@ class TraceBatcher:
             try:
                 with obs.scope() as run:
                     result = trace_for_opcode(
-                        model, opcode, assumptions, cache=self.cache
+                        model, opcode, assumptions,
+                        cache=self.cache, cache_key=key,
                     )
             except Exception as exc:  # noqa: BLE001 — fail-soft
                 failure = RuntimeError(f"{type(exc).__name__}: {exc}")

@@ -6,8 +6,8 @@ Classic three-state machine:
 
 - **closed** — traffic flows; consecutive failures are counted and a run
   of ``failure_threshold`` of them trips the breaker;
-- **open** — all traffic is refused locally (the router fails over to the
-  next shard on the hash ring) until a cooldown elapses;
+- **open** — all traffic is refused locally (the router places the job
+  on the least-loaded other shard) until a cooldown elapses;
 - **half-open** — after the cooldown, a bounded number of *probe*
   requests are let through; one success closes the breaker and resets its
   state, one failure re-opens it.

@@ -377,8 +377,8 @@ class FailoverClient:
     optional predicate (shard id -> bool) consulted *before* each attempt,
     so shards the router reports open-circuited are skipped outright
     instead of timed out against.  Candidates are tried in the given
-    preference order (for the fleet router: ring order from the job's
-    hash point); the first success wins and its shard id is returned.
+    preference order (by default, the order of ``clients``); the first
+    success wins and its shard id is returned.
     """
 
     def __init__(self, clients: dict[str, ServiceClient], health=None) -> None:

@@ -1,13 +1,14 @@
-"""The fleet router: consistent-hash placement over supervised shards.
+"""The fleet router: least-loaded placement over supervised shards.
 
 This is the front door of the sharded verification fleet.  One
 :class:`FleetRouter` owns:
 
 - a :class:`~repro.service.supervisor.ShardSupervisor` (started and
   stopped with the router) whose shards do all actual verification;
-- a :class:`HashRing` mapping each job to a shard by its request content
-  hash, so placement is deterministic and needs nothing the router does
-  not have at submit time;
+- least-outstanding-jobs placement: the router counts the jobs it has
+  placed on each shard and not yet finished, and places each job on the
+  healthy shard with the fewest (ties in shard order), so concurrent jobs
+  spread across the shards instead of queueing behind each other;
 - one :class:`~repro.service.breaker.CircuitBreaker` per shard, tripped
   by dispatch failures and forced open the moment the supervisor declares
   a shard dead;
@@ -69,53 +70,6 @@ def job_content_hash(case: str, kwargs: dict | None = None) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-class HashRing:
-    """Consistent hashing with virtual nodes.
-
-    Each shard owns ``replicas`` points on a 64-bit ring; a key routes to
-    the first point at or after its own hash.  ``preference`` returns
-    *all* shards in ring order from that point — the router's failover
-    order — so when a shard is down or open-circuited its keys spill to
-    the next shard deterministically instead of rehashing the world.
-    """
-
-    def __init__(self, shard_ids: list[str], replicas: int = 64) -> None:
-        if not shard_ids:
-            raise ValueError("HashRing needs at least one shard")
-        self.shard_ids = list(shard_ids)
-        self.replicas = replicas
-        points: list[tuple[int, str]] = []
-        for shard_id in self.shard_ids:
-            for replica in range(replicas):
-                points.append((self._hash(f"{shard_id}#{replica}"), shard_id))
-        points.sort()
-        self._points = points
-        self._hashes = [h for h, _ in points]
-
-    @staticmethod
-    def _hash(key: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(key.encode()).digest()[:8], "big"
-        )
-
-    def shard_for(self, key: str) -> str:
-        return self.preference(key)[0]
-
-    def preference(self, key: str) -> list[str]:
-        """Every shard, in ring-walk order from the key's hash point."""
-        start = bisect.bisect_left(self._hashes, self._hash(key))
-        order: list[str] = []
-        seen: set[str] = set()
-        for index in range(len(self._points)):
-            _h, shard_id = self._points[(start + index) % len(self._points)]
-            if shard_id not in seen:
-                seen.add(shard_id)
-                order.append(shard_id)
-            if len(order) == len(self.shard_ids):
-                break
-        return order
-
-
 _fleet_ids = itertools.count(1)
 
 
@@ -165,7 +119,6 @@ class FleetRouter(HttpFrontEnd):
         max_queue: int = 256,
         job_timeout_s: float = 600.0,
         requeue_delay_s: float = 0.1,
-        ring_replicas: int = 64,
         breaker_kwargs: dict | None = None,
         client_kwargs: dict | None = None,
     ) -> None:
@@ -176,7 +129,6 @@ class FleetRouter(HttpFrontEnd):
         self.max_queue = max_queue
         self.job_timeout_s = job_timeout_s
         self.requeue_delay_s = requeue_delay_s
-        self.ring = HashRing(supervisor.shard_ids, replicas=ring_replicas)
         self.breakers = {
             shard_id: CircuitBreaker(**(breaker_kwargs or {}))
             for shard_id in supervisor.shard_ids
@@ -198,6 +150,10 @@ class FleetRouter(HttpFrontEnd):
         self.jobs: dict[str, FleetJob] = {}
         self._live_by_hash: dict[str, FleetJob] = {}
         self._completed: dict[str, dict] = {}  # hash -> full result
+        #: Per shard: jobs placed there and not yet finished, and jobs
+        #: ever placed there.  Both change only under ``self._lock``.
+        self._inflight = dict.fromkeys(supervisor.shard_ids, 0)
+        self._placed = dict.fromkeys(supervisor.shard_ids, 0)
         self._dispatchers: list[threading.Thread] = []
         self._dispatcher_count = (
             dispatchers
@@ -415,14 +371,29 @@ class FleetRouter(HttpFrontEnd):
 
     # -- placement -------------------------------------------------------------
 
-    def _candidates(self, job: FleetJob) -> list[str]:
-        preference = self.ring.preference(job.content_hash)
-        return [
-            shard_id
-            for shard_id in preference
-            if self.supervisor.is_up(shard_id)
-            and self.breakers[shard_id].allow()
-        ]
+    def _candidates(self) -> list[str]:
+        """The up shards, fewest outstanding jobs first, ties in shard
+        order (caller holds ``self._lock``)."""
+        up = [s for s in self.supervisor.shard_ids if self.supervisor.is_up(s)]
+        return sorted(up, key=self._inflight.get)
+
+    def _reserve(self, tried: set[str]) -> str | None:
+        """Take a slot on the least-loaded healthy shard not yet tried.
+
+        Choosing and counting happen under one lock hold, so concurrent
+        dispatchers never both pick the same idle shard.  Only the chosen
+        shard's breaker is asked, so a half-open breaker admits its probe
+        for a request that is then really sent."""
+        with self._lock:
+            for shard_id in self._candidates():
+                if shard_id not in tried and self.breakers[shard_id].allow():
+                    self._inflight[shard_id] += 1
+                    return shard_id
+        return None
+
+    def _release(self, shard_id: str) -> None:
+        with self._lock:
+            self._inflight[shard_id] -= 1
 
     def _dispatch(self, job: FleetJob) -> None:
         if job.cancel_requested and job.state == "queued":
@@ -430,51 +401,56 @@ class FleetRouter(HttpFrontEnd):
             return
         if job.terminal:
             return
-        candidates = self._candidates(job)
-        if not candidates:
-            self._requeue(job, "no healthy shard")
-            return
-        request = job.request
-        placed = None
-        for index, shard_id in enumerate(candidates):
-            client = self.supervisor.handle(shard_id).make_client(
-                **self.client_kwargs
-            )
+        tried: set[str] = set()
+        while (shard_id := self._reserve(tried)) is not None:
+            tried.add(shard_id)
             try:
-                remote = client.submit(
-                    request.case,
-                    kwargs=dict(request.kwargs) or None,
-                    priority=request.priority,
-                    deadline_s=request.deadline_s,
-                    conflicts=request.conflicts,
-                )
-            except (ServiceTimeout, ServiceUnavailable) as exc:
-                self.breakers[shard_id].record_failure()
-                self.telemetry.inc("fleet_submit_failures")
-                self.telemetry.log(
-                    "fleet-submit-failed",
-                    job=job.id, shard=shard_id, error=str(exc),
-                )
-                continue
-            except ServiceError as exc:
-                if exc.status == 429:
-                    # Shard admission refused (its queue or pool is
-                    # full): a healthy signal, try the next shard.
-                    self.telemetry.inc("fleet_submit_overflow")
-                    continue
-                self._finish_terminal(job, journal_mod.FAILED, exc.reason)
-                return
-            placed = (shard_id, remote["id"], client)
-            if index:
-                self.telemetry.inc("fleet_failovers")
-            break
-        if placed is None:
-            self._requeue(job, "every candidate shard refused")
-            return
-        shard_id, remote_id, client = placed
+                if self._place(job, shard_id, failover=len(tried) > 1):
+                    return
+            finally:
+                self._release(shard_id)
+        self._requeue(
+            job, "every candidate shard refused" if tried else "no healthy shard"
+        )
+
+    def _place(self, job: FleetJob, shard_id: str, failover: bool) -> bool:
+        """Submit ``job`` to ``shard_id`` and see it through there; False
+        when the shard refused it, so the next candidate should be tried."""
+        request = job.request
+        client = self.supervisor.handle(shard_id).make_client(
+            **self.client_kwargs
+        )
+        try:
+            remote = client.submit(
+                request.case,
+                kwargs=dict(request.kwargs) or None,
+                priority=request.priority,
+                deadline_s=request.deadline_s,
+                conflicts=request.conflicts,
+            )
+        except (ServiceTimeout, ServiceUnavailable) as exc:
+            self.breakers[shard_id].record_failure()
+            self.telemetry.inc("fleet_submit_failures")
+            self.telemetry.log(
+                "fleet-submit-failed",
+                job=job.id, shard=shard_id, error=str(exc),
+            )
+            return False
+        except ServiceError as exc:
+            if exc.status == 429:
+                # Shard admission refused (its queue or pool is full): a
+                # healthy signal, try the next shard.
+                self.telemetry.inc("fleet_submit_overflow")
+                return False
+            self._finish_terminal(job, journal_mod.FAILED, exc.reason)
+            return True
+        remote_id = remote["id"]
+        if failover:
+            self.telemetry.inc("fleet_failovers")
         with self._lock:
             job.shard = shard_id
             job.attempts += 1
+            self._placed[shard_id] += 1
         job.add_event("placed", shard=shard_id, remote=remote_id)
         self.telemetry.log(
             "fleet-job-placed", job=job.id, shard=shard_id, remote=remote_id
@@ -494,16 +470,17 @@ class FleetRouter(HttpFrontEnd):
             with self._lock:
                 job.shard = None
             self._requeue(job, str(lost))
-            return
+            return True
         except _RemoteFailure as failure:
             self.breakers[shard_id].record_success()  # the shard answered
             self._finish_terminal(job, journal_mod.FAILED, str(failure))
-            return
+            return True
         except _RouterStopping:
-            return  # journal still holds the accept; replay resumes it
+            return True  # journal still holds the accept; replay resumes it
         self.breakers[shard_id].record_success()
         self.supervisor.absorb(result.get("budget"))
         self._finish_done(job, result)
+        return True
 
     def _watch(self, job, shard_id: str, remote_id: str, client) -> dict:
         """Long-poll the placed job until it is terminal, one request per
@@ -637,6 +614,9 @@ class FleetRouter(HttpFrontEnd):
             slot_snap["breaker"] = self.breakers[shard_id].snapshot()
             shards.append(slot_snap)
         with self._lock:
+            for slot_snap in shards:
+                slot_snap["inflight"] = self._inflight[slot_snap["shard"]]
+                slot_snap["placed"] = self._placed[slot_snap["shard"]]
             queued = sum(1 for _t, _n, j in self._queue if not j.terminal)
             states: dict[str, int] = {}
             for record in self.jobs.values():

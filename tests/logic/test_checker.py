@@ -9,14 +9,23 @@ second query per judgment creeps back in.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.logic import checker
-from repro.logic.checker import CheckFailure, check_proof
+from repro.logic.checker import CheckFailure, check_certificate, check_proof
 from repro.logic.proof import Proof, ProofStep, SideCondition
 from repro.resilience.outcome import DEGRADED, ResidualObligation
 from repro.smt import builder as B
 from repro.smt.solver import UNKNOWN, Solver
+
+GOLDEN_CERTS = (
+    Path(__file__).resolve().parents[2] / "perfbench" / "golden_certs.json"
+)
 
 BLOCK = 0x1000
 X = B.bv_var("x", 64)
@@ -138,3 +147,48 @@ class TestOneQueryPerJudgment:
             + report.residuals_discharged
             + report.residuals_remaining
         )
+
+
+class TestWorkIsBounded:
+    """A certificate is untrusted input: no side condition may hold the
+    checker for long, and the bound must not reject an honest proof."""
+
+    def test_hostile_side_condition_is_rejected_quickly(self):
+        goal = "(= (bvmul x y) (bvmul y x))"
+        text = json.dumps({
+            "version": 1,
+            "blocks_verified": [0],
+            "steps": [{
+                "rule": "block-start", "detail": "0x0", "block": 0,
+                "path": [],
+                "side_conditions": [{
+                    "assumptions": [],
+                    "goal": {"sexpr": goal, "vars": {"x": "bv8", "y": "bv8"}},
+                    "description": "multiplication commutes",
+                }],
+            }],
+        })
+        started = time.monotonic()
+        with pytest.raises(CheckFailure, match="multiplication commutes"):
+            check_certificate(text)
+        assert time.monotonic() - started < 10.0
+
+    def test_every_golden_certificate_is_accepted(self):
+        from repro import casestudies
+        from repro.logic.automation import verify_program
+        from repro.parallel.config import configured
+        from repro.parallel.scheduler import pc_for
+
+        golden = json.loads(GOLDEN_CERTS.read_text())["certificates"]
+        assert len(golden) == 51
+        for key, entry in sorted(golden.items()):
+            name, _, n = key.partition(":")
+            module = getattr(casestudies, name)
+            with configured():
+                case = module.build(**({"n": int(n)} if n else {}))
+            report = verify_program(
+                case.frontend.traces, case.specs, pc_for(module)
+            )
+            text = report.proof.to_json()
+            assert hashlib.sha256(text.encode()).hexdigest() == entry["digest"]
+            check_certificate(text)  # a rejection raises CheckFailure

@@ -75,6 +75,29 @@ class TestKeys:
         assert dispatched == [A.nop(), A.ret(), A.nop()]
 
 
+    def test_disk_lookup_reuses_the_request_key(self, monkeypatch, tmp_path):
+        """With a disk cache, each request's trace key is computed once:
+        the batcher's key is the one the leader's disk lookup uses."""
+        from repro.cache import DiskCache, keys
+
+        computed = []
+        key_of = keys.trace_key
+
+        def counting(model, opcode, *args, **kwargs):
+            computed.append(opcode)
+            return key_of(model, opcode, *args, **kwargs)
+
+        monkeypatch.setattr(keys, "trace_key", counting)
+        monkeypatch.setattr(batcher_module, "trace_key", counting)
+        words = [A.nop(), A.ret(), A.add_imm(0, 0, 5)]
+        cache = DiskCache(tmp_path)
+        with TraceBatcher(cache=cache) as batcher:
+            result = batcher.generate(ArmModel(), _image(*words), Assumptions())
+        assert len(result.traces) == 3
+        assert computed == words
+        assert cache.stats["trace_misses"] == 3  # the lookups did happen
+
+
 class TestGenerate:
     def test_results_identical_to_serial_frontend(self):
         model = ArmModel()

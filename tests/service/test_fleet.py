@@ -10,16 +10,21 @@ cache-free run of the same case.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import threading
+import time
 
 import pytest
 
 from repro.service import journal as journal_mod
-from repro.service.fleet import FleetRouter, HashRing, job_content_hash
+from repro.service.breaker import CircuitBreaker
+from repro.service.client import ServiceError
+from repro.service.fleet import FleetRouter, job_content_hash
 from repro.service.journal import JobJournal
 from repro.service.protocol import SubmitRequest
 from repro.service.queue import AdmissionError
-from repro.service.supervisor import LocalShard, ShardSupervisor
+from repro.service.supervisor import DOWN, LocalShard, ShardSupervisor
 
 from ._chaos import (
     ChaosFleet,
@@ -27,53 +32,160 @@ from ._chaos import (
     serial_certificate,
 )
 
-SHARDS = ["shard-0", "shard-1", "shard-2"]
-KEYS = [f"key-{i}" for i in range(300)]
-
-
 @functools.lru_cache(maxsize=None)
 def _serial(case: str) -> str:
     return serial_certificate(case)
 
 
-class TestHashRing:
-    def test_mapping_is_deterministic_and_covers_every_shard(self):
-        ring = HashRing(SHARDS)
-        twin = HashRing(list(SHARDS))
-        mapping = {key: ring.shard_for(key) for key in KEYS}
-        assert mapping == {key: twin.shard_for(key) for key in KEYS}
-        assert set(mapping.values()) == set(SHARDS)
+def _bare_router(shards: int = 3) -> FleetRouter:
+    """A router over unstarted LocalShards, to drive placement directly."""
+    supervisor = ShardSupervisor(
+        lambda _s, sid, _g, spec: LocalShard(sid, budget_spec=spec),
+        shards=shards,
+    )
+    return FleetRouter(supervisor)
 
-    def test_distribution_is_roughly_balanced(self):
-        ring = HashRing(SHARDS)
-        counts = {shard: 0 for shard in SHARDS}
-        for key in KEYS:
-            counts[ring.shard_for(key)] += 1
-        # 64 virtual nodes per shard: no shard should be starved or hog
-        # the ring.  Loose bounds — this is a smoke check, not a chi².
-        for shard, count in counts.items():
-            assert 30 <= count <= 170, (shard, counts)
 
-    def test_preference_is_a_permutation_starting_at_home(self):
-        ring = HashRing(SHARDS)
-        for key in KEYS[:50]:
-            preference = ring.preference(key)
-            assert preference[0] == ring.shard_for(key)
-            assert sorted(preference) == sorted(SHARDS)
+def _inflight(router: FleetRouter) -> dict:
+    return {
+        shard["shard"]: shard["inflight"]
+        for shard in router.fleet_snapshot()["shards"]
+    }
 
-    def test_removing_a_shard_only_remaps_its_keys(self):
-        """The consistency property that makes restarts cheap: keys owned
-        by surviving shards do not move when a shard leaves the ring."""
-        full = HashRing(SHARDS)
-        reduced = HashRing(["shard-0", "shard-1"])
-        moved = 0
-        for key in KEYS:
-            home = full.shard_for(key)
-            if home == "shard-2":
-                moved += 1
-                continue
-            assert reduced.shard_for(key) == home
-        assert 0 < moved < len(KEYS)
+
+@contextlib.contextmanager
+def _held_watches(router: FleetRouter):
+    """Hold every placed job before its watch starts, so jobs stay in
+    flight (their shard slots taken) until the yielded gate is set."""
+    gate = threading.Event()
+    watch = router._watch
+
+    def held(*args, **kwargs):
+        gate.wait(timeout=60)
+        return watch(*args, **kwargs)
+
+    router._watch = held
+    try:
+        yield gate
+    finally:
+        gate.set()
+
+
+def _wait_for(predicate, timeout_s: float = 60.0) -> None:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _placed(jobs) -> bool:
+    return all(job.shard is not None for job in jobs)
+
+
+class TestPlacement:
+    def test_reserve_takes_the_least_loaded_shard_in_shard_order(self):
+        router = _bare_router(3)
+        picks = [router._reserve(set()) for _ in range(6)]
+        assert picks == ["shard-0", "shard-1", "shard-2"] * 2
+        router._release("shard-1")
+        assert router._reserve(set()) == "shard-1"
+        assert router._reserve({"shard-0", "shard-1"}) == "shard-2"
+
+    def test_down_or_open_circuited_shards_are_never_chosen(self):
+        router = _bare_router(3)
+        router.supervisor.slot("shard-0").state = DOWN
+        router.breakers["shard-1"] = CircuitBreaker(cooldown_s=3600.0)
+        router.breakers["shard-1"].force_open()
+        picks = {router._reserve(set()) for _ in range(5)}
+        assert picks == {"shard-2"}
+        assert _inflight(router) == {"shard-0": 0, "shard-1": 0, "shard-2": 5}
+        assert router._reserve({"shard-2"}) is None
+
+    def test_jobs_held_in_flight_land_on_different_shards(self):
+        cases = ("rbit", "uart", "unaligned")
+        with ChaosFleet(shards=3) as fleet:
+            with _held_watches(fleet.router) as gate:
+                jobs = [fleet.submit(case) for case in cases]
+                _wait_for(lambda: _placed(jobs))
+                assert sorted(job.shard for job in jobs) == [
+                    "shard-0", "shard-1", "shard-2"
+                ]
+                assert set(_inflight(fleet.router).values()) == {1}
+                gate.set()
+                fleet.wait_all(jobs, timeout_s=120)
+            for job in jobs:
+                assert job.state == "done", (job.request.case, job.error)
+                assert job.result["certificate"] == _serial(job.request.case)
+            snapshot = fleet.router.fleet_snapshot()["shards"]
+            assert [shard["placed"] for shard in snapshot] == [1, 1, 1]
+            assert [shard["inflight"] for shard in snapshot] == [0, 0, 0]
+
+    def test_a_429_fails_over_to_the_next_shard_and_frees_the_slot(self):
+        with ChaosFleet(shards=2) as fleet:
+            handle = fleet.supervisor.handle("shard-0")
+            make_client = handle.make_client
+
+            def refusing_client(**kwargs):
+                client = make_client(**kwargs)
+
+                def submit(*_args, **_kwargs):
+                    raise ServiceError(429, "shard queue full")
+
+                client.submit = submit
+                return client
+
+            handle.make_client = refusing_client
+            with _held_watches(fleet.router) as gate:
+                job = fleet.submit("rbit")
+                _wait_for(lambda: _placed([job]))
+                assert job.shard == "shard-1"
+                assert _inflight(fleet.router) == {"shard-0": 0, "shard-1": 1}
+                gate.set()
+                fleet.wait_all([job], timeout_s=120)
+            assert job.state == "done", job.error
+            assert fleet.telemetry.counter("fleet_submit_overflow") == 1
+            assert fleet.telemetry.counter("fleet_failovers") == 1
+            assert _inflight(fleet.router) == {"shard-0": 0, "shard-1": 0}
+
+
+class TestSlotsAreReleased:
+    """Every way a placed job leaves its shard gives the slot back."""
+
+    def test_after_done_and_remote_failure(self):
+        with ChaosFleet(shards=2) as fleet:
+            done = fleet.submit("rbit")
+            failed = fleet.submit("uart", {"no_such_argument": 1})
+            fleet.wait_all([done, failed], timeout_s=120)
+            assert done.state == "done", done.error
+            assert failed.state == "failed"
+            assert "no_such_argument" in failed.error
+            assert set(_inflight(fleet.router).values()) == {0}
+
+    def test_after_a_lost_shard(self):
+        with ChaosFleet(shards=2) as fleet:
+            with _held_watches(fleet.router) as gate:
+                job = fleet.submit("rbit")
+                _wait_for(lambda: _placed([job]))
+                fleet.supervisor.kill_shard(job.shard)
+                gate.set()
+                fleet.wait_all([job], timeout_s=120)
+            assert job.state == "done", job.error
+            assert job.result["certificate"] == _serial("rbit")
+            assert fleet.telemetry.counter("fleet_jobs_lost") >= 1
+            assert set(_inflight(fleet.router).values()) == {0}
+
+    def test_after_a_router_stop(self):
+        with ChaosFleet(shards=2) as fleet:
+            with _held_watches(fleet.router) as gate:
+                job = fleet.submit("rbit")
+                _wait_for(lambda: _placed([job]))
+                stopper = threading.Thread(target=fleet.router.stop)
+                stopper.start()
+                _wait_for(fleet.router._stop.is_set)
+                gate.set()
+                stopper.join(timeout=60)
+            assert not job.terminal
+            assert set(_inflight(fleet.router).values()) == {0}
 
 
 class TestContentHash:
@@ -112,8 +224,10 @@ class TestRouterEndToEnd:
                 assert job.result["certificate"] == _serial(job.request.case)
 
     def test_jobs_survive_a_dead_shard(self):
-        """Kill a shard, then submit: the breaker is forced open, the ring
-        walks to the survivor, and every job still completes correctly."""
+        """Kill a shard, then submit: a submit the dead shard refuses fails
+        over to the survivor, the breaker keeps the dead shard out of
+        placement until its restart, and every job still completes
+        correctly."""
         fleet = ChaosFleet(shards=2)
         with fleet:
             fleet.supervisor.kill_shard("shard-0")

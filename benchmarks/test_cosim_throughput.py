@@ -115,9 +115,7 @@ def test_fleet_soak_throughput(bench_cosim_record):
     from repro.service.supervisor import LocalShard, ShardSupervisor
 
     supervisor = ShardSupervisor(
-        lambda _slot, sid, _gen, spec: LocalShard(
-            sid, runners=1, budget_spec=spec
-        ),
+        lambda _slot, sid, _gen, spec: LocalShard(sid, budget_spec=spec),
         shards=FLEET_SHARDS,
     )
     router = FleetRouter(supervisor)

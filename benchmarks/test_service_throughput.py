@@ -2,8 +2,8 @@
 
 What the daemon is *for*: the second time a workload arrives, the resident
 trace/SMT caches, footprint indexes, and solver contexts should make it
-dramatically cheaper — and concurrent identical submissions should
-coalesce in the batching layer instead of recomputing.  This benchmark
+dramatically cheaper — and repeated identical submissions should be
+served from the kept traces instead of recomputing.  This benchmark
 measures both and records them in ``BENCH_service.json``.
 """
 
@@ -49,15 +49,12 @@ def _round(client, cases, concurrency=4):
 
 
 def test_service_cold_vs_warm(bench_service_record, tmp_path):
-    service = VerificationService(
-        cache_dir=str(tmp_path / "cache"),
-        runners=2,
-    )
+    service = VerificationService(cache_dir=str(tmp_path / "cache"))
     thread, (host, port) = _launch(service)
     client = ServiceClient(host=host, port=port, timeout=600)
     try:
         # Cold: empty cache, but adjacent duplicate submissions exercise
-        # the single-flight dedup layer from the very first request.
+        # the kept traces from the very first repeat.
         workload = [name for name in CASES for _ in range(2)]
         cold_s, cold_ok = _round(client, workload)
         assert cold_ok
@@ -90,8 +87,6 @@ def test_service_cold_vs_warm(bench_service_record, tmp_path):
             round(dedup_hits / trace_requests, 3) if trace_requests else 0.0
         ),
         cold_dedup_hits=mid.get("dedup_hits", 0),
-        batches=counters.get("batches", 0),
-        batched_requests=counters.get("batched_requests", 0),
         jobs_completed=counters.get("jobs_completed", 0),
         p50_latency_s=round(latency["p50_s"], 3),
         p99_latency_s=round(latency["p99_s"], 3),
@@ -118,9 +113,7 @@ def _fleet_round(shards: int) -> tuple[float, int]:
     from repro.service.supervisor import LocalShard, ShardSupervisor
 
     supervisor = ShardSupervisor(
-        lambda _slot, sid, _gen, spec: LocalShard(
-            sid, runners=1, budget_spec=spec
-        ),
+        lambda _slot, sid, _gen, spec: LocalShard(sid, budget_spec=spec),
         shards=shards,
     )
     router = FleetRouter(supervisor)

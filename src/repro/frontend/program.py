@@ -90,25 +90,24 @@ def generate_instruction_map(
     ``cache`` defaults to the ambient
     :class:`~repro.parallel.config.PipelineConfig` (scoped by the driver
     via :func:`~repro.parallel.config.configured`), so the nine case-study
-    ``build()`` functions pick up on-disk caching and the daemon's trace
-    batcher without signature changes.  Counts (cache lookups) land in the
-    caller's run scope (:mod:`repro.obs`), whichever path served them.
+    ``build()`` functions pick up on-disk caching and the daemon's kept
+    traces without signature changes.  Counts (cache lookups) land in the
+    caller's run scope (:mod:`repro.obs`), whichever tier served them.
     """
     from ..parallel.config import current_config
 
     config = current_config()
     if cache is None:
         cache = config.cache
-    if config.batcher is not None:
+    run = trace_for_opcode
+    if config.kept_traces is not None:
         from ..resilience.faults import active_injector
 
-        # The daemon's cross-job dedup layer.  Bypassed under fault
-        # injection for the same reason the cache is: a shared result would
-        # leak one run's fault schedule into another's.
+        # The daemon's cross-job trace map.  Bypassed under fault injection
+        # for the same reason the cache is: a shared result would leak one
+        # run's fault schedule into another's.
         if active_injector() is None:
-            return config.batcher.generate(
-                model, image, default_assumptions, per_address
-            )
+            run = config.kept_traces.trace_for_opcode
     per_address = per_address or {}
     traces: dict[int, Trace] = {}
     results: dict[int, IslaResult] = {}
@@ -117,7 +116,7 @@ def generate_instruction_map(
         assumptions = (default_assumptions or Assumptions()).merged_with(
             per_address.get(addr)
         )
-        result = trace_for_opcode(model, opcode, assumptions, cache=cache)
+        result = run(model, opcode, assumptions, cache=cache)
         traces[addr] = result.trace
         results[addr] = result
     return FrontendResult(traces, results)

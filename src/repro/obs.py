@@ -6,7 +6,7 @@ run scope (:func:`scope`) is a :class:`Counters` made current by a
 :class:`contextvars.ContextVar` (the ambient pattern of
 :mod:`repro.parallel.config`), so concurrent runs never see each other's
 counts.  :func:`count` lands in the innermost scope only; whatever runs in
-its own scope — a block proof, a batched trace — hands its snapshot up and the parent
+its own scope — a block proof — hands its snapshot up and the parent
 adds it once (:func:`add`).  See DESIGN.md, "Counters".
 """
 

@@ -9,8 +9,8 @@ time on the case it built, each with its own budget share and fault seed:
   results into one deterministic
   :class:`~repro.resilience.outcome.RunReport`;
 - :class:`~repro.parallel.config.PipelineConfig` — a context-scoped knob
-  (``cache``, ``batcher``) so case-study ``build()`` functions pick up the
-  on-disk cache and the daemon's trace batcher without signature changes.
+  (``cache``, ``kept_traces``) so case-study ``build()`` functions pick up
+  the on-disk cache and the daemon's kept traces without signature changes.
 
 Everything runs in the calling process.  Parallelism across jobs comes
 from separate processes: fleet shards (:mod:`repro.service.supervisor`).

@@ -23,15 +23,14 @@ from typing import Any
 class PipelineConfig:
     """Ambient knobs for trace generation.
 
-    ``cache`` an optional :class:`repro.cache.DiskCache`; ``batcher`` an
-    optional :class:`repro.service.batcher.TraceBatcher` that coalesces
-    identical trace requests across concurrent jobs (the verification
-    daemon's dedup layer) — when set, the frontend routes per-opcode Isla
-    runs through it.
+    ``cache`` an optional :class:`repro.cache.DiskCache`; ``kept_traces``
+    an optional :class:`repro.service.batcher.KeptTraces`, the verification
+    daemon's cross-job trace map — when set, the frontend's loop asks it
+    for each opcode's trace before running Isla.
     """
 
     cache: Any = None
-    batcher: Any = None
+    kept_traces: Any = None
 
 
 _CONFIG: contextvars.ContextVar[PipelineConfig] = contextvars.ContextVar(
@@ -44,9 +43,9 @@ def current_config() -> PipelineConfig:
 
 
 @contextmanager
-def configured(cache: Any = None, batcher: Any = None):
+def configured(cache: Any = None, kept_traces: Any = None):
     """Scope a :class:`PipelineConfig` for the dynamic extent of a block."""
-    token = _CONFIG.set(PipelineConfig(cache=cache, batcher=batcher))
+    token = _CONFIG.set(PipelineConfig(cache=cache, kept_traces=kept_traces))
     try:
         yield _CONFIG.get()
     finally:

@@ -88,7 +88,7 @@ def verify_case_parallel(
     budget_spec=None,
     fault_seed: int | None = None,
     fault_rate: float = 0.05,
-    batcher=None,
+    kept_traces=None,
     progress=None,
     on_built=None,
 ):
@@ -112,9 +112,9 @@ def verify_case_parallel(
     *not* absorbed (the run budget only ever records resources a block
     actually reported consuming).
 
-    ``batcher`` optionally routes the build's trace generation through a
-    shared :class:`repro.service.batcher.TraceBatcher` (the daemon's
-    cross-job dedup layer); ``on_built(case)`` fires once the build is
+    ``kept_traces`` optionally serves the build's trace generation from a
+    shared :class:`repro.service.batcher.KeptTraces` (the daemon's
+    cross-job trace map); ``on_built(case)`` fires once the build is
     done, before any block starts; ``progress(addr, outcome)`` fires as
     each block's verdict arrives.
     """
@@ -127,7 +127,7 @@ def verify_case_parallel(
 
     module = getattr(casestudies, name)
     # The job's run scope; the blocks' counts join it below.
-    with configured(cache=cache, batcher=batcher), obs.scope() as run:
+    with configured(cache=cache, kept_traces=kept_traces), obs.scope() as run:
         case = module.build(**(build_kwargs or {}))
     if cache is not None:
         cache.flush()

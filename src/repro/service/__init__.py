@@ -10,13 +10,14 @@ resident and serves verification over a local socket:
   events, results) shared by server and client;
 - :mod:`~repro.service.queue` — a priority job queue with admission
   control backed by :mod:`repro.resilience` budgets;
-- :mod:`~repro.service.batcher` — the cross-job dedup/batching layer:
-  identical (model, opcode, assumptions) trace requests coalesce onto one
-  in-flight Isla run, and every successful run is kept for later jobs;
-- :mod:`~repro.service.runner` — job execution against the resident state,
-  with per-job budget partitions absorbed back on completion;
-- :mod:`~repro.service.telemetry` — service counters (queue depth, batch
-  sizes, dedup hits, latency percentiles) merged with the solver/cache/
+- :mod:`~repro.service.batcher` — the cross-job kept traces: every
+  successful Isla run is kept by (model, opcode, assumptions) key, and a
+  later request for the key is served without running Isla;
+- :mod:`~repro.service.runner` — the daemon's one job thread: jobs run one
+  at a time against the resident state, each job's budget consumption
+  absorbed back into the service pool on completion;
+- :mod:`~repro.service.telemetry` — service counters (queue depth, trace
+  requests, dedup hits, latency percentiles) merged with the solver/cache/
   executor statistics, exported via ``/metrics`` and structured JSON logs;
 - :mod:`~repro.service.http` — the one asyncio HTTP front end (submit,
   status, long-polled per-block events, reports, metrics, graceful
@@ -24,8 +25,8 @@ resident and serves verification over a local socket:
   daemon and the fleet router;
 - :mod:`~repro.service.server` — the daemon's resident state behind it;
 - :mod:`~repro.service.client` — a thin stdlib-only client library used
-  by ``tools/submit``, with socket timeouts, jittered-backoff retries,
-  per-request deadlines, and hedged shard failover;
+  by ``tools/submit``, with socket timeouts, jittered-backoff retries and
+  per-request deadlines;
 - :mod:`~repro.service.supervisor` — shard lifecycle: spawn N backend
   daemons (threads or subprocesses), heartbeat them, restart the dead
   with exponential backoff, and reabsorb their budget shares;
@@ -39,7 +40,7 @@ resident and serves verification over a local socket:
   journal-backed replay, and a fleet-wide HTTP front end speaking the
   single-daemon API.
 
-Importing the package loads the service layer only.  :class:`TraceBatcher`
+Importing the package loads the service layer only.  :class:`KeptTraces`
 and :class:`VerificationService` drive the proof pipeline, so they load
 on first use: a fleet router, which routes jobs but runs none, never
 compiles the pipeline.
@@ -47,15 +48,14 @@ compiles the pipeline.
 The service guarantee: results are byte-identical to ``tools/verify`` —
 same certificates, same outcome lattice, same fail-safe degradation when
 budgets exhaust.  The daemon — and the fleet above it — only changes
-*when and where* work happens (batched, deduplicated, sharded, retried,
-against warm state), never *what* is computed.
+*when and where* work happens (deduplicated, sharded, retried, against
+warm state), never *what* is computed.
 """
 
 from importlib import import_module
 
 from .breaker import CircuitBreaker
 from .client import (
-    FailoverClient,
     ServiceClient,
     ServiceError,
     ServiceTimeout,
@@ -86,16 +86,15 @@ from .telemetry import Telemetry
 
 __all__ = [
     "AdmissionError", "CANCELLED", "CircuitBreaker", "DONE", "FAILED_STATE",
-    "FailoverClient", "FleetJob", "FleetRouter", "JOB_STATES",
-    "JobEvent", "JobJournal", "JobQueue", "JobRecord", "LocalShard",
-    "PRIORITIES", "ProcessShard", "QUEUED", "RUNNING", "ServiceClient",
-    "ServiceError", "ServiceTimeout", "ServiceUnavailable", "ShardHandle",
-    "ShardSupervisor", "SubmitRequest", "Telemetry", "TraceBatcher",
-    "VerificationService", "job_content_hash",
+    "FleetJob", "FleetRouter", "JOB_STATES", "JobEvent", "JobJournal",
+    "JobQueue", "JobRecord", "KeptTraces", "LocalShard", "PRIORITIES",
+    "ProcessShard", "QUEUED", "RUNNING", "ServiceClient", "ServiceError",
+    "ServiceTimeout", "ServiceUnavailable", "ShardHandle", "ShardSupervisor",
+    "SubmitRequest", "Telemetry", "VerificationService", "job_content_hash",
 ]
 
 #: Exports that import the proof pipeline, by defining module.
-_PIPELINE = {"TraceBatcher": "batcher", "VerificationService": "server"}
+_PIPELINE = {"KeptTraces": "batcher", "VerificationService": "server"}
 
 
 def __getattr__(name: str):

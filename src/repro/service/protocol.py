@@ -183,7 +183,7 @@ def _wake(future) -> None:
 class JobRecord:
     """Server-side state of one job (thread-safe where it must be).
 
-    Runner threads append events and flip states while the asyncio front
+    The runner thread appends events and flips states while the asyncio front
     end reads snapshots; every mutation goes through the record's lock.
     """
 

@@ -3,13 +3,13 @@
 Admission is governed by :mod:`repro.resilience` budgets, the same
 machinery that governs a single run: the daemon may be given a
 *service-wide* :class:`~repro.resilience.budget.BudgetSpec` whose conflict
-allowance is a consumable pool.  Each admitted job is handed a partition
-of the remaining pool (divided by the runner concurrency, exactly the
-:meth:`BudgetSpec.partition` rule), and the job's actual consumption is
-absorbed back when it completes — so the pool drains by what was *used*,
-not by what was handed out, and a dead worker's unconsumed share returns
-to the pool for free.  When the pool is spent, new jobs are rejected at
-submission time (fail-fast) rather than admitted to starve.
+allowance is a consumable pool.  The daemon runs one job at a time, so
+each job is handed the whole remaining pool, and the job's actual
+consumption is absorbed back when it completes — so the pool drains by
+what was *used*, not by what was handed out, and a dead job's unconsumed
+allowance returns to the pool for free.  When the pool is spent, new jobs
+are rejected at submission time (fail-fast) rather than admitted to
+starve.
 
 The queue itself is strict-priority (``interactive`` > ``batch`` >
 ``bulk``) with FIFO order within a class, plus a depth cap.
@@ -33,14 +33,12 @@ class JobQueue:
         self,
         max_depth: int = 64,
         service_spec: BudgetSpec | None = None,
-        shares: int = 2,
     ) -> None:
         self.max_depth = max_depth
         #: Live consumption against the service-wide pool (None = ungoverned).
         self.service_budget = (
             Budget(service_spec) if service_spec is not None else None
         )
-        self.shares = max(1, shares)
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
         self._heap: list[tuple[int, int, JobRecord]] = []
@@ -66,28 +64,21 @@ class JobQueue:
             heapq.heappush(self._heap, (rank, next(self._seq), job))
             self._available.notify()
 
-    # -- per-job budget partitions -------------------------------------------
+    # -- per-job budgets -------------------------------------------------------
 
     def job_budget_spec(self, job: JobRecord) -> BudgetSpec | None:
-        """The budget partition handed to one admitted job.
-
-        The service pool's *remaining* conflicts are divided by the runner
-        concurrency (first share — deterministic and conservative: a lone
-        job on an idle service still leaves headroom for ``shares - 1``
-        more).  A request's own ``deadline_s``/``conflicts`` can only
-        tighten the result.
+        """The budget handed to one admitted job: the service spec with the
+        pool's *remaining* conflicts.  A request's own
+        ``deadline_s``/``conflicts`` can only tighten the result.
         """
         from dataclasses import replace
 
         spec: BudgetSpec | None = None
         if self.service_budget is not None:
+            spec = self.service_budget.spec
             remaining = self.service_budget.remaining_conflicts()
-            base = self.service_budget.spec
             if remaining is not None:
-                share = replace(base, conflict_allowance=remaining)
-                spec = share.partition(self.shares)[0]
-            else:
-                spec = base
+                spec = replace(spec, conflict_allowance=remaining)
         request = job.request
         if request.deadline_s is not None or request.conflicts is not None:
             spec = spec or BudgetSpec()
@@ -118,7 +109,7 @@ class JobQueue:
         """The service pool's remaining conflict total (None = ungoverned).
 
         The pool drains only by *absorbed* consumption, never by handed-out
-        partitions, so this is exactly ``allowance - Σ absorbed`` — the
+        budgets, so this is exactly ``allowance - Σ absorbed`` — the
         conservation quantity the admission-storm and shard-death tests
         assert on.
         """

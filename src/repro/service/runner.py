@@ -1,19 +1,18 @@
 """Job execution: the bridge from queue to the governed pipeline.
 
-A :class:`JobRunner` is one daemon-side worker thread.  It pulls jobs off
-the :class:`~repro.service.queue.JobQueue`, runs them through
-:func:`~repro.parallel.scheduler.verify_case_parallel` against the
-*resident* cache and batcher (this is where the daemon's
+A :class:`JobRunner` is the daemon's one worker thread.  It pulls jobs off
+the :class:`~repro.service.queue.JobQueue` one at a time, runs each
+through :func:`~repro.parallel.scheduler.verify_case_parallel` against the
+*resident* cache and kept traces (this is where the daemon's
 whole advantage lives — nothing is rebuilt per job), re-checks the proof
 with the independent checker, and publishes the encoded result.
 
-Budget round-trip: the job's partitioned
-:class:`~repro.resilience.budget.BudgetSpec` comes from the queue
-(:meth:`~repro.service.queue.JobQueue.job_budget_spec`), and whatever the
-run *actually consumed* — reported by the merged run budget — is absorbed
-back into the service pool on completion.  A job with failed blocks
-reports only the consumption of the blocks that finished; the failed
-blocks' shares return to the pool untouched.
+Budget round-trip: the job's :class:`~repro.resilience.budget.BudgetSpec`
+comes from the queue (:meth:`~repro.service.queue.JobQueue.job_budget_spec`),
+and whatever the run *actually consumed* — reported by the merged run
+budget — is absorbed back into the service pool on completion.  A job
+with failed blocks reports only the consumption of the blocks that
+finished; the failed blocks' shares return to the pool untouched.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from .protocol import JobRecord, encode_result
 
 
 class JobRunner:
-    """One job-execution thread of the daemon."""
+    """The daemon's job-execution thread."""
 
-    def __init__(self, service, name: str) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.name = name
         self._thread = threading.Thread(
-            target=self._loop, name=name, daemon=True
+            target=self._loop, name="job-runner", daemon=True
         )
         self._stop = threading.Event()
 
@@ -44,10 +42,6 @@ class JobRunner:
 
     def join(self, timeout: float | None = None) -> None:
         self._thread.join(timeout=timeout)
-
-    @property
-    def alive(self) -> bool:
-        return self._thread.is_alive()
 
     # -- the loop -------------------------------------------------------------
 
@@ -76,9 +70,7 @@ class JobRunner:
         telemetry = service.telemetry
         telemetry.inc("jobs_started")
         telemetry.gauge("queue_depth", service.queue.depth)
-        telemetry.log(
-            "job-started", job=job.id, case=job.request.case, runner=self.name
-        )
+        telemetry.log("job-started", job=job.id, case=job.request.case)
         job.mark_running()
         spec = service.queue.job_budget_spec(job)
         t0 = time.perf_counter()
@@ -97,7 +89,7 @@ class JobRunner:
                 dict(job.request.kwargs),
                 cache=service.cache,
                 budget_spec=spec,
-                batcher=service.batcher,
+                kept_traces=service.kept_traces,
                 progress=progress,
                 on_built=built,
             )
@@ -165,9 +157,7 @@ class JobRunner:
         telemetry = service.telemetry
         telemetry.inc("jobs_started")
         telemetry.gauge("queue_depth", service.queue.depth)
-        telemetry.log(
-            "job-started", job=job.id, case=job.request.case, runner=self.name
-        )
+        telemetry.log("job-started", job=job.id, case=job.request.case)
         job.mark_running()
         t0 = time.perf_counter()
         try:

@@ -3,11 +3,14 @@
 The service owns exactly one of each warm resource — an optional
 :class:`~repro.cache.DiskCache` (installed process-wide as the solver's
 persistent check store, as ``tools/verify`` does per run) and a
-:class:`~repro.service.batcher.TraceBatcher` — and any number of
-:class:`~repro.service.runner.JobRunner` threads executing jobs against
-them.  The asyncio layer is deliberately thin: parse a request, touch the
+:class:`~repro.service.batcher.KeptTraces` map — and one
+:class:`~repro.service.runner.JobRunner` thread that executes jobs against
+them, one at a time.  Every pipeline stage is CPU-bound Python, so a
+second runner thread would share the interpreter lock and add no
+throughput; a fleet scales by shards (:mod:`~repro.service.supervisor`).
+The asyncio layer is deliberately thin: parse a request, touch the
 (thread-safe) job table/queue, serialise JSON.  All heavy work happens in
-runner threads; the event loop never blocks on a solver.
+the runner thread; the event loop never blocks on a solver.
 
 The HTTP surface and its request bounds live in :mod:`~repro.service.http`;
 this class supplies the job table behind them.
@@ -30,14 +33,13 @@ class VerificationService(HttpFrontEnd):
     def __init__(
         self,
         cache_dir: str | None = None,
-        runners: int = 2,
         max_queue: int = 64,
         service_spec=None,
         telemetry: Telemetry | None = None,
         shard_id: str | None = None,
     ) -> None:
         from ..cache import open_cache
-        from .batcher import TraceBatcher
+        from .batcher import KeptTraces
         from .runner import JobRunner
 
         self.telemetry = telemetry or Telemetry()
@@ -45,15 +47,11 @@ class VerificationService(HttpFrontEnd):
         #: heartbeat can confirm it reached the shard it meant to.
         self.shard_id = shard_id
         self.cache = open_cache(cache_dir) if cache_dir else None
-        self.batcher = TraceBatcher(cache=self.cache, telemetry=self.telemetry)
-        self.queue = JobQueue(
-            max_depth=max_queue, service_spec=service_spec, shares=max(1, runners)
-        )
+        self.kept_traces = KeptTraces(telemetry=self.telemetry)
+        self.queue = JobQueue(max_depth=max_queue, service_spec=service_spec)
         self.jobs: dict[str, JobRecord] = {}
         self._jobs_lock = threading.Lock()
-        self._runners = [
-            JobRunner(self, name=f"runner-{i}") for i in range(max(1, runners))
-        ]
+        self._runner = JobRunner(self)
         self._started = False
         self._previous_store = None
 
@@ -65,12 +63,10 @@ class VerificationService(HttpFrontEnd):
         from ..smt.solver import install_persistent_check_store
 
         self._previous_store = install_persistent_check_store(self.cache)
-        for runner in self._runners:
-            runner.start()
+        self._runner.start()
         self._started = True
         self.telemetry.log(
             "service-started",
-            runners=len(self._runners),
             cache=str(self.cache.root) if self.cache else None,
         )
 
@@ -90,11 +86,8 @@ class VerificationService(HttpFrontEnd):
         self.queue.drain()
         if abort:
             request_shutdown()
-        for runner in self._runners:
-            runner.stop()
-        for runner in self._runners:
-            runner.join(timeout=60)
-        self.batcher.close()
+        self._runner.stop()
+        self._runner.join(timeout=60)
         if self.cache is not None:
             self.cache.flush()
         install_persistent_check_store(self._previous_store)
@@ -171,7 +164,7 @@ class VerificationService(HttpFrontEnd):
     async def after_close(self, mode: str) -> None:
         if mode == "crash":
             # Simulated crash (chaos harness, in-process shards): the
-            # listener is gone and runner threads are told to stop, but
+            # listener is gone and the runner thread is told to stop, but
             # nothing drains, flushes, or reports — queued and in-flight
             # jobs are simply lost, exactly as a SIGKILL would lose them.
             # In-flight connections are about to be cancelled mid-read by
@@ -179,8 +172,7 @@ class VerificationService(HttpFrontEnd):
             asyncio.get_running_loop().set_exception_handler(
                 lambda _loop, _ctx: None
             )
-            for runner in self._runners:
-                runner.stop()
+            self._runner.stop()
             self.telemetry.log("service-crashed")
             return
         await asyncio.to_thread(self.stop, mode == "abort")

@@ -91,26 +91,26 @@ class LocalShard(ShardHandle):
     """An in-process shard: a :class:`VerificationService` on a thread.
 
     Used by tests and the in-process chaos harness, where spawning real
-    subprocesses per seed would dominate the run.  ``kill()`` simulates a
-    crash faithfully from the fleet's point of view: the listener closes
-    immediately, nothing drains or reports, and the restarted shard has
-    an empty job table — every in-flight job is lost exactly as under
-    SIGKILL.  (What it cannot simulate is losing the *process*: solver
-    state is process-global, so in-process shards share the persistent
-    check store.  The production path is :class:`ProcessShard`.)
+    subprocesses per seed would dominate the run.  Like every daemon it
+    runs one job at a time.  ``kill()`` simulates a crash faithfully from
+    the fleet's point of view: the listener closes immediately, nothing
+    drains or reports, and the restarted shard has an empty job table —
+    every in-flight job is lost exactly as under SIGKILL.  (What it cannot
+    simulate is losing the *process*: solver state is process-global, so
+    in-process shards share the persistent check store and the check-cache
+    LRU, and two of them can run jobs at once against it.  The production
+    path is :class:`ProcessShard`.)
     """
 
     def __init__(
         self,
         shard_id: str,
-        runners: int = 1,
         cache_dir: str | None = None,
         budget_spec: BudgetSpec | None = None,
         telemetry=None,
     ) -> None:
         self.shard_id = shard_id
         self._config = dict(
-            runners=runners,
             cache_dir=cache_dir,
             service_spec=budget_spec,
             telemetry=telemetry,
@@ -180,14 +180,12 @@ class ProcessShard(ShardHandle):
         shard_id: str,
         run_dir: str,
         cache_dir: str | None = None,
-        runners: int = 1,
         budget_spec: BudgetSpec | None = None,
         generation: int = 0,
     ) -> None:
         self.shard_id = shard_id
         self.run_dir = run_dir
         self.cache_dir = cache_dir
-        self.runners = runners
         self.budget_spec = budget_spec
         self.generation = generation
         self.socket_path = os.path.join(
@@ -205,7 +203,6 @@ class ProcessShard(ShardHandle):
         argv = [
             sys.executable, "-m", "repro.tools.serve",
             "--socket", self.socket_path,
-            "--runners", str(self.runners),
             "--shard-id", self.shard_id,
         ]
         if self.cache_dir:

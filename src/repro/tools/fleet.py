@@ -56,8 +56,8 @@ def main(argv: list[str] | None = None) -> int:
         "restarted shard comes back warm",
     )
     parser.add_argument(
-        "--runners", type=int, default=1,
-        help="concurrent jobs per shard",
+        "--runners", type=int, default=1, choices=[1],
+        help="jobs a shard runs at a time; only 1 is accepted (scale with --shards)",
     )
     parser.add_argument(
         "--max-queue", type=int, default=256,
@@ -110,7 +110,6 @@ def main(argv: list[str] | None = None) -> int:
             shard_id,
             run_dir=run_dir,
             cache_dir=cache_dir,
-            runners=args.runners,
             budget_spec=budget_spec,
             generation=generation,
         )

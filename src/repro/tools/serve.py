@@ -1,9 +1,11 @@
 """CLI: run the persistent verification daemon.
 
 Starts a :class:`repro.service.server.VerificationService` — resident
-on-disk cache and cross-job trace batcher — and serves the JSON
+on-disk cache and cross-job kept traces — and serves the JSON
 job API over local TCP (default) or a Unix domain socket.  Pair with
-``python -m repro.tools.submit`` or any HTTP client.
+``python -m repro.tools.submit`` or any HTTP client.  The daemon runs one
+job at a time and queues the rest; for parallelism across jobs run a
+fleet of shards (``python -m repro.tools.fleet``).
 
 SIGINT/SIGTERM drain gracefully: admission closes, queued jobs are
 cancelled, in-flight jobs finish their current blocks and report the rest
@@ -12,7 +14,7 @@ cancelled, in-flight jobs finish their current blocks and report the rest
 Examples::
 
     python -m repro.tools.serve --port 8642 --cache-dir .repro-cache
-    python -m repro.tools.serve --socket /tmp/repro.sock --runners 2
+    python -m repro.tools.serve --socket /tmp/repro.sock
     python -m repro.tools.serve --deadline 300 --conflicts 500000   # service pool
 """
 
@@ -40,16 +42,12 @@ def main(argv: list[str] | None = None) -> int:
         help="on-disk trace/SMT cache kept warm across jobs",
     )
     parser.add_argument(
-        "--runners", type=int, default=2,
-        help="concurrent jobs executed by the daemon",
-    )
-    parser.add_argument(
         "--max-queue", type=int, default=64,
         help="admission cap on queued jobs",
     )
     parser.add_argument(
         "--deadline", type=float, default=None,
-        help="per-job-partition wall-clock budget (service-wide spec)",
+        help="per-job wall-clock budget (service-wide spec)",
     )
     parser.add_argument(
         "--conflicts", type=int, default=None,
@@ -80,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         )
     service = VerificationService(
         cache_dir=args.cache_dir,
-        runners=args.runners,
         max_queue=args.max_queue,
         service_spec=service_spec,
         shard_id=args.shard_id,

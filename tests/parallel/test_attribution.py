@@ -2,8 +2,10 @@
 the process was doing at the time.
 
 Two jobs (trace generation and block proofs run in the calling thread)
-count into the process at the same time — the daemon's situation under
-``--runners 2``.  Each run's scope must carry its own trace-cache counts
+count into the process at the same time — the situation of two in-process
+shards (:class:`~repro.service.supervisor.LocalShard`), each running its
+one job.  A daemon runs one job at a time, but in-process shards share
+the process.  Each run's scope must carry its own trace-cache counts
 only: a job on its own cache directory sees the same ``disk.trace_*``
 counts alone and next to another job.
 """

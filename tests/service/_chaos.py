@@ -101,11 +101,7 @@ class ChaosFleet:
         self.telemetry = telemetry or Telemetry()
 
         def factory(_slot, shard_id, _generation, budget_spec):
-            return LocalShard(
-                shard_id,
-                runners=1,
-                budget_spec=budget_spec,
-            )
+            return LocalShard(shard_id, budget_spec=budget_spec)
 
         self.supervisor = ShardSupervisor(
             factory,

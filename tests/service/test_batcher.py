@@ -1,10 +1,10 @@
-"""The cross-job dedup/batching layer: keys, single-flight, identity."""
+"""The daemon's kept traces: keys, reuse across jobs, identity.
+
+Every test drives the map the way a daemon job does: the frontend's serial
+loop consults it inline under :func:`~repro.parallel.config.configured`.
+"""
 
 from __future__ import annotations
-
-import sys
-import threading
-import time
 
 import pytest
 
@@ -13,15 +13,17 @@ from repro.arch.arm import ArmModel, encode as A
 from repro.frontend import ProgramImage, generate_instruction_map
 from repro.isla import Assumptions
 from repro.itl.events import Reg
+from repro.parallel.config import configured
+from repro.resilience.faults import FaultInjector, inject
 from repro.service import batcher as batcher_module
-from repro.service.batcher import TraceBatcher
+from repro.service.batcher import KeptTraces
 from repro.service.telemetry import Telemetry
 
 
 @pytest.fixture
 def dispatched(monkeypatch):
-    """Record the opcode of every Isla run the batcher dispatches; the runs
-    themselves are real."""
+    """Record the opcode of every Isla run the map does not serve; the
+    runs themselves are real."""
     calls = []
     run = batcher_module.trace_for_opcode
 
@@ -34,8 +36,8 @@ def dispatched(monkeypatch):
 
 
 def _failing(monkeypatch, failures: int | None = None) -> list:
-    """Make the first ``failures`` dispatched runs raise (all of them with
-    ``None``); returns the list of every dispatched opcode."""
+    """Make the first ``failures`` Isla runs raise (all of them with
+    ``None``); returns the list of every run's opcode."""
     calls = []
     run = batcher_module.trace_for_opcode
 
@@ -53,14 +55,18 @@ def _image(*words, at: int = 0x1000) -> ProgramImage:
     return ProgramImage().place(at, list(words))
 
 
+def _generate(kept, model, image, assumptions=None, cache=None):
+    """One job's trace generation, served through ``kept``."""
+    with configured(cache=cache, kept_traces=kept):
+        return generate_instruction_map(model, image, assumptions or Assumptions())
+
+
 class TestKeys:
     def test_exact_key_ignores_address(self, dispatched):
         model = ArmModel()
-        with TraceBatcher() as batcher:
-            first = batcher.generate(model, _image(A.nop()), Assumptions())
-            second = batcher.generate(
-                model, _image(A.nop(), at=0x2000), Assumptions()
-            )
+        kept = KeptTraces()
+        first = _generate(kept, model, _image(A.nop()))
+        second = _generate(kept, model, _image(A.nop(), at=0x2000))
         assert len(dispatched) == 1
         assert second.traces[0x2000] == first.traces[0x1000]
 
@@ -68,16 +74,15 @@ class TestKeys:
         model = ArmModel()
         pinned = Assumptions()
         pinned.pin("PSTATE.EL", 2, model.regfile.width_of(Reg.parse("PSTATE.EL")))
-        with TraceBatcher() as batcher:
-            batcher.generate(model, _image(A.nop()), Assumptions())
-            batcher.generate(model, _image(A.ret()), Assumptions())
-            batcher.generate(model, _image(A.nop()), pinned)
+        kept = KeptTraces()
+        _generate(kept, model, _image(A.nop()))
+        _generate(kept, model, _image(A.ret()))
+        _generate(kept, model, _image(A.nop()), pinned)
         assert dispatched == [A.nop(), A.ret(), A.nop()]
-
 
     def test_disk_lookup_reuses_the_request_key(self, monkeypatch, tmp_path):
         """With a disk cache, each request's trace key is computed once:
-        the batcher's key is the one the leader's disk lookup uses."""
+        the map's key is the one the disk lookup uses."""
         from repro.cache import DiskCache, keys
 
         computed = []
@@ -91,8 +96,7 @@ class TestKeys:
         monkeypatch.setattr(batcher_module, "trace_key", counting)
         words = [A.nop(), A.ret(), A.add_imm(0, 0, 5)]
         cache = DiskCache(tmp_path)
-        with TraceBatcher(cache=cache) as batcher:
-            result = batcher.generate(ArmModel(), _image(*words), Assumptions())
+        result = _generate(KeptTraces(), ArmModel(), _image(*words), cache=cache)
         assert len(result.traces) == 3
         assert computed == words
         assert cache.stats["trace_misses"] == 3  # the lookups did happen
@@ -103,57 +107,49 @@ class TestGenerate:
         model = ArmModel()
         image = _image(A.add_imm(0, 0, 5), A.ret())
         serial = generate_instruction_map(model, image, Assumptions())
-        with TraceBatcher() as batcher:
-            batched = batcher.generate(model, image, Assumptions())
-        assert sorted(batched.traces) == sorted(serial.traces)
-        for addr in serial.traces:
-            assert batched.traces[addr] == serial.traces[addr]
+        kept = KeptTraces()
+        first = _generate(kept, model, image)
+        again = _generate(kept, model, image)
+        for served in (first, again):
+            assert sorted(served.traces) == sorted(serial.traces)
+            for addr in serial.traces:
+                assert served.traces[addr] == serial.traces[addr]
 
     def test_identical_opcodes_deduplicate(self, dispatched):
         model = ArmModel()
         telemetry = Telemetry()
-        with TraceBatcher(telemetry=telemetry) as batcher:
-            result = batcher.generate(model, _image(A.nop(), A.nop()), Assumptions())
+        result = _generate(
+            KeptTraces(telemetry=telemetry), model, _image(A.nop(), A.nop())
+        )
         assert sorted(result.traces) == [0x1000, 0x1004]
         assert result.traces[0x1000] == result.traces[0x1004]
         counters = telemetry.snapshot()["counters"]
         assert counters["trace_requests"] == 2
         assert counters["dedup_hits"] == 1
-        assert counters["batches"] >= 1
-        assert len(dispatched) == 1  # one leader, one follower
-
-    def test_single_flight_across_threads(self, dispatched):
-        model = ArmModel()
-        telemetry = Telemetry()
-        barrier = threading.Barrier(2)
-        results = []
-
-        def submit():
-            barrier.wait()
-            results.append(batcher.generate(model, _image(A.nop()), Assumptions()))
-
-        with TraceBatcher(telemetry=telemetry) as batcher:
-            threads = [threading.Thread(target=submit) for _ in range(2)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        assert len(results) == 2
-        assert results[0].traces[0x1000] == results[1].traces[0x1000]
-        assert len(dispatched) == 1
-        assert telemetry.snapshot()["counters"]["dedup_hits"] == 1
+        assert len(dispatched) == 1  # one run, one hit
 
     def test_worker_failure_propagates_to_waiters(self, monkeypatch):
+        """A raising Isla run reaches the job that asked for it."""
         _failing(monkeypatch)
-        with TraceBatcher() as batcher:
-            with pytest.raises(RuntimeError, match="boom"):
-                batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
+        with pytest.raises(RuntimeError, match="boom"):
+            _generate(KeptTraces(), ArmModel(), _image(A.nop()))
 
-    def test_close_joins_dispatcher(self):
-        batcher = TraceBatcher()
-        batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
-        batcher.close()
-        assert batcher._dispatcher is None or not batcher._dispatcher.is_alive()
+    def test_fault_injection_bypasses_the_map(self, dispatched):
+        """A run under fault injection neither reads nor fills the map: a
+        kept result would leak one run's fault schedule into another's."""
+        model = ArmModel()
+        telemetry = Telemetry()
+        kept = KeptTraces(telemetry=telemetry)
+        _generate(kept, model, _image(A.nop()))
+        with inject(FaultInjector(seed=1, rate=0.0)):
+            injected = _generate(kept, model, _image(A.ret()))
+            _generate(kept, model, _image(A.nop()))
+        assert injected.results[0x1000].cached is False
+        assert dispatched == [A.nop()]  # the others ran around the map
+        assert telemetry.snapshot()["counters"]["trace_requests"] == 1
+        # Nothing was kept under injection: ``ret`` still runs afterwards.
+        _generate(kept, model, _image(A.ret()))
+        assert dispatched == [A.nop(), A.ret()]
 
 
 class TestKeptTraces:
@@ -165,18 +161,18 @@ class TestKeptTraces:
         run = batcher_module.trace_for_opcode
 
         def marking(*args, **kwargs):
-            # Counts in the leader's run scope, so the test can see where
-            # the leader's counts land.
+            # Counts in the running job's scope, so the test can see where
+            # an Isla run's counts land.
             calls.append(args)
             obs.count("test.leader_runs")
             return run(*args, **kwargs)
 
         monkeypatch.setattr(batcher_module, "trace_for_opcode", marking)
-        with TraceBatcher(telemetry=telemetry) as batcher:
-            with obs.scope() as first_run:
-                first = batcher.generate(model, image, Assumptions())
-            with obs.scope() as second_run:
-                second = batcher.generate(model, image, Assumptions())
+        kept = KeptTraces(telemetry=telemetry)
+        with obs.scope() as first_run:
+            first = _generate(kept, model, image)
+        with obs.scope() as second_run:
+            second = _generate(kept, model, image)
         assert len(calls) == 1
         counters = telemetry.snapshot()["counters"]
         assert counters["trace_requests"] == 2
@@ -184,7 +180,7 @@ class TestKeptTraces:
         assert second.traces[0x1000] == first.traces[0x1000]
         assert first.results[0x1000].cached is False
         assert second.results[0x1000].cached is True
-        # The leader's counts belong to the job that ran it.
+        # The run's counts belong to the job that ran it.
         assert first_run.snapshot("test.") == {"leader_runs": 1}
         assert second_run.snapshot("test.") == {}
 
@@ -193,65 +189,13 @@ class TestKeptTraces:
         image = _image(A.nop())
         telemetry = Telemetry()
         calls = _failing(monkeypatch, failures=1)
-        with TraceBatcher(telemetry=telemetry) as batcher:
-            with pytest.raises(RuntimeError, match="boom"):
-                batcher.generate(model, image, Assumptions())
-            retry = batcher.generate(model, image, Assumptions())
+        kept = KeptTraces(telemetry=telemetry)
+        with pytest.raises(RuntimeError, match="boom"):
+            _generate(kept, model, image)
+        retry = _generate(kept, model, image)
         assert len(calls) == 2
         assert retry.results[0x1000].cached is False
         assert "dedup_hits" not in telemetry.snapshot()["counters"]
-
-
-def test_in_process_batcher_has_no_collection_window():
-    """Nothing waits for other jobs to join a batch: a lone request is
-    dispatched at once."""
-    with TraceBatcher() as batcher:
-        start = time.monotonic()
-        batcher.generate(ArmModel(), _image(A.nop()), Assumptions())
-        assert time.monotonic() - start < 5
-
-
-def test_single_flight_and_keeping_hold_under_thread_contention(dispatched):
-    """Eight job threads on two cores ask for overlapping opcode sets:
-    every distinct key is dispatched once, and every other request is a
-    hit that gets the serial trace."""
-    model = ArmModel()
-    words = [A.nop(), A.ret(), A.add_imm(0, 0, 5), A.add_imm(1, 1, 7)]
-    serial = generate_instruction_map(model, _image(*words), Assumptions()).traces
-    by_word = {word: serial[0x1000 + 4 * i] for i, word in enumerate(words)}
-    telemetry = Telemetry()
-    results, errors = [], []
-    previous = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        with TraceBatcher(telemetry=telemetry) as batcher:
-
-            def job(offset: int) -> None:
-                chosen = [words[(offset + i) % len(words)] for i in range(3)]
-                image = _image(*chosen, at=0x2000)
-                try:
-                    for _ in range(5):
-                        result = batcher.generate(model, image, Assumptions())
-                        results.append((chosen, result))
-                except Exception as exc:  # noqa: BLE001 — reported below
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=job, args=(n,)) for n in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
-            assert not any(thread.is_alive() for thread in threads)
-    finally:
-        sys.setswitchinterval(previous)
-    assert errors == []
-    assert len(results) == 40
-    for chosen, result in results:
-        for i, word in enumerate(chosen):
-            assert result.traces[0x2000 + 4 * i] == by_word[word]
-    assert len(dispatched) == len(words)
-    counters = telemetry.snapshot()["counters"]
-    assert counters["trace_requests"] == 40 * 3
-    assert counters["dedup_hits"] == 40 * 3 - len(words)
+        # The retry's success is kept.
+        assert _generate(kept, model, image).results[0x1000].cached is True
+        assert len(calls) == 2

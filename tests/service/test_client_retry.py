@@ -1,11 +1,11 @@
-"""Client failure handling: timeouts, typed errors, retry policy, failover.
+"""Client failure handling: timeouts, typed errors, retry policy.
 
 These tests run against throwaway socket servers, not the real daemon —
 what is under test is purely the client's behaviour at the edge: a hung
 daemon must surface as a typed :class:`ServiceTimeout` (bounded by the
 read timeout, not forever), retries must be jittered-exponential and must
-never replay a POST whose bytes may have reached the server, and the
-failover client must walk the preference order.
+never replay a POST whose bytes may have reached the server.  Failover
+across shards is the fleet router's (``tests/service/test_fleet.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.service.client import (
-    FailoverClient,
     ServiceClient,
     ServiceError,
     ServiceTimeout,
@@ -211,51 +210,3 @@ class TestDeadline:
         finally:
             server.close()
 
-
-class TestFailover:
-    def test_submit_fails_over_in_preference_order(self):
-        dead = _Server(["reset"] * 8)
-        alive = _Server([])
-        try:
-            clients = {
-                "shard-0": _client(dead),
-                "shard-1": _client(alive),
-            }
-            failover = FailoverClient(clients)
-            shard, job = failover.submit(
-                "rbit", preference=["shard-0", "shard-1"]
-            )
-            assert shard == "shard-1"
-            assert job["id"] == "job-1"
-        finally:
-            dead.close()
-            alive.close()
-
-    def test_health_predicate_skips_unhealthy(self):
-        alive = _Server([])
-        try:
-            clients = {
-                "shard-0": ServiceClient(port=1),  # would fail if tried
-                "shard-1": _client(alive),
-            }
-            failover = FailoverClient(
-                clients, health=lambda sid: sid == "shard-1"
-            )
-            assert failover.candidates(["shard-0", "shard-1"]) == ["shard-1"]
-            shard, _job = failover.submit(
-                "rbit", preference=["shard-0", "shard-1"]
-            )
-            assert shard == "shard-1"
-            assert alive.hits == 1
-        finally:
-            alive.close()
-
-    def test_all_unhealthy_falls_back_to_trying_everyone(self):
-        alive = _Server([])
-        try:
-            failover = FailoverClient(
-                {"shard-0": _client(alive)}, health=lambda _sid: False
-            )
-            assert failover.candidates() == ["shard-0"]
-        finally:
-            alive.close()

@@ -24,7 +24,7 @@ PER_JOB_CASES = 10
 @pytest.fixture(scope="module")
 def storm_run():
     """One bulk storm + one trailing interactive job, run to completion."""
-    service = VerificationService(runners=1)
+    service = VerificationService()
     service.start()
     try:
         # Warm the shared trace cache so bulk job durations are comparable.

@@ -259,7 +259,7 @@ def test_a_shard_imports_what_its_jobs_run_before_it_answers(tmp_path):
 
         threading.Thread(target=drive, daemon=True).start()
         from repro.tools import serve
-        serve.main(["--socket", path, "--runners", "1", "--quiet"])
+        serve.main(["--socket", path, "--quiet"])
         print(json.dumps(at_bind))
         """,
         str(tmp_path / "s.sock"),

@@ -22,7 +22,7 @@ KINDS = ["daemon", "fleet"]
 
 def _front_end(kind: str):
     if kind == "daemon":
-        return VerificationService(runners=1)
+        return VerificationService()
     supervisor = ShardSupervisor(
         lambda _s, sid, _g, spec: LocalShard(sid, budget_spec=spec),
         shards=1,

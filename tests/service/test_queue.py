@@ -1,4 +1,4 @@
-"""The job queue: priorities, admission control, budget partitions."""
+"""The job queue: priorities, admission control, per-job budgets."""
 
 from __future__ import annotations
 
@@ -115,34 +115,31 @@ class TestBudgetPartitions:
         queue = JobQueue()
         assert queue.job_budget_spec(_job()) is None
 
-    def test_partition_divides_remaining_pool(self):
+    def test_a_job_is_handed_the_remaining_pool(self):
+        """One job runs at a time, so it gets every remaining conflict;
+        the service spec's other knobs pass through."""
         queue = JobQueue(
             service_spec=BudgetSpec(conflict_allowance=100, deadline_s=3.0),
-            shares=2,
         )
         spec = queue.job_budget_spec(_job())
-        # First share of remaining // shares; deadline replicated.
-        assert spec.conflict_allowance == 50
+        assert spec.conflict_allowance == 100
         assert spec.deadline_s == 3.0
-        # After absorbing real consumption the next partition shrinks.
+        # After absorbing real consumption the next job gets the rest.
         queue.absorb({"conflicts_used": 60})
-        assert queue.job_budget_spec(_job()).conflict_allowance == 20
+        assert queue.job_budget_spec(_job()).conflict_allowance == 40
 
     def test_absorb_is_by_consumption_not_allotment(self):
-        """A dead worker's unspent share returns to the pool for free."""
-        queue = JobQueue(
-            service_spec=BudgetSpec(conflict_allowance=100), shares=2
-        )
+        """A dead job's unspent allowance returns to the pool for free."""
+        queue = JobQueue(service_spec=BudgetSpec(conflict_allowance=100))
         handed_out = queue.job_budget_spec(_job())
-        assert handed_out.conflict_allowance == 50
-        # The job died after consuming only 5 of its 50.
+        assert handed_out.conflict_allowance == 100
+        # The job died after consuming only 5 of its 100.
         queue.absorb({"conflicts_used": 5})
         assert queue.service_budget.remaining_conflicts() == 95
 
     def test_request_knobs_only_tighten(self):
         queue = JobQueue(
             service_spec=BudgetSpec(conflict_allowance=100, deadline_s=10.0),
-            shares=1,
         )
         tight = queue.job_budget_spec(
             _job(deadline_s=2.0, conflicts=30)
@@ -208,11 +205,11 @@ class TestSubmitStorm:
 
     def test_pool_exactly_conserved_under_concurrent_absorbs(self):
         """remaining == allowance − Σ(absorbed), even with hand-outs and
-        absorbs racing: partitions never drain the pool, absorbs always
+        absorbs racing: hand-outs never drain the pool, absorbs always
         do, exactly once each."""
         allowance = 100_000
         queue = JobQueue(
-            service_spec=BudgetSpec(conflict_allowance=allowance), shares=4
+            service_spec=BudgetSpec(conflict_allowance=allowance)
         )
         threads, rounds, used_each = 16, 50, 7
         barrier = threading.Barrier(threads)
@@ -220,7 +217,7 @@ class TestSubmitStorm:
         def worker():
             barrier.wait()
             for _ in range(rounds):
-                spec = queue.job_budget_spec(_job())  # hand out a share
+                spec = queue.job_budget_spec(_job())  # hand out a budget
                 assert spec.conflict_allowance >= 0
                 queue.absorb({"conflicts_used": used_each})
 

@@ -11,12 +11,9 @@ from repro.service.server import VerificationService
 
 
 def test_build_done_once_before_every_block():
-    service = VerificationService(runners=1)
+    service = VerificationService()
     job = JobRecord(SubmitRequest("binsearch_riscv", {"n": 3}))
-    try:
-        JobRunner(service, "runner-test").run_job(job)
-    finally:
-        service.batcher.close()
+    JobRunner(service).run_job(job)
     assert job.state == "done", job.error
     kinds = [event.kind for event in job.events_since(0)]
     assert kinds.count("build-done") == 1

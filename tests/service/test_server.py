@@ -18,7 +18,7 @@ from ._http import launch
 
 @pytest.fixture(scope="module")
 def daemon():
-    service = VerificationService(runners=2)
+    service = VerificationService()
     thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)
     yield service, client
@@ -162,23 +162,18 @@ class TestTelemetryEndpoints:
     def test_disk_gauges_include_wellformed_rejects(self, tmp_path):
         # The handle's full counter snapshot is surfaced, not just the hit
         # counters — ill-formed-entry evictions (PR 4) are fleet-visible.
-        service = VerificationService(
-            cache_dir=str(tmp_path), runners=1
-        )
-        try:
-            service.refresh_gauges()
-            gauges = service.telemetry.snapshot()["gauges"]
-            assert gauges["disk_wellformed_rejects"] == 0
-            assert gauges["disk_corrupt_entries"] == 0
-            assert "disk_trace_hits" in gauges
-            assert "disk_smt_hits" in gauges
-        finally:
-            service.batcher.close()
+        service = VerificationService(cache_dir=str(tmp_path))
+        service.refresh_gauges()
+        gauges = service.telemetry.snapshot()["gauges"]
+        assert gauges["disk_wellformed_rejects"] == 0
+        assert gauges["disk_corrupt_entries"] == 0
+        assert "disk_trace_hits" in gauges
+        assert "disk_smt_hits" in gauges
 
 
 class TestTransportsAndShutdown:
     def test_unix_socket_transport(self, tmp_path):
-        service = VerificationService(runners=1)
+        service = VerificationService()
         socket_path = str(tmp_path / "repro.sock")
         bound = {}
         ready = threading.Event()
@@ -202,7 +197,7 @@ class TestTransportsAndShutdown:
         assert not thread.is_alive()
 
     def test_shutdown_drains_and_stops(self, tmp_path):
-        service = VerificationService(runners=1)
+        service = VerificationService()
         thread, (host, port) = launch(service)
         client = ServiceClient(host=host, port=port)
         assert client.shutdown()["draining"] is True

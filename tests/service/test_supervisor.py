@@ -37,9 +37,7 @@ FAST = dict(
 
 
 def _local_factory(_slot, shard_id, _generation, budget_spec):
-    return LocalShard(
-        shard_id, runners=1, budget_spec=budget_spec
-    )
+    return LocalShard(shard_id, budget_spec=budget_spec)
 
 
 def _wait(predicate, timeout_s: float, what: str) -> None:
@@ -243,7 +241,7 @@ class TestProcessShard:
     def test_kill_closes_the_log(self, tmp_path):
         """A killed shard's log file is closed with it, and a later
         ``stop()`` has nothing left to do."""
-        shard = ProcessShard("shard-0", run_dir=str(tmp_path), runners=1)
+        shard = ProcessShard("shard-0", run_dir=str(tmp_path))
         shard.start()
         try:
             shard.kill()
@@ -261,7 +259,6 @@ class TestProcessShard:
             return ProcessShard(
                 shard_id,
                 run_dir=str(tmp_path),
-                runners=1,
                 budget_spec=budget_spec,
                 generation=generation,
             )

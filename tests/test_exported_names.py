@@ -36,9 +36,7 @@ def _daemon_names(cache_dir: str) -> dict:
     from repro.service.server import VerificationService
     from tests.service._http import launch
 
-    service = VerificationService(
-        cache_dir=cache_dir, runners=1
-    )
+    service = VerificationService(cache_dir=cache_dir)
     thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)
     try:

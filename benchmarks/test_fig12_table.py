@@ -10,7 +10,7 @@ assertions at the bottom check the orderings the paper's numbers exhibit.
 
 import pytest
 
-from fig12_common import CASE_BUILDERS, PAPER_FIG12, format_table, run_case
+from repro.tools.fig12 import CASE_BUILDERS, PAPER_FIG12, format_table, run_case
 
 
 @pytest.fixture(scope="module")

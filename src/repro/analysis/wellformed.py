@@ -27,6 +27,7 @@ Traces may legitimately mention *external* variables they never declare
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 from ..itl import events as E
 from ..itl.trace import Trace
@@ -99,12 +100,14 @@ def is_wellformed(trace: Trace, regfile=None, **kwargs) -> bool:
     )
 
 
-def assert_wellformed(trace: Trace, regfile=None, where: str = "", **kwargs) -> None:
+def assert_wellformed(
+    trace: Trace, regfile=None, where: str | Callable[[], str] = "", **kwargs
+) -> None:
     """Raise :class:`WellFormednessError` unless the trace checks clean."""
     findings = check_trace(trace, regfile, **kwargs)
     errors = [f for f in findings if f.severity == ERROR]
     if errors:
-        raise WellFormednessError(errors, where)
+        raise WellFormednessError(errors, where() if callable(where) else where)
 
 
 #: ``$REPRO_WF_CHECK`` overrides the default (on unless ``python -O``).
@@ -115,11 +118,15 @@ def debug_checks_enabled() -> bool:
     return __debug__
 
 
-def maybe_assert_wellformed(trace: Trace, regfile=None, where: str = "") -> bool:
+def maybe_assert_wellformed(
+    trace: Trace, regfile=None, where: str | Callable[[], str] = ""
+) -> bool:
     """The debug-assert flavour used at trace-emission time: no-op when
     debug checks are disabled (``python -O`` or ``REPRO_WF_CHECK=0``).
 
-    Returns True when the check ran and passed, False when it was skipped.
+    ``where`` may be a function returning the location, called only to
+    word a failure.  Returns True when the check ran and passed, False when
+    it was skipped.
     """
     if not debug_checks_enabled():
         return False

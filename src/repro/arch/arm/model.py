@@ -35,12 +35,9 @@ from . import regs as R
 from .regs import PC, gpr, pstate
 
 
-def bits_match(opcode: Term, pattern: str) -> Term:
-    """Match a 32-bit opcode against an MSB-first pattern of 0/1/x.
-
-    Underscores are cosmetic.  Returns a boolean term (folds to a constant
-    when the tested bits of the opcode are concrete).
-    """
+def _pattern_mask(pattern: str) -> tuple[int, int]:
+    """``(mask, value)`` of an MSB-first 32-bit pattern of 0/1/x: an opcode
+    matches when ``opcode & mask == value``.  Underscores are cosmetic."""
     pattern = pattern.replace("_", "")
     if len(pattern) != 32:
         raise ValueError(f"pattern length {len(pattern)} != 32: {pattern!r}")
@@ -53,7 +50,20 @@ def bits_match(opcode: Term, pattern: str) -> Term:
         mask |= 1 << bitpos
         if ch == "1":
             value |= 1 << bitpos
+    return mask, value
+
+
+def _mask_match(opcode: Term, mask: int, value: int) -> Term:
     return B.eq(B.bvand(opcode, B.bv(mask, 32)), B.bv(value, 32))
+
+
+def bits_match(opcode: Term, pattern: str) -> Term:
+    """Match a 32-bit opcode against an MSB-first pattern of 0/1/x.
+
+    Underscores are cosmetic.  Returns a boolean term (folds to a constant
+    when the tested bits of the opcode are concrete).
+    """
+    return _mask_match(opcode, *_pattern_mask(pattern))
 
 
 def fld(opcode: Term, hi: int, lo: int) -> Term:
@@ -1070,6 +1080,20 @@ _DECODE_TABLE: list[tuple[str, object]] = [
     ("x_00_11010110_xxxxx_00001_x_xxxxx_xxxxx", integer_arithmetic_div),
 ]
 
+#: ``_DECODE_TABLE`` compiled once: ``(mask, value, handler)`` in table order.
+_COMPILED_DECODE: tuple[tuple[int, int, object], ...] = tuple(
+    (*_pattern_mask(pattern), handler) for pattern, handler in _DECODE_TABLE
+)
+
+
+def _handler_for(word: int):
+    """The handler of the first ``_DECODE_TABLE`` entry a concrete opcode
+    matches, or None."""
+    for mask, value, handler in _COMPILED_DECODE:
+        if word & mask == value:
+            return handler
+    return None
+
 
 class ArmModel(IsaModel):
     """The AArch64 model."""
@@ -1083,17 +1107,29 @@ class ArmModel(IsaModel):
 
     @sail_fn
     def execute(self, m: MachineInterface, opcode: Term) -> None:
-        """``__DecodeA64``: dispatch on the encoding-class bit patterns."""
-        for pattern, handler in _DECODE_TABLE:
-            cond = bits_match(opcode, pattern)
-            if cond is TRUE:
+        """``__DecodeA64``: dispatch on the encoding-class bit patterns.
+
+        A concrete opcode takes the first matching entry by an integer
+        test.  A symbolic one (symbolic immediates) walks the table with
+        match terms, pruning the entries its concrete bits decide and
+        branching on the rest, in table order.
+        """
+        if opcode.is_value():
+            handler = _handler_for(opcode.value)
+            if handler is not None:
                 handler(m, opcode)
                 return
-            if cond is FALSE:
-                continue
-            if m.branch(cond, f"decode {handler.__name__}"):
-                handler(m, opcode)
-                return
+        else:
+            for mask, value, handler in _COMPILED_DECODE:
+                cond = _mask_match(opcode, mask, value)
+                if cond is TRUE:
+                    handler(m, opcode)
+                    return
+                if cond is FALSE:
+                    continue
+                if m.branch(cond, f"decode {handler.__name__}"):
+                    handler(m, opcode)
+                    return
         m.unreachable(f"undecodable opcode {opcode!r}")
 
 

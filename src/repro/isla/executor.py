@@ -370,7 +370,7 @@ def _finish_raw(raw: Trace, model: IsaModel, opcode: Term):
     if maybe_assert_wellformed(
         trace,
         model.regfile,
-        where=f"trace_for_opcode({opcode!r})",
+        where=lambda: f"trace_for_opcode({opcode!r})",
     ):
         note_wellformed(trace)
     return trace

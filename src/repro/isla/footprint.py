@@ -7,133 +7,107 @@ the passes that matter for trace size and readability:
   variable is never used downstream are dropped (the Sail models compute
   plenty of values — arithmetic flags, alternate results — that a given
   instruction instance discards, cf. Fig. 2's discussion);
+- *dead register read elimination*: a ``ReadReg`` whose variable no other
+  event uses is dropped;
 - *constant definition inlining*: a definition whose body folded to a
   literal is substituted into the remaining trace and removed;
 - *trivial assertion removal*: ``Assert(true)`` / ``Assume(true)`` vanish.
 
 All passes preserve the operational semantics of the trace (tested against
 the ITL runner in ``tests/isla``).
+
+Cost model.  Most traces the executor emits are already clean, so the
+simplifier is built to do no rebuilding on them: one inlining sweep, one
+count of variable uses over the tree, one dropping sweep, and the input
+object back when nothing changed.  This computes the same trace as running
+the passes in rounds to a fixed point (``tests/_reference.py``):
+
+- inlining reaches its own fixed point in one sweep (substitution happens
+  before each event is tested), and dropping events never creates a literal
+  definition or a trivial assertion, so inlining runs once, first;
+- the drop rules only get truer as events go — a use count only falls —
+  so dropping in any order until no rule applies removes the same events.
+
+Use counts are global over the tree, not per path: sibling branches may
+reuse a variable name, and a use in one keeps the other's definition.
 """
 
 from __future__ import annotations
 
 from ..itl import events as E
-from ..itl.trace import Trace
+from ..itl.trace import Trace, substitute_event
 from ..smt.terms import TRUE, Term
 
 
 def simplify_trace(trace: Trace) -> Trace:
-    # Run the passes to a fixed point: dropping a dead definition can turn
-    # a previously-live ``ReadReg`` dead (the definition was its only other
-    # use), so a single sweep is not idempotent.  Every changed iteration
-    # strictly shrinks the event count, so the loop terminates.
-    while True:
-        out = _inline_constant_defs(trace)
-        out = _drop_dead_reg_reads(out)
-        out = _drop_dead_defs(out)
-        out = _drop_trivial_asserts(out)
-        if out == trace:
-            return out
-        trace = out
-
-
-def _event_uses(j: E.Event) -> set[Term]:
-    """Variables an event *uses* (reads)."""
-    terms: list[Term] = []
-    if isinstance(j, (E.ReadReg, E.WriteReg, E.AssumeReg)):
-        terms = [j.value]
-    elif isinstance(j, E.ReadMem):
-        terms = [j.data, j.addr]
-    elif isinstance(j, E.WriteMem):
-        terms = [j.addr, j.data]
-    elif isinstance(j, E.DefineConst):
-        terms = [j.expr]
-    elif isinstance(j, (E.Assert, E.Assume)):
-        terms = [j.expr]
-    used: set[Term] = set()
-    for t in terms:
-        used |= t.free_vars()
-    return used
-
-
-def _used_vars(trace: Trace) -> set[Term]:
-    used: set[Term] = set()
-    for j in trace.iter_events():
-        used |= _event_uses(j)
-    return used
-
-
-def _drop_dead_defs(trace: Trace) -> Trace:
-    """Iteratively drop declarations/definitions of unused variables."""
-    while True:
-        used = _used_vars(trace)
-        trace2 = _drop_defs_once(trace, used)
-        if trace2 is trace:
-            return trace
-        trace = trace2
-
-
-def _drop_defs_once(trace: Trace, used: set[Term]) -> Trace:
-    events = []
-    changed = False
-    for j in trace.events:
-        if isinstance(j, E.DeclareConst) and j.var not in used:
-            # A ReadReg/ReadMem whose variable is dead still constrains
-            # nothing; but the *event itself* may bind the var — dropping the
-            # declaration is only safe if no later event mentions it, which
-            # `used` guarantees (binding events also count as uses).
-            changed = True
-            continue
-        if isinstance(j, E.DefineConst) and j.var not in used:
-            changed = True
-            continue
-        events.append(j)
-    cases = None
-    if trace.cases is not None:
-        new_cases = tuple(_drop_defs_once(c, used) for c in trace.cases)
-        if any(n is not o for n, o in zip(new_cases, trace.cases)):
-            changed = True
-            cases = new_cases
-        else:
-            cases = trace.cases
-    if not changed:
-        return trace
-    return Trace(tuple(events), cases)
-
-
-def _drop_dead_reg_reads(trace: Trace) -> Trace:
-    """Drop ``ReadReg`` events whose bound variable is never used.
-
-    The real Sail models read many registers (all four condition flags for
-    any conditional, nine system registers for a branch, ...) whose values a
-    specific instruction instance discards; Isla elides those reads — the
-    trace in Fig. 6 reads only ``PSTATE.Z``.  A read is dead when its value
-    term is a bare variable that appears in no other event of the trace.
-    """
+    """The simplified trace; ``trace`` itself when no pass changes it."""
+    trace = _inline_constant_defs(trace)
     counts: dict[Term, int] = {}
     for j in trace.iter_events():
         for v in _event_uses(j):
             counts[v] = counts.get(v, 0) + 1
-    # Note each binding ReadReg counts as one use of its own variable.
-    return _drop_reads_once(trace, counts)
+    while True:
+        out = _drop_dead(trace, counts)
+        if out is trace:
+            return out
+        trace = out
 
 
-def _drop_reads_once(trace: Trace, counts: dict[Term, int]) -> Trace:
-    events = []
-    for j in trace.events:
-        if (
-            isinstance(j, E.ReadReg)
-            and j.value.is_var()
-            and counts.get(j.value, 0) <= 1
-        ):
-            continue
-        events.append(j)
-    cases = (
-        None
-        if trace.cases is None
-        else tuple(_drop_reads_once(c, counts) for c in trace.cases)
-    )
-    return Trace(tuple(events), cases)
+_NO_USES: frozenset = frozenset()
+
+
+def _event_uses(j: E.Event) -> frozenset[Term]:
+    """Variables an event *uses* (reads).  A binding ``ReadReg`` counts as
+    one use of its own variable."""
+    if isinstance(j, (E.ReadReg, E.WriteReg, E.AssumeReg)):
+        return j.value.free_vars()
+    if isinstance(j, (E.DefineConst, E.Assert, E.Assume)):
+        return j.expr.free_vars()
+    if isinstance(j, (E.ReadMem, E.WriteMem)):
+        return j.data.free_vars() | j.addr.free_vars()
+    return _NO_USES
+
+
+def _is_dead(j: E.Event, counts: dict[Term, int]) -> bool:
+    """May ``j`` be dropped, given the use counts of the current tree?
+
+    The real Sail models read many registers (all four condition flags for
+    any conditional, nine system registers for a branch, ...) whose values a
+    specific instruction instance discards; Isla elides those reads — the
+    trace in Fig. 6 reads only ``PSTATE.Z``.
+    """
+    if isinstance(j, E.ReadReg):
+        return j.value.is_var() and counts.get(j.value, 0) <= 1
+    if isinstance(j, (E.DeclareConst, E.DefineConst)):
+        return counts.get(j.var, 0) == 0
+    if isinstance(j, (E.Assert, E.Assume)):
+        return j.expr is TRUE
+    return False
+
+
+def _drop_dead(trace: Trace, counts: dict[Term, int]) -> Trace:
+    """One sweep dropping dead events, keeping ``counts`` exact.
+
+    The sweep runs backwards (sub-cases first, then events in reverse), so
+    a use is seen before the definition it reads and a chain of dead
+    definitions goes in one sweep.
+    """
+    cases = trace.cases
+    if cases is not None:
+        swept = tuple(_drop_dead(c, counts) for c in reversed(cases))[::-1]
+        if any(n is not o for n, o in zip(swept, cases)):
+            cases = swept
+    kept: list[E.Event] = []
+    for j in reversed(trace.events):
+        if _is_dead(j, counts):
+            for v in _event_uses(j):
+                counts[v] -= 1
+        else:
+            kept.append(j)
+    if len(kept) == len(trace.events) and cases is trace.cases:
+        return trace
+    kept.reverse()
+    return Trace(tuple(kept), cases)
 
 
 def _inline_constant_defs(trace: Trace) -> Trace:
@@ -142,30 +116,16 @@ def _inline_constant_defs(trace: Trace) -> Trace:
     events = []
     for j in trace.events:
         if mapping:
-            from ..itl.trace import substitute_event
-
             j = substitute_event(j, mapping)
         if isinstance(j, E.DefineConst) and j.expr.is_value():
             mapping[j.var] = j.expr
             continue
         events.append(j)
-    cases = None
-    if trace.cases is not None:
-        cases = tuple(
-            _inline_constant_defs(c.substitute(mapping)) for c in trace.cases
-        )
+    cases = trace.cases
+    if cases is not None:
+        inlined = tuple(_inline_constant_defs(c.substitute(mapping)) for c in cases)
+        if any(n is not o for n, o in zip(inlined, cases)):
+            cases = inlined
+    if not mapping and cases is trace.cases:
+        return trace
     return Trace(tuple(events), cases)
-
-
-def _drop_trivial_asserts(trace: Trace) -> Trace:
-    events = tuple(
-        j
-        for j in trace.events
-        if not (isinstance(j, (E.Assert, E.Assume)) and j.expr is TRUE)
-    )
-    cases = (
-        None
-        if trace.cases is None
-        else tuple(_drop_trivial_asserts(c) for c in trace.cases)
-    )
-    return Trace(events, cases)

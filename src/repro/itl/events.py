@@ -14,18 +14,37 @@ terms from :mod:`repro.smt`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..smt import Term
 from ..smt.sorts import Sort
 
 
-@dataclass(frozen=True, slots=True)
+_object_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Reg:
     """A register name, optionally with a struct field (``PSTATE.EL``)."""
 
     base: str
-    field: str | None = None
+    field: str | None
+    #: ``hash((base, field))``, the dataclass hash, computed once: register
+    #: names key every register map of the executor and the replay.  Str
+    #: hashes differ between processes, so a pickled ``Reg`` recomputes it.
+    _hash: int = dataclasses.field(repr=False, compare=False)
+
+    def __init__(self, base: str, field: str | None = None) -> None:
+        _object_setattr(self, "base", base)
+        _object_setattr(self, "field", field)
+        _object_setattr(self, "_hash", hash((base, field)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Reg, (self.base, self.field)
 
     def __str__(self) -> str:
         return self.base if self.field is None else f"{self.base}.{self.field}"

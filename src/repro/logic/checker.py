@@ -23,7 +23,10 @@ with the same query: UNSAT counts it as discharged; SAT *refutes* it, a
 hard failure (the automation mislabelled a ``failed`` block as
 ``degraded``); UNKNOWN leaves it residual.  A block with residual
 obligations must never be claimed ``verified``, and that consistency is
-audited here too.
+audited here too.  Residuals that stay undecided cost their full bound
+without failing, so all residual re-checks of a certificate share one
+conflict allowance, :data:`RESIDUAL_CONFLICTS`; a certificate that spends
+it is rejected.  A judgment repeated in one certificate is decided once.
 
 The checker is deliberately small and independent of the automation: it
 imports only the proof data structures and the solver.  (Like the paper,
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..resilience.budget import Budget, BudgetExhausted, BudgetSpec
 from ..resilience.outcome import VERIFIED
 from ..smt import builder as B
 from ..smt.solver import SAT, UNSAT, Solver
@@ -45,6 +49,13 @@ from .proof import Proof, ProofStep
 #: a hostile goal such as 64-bit ``bvmul`` commutativity needs far more
 #: than this and is rejected in seconds instead of holding the checker.
 MAX_CONFLICTS = 1_000
+
+#: The SAT conflicts that all residual re-checks of one certificate may
+#: spend together.  The degraded certificates of the fault-storm runs
+#: re-check their residuals with no conflict at all; a certificate with
+#: many hostile residuals is rejected after two query bounds' worth of
+#: work instead of costing one bound per residual.
+RESIDUAL_CONFLICTS = 2 * MAX_CONFLICTS
 
 #: Every rule the automation may emit.  An unknown tag is a checker failure.
 KNOWN_RULES = frozenset(
@@ -118,10 +129,18 @@ def check_proof(proof: Proof, expected_blocks: set[int] | None = None) -> CheckR
     """Re-validate a proof object; raises :class:`CheckFailure` on any
     discrepancy."""
     report = CheckReport()
+    verdicts: dict = {}
     for step in proof.steps:
-        _check_step(step, report)
+        _check_step(step, report, verdicts)
+    allowance = Budget(
+        BudgetSpec(
+            conflict_allowance=RESIDUAL_CONFLICTS,
+            query_conflicts=MAX_CONFLICTS,
+            base_conflicts=MAX_CONFLICTS,
+        )
+    )
     for residual in proof.residual_obligations:
-        _check_residual(residual, report)
+        _check_residual(residual, report, verdicts, allowance)
     report.blocks = sorted(proof.blocks_verified)
     # Blocks that completed with a recorded non-verified outcome (degraded /
     # unknown / failed under governance) are accounted for — they are not
@@ -158,12 +177,12 @@ def check_proof(proof: Proof, expected_blocks: set[int] | None = None) -> CheckR
     return report
 
 
-def _check_step(step: ProofStep, report: CheckReport) -> None:
+def _check_step(step: ProofStep, report: CheckReport, verdicts: dict) -> None:
     if step.rule not in KNOWN_RULES:
         raise CheckFailure(f"unknown rule {step.rule!r} in proof")
     report.steps_checked += 1
     for condition in step.side_conditions:
-        if _refute(condition) != UNSAT:
+        if _refute(condition, verdicts) != UNSAT:
             raise CheckFailure(
                 f"side condition failed re-checking in rule {step.rule} "
                 f"({condition.description}): {condition.goal!r}"
@@ -171,8 +190,17 @@ def _check_step(step: ProofStep, report: CheckReport) -> None:
         report.side_conditions_checked += 1
 
 
-def _check_residual(residual, report: CheckReport) -> None:
-    status = _refute(residual)
+def _check_residual(
+    residual, report: CheckReport, verdicts: dict, allowance: Budget
+) -> None:
+    try:
+        status = _refute(residual, verdicts, allowance)
+    except BudgetExhausted:
+        raise CheckFailure(
+            f"residual re-checks exceed the certificate's allowance of "
+            f"{RESIDUAL_CONFLICTS} conflicts (block 0x{residual.block:x}, "
+            f"{residual.description})"
+        ) from None
     if status == UNSAT:
         report.residuals_discharged += 1
     elif status == SAT:
@@ -184,10 +212,19 @@ def _check_residual(residual, report: CheckReport) -> None:
         report.residuals_remaining += 1
 
 
-def _refute(judgment) -> str:
+def _refute(judgment, verdicts: dict, allowance: Budget | None = None) -> str:
     """Decide ``assumptions ⊨ goal`` with one query on a fresh, uncached
     solver: UNSAT of ``assumptions ∧ ¬goal`` means the judgment holds —
-    including vacuously, when the assumptions alone are inconsistent."""
-    solver = Solver(use_global_cache=False, max_conflicts=MAX_CONFLICTS)
-    solver.add(*judgment.assumptions)
-    return solver.check(B.not_(judgment.goal))
+    including vacuously, when the assumptions alone are inconsistent.
+
+    ``verdicts`` memoises the answers of one certificate's queries; with an
+    ``allowance`` the query's conflicts are charged to it."""
+    key = (tuple(judgment.assumptions), judgment.goal)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        solver = Solver(
+            use_global_cache=False, max_conflicts=MAX_CONFLICTS, budget=allowance
+        )
+        solver.add(*judgment.assumptions)
+        verdict = verdicts[key] = solver.check(B.not_(judgment.goal))
+    return verdict

@@ -21,9 +21,39 @@ def evaluate(term: Term, env: dict[Term, object] | None = None):
     """Evaluate ``term`` under ``env``; returns ``int`` or ``bool``.
 
     ``env`` maps variable *terms* to values.  Iterative over the DAG so deep
-    terms do not hit the recursion limit.
+    terms do not hit the recursion limit.  A bare variable or literal, or
+    one operator over them, is answered without the walk: the executor
+    names every computed value, so these are most of what replay
+    evaluates.  Arguments are looked up last to first, the order the walk
+    visits them in, so an unbound variable raises the same error.
     """
     env = env or {}
+    op = term.op
+    if op == T.VAR:
+        try:
+            return env[term]
+        except KeyError:
+            raise EvalError(f"unbound variable {term.name}") from None
+    if op == T.BVVAL or op == T.BOOLVAL:
+        return term.value
+    vals = []
+    for a in reversed(term.args):
+        aop = a.op
+        if aop == T.VAR:
+            try:
+                vals.append(env[a])
+            except KeyError:
+                raise EvalError(f"unbound variable {a.name}") from None
+        elif aop == T.BVVAL or aop == T.BOOLVAL:
+            vals.append(a.value)
+        else:
+            return _walk(term, env)
+    vals.reverse()
+    return _apply(term, vals)
+
+
+def _walk(term: Term, env: dict[Term, object]):
+    """:func:`evaluate` by an iterative walk over the term DAG."""
     cache: dict[Term, object] = {}
     stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:

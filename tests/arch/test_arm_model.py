@@ -4,7 +4,12 @@ semantics, and banked-register behaviour."""
 import pytest
 
 from repro.arch.arm import ArmModel, encode as A
-from repro.arch.arm.model import bits_match, decode_bit_masks
+from repro.arch.arm.model import (
+    _DECODE_TABLE,
+    _handler_for,
+    bits_match,
+    decode_bit_masks,
+)
 from repro.arch.arm.regs import PC, gpr, pstate
 from repro.itl.events import Reg
 from repro.smt import builder as B
@@ -40,6 +45,73 @@ class TestBitsMatch:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             bits_match(B.bv(0, 32), "xx")
+
+
+def _walk_handler(word):
+    """The ``bits_match`` walk the decoder did before its table was
+    compiled: the first entry whose match term folds to true."""
+    opcode = B.bv(word, 32)
+    for pattern, handler in _DECODE_TABLE:
+        if bits_match(opcode, pattern) is B.true():
+            return handler
+    return None
+
+
+def _template_words():
+    """Every ARM template instantiated: the cosim templates drawn 20 times
+    each (lines the assembler rejects are skipped, as the generator does),
+    the conformance templates over a grid of operands."""
+    import random
+
+    from repro.arch.arm.asm import AsmError, assemble_line
+    from repro.arch.arm.templates import CONFORMANCE_TEMPLATES, cosim_templates
+    from repro.cosim.generate import _Slot
+
+    rng = random.Random(0)
+    words = []
+    for draw in cosim_templates(rng, _Slot(index=1, length=4)).values():
+        for _ in range(20):
+            try:
+                words.append(assemble_line(draw()))
+            except AsmError:
+                continue
+    for line in CONFORMANCE_TEMPLATES:
+        for r, n, m, h in [(0, 1, 2, 1), (30, 29, 28, 15), (7, 0, 30, 3)]:
+            words.append(assemble_line(line.format(r=r, n=n, m=m, h=h)))
+    return words
+
+
+class TestCompiledDecodeTable:
+    """The compiled ``(mask, value, handler)`` table picks the handler the
+    ``bits_match`` walk picked."""
+
+    def test_template_words(self):
+        words = _template_words()
+        assert len(words) > 500
+        for word in words:
+            assert _handler_for(word) is _walk_handler(word), hex(word)
+
+    def test_random_words(self):
+        import random
+        import re
+
+        # An independent reading of the patterns for the bulk of the words:
+        # a regex over the word's bits ("x" matches either bit).
+        regexes = [
+            (re.compile(p.replace("_", "").replace("x", ".")), h)
+            for p, h in _DECODE_TABLE
+        ]
+
+        def by_regex(word):
+            bits = format(word, "032b")
+            return next((h for rx, h in regexes if rx.fullmatch(bits)), None)
+
+        rng = random.Random(20221)
+        words = [rng.getrandbits(32) for _ in range(100_000)]
+        for word in words:
+            assert _handler_for(word) is by_regex(word), hex(word)
+        for word in words[:2_000]:
+            assert _handler_for(word) is _walk_handler(word), hex(word)
 
 
 class TestEncoderKnownOpcodes:

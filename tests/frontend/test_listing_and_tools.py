@@ -1,5 +1,11 @@
 """Tests for the annotated-listing renderer and the CLI tools."""
 
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.arch.arm import ArmModel, encode as A
@@ -146,3 +152,24 @@ class TestAdequacyCli:
 
         assert main(["uart", "--iterations", "2"]) == 0
         assert "allowed" in capsys.readouterr().out
+
+
+class TestFig12Cli:
+    def test_runs_from_src_alone(self, tmp_path):
+        """The tool needs nothing outside ``src/``: run it from a copy of
+        the package in an empty directory."""
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        shutil.copytree(
+            src, tmp_path / "src" / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.tools.fig12", "rbit"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        header, rule, row = done.stdout.splitlines()
+        assert header.startswith("Test") and set(rule) == {"-"}
+        assert row.split()[:3] == ["rbit", "arm", "2"]
+

@@ -42,6 +42,28 @@ class TestReg:
         assert Reg("R0") == Reg("R0")
         assert len({Reg("R0"), Reg("R0"), Reg("R1")}) == 2
 
+    def test_cached_hash_is_the_dataclass_hash(self):
+        # Set iteration orders and dict layouts keyed by registers do not
+        # move: the hash is the one the dataclass computed.
+        for base, field in [("R0", None), ("PSTATE", "EL"), ("SP_EL2", None)]:
+            assert hash(Reg(base, field)) == hash((base, field))
+
+    def test_equality_and_repr_ignore_the_cached_hash(self):
+        assert Reg("PSTATE", "EL") == Reg("PSTATE", "EL")
+        assert Reg("PSTATE", "EL") != Reg("PSTATE", "SP")
+        assert Reg("R0") != ("R0", None)
+        assert repr(Reg("PSTATE", "EL")) == "Reg(base='PSTATE', field='EL')"
+        assert repr(Reg("R0")) == "Reg(base='R0', field=None)"
+
+    def test_copies_recompute_the_hash(self):
+        import copy
+        import pickle
+
+        reg = Reg("PSTATE", "EL")
+        for clone in (pickle.loads(pickle.dumps(reg)), copy.deepcopy(reg)):
+            assert clone == reg and hash(clone) == hash(("PSTATE", "EL"))
+        assert pickle.dumps(reg) == pickle.dumps(Reg("PSTATE", "EL"))
+
 
 class TestTraceStructure:
     def test_linear_trace(self):

@@ -3,8 +3,9 @@
 The checker decides every judgment ``assumptions ⊨ goal`` with one
 refutation query, ``assumptions ∧ ¬goal``.  These tests pin that each
 verdict of that query maps to the right accounting — including the
-vacuous case, which needs no separate consistency query — and that no
-second query per judgment creeps back in.
+vacuous case, which needs no separate consistency query — that no
+second query per distinct judgment creeps back in, and that a
+certificate's residuals cannot make the checker work without bound.
 """
 
 from __future__ import annotations
@@ -127,7 +128,17 @@ class TestOneQueryPerJudgment:
         report = check_proof(proof)
         assert report.side_conditions_checked == 3
         assert report.residuals_discharged == 2
-        assert len(counted) == 5
+        # The residuals repeat two side conditions: three distinct judgments.
+        assert len(counted) == 3
+
+    def test_a_repeated_judgment_is_refuted_once(self, counted):
+        proof = _proof(
+            [(BOUNDED, ENTAILED)] * 3, residuals=[(BOUNDED, ENTAILED)] * 2
+        )
+        report = check_proof(proof)
+        assert report.side_conditions_checked == 3
+        assert report.residuals_discharged == 2
+        assert len(counted) == 1
 
     def test_case_study_proof(self, counted):
         from repro import casestudies
@@ -141,11 +152,16 @@ class TestOneQueryPerJudgment:
         proof = verify_program(case.frontend.traces, case.specs, pc_for(module)).proof
         counted.clear()  # the automation's own queries do not count
         report = check_proof(proof)
+        judgments = [c for s in proof.steps for c in s.side_conditions]
+        judgments += proof.residual_obligations
         assert report.side_conditions_checked > 0
-        assert len(counted) == (
+        assert len(judgments) == (
             report.side_conditions_checked
             + report.residuals_discharged
             + report.residuals_remaining
+        )
+        assert len(counted) == len(
+            {(tuple(j.assumptions), j.goal) for j in judgments}
         )
 
 
@@ -172,6 +188,17 @@ class TestWorkIsBounded:
         with pytest.raises(CheckFailure, match="multiplication commutes"):
             check_certificate(text)
         assert time.monotonic() - started < 10.0
+
+    def test_hostile_residuals_share_one_allowance(self):
+        residuals = []
+        for i in range(10):
+            x, y = B.bv_var(f"x{i}", 8), B.bv_var(f"y{i}", 8)
+            residuals.append(((), B.eq(B.bvmul(x, y), B.bvmul(y, x))))
+        text = _proof(residuals=residuals).to_json()
+        started = time.monotonic()
+        with pytest.raises(CheckFailure, match="allowance"):
+            check_certificate(text)
+        assert time.monotonic() - started < 3.0
 
     def test_every_golden_certificate_is_accepted(self):
         from repro import casestudies

@@ -139,6 +139,11 @@ def maybe_assert_wellformed(
 # ---------------------------------------------------------------------------
 
 
+#: An event's location: the case path prefix and its index, formatted
+#: ``cases[0].events[3]`` only when a finding needs it.
+_Where = tuple[str, int]
+
+
 class _Checker:
     def __init__(self, regfile, extern, strict, max_findings) -> None:
         self.regfile = regfile
@@ -151,22 +156,25 @@ class _Checker:
         #: externs already accepted (name -> var), for consistency checks.
         self.externs_seen: dict[str, Term] = {}
 
-    def report(self, code: str, message: str, where: str) -> None:
+    def report(self, code: str, message: str, where: _Where) -> None:
         if len(self.findings) < self.max_findings:
-            self.findings.append(Finding(code, ERROR, message, where))
+            prefix, i = where
+            self.findings.append(
+                Finding(code, ERROR, message, f"{prefix}events[{i}]")
+            )
 
     def walk(self, trace: Trace, scope: dict[str, Term], prefix: str) -> None:
         for i, event in enumerate(trace.events):
             if len(self.findings) >= self.max_findings:
                 return
-            self.event(event, scope, f"{prefix}events[{i}]")
+            self.event(event, scope, (prefix, i))
         if trace.cases is not None:
             for i, sub in enumerate(trace.cases):
                 self.walk(sub, dict(scope), f"{prefix}cases[{i}].")
 
     # -- events ------------------------------------------------------------
 
-    def event(self, event: E.Event, scope: dict[str, Term], where: str) -> None:
+    def event(self, event: E.Event, scope: dict[str, Term], where: _Where) -> None:
         if isinstance(event, E.DeclareConst):
             if not event.var.is_var():
                 self.report("WF007", f"declare-const of non-variable {event.var!r}", where)
@@ -262,14 +270,14 @@ class _Checker:
 
     # -- variables and terms ------------------------------------------------
 
-    def define(self, var: Term, scope: dict[str, Term], where: str) -> None:
+    def define(self, var: Term, scope: dict[str, Term], where: _Where) -> None:
         name = var.name
         if name in scope:
             self.report("WF003", f"variable {name} defined twice", where)
             return
         scope[name] = var
 
-    def term(self, term: Term, scope: dict[str, Term], where: str) -> None:
+    def term(self, term: Term, scope: dict[str, Term], where: _Where) -> None:
         try:
             infer_sort(term)
         except IllSortedTerm as exc:

@@ -1075,7 +1075,7 @@ _DECODE_TABLE: list[tuple[str, object]] = [
     ("11010100_000_xxxxxxxxxxxxxxxx_000_01", system_exceptions_svc),
     ("11010110100_11111_000000_11111_00000", lambda m, op: exception_return(m)),
     ("x_10_11010110_00000_000000_xxxxx_xxxxx", integer_arithmetic_rbit),
-    ("x_0_x_11010100_xxxxx_xxxx_0_x_xxxxx_xxxxx", integer_conditional_select),
+    ("x_x_0_11010100_xxxxx_xxxx_0_x_xxxxx_xxxxx", integer_conditional_select),
     ("x_x_1_11010010_xxxxx_xxxx_x_0_xxxxx_0_xxxx", integer_conditional_compare),
     ("x_00_11010110_xxxxx_00001_x_xxxxx_xxxxx", integer_arithmetic_div),
 ]

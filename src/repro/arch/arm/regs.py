@@ -118,11 +118,15 @@ def declare_arm_registers(regfile: RegisterFile) -> None:
             regfile.declare(name, 64)
 
 
+_GPRS = tuple(Reg(f"R{n}") for n in range(31))
+_PSTATE = {field: Reg("PSTATE", field) for field in PSTATE_FIELDS}
+
+
 def gpr(n: int) -> Reg:
-    """The n-th general-purpose register (n in 0..30)."""
+    """The n-th general-purpose register (n in 0..30), one shared name."""
     if not 0 <= n <= 30:
         raise ValueError(f"X{n} is not a general-purpose register")
-    return Reg(f"R{n}")
+    return _GPRS[n]
 
 
 def sp_for_el(el: int) -> Reg:
@@ -130,9 +134,10 @@ def sp_for_el(el: int) -> Reg:
 
 
 def pstate(field: str) -> Reg:
-    if field not in PSTATE_FIELDS:
-        raise ValueError(f"unknown PSTATE field {field}")
-    return Reg("PSTATE", field)
+    try:
+        return _PSTATE[field]
+    except KeyError:
+        raise ValueError(f"unknown PSTATE field {field}") from None
 
 
 PC = Reg("_PC")

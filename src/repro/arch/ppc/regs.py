@@ -58,15 +58,21 @@ def declare_ppc_registers(regfile: RegisterFile) -> None:
         regfile.declare(f"CR{i}", 4)
 
 
+_GPRS = tuple(Reg(f"r{n}") for n in range(32))
+
+
 def gpr(n: int) -> Reg:
-    """The n-th general-purpose register (n in 0..31)."""
+    """The n-th general-purpose register (n in 0..31), one shared name."""
     if not 0 <= n <= 31:
         raise ValueError(f"r{n} is not a general-purpose register")
-    return Reg(f"r{n}")
+    return _GPRS[n]
+
+
+_CR_FIELDS = tuple(Reg(f"CR{n}") for n in range(8))
 
 
 def cr_field(n: int) -> Reg:
-    """The n-th 4-bit condition-register field (n in 0..7)."""
+    """The n-th 4-bit condition-register field (n in 0..7), one shared name."""
     if not 0 <= n <= 7:
         raise ValueError(f"CR{n} is not a condition-register field")
-    return Reg(f"CR{n}")
+    return _CR_FIELDS[n]

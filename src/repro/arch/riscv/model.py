@@ -23,10 +23,14 @@ from ...smt.terms import Term
 PC = Reg("PC")
 
 
+_XREGS = tuple(Reg(f"x{n}") for n in range(32))
+
+
 def xreg(n: int) -> Reg:
+    """Register ``x<n>`` (n in 1..31), one shared name."""
     if not 1 <= n <= 31:
         raise ValueError(f"x{n} is not an allocatable register")
-    return Reg(f"x{n}")
+    return _XREGS[n]
 
 
 #: Machine-mode CSRs we model: name -> CSR address (RISC-V privileged spec).

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from ..arch.arm import regs as AR
 from ..arch.arm.model import decode_bit_masks
+from ..arch.ppc import regs as PR
+from ..arch.riscv.model import xreg
 from ..itl.events import LabelRead, LabelWrite, Reg
 from ..itl.machine import MachineState
 from .archs import CosimArch
@@ -817,12 +819,12 @@ class RiscvInterp(_BaseInterp):
     def _x(self, n: int) -> int:
         if n == 0:
             return 0
-        return self._rr(Reg(f"x{n}"))
+        return self._rr(xreg(n))
 
     def _set_x(self, n: int, value: int) -> None:
         if n == 0:
             return
-        self._wr(Reg(f"x{n}"), value & MASK64)
+        self._wr(xreg(n), value & MASK64)
 
     def _advance(self, pc: int) -> None:
         self._wr(_RISCV_PC, (pc + 4) & MASK64)
@@ -1074,10 +1076,10 @@ class PpcInterp(_BaseInterp):
     """Plain-integer OpenPOWER interpreter over the modelled subset."""
 
     def _gpr(self, n: int) -> int:
-        return self._rr(Reg(f"r{n}"))
+        return self._rr(PR.gpr(n))
 
     def _set_gpr(self, n: int, value: int) -> None:
-        self._wr(Reg(f"r{n}"), value & MASK64)
+        self._wr(PR.gpr(n), value & MASK64)
 
     def _ra_or_zero(self, n: int) -> int:
         """(RA|0): r0 reads as zero in addressing/addi contexts."""
@@ -1093,7 +1095,7 @@ class PpcInterp(_BaseInterp):
 
     def _write_cr(self, bf: int, lt: bool, gt: bool, eq: bool) -> None:
         value = (int(lt) << 3) | (int(gt) << 2) | (int(eq) << 1) | self._so()
-        self._wr(Reg(f"CR{bf}"), value, 4)
+        self._wr(PR.cr_field(bf), value, 4)
 
     def _record_cr0(self, result: int) -> None:
         signed = _sx(result & MASK64, 64)

@@ -51,8 +51,22 @@ class Reg:
 
     @staticmethod
     def parse(text: str) -> "Reg":
-        base, _, f = text.partition(".")
-        return Reg(base, f or None)
+        """The register ``text`` names; the first :data:`PARSE_MEMO_MAX`
+        distinct texts parsed share their instances (cache and certificate
+        text is untrusted, so the memo stops growing there)."""
+        reg = _PARSED.get(text)
+        if reg is None:
+            base, _, f = text.partition(".")
+            reg = Reg(base, f or None)
+            if len(_PARSED) < PARSE_MEMO_MAX:
+                _PARSED[text] = reg
+        return reg
+
+
+#: Most distinct register texts :meth:`Reg.parse` keeps.  Every model
+#: declares well under a thousand register names.
+PARSE_MEMO_MAX = 4096
+_PARSED: dict[str, Reg] = {}
 
 
 class Event:

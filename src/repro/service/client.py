@@ -1,9 +1,10 @@
 """Thin client for the verification daemon and fleet.
 
 Speaks the daemon's JSON-over-HTTP protocol over local TCP or a Unix
-domain socket using only the standard library.  Every method maps to one
-endpoint; :meth:`ServiceClient.run` composes submit + wait into the shape
-CLI tools want.
+domain socket: one plain socket per request, the request written at once
+and the reply read to EOF (the daemon closes after answering).  Every
+method maps to one endpoint; :meth:`ServiceClient.run` composes submit +
+wait into the shape CLI tools want.
 
 Failure handling is typed and bounded:
 
@@ -12,7 +13,9 @@ Failure handling is typed and bounded:
   :class:`ServiceTimeout`, never as a raw ``socket.timeout``;
 - **refusals** — connection refused/reset surfaces as
   :class:`ServiceUnavailable` (both are :class:`ServiceError` subclasses,
-  so existing ``except ServiceError`` call sites keep working);
+  so existing ``except ServiceError`` call sites keep working); a reply
+  cut short is a :class:`ServiceUnavailable` too, and one that is not
+  HTTP a ``ServiceError`` 502;
 - **retries** — ``retries > 0`` retries failed requests with jittered
   exponential backoff.  Reads of non-idempotent requests (a ``POST``
   whose bytes may already have reached the daemon) are *not* retried —
@@ -32,12 +35,10 @@ harness exercises every retry path.
 
 from __future__ import annotations
 
-import http.client
+import json
 import random
 import socket
 import time
-
-import json
 
 from ..resilience import fault_at
 
@@ -72,49 +73,43 @@ class ServiceUnavailable(ServiceError):
         super().__init__(503, reason)
 
 
-class _TCPConnection(http.client.HTTPConnection):
-    """HTTPConnection with split connect/read timeouts."""
-
-    def __init__(
-        self, host: str, port: int, connect_timeout: float | None,
-        read_timeout: float | None,
-    ) -> None:
-        super().__init__(host, port, timeout=connect_timeout)
-        self._read_timeout = read_timeout
-
-    def connect(self) -> None:
-        super().connect()
-        self.sock.settimeout(self._read_timeout)
-
-
-class _UnixHTTPConnection(http.client.HTTPConnection):
-    """http.client over an AF_UNIX socket path."""
-
-    def __init__(
-        self, socket_path: str, connect_timeout: float | None = None,
-        read_timeout: float | None = None,
-    ) -> None:
-        super().__init__("localhost", timeout=connect_timeout)
-        self._socket_path = socket_path
-        self._read_timeout = read_timeout
-
-    def connect(self) -> None:
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        try:
-            if self.timeout is not None:
-                sock.settimeout(self.timeout)
-            sock.connect(self._socket_path)
-        except OSError:
-            # A shard that is not listening yet fails every start-up
-            # probe; each one must not hold a descriptor until collected.
-            sock.close()
-            raise
-        sock.settimeout(self._read_timeout)
-        self.sock = sock
-
-
 #: Methods whose read-phase failures are safe to retry.
 _IDEMPOTENT = frozenset({"GET", "HEAD"})
+
+
+def _parse_reply(raw: bytes, address: str) -> tuple[int, str, object]:
+    """``(status, reason, body)`` of one whole reply; the body is decoded
+    JSON when the reply says so, else text.  A reply cut short is a lost
+    connection; one that is not HTTP is a 502."""
+    if not raw:
+        raise ServiceUnavailable(f"{address} closed with no reply", phase="read")
+    head, ended, body = raw.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    version, _, rest = status_line.partition(" ")
+    code, _, reason = rest.partition(" ")
+    if not (version.startswith("HTTP/") and code.isascii() and code.isdigit()):
+        raise ServiceError(502, f"{address} sent no HTTP status line")
+    if not ended:
+        raise ServiceUnavailable(f"{address} reply cut short", phase="read")
+    headers = {}
+    for line in lines:
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    length = headers.get("content-length", str(len(body)))
+    if not (length.isascii() and length.isdigit()):
+        raise ServiceError(502, f"{address} sent Content-Length {length!r}")
+    if len(body) < int(length):
+        raise ServiceUnavailable(
+            f"{address} reply cut short: {len(body)} of {length} body bytes",
+            phase="read",
+        )
+    body = body[: int(length)]
+    if "json" not in headers.get("content-type", ""):
+        return int(code), reason, body.decode("utf-8", "replace")
+    try:
+        return int(code), reason, json.loads(body or b"{}")
+    except ValueError:
+        raise ServiceError(502, f"{address} sent a malformed JSON body") from None
 
 
 class ServiceClient:
@@ -153,72 +148,71 @@ class ServiceClient:
             return f"unix:{self.socket_path}"
         return f"{self.host}:{self.port}"
 
-    def _connection(self, read_timeout: float) -> http.client.HTTPConnection:
-        if self.socket_path is not None:
-            return _UnixHTTPConnection(
-                self.socket_path,
-                connect_timeout=self.connect_timeout,
-                read_timeout=read_timeout,
-            )
-        return _TCPConnection(
-            self.host, self.port,
-            connect_timeout=self.connect_timeout,
-            read_timeout=read_timeout,
-        )
+    def _connect(self) -> socket.socket:
+        """A socket connected within ``connect_timeout``."""
+        try:
+            if self.socket_path is None:
+                return socket.create_connection(
+                    (self.host, self.port), self.connect_timeout
+                )
+            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                sock.settimeout(self.connect_timeout)
+                sock.connect(self.socket_path)
+            except OSError:
+                # A shard that is not listening yet fails every start-up
+                # probe; each one must not hold a descriptor until collected.
+                sock.close()
+                raise
+            return sock
+        except socket.timeout as exc:
+            raise ServiceTimeout(
+                f"connect to {self.address} timed out", phase="connect"
+            ) from exc
+        except OSError as exc:
+            raise ServiceUnavailable(f"cannot reach {self.address}: {exc}") from exc
 
     # -- one attempt ----------------------------------------------------------
 
     def _attempt(self, method: str, path: str, payload: dict | None,
                  read_timeout: float):
+        """One request on a fresh connection: the request goes out in one
+        write, and the reply is read to EOF (the daemon closes after it)."""
         fault = fault_at("service.conn")
         if fault == "drop":
             raise ServiceUnavailable("injected connection drop")
         if fault == "halfclose":
             raise ServiceTimeout("injected half-closed connection")
-        conn = self._connection(read_timeout)
+        body = b"" if payload is None else json.dumps(payload).encode()
+        head = (
+            f"{method} {path} HTTP/1.1\r\nHost: {self.host}\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n"
+        )
+        if payload is not None:
+            head += "Content-Type: application/json\r\n"
+        sock = self._connect()
+        chunks = []
         try:
-            try:
-                conn.connect()
-            except socket.timeout as exc:
-                raise ServiceTimeout(
-                    f"connect to {self.address} timed out", phase="connect"
-                ) from exc
-            except (ConnectionError, FileNotFoundError, OSError) as exc:
-                raise ServiceUnavailable(
-                    f"cannot reach {self.address}: {exc}"
-                ) from exc
-            try:
-                body = None
-                headers = {}
-                if payload is not None:
-                    body = json.dumps(payload).encode()
-                    headers["Content-Type"] = "application/json"
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            except socket.timeout as exc:
-                raise ServiceTimeout(
-                    f"{method} {path} to {self.address} timed out"
-                ) from exc
-            except (ConnectionError, OSError) as exc:
-                raise ServiceUnavailable(
-                    f"connection to {self.address} lost: {exc}", phase="read"
-                ) from exc
-            content_type = response.getheader("Content-Type", "")
-            if "json" in content_type:
-                data = json.loads(raw.decode() or "{}")
-            else:
-                data = raw.decode()
-            if response.status >= 400:
-                reason = (
-                    data.get("error", response.reason)
-                    if isinstance(data, dict)
-                    else response.reason
-                )
-                raise ServiceError(response.status, reason)
-            return response.status, data
+            sock.settimeout(read_timeout)
+            sock.sendall(head.encode() + b"\r\n" + body)
+            while chunk := sock.recv(1 << 16):
+                chunks.append(chunk)
+        except socket.timeout as exc:
+            raise ServiceTimeout(
+                f"{method} {path} to {self.address} timed out"
+            ) from exc
+        except OSError as exc:
+            raise ServiceUnavailable(
+                f"connection to {self.address} lost: {exc}", phase="read"
+            ) from exc
         finally:
-            conn.close()
+            sock.close()
+        status, reason, data = _parse_reply(b"".join(chunks), self.address)
+        if status >= 400:
+            if isinstance(data, dict):
+                reason = data.get("error", reason)
+            raise ServiceError(status, reason)
+        return status, data
 
     # -- the retry loop -------------------------------------------------------
 

@@ -484,8 +484,9 @@ class FleetRouter(HttpFrontEnd):
 
     def _watch(self, job, shard_id: str, remote_id: str, client) -> dict:
         """Long-poll the placed job until it is terminal, one request per
-        job plus one per :data:`WATCH_WAIT_S` of running; raises
-        :class:`_JobLost` when the shard dies or forgets it."""
+        job plus one per :data:`WATCH_WAIT_S` of running, and return the
+        report the ``done`` reply carries; raises :class:`_JobLost` when
+        the shard dies or forgets it."""
         misses = 0
         seq = 0
         while True:
@@ -522,16 +523,7 @@ class FleetRouter(HttpFrontEnd):
                 seq = events[-1]["seq"] + 1
             state = batch["state"]
             if state == "done":
-                try:
-                    return client.report(remote_id)
-                except (ServiceTimeout, ServiceUnavailable) as exc:
-                    raise _JobLost(f"shard unreachable: {exc}") from exc
-                except ServiceError as exc:
-                    if exc.status == 404:
-                        raise _JobLost(
-                            "shard restarted before report fetch"
-                        ) from exc
-                    raise _RemoteFailure(exc.reason) from exc
+                return batch["report"]  # a terminal reply carries it
             if state in ("failed", "cancelled"):
                 # The terminal event comes in the same reply as its state.
                 data = events[-1]["data"] if events else {}

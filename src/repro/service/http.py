@@ -18,7 +18,8 @@ HTTP surface (all JSON unless noted; one request per connection)::
     GET  /jobs/<id>/report        full result incl. certificate (409 if
                                   not finished)
     GET  /jobs/<id>/events        ?since=N&wait=S  long-poll progress;
-                                  &until=terminal waits for the end
+                                  &until=terminal waits for the end, and
+                                  a done reply then carries "report"
     POST /jobs/<id>/cancel        cancel queued (flag running) jobs
     GET  /metrics                 Prometheus text exposition
     GET  /metrics.json            raw telemetry snapshot
@@ -393,9 +394,10 @@ class HttpFrontEnd:
                     finally:
                         job.drop_waiter(waiter)
             state, events = job.poll(since)
-            return Reply(
-                200, {"state": state, "events": [e.to_json() for e in events]}
-            )
+            reply = {"state": state, "events": [e.to_json() for e in events]}
+            if terminal and state == "done":
+                reply["report"] = job.result  # spares a /report request
+            return Reply(200, reply)
         if method == "POST" and rest == ["cancel"]:
             cancelled, note = self.cancel(job)
             return Reply(

@@ -245,7 +245,7 @@ class ProcessShard(ShardHandle):
                 )
             if time.monotonic() >= deadline:
                 raise RuntimeError(f"{self.shard_id} never became healthy")
-            time.sleep(0.05)
+            time.sleep(0.005)  # a refused probe costs microseconds
 
     def stop(self) -> None:
         if self._proc is None:

@@ -26,6 +26,19 @@ import signal
 import sys
 
 
+#: What a verification or cosim job imports beyond the service layer.
+PREBIND_MODULES = (
+    "repro.analysis.wellformed",
+    "repro.arch.arm.templates",
+    "repro.arch.ppc.templates",
+    "repro.arch.riscv.templates",
+    "repro.casestudies",
+    "repro.cosim",
+    "repro.logic.checker",
+    "repro.parallel.scheduler",
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="repro.tools.serve", description=__doc__)
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -64,9 +77,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # Everything a job runs is imported before the socket binds, so no
-    # job pays for compiling it.
-    from .. import casestudies, cosim  # noqa: F401
-    from ..logic import checker  # noqa: F401
+    # job pays for compiling it (``PREBIND_MODULES``, pinned by a test).
+    import importlib
+
+    for module in PREBIND_MODULES:
+        importlib.import_module(module)
     from ..resilience import BudgetSpec
     from ..service.server import VerificationService
     from ..service.telemetry import Telemetry, stderr_telemetry

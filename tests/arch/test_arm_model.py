@@ -9,6 +9,7 @@ from repro.arch.arm.model import (
     _handler_for,
     bits_match,
     decode_bit_masks,
+    integer_conditional_select,
 )
 from repro.arch.arm.regs import PC, gpr, pstate
 from repro.itl.events import Reg
@@ -112,6 +113,38 @@ class TestCompiledDecodeTable:
             assert _handler_for(word) is by_regex(word), hex(word)
         for word in words[:2_000]:
             assert _handler_for(word) is _walk_handler(word), hex(word)
+
+    def test_every_template_word_has_a_handler(self):
+        # The CSINV/CSNEG words (op, bit 30, set): the conditional-select
+        # pattern fixes S (bit 29), not op.
+        for word in (0xDA808788, 0xDA9E1530, 0xDA9DD5E0, 0xDA825117, 0xDA80D0AB):
+            assert _handler_for(word) is integer_conditional_select, hex(word)
+        assert [hex(w) for w in _template_words() if _handler_for(w) is None] == []
+
+    def test_csneg_traces(self):
+        from repro.isla import Assumptions, trace_for_opcode
+
+        # csneg x8, x28, x0, hi
+        result = trace_for_opcode(ArmModel(), 0xDA808788, Assumptions())
+        assert any(
+            str(getattr(event, "reg", "")) == "R8"
+            for event in result.trace.iter_events()
+        )
+
+    def test_conditional_select_with_s_set_is_undecodable(self):
+        # csel x0, x1, x2, eq with bit 29 (S) set: no A64 instruction.
+        assert _handler_for(A.csel(0, 1, 2, "eq") | 1 << 29) is None
+
+    @pytest.mark.parametrize(
+        "word,expected",
+        [
+            (0xDA820020, ~20),  # csinv x0, x1, x2, eq (eq fails): NOT x2
+            (0xDA820420, -20),  # csneg x0, x1, x2, eq (eq fails): -x2
+        ],
+    )
+    def test_csinv_csneg_execute(self, model, word, expected):
+        state = run_one(model, word, regs={"R1": 10, "R2": 20})
+        assert state.read_reg(gpr(0)) == expected % (1 << 64)
 
 
 class TestEncoderKnownOpcodes:

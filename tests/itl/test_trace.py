@@ -65,6 +65,54 @@ class TestReg:
         assert pickle.dumps(reg) == pickle.dumps(Reg("PSTATE", "EL"))
 
 
+class TestSharedRegisterNames:
+    """The models' register constructors and ``Reg.parse`` hand out shared
+    instances that equal, hash and print as freshly built names do."""
+
+    def test_model_registers_are_shared(self):
+        from repro.arch.arm import regs as arm
+        from repro.arch.ppc import regs as ppc
+        from repro.arch.riscv.model import xreg
+
+        pairs = [
+            (arm.gpr, 3, Reg("R3")),
+            (arm.pstate, "EL", Reg("PSTATE", "EL")),
+            (ppc.gpr, 3, Reg("r3")),
+            (xreg, 3, Reg("x3")),
+        ]
+        for make, arg, fresh in pairs:
+            assert make(arg) is make(arg)
+            assert make(arg) == fresh and hash(make(arg)) == hash(fresh)
+            assert repr(make(arg)) == repr(fresh)
+        assert repr(arm.gpr(3)) == "Reg(base='R3', field=None)"
+
+    def test_out_of_range_registers_are_still_refused(self):
+        from repro.arch.arm import regs as arm
+        from repro.arch.ppc import regs as ppc
+        from repro.arch.riscv.model import xreg
+
+        for make, arg in [
+            (arm.gpr, 31), (arm.gpr, -1), (arm.pstate, "Q"),
+            (ppc.gpr, 32), (xreg, 0), (xreg, 32),
+        ]:
+            with pytest.raises(ValueError):
+                make(arg)
+
+    def test_parse_shares_its_instances(self):
+        assert Reg.parse("PSTATE.EL") is Reg.parse("PSTATE.EL")
+        assert Reg.parse("PSTATE.EL") == Reg("PSTATE", "EL")
+
+    def test_the_parse_memo_is_bounded(self, monkeypatch):
+        from repro.itl import events
+
+        monkeypatch.setattr(events, "_PARSED", {})
+        monkeypatch.setattr(events, "PARSE_MEMO_MAX", 8)
+        regs = [Reg.parse(f"HOSTILE{i}") for i in range(100)]
+        assert len(events._PARSED) == 8
+        assert Reg.parse("HOSTILE99") == regs[99]
+        assert Reg.parse("HOSTILE99") is not regs[99]
+
+
 class TestTraceStructure:
     def test_linear_trace(self):
         t = Trace.lin(ReadReg(Reg("R0"), v("a")))

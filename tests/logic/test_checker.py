@@ -200,6 +200,21 @@ class TestWorkIsBounded:
             check_certificate(text)
         assert time.monotonic() - started < 3.0
 
+    def test_costly_side_conditions_share_one_allowance(self):
+        """Each of these commutativity goals costs a few hundred conflicts,
+        under the per-query bound: fifty of them once took 4.45 s and were
+        accepted."""
+        conditions = []
+        for i in range(50):
+            x, y = B.bv_var(f"x{i}", 5), B.bv_var(f"y{i}", 5)
+            conditions.append(((), B.eq(B.bvmul(x, y), B.bvmul(y, x))))
+        text = _proof(conditions=conditions).to_json()
+        assert len(text) < 8_000
+        started = time.monotonic()
+        with pytest.raises(CheckFailure, match="allowance"):
+            check_certificate(text)
+        assert time.monotonic() - started < 2.0
+
     def test_every_golden_certificate_is_accepted(self):
         from repro import casestudies
         from repro.logic.automation import verify_program

@@ -269,3 +269,54 @@ def test_a_shard_imports_what_its_jobs_run_before_it_answers(tmp_path):
         "repro.cosim": True,
         "repro.logic.checker": True,
     }
+
+
+def test_a_shard_loads_no_module_after_it_binds(tmp_path):
+    """One verification job and one cosim job per arch import nothing the
+    shard had not imported before its socket bound."""
+    later = _probe(
+        """
+        import asyncio, json, sys, threading, time
+        from repro.service.client import ServiceClient
+
+        path = sys.argv[1]
+        at_bind = set()
+        bind = asyncio.start_unix_server
+
+        async def recording_bind(*args, **kwargs):
+            at_bind.update(m for m in sys.modules if m.startswith("repro"))
+            return await bind(*args, **kwargs)
+
+        asyncio.start_unix_server = recording_bind
+        later = []
+
+        def drive():
+            while not at_bind:
+                time.sleep(0.01)
+            client = ServiceClient(socket_path=path, timeout=60.0)
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                try:
+                    if client.healthz().get("ok"):
+                        break
+                except Exception:
+                    time.sleep(0.01)
+            try:
+                client.run("memcpy_arm", kwargs={"n": 2})
+                for arch in ("arm", "ppc", "riscv"):
+                    client.run("cosim:" + arch, kwargs={"seed": 1, "count": 4})
+                later.extend(
+                    m for m in sys.modules
+                    if m.startswith("repro") and m not in at_bind
+                )
+            finally:
+                client.shutdown()
+
+        threading.Thread(target=drive, daemon=True).start()
+        from repro.tools import serve
+        serve.main(["--socket", path, "--quiet"])
+        print(json.dumps(sorted(later)))
+        """,
+        str(tmp_path / "s.sock"),
+    )
+    assert later == []

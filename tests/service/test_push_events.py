@@ -161,10 +161,10 @@ def test_router_watches_a_slow_job_with_o_events_requests(monkeypatch):
     assert job.result["certificate"] == expected
     requests = shards[0].job_requests
     polls = [path for method, path in requests if "/events" in path]
-    # One submit and one report fetch; each long-poll either brought new
-    # events or waited out its allowance while the job was silent (the
-    # sleep, plus up to a second of build).
-    assert len(requests) == len(polls) + 2
+    # One submit, and the terminal reply carries the report; each long-poll
+    # either brought new events or waited out its allowance while the job
+    # was silent (the sleep, plus up to a second of build).
+    assert len(requests) == len(polls) + 1
     assert len(polls) <= shard_events + (slow_s + 1) / WATCH_WAIT_S + 2
     # A 50 ms status poll would have needed at least 40.
     assert len(polls) < slow_s / 0.05
@@ -349,7 +349,9 @@ def test_only_a_terminal_transition_wakes_a_terminal_waiter():
 
 def test_the_router_watches_a_job_with_one_long_poll(monkeypatch):
     """However many events the shard job records, the router's watch
-    answers once, at its terminal state."""
+    answers once, at its terminal state, and that reply carries the
+    report: a job finishing within one ``WATCH_WAIT_S`` costs its shard a
+    submit and one long-poll."""
     from repro.service import fleet
 
     expected = serial_certificate("binsearch_arm", {"n": 6})
@@ -379,4 +381,54 @@ def test_the_router_watches_a_job_with_one_long_poll(monkeypatch):
         (method, path.split("?")[0].rsplit("/", 1)[-1])
         for method, path in shards[0].job_requests
     ]
-    assert methods == [("POST", "jobs"), ("GET", "events"), ("GET", "report")]
+    assert methods == [("POST", "jobs"), ("GET", "events")]
+
+
+def _terminal_reply(server, host, port, until: str, finish) -> dict:
+    """The body of a long-poll with ``until`` that ``finish`` ends."""
+    since = server.record.num_events
+    timer = threading.Timer(0.1, finish)
+    timer.start()
+    try:
+        status, body = get_json(
+            host, port,
+            f"/jobs/{server.record.id}/events?since={since}&wait=20&until={until}",
+        )
+    finally:
+        timer.join()
+    assert status == 200, body
+    return body
+
+
+def test_a_terminal_done_reply_carries_the_report(one_job):
+    server, host, port = one_job
+    result = {"outcome": "verified", "certificate": "(cert)"}
+    body = _terminal_reply(
+        server, host, port, "terminal", lambda: server.record.mark_done(result)
+    )
+    assert body["state"] == "done"
+    assert body["report"] == result
+    _status, report = get_json(host, port, f"/jobs/{server.record.id}/report")
+    assert body["report"] == report
+
+
+def test_an_event_reply_carries_no_report(one_job):
+    server, host, port = one_job
+    body = _terminal_reply(
+        server, host, port, "event",
+        lambda: server.record.mark_done({"outcome": "verified"}),
+    )
+    assert body["state"] == "done"
+    assert "report" not in body
+
+
+@pytest.mark.parametrize("end", ["failed", "cancelled"])
+def test_a_terminal_reply_that_is_not_done_carries_no_report(one_job, end):
+    server, host, port = one_job
+    finish = {
+        "failed": lambda: server.record.mark_failed("boom"),
+        "cancelled": lambda: server.record.mark_cancelled("asked"),
+    }[end]
+    body = _terminal_reply(server, host, port, "terminal", finish)
+    assert body["state"] == end
+    assert "report" not in body

@@ -1,46 +1,56 @@
-"""The on-disk cache: a trace store and an SMT verdict store.
+"""The on-disk cache: a trace log and an SMT verdict log.
 
 Layout (under the user-supplied root)::
 
-    <root>/v<FORMAT>/traces/<k[:2]>/<k>.itl   one file per Isla result
-    <root>/v<FORMAT>/smt/verdicts.jsonl       append-only check verdicts
+    <root>/v<FORMAT>/traces.log            append-only Isla results
+    <root>/v<FORMAT>/smt/verdicts.jsonl    append-only check verdicts
 
-Trace files carry a one-line JSON header (metrics, the sort signature of
-*external* free variables — symbolic opcode bits and the like — that the
-trace mentions but never declares, the entry's total length and a
-blake2b-128 digest), followed by the printed ITL trace.
+A trace record is a one-line JSON header (the trace key, metrics, the sort
+signature of *external* free variables — symbolic opcode bits and the like
+— that the trace mentions but never declares, the record's total length
+``end`` and a blake2b-128 digest), followed by the printed ITL trace and a
+newline.  The digest covers every header field but ``end`` and itself, the
+key included, and the body: a record can be served only under the key it
+was sealed with.
 
-Durability policy: entries are never fsynced, because each validates
-itself.  The header's length catches a truncated file, and its digest —
-over the other header fields and the body — any same-length damage (a
-power cut's unwritten blocks, bit rot, a hand edit).  Such an entry reads
-as a counted miss, and a loaded trace must still pass the well-formedness
-check, so a crash can cost warm entries, which are reproducible, but never
-correctness.
+Durability policy: records are never fsynced, because each validates
+itself.  The header's length catches a truncated record, and its digest
+any same-length damage (a power cut's unwritten blocks, bit rot, a hand
+edit).  Such a record reads as a counted miss, and a loaded trace must
+still pass the well-formedness check, so a crash can cost warm entries,
+which are reproducible, but never correctness.
 
-A handle remembers every trace it has stored or loaded, the way it holds
-the verdict log in memory: a trace key names a pure function of the
+A handle indexes the trace log (key -> offset and length of its latest
+record) when it opens, and on a miss indexes only what other handles have
+appended since.  A record that fails its checks is dropped from the index;
+a later record for the same key (the direct path re-stores the trace it
+recomputes) takes its place.  Duplicates arise only when two processes
+compute the same trace, or when a damaged record is re-stored, so the log
+grows by one record per distinct trace and never shrinks: bumping
+``CACHE_FORMAT_VERSION`` or deleting the directory is how it is reset.
+
+A handle also remembers every trace it has stored or loaded, the way it
+holds the verdict log in memory: a trace key names a pure function of the
 model, the opcode and the assumptions, so a hit on a trace this process
 already holds is served from the handle without touching the file.  Only
 the direct path's own result or a trace that passed the load-time checks
 is ever held, so a held trace needs no re-check; the disk stays
 untrusted, and every other handle (another process) still digests,
-parses and checks each entry it reads.
+parses and checks each record it reads.
 
 The SMT store is an append-only JSONL so concurrent processes can record
 verdicts without coordination: each line is a self-contained
 ``{"k": key, "r": verdict}`` record, duplicate lines are idempotent
-(the verdict is a deterministic function of the key), and a torn final
-tail is truncated off the file on load.
+(the verdict is a deterministic function of the key).
 
-Concurrency discipline (daemons and CLI runs sharing one directory):
-trace entries are written to a temp file and atomically renamed, so a
-reader can never observe a half entry; JSONL appends go through
-:func:`_append_exact`, which takes an advisory ``flock`` on the log file
-(where available) and loops over short ``write``\\ s — two processes
-appending concurrently can therefore never interleave bytes *within* a
-record, only order whole records.  Losing the lock race costs latency,
-never correctness.
+Concurrency discipline (daemons and CLI runs sharing one directory): both
+logs are appended through :func:`_append_exact`, which takes an advisory
+``flock`` on the log file (where available) and loops over short
+``write``\\ s — two processes appending concurrently can therefore never
+interleave bytes *within* a record, only order whole records.  On open,
+each log's torn tail (a killed appender's partial final record) is cut
+off under the same lock (:func:`_repair_log`).  Losing the lock race costs
+latency, never correctness.
 """
 
 from __future__ import annotations
@@ -48,7 +58,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -63,26 +72,34 @@ from ..smt.sorts import sort_from_text, sort_to_text
 from .keys import CACHE_FORMAT_VERSION
 
 
-def _append_exact(path: Path, payload: bytes) -> bool:
+def _flock(fd: int, unlock: bool = False) -> None:
+    """Take (or release) an exclusive advisory lock on ``fd``."""
+    if fcntl is not None:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_UN if unlock else fcntl.LOCK_EX)
+        except OSError:
+            pass  # lock unsupported (NFS?): O_APPEND is the fallback
+
+
+def _append_exact(path: Path, payload: bytes) -> int | None:
     """Append ``payload`` to ``path`` without interleaving with other writers.
 
     Opens in ``O_APPEND``, takes an exclusive advisory lock on the file
     itself (no separate lockfile to leak), and loops until every byte is
     written — a short write mid-payload would otherwise let a concurrent
-    appender land *inside* our record.  Returns ``False`` on any OS error:
-    append-only stores treat a lost write as a warm-start loss, never a
-    failure of the run.
+    appender land *inside* our record.  A write that fails part-way is cut
+    back off under the lock.  Returns the offset just past the payload, or
+    ``None`` on any OS error: append-only stores treat a lost write as a
+    warm-start loss, never a failure of the run.
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     except OSError:
-        return False
+        return None
+    start = None
     try:
-        if fcntl is not None:
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            except OSError:
-                pass  # lock unsupported (NFS?): O_APPEND is the fallback
+        _flock(fd)
+        start = os.lseek(fd, 0, os.SEEK_END)
         view = memoryview(payload)
         while view:
             try:
@@ -90,9 +107,14 @@ def _append_exact(path: Path, payload: bytes) -> bool:
             except InterruptedError:
                 continue
             view = view[written:]
-        return True
+        return start + len(payload)
     except OSError:
-        return False
+        if start is not None:
+            try:
+                os.ftruncate(fd, start)
+            except OSError:
+                pass
+        return None
     finally:
         try:
             os.close(fd)  # releases the flock too
@@ -100,9 +122,41 @@ def _append_exact(path: Path, payload: bytes) -> bool:
             pass
 
 
+def _repair_log(fd: int, scan) -> None:
+    """Read the append-only log open read-write on ``fd`` and cut off its
+    torn tail.
+
+    ``scan(data)`` consumes the log's bytes and returns the offset just
+    past its last valid record.  Whatever follows — a torn final append, a
+    dangling line with no newline, trailing garbage — is truncated off the
+    file (and the cut fsynced) under the same ``flock`` the appenders take,
+    so the log stops accumulating bytes that every later open would
+    re-skip and every later append would bury mid-file, where they can no
+    longer be told from real corruption.
+    """
+    _flock(fd)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(fd, 1 << 20)
+            if not chunk:
+                break
+            chunks.append(chunk)
+        data = b"".join(chunks)
+        valid_end = scan(data)
+        if valid_end < len(data):
+            try:
+                os.ftruncate(fd, valid_end)
+                os.fsync(fd)
+            except OSError:
+                pass
+    finally:
+        _flock(fd, unlock=True)
+
+
 #: Counters of one :class:`DiskCache` handle (``DiskCache.stats``).
 #: ``trace_mem_hits`` (a subset of ``trace_hits``) were served from the
-#: traces the handle holds, without reading the file;
+#: traces the handle holds, without reading the log;
 #: ``smt_truncated_bytes`` were cut off the verdict log's corrupt tail on
 #: open (a crashed appender's torn final records); ``wellformed_rejects``
 #: (a subset of ``corrupt_entries``) parsed but failed the well-formedness
@@ -121,8 +175,8 @@ def _header_json(meta: dict) -> str:
 
 
 def _entry_digest(meta: dict, body: str) -> str:
-    """blake2b-128 of a trace entry: its header fields (all but ``end``
-    and ``digest`` itself) and its body."""
+    """blake2b-128 of a trace record: its header fields (all but ``end``
+    and ``digest`` itself, so the key too) and its body."""
     fields = {k: v for k, v in meta.items() if k not in ("end", "digest")}
     h = hashlib.blake2b(_header_json(fields).encode(), digest_size=16)
     h.update(b"\n")
@@ -130,24 +184,26 @@ def _entry_digest(meta: dict, body: str) -> str:
     return h.hexdigest()
 
 
-def _seal_entry(trace, meta: dict) -> tuple[dict, str]:
-    """A trace entry: its header fields, exactly as a reader parses them
-    back, and its text (the header line, then the printed trace)."""
+def _seal_entry(key: str, trace, meta: dict) -> tuple[dict, bytes]:
+    """A trace record: its header fields, exactly as a reader parses them
+    back, and its bytes (the header line, then the printed trace and a
+    newline)."""
     body, extern = encode_trace(trace)
+    body += "\n"
     # Round-trip through JSON first: the digest must be over the header
     # exactly as a reader will parse it back.
-    meta = json.loads(json.dumps(dict(meta, extern=extern)))
+    meta = json.loads(json.dumps(dict(meta, extern=extern, key=key)))
     meta["digest"] = _entry_digest(meta, body)
     # Self-delimiting: the header records the total length so a
-    # truncated file is detected without trusting the parser.
+    # truncated record is detected without trusting the parser.
     meta["end"] = 0
     while True:
         header = _header_json(meta)
-        total = len(header) + 1 + len(body)
+        total = len(header) + 1 + len(body.encode())
         if meta["end"] == total:
             break
         meta["end"] = total
-    return meta, f"{header}\n{body}"
+    return meta, f"{header}\n{body}".encode()
 
 
 def encode_trace(trace) -> tuple[str, list]:
@@ -173,13 +229,13 @@ def decode_trace(body: str, extern):
 class DiskCache:
     """A handle on one on-disk cache directory.
 
-    Creates the versioned layout on first use and loads the SMT verdict log
-    eagerly (it is the hot store — consulted on every solver miss — so it
-    must be a dict lookup, not file IO).  It also holds every trace it
-    stores or loads, so it reads each entry from disk at most once.  Code
-    that runs in a process should use :func:`open_cache`, which shares one
-    handle per root; a second ``DiskCache`` on the same root models a
-    second process.
+    Creates the versioned layout on first use, indexes the trace log, and
+    loads the SMT verdict log eagerly (it is the hot store — consulted on
+    every solver miss — so it must be a dict lookup, not file IO).  It
+    also holds every trace it stores or loads, so it reads each record
+    from disk at most once.  Code that runs in a process should use
+    :func:`open_cache`, which shares one handle per root; a second
+    ``DiskCache`` on the same root models a second process.
     """
 
     root: Path
@@ -192,71 +248,109 @@ class DiskCache:
     def __post_init__(self) -> None:
         self.root = Path(self.root)
         self._base = self.root / f"v{CACHE_FORMAT_VERSION}"
-        self._traces = self._base / "traces"
+        self._log_path = self._base / "traces.log"
         self._smt_path = self._base / "smt" / "verdicts.jsonl"
-        self._traces.mkdir(parents=True, exist_ok=True)
         self._smt_path.parent.mkdir(parents=True, exist_ok=True)
         self._smt: dict[str, str] = {}
         # Trace key -> (trace, meta): what this handle stored, or loaded
         # past the digest and well-formedness checks.
         self._held: dict[str, tuple] = {}
+        # Trace key -> (offset, length) of its latest record in the log,
+        # which is indexed up to ``_indexed_end``.
+        self._index: dict[str, tuple[int, int]] = {}
+        self._indexed_end = 0
         self._smt_pending: list[str] = []
         # One handle may be shared by every job thread of the daemon: the
         # in-memory views and pending buffers need mutual exclusion even
         # though the on-disk appends are self-synchronising.
         self._lock = threading.RLock()
+        self._log_fd = os.open(self._log_path, os.O_RDWR | os.O_CREAT, 0o644)
+        _repair_log(self._log_fd, self._index_opened_log)
         self._load_smt()
+
+    def __del__(self) -> None:
+        fd = getattr(self, "_log_fd", None)
+        if fd is not None:
+            try:
+                os.close(fd)
+            except OSError:
+                pass
 
     # -- trace store --------------------------------------------------------
 
-    def _trace_path(self, key: str) -> Path:
-        return self._traces / key[:2] / f"{key}.itl"
+    def _index_opened_log(self, data: bytes) -> int:
+        end = self._indexed_end = self._index_records(data, 0)
+        if end < len(data):
+            self.stats.inc("corrupt_entries")  # a torn tail, cut off
+        return end
 
-    def _read_entry(self, path: Path):
-        """Parse one self-delimiting trace entry.
+    def _index_records(self, data: bytes, base: int) -> int:
+        """Index the records in ``data``, the log's bytes from offset
+        ``base``; return the offset in ``data`` just past the last one.
 
-        Returns ``("miss", None)`` when the file is absent, ``("corrupt",
-        None)`` for any malformed entry (torn write, damaged or hand-edited
-        bytes, stale format), or ``("ok", (trace, meta))``.
+        A record starts with a header line that parses to a string ``key``
+        and an integer ``end``, and its ``end`` bytes fit and end with a
+        newline.  Anything else is skipped a line at a time and, once a
+        record follows it, counted as one corrupt entry.  What follows the
+        last record is the caller's: a torn tail on open, or an append
+        still in flight on a miss.
         """
+        pos = valid_end = 0
+        while True:
+            newline = data.find(b"\n", pos)
+            if newline == -1:
+                return valid_end
+            length = None
+            if data.startswith(b"{", pos):
+                try:
+                    meta = json.loads(data[pos:newline])
+                    key, length = meta["key"], meta["end"]
+                    if not (
+                        isinstance(key, str)
+                        and type(length) is int
+                        and newline - pos < length <= len(data) - pos
+                        and data[pos + length - 1] == 0x0A
+                    ):
+                        length = None
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    length = None
+            if length is None:
+                pos = newline + 1
+                continue
+            if pos > valid_end:
+                self.stats.inc("corrupt_entries")  # a damaged run, skipped
+            self._index[key] = (base + pos, length)
+            pos = valid_end = pos + length
+
+    def _index_tail(self) -> None:
+        """Index what other handles appended since this one last looked."""
         try:
-            data = path.read_bytes()
+            size = os.fstat(self._log_fd).st_size
+            if size <= self._indexed_end:
+                return
+            data = os.pread(self._log_fd, size - self._indexed_end, self._indexed_end)
         except OSError:
-            return "miss", None
+            return
+        self._indexed_end += self._index_records(data, self._indexed_end)
+
+    def _read_entry(self, key: str, span: tuple[int, int]):
+        """Read and check the record at ``span``: ``(trace, meta)``, or
+        ``None`` for any malformed record (torn write, damaged or
+        hand-edited bytes, a header sealed under another key)."""
+        offset, length = span
         try:
+            data = os.pread(self._log_fd, length, offset)
             text = data.decode()
             header, _, body = text.partition("\n")
             meta = json.loads(header)
-            if meta.get("end") != len(text):
-                raise ValueError("truncated trace entry")
+            if meta.get("end") != len(data) or meta.get("key") != key:
+                raise ValueError("truncated or misplaced trace record")
             if meta.get("digest") != _entry_digest(meta, body):
-                raise ValueError("trace entry digest mismatch")
+                raise ValueError("trace record digest mismatch")
             trace = decode_trace(body, meta.get("extern", []))
         except Exception:
-            return "corrupt", None
-        return "ok", (trace, meta)
-
-    def _write_entry(self, path: Path, text: str) -> bool:
-        """Atomically persist one trace entry; ``False`` on OS failure.
-
-        No ``fsync``: the length and digest in the header make a damaged
-        entry a counted miss (see the module docstring).
-        """
-        tmp: str | None = None
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(text.encode())
-            os.replace(tmp, path)
-        except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            return False  # a full disk must not fail the run
-        return True
+            return None
+        return trace, meta
 
     def load_trace(self, key: str):
         """Return ``(trace, meta)`` for a cached Isla result, or ``None``.
@@ -264,54 +358,60 @@ class DiskCache:
         ``meta`` carries the stored execution metrics (``paths``,
         ``model_calls``, ``model_steps``, ``solver_checks``).  A trace this
         handle already holds is served as is (``trace_mem_hits``); any
-        other is read from disk.  An entry that parses but fails the
+        other is read from the log.  A record that parses but fails the
         well-formedness checker is treated exactly like a torn write:
-        counted, *evicted*, and reported as a miss — a cache must never be
-        able to feed the proof pipeline an ill-formed trace (a buggy or
-        version-skewed writer, whose entry carries a valid digest).  Only
-        an entry that passes is held.
+        counted, *evicted* from the index, and reported as a miss — a cache
+        must never be able to feed the proof pipeline an ill-formed trace
+        (a buggy or version-skewed writer, whose record carries a valid
+        digest).  Only a record that passes is held.
         """
         held = self._held.get(key)
         if held is not None:
             self.stats.inc("trace_hits")
             self.stats.inc("trace_mem_hits")
             return held
-        path = self._trace_path(key)
-        status, hit = self._read_entry(path)
-        if status == "miss":
+        with self._lock:
+            span = self._index.get(key)
+            if span is None:
+                self._index_tail()
+                span = self._index.get(key)
+        if span is None:
             self.stats.inc("trace_misses")
             return None
-        if status == "corrupt":
-            self.stats.inc("corrupt_entries")
-            self.stats.inc("trace_misses")
-            return None
-        trace, meta = hit
-        from ..analysis.wellformed import is_wellformed
+        hit = self._read_entry(key, span)
+        if hit is not None:
+            from ..analysis.wellformed import is_wellformed
 
-        if not is_wellformed(trace):
-            self.stats.inc("wellformed_rejects")
+            if not is_wellformed(hit[0]):
+                self.stats.inc("wellformed_rejects")
+                hit = None
+        if hit is None:
+            with self._lock:
+                if self._index.get(key) == span:
+                    del self._index[key]
             self.stats.inc("corrupt_entries")
             self.stats.inc("trace_misses")
-            try:
-                path.unlink()
-            except OSError:
-                pass
             return None
         self._held[key] = hit
         self.stats.inc("trace_hits")
         return hit
 
     def store_trace(self, key: str, trace, meta: dict) -> None:
-        """Persist a *complete* Isla result atomically, and hold it.
+        """Append a *complete* Isla result to the log, and hold it.
 
         ``meta`` must already carry the metrics; the external-variable
         signature is computed here from the trace itself.  The handle
         holds the result even when the write fails.
         """
-        meta, text = _seal_entry(trace, meta)
+        meta, record = _seal_entry(key, trace, meta)
         self._held[key] = (trace, meta)
-        if self._write_entry(self._trace_path(key), text):
-            self.stats.inc("trace_writes")
+        end = _append_exact(self._log_path, record)
+        if end is None:
+            return
+        self.stats.inc("trace_writes")
+        with self._lock:
+            if end - len(record) == self._indexed_end:
+                self._indexed_end = end  # nothing to index: the trace is held
 
     # -- SMT verdict store --------------------------------------------------
 
@@ -320,61 +420,44 @@ class DiskCache:
 
         Records mid-file that fail to parse, or that hold anything but a
         string key and a ``sat``/``unsat`` verdict, are skipped (they cost
-        one warm verdict each), but a *trailing* run of bad bytes — a torn
-        final append, a dangling line with no newline — is cut off the
-        file under the same ``flock`` the appenders take, so the log
-        stops accumulating garbage that every subsequent open would
-        re-skip and every subsequent append would bury mid-file where it
-        can no longer be distinguished from real corruption.
+        one warm verdict each); a *trailing* run of bad bytes is cut off
+        the file (:func:`_repair_log`).
         """
         try:
             fd = os.open(self._smt_path, os.O_RDWR)
         except OSError:
             return
         try:
-            if fcntl is not None:
-                try:
-                    fcntl.flock(fd, fcntl.LOCK_EX)
-                except OSError:
-                    pass
-            chunks = []
-            while True:
-                chunk = os.read(fd, 1 << 20)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-            data = b"".join(chunks)
-            valid_end = 0  # byte offset just past the last valid record
-            offset = 0
-            while offset < len(data):
-                newline = data.find(b"\n", offset)
-                if newline == -1:
-                    # Dangling final line, no terminator: a torn write,
-                    # whatever its bytes happen to parse as.
-                    self.stats.inc("corrupt_entries")
-                    break
-                try:
-                    record = json.loads(data[offset:newline])
-                    key, verdict = record["k"], record["r"]
-                    # Only what smt_record writes is trusted on load.
-                    if not isinstance(key, str) or verdict not in ("sat", "unsat"):
-                        raise ValueError("not a sat/unsat verdict record")
-                except (ValueError, KeyError, TypeError, RecursionError):
-                    self.stats.inc("corrupt_entries")
-                else:
-                    self._smt[key] = verdict
-                    valid_end = newline + 1
-                offset = newline + 1
-            if valid_end < len(data):
-                self.stats.inc("smt_truncated_bytes", len(data) - valid_end)
-                try:
-                    os.ftruncate(fd, valid_end)
-                    os.fsync(fd)
-                except OSError:
-                    pass
+            _repair_log(fd, self._scan_verdicts)
         finally:
             os.close(fd)
         self.stats.inc("smt_loaded", len(self._smt))
+
+    def _scan_verdicts(self, data: bytes) -> int:
+        valid_end = 0  # byte offset just past the last valid record
+        offset = 0
+        while offset < len(data):
+            newline = data.find(b"\n", offset)
+            if newline == -1:
+                # Dangling final line, no terminator: a torn write,
+                # whatever its bytes happen to parse as.
+                self.stats.inc("corrupt_entries")
+                break
+            try:
+                record = json.loads(data[offset:newline])
+                key, verdict = record["k"], record["r"]
+                # Only what smt_record writes is trusted on load.
+                if not isinstance(key, str) or verdict not in ("sat", "unsat"):
+                    raise ValueError("not a sat/unsat verdict record")
+            except (ValueError, KeyError, TypeError, RecursionError):
+                self.stats.inc("corrupt_entries")
+            else:
+                self._smt[key] = verdict
+                valid_end = newline + 1
+            offset = newline + 1
+        if valid_end < len(data):
+            self.stats.inc("smt_truncated_bytes", len(data) - valid_end)
+        return valid_end
 
     def smt_lookup(self, key: str) -> str | None:
         verdict = self._smt.get(key)
@@ -411,7 +494,7 @@ class DiskCache:
             if not self._smt_pending:
                 return
             payload = "".join(line + "\n" for line in self._smt_pending)
-            if not _append_exact(self._smt_path, payload.encode()):
+            if _append_exact(self._smt_path, payload.encode()) is None:
                 return  # dropped verdicts are only a warm-start loss
             self._smt_pending.clear()
 

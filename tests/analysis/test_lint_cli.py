@@ -67,8 +67,8 @@ class TestLintCli:
 
         warm = DiskCache(tmp_path)
         assert lint_main(["rbit", "--cache-dir", str(tmp_path)]) == 0
-        # (A fresh handle was used inside main; just assert entries exist.)
-        assert any((tmp_path).rglob("*.itl"))
+        # (A fresh handle was used inside main; just assert records exist.)
+        assert warm._index
 
 
 class TestVerifyStatsJson:

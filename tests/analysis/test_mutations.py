@@ -33,15 +33,26 @@ def trace():
     return res.trace
 
 
-def _reseal(path) -> None:
-    """Recompute a hand-mutated cache entry's digest, as a buggy writer
+def _edit_record(root, key, edit) -> None:
+    """Replace the text of ``key``'s record in the trace log with
+    ``edit(text)``."""
+    from tests.cache._log import record_span
+
+    log, start, end = record_span(root, key)
+    data = log.read_bytes()
+    text = edit(data[start:end].decode()).encode()
+    log.write_bytes(data[:start] + text + data[end:])
+
+
+def _reseal(text: str) -> str:
+    """Recompute a hand-mutated cache record's digest, as a buggy writer
     would have sealed it, so its load gets past the digest check."""
     from repro.cache.store import _entry_digest, _header_json
 
-    header, _, body = path.read_text().partition("\n")
+    header, _, body = text.partition("\n")
     meta = json.loads(header)
     meta["digest"] = _entry_digest(meta, body)
-    path.write_text(_header_json(meta) + "\n" + body)
+    return _header_json(meta) + "\n" + body
 
 
 def _replace_event(trace: Trace, index: int, *replacement) -> Trace:
@@ -100,8 +111,8 @@ class TestSeededMutations:
         mutated = Trace(tuple(events), trace.cases)
         assert "WF002" in codes(check_trace(mutated, ARM.regfile))
 
-    def _store_mutated_entry(self, tmp_path):
-        """Store a well-formed entry, then flip the sort of its memory
+    def _store_mutated_entry(self, tmp_path, reseal=False):
+        """Store a well-formed record, then flip the sort of its memory
         event's size field in place (same byte length, so the header's
         length check still passes)."""
         from repro.itl import ReadMem
@@ -117,35 +128,38 @@ class TestSeededMutations:
         cache = DiskCache(tmp_path)
         key = trace_key(ARM, ADD_SP, _assumptions())
         cache.store_trace(key, stored, {"paths": 1})
-        path = cache._trace_path(key)
-        text = path.read_text()
-        assert text.count(" 8)") == 1
-        path.write_text(text.replace(" 8)", " 4)"))  # 64-bit data, size 4
-        return key, path
+
+        def mutate(text: str) -> str:
+            assert text.count(" 8)") == 1
+            text = text.replace(" 8)", " 4)")  # 64-bit data, size 4
+            return _reseal(text) if reseal else text
+
+        _edit_record(tmp_path, key, mutate)
+        return key
 
     def test_corrupted_cache_entry_is_rejected(self, tmp_path):
         """Mutation: a cached entry parses but violates the judgement.
 
-        The entry is resealed after the mutation (a writer bug, not bit
+        The record is resealed after the mutation (a writer bug, not bit
         rot), so the digest accepts it: the well-formedness gate must
-        reject it, bump ``wellformed_rejects``, and evict it from disk.
+        reject it, bump ``wellformed_rejects``, and evict it from the
+        handle's index.
         """
-        key, path = self._store_mutated_entry(tmp_path)
-        _reseal(path)
+        key = self._store_mutated_entry(tmp_path, reseal=True)
 
-        cache = DiskCache(tmp_path)  # a second process reads the entry
+        cache = DiskCache(tmp_path)  # a second process reads the record
         assert cache.load_trace(key) is None
         assert cache.stats["wellformed_rejects"] == 1
         assert cache.stats["corrupt_entries"] == 1
         assert cache.stats["trace_misses"] == 1
-        assert not path.exists()  # evicted on sight
+        assert key not in cache._index  # evicted on sight
 
     def test_unsealed_mutation_is_a_digest_miss(self, tmp_path):
         """The same mutation without resealing stops at the digest: a
         counted corrupt miss before the entry is even parsed."""
-        key, path = self._store_mutated_entry(tmp_path)
+        key = self._store_mutated_entry(tmp_path)
 
-        cache = DiskCache(tmp_path)  # a second process reads the entry
+        cache = DiskCache(tmp_path)  # a second process reads the record
         assert cache.load_trace(key) is None
         assert cache.stats["wellformed_rejects"] == 0
         assert cache.stats["corrupt_entries"] == 1
@@ -165,7 +179,7 @@ class TestSeededMutations:
         cache = DiskCache(tmp_path)  # a second process reads the entry
         assert cache.load_trace("ab" * 32) is None
         assert cache.stats["wellformed_rejects"] == 1
-        assert not cache._trace_path("ab" * 32).exists()
+        assert "ab" * 32 not in cache._index  # evicted on sight
         # The rejection is sticky-safe: a later load is a plain miss.
         assert cache.load_trace("ab" * 32) is None
         assert cache.stats["wellformed_rejects"] == 1

@@ -67,7 +67,7 @@ class TestConcurrentTraceStore:
         trace, _meta = loaded
         assert trace_to_sexpr(trace) == trace_to_sexpr(result.trace)
         assert fresh.stats["corrupt_entries"] == 0
-        # Atomic rename must not leave temp droppings behind.
+        # Appends leave no temp droppings behind.
         leftovers = [p for p in tmp_path.rglob("*.tmp")]
         assert leftovers == []
 
@@ -141,3 +141,27 @@ class TestConcurrentJsonlStores:
         monkeypatch.undo()
         assert path.read_bytes() == payload
         assert calls["n"] > 1  # the loop actually had to continue
+
+    def test_append_exact_cuts_a_failed_write(self, tmp_path, monkeypatch):
+        """A write that fails part-way (a full disk) is cut back off, so
+        the next record does not land after half of this one."""
+        import os as _os
+
+        from repro.cache import store as store_mod
+
+        path = tmp_path / "log.jsonl"
+        first = (json.dumps({"k": "a" * 40, "r": "sat"}) + "\n").encode()
+        assert store_mod._append_exact(path, first) == len(first)
+        real_write = _os.write
+        calls = {"n": 0}
+
+        def write_then_fail(fd, data):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise OSError(28, "No space left on device")
+            return real_write(fd, bytes(data)[:5])
+
+        monkeypatch.setattr(store_mod.os, "write", write_then_fail)
+        assert store_mod._append_exact(path, b'{"k": "torn", "r": "sat"}\n') is None
+        monkeypatch.undo()
+        assert path.read_bytes() == first

@@ -91,7 +91,7 @@ def _verify(argv, capsys):
 
 def test_repeated_cli_runs_match_no_cache(tmp_path, capsys, monkeypatch):
     """Two ``verify`` runs in one process on one root: both give the
-    ``--no-cache`` certificates, and the second reads no trace file."""
+    ``--no-cache`` certificates, and the second reads no trace record."""
     argv = ["memcpy_arm", "--n", "2"]
     _verify(argv + ["--no-cache", "--cert-dir", str(tmp_path / "plain")], capsys)
     root = str(tmp_path / "c")
@@ -99,7 +99,7 @@ def test_repeated_cli_runs_match_no_cache(tmp_path, capsys, monkeypatch):
     reads = []
     real = DiskCache._read_entry
     monkeypatch.setattr(
-        DiskCache, "_read_entry", lambda self, path: (reads.append(path), real(self, path))[1]
+        DiskCache, "_read_entry", lambda self, *args: (reads.append(args), real(self, *args))[1]
     )
     _verify(argv + ["--cache-dir", root, "--cert-dir", str(tmp_path / "warm")], capsys)
     assert reads == []
@@ -118,11 +118,12 @@ def test_full_disk_does_not_fail_the_run(tmp_path, capsys, monkeypatch):
         raise OSError(28, "No space left on device")
 
     _verify(["rbit", "--no-cache", "--cert-dir", str(tmp_path / "plain")], capsys)
-    monkeypatch.setattr(store.tempfile, "mkstemp", enospc)
+    monkeypatch.setattr(store.os, "write", enospc)
     root = tmp_path / "c"
     argv = ["rbit", "--cache-dir", str(root), "--cert-dir", str(tmp_path / "full"), "-v"]
     _verify(argv, capsys)
-    assert not list(root.glob("v*/traces/*/*"))  # nothing reached the disk
+    # Nothing reached the disk.
+    assert [p.stat().st_size for p in root.glob("v*/traces.log")] == [0]
     assert _certs(tmp_path / "full") == _certs(tmp_path / "plain")
     line = _verify(argv, capsys)
     hits, misses = map(int, re.search(r"traces (\d+) hits / (\d+) misses", line).groups())

@@ -21,6 +21,8 @@ from repro.itl.events import Reg
 from repro.itl.parser import parse_trace
 from repro.itl.printer import trace_to_sexpr
 
+from ._log import record_span
+
 ARM = ArmModel()
 ADD_X1_X2_X3 = 0x8B030041
 
@@ -34,6 +36,13 @@ def _assumptions() -> Assumptions:
 
 def _fresh_trace():
     return trace_for_opcode(ARM, ADD_X1_X2_X3, _assumptions())
+
+
+def _edit_record(root, key: str, edit) -> None:
+    """Replace the bytes of ``key``'s record in the log with ``edit(record)``."""
+    log, start, end = record_span(root, key)
+    data = log.read_bytes()
+    log.write_bytes(data[:start] + edit(data[start:end]) + data[end:])
 
 
 class TestTraceStore:
@@ -73,14 +82,11 @@ class TestTraceStore:
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        path = cache._trace_path(key)
-        text = path.read_text()
-        if mutation == "truncate":
-            path.write_text(text[: len(text) // 2])
-        elif mutation == "append":
-            path.write_text(text + "trailing junk")
-        else:
-            path.write_text("not a cache entry at all")
+        _edit_record(tmp_path, key, {
+            "truncate": lambda record: record[: len(record) // 2],
+            "append": lambda record: record[:-1] + b"trailing junk\n",
+            "garbage": lambda record: b"not a cache entry at all",
+        }[mutation])
         # Read back as another process would: the writer holds its trace.
         reader = DiskCache(tmp_path)
         assert reader.load_trace(key) is None
@@ -92,12 +98,63 @@ class TestTraceStore:
     def test_versioned_layout(self, tmp_path):
         """Entries live under v<FORMAT>; other versions are unreachable."""
         cache = DiskCache(tmp_path)
-        assert (tmp_path / f"v{CACHE_FORMAT_VERSION}" / "traces").is_dir()
-        # An entry from a hypothetical older format is simply never seen.
-        stale = tmp_path / "v0" / "traces" / "ab"
+        assert (tmp_path / f"v{CACHE_FORMAT_VERSION}" / "traces.log").is_file()
+        # An entry from an older format is simply never seen.
+        stale = tmp_path / "v2" / "traces" / "ab"
         stale.mkdir(parents=True)
         (stale / ("ab" * 32 + ".itl")).write_text("{}\nstale")
         assert cache.load_trace("ab" * 32) is None
+
+    def test_twenty_traces_make_no_file_but_the_logs(self, tmp_path):
+        """Every trace is a record in one log: storing 20 leaves the two
+        logs under ``v<FORMAT>``, with no directory and no temp file."""
+        cache = DiskCache(tmp_path)
+        for rd in range(20):  # add x<rd>, x2, x3
+            opcode = (ADD_X1_X2_X3 & ~0x1F) | rd
+            result = trace_for_opcode(ARM, opcode, _assumptions())
+            key = trace_key(ARM, opcode, _assumptions())
+            cache.store_trace(key, result.trace, {"paths": result.paths})
+        cache.smt_record("k" * 64, "unsat")
+        cache.flush()
+        base = tmp_path / f"v{CACHE_FORMAT_VERSION}"
+        assert sorted(str(p.relative_to(base)) for p in base.rglob("*")) == [
+            "smt", "smt/verdicts.jsonl", "traces.log",
+        ]
+        assert cache.stats["trace_writes"] == 20
+        fresh = DiskCache(tmp_path)
+        assert len(fresh._index) == 20
+
+    def test_a_handle_sees_later_stores(self, tmp_path):
+        """A handle opened before another handle's stores still loads
+        them: a miss indexes what was appended since."""
+        reader = DiskCache(tmp_path)
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        assert reader.load_trace(key) is None
+        DiskCache(tmp_path).store_trace(key, result.trace, {"paths": result.paths})
+        trace, meta = reader.load_trace(key)
+        assert trace_to_sexpr(trace) == trace_to_sexpr(result.trace)
+        assert meta["paths"] == result.paths
+        assert reader.stats["trace_misses"] == 1
+        assert reader.stats["trace_mem_hits"] == 0
+
+    def test_a_record_rewritten_to_another_key_serves_neither(self, tmp_path):
+        """The digest covers the key: a record whose header names another
+        valid key, at the same length, is a corrupt miss under that key
+        and a plain miss under its own."""
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        other = trace_key(ARM, ADD_X1_X2_X3, _assumptions(), name_prefix="o")
+        assert len(other) == len(key) != other
+        DiskCache(tmp_path).store_trace(key, result.trace, {"paths": result.paths})
+        _edit_record(
+            tmp_path, key, lambda record: record.replace(key.encode(), other.encode())
+        )
+        reader = DiskCache(tmp_path)
+        assert reader.load_trace(other) is None
+        assert reader.load_trace(key) is None
+        assert reader.stats["corrupt_entries"] == 1
+        assert reader.stats["trace_misses"] == 2
 
 
 def _flip_digit(text: str, i: int) -> str:
@@ -120,37 +177,51 @@ class TestDigest:
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
         # Read back through a second handle (another process): the writer
-        # serves the trace it holds, whatever happens to its file.
+        # serves the trace it holds, whatever happens to its record.
         reader = DiskCache(tmp_path)
-        return reader, cache._trace_path(key), lambda: reader.load_trace(key)
+
+        def edit(mutate) -> None:
+            _edit_record(
+                tmp_path, key, lambda record: mutate(record.decode()).encode()
+            )
+
+        return reader, key, edit, lambda: reader.load_trace(key)
 
     @pytest.mark.parametrize("kind", ["trace"])
     def test_same_length_body_mutation_is_a_corrupt_miss(self, tmp_path, kind):
-        cache, path, load = self._stored(tmp_path, kind)
-        text = path.read_text()
-        header, _, body = text.partition("\n")
-        mutated = _flip_digit(body, body.index("#x") + 2)  # a bitvector literal
-        parse_trace(mutated)  # the damage is invisible to the parser
-        path.write_text(f"{header}\n{mutated}")
+        cache, _, edit, load = self._stored(tmp_path, kind)
+
+        def mutate(text: str) -> str:
+            header, _, body = text.partition("\n")
+            mutated = _flip_digit(body, body.index("#x") + 2)  # a bitvector literal
+            parse_trace(mutated)  # the damage is invisible to the parser
+            return f"{header}\n{mutated}"
+
+        edit(mutate)
         assert load() is None
         assert cache.stats["corrupt_entries"] == 1
         assert cache.stats["wellformed_rejects"] == 0  # stopped at the digest
 
     @pytest.mark.parametrize("kind", ["trace"])
     def test_same_length_header_mutation_is_a_corrupt_miss(self, tmp_path, kind):
-        cache, path, load = self._stored(tmp_path, kind)
-        text = path.read_text()
-        mutated = _flip_digit(text, text.index('"paths":') + len('"paths":'))
-        json.loads(mutated.partition("\n")[0])  # still a JSON header
-        path.write_text(mutated)
+        cache, _, edit, load = self._stored(tmp_path, kind)
+
+        def mutate(text: str) -> str:
+            mutated = _flip_digit(text, text.index('"paths":') + len('"paths":'))
+            json.loads(mutated.partition("\n")[0])  # still a JSON header
+            return mutated
+
+        edit(mutate)
         assert load() is None
         assert cache.stats["corrupt_entries"] == 1
 
     def test_header_carries_digest_and_length(self, tmp_path):
-        _, path, _ = self._stored(tmp_path, "trace")
-        text = path.read_text()
+        _, key, _, _ = self._stored(tmp_path, "trace")
+        log, start, end = record_span(tmp_path, key)
+        text = log.read_bytes()[start:end].decode()
         meta = json.loads(text.partition("\n")[0])
         assert meta["end"] == len(text)
+        assert meta["key"] == key
         assert len(meta["digest"]) == 32  # 128 bits, hex
         assert meta["digest"] == store._entry_digest(meta, text.partition("\n")[2])
 
@@ -200,8 +271,8 @@ def _skewed_trace():
 
 class TestHeldTraces:
     """A handle holds the traces it stored or loaded and serves them
-    without reading the file; other handles (other processes) still
-    digest, parse and check every entry they read."""
+    without reading the log; other handles (other processes) still
+    digest, parse and check every record they read."""
 
     def test_hit_returns_the_stored_object(self, tmp_path):
         cache = DiskCache(tmp_path)
@@ -222,7 +293,7 @@ class TestHeldTraces:
         reader = DiskCache(tmp_path)
         first = reader.load_trace(key)
         assert reader.stats["trace_mem_hits"] == 0
-        reader._trace_path(key).unlink()
+        record_span(tmp_path, key)[0].write_bytes(b"")
         assert reader.load_trace(key) is first
         assert reader.stats["trace_hits"] == 2
         assert reader.stats["trace_mem_hits"] == 1
@@ -232,8 +303,8 @@ class TestHeldTraces:
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        # A version-skewed writer replaces the entry with a sealed,
-        # ill-formed one.
+        # A version-skewed writer appends a sealed, ill-formed record,
+        # which supersedes the first.
         DiskCache(tmp_path).store_trace(key, _skewed_trace(), {"paths": 1})
         assert cache.load_trace(key)[0] is result.trace
         reader = DiskCache(tmp_path)
@@ -241,7 +312,10 @@ class TestHeldTraces:
         assert reader.stats["corrupt_entries"] == 1
         assert reader.stats["wellformed_rejects"] == 1
         assert reader.stats["trace_misses"] == 1
-        assert not cache._trace_path(key).exists()  # evicted on sight
+        # Evicted on sight: the next load is a plain miss, not a re-read.
+        assert reader.load_trace(key) is None
+        assert reader.stats["corrupt_entries"] == 1
+        assert reader.stats["trace_misses"] == 2
         assert cache.load_trace(key)[0] is result.trace
 
     def test_wellformed_reject_is_not_held(self, tmp_path):
@@ -319,11 +393,11 @@ class TestSmtStore:
 
 
 class TestDurability:
-    """The durability policy.  Entries are written atomically (temp file +
-    rename) but never fsynced: a power cut can cost warm entries, and the
-    length and digest in each header turn any damage into a counted miss.
-    The verdict log's torn tail is *repaired on disk* at open (truncated
-    and fsynced), not merely skipped over forever."""
+    """The durability policy.  Records are appended whole under a lock but
+    never fsynced: a power cut can cost warm entries, and the length and
+    digest in each header turn any damage into a counted miss.  Each log's
+    torn tail is *repaired on disk* at open (truncated and fsynced), not
+    merely skipped over forever."""
 
     def _verdicts_path(self, tmp_path):
         return tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
@@ -384,10 +458,34 @@ class TestDurability:
         result = _fresh_trace()
         key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
         cache.store_trace(key, result.trace, {"paths": result.paths})
-        entry = cache._trace_path(key)
-        assert entry.exists()
-        # The atomic rename left exactly the entry, no droppings.
-        assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+        log, start, end = record_span(tmp_path, key)
+        # The append left exactly the record, no droppings.
+        assert (start, end) == (0, log.stat().st_size)
+        assert sorted(p.name for p in log.parent.iterdir()) == ["smt", log.name]
+        assert list((log.parent / "smt").iterdir()) == []
+
+    def test_torn_trace_record_is_truncated(self, tmp_path):
+        """A killed appender's partial final record is cut off the log on
+        open, and the next append reloads cleanly."""
+        result = _fresh_trace()
+        key = trace_key(ARM, ADD_X1_X2_X3, _assumptions())
+        DiskCache(tmp_path).store_trace(key, result.trace, {"paths": result.paths})
+        log, _, end = record_span(tmp_path, key)
+        other = trace_key(ARM, ADD_X1_X2_X3, _assumptions(), name_prefix="o")
+        scratch = tmp_path / "scratch"
+        DiskCache(scratch).store_trace(other, result.trace, {"paths": 1})
+        record = record_span(scratch, other)[0].read_bytes()
+        with log.open("ab") as handle:
+            handle.write(record[: len(record) // 2])  # killed mid-append
+        cache = DiskCache(tmp_path)
+        assert cache.stats["corrupt_entries"] == 1
+        assert log.stat().st_size == end
+        assert cache.load_trace(other) is None
+        cache.store_trace(other, result.trace, {"paths": 1})
+        reloaded = DiskCache(tmp_path)
+        assert reloaded.stats["corrupt_entries"] == 0
+        assert reloaded.load_trace(key) is not None
+        assert reloaded.load_trace(other) is not None
 
     def test_store_trace_makes_no_fsync(self, tmp_path, monkeypatch):
         calls = []

@@ -29,12 +29,8 @@ TRUST_BASE = frozenset({
     "repro.itl.printer",
     "repro.itl.trace",
     "repro.logic",
-    "repro.logic.assertions",
-    "repro.logic.automation",
     "repro.logic.checker",
-    "repro.logic.context",
     "repro.logic.proof",
-    "repro.logic.spec",
     "repro.obs",
     "repro.resilience",
     "repro.resilience.budget",

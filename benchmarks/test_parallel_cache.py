@@ -7,9 +7,9 @@ Run with::
 Three configurations per case study, Fig. 12-style:
 
 - **serial**: no cache (the seed pipeline's behaviour);
-- **cold**: the per-block driver (the daemon's path) filling a cold
-  on-disk cache;
-- **warm**: serial rerun against the cache the cold run filled.
+- **cold**: the same driver filling a cold on-disk cache, with the cache
+  installed as the verdict store the way the daemon installs it;
+- **warm**: rerun against the cache the cold run filled.
 
 Hard assertions cover only the deterministic facts — warm-run hit counts
 and byte-identical certificates across all three configurations; the
@@ -24,11 +24,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro import casestudies
 from repro.cache import DiskCache
-from repro.logic.automation import verify_program
-from repro.parallel.config import configured
-from repro.parallel.scheduler import pc_for, verify_case_parallel
+from repro.casestudies import verify_case
 from repro.smt.solver import clear_check_cache, install_persistent_check_store
 
 CASES = {
@@ -64,19 +61,14 @@ HEADER = (
 
 
 def _serial_governed_run(name, kwargs, cache):
-    """One serial run through the governed pipeline (the driver's path)."""
-    module = getattr(casestudies, name)
+    """One run through the verify driver, the cache its verdict store."""
     clear_check_cache()
     previous = install_persistent_check_store(cache)
     t0 = time.perf_counter()
     try:
-        with configured(cache=cache):
-            case = module.build(**kwargs)
-        report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+        case, report = verify_case(name, kwargs, cache=cache)
     finally:
         install_persistent_check_store(previous)
-        if cache is not None:
-            cache.flush()
     return case, report, time.perf_counter() - t0
 
 
@@ -89,15 +81,7 @@ def all_rows(tmp_path_factory):
         _, serial_report, serial_s = _serial_governed_run(name, kwargs, cache=None)
 
         cold_cache = DiskCache(cache_dir)
-        # The daemon installs its cache as the verdict store for its life;
-        # the driver itself installs none.
-        clear_check_cache()
-        previous = install_persistent_check_store(cold_cache)
-        try:
-            case, cold_report = verify_case_parallel(name, kwargs, cache=cold_cache)
-        finally:
-            install_persistent_check_store(previous)
-        cold_cache.flush()
+        case, cold_report, _cold_s = _serial_governed_run(name, kwargs, cold_cache)
 
         warm_cache = DiskCache(cache_dir)
         _, warm_report, warm_s = _serial_governed_run(name, kwargs, cache=warm_cache)

@@ -137,7 +137,7 @@ def lint_case(name: str, case=None) -> list[Finding]:
     the spec-frame lint.  Findings carry ``case``/``addr`` context.
     """
     from .. import casestudies
-    from ..parallel.scheduler import pc_for
+    from ..casestudies import pc_for
     from .wellformed import check_trace
 
     module = getattr(casestudies, name)

@@ -260,9 +260,10 @@ class DiskCache:
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_end = 0
         self._smt_pending: list[str] = []
-        # One handle may be shared by every job thread of the daemon: the
-        # in-memory views and pending buffers need mutual exclusion even
-        # though the on-disk appends are self-synchronising.
+        # One handle per process and root is shared by every thread that
+        # opens that root (in-process shards, concurrent ``main()`` calls):
+        # the in-memory views and pending buffers need mutual exclusion
+        # even though the on-disk appends are self-synchronising.
         self._lock = threading.RLock()
         self._log_fd = os.open(self._log_path, os.O_RDWR | os.O_CREAT, 0o644)
         _repair_log(self._log_fd, self._index_opened_log)

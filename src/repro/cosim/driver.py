@@ -10,8 +10,9 @@ model on one-word cases, reuses the trace cache, :class:`Divergence`,
 
 Traces come from the same Isla pipeline the proof stack uses
 (``trace_for_opcode`` under the architecture's pinned assumptions) and
-are cached per opcode behind a lock, so daemon runner threads can share
-one driver process.  Only exhaustive enumerations are eligible for
+are cached per opcode for the process, behind a lock: in-process shards
+(several daemons in one process, as the tests and the chaos harness run
+them) share the cache.  Only exhaustive enumerations are eligible for
 replay from arbitrary states.
 """
 
@@ -40,7 +41,8 @@ _TRACE_LOCK = threading.Lock()
 def cached_trace(arch: CosimArch, opcode: int):
     """The exhaustive ITL trace for ``opcode``, or None when out of scope.
 
-    Generation happens at most once per opcode across all threads; replay
+    Generation happens at most once per opcode across the process's
+    threads (one per in-process shard); replay
     of the returned trace is pure, so the cached object is shared freely.
     """
     key = (arch.name, opcode)

@@ -9,7 +9,10 @@ traces.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..isla.assumptions import Assumptions
 from ..isla.executor import IslaResult, trace_for_opcode
@@ -57,6 +60,43 @@ class ProgramImage:
         return out
 
 
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Ambient knobs for trace generation.
+
+    Case studies call :func:`generate_instruction_map` from deep inside
+    their ``build()`` functions; rather than thread these through every
+    one, the driver scopes them with :func:`configured`.  ``cache`` is an
+    optional :class:`repro.cache.DiskCache`; ``kept_traces`` an optional
+    :class:`repro.service.batcher.KeptTraces`, the verification daemon's
+    cross-job trace map, asked for each opcode's trace before Isla runs.
+    The config is a :class:`contextvars.ContextVar`, so it is per thread
+    and task and never leaks across unrelated work.
+    """
+
+    cache: Any = None
+    kept_traces: Any = None
+
+
+_CONFIG: contextvars.ContextVar[PipelineConfig] = contextvars.ContextVar(
+    "repro_pipeline_config", default=PipelineConfig()
+)
+
+
+def current_config() -> PipelineConfig:
+    return _CONFIG.get()
+
+
+@contextmanager
+def configured(cache: Any = None, kept_traces: Any = None):
+    """Scope a :class:`PipelineConfig` for the dynamic extent of a block."""
+    token = _CONFIG.set(PipelineConfig(cache=cache, kept_traces=kept_traces))
+    try:
+        yield _CONFIG.get()
+    finally:
+        _CONFIG.reset(token)
+
+
 @dataclass
 class FrontendResult:
     """The generated instruction map plus per-instruction Isla metrics."""
@@ -87,15 +127,12 @@ def generate_instruction_map(
 ) -> FrontendResult:
     """Run Isla on every opcode of the image, in address order.
 
-    ``cache`` defaults to the ambient
-    :class:`~repro.parallel.config.PipelineConfig` (scoped by the driver
-    via :func:`~repro.parallel.config.configured`), so the nine case-study
-    ``build()`` functions pick up on-disk caching and the daemon's kept
-    traces without signature changes.  Counts (cache lookups) land in the
-    caller's run scope (:mod:`repro.obs`), whichever tier served them.
+    ``cache`` defaults to the ambient :class:`PipelineConfig` (scoped by
+    the driver via :func:`configured`), so the case-study ``build()``
+    functions pick up on-disk caching and the daemon's kept traces without
+    signature changes.  Counts (cache lookups) land in the caller's run
+    scope (:mod:`repro.obs`), whichever tier served them.
     """
-    from ..parallel.config import current_config
-
     config = current_config()
     if cache is None:
         cache = config.cache

@@ -108,13 +108,13 @@ class ProofEngine:
     # -- top level ----------------------------------------------------------
 
     def verify_all(self) -> Proof:
-        """Verify every block specification (the paper's per-block parallel
-        instruction-spec proofs, run sequentially)."""
+        """Verify every block specification (the paper's independent
+        per-block proofs, run in address order)."""
         for addr in sorted(self.block_specs):
             self.verify_block(addr)
         return self.proof
 
-    def verify_all_governed(self, blocks=None) -> RunReport:
+    def verify_all_governed(self, progress=None) -> RunReport:
         """Verify every block, degrading instead of crashing.
 
         Per-block outcome lattice (see :mod:`repro.resilience.outcome`):
@@ -124,32 +124,20 @@ class ProofEngine:
           were left as residual obligations (solver ``unknown``, exhausted
           budget, injected fault);
         - ``unknown`` — the block's proof could not be completed within
-          budget (no refutation found either);
+          budget (no refutation found either), a drain parked it, or the
+          automation raised unexpectedly;
         - ``failed`` — a genuine refutation (countermodel) or structural
           proof error.
 
         Every mechanism only moves outcomes *down* the lattice, so a
         ``verified`` verdict is exactly as strong as the ungoverned path.
 
-        ``blocks`` restricts verification to a subset of the spec'd block
-        addresses (the per-block driver verifies one block at a time).  The
-        engine still needs the *full* spec map — other blocks' specs are
-        used at continuation points — but only the listed blocks are
-        verified and reported.
+        ``progress(addr, outcome)`` fires after each block that ran.
         """
         self.config.governed = True
-        if blocks is None:
-            blocks = sorted(self.block_specs)
-        else:
-            unknown = [a for a in blocks if a not in self.block_specs]
-            if unknown:
-                raise ProofError(
-                    f"no block spec at {[hex(a) for a in unknown]}"
-                )
-            blocks = sorted(blocks)
         report = RunReport(proof=self.proof, budget=self.budget)
         with obs.scope() as run:
-            self._verify_blocks(report, blocks)
+            self._verify_blocks(report, progress)
         # This run's counts reach the enclosing run scope too.
         obs.add(run.snapshot())
         totals = Counters(SOLVER_COUNTERS)
@@ -167,8 +155,8 @@ class ProofEngine:
             report.faults = tuple(injector.log)
         return report
 
-    def _verify_blocks(self, report: RunReport, blocks: list[int]) -> None:
-        for addr in blocks:
+    def _verify_blocks(self, report: RunReport, progress) -> None:
+        for addr in sorted(self.block_specs):
             if shutdown_requested():
                 # Drain: everything not yet attempted lands on the unknown
                 # rung (fail-safe — never silently verified), and the report
@@ -178,6 +166,8 @@ class ProofEngine:
                 self.proof.outcomes[addr] = outcome.outcome
                 continue
             before = len(self.proof.residual_obligations)
+            steps_before = len(self.proof.steps)
+            verified_before = len(self.proof.blocks_verified)
             try:
                 self.verify_block(addr)
             except BudgetExhausted as exc:
@@ -201,6 +191,16 @@ class ProofEngine:
                     outcome = BlockOutcome(
                         addr, FAILED, reason=_first_line(str(exc))
                     )
+            except Exception as exc:  # noqa: BLE001 — fail-soft by contract
+                # The automation itself broke: nothing it recorded for this
+                # block can be trusted, so the proof is cut back to the
+                # block's start and the block lands unknown.
+                del self.proof.steps[steps_before:]
+                del self.proof.residual_obligations[before:]
+                del self.proof.blocks_verified[verified_before:]
+                outcome = BlockOutcome(
+                    addr, UNKNOWN_OUTCOME, reason=f"{type(exc).__name__}: {exc}"
+                )
             else:
                 fresh = self.proof.residual_obligations[before:]
                 if fresh:
@@ -215,6 +215,8 @@ class ProofEngine:
                     outcome = BlockOutcome(addr, VERIFIED)
             report.blocks[addr] = outcome
             self.proof.outcomes[addr] = outcome.outcome
+            if progress is not None:
+                progress(addr, outcome.outcome)
 
     def verify_block(self, addr: int) -> None:
         if addr not in self.program:
@@ -222,8 +224,7 @@ class ProofEngine:
         self._current_block = addr
         # Fresh-name numbering restarts per block, so a block's proof steps
         # (and the solver queries they induce) are a function of the block
-        # alone — the serial whole-program run and the per-block driver
-        # then produce byte-identical certificates and share SMT
+        # alone, whichever blocks ran before it; repeated runs share SMT
         # cache entries.  Contexts are per-block, so reuse cannot collide.
         self._uniq = 0
         residuals_before = len(self.proof.residual_obligations)
@@ -907,7 +908,7 @@ def verify_program(
     pc_reg: Reg,
     config: EngineConfig | None = None,
     budget: Budget | None = None,
-    blocks=None,
+    progress=None,
 ) -> RunReport:
     """Verify a program under resource governance.
 
@@ -915,15 +916,11 @@ def verify_program(
     outcome of ``verified | degraded | unknown | failed`` — it never raises
     on verification failure, budget exhaustion, or injected faults.  Use
     :meth:`ProofEngine.verify_all` directly for the historical raise-on-
-    failure behaviour.
-
-    ``blocks`` optionally restricts verification to a subset of the spec'd
-    addresses (used by the parallel per-block driver); the full spec map is
-    still consulted at continuation points.
+    failure behaviour.  ``progress(addr, outcome)`` fires after each block.
     """
     config = config or EngineConfig()
     config.governed = True
     if budget is not None:
         config.budget = budget
     engine = ProofEngine(program, block_specs, pc_reg, config)
-    return engine.verify_all_governed(blocks=blocks)
+    return engine.verify_all_governed(progress)

@@ -4,10 +4,11 @@ A :class:`Counters` is a thread-safe bag of named numbers with one additive
 merge, :meth:`Counters.add`; snapshots are plain picklable dicts.  A
 run scope (:func:`scope`) is a :class:`Counters` made current by a
 :class:`contextvars.ContextVar` (the ambient pattern of
-:mod:`repro.parallel.config`), so concurrent runs never see each other's
-counts.  :func:`count` lands in the innermost scope only; whatever runs in
-its own scope — a block proof — hands its snapshot up and the parent
-adds it once (:func:`add`).  See DESIGN.md, "Counters".
+:func:`repro.frontend.program.configured`), so concurrent runs never see
+each other's counts.  :func:`count` lands in the innermost scope only;
+whatever runs in its own scope — a governed verify run — hands its
+snapshot up and the parent adds it once (:func:`add`).  See DESIGN.md,
+"Counters".
 """
 
 from __future__ import annotations

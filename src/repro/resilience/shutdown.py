@@ -9,8 +9,8 @@ that every driver loop polls at block granularity:
 - :func:`request_shutdown` sets the event (signal handlers, the daemon's
   drain sequence, and tests call it directly);
 - :func:`shutdown_requested` is the cheap poll used by
-  ``ProofEngine.verify_all_governed`` between blocks and by the parallel
-  scheduler between dispatch and merge;
+  ``ProofEngine.verify_all_governed`` between blocks, the one loop that
+  the CLI and the daemon both run;
 - :func:`handle_signals` is a context manager installing SIGINT/SIGTERM
   handlers for the dynamic extent of a CLI run.  The *first* signal only
   sets the event (cooperative drain); a *second* SIGINT falls back to the

@@ -1,8 +1,8 @@
 """``repro.service`` — the persistent verification daemon.
 
-Every capability of the pipeline (governed verification, per-block
-proofs, the on-disk trace/SMT cache, incremental solver contexts) is
-reachable through one-shot CLI runs, but each invocation pays cold-start
+Every capability of the pipeline (governed verification, the on-disk
+trace/SMT cache, incremental solver contexts) is reachable through
+one-shot CLI runs, but each invocation pays cold-start
 for the state the previous run just warmed.  This package keeps that state
 resident and serves verification over a local socket:
 
@@ -14,7 +14,7 @@ resident and serves verification over a local socket:
   successful Isla run is kept by (model, opcode, assumptions) key, and a
   later request for the key is served without running Isla;
 - :mod:`~repro.service.runner` — the daemon's one job thread: jobs run one
-  at a time against the resident state, each job's budget consumption
+  at a time through the CLI's driver against the resident state, each job's budget consumption
   absorbed back into the service pool on completion;
 - :mod:`~repro.service.telemetry` — service counters (queue depth, trace
   requests, dedup hits, latency percentiles) merged with the solver/cache/

@@ -1,18 +1,18 @@
 """Job execution: the bridge from queue to the governed pipeline.
 
-A :class:`JobRunner` is the daemon's one worker thread.  It pulls jobs off
+A :class:`JobRunner` is the daemon's one job thread.  It pulls jobs off
 the :class:`~repro.service.queue.JobQueue` one at a time, runs each
-through :func:`~repro.parallel.scheduler.verify_case_parallel` against the
-*resident* cache and kept traces (this is where the daemon's
-whole advantage lives — nothing is rebuilt per job), re-checks the proof
-with the independent checker, and publishes the encoded result.
+through :func:`~repro.casestudies.verify_case` — the driver
+``tools/verify`` runs too — against the *resident* cache and kept traces
+(this is where the daemon's whole advantage lives: nothing is rebuilt per
+job), re-checks the proof with the independent checker, and publishes
+the encoded result.
 
 Budget round-trip: the job's :class:`~repro.resilience.budget.BudgetSpec`
-comes from the queue (:meth:`~repro.service.queue.JobQueue.job_budget_spec`),
-and whatever the run *actually consumed* — reported by the merged run
-budget — is absorbed back into the service pool on completion.  A job
-with failed blocks reports only the consumption of the blocks that
-finished; the failed blocks' shares return to the pool untouched.
+comes from the queue (:meth:`~repro.service.queue.JobQueue.job_budget_spec`)
+and is one run budget shared by the job's blocks, as the CLI's
+``--conflicts``/``--deadline`` are; whatever the run *actually consumed*
+is absorbed back into the service pool on completion.
 """
 
 from __future__ import annotations
@@ -63,8 +63,9 @@ class JobRunner:
         if job.request.case.startswith("cosim:"):
             self.run_cosim_job(job)
             return
+        from .. import casestudies
         from ..logic.checker import CheckFailure, check_proof
-        from ..parallel.scheduler import verify_case_parallel
+        from ..smt.solver import LRU_COUNTERS
 
         service = self.service
         telemetry = service.telemetry
@@ -84,14 +85,14 @@ class JobRunner:
             job.add_event("block-done", addr=f"0x{addr:x}", outcome=outcome)
 
         try:
-            case, report = verify_case_parallel(
+            case, report = casestudies.verify_case(
                 job.request.case,
                 dict(job.request.kwargs),
                 cache=service.cache,
-                budget_spec=spec,
                 kept_traces=service.kept_traces,
-                progress=progress,
+                budget_spec=spec,
                 on_built=built,
+                progress=progress,
             )
             try:
                 check = check_proof(report.proof, expected_blocks=set(case.specs))
@@ -128,7 +129,10 @@ class JobRunner:
         telemetry.inc("jobs_completed")
         telemetry.inc(f"outcome_{report.outcome}")
         telemetry.counters.add(report.solver_stats, "solver_")
-        telemetry.counters.add(report.cache_stats, "cache_")
+        # The check cache's counts only: its gauges do not sum across jobs.
+        telemetry.counters.add(
+            {name: report.cache_stats[name] for name in LRU_COUNTERS}, "cache_"
+        )
         service.refresh_gauges()
         job.mark_done(result)
         if job.latency_s is not None:

@@ -2,7 +2,7 @@
 
 The service owns exactly one of each warm resource — an optional
 :class:`~repro.cache.DiskCache` (installed process-wide as the solver's
-persistent check store, as ``tools/verify`` does per run) and a
+persistent check store, as ``tools/verify`` does for its whole run) and a
 :class:`~repro.service.batcher.KeptTraces` map — and one
 :class:`~repro.service.runner.JobRunner` thread that executes jobs against
 them, one at a time.  Every pipeline stage is CPU-bound Python, so a

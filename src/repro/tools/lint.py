@@ -60,7 +60,7 @@ def lint_one(name: str, n: int | None, cache=None):
     """Build one case study (serially) and lint it; returns the findings."""
     from .. import casestudies
     from ..analysis.framelint import lint_case
-    from ..parallel.config import configured
+    from ..frontend.program import configured
     from .verify import _build_kwargs
 
     module = getattr(casestudies, name)

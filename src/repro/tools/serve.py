@@ -35,7 +35,6 @@ PREBIND_MODULES = (
     "repro.casestudies",
     "repro.cosim",
     "repro.logic.checker",
-    "repro.parallel.scheduler",
 )
 
 

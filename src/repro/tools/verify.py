@@ -58,46 +58,6 @@ def _render_cache_line(run, preloaded: int) -> str:
     )
 
 
-def _run_serial(module, kwargs, args, cache):
-    from contextlib import nullcontext
-
-    from .. import obs
-    from ..logic.automation import verify_program
-    from ..parallel.config import configured
-    from ..parallel.scheduler import pc_for
-    from ..resilience import Budget, FaultInjector, inject
-    from ..smt.solver import install_persistent_check_store
-
-    spec = _build_budget_spec(args)
-    injection = (
-        inject(FaultInjector(args.fault_seed, rate=args.fault_rate))
-        if args.fault_seed is not None
-        else nullcontext()
-    )
-    previous = install_persistent_check_store(cache)
-    # Trace generation happens during the case *build*, so the run scope
-    # spans build + verify.
-    try:
-        t0 = time.perf_counter()
-        with obs.scope() as run:
-            with configured(cache=cache):
-                case = module.build(**kwargs)
-            t1 = time.perf_counter()
-            with injection:
-                report = verify_program(
-                    case.frontend.traces, case.specs, pc_for(module),
-                    budget=Budget(spec) if spec is not None else None,
-                )
-        t2 = time.perf_counter()
-    finally:
-        install_persistent_check_store(previous)
-        if cache is not None:
-            cache.flush()
-    obs.add(run.snapshot())
-    timings = f"isla {t1 - t0:.2f}s, verify {t2 - t1:.2f}s"
-    return case, report, timings
-
-
 def _executor_stats(case) -> dict[str, int]:
     """Sum the per-opcode execution metrics across a case's frontend."""
     totals = {
@@ -129,13 +89,21 @@ def run_one(name: str, n: int | None, args, cache=None, stats_out=None) -> bool:
     from .. import casestudies
     from ..logic.checker import CheckFailure, check_proof
 
-    module = getattr(casestudies, name, None)
-    if module is None:
+    if name not in casestudies.__all__:
         print(f"unknown case study {name!r}", file=sys.stderr)
         return False
-    kwargs = _build_kwargs(module, n)
-
-    case, report, timings = _run_serial(module, kwargs, args, cache)
+    marks = [time.perf_counter()]
+    case, report = casestudies.verify_case(
+        name,
+        _build_kwargs(getattr(casestudies, name), n),
+        cache=cache,
+        budget_spec=_build_budget_spec(args),
+        fault_seed=args.fault_seed,
+        fault_rate=args.fault_rate,
+        on_built=lambda _case: marks.append(time.perf_counter()),
+    )
+    t0, t1 = marks
+    timings = f"isla {t1 - t0:.2f}s, verify {time.perf_counter() - t1:.2f}s"
 
     # The checker runs outside injection: the certificate must stand on its
     # own regardless of how flaky the run that produced it was.
@@ -227,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     from .. import obs
     from ..cache import resolve_cache
     from ..obs import Counters
+    from ..resilience import handle_signals, shutdown_requested
+    from ..smt.solver import install_persistent_check_store
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
     preloaded = cache.stats["smt_loaded"] + cache.stats["smt_records"] if cache else 0
@@ -234,9 +204,9 @@ def main(argv: list[str] | None = None) -> int:
     # SIGINT/SIGTERM drain gracefully: in-flight blocks finish, the
     # rest land on the unknown rung, caches flush on the way out, and
     # the process exits 1 with a partial report instead of a traceback.
-    from ..resilience import handle_signals, shutdown_requested
-
     with handle_signals(), obs.scope() as run:
+        # The verdict store serves the whole run, as the daemon's does.
+        previous = install_persistent_check_store(cache)
         try:
             ok = all(
                 [
@@ -248,6 +218,7 @@ def main(argv: list[str] | None = None) -> int:
                 print("shutdown requested: run drained, partial results above",
                       file=sys.stderr)
         finally:
+            install_persistent_check_store(previous)
             if cache is not None:
                 cache.flush()
                 if args.verbose:

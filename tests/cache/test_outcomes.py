@@ -7,12 +7,9 @@ cache-cold run, and a fault-injected run must not consult the cache at all.
 
 from __future__ import annotations
 
-from repro import casestudies
 from repro.cache import DiskCache
+from repro.casestudies import verify_case
 from repro.isla import trace_for_opcode
-from repro.logic.automation import verify_program
-from repro.parallel.config import configured
-from repro.parallel.scheduler import pc_for
 from repro.resilience import FaultInjector, inject
 from repro.smt.solver import clear_check_cache, install_persistent_check_store
 
@@ -21,19 +18,13 @@ KWARGS = {"n": 3}
 
 
 def _run(cache):
-    """One governed serial run, mirroring the ``tools.verify`` driver."""
-    module = getattr(casestudies, CASE)
+    """One governed run through the ``tools.verify`` driver."""
     clear_check_cache()  # in-memory LRU must not shadow the disk store
     previous = install_persistent_check_store(cache)
     try:
-        with configured(cache=cache):
-            case = module.build(**KWARGS)
-        report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+        return verify_case(CASE, KWARGS, cache=cache)
     finally:
         install_persistent_check_store(previous)
-        if cache is not None:
-            cache.flush()
-    return case, report
 
 
 def test_warm_run_is_byte_identical(tmp_path):

@@ -141,15 +141,9 @@ class TestOneQueryPerJudgment:
         assert len(counted) == 1
 
     def test_case_study_proof(self, counted):
-        from repro import casestudies
-        from repro.logic.automation import verify_program
-        from repro.parallel.config import configured
-        from repro.parallel.scheduler import pc_for
+        from repro.casestudies import verify_case
 
-        module = casestudies.memcpy_riscv
-        with configured():
-            case = module.build()
-        proof = verify_program(case.frontend.traces, case.specs, pc_for(module)).proof
+        proof = verify_case("memcpy_riscv")[1].proof
         counted.clear()  # the automation's own queries do not count
         report = check_proof(proof)
         judgments = [c for s in proof.steps for c in s.side_conditions]
@@ -216,21 +210,13 @@ class TestWorkIsBounded:
         assert time.monotonic() - started < 2.0
 
     def test_every_golden_certificate_is_accepted(self):
-        from repro import casestudies
-        from repro.logic.automation import verify_program
-        from repro.parallel.config import configured
-        from repro.parallel.scheduler import pc_for
+        from repro.casestudies import verify_case
 
         golden = json.loads(GOLDEN_CERTS.read_text())["certificates"]
         assert len(golden) == 51
         for key, entry in sorted(golden.items()):
             name, _, n = key.partition(":")
-            module = getattr(casestudies, name)
-            with configured():
-                case = module.build(**({"n": int(n)} if n else {}))
-            report = verify_program(
-                case.frontend.traces, case.specs, pc_for(module)
-            )
+            _case, report = verify_case(name, {"n": int(n)} if n else {})
             text = report.proof.to_json()
             assert hashlib.sha256(text.encode()).hexdigest() == entry["digest"]
             check_certificate(text)  # a rejection raises CheckFailure

@@ -8,10 +8,7 @@ from contextlib import ExitStack
 
 import pytest
 
-from repro import casestudies
-from repro.logic.automation import verify_program
-from repro.parallel.config import configured
-from repro.parallel.scheduler import pc_for
+from repro.casestudies import verify_case
 from repro.smt.solver import clear_check_cache
 
 from .._reference import throwaway_engine, whole_goals
@@ -31,10 +28,7 @@ def _certificate(name: str, engines, **kwargs) -> str:
         with ExitStack() as stack:
             for engine in engines:
                 stack.enter_context(engine())
-            module = getattr(casestudies, name)
-            with configured(cache=None):
-                case = module.build(**kwargs)
-            report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+            _case, report = verify_case(name, kwargs)
         assert report.ok
         return json.dumps(report.proof.to_json(), sort_keys=True)
     finally:

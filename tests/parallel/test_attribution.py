@@ -1,8 +1,8 @@
 """Counts are attributed to the run that caused them, not to whatever else
 the process was doing at the time.
 
-Two jobs (trace generation and block proofs run in the calling thread)
-count into the process at the same time — the situation of two in-process
+Two jobs (trace generation and the governed proof run in the calling
+thread) count into the process at the same time — the situation of two in-process
 shards (:class:`~repro.service.supervisor.LocalShard`), each running its
 one job.  A daemon runs one job at a time, but in-process shards share
 the process.  Each run's scope must carry its own trace-cache counts
@@ -17,7 +17,7 @@ import threading
 
 from repro import obs
 from repro.cache import DiskCache
-from repro.parallel.scheduler import verify_case_parallel
+from repro.casestudies import verify_case
 from repro.smt.solver import install_persistent_check_store, persistent_check_store
 
 JOBS = ("memcpy_riscv", "binsearch_arm")
@@ -28,7 +28,7 @@ def _run(name: str) -> dict:
     with tempfile.TemporaryDirectory(prefix="repro-attr-") as root:
         cache = DiskCache(root)
         with obs.scope() as run:
-            _case, report = verify_case_parallel(name, {"n": 6}, cache=cache)
+            _case, report = verify_case(name, {"n": 6}, cache=cache)
     assert report.ok
     return run.snapshot("disk.trace_")
 

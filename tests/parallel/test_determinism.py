@@ -1,11 +1,11 @@
-"""Run-to-run determinism of the per-block driver.
+"""Run-to-run determinism of the verify driver.
 
 The whole case-study suite runs twice with a fixed fault seed; outcome
 maps and proof certificates must be byte-identical.  This is the
-end-to-end guarantee the driver's design (address-ordered merges,
-per-block fault seeds, cache-insensitive outcomes) exists to provide.  And
-without faults, the driver's certificate is the serial CLI's, byte for
-byte — the serial = daemon invariant.
+end-to-end guarantee the driver's design (address-ordered blocks, one
+fault injector per run started on an empty check cache) exists to
+provide.  And without faults, the driver's certificate is the CLI's, byte
+for byte — the serial = daemon invariant.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro import casestudies
 from repro.logic.proof import Proof
-from repro.parallel.scheduler import verify_case_parallel
+from repro.casestudies import verify_case
 from repro.tools import verify
 
 FAULT_SEED = 20260807
@@ -32,7 +32,7 @@ def _run_suite(fault_seed=None):
     results = {}
     for name in casestudies.__all__:
         module = getattr(casestudies, name)
-        _, report = verify_case_parallel(
+        _, report = verify_case(
             name,
             _kwargs(module),
             fault_seed=fault_seed,
@@ -70,8 +70,8 @@ def test_suite_is_deterministic_under_fault_injection():
 
 @pytest.mark.parametrize("name", ["memcpy_arm", "binsearch_riscv", "memcpy_ppc"])
 def test_jobs_invariance(name, tmp_path):
-    """The serial ``tools/verify --cert-dir`` certificate and the per-block
-    driver's are byte-identical."""
+    """The ``tools/verify --cert-dir`` certificate and the driver's are
+    byte-identical."""
     module = getattr(casestudies, name)
     argv = [name, "--no-cache", "--cert-dir", str(tmp_path)]
     if _kwargs(module):
@@ -79,7 +79,7 @@ def test_jobs_invariance(name, tmp_path):
     assert verify.main(argv) == 0
     text = (tmp_path / f"{name}.cert.json").read_text()
     serial = Proof.from_json(text)
-    _, pooled = verify_case_parallel(name, _kwargs(module))
+    _, pooled = verify_case(name, _kwargs(module))
     assert text == pooled.proof.to_json()
     assert serial.outcomes == {
         a: b.outcome for a, b in pooled.blocks.items()

@@ -12,7 +12,7 @@ import signal
 
 import pytest
 
-from repro.parallel.scheduler import verify_case_parallel
+from repro.casestudies import verify_case
 from repro.resilience import (
     SHUTDOWN_REASON,
     handle_signals,
@@ -67,16 +67,9 @@ class TestSignalHandling:
 
 class TestVerificationDrain:
     def test_governed_run_parks_blocks_on_unknown(self):
-        from repro import casestudies
-        from repro.logic.automation import verify_program
-        from repro.parallel.config import configured
-        from repro.parallel.scheduler import pc_for
-
-        with configured():
-            case = casestudies.memcpy_arm.build(n=3)
-        request_shutdown()
-        report = verify_program(
-            case.frontend.traces, case.specs, pc_for(casestudies.memcpy_arm)
+        # The drain arrives after the build, before any block runs.
+        case, report = verify_case(
+            "memcpy_arm", {"n": 3}, on_built=lambda _case: request_shutdown()
         )
         assert set(report.blocks) == set(case.specs)
         for outcome in report.blocks.values():
@@ -91,8 +84,10 @@ class TestVerificationDrain:
         check_proof(report.proof, expected_blocks=set(case.specs))
 
     def test_parallel_driver_drains_to_partial_report(self):
+        """A drain requested before the job starts still builds the case
+        and reports every block unknown."""
         request_shutdown()
-        case, report = verify_case_parallel("memcpy_arm", {"n": 3})
+        case, report = verify_case("memcpy_arm", {"n": 3})
         assert set(report.blocks) == set(case.specs)
         assert all(
             b.outcome == "unknown" and b.reason == SHUTDOWN_REASON

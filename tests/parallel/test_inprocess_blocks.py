@@ -1,10 +1,10 @@
 """The driver verifies a job's blocks on the case it already built.
 
-``verify_case_parallel`` builds the case once and proves every block on it:
-no per-block rebuild, no temporary cache root, no certificate JSON round
-trip.  Certificates equal the serial CLI's, per-block fault seeds and
-budget shares give the same outcomes whatever the solver's caches hold,
-and a raising block or a drain lands ``unknown``.
+:func:`~repro.casestudies.verify_case` builds the case once and proves
+every block on it in one governed run: no per-block rebuild, no temporary
+cache root, no certificate JSON round trip.  Certificates equal the CLI's,
+a fault seed and a run budget give the same outcomes whatever the
+solver's caches hold, and a raising block or a drain lands ``unknown``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import tempfile
 import pytest
 
 from repro import casestudies
-from repro.parallel.scheduler import verify_case_parallel
+from repro.casestudies import verify_case
 from repro.resilience import (
     SHUTDOWN_REASON,
     BudgetSpec,
@@ -69,7 +69,7 @@ def test_one_build_no_temp_cache_serial_certificate(
         return real_tempdir(*args, **kwargs)
 
     monkeypatch.setattr(tempfile, "TemporaryDirectory", recording_tempdir)
-    case, report = verify_case_parallel(name, kwargs)
+    case, report = verify_case(name, kwargs)
     assert len(builds) == 1
     assert prefixes == []
     assert report.ok
@@ -85,16 +85,16 @@ def test_one_build_no_temp_cache_serial_certificate(
 
 @pytest.mark.parametrize("fault_seed", [20260807, 5])
 def test_fault_schedule_ignores_warm_caches(fault_seed):
-    """Per-block fault seeds give the same schedule on a cold solver cache
-    and on one a fault-free run of the same case has just warmed."""
+    """A fault seed gives the same schedule on a cold solver cache and on
+    one a fault-free run of the same case has just warmed."""
     degraded = 0
     for name in ("memcpy_arm", "binsearch_riscv"):
         runs = []
         clear_check_cache()
         for warm_up in (False, True):
             if warm_up:
-                verify_case_parallel(name, {"n": 3})
-            _case, report = verify_case_parallel(
+                verify_case(name, {"n": 3})
+            _case, report = verify_case(
                 name, {"n": 3}, fault_seed=fault_seed, fault_rate=0.05
             )
             runs.append(
@@ -113,7 +113,7 @@ def test_budget_shares_ignore_warm_caches(allowance):
     runs = []
     clear_check_cache()
     for _ in range(2):
-        _case, report = verify_case_parallel(
+        _case, report = verify_case(
             "binsearch_riscv", {"n": 3}, budget_spec=spec
         )
         snapshot = report.budget.snapshot()
@@ -126,25 +126,30 @@ def test_budget_shares_ignore_warm_caches(allowance):
 
 
 def test_raising_block_lands_unknown_others_verify(monkeypatch):
-    from repro.logic import automation
+    from repro.logic.automation import ProofEngine
+    from repro.logic.checker import check_proof
 
-    case, _report = verify_case_parallel("binsearch_riscv", {"n": 3})
+    case, _report = verify_case("binsearch_riscv", {"n": 3})
     target = sorted(case.specs)[1]
-    verify_program = automation.verify_program
+    verify_block = ProofEngine.verify_block
 
-    def flaky(*args, blocks=None, **kwargs):
-        if blocks == [target]:
+    def flaky(self, addr):
+        verify_block(self, addr)
+        if addr == target:
+            # After the block's proof steps are recorded: they must go.
             raise RuntimeError("block exploded")
-        return verify_program(*args, blocks=blocks, **kwargs)
 
-    monkeypatch.setattr(automation, "verify_program", flaky)
-    case, report = verify_case_parallel("binsearch_riscv", {"n": 3})
+    monkeypatch.setattr(ProofEngine, "verify_block", flaky)
+    case, report = verify_case("binsearch_riscv", {"n": 3})
     assert report.blocks[target].outcome == "unknown"
     assert report.blocks[target].reason == "RuntimeError: block exploded"
     assert report.proof.outcomes[target] == "unknown"
+    assert target not in report.proof.blocks_verified
+    assert not [step for step in report.proof.steps if step.block == target]
     for addr in case.specs:
         if addr != target:
             assert report.blocks[addr].outcome == "verified"
+    check_proof(report.proof, expected_blocks=set(case.specs))
 
 
 def test_drain_from_progress_parks_the_rest():
@@ -156,7 +161,7 @@ def test_drain_from_progress_parks_the_rest():
 
     reset_shutdown()
     try:
-        case, report = verify_case_parallel(
+        case, report = verify_case(
             "binsearch_riscv", {"n": 3}, progress=progress
         )
     finally:
@@ -181,5 +186,5 @@ def test_in_process_results_skip_certificate_json(monkeypatch):
         return parse(text)
 
     monkeypatch.setattr(Proof, "from_json", staticmethod(counting))
-    verify_case_parallel("memcpy_arm", {"n": 3})
+    verify_case("memcpy_arm", {"n": 3})
     assert calls == []

@@ -50,15 +50,9 @@ from repro.service.telemetry import Telemetry
 def serial_certificate(case_name: str, kwargs: dict | None = None) -> str:
     """The ground truth: the certificate a serial, fault-free, cache-free
     run produces — what every chaos run must match byte for byte."""
-    from repro import casestudies
-    from repro.logic.automation import verify_program
-    from repro.parallel.config import configured
-    from repro.parallel.scheduler import pc_for
+    from repro.casestudies import verify_case
 
-    module = getattr(casestudies, case_name)
-    with configured():
-        case = module.build(**(kwargs or {}))
-    report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+    _case, report = verify_case(case_name, kwargs)
     return report.proof.to_json()
 
 

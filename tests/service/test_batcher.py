@@ -1,7 +1,7 @@
 """The daemon's kept traces: keys, reuse across jobs, identity.
 
 Every test drives the map the way a daemon job does: the frontend's serial
-loop consults it inline under :func:`~repro.parallel.config.configured`.
+loop consults it inline under :func:`~repro.frontend.program.configured`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from repro.arch.arm import ArmModel, encode as A
 from repro.frontend import ProgramImage, generate_instruction_map
 from repro.isla import Assumptions
 from repro.itl.events import Reg
-from repro.parallel.config import configured
+from repro.frontend.program import configured
 from repro.resilience.faults import FaultInjector, inject
 from repro.service import batcher as batcher_module
 from repro.service.batcher import KeptTraces

@@ -163,7 +163,7 @@ def _probe(code: str, *args: str) -> dict:
 #: and ``check_case`` reads the architecture names from the registry.
 PIPELINE = (
     "arch", "smt", "sail", "isla", "itl", "logic", "cosim", "casestudies",
-    "parallel", "cache", "frontend",
+    "cache", "frontend",
 )
 REGISTRY = {"repro.arch", "repro.arch.registry"}
 

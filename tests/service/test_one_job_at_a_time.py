@@ -24,9 +24,9 @@ from ._http import launch
 
 
 def test_two_jobs_never_run_at_once(monkeypatch):
-    from repro.parallel import scheduler
+    from repro import casestudies
 
-    verify = scheduler.verify_case_parallel
+    verify = casestudies.verify_case
     lock = threading.Lock()
     active = [0]
     most = [0]
@@ -42,7 +42,7 @@ def test_two_jobs_never_run_at_once(monkeypatch):
             with lock:
                 active[0] -= 1
 
-    monkeypatch.setattr(scheduler, "verify_case_parallel", watched)
+    monkeypatch.setattr(casestudies, "verify_case", watched)
     service = VerificationService()
     thread, (host, port) = launch(service)
     client = ServiceClient(host=host, port=port, timeout=300)

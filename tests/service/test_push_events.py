@@ -127,17 +127,17 @@ class CountingShard(LocalShard):
 
 
 def test_router_watches_a_slow_job_with_o_events_requests(monkeypatch):
-    from repro.parallel import scheduler
+    from repro import casestudies
 
     expected = serial_certificate("rbit")
     slow_s = 2.0
-    verify = scheduler.verify_case_parallel
+    verify = casestudies.verify_case
 
     def slow_verify(*args, **kwargs):
         time.sleep(slow_s)
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(scheduler, "verify_case_parallel", slow_verify)
+    monkeypatch.setattr(casestudies, "verify_case", slow_verify)
     shards: list[CountingShard] = []
 
     def factory(_slot, shard_id, _generation, spec):
@@ -171,17 +171,17 @@ def test_router_watches_a_slow_job_with_o_events_requests(monkeypatch):
 
 
 def test_shard_killed_during_a_long_poll_gets_its_job_requeued(monkeypatch):
-    from repro.parallel import scheduler
+    from repro import casestudies
     from ._chaos import ChaosFleet
 
     expected = serial_certificate("rbit")
-    verify = scheduler.verify_case_parallel
+    verify = casestudies.verify_case
 
     def slow_verify(*args, **kwargs):
         time.sleep(1.0)
         return verify(*args, **kwargs)
 
-    monkeypatch.setattr(scheduler, "verify_case_parallel", slow_verify)
+    monkeypatch.setattr(casestudies, "verify_case", slow_verify)
     with ChaosFleet(shards=2) as fleet:
         job = fleet.submit("rbit")
         deadline = time.monotonic() + 60

@@ -30,15 +30,9 @@ def daemon():
 
 
 def _serial_certificate(case_name: str) -> str:
-    from repro import casestudies
-    from repro.logic.automation import verify_program
-    from repro.parallel.config import configured
-    from repro.parallel.scheduler import pc_for
+    from repro.casestudies import verify_case
 
-    module = getattr(casestudies, case_name)
-    with configured():
-        case = module.build()
-    report = verify_program(case.frontend.traces, case.specs, pc_for(module))
+    _case, report = verify_case(case_name)
     return report.proof.to_json()
 
 

@@ -61,6 +61,8 @@ _OP = {
 
 def disassemble(op: int) -> str:
     major = _f(op, 6, 0)
+    if major not in _MAJOR_ARMS:  # every accepted word has one of these majors
+        raise UnknownInstruction(f"{op:#010x}")
     rd, rs1, rs2 = ABI[_f(op, 11, 7)], ABI[_f(op, 19, 15)], ABI[_f(op, 24, 20)]
     funct3 = _f(op, 14, 12)
     if major == 0b0110111:

@@ -6,7 +6,7 @@ Two stores, one invalidation scheme:
   of (mini-Sail model source, opcode bits, assumption set, naming prefix),
   value = the printed ITL trace plus execution metrics;
 - the **SMT store** memoises solver ``check`` verdicts: key = content hash
-  of the asserted term set (sexprs plus free-variable sort signatures),
+  of the asserted term set (the structural ``stable_key`` of each term),
   value = ``sat``/``unsat`` (never ``unknown`` — a verdict that depends on
   a resource budget must not outlive the run that set the budget).
 

@@ -13,12 +13,12 @@ import importlib
 import inspect
 
 from ..smt.smtlib import term_to_sexpr
-from ..smt.terms import Term
+from ..smt.terms import Term, stable_key
 
 #: Bump on any change to key derivation, the trace s-expression grammar, the
 #: proof/solver semantics, or the stored value layout.  Old cache directories
 #: become unreachable (versioned invalidation).
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 #: Modules whose source participates in every trace key: the symbolic
 #: executor and everything it evaluates through.  A change to any of these
@@ -158,33 +158,17 @@ def trace_key(model, opcode, assumptions, name_prefix: str = "v") -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-# -- SMT query keys ---------------------------------------------------------
-#
-# Terms are interned and immortal, so memoising their digests by identity
-# is sound and makes repeated queries over shared assertion prefixes cheap.
-
-_term_digests: dict[int, str] = {}
-
-
-def _term_digest(term: Term) -> str:
-    digest = _term_digests.get(id(term))
-    if digest is None:
-        digest = hashlib.sha256(
-            (term_to_sexpr(term) + _var_signature(term)).encode()
-        ).hexdigest()
-        _term_digests[id(term)] = digest
-    return digest
-
-
 def smt_query_key(goal) -> str:
     """Cache key for a solver ``check``: the asserted term *set*.
 
+    The sha256 of the sorted :func:`~repro.smt.terms.stable_key` digests
+    of the goal's terms, the structural digest the builder orders by.
     Order-independent (matching the in-memory frozenset key) and
-    sort-aware: a term's digest covers its free variables' sorts, so
-    textually identical sexprs over differently-sorted variables cannot
-    collide.
+    sort-aware: every node's digest covers its sort, and a variable's its
+    name and sort, so textually identical terms over differently-sorted
+    variables cannot collide.
     """
-    digest = hashlib.sha256(b"smt-v1")
-    for td in sorted({_term_digest(t) for t in goal}):
-        digest.update(td.encode())
+    digest = hashlib.sha256(b"smt-v2")
+    for td in sorted({stable_key(t) for t in goal}):
+        digest.update(td)
     return digest.hexdigest()

@@ -37,6 +37,26 @@ from .state import ProgramCase, build_machine_state, diff_states
 _TRACE_CACHE: dict[tuple[str, int], object] = {}
 _TRACE_LOCK = threading.Lock()
 
+#: ``(arch_name, opcode) -> decode arm | None`` — None caches "undecodable".
+#: Decoding is pure, so shards share it without a lock.
+_ARM_CACHE: dict[tuple[str, int], str | None] = {}
+
+
+def _decode_arm(arch: CosimArch, opcode: int) -> str | None:
+    """``opcode``'s decode arm, or None when the decoder rejects it;
+    decoded once per process."""
+    key = (arch.name, opcode)
+    try:
+        return _ARM_CACHE[key]
+    except KeyError:
+        pass
+    try:
+        arm = arch.decode.decode_arm(opcode)
+    except arch.decode.UnknownInstruction:
+        arm = None
+    _ARM_CACHE[key] = arm
+    return arm
+
 
 def cached_trace(arch: CosimArch, opcode: int):
     """The exhaustive ITL trace for ``opcode``, or None when out of scope.
@@ -165,9 +185,8 @@ class CoSimDriver:
             if pc is None or not (case.pc <= pc < code_end) or pc % 4:
                 break
             opcode = itl_state.read_mem(pc, 4)
-            try:
-                arm = self.arch.decode.decode_arm(opcode)
-            except self.arch.decode.UnknownInstruction:
+            arm = _decode_arm(self.arch, opcode)
+            if arm is None:
                 break
             trace = cached_trace(self.arch, opcode)
             if trace is None:

@@ -104,13 +104,12 @@ class ProgramGenerator:
 
     # -- single words -------------------------------------------------------
 
-    def random_valid_word(self) -> int:
-        """A decoder-accepted word by rejection sampling."""
+    def random_valid_word(self) -> tuple[int, str]:
+        """A decoder-accepted word by rejection sampling, with its arm."""
         while True:
             word = self.rng.getrandbits(32)
             try:
-                self.arch.decode.disassemble(word)
-                return word
+                return word, self.arch.decode.decode_arm(word)
             except self.arch.decode.UnknownInstruction:
                 continue
 
@@ -145,10 +144,10 @@ class ProgramGenerator:
                     if self.rng.random() < 0.5
                     else self._arm_names
                 )
-                word = self.word_for_arm(self.rng.choice(pool), slot)
+                arm = self.rng.choice(pool)
+                word = self.word_for_arm(arm, slot)
             if word is None:
-                word = self.random_valid_word()
-            arm = self.arch.decode.decode_arm(word)
+                word, arm = self.random_valid_word()
             self.coverage.record(arm)
             words.append(word)
             arms.append(arm)

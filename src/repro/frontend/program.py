@@ -136,15 +136,12 @@ def generate_instruction_map(
     config = current_config()
     if cache is None:
         cache = config.cache
+    # The daemon's cross-job trace map.  Builds never run under fault
+    # injection (``verify_case`` injects around the verify step only), so
+    # no run's fault schedule can leak into a kept trace.
     run = trace_for_opcode
     if config.kept_traces is not None:
-        from ..resilience.faults import active_injector
-
-        # The daemon's cross-job trace map.  Bypassed under fault injection
-        # for the same reason the cache is: a shared result would leak one
-        # run's fault schedule into another's.
-        if active_injector() is None:
-            run = config.kept_traces.trace_for_opcode
+        run = config.kept_traces.trace_for_opcode
     per_address = per_address or {}
     traces: dict[int, Trace] = {}
     results: dict[int, IslaResult] = {}

@@ -582,7 +582,7 @@ class ProofEngine:
                 if solved is None:
                     raise ProofError(
                         f"{what}: cannot unify {pattern!r} with {value!r} "
-                        f"(unbound existentials {[v.name for v in remaining]})"
+                        f"(unbound existentials {sorted(v.name for v in remaining)})"
                     )
                 var, solution = solved
                 evars[var] = solution

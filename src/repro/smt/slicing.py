@@ -15,26 +15,16 @@ keying the verdict caches on the *sliced component* instead of the whole
 goal turns them into cache hits; only the (small) component actually
 touching the query terms is ever re-solved.
 
-Variable sets are memoised by term identity (terms are interned and
-immortal, the same trick :mod:`repro.cache.keys` uses for digests), so
-repeated slicing over shared assertion prefixes costs a dict lookup per
-term.
+Variable sets come from ``Term.free_vars()``, cached on each interned node,
+so repeated slicing over shared assertion prefixes costs one slot read per
+term.  The result does not depend on the iteration order of those sets:
+union-find membership is order-free, and components are laid out by goal
+position.
 """
 
 from __future__ import annotations
 
 from .terms import Term
-
-_freevars_memo: dict[int, frozenset[Term]] = {}
-
-
-def term_vars(term: Term) -> frozenset[Term]:
-    """``term.free_vars()``, memoised by term identity."""
-    vs = _freevars_memo.get(id(term))
-    if vs is None:
-        vs = term.free_vars()
-        _freevars_memo[id(term)] = vs
-    return vs
 
 
 def partition_goal(goal: list[Term]) -> list[list[Term]]:
@@ -62,7 +52,7 @@ def partition_goal(goal: list[Term]) -> list[list[Term]]:
 
     term_varsets: list[frozenset[Term]] = []
     for t in goal:
-        vs = term_vars(t)
+        vs = t.free_vars()
         term_varsets.append(vs)
         anchor = None
         for v in vs:
@@ -97,11 +87,11 @@ def query_component_indices(
     on; the rest are path constraints whose verdicts the caches answer."""
     query_vars: set[Term] = set()
     for t in query_terms:
-        query_vars.update(term_vars(t))
+        query_vars.update(t.free_vars())
     out: set[int] = set()
     for i, comp in enumerate(components):
         for t in comp:
-            if t in query_terms or (query_vars and not query_vars.isdisjoint(term_vars(t))):
+            if t in query_terms or (query_vars and not query_vars.isdisjoint(t.free_vars())):
                 out.add(i)
                 break
     return out

@@ -50,7 +50,7 @@ from .bitblast import BitBlaster, UnsupportedOperation
 from .cnf import CnfBuilder
 from .interp import evaluate
 from .sat import SatSolver
-from .slicing import partition_goal, query_component_indices, term_vars
+from .slicing import partition_goal, query_component_indices
 from .terms import FALSE, TRUE, Term
 from .theory import FactBase, saturated
 
@@ -594,7 +594,7 @@ class Solver:
         # solver ever ran; restrict the model to the goal's own variables.
         goal_vars: set[Term] = set()
         for t in goal:
-            goal_vars.update(term_vars(t))
+            goal_vars.update(t.free_vars())
         model: dict[Term, object] = {}
         for var, bits in ctx.blaster.var_bits.items():
             if var in goal_vars:
@@ -718,13 +718,21 @@ def _enumerable_var(
     goal: list[Term], facts: FactBase
 ) -> tuple[Term, int, int] | None:
     """Find a free bitvector variable whose interval (per the saturated
-    fact base) spans at most ``_ENUM_LIMIT`` values; returns the tightest."""
+    fact base) spans at most ``_ENUM_LIMIT`` values; returns the tightest.
+
+    Variables are scanned in goal order and, within a term, by descending
+    name and width, and the first of equally tight ones wins.  So the
+    choice does not depend on the iteration order of ``free_vars()`` sets
+    (object addresses) or on the process's interning history.  Descending
+    order is a measured choice: on the case studies it enumerates the
+    fewest sub-goals of the orders tried (EXPERIMENTS.md, "Identity-hashed
+    terms")."""
     seen: set[Term] = set()
     best: tuple[int, Term, int, int] | None = None
     for t in goal:
-        for v in t.free_vars():
-            if v in seen or not v.sort.is_bv():
-                continue
+        fresh = [v for v in t.free_vars() if v not in seen and v.sort.is_bv()]
+        fresh.sort(key=lambda v: (v.name, v.sort.width), reverse=True)
+        for v in fresh:
             seen.add(v)
             if len(seen) > 64:
                 return best[1:] if best else None

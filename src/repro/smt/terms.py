@@ -1,9 +1,9 @@
 """Hash-consed term representation for QF_BV.
 
 Terms are immutable and interned: structurally equal terms are the same
-Python object, so equality and hashing are O(1).  This matters because the
-Isla symbolic executor and the separation-logic automation both manipulate
-large shared DAGs of bitvector expressions.
+Python object, so equality and hashing are by identity.  This matters
+because the Isla symbolic executor and the separation-logic automation
+both manipulate large shared DAGs of bitvector expressions.
 
 Construction should normally go through :mod:`repro.smt.builder`, whose smart
 constructors perform constant folding and local simplification; the raw
@@ -77,6 +77,13 @@ _NO_VARS: frozenset = frozenset()
 class Term:
     """An interned SMT term.
 
+    Equality is identity of interned nodes: :func:`mk_term` is the only
+    place a ``Term`` is built, and it returns the existing node for a
+    structurally equal term, so ``==`` and ``hash`` are ``object``'s own,
+    one pointer operation in C.  Terms cannot be copied or pickled (a copy
+    would be a second object for the same term); caches store their text
+    and parse it back into interned terms.
+
     Attributes:
         op: operator tag (one of the module-level constants).
         args: child terms.
@@ -84,7 +91,7 @@ class Term:
         sort: the sort of the term.
     """
 
-    __slots__ = ("op", "args", "attrs", "sort", "uid", "_hash", "_fvs")
+    __slots__ = ("op", "args", "attrs", "sort", "uid", "_fvs")
 
     op: str
     args: tuple["Term", ...]
@@ -98,25 +105,10 @@ class Term:
         object.__setattr__(self, "attrs", attrs)
         object.__setattr__(self, "sort", sort)
         object.__setattr__(self, "uid", uid)
-        object.__setattr__(self, "_hash", hash((op, args, attrs)))
         object.__setattr__(self, "_fvs", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Term is immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # Interning makes identity equality correct, but we keep a structural
-    # fallback so terms survive pickling and cross-cache comparisons.
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        return (
-            self.op == other.op and self.attrs == other.attrs and self.args == other.args
-        )
 
     # -- convenience ------------------------------------------------------
 

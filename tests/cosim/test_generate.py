@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from repro.cosim.archs import COSIM_ARCHS, decode_arm_names
@@ -94,3 +97,26 @@ class TestProgramGenerator:
             if not generator.coverage.unhit():
                 break
         assert generator.coverage.unhit() == [], generator.coverage.to_json()
+
+
+#: sha256 over 40 programs from each of seeds 7, 11 and 2024: their decode
+#: arms and start states (words included).  Pins the generator's draws, so
+#: a change to how words are decoded cannot change the programs.
+PROGRAM_DIGESTS = {
+    "arm": "5a7837f18335e7c84060fb98d7bb35b1d92cceb3ef4f4c08c1e780eae4cf7dd2",
+    "ppc": "aea04c0338d1e01deba74427968dddb8148f21af6c56142f848bc1cec1860d6a",
+    "riscv": "54183561da7d1ed519cebeb18b38ea9df0ae6e8a3bc2b99872652085dec916ee",
+}
+
+
+@pytest.mark.parametrize("arch_name", sorted(COSIM_ARCHS))
+def test_generated_programs_are_pinned(arch_name):
+    digest = hashlib.sha256()
+    for seed in (7, 11, 2024):
+        generator = ProgramGenerator(COSIM_ARCHS[arch_name], seed)
+        for _ in range(40):
+            program = generator.program()
+            digest.update(
+                json.dumps([program.arms, program.case.to_json()], sort_keys=True).encode()
+            )
+    assert digest.hexdigest() == PROGRAM_DIGESTS[arch_name]

@@ -14,7 +14,8 @@ from repro.frontend import ProgramImage, generate_instruction_map
 from repro.isla import Assumptions
 from repro.itl.events import Reg
 from repro.frontend.program import configured
-from repro.resilience.faults import FaultInjector, inject
+from repro.casestudies import verify_case
+from repro.resilience.faults import active_injector
 from repro.service import batcher as batcher_module
 from repro.service.batcher import KeptTraces
 from repro.service.telemetry import Telemetry
@@ -134,22 +135,25 @@ class TestGenerate:
         with pytest.raises(RuntimeError, match="boom"):
             _generate(KeptTraces(), ArmModel(), _image(A.nop()))
 
-    def test_fault_injection_bypasses_the_map(self, dispatched):
-        """A run under fault injection neither reads nor fills the map: a
-        kept result would leak one run's fault schedule into another's."""
-        model = ArmModel()
-        telemetry = Telemetry()
-        kept = KeptTraces(telemetry=telemetry)
-        _generate(kept, model, _image(A.nop()))
-        with inject(FaultInjector(seed=1, rate=0.0)):
-            injected = _generate(kept, model, _image(A.ret()))
-            _generate(kept, model, _image(A.nop()))
-        assert injected.results[0x1000].cached is False
-        assert dispatched == [A.nop()]  # the others ran around the map
-        assert telemetry.snapshot()["counters"]["trace_requests"] == 1
-        # Nothing was kept under injection: ``ret`` still runs afterwards.
-        _generate(kept, model, _image(A.ret()))
-        assert dispatched == [A.nop(), A.ret()]
+    def test_an_injected_job_builds_without_injection(self):
+        """``verify_case`` injects faults around the verify step only, so
+        every trace its build asks for is requested with no injector
+        active, and the map keeps them all."""
+        kept = KeptTraces()
+        requests = []
+        serve = kept.trace_for_opcode
+
+        def watching(model, opcode, assumptions, cache=None):
+            requests.append(active_injector())
+            return serve(model, opcode, assumptions, cache=cache)
+
+        kept.trace_for_opcode = watching
+        case, _report = verify_case(
+            "memcpy_riscv", {"n": 2}, kept_traces=kept, fault_seed=7
+        )
+        assert len(requests) == len(case.frontend.traces) > 0
+        assert requests == [None] * len(requests)
+        assert kept._kept
 
 
 class TestKeptTraces:

@@ -4,7 +4,7 @@ soundness argument (component verdicts compose into whole-goal verdicts)."""
 import random
 
 from repro.smt import builder as B
-from repro.smt.slicing import partition_goal, query_component_indices, term_vars
+from repro.smt.slicing import partition_goal, query_component_indices
 from repro.smt.solver import SAT, UNSAT, Solver, check_model
 
 from .._reference import throwaway_engine, whole_goals
@@ -62,7 +62,7 @@ class TestPartition:
         for comp in comps:
             cv = set()
             for t in comp:
-                cv |= term_vars(t)
+                cv |= t.free_vars()
             assert not (cv & seen)
             seen |= cv
 

@@ -68,87 +68,3 @@ def test_fig6_pinned_flags_collapse(model):
 
 def test_fig6_benchmark(benchmark, model):
     benchmark(lambda: trace_for_opcode(model, OPCODE, Assumptions()))
-
-
-# -- branch-heavy incremental comparison -------------------------------------
-#
-# ``beq`` itself forks only once (its flag queries are decided by the
-# word-level theory layer), so to measure what the incremental backend buys
-# the *executor* we scale Fig. 6's shape: an instruction whose semantics
-# branch on a chain of data-dependent conditions, driven through the real
-# symbolic machine (fork scheduling, path replay, trace reassembly).
-
-
-class _BranchChainModel:
-    """A minimal IsaModel whose one instruction forks ``depth`` times on
-    SAT-core-hard conditions — Fig. 6 branching, deepened."""
-
-    def __new__(cls, depth: int):
-        from repro.sail.model import IsaModel
-
-        class Model(IsaModel):
-            name = "bench-branch-chain"
-
-            def _declare_registers(self, regfile):
-                self.pc_reg = regfile.declare("PC", 64)
-                self.x0 = regfile.declare("X0", 64)
-
-            def execute(self, m, opcode):
-                from repro.smt import builder as B
-
-                acc = m.read_reg(self.x0)
-                pc = m.read_reg(self.pc_reg)
-                for i in range(depth):
-                    acc = B.bvadd(
-                        B.bvxor(
-                            acc,
-                            B.bv((0x9E3779B97F4A7C15 * (i + 1)) % (1 << 64), 64),
-                        ),
-                        B.bv(i * 7 + 1, 64),
-                    )
-                    cond = B.bvult(acc, B.bv((1 << 64) - (1 << 61), 64))
-                    if m.branch(cond, hint=f"chain{i}"):
-                        pc = B.bvadd(pc, B.bv(4, 64))
-                    else:
-                        pc = B.bvadd(pc, B.bv(8, 64))
-                m.write_reg(self.pc_reg, pc)
-
-        return Model()
-
-
-def test_fig6_incremental_branching_speedup(bench_smt_record):
-    import time
-
-    from repro.smt.solver import clear_check_cache
-    from tests._reference import fresh_solver
-
-    chain = _BranchChainModel(depth=5)
-
-    def timed():
-        best = None
-        for _ in range(3):
-            clear_check_cache()
-            t0 = time.perf_counter()
-            res = trace_for_opcode(chain, 0, Assumptions(), max_paths=64)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        return best, res
-
-    inc_t, inc_res = timed()
-    with fresh_solver():
-        fresh_t, fresh_res = timed()
-    # Same enumeration either way: the engines change cost, not verdicts.
-    assert inc_res.paths == fresh_res.paths
-    assert trace_to_sexpr(inc_res.trace) == trace_to_sexpr(fresh_res.trace)
-    speedup = fresh_t / inc_t
-    bench_smt_record(
-        "fig6_branch_chain_executor",
-        depth=5,
-        paths=inc_res.paths,
-        solver_checks=inc_res.solver_checks,
-        checks_skipped=inc_res.checks_skipped,
-        incremental_s=round(inc_t, 6),
-        fresh_s=round(fresh_t, 6),
-        speedup=round(speedup, 2),
-    )
-    assert speedup >= 1.5, f"executor incremental speedup {speedup:.2f}x < 1.5x"

@@ -17,7 +17,7 @@ from repro.smt.solver import (
     clear_check_cache,
 )
 from repro.smt.theory import refutes
-from tests._reference import fresh_solver, throwaway_engine, whole_goals
+from tests._reference import whole_goals
 
 
 def fresh():
@@ -104,74 +104,6 @@ class TestSolverMicro:
         benchmark(run)
 
 
-def _branch_chain_conds(depth: int, width: int = 32):
-    """An executor-shaped workload: a path condition that deepens one
-    branch at a time, where each condition xors/adds fresh constants into
-    an accumulator so neither the word-level theory layer nor small-domain
-    enumeration can decide it — every query reaches the SAT core."""
-    x = B.bv_var("bench_bx", width)
-    acc = x
-    out = []
-    for i in range(depth):
-        acc = B.bvadd(
-            B.bvxor(acc, B.bv((0x9E3779B9 * (i + 1)) % (1 << width), width)),
-            B.bv(i * 7 + 1, width),
-        )
-        out.append(B.bvult(acc, B.bv((1 << width) - (1 << (width - 3)), width)))
-    return out
-
-
-def _run_branch_chain(depth: int) -> Solver:
-    conds = _branch_chain_conds(depth)
-    s = Solver(use_global_cache=False)
-    for c in conds:
-        true_feasible = s.check(c) == SAT
-        false_feasible = s.check(B.not_(c)) == SAT
-        assert true_feasible or false_feasible
-        s.add(c if true_feasible else B.not_(c))
-    return s
-
-
-class TestIncrementalMicro:
-    DEPTH = 16
-
-    def test_incremental_vs_fresh_branching(self, bench_smt_record):
-        """The tentpole claim, measured: a persistent context answering the
-        executor's two-queries-per-branch pattern beats a fresh CNF per
-        query by well over the 1.5x CI gate (the fresh path re-encodes a
-        longer prefix every branch — quadratic in path length)."""
-        inc_t = _best_of(lambda: _run_branch_chain(self.DEPTH))
-        with fresh_solver():
-            fresh_t = _best_of(lambda: _run_branch_chain(self.DEPTH))
-        speedup = fresh_t / inc_t
-        probe = _run_branch_chain(self.DEPTH)
-        bench_smt_record(
-            "micro_incremental_branch_chain",
-            depth=self.DEPTH,
-            queries=probe.stats["checks"],
-            incremental_s=round(inc_t, 6),
-            fresh_s=round(fresh_t, 6),
-            speedup=round(speedup, 2),
-            encode_us=probe.stats["encode_us"],
-            solve_us=probe.stats["solve_us"],
-            incremental_solves=probe.stats["incremental_solves"],
-        )
-        assert speedup >= 1.5, f"incremental speedup {speedup:.2f}x < 1.5x"
-
-    def test_incremental_verdicts_match_fresh(self):
-        """Same workload, verdict-by-verdict equality of the two engines."""
-        conds = _branch_chain_conds(self.DEPTH)
-        inc = Solver(use_global_cache=False)
-        ref = Solver(use_global_cache=False)
-        for c in conds:
-            for q in (c, B.not_(c)):
-                verdict = inc.check(q)
-                with fresh_solver():
-                    assert verdict == ref.check(q)
-            inc.add(c)
-            ref.add(c)
-
-
 def _sliced_query_workload(groups: int = 10, queries: int = 24):
     """Path-prefix components never touched by the query: slicing answers
     them from the per-component verdict cache and only solves the small
@@ -195,11 +127,10 @@ def _sliced_query_workload(groups: int = 10, queries: int = 24):
 
 class TestSlicingMicro:
     def test_sliced_vs_whole_queries(self, bench_smt_record):
-        with throwaway_engine():
-            sliced_t = _best_of(_sliced_query_workload)
-            with whole_goals():
-                whole_t = _best_of(_sliced_query_workload)
-            probe = _sliced_query_workload()
+        sliced_t = _best_of(_sliced_query_workload)
+        with whole_goals():
+            whole_t = _best_of(_sliced_query_workload)
+        probe = _sliced_query_workload()
         speedup = whole_t / sliced_t
         stats = probe.stats
         hit_rate = stats["slice_cache_hits"] / max(1, stats["slice_components"])
@@ -238,8 +169,7 @@ class TestSlicingMicro:
         for t in constraints:
             sliced.add(t)
             whole.add(t)
-        with throwaway_engine():
-            for q in queries:
-                verdict = sliced.check(q)
-                with whole_goals():
-                    assert verdict == whole.check(q)
+        for q in queries:
+            verdict = sliced.check(q)
+            with whole_goals():
+                assert verdict == whole.check(q)

@@ -85,10 +85,9 @@ class SymbolicMachine(MachineInterface):
         self.decisions: list[bool] = []
         self.feasible_flip: list[bool] = []
         self.reg_cache: dict[Reg, Term] = {}
-        #: ``trace_for_opcode`` shares one incremental solver across every
-        #: path of an enumeration (scoped by push/pop) so the persistent
-        #: bit-blast context amortises the common path prefix; a standalone
-        #: machine gets a private solver.
+        #: ``trace_for_opcode`` shares one solver across every path of an
+        #: enumeration, scoped by push/pop; a standalone machine gets a
+        #: private solver.
         self.solver = solver if solver is not None else Solver(budget=budget)
         self._counter = 0
         self._prefix = name_prefix
@@ -402,9 +401,7 @@ def _enumerate_raw(
     total_skipped = 0
     exhausted: str | None = None
     # One solver for the whole enumeration: every path runs in its own
-    # push/pop scope, so the incremental bit-blast context (term encodings,
-    # learned clauses) persists across the shared path prefixes instead of
-    # being rebuilt per path.
+    # push/pop scope.
     shared_solver = Solver(budget=budget)
 
     while worklist:

@@ -1,10 +1,11 @@
 """``repro.service`` — the persistent verification daemon.
 
 Every capability of the pipeline (governed verification, the on-disk
-trace/SMT cache, incremental solver contexts) is reachable through
-one-shot CLI runs, but each invocation pays cold-start
-for the state the previous run just warmed.  This package keeps that state
-resident and serves verification over a local socket:
+trace/SMT cache) is reachable through one-shot CLI runs, but each
+invocation pays cold-start for the state the previous run just warmed:
+the process-wide SMT verdict LRU and the open cache handle.  This package
+keeps that state resident, adds the kept traces, and serves verification
+over a local socket:
 
 - :mod:`~repro.service.protocol` — the JSON job model (requests, states,
   events, results) shared by server and client;

@@ -1,4 +1,4 @@
-"""A CDCL SAT solver with an incremental, assumption-based interface.
+"""A CDCL SAT solver.
 
 This is the search core underneath the bit-blaster.  It implements the
 standard modern architecture: two-watched-literal propagation, first-UIP
@@ -7,17 +7,9 @@ saving, and Luby restarts.  It is deliberately dependency-free: the paper's
 pipeline uses Z3, which is unavailable here, so the whole QF_BV stack is
 built from scratch (see DESIGN.md, substitution table).
 
-Incrementality follows the MiniSat design: :meth:`SatSolver.solve` takes
-``assumptions`` — literals that hold *for this call only*.  Each assumption
-is enqueued as a decision at its own level (never level 0), so conflict
-analysis resolves assumption literals into learned clauses like any other
-decision and every learned clause is a consequence of the clause database
-alone.  That is the invariant that makes the solver reusable: clauses,
-watches, activities, and phases persist across calls, and a caller can
-retract "assertions" simply by not assuming their literals next time.
-When the instance is unsatisfiable *under the assumptions*, a final
-conflict analysis (:meth:`_analyze_final`) leaves a clause over the failed
-assumptions in :attr:`SatSolver.conflict`.
+The solver is one-shot: :class:`~repro.smt.solver.Solver` builds a fresh
+core for every query that reaches the SAT layer, so no clause outlives the
+query it was learned in and there are no assumption literals.
 
 Literals are non-zero integers: variable ``v`` is the positive literal ``v``
 and its negation is ``-v`` (DIMACS convention).
@@ -67,11 +59,8 @@ class SatSolver:
         # Level-0 facts (input unit clauses and learned units), re-asserted
         # at the start of every solve() without scanning the clause DB.
         self._units: list[int] = []
-        #: After a solve() returning False under assumptions: a conflict
-        #: clause over the assumption literals (each entry is the negation
-        #: of a failed assumption).  Empty for a global (assumption-free)
-        #: UNSAT.
-        self.conflict: list[int] = []
+        # Propagation queue head: the first trail literal not yet propagated.
+        self._qhead = 0
         # Lazy max-heap over (-activity, -var): stale entries are skipped at
         # pop time.  Ties break toward the highest variable index (the most
         # recently created Tseitin gate — the justification-frontier
@@ -88,9 +77,7 @@ class SatSolver:
         return v
 
     def add_clause(self, lits: list[int]) -> None:
-        """Add a clause.  May be called between :meth:`solve` calls (the
-        delta-encoding path adds Tseitin clauses for each new query), but
-        not while a search is in flight."""
+        """Add a clause (not while a search is in flight)."""
         seen: set[int] = set()
         out: list[int] = []
         for lit in lits:
@@ -135,7 +122,7 @@ class SatSolver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None."""
-        qhead = getattr(self, "_qhead", 0)
+        qhead = self._qhead
         while qhead < len(self.trail):
             lit = self.trail[qhead]
             qhead += 1
@@ -248,29 +235,14 @@ class SatSolver:
             )
         del self.trail[target:]
         del self.trail_lim[level:]
-        self._qhead = min(getattr(self, "_qhead", 0), len(self.trail))
+        self._qhead = min(self._qhead, len(self.trail))
 
     # -- main search ----------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: list[int] | None = None,
-        max_conflicts: int | None = None,
-    ) -> bool | None:
-        """Return True (SAT), False (UNSAT), or None (conflict budget hit).
-
-        ``assumptions`` hold for this call only.  Each is enqueued as a
-        decision at its own level (MiniSat-style), so learned clauses never
-        depend on them implicitly and the clause database — including
-        everything learned under these assumptions — remains valid for
-        later calls with different assumptions.  On an UNSAT answer,
-        :attr:`conflict` holds a final conflict clause over the failed
-        assumption literals (empty if the instance is globally UNSAT).
-        """
-        self.conflict = []
+    def solve(self, max_conflicts: int | None = None) -> bool | None:
+        """Return True (SAT), False (UNSAT), or None (conflict budget hit)."""
         if not self._ok:
             return False
-        assumptions = list(assumptions or [])
         self._qhead = 0
         self.assign.clear()
         self.level.clear()
@@ -324,52 +296,12 @@ class SatSolver:
                     if self.trail_lim:
                         self._backjump(0)
                 continue
-            # Decide: assumption literals first (levels 1..k), then activity.
-            if len(self.trail_lim) < len(assumptions):
-                p = assumptions[len(self.trail_lim)]
-                val = self._value(p)
-                if val is False:
-                    # The assumption is refuted by the current (restart-proof)
-                    # assignment: UNSAT under assumptions, with a final
-                    # conflict clause naming the responsible assumptions.
-                    self.conflict = self._analyze_final(p)
-                    return False
-                # Open a decision level even when the assumption already
-                # holds, keeping level i+1 aligned with assumptions[i].
-                self.trail_lim.append(len(self.trail))
-                if val is None:
-                    self._enqueue(p, None)
-                continue
             var = self._pick_branch_var()
             if var is None:
                 return True
             self.trail_lim.append(len(self.trail))
             lit = var if self.phase.get(var, False) else -var
             self._enqueue(lit, None)
-
-    def _analyze_final(self, p: int) -> list[int]:
-        """Compute a conflict clause over assumption literals for a failed
-        assumption ``p`` (MiniSat's ``analyzeFinal``): walk the implication
-        graph backwards from ``¬p``, collecting the decision literals
-        (which, below the assumption prefix, are exactly assumptions)."""
-        out = [-p]
-        if not self.trail_lim:
-            return out
-        seen = {abs(p)}
-        for lit in reversed(self.trail[self.trail_lim[0] :]):
-            var = abs(lit)
-            if var not in seen:
-                continue
-            reason = self.reason[var]
-            if reason is None:
-                out.append(-lit)
-            else:
-                for q in reason:
-                    qv = abs(q)
-                    if qv != var and self.level[qv] > 0:
-                        seen.add(qv)
-            seen.discard(var)
-        return out
 
     def _pick_branch_var(self) -> int | None:
         heap = self._heap

@@ -7,16 +7,11 @@ asserted set, which matters a lot in practice: the Isla executor asks about
 many branch conditions under the same path prefix, and the separation-logic
 automation re-discharges structurally identical side conditions.
 
-Incremental solving: each Solver owns one long-lived
-:class:`~repro.smt.sat.SatSolver` / :class:`CnfBuilder` / :class:`BitBlaster`
-triple.  A ``check()`` encodes only the terms the context has never seen
-(term→literal caches survive across queries *and* across ``pop()``), and
-asks the persistent core under *assumption literals* — the Tseitin output
-literal of each asserted term.  ``pop()`` therefore
-never discards learned clauses or encodings: retracting an assertion just
-means not assuming its literal in the next query.  Degradation-ladder rungs
-(escalating conflict budgets) restart the *query*, never the context, so
-everything learned at a cheap rung is still there at the expensive one.
+One engine: a query the word-level theory layer and small-domain
+enumeration cannot decide is bit-blasted into a fresh
+:class:`~repro.smt.sat.SatSolver` (:meth:`Solver._solve`), so no encoding
+or learned clause outlives its query and ``push``/``pop`` only scope the
+assertion stack.
 
 Goal slicing: a multi-conjunct goal factors into variable-disjoint
 connected components, which are satisfiable independently — see
@@ -43,7 +38,7 @@ from time import perf_counter
 
 from ..obs import Counters
 from ..resilience.budget import Budget
-from ..resilience.faults import TransientFault, active_injector, fault_at
+from ..resilience.faults import active_injector, fault_at
 from ..resilience.ladder import DegradationLadder
 from . import builder as B
 from .bitblast import BitBlaster, UnsupportedOperation
@@ -156,28 +151,16 @@ def persistent_check_store():
 #: run report's ``solver_stats``: results by kind, bit-blaster refusals
 #: (``unsupported``), ladder rung climbs and absorbed transient faults,
 #: injected unknowns, on-disk verdict-store hits, ``quick_valid``
-#: outcomes, incremental vs throwaway-core solves, goal slicing, and the
-#: microseconds spent bit-blasting (``encode_us``) and in SAT search.
+#: outcomes, queries that reached the CDCL core (``sat_solves``), goal
+#: slicing, and the microseconds spent bit-blasting (``encode_us``) and in
+#: SAT search.
 SOLVER_COUNTERS = (
     "checks", "cache_hits", "sat_results", "unsat_results", "unknown_results",
     "unsupported", "escalations", "transient_retries", "injected_unknowns",
     "persistent_hits", "quick_valid_hits", "quick_valid_misses",
-    "incremental_solves", "fresh_solves", "sliced_checks", "slice_components",
+    "sat_solves", "sliced_checks", "slice_components",
     "slice_cache_hits", "slice_solves", "encode_us", "solve_us",
 )
-
-
-class _BitblastContext:
-    """The persistent encoding state behind one incremental :class:`Solver`:
-    a CDCL core plus the term→literal caches of the CNF builder and the
-    bit-blaster.  Created lazily on the first query that reaches the SAT
-    layer and never reset — ``pop()`` retracts assertions by dropping their
-    assumption literals, not by touching this state."""
-
-    def __init__(self) -> None:
-        self.sat = SatSolver()
-        self.cnf = CnfBuilder(self.sat)
-        self.blaster = BitBlaster(self.cnf)
 
 
 class Solver:
@@ -203,7 +186,6 @@ class Solver:
         self._use_cache = use_global_cache
         self._max_conflicts = max_conflicts
         self._budget = budget
-        self._ctx: _BitblastContext | None = None
         self._model: dict[Term, object] | None = None
         #: The goal of the last SAT check, for lazy model recomputation
         #: after a cache hit (``None`` when the last check was not SAT).
@@ -233,9 +215,6 @@ class Solver:
     def pop(self) -> None:
         if not self._scopes:
             raise RuntimeError("pop without matching push")
-        # Truncating the term stack is the whole cost: encodings and learned
-        # clauses live in the persistent context and stay valid (they are
-        # guarded by assumption literals that simply stop being assumed).
         del self._assertions[self._scopes.pop() :]
 
     @property
@@ -449,10 +428,8 @@ class Solver:
         rung at ``max_conflicts``); a budgeted solver escalates through the
         spec's conflict schedule before conceding ``unknown``.  Transient
         faults (from the ``bitblast`` site, or genuine) are retried a bounded
-        number of times at the current rung.  Rungs restart the *query* —
-        every rung reuses the persistent context, so
-        clauses learned under a cheap conflict budget still prune the search
-        at the expensive one.
+        number of times at the current rung.  Each rung solves the query
+        afresh.
         """
         if self._budget is None:
             schedule: list[int | None] = [self._max_conflicts]
@@ -463,7 +440,7 @@ class Solver:
         ladder = DegradationLadder(schedule, transient_retries=retries)
 
         def attempt(conflicts: int | None) -> tuple[str, dict[Term, object] | None]:
-            result = self._solve_incremental(goal, conflicts)
+            result = self._solve(goal, conflicts)
             if (
                 result[0] == UNKNOWN
                 and self.last_unknown_reason == "unsupported-operation"
@@ -494,10 +471,7 @@ class Solver:
         small interval (e.g. a loop counter with 0 <= m < n for concrete
         n), case-split on its value — substitution constant-folds the whole
         goal, which decides the ite-heavy loop-invariant side conditions
-        far faster than bit-blasting.  Sub-goals contain substituted one-off
-        terms, so they always go through the throwaway engine — encoding
-        them into the persistent context would bloat it with terms no later
-        query shares.
+        far faster than bit-blasting.
         """
         var, lo, hi = split
         for val in range(lo, hi + 1):
@@ -513,102 +487,12 @@ class Solver:
                 return UNKNOWN, None
         return UNSAT, None
 
-    def _context(self) -> _BitblastContext:
-        if self._ctx is None:
-            self._ctx = _BitblastContext()
-        return self._ctx
-
-    def _solve_incremental(
-        self, goal: list[Term], max_conflicts: int | None = None
-    ) -> tuple[str, dict[Term, object] | None]:
-        """Decide ``goal`` against the persistent context.
-
-        Word-level layers first (identical to the fresh path, so verdicts
-        are mode-independent); then encode the delta — terms the context
-        has never blasted — and solve under the goal's assumption literals.
-        Nothing is ever asserted at level 0, so the persistent core can
-        never be poisoned by a retracted scope.
-        """
-        facts = saturated(goal)
-        if facts is None:
-            return UNSAT, None
-        split = _enumerable_var(goal, facts)
-        if split is not None:
-            return self._enumeration_split(goal, split, max_conflicts, 0)
-        ctx = self._context()
-        t0 = perf_counter()
-        lits: list[int] = []
-        try:
-            for t in goal:
-                # Mirror the fresh path's per-term fault site: injected
-                # transient faults must perturb delta encoding too.
-                if fault_at("bitblast") == "transient":
-                    raise TransientFault("injected transient fault in bit-blaster")
-                lits.append(ctx.blaster.blast_bool(t))
-        except UnsupportedOperation:
-            self.stats.inc("unsupported")
-            self.last_unknown_reason = "unsupported-operation"
-            return UNKNOWN, None
-        finally:
-            self.stats.inc("encode_us", int((perf_counter() - t0) * 1e6))
-        budget = self._budget
-        clip = max_conflicts
-        if budget is not None:
-            clip = budget.clip_conflicts(max_conflicts)
-        if fault_at("sat.solve") == "unknown":
-            self.stats.inc("injected_unknowns")
-            self.last_unknown_reason = "fault:sat.solve"
-            return UNKNOWN, None
-        conflicts_before = ctx.sat.conflicts
-        t1 = perf_counter()
-        try:
-            outcome = ctx.sat.solve(assumptions=lits, max_conflicts=clip)
-        finally:
-            if budget is not None:
-                budget.charge_conflicts(ctx.sat.conflicts - conflicts_before)
-            self.stats.inc("solve_us", int((perf_counter() - t1) * 1e6))
-        self.stats.inc("incremental_solves")
-        if outcome is None:
-            if (
-                budget is not None
-                and clip is not None
-                and (max_conflicts is None or clip < max_conflicts)
-            ):
-                budget.exhaust(
-                    "conflicts",
-                    f"allowance {budget.spec.conflict_allowance} spent mid-query",
-                )
-            return UNKNOWN, None
-        if not outcome:
-            return UNSAT, None
-        sat_model = ctx.sat.model()
-        true_lit = ctx.cnf._true
-
-        def lit_value(lit: int) -> bool:
-            if abs(lit) == true_lit:
-                return lit > 0
-            val = sat_model.get(abs(lit), False)
-            return val if lit > 0 else not val
-
-        # The persistent context knows variables from every query this
-        # solver ever ran; restrict the model to the goal's own variables.
-        goal_vars: set[Term] = set()
-        for t in goal:
-            goal_vars.update(t.free_vars())
-        model: dict[Term, object] = {}
-        for var, bits in ctx.blaster.var_bits.items():
-            if var in goal_vars:
-                model[var] = sum(1 << i for i, lit in enumerate(bits) if lit_value(lit))
-        for var, lit in ctx.blaster.var_lits.items():
-            if var in goal_vars:
-                model[var] = lit_value(lit)
-        return SAT, model
-
     def _solve(
         self, goal: list[Term], max_conflicts: int | None = None, depth: int = 0
     ) -> tuple[str, dict[Term, object] | None]:
-        """The throwaway engine: a fresh CDCL core per query, used for
-        enumeration sub-goals."""
+        """Decide ``goal``: the word-level theory layer, then small-domain
+        enumeration (up to three nested splits), then bit-blasting into a
+        fresh CDCL core."""
         # Word-level theory layer first: decides relational 64-bit goals
         # (ordering chains, interval bounds) without touching the SAT core.
         facts = saturated(goal)
@@ -647,7 +531,7 @@ class Solver:
             if budget is not None:
                 budget.charge_conflicts(sat_solver.conflicts)
             self.stats.inc("solve_us", int((perf_counter() - t1) * 1e6))
-        self.stats.inc("fresh_solves")
+        self.stats.inc("sat_solves")
         if outcome is None:
             if (
                 budget is not None

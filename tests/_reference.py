@@ -1,13 +1,10 @@
 """Reference implementations for parity tests.
 
-The pipeline has one configuration: incremental solving with goal slicing.
-The simpler engine that optimisation replaced stays in the source as a
-code path the default pipeline still uses internally — the throwaway CDCL
-core (``Solver._solve``).  The context managers below route whole runs
-through it so tests can assert that the optimisations never change a
-verdict, a trace or a certificate.  Patches are class- or module-level and
-last for the ``with`` block only; they reach in-process work, not worker
-processes.
+The pipeline has one configuration, and goal slicing is always on.
+``whole_goals`` makes slicing see every goal as one component, so tests
+can assert that slicing never changes a verdict, a trace or a
+certificate.  The patch is module-level and lasts for the ``with`` block
+only; it reaches in-process work, not worker processes.
 
 The plain functions are the straightforward versions of code the pipeline
 now runs faster: the brute-force inverse of Arm's ``DecodeBitMasks``, the
@@ -25,29 +22,10 @@ from repro.smt import solver as _solver
 from repro.smt.terms import TRUE
 
 
-def _throwaway(self, goal, max_conflicts):
-    return self._solve(goal, max_conflicts)
-
-
-@contextmanager
-def throwaway_engine():
-    """Answer every query on a fresh CDCL core instead of the solver's
-    persistent incremental context."""
-    with mock.patch.object(_solver.Solver, "_solve_incremental", _throwaway):
-        yield
-
-
 @contextmanager
 def whole_goals():
     """Make goal slicing see every goal as one component."""
     with mock.patch.object(_solver, "partition_goal", lambda goal: [list(goal)]):
-        yield
-
-
-@contextmanager
-def fresh_solver():
-    """The pre-incremental solver: a fresh core per query, no slicing."""
-    with throwaway_engine(), whole_goals():
         yield
 
 

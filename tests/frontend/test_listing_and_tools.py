@@ -173,3 +173,16 @@ class TestFig12Cli:
         assert header.startswith("Test") and set(rule) == {"-"}
         assert row.split()[:3] == ["rbit", "arm", "2"]
 
+    def test_smt_column_counts_goals_that_are_not_true(self):
+        """``sc`` counts every recorded side condition, ``smt`` only those
+        whose goal is not ``true``.  The builder folds all 67 of rbit's to
+        ``true``; memcpy's loop invariant leaves some to a solver."""
+        from repro.tools.fig12 import HEADER, run_case
+
+        assert HEADER.split()[-2:] == ["sc", "smt"]
+        rbit = run_case("rbit")
+        assert (rbit.side_conditions, rbit.solver_conditions) == (67, 0)
+        assert rbit.format().split()[-2:] == ["67", "0"]
+        memcpy = run_case("memcpy/arm")
+        assert 0 < memcpy.solver_conditions < memcpy.side_conditions
+

@@ -1,6 +1,5 @@
-"""Executor-level behaviour of the incremental backend: shared-solver
-push/pop across paths, branch-check elision, and engine-independence of
-the generated traces."""
+"""Executor-level behaviour of the shared solver: push/pop across paths,
+branch-check elision, and slicing-independence of the generated traces."""
 
 from contextlib import ExitStack
 
@@ -14,7 +13,7 @@ from repro.sail.model import IsaModel
 from repro.smt import builder as B
 from repro.smt.solver import clear_check_cache
 
-from .._reference import throwaway_engine, whole_goals
+from .._reference import whole_goals
 
 
 @pytest.fixture(autouse=True)
@@ -93,7 +92,7 @@ def test_elided_branch_produces_no_fork():
 
 @pytest.mark.parametrize(
     "mode",
-    [(), (whole_goals,), (throwaway_engine,), (throwaway_engine, whole_goals)],
+    [(), (whole_goals,)],
 )
 def test_trace_identical_across_modes_arm(mode):
     from repro.arch.arm import ArmModel, encode as A
@@ -106,7 +105,7 @@ def test_trace_identical_across_modes_arm(mode):
         A.add_imm(0, 1, 12),
     ]
     reference = _with_engines(
-        (throwaway_engine, whole_goals),
+        (whole_goals,),
         lambda: [
             trace_to_sexpr(trace_for_opcode(model, op, Assumptions()).trace)
             for op in opcodes

@@ -7,7 +7,7 @@ from repro.smt import builder as B
 from repro.smt.slicing import partition_goal, query_component_indices
 from repro.smt.solver import SAT, UNSAT, Solver, check_model
 
-from .._reference import throwaway_engine, whole_goals
+from .._reference import whole_goals
 
 
 def _vars(width=8, n=6, tag="sl"):
@@ -99,8 +99,7 @@ class TestSlicedSolving:
         s.add(B.bvult(a, B.bv(10, 16)))
         s.add(B.bvult(b, B.bv(10, 16)))
         # Query contradicts only the `a` component.
-        with throwaway_engine():
-            assert s.check(B.not_(B.bvult(a, B.bv(100, 16)))) == UNSAT
+        assert s.check(B.not_(B.bvult(a, B.bv(100, 16)))) == UNSAT
 
     def test_sat_models_merge_across_components(self):
         a, b = B.bv_var("mm_a", 16), B.bv_var("mm_b", 16)
@@ -109,9 +108,8 @@ class TestSlicedSolving:
         g2 = B.eq(B.bvxor(b, B.bv(0x34, 16)), B.bv(0, 16))
         s.add(g1)
         s.add(g2)
-        with throwaway_engine():
-            assert s.check() == SAT
-            model = s.model()
+        assert s.check() == SAT
+        model = s.model()
         assert check_model([g1, g2], model)
 
     def test_randomised_sliced_equals_whole(self):
@@ -136,10 +134,9 @@ class TestSlicedSolving:
             for t in goal:
                 sliced.add(t)
                 whole.add(t)
-            with throwaway_engine():
-                verdict = sliced.check()
-                with whole_goals():
-                    assert verdict == whole.check()
+            verdict = sliced.check()
+            with whole_goals():
+                assert verdict == whole.check()
 
     def test_component_cache_hits_across_extending_queries(self):
         """The point of per-component keys: queries that extend an unrelated
@@ -150,9 +147,8 @@ class TestSlicedSolving:
         a, b = B.bv_var("cc_a", 16), B.bv_var("cc_b", 16)
         s = Solver()  # global cache on
         s.add(B.eq(B.bvand(a, B.bv(3, 16)), B.bv(1, 16)))
-        with throwaway_engine():
-            assert s.check(B.bvult(b, B.bv(10, 16))) == SAT
-            hits_before = s.stats["slice_cache_hits"]
-            # New query on b only: the `a` component verdict must be a hit.
-            assert s.check(B.bvult(b, B.bv(20, 16))) == SAT
+        assert s.check(B.bvult(b, B.bv(10, 16))) == SAT
+        hits_before = s.stats["slice_cache_hits"]
+        # New query on b only: the `a` component verdict must be a hit.
+        assert s.check(B.bvult(b, B.bv(20, 16))) == SAT
         assert s.stats["slice_cache_hits"] > hits_before

@@ -80,13 +80,6 @@ class TestSatCore:
         m = s.model()
         assert m[a] != m[b] and m[b] != m[c]
 
-    def test_assumptions(self):
-        s = SatSolver()
-        a, b = s.new_var(), s.new_var()
-        s.add_clause([-a, b])
-        assert s.solve(assumptions=[a]) is True
-        assert s.model()[b] is True
-
     def test_conflict_budget_returns_none(self):
         # A hard pigeonhole instance with a tiny budget must give up.
         s = SatSolver()

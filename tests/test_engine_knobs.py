@@ -1,11 +1,11 @@
 """The pipeline has one engine configuration.
 
-Incremental solving and goal slicing are always on; their parity with
-the simpler reference engines is tested through ``tests/_reference.py``,
-not selected at run time.  Trace generation and block proofs always run
-in the calling process.  This guard keeps kill switches and process-pool
-knobs from creeping back in as environment variables or CLI flags
-(``--no-parametric`` names an engine that no longer exists).
+Goal slicing is always on; its parity with whole-goal solving is tested
+through ``tests/_reference.py``, not selected at run time.  Trace
+generation and block proofs always run in the calling process.  This
+guard keeps kill switches and process-pool knobs from creeping back in as
+environment variables or CLI flags (``--no-parametric`` and
+``--no-incremental`` name engines that no longer exist).
 """
 
 from __future__ import annotations

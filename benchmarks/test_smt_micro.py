@@ -16,8 +16,10 @@ from repro.smt.solver import (
     Solver,
     clear_check_cache,
 )
+from repro.smt.terms import VAR
 from repro.smt.theory import refutes
 from tests._reference import whole_goals
+from tests.smt.test_enumeration_memo import _loop_goal, m
 
 
 def fresh():
@@ -173,3 +175,40 @@ class TestSlicingMicro:
             verdict = sliced.check(q)
             with whole_goals():
                 assert verdict == whole.check(q)
+
+
+class TestEnumerationMicro:
+    def test_each_node_is_rebuilt_once_per_value(self, bench_smt_record, monkeypatch):
+        """The loop goals share the invariant's ite and square nodes across
+        conjuncts and queries.  Deciding each one twice over fresh solvers
+        (``check`` and ``quick_valid``) enumerates every value of the loop
+        counter; each distinct ``(node, value)`` must be rebuilt at most
+        once.  A count, not a timing."""
+        bounds = (5, 8, 9)
+        pairs = set()
+        for bound in bounds:
+            nodes = [t for g in _loop_goal(bound) for t in g.iter_subterms()
+                     if t.op != VAR and t.args and m in t.free_vars()]
+            pairs.update((t, val) for t in nodes for val in range(bound))
+        rebuilds = []
+        real = B.rebuild
+
+        def counting(op, args, attrs):
+            rebuilds.append(op)
+            return real(op, args, attrs)
+
+        monkeypatch.setattr(B, "rebuild", counting)
+        clear_check_cache()
+        for _ in range(2):
+            for bound in bounds:
+                goal = _loop_goal(bound)
+                assert fresh().check(*goal) == UNSAT
+                s = fresh()
+                s.add(goal[0])
+                assert s.quick_valid(goal[1].args[0])
+        bench_smt_record(
+            "micro_enumeration_rebuilds",
+            rebuilds=len(rebuilds),
+            node_values=len(pairs),
+        )
+        assert 0 < len(rebuilds) <= len(pairs)

@@ -11,8 +11,6 @@ All functions accept and return interned :class:`~repro.smt.terms.Term`.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import terms as T
 from .sorts import BOOL, Sort, bv_sort
 from .terms import FALSE, TRUE, Term, check_bool, check_bv, check_same_width
@@ -682,23 +680,6 @@ def substitute(term: Term, mapping: dict[Term, Term], memo: dict | None = None) 
         return out
 
     return go(term)
-
-
-# A full cold verification pass instantiates a few thousand distinct
-# ``(term, var, value)`` triples; the bound keeps a long-lived process from
-# pinning term DAGs forever.
-@lru_cache(maxsize=1 << 14)
-def substitute_value(term: Term, var: Term, value: Term) -> Term:
-    """``substitute(term, {var: value})``, memoised process-wide.
-
-    Small-domain enumeration instantiates the same conjuncts at the same
-    values over and over — across queries, and again in the checker's fresh
-    solvers.  Terms are interned and substitution is a pure function of its
-    arguments, so the memo returns exactly the object a recomputation would;
-    it stores terms, never verdicts.  ``solver.clear_check_cache`` empties it
-    for cold timings.
-    """
-    return substitute(term, {var: value})
 
 
 _REBUILDERS = {}

@@ -7,9 +7,10 @@ saving, and Luby restarts.  It is deliberately dependency-free: the paper's
 pipeline uses Z3, which is unavailable here, so the whole QF_BV stack is
 built from scratch (see DESIGN.md, substitution table).
 
-The solver is one-shot: :class:`~repro.smt.solver.Solver` builds a fresh
-core for every query that reaches the SAT layer, so no clause outlives the
-query it was learned in and there are no assumption literals.
+The solver is one-shot: a core answers one ``solve()`` (a second call
+raises ``RuntimeError``), and :class:`~repro.smt.solver.Solver` builds a
+fresh core for every query that reaches the SAT layer, so no clause
+outlives the query it was learned in and there are no assumption literals.
 
 Literals are non-zero integers: variable ``v`` is the positive literal ``v``
 and its negation is ``-v`` (DIMACS convention).
@@ -43,7 +44,6 @@ class SatSolver:
 
     def __init__(self) -> None:
         self.num_vars = 0
-        self.clauses: list[list[int]] = []
         self.watches: dict[int, list[list[int]]] = {}
         self.assign: dict[int, bool] = {}
         self.level: dict[int, int] = {}
@@ -56,9 +56,9 @@ class SatSolver:
         #: Conflicts over the solver's life (budget charging reads it).
         self.conflicts = 0
         self._ok = True
-        # Level-0 facts (input unit clauses and learned units), re-asserted
-        # at the start of every solve() without scanning the clause DB.
+        # Input unit clauses, asserted at level 0 when solve() starts.
         self._units: list[int] = []
+        self._solved = False
         # Propagation queue head: the first trail literal not yet propagated.
         self._qhead = 0
         # Lazy max-heap over (-activity, -var): stale entries are skipped at
@@ -91,10 +91,8 @@ class SatSolver:
             return
         if len(out) == 1:
             # Stage unit clauses as level-0 facts during solve().
-            self.clauses.append(out)
             self._units.append(out[0])
             return
-        self.clauses.append(out)
         self._watch(out)
 
     def _watch(self, clause: list[int]) -> None:
@@ -240,27 +238,23 @@ class SatSolver:
     # -- main search ----------------------------------------------------------
 
     def solve(self, max_conflicts: int | None = None) -> bool | None:
-        """Return True (SAT), False (UNSAT), or None (conflict budget hit)."""
+        """Return True (SAT), False (UNSAT), or None (conflict budget hit).
+
+        One call per core: a second raises ``RuntimeError``."""
+        if self._solved:
+            raise RuntimeError("SatSolver.solve() is one-shot; build a fresh core")
+        self._solved = True
         if not self._ok:
             return False
-        self._qhead = 0
-        self.assign.clear()
-        self.level.clear()
-        self.reason.clear()
-        self.trail.clear()
-        self.trail_lim.clear()
         self._heap = [
             (-self.activity.get(v, 0.0), -v, v) for v in range(1, self.num_vars + 1)
         ]
         heapq.heapify(self._heap)
 
-        # Level-0 facts: input units and units learned in earlier calls.
         for lit in self._units:
             if not self._enqueue(lit, None):
-                self._ok = False
                 return False
         if self._propagate() is not None:
-            self._ok = False
             return False
 
         conflicts_until_restart = luby(1) * 64
@@ -277,16 +271,12 @@ class SatSolver:
                         return None
                 if not self.trail_lim:
                     # Conflict with no decisions on the trail: the clause
-                    # database alone is unsatisfiable, permanently.
-                    self._ok = False
+                    # database alone is unsatisfiable.
                     return False
                 learnt, bj = self._analyze(conflict)
                 self._backjump(bj)
-                self.clauses.append(learnt)
                 if len(learnt) >= 2:
                     self._watch(learnt)
-                else:
-                    self._units.append(learnt[0])
                 self._enqueue(learnt[0], learnt if len(learnt) >= 2 else None)
                 self._decay()
                 conflicts_until_restart -= 1
@@ -314,6 +304,6 @@ class SatSolver:
         return None
 
     def model(self) -> dict[int, bool]:
-        """The satisfying assignment from the last successful solve().
+        """The satisfying assignment found by a successful solve().
         Unassigned variables (don't-cares) default to False."""
         return {v: self.assign.get(v, False) for v in range(1, self.num_vars + 1)}

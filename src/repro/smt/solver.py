@@ -584,18 +584,59 @@ def _quick_refutes(goal: list[Term], depth: int) -> bool:
     return True
 
 
+#: Small-domain enumeration's memos (DESIGN.md, "Small-domain enumeration
+#: and the substitution memo").  ``_BINDING_MEMOS`` holds one
+#: ``builder.substitute`` memo per binding ``(var, value)``, shared by every
+#: conjunct, query and fresh solver, so a node is rebuilt once per value;
+#: ``_SPLIT_ORDER`` holds each term's variables in ``_enumerable_var``'s scan
+#: order.  They hold terms, never verdicts, and a hit is the interned object
+#: a recomputation would build, so a race between threads costs at most the
+#: node count's precision.  Past ``_MEMO_LIMIT`` nodes (split-order entries)
+#: a memo is emptied wholesale; a cold verify pass ends with about 70
+#: bindings holding 13k nodes.
+_BINDING_MEMOS: dict[tuple[Term, Term], dict[Term, Term]] = {}
+_SPLIT_ORDER: dict[Term, tuple[Term, ...]] = {}
+_MEMO_LIMIT = 1 << 15
+_memo_nodes = 0
+
+
 def _instantiate(goal: list[Term], var: Term, val: int) -> list[Term] | None:
     """``goal`` under ``var := val``, dropping conjuncts that fold to true;
     ``None`` when one folds to false."""
+    global _memo_nodes
     binding = B.bv(val, var.sort.width)
-    sub_goal: list[Term] = []
-    for g in goal:
-        t = B.substitute_value(g, var, binding)
-        if t is FALSE:
-            return None
-        if t is not TRUE:
-            sub_goal.append(t)
-    return sub_goal
+    if _memo_nodes > _MEMO_LIMIT:
+        _BINDING_MEMOS.clear()
+        _memo_nodes = 0
+    memo = _BINDING_MEMOS.setdefault((var, binding), {})
+    size = len(memo)
+    try:
+        sub_goal: list[Term] = []
+        for g in goal:
+            t = memo.get(g)
+            if t is None:
+                t = B.substitute(g, {var: binding}, memo)
+            if t is FALSE:
+                return None
+            if t is not TRUE:
+                sub_goal.append(t)
+        return sub_goal
+    finally:
+        _memo_nodes += len(memo) - size
+
+
+def _split_order(t: Term) -> tuple[Term, ...]:
+    """``t``'s bitvector variables by descending name and width."""
+    order = _SPLIT_ORDER.get(t)
+    if order is None:
+        if len(_SPLIT_ORDER) > _MEMO_LIMIT:
+            _SPLIT_ORDER.clear()
+        order = tuple(sorted(
+            (v for v in t.free_vars() if v.sort.is_bv()),
+            key=lambda v: (v.name, v.sort.width), reverse=True,
+        ))
+        _SPLIT_ORDER[t] = order
+    return order
 
 
 def _enumerable_var(
@@ -614,9 +655,9 @@ def _enumerable_var(
     seen: set[Term] = set()
     best: tuple[int, Term, int, int] | None = None
     for t in goal:
-        fresh = [v for v in t.free_vars() if v not in seen and v.sort.is_bv()]
-        fresh.sort(key=lambda v: (v.name, v.sort.width), reverse=True)
-        for v in fresh:
+        for v in _split_order(t):
+            if v in seen:
+                continue
             seen.add(v)
             if len(seen) > 64:
                 return best[1:] if best else None
@@ -628,10 +669,16 @@ def _enumerable_var(
 
 
 def clear_check_cache() -> None:
-    """Drop the global result cache and the enumeration's substitution memo
-    (used by benchmarks for cold timings)."""
+    """Drop the global result cache and small-domain enumeration's memos.
+
+    For cold timings (the benchmarks) and for replay that must not depend
+    on earlier work in the process: ``verify_case`` calls it at the start
+    of every fault-seeded run."""
+    global _memo_nodes
     _GLOBAL_CHECK_CACHE.clear()
-    B.substitute_value.cache_clear()
+    _BINDING_MEMOS.clear()
+    _SPLIT_ORDER.clear()
+    _memo_nodes = 0
 
 
 def check_cache_stats() -> dict[str, int]:

@@ -8,7 +8,8 @@ only; it reaches in-process work, not worker processes.
 
 The plain functions are the straightforward versions of code the pipeline
 now runs faster: the brute-force inverse of Arm's ``DecodeBitMasks``, the
-always-sorted state comparison and the fixed-point trace simplifier.
+always-sorted state comparison, the fixed-point trace simplifier and the
+enumeration split that sorts every term's variables on every call.
 """
 
 from __future__ import annotations
@@ -199,3 +200,23 @@ def _drop_trivial_asserts(trace):
         else tuple(_drop_trivial_asserts(c) for c in trace.cases)
     )
     return Trace(events, cases)
+
+
+def sorting_enumerable_var(goal, facts):
+    """``solver._enumerable_var`` sorting each term's free variables by
+    descending (name, width) on every call, where the solver keeps that
+    order in a memo per term."""
+    seen = set()
+    best = None
+    for t in goal:
+        fresh = [v for v in t.free_vars() if v not in seen and v.sort.is_bv()]
+        fresh.sort(key=lambda v: (v.name, v.sort.width), reverse=True)
+        for v in fresh:
+            seen.add(v)
+            if len(seen) > 64:
+                return best[1:] if best else None
+            interval = facts.interval_of(v)
+            span = interval.hi - interval.lo + 1
+            if 1 <= span <= _solver._ENUM_LIMIT and (best is None or span < best[0]):
+                best = (span, v, interval.lo, interval.hi)
+    return best[1:] if best else None

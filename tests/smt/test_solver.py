@@ -93,6 +93,17 @@ class TestSatCore:
                     s.add_clause([-p[i1, j], -p[i2, j]])
         assert s.solve(max_conflicts=3) is None
 
+    @pytest.mark.parametrize("clauses", [[[1]], [[1], [-1]], [[]]],
+                             ids=["sat", "unsat", "empty-clause"])
+    def test_solve_is_one_shot(self, clauses):
+        s = SatSolver()
+        s.new_var()
+        for clause in clauses:
+            s.add_clause(clause)
+        s.solve()
+        with pytest.raises(RuntimeError, match="one-shot"):
+            s.solve()
+
 
 class TestSolverFacade:
     def test_empty_sat(self):

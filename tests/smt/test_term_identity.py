@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.smt import builder as B
+from repro.smt import solver as S
 from repro.smt import terms as T
 from repro.smt.sorts import BOOL, bv_sort
 
@@ -101,7 +102,7 @@ BUILDER = {
     "bvsgt": lambda: B.bvsgt(_x(), _y()),
     "bvsge": lambda: B.bvsge(_x(), _y()),
     "substitute": lambda: B.substitute(B.bvadd(_x(), _y()), {_y(): B.bv(1, 8)}),
-    "substitute_value": lambda: B.substitute_value(B.bvmul(_x(), _y()), _y(), B.bv(3, 8)),
+    "substitute_value": lambda: S._instantiate([B.eq(B.bvmul(_x(), _y()), _x())], _y(), 3)[0],
     "rebuild": lambda: B.rebuild(T.BVOR, (_x(), _y()), ()),
 }
 

@@ -13,7 +13,7 @@ import importlib
 import inspect
 
 from ..smt.smtlib import term_to_sexpr
-from ..smt.terms import Term, stable_key
+from ..smt.terms import Term
 
 #: Bump on any change to key derivation, the trace s-expression grammar, the
 #: proof/solver semantics, or the stored value layout.  Old cache directories
@@ -157,18 +157,3 @@ def trace_key(model, opcode, assumptions, name_prefix: str = "v") -> str:
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
-
-def smt_query_key(goal) -> str:
-    """Cache key for a solver ``check``: the asserted term *set*.
-
-    The sha256 of the sorted :func:`~repro.smt.terms.stable_key` digests
-    of the goal's terms, the structural digest the builder orders by.
-    Order-independent (matching the in-memory frozenset key) and
-    sort-aware: every node's digest covers its sort, and a variable's its
-    name and sort, so textually identical terms over differently-sorted
-    variables cannot collide.
-    """
-    digest = hashlib.sha256(b"smt-v2")
-    for td in sorted({stable_key(t) for t in goal}):
-        digest.update(td)
-    return digest.hexdigest()

@@ -1,9 +1,8 @@
-"""The on-disk cache: a trace log and an SMT verdict log.
+"""The on-disk cache: one append-only log of Isla results.
 
 Layout (under the user-supplied root)::
 
     <root>/v<FORMAT>/traces.log            append-only Isla results
-    <root>/v<FORMAT>/smt/verdicts.jsonl    append-only check verdicts
 
 A trace record is a one-line JSON header (the trace key, metrics, the sort
 signature of *external* free variables — symbolic opcode bits and the like
@@ -29,8 +28,8 @@ compute the same trace, or when a damaged record is re-stored, so the log
 grows by one record per distinct trace and never shrinks: bumping
 ``CACHE_FORMAT_VERSION`` or deleting the directory is how it is reset.
 
-A handle also remembers every trace it has stored or loaded, the way it
-holds the verdict log in memory: a trace key names a pure function of the
+A handle also remembers every trace it has stored or loaded: a trace key
+names a pure function of the
 model, the opcode and the assumptions, so a hit on a trace this process
 already holds is served from the handle without touching the file.  Only
 the direct path's own result or a trace that passed the load-time checks
@@ -38,19 +37,20 @@ is ever held, so a held trace needs no re-check; the disk stays
 untrusted, and every other handle (another process) still digests,
 parses and checks each record it reads.
 
-The SMT store is an append-only JSONL so concurrent processes can record
-verdicts without coordination: each line is a self-contained
-``{"k": key, "r": verdict}`` record, duplicate lines are idempotent
-(the verdict is a deterministic function of the key).
+No SMT verdict is kept on disk.  A verdict carries nothing a reader
+could check short of redoing the query, and an UNSAT answer read from a
+file would prune a branch or skip a proof path unchecked; the solver's
+in-process check cache already serves every verdict a run repeats.
 
-Concurrency discipline (daemons and CLI runs sharing one directory): both
-logs are appended through :func:`_append_exact`, which takes an advisory
+Concurrency discipline (daemons and CLI runs sharing one directory): the
+log is appended through :func:`_append_exact`, which takes an advisory
 ``flock`` on the log file (where available) and loops over short
 ``write``\\ s — two processes appending concurrently can therefore never
 interleave bytes *within* a record, only order whole records.  On open,
-each log's torn tail (a killed appender's partial final record) is cut
-off under the same lock (:func:`_repair_log`).  Losing the lock race costs
-latency, never correctness.
+the log's torn tail (a killed appender's partial final record) is cut off
+under the same lock (:func:`_repair_log`).  Losing the lock race costs
+latency, never correctness.  Each record is appended as it is stored, so
+a handle has nothing to flush or close.
 """
 
 from __future__ import annotations
@@ -156,14 +156,11 @@ def _repair_log(fd: int, scan) -> None:
 
 #: Counters of one :class:`DiskCache` handle (``DiskCache.stats``).
 #: ``trace_mem_hits`` (a subset of ``trace_hits``) were served from the
-#: traces the handle holds, without reading the log;
-#: ``smt_truncated_bytes`` were cut off the verdict log's corrupt tail on
-#: open (a crashed appender's torn final records); ``wellformed_rejects``
+#: traces the handle holds, without reading the log; ``wellformed_rejects``
 #: (a subset of ``corrupt_entries``) parsed but failed the well-formedness
 #: check, each evicted on sight.
 DISK_COUNTERS = (
     "trace_hits", "trace_mem_hits", "trace_misses", "trace_writes",
-    "smt_hits", "smt_misses", "smt_records", "smt_loaded", "smt_truncated_bytes",
     "corrupt_entries", "wellformed_rejects",
 )
 
@@ -229,11 +226,9 @@ def decode_trace(body: str, extern):
 class DiskCache:
     """A handle on one on-disk cache directory.
 
-    Creates the versioned layout on first use, indexes the trace log, and
-    loads the SMT verdict log eagerly (it is the hot store — consulted on
-    every solver miss — so it must be a dict lookup, not file IO).  It
-    also holds every trace it stores or loads, so it reads each record
-    from disk at most once.  Code that runs in a process should use
+    Creates the versioned layout on first use and indexes the trace log.
+    It holds every trace it stores or loads, so it reads each record from
+    disk at most once.  Code that runs in a process should use
     :func:`open_cache`, which shares one handle per root; a second
     ``DiskCache`` on the same root models a second process.
     """
@@ -249,9 +244,7 @@ class DiskCache:
         self.root = Path(self.root)
         self._base = self.root / f"v{CACHE_FORMAT_VERSION}"
         self._log_path = self._base / "traces.log"
-        self._smt_path = self._base / "smt" / "verdicts.jsonl"
-        self._smt_path.parent.mkdir(parents=True, exist_ok=True)
-        self._smt: dict[str, str] = {}
+        self._base.mkdir(parents=True, exist_ok=True)
         # Trace key -> (trace, meta): what this handle stored, or loaded
         # past the digest and well-formedness checks.
         self._held: dict[str, tuple] = {}
@@ -259,15 +252,13 @@ class DiskCache:
         # which is indexed up to ``_indexed_end``.
         self._index: dict[str, tuple[int, int]] = {}
         self._indexed_end = 0
-        self._smt_pending: list[str] = []
         # One handle per process and root is shared by every thread that
         # opens that root (in-process shards, concurrent ``main()`` calls):
-        # the in-memory views and pending buffers need mutual exclusion
-        # even though the on-disk appends are self-synchronising.
+        # the index needs mutual exclusion even though the on-disk appends
+        # are self-synchronising.
         self._lock = threading.RLock()
         self._log_fd = os.open(self._log_path, os.O_RDWR | os.O_CREAT, 0o644)
         _repair_log(self._log_fd, self._index_opened_log)
-        self._load_smt()
 
     def __del__(self) -> None:
         fd = getattr(self, "_log_fd", None)
@@ -414,100 +405,6 @@ class DiskCache:
             if end - len(record) == self._indexed_end:
                 self._indexed_end = end  # nothing to index: the trace is held
 
-    # -- SMT verdict store --------------------------------------------------
-
-    def _load_smt(self) -> None:
-        """Load the verdict log; truncate its corrupt tail in place.
-
-        Records mid-file that fail to parse, or that hold anything but a
-        string key and a ``sat``/``unsat`` verdict, are skipped (they cost
-        one warm verdict each); a *trailing* run of bad bytes is cut off
-        the file (:func:`_repair_log`).
-        """
-        try:
-            fd = os.open(self._smt_path, os.O_RDWR)
-        except OSError:
-            return
-        try:
-            _repair_log(fd, self._scan_verdicts)
-        finally:
-            os.close(fd)
-        self.stats.inc("smt_loaded", len(self._smt))
-
-    def _scan_verdicts(self, data: bytes) -> int:
-        valid_end = 0  # byte offset just past the last valid record
-        offset = 0
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline == -1:
-                # Dangling final line, no terminator: a torn write,
-                # whatever its bytes happen to parse as.
-                self.stats.inc("corrupt_entries")
-                break
-            try:
-                record = json.loads(data[offset:newline])
-                key, verdict = record["k"], record["r"]
-                # Only what smt_record writes is trusted on load.
-                if not isinstance(key, str) or verdict not in ("sat", "unsat"):
-                    raise ValueError("not a sat/unsat verdict record")
-            except (ValueError, KeyError, TypeError, RecursionError):
-                self.stats.inc("corrupt_entries")
-            else:
-                self._smt[key] = verdict
-                valid_end = newline + 1
-            offset = newline + 1
-        if valid_end < len(data):
-            self.stats.inc("smt_truncated_bytes", len(data) - valid_end)
-        return valid_end
-
-    def smt_lookup(self, key: str) -> str | None:
-        verdict = self._smt.get(key)
-        if verdict is None:
-            self.stats.inc("smt_misses")
-        else:
-            self.stats.inc("smt_hits")
-        return verdict
-
-    def smt_record(self, key: str, verdict: str) -> None:
-        if verdict not in ("sat", "unsat"):
-            raise ValueError(f"only sat/unsat verdicts persist, got {verdict!r}")
-        with self._lock:
-            if self._smt.get(key) == verdict:
-                return
-            self._smt[key] = verdict
-            self._smt_pending.append(
-                json.dumps({"k": key, "r": verdict}, sort_keys=True)
-            )
-            self.stats.inc("smt_records")
-            full = len(self._smt_pending) >= 256
-        if full:
-            self.flush()
-
-    def flush(self) -> None:
-        """Append pending SMT verdicts (one locked, uninterleaved write).
-
-        The handle lock is held across the append: two of this process's
-        threads flushing concurrently must not both write the same pending
-        lines (on-disk duplicates would be harmless, but clearing the
-        buffer twice could drop records queued in between).
-        """
-        with self._lock:
-            if not self._smt_pending:
-                return
-            payload = "".join(line + "\n" for line in self._smt_pending)
-            if _append_exact(self._smt_path, payload.encode()) is None:
-                return  # dropped verdicts are only a warm-start loss
-            self._smt_pending.clear()
-
-    def close(self) -> None:
-        self.flush()
-
-    def __enter__(self) -> "DiskCache":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
 
 # -- one handle per process and root ------------------------------------------
 
@@ -518,8 +415,9 @@ _HANDLES_LOCK = threading.Lock()
 def open_cache(root) -> DiskCache:
     """This process's shared handle on ``root``, opened on first use.
 
-    Keyed by absolute path, so the verdict log is parsed once per process
-    and root however many runs or jobs use it.
+    Keyed by absolute path, so the trace log is indexed once per process
+    and root however many runs or jobs use it, and a trace one run stored
+    or loaded is served from memory to the next.
     """
     key = os.path.abspath(root)
     with _HANDLES_LOCK:

@@ -59,9 +59,9 @@ def verify_case(
     short-circuits, so an injected run starts with that cache empty: a
     seed gives the same schedule whatever earlier runs left in it.
 
-    The persistent verdict store is the caller's to install
-    (:func:`~repro.smt.solver.install_persistent_check_store`), once per
-    process run, not per case.
+    ``cache`` serves traces only; every solver verdict is computed in this
+    process.  A model error while the case is built propagates as
+    :class:`~repro.isla.IslaError` for the caller to report.
     """
     from contextlib import nullcontext
 
@@ -71,22 +71,18 @@ def verify_case(
     from ..smt.solver import clear_check_cache
 
     module = globals()[name]
-    try:
-        with configured(cache=cache, kept_traces=kept_traces):
-            case = module.build(**(kwargs or {}))
-        if on_built is not None:
-            on_built(case)
-        injection = nullcontext()
-        if fault_seed is not None:
-            clear_check_cache()
-            injection = inject(FaultInjector(fault_seed, rate=fault_rate))
-        with injection:
-            report = verify_program(
-                case.frontend.traces, case.specs, pc_for(module),
-                budget=Budget(budget_spec) if budget_spec is not None else None,
-                progress=progress,
-            )
-    finally:
-        if cache is not None:
-            cache.flush()
+    with configured(cache=cache, kept_traces=kept_traces):
+        case = module.build(**(kwargs or {}))
+    if on_built is not None:
+        on_built(case)
+    injection = nullcontext()
+    if fault_seed is not None:
+        clear_check_cache()
+        injection = inject(FaultInjector(fault_seed, rate=fault_rate))
+    with injection:
+        report = verify_program(
+            case.frontend.traces, case.specs, pc_for(module),
+            budget=Budget(budget_spec) if budget_spec is not None else None,
+            progress=progress,
+        )
     return case, report

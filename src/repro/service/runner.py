@@ -115,9 +115,6 @@ class JobRunner:
                 trace=traceback.format_exc(limit=4),
             )
             return
-        finally:
-            if service.cache is not None:
-                service.cache.flush()
 
         # Fold consumption back into the service pool and telemetry.
         budget_snapshot = (

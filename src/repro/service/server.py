@@ -1,11 +1,10 @@
 """The verification daemon: an asyncio front end over resident state.
 
 The service owns exactly one of each warm resource — an optional
-:class:`~repro.cache.DiskCache` (installed process-wide as the solver's
-persistent check store, as ``tools/verify`` does for its whole run) and a
-:class:`~repro.service.batcher.KeptTraces` map — and one
-:class:`~repro.service.runner.JobRunner` thread that executes jobs against
-them, one at a time.  Every pipeline stage is CPU-bound Python, so a
+:class:`~repro.cache.DiskCache` (the trace log, this process's shared
+handle on its root) and a :class:`~repro.service.batcher.KeptTraces` map —
+and one :class:`~repro.service.runner.JobRunner` thread that executes
+jobs against them, one at a time.  Every pipeline stage is CPU-bound Python, so a
 second runner thread would share the interpreter lock and add no
 throughput; a fleet scales by shards (:mod:`~repro.service.supervisor`).
 The asyncio layer is deliberately thin: parse a request, touch the
@@ -53,16 +52,12 @@ class VerificationService(HttpFrontEnd):
         self._jobs_lock = threading.Lock()
         self._runner = JobRunner(self)
         self._started = False
-        self._previous_store = None
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
         if self._started:
             return
-        from ..smt.solver import install_persistent_check_store
-
-        self._previous_store = install_persistent_check_store(self.cache)
         self._runner.start()
         self._started = True
         self.telemetry.log(
@@ -81,16 +76,12 @@ class VerificationService(HttpFrontEnd):
         if not self._started:
             return
         from ..resilience import request_shutdown, reset_shutdown
-        from ..smt.solver import install_persistent_check_store
 
         self.queue.drain()
         if abort:
             request_shutdown()
         self._runner.stop()
         self._runner.join(timeout=60)
-        if self.cache is not None:
-            self.cache.flush()
-        install_persistent_check_store(self._previous_store)
         if abort:
             reset_shutdown()
         self._started = False

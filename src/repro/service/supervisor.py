@@ -97,8 +97,8 @@ class LocalShard(ShardHandle):
     drains or reports, and the restarted shard has an empty job table —
     every in-flight job is lost exactly as under SIGKILL.  (What it cannot
     simulate is losing the *process*: solver state is process-global, so
-    in-process shards share the persistent check store and the check-cache
-    LRU, and two of them can run jobs at once against it.  The production
+    in-process shards share the check-cache LRU and the enumeration memos,
+    and two of them can run jobs at once against them.  The production
     path is :class:`ProcessShard`.)
     """
 

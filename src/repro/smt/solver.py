@@ -17,7 +17,7 @@ Goal slicing: a multi-conjunct goal factors into variable-disjoint
 connected components, which are satisfiable independently — see
 :mod:`repro.smt.slicing`.  ``check()`` solves the component touching the
 query terms and answers the rest (the already-seen path constraints) from
-the verdict caches, which are keyed per component so hits survive across
+the check cache, which is keyed per component so hits survive across
 queries that merely *extend* an unrelated part of the context.
 
 Resource governance (``repro.resilience``): a solver may carry a
@@ -38,7 +38,7 @@ from time import perf_counter
 
 from ..obs import Counters
 from ..resilience.budget import Budget
-from ..resilience.faults import active_injector, fault_at
+from ..resilience.faults import fault_at
 from ..resilience.ladder import DegradationLadder
 from . import builder as B
 from .bitblast import BitBlaster, UnsupportedOperation
@@ -127,37 +127,18 @@ class LruCheckCache:
 
 _GLOBAL_CHECK_CACHE = LruCheckCache()
 
-#: Optional second-level, on-disk verdict store (a
-#: :class:`repro.cache.DiskCache`), consulted after an LRU miss and fed on
-#: every decisive solve.  ``None`` means pure in-memory behaviour.
-_PERSISTENT_STORE = None
-
-
-def install_persistent_check_store(store):
-    """Install (or, with ``None``, remove) the process-wide on-disk verdict
-    store behind the LRU check cache.  Returns the previous store so
-    callers can scope the installation."""
-    global _PERSISTENT_STORE
-    previous = _PERSISTENT_STORE
-    _PERSISTENT_STORE = store
-    return previous
-
-
-def persistent_check_store():
-    return _PERSISTENT_STORE
-
 
 #: Per-:class:`Solver` query counters (``Solver.stats``), summed into a
 #: run report's ``solver_stats``: results by kind, bit-blaster refusals
 #: (``unsupported``), ladder rung climbs and absorbed transient faults,
-#: injected unknowns, on-disk verdict-store hits, ``quick_valid``
+#: injected unknowns, ``quick_valid``
 #: outcomes, queries that reached the CDCL core (``sat_solves``), goal
 #: slicing, and the microseconds spent bit-blasting (``encode_us``) and in
 #: SAT search.
 SOLVER_COUNTERS = (
     "checks", "cache_hits", "sat_results", "unsat_results", "unknown_results",
     "unsupported", "escalations", "transient_retries", "injected_unknowns",
-    "persistent_hits", "quick_valid_hits", "quick_valid_misses",
+    "quick_valid_hits", "quick_valid_misses",
     "sat_solves", "sliced_checks", "slice_components",
     "slice_cache_hits", "slice_solves", "encode_us", "solve_us",
 )
@@ -240,14 +221,6 @@ class Solver:
             hit = _GLOBAL_CHECK_CACHE.get(key)
             if hit is not None:
                 self.stats.inc("cache_hits")
-                # Write-through to the on-disk store: an LRU hit proves the
-                # verdict was computed at some point this process, but that
-                # solve may have predated the store installation — without
-                # this, warm-LRU verdicts would never persist.
-                if _PERSISTENT_STORE is not None and active_injector() is None:
-                    from ..cache.keys import smt_query_key
-
-                    _PERSISTENT_STORE.smt_record(smt_query_key(goal), hit)
                 # A cached result has no model; recompute if the caller needs
                 # one (model() recomputes on demand).
                 self._model = None
@@ -264,27 +237,6 @@ class Solver:
             self._model = None
             self._model_goal = None
             return UNKNOWN
-        # Second level: the on-disk verdict store.  Bypassed while a fault
-        # injector is active — injected faults must perturb real solves,
-        # not be papered over by a warm cache.
-        store = _PERSISTENT_STORE
-        store_key: str | None = None
-        if store is not None and self._use_cache and active_injector() is None:
-            from ..cache.keys import smt_query_key
-
-            store_key = smt_query_key(goal)
-            hit = store.smt_lookup(store_key)
-            if hit is not None:
-                self.stats.inc("cache_hits")
-                self.stats.inc("persistent_hits")
-                self._model = None
-                self._model_goal = goal if hit == SAT else None
-                _GLOBAL_CHECK_CACHE.put(key, hit)
-                if hit == SAT:
-                    self.stats.inc("sat_results")
-                else:
-                    self.stats.inc("unsat_results")
-                return hit
         components = partition_goal(goal) if len(goal) > 1 else [goal]
         if len(components) > 1:
             result, model = self._check_sliced(components, extra)
@@ -294,8 +246,6 @@ class Solver:
         self._model_goal = goal if result == SAT else None
         if self._use_cache and result != UNKNOWN:
             _GLOBAL_CHECK_CACHE.put(key, result)
-            if store is not None and store_key is not None:
-                store.smt_record(store_key, result)
         if result == SAT:
             self.stats.inc("sat_results")
         elif result == UNSAT:
@@ -324,11 +274,6 @@ class Solver:
             components, tuple(t for t in extra if t is not TRUE)
         )
         order = sorted(range(len(components)), key=lambda i: (i not in query_idx, i))
-        store = (
-            _PERSISTENT_STORE
-            if self._use_cache and active_injector() is None
-            else None
-        )
         merged: dict[Term, object] = {}
         model_complete = True
         unknown = False
@@ -342,24 +287,11 @@ class Solver:
                 if hit is not None:
                     self.stats.inc("slice_cache_hits")
                     verdict = hit
-            if verdict is None and store is not None:
-                from ..cache.keys import smt_query_key
-
-                hit = store.smt_lookup(smt_query_key(comp))
-                if hit is not None:
-                    self.stats.inc("slice_cache_hits")
-                    self.stats.inc("persistent_hits")
-                    verdict = hit
-                    _GLOBAL_CHECK_CACHE.put(comp_key, hit)
             if verdict is None:
                 self.stats.inc("slice_solves")
                 verdict, comp_model = self._solve_governed(comp)
                 if self._use_cache and verdict != UNKNOWN:
                     _GLOBAL_CHECK_CACHE.put(comp_key, verdict)
-                    if store is not None:
-                        from ..cache.keys import smt_query_key
-
-                        store.smt_record(smt_query_key(comp), verdict)
             if verdict == UNSAT:
                 # One unsatisfiable component refutes the conjunction; the
                 # remaining components need not be looked at at all.

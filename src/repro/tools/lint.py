@@ -66,8 +66,6 @@ def lint_one(name: str, n: int | None, cache=None):
     module = getattr(casestudies, name)
     with configured(cache=cache):
         case = module.build(**_build_kwargs(module, n))
-    if cache is not None:
-        cache.flush()
     return lint_case(name, case=case)
 
 
@@ -117,13 +115,9 @@ def _run_cases(args, names, payload) -> None:
     from ..cache import resolve_cache
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
-    try:
-        for name in names:
-            findings = lint_one(name, args.n, cache=cache)
-            _report(payload, name, findings, args.quiet, args.json == "-")
-    finally:
-        if cache is not None:
-            cache.flush()
+    for name in names:
+        findings = lint_one(name, args.n, cache=cache)
+        _report(payload, name, findings, args.quiet, args.json == "-")
 
 
 def _run_isa(args, payload) -> None:

@@ -70,9 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     except IslaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if cache is not None:
-            cache.flush()
     print(trace_to_sexpr(result.trace))
     source = " (cached)" if result.cached else ""
     print(

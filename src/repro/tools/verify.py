@@ -3,14 +3,16 @@
 Verification runs *governed* (see :mod:`repro.resilience`): each block gets
 an outcome of ``verified | degraded | unknown | failed`` and the process
 exits non-zero unless every block verified cleanly and the independent
-checker re-validated the proof.  Budgets and deterministic fault injection
-are exposed for resilience experiments.
+checker re-validated the proof.  A model error while a case is built
+(:class:`~repro.isla.IslaError`) fails that case with one line on stderr,
+and ``--all`` goes on to the next.  Budgets and deterministic fault
+injection are exposed for resilience experiments.
 
 Caching (see :mod:`repro.cache`): ``--cache-dir`` points at an on-disk
-trace/SMT cache so reruns are near-instant (also honoured from
-``$REPRO_CACHE_DIR``; ``--no-cache`` disables both).  Results — outcome
-maps and certificates — are byte-identical across cache states and
-against the daemon.
+trace log so reruns skip symbolic execution (also honoured from
+``$REPRO_CACHE_DIR``; ``--no-cache`` disables it).  Solver verdicts are
+never read from disk.  Results — outcome maps and certificates — are
+byte-identical across cache states and against the daemon.
 
 Examples::
 
@@ -46,15 +48,13 @@ def _build_kwargs(module, n):
     return {}
 
 
-def _render_cache_line(run, preloaded: int) -> str:
+def _render_cache_line(run) -> str:
     """This invocation's disk-cache activity (its run scope's ``disk.*``
-    counts); "preloaded" counts the verdicts the shared
-    handle already held when the invocation began, and the trace hits
-    "from memory" are those a handle served without reading the file."""
+    counts); the trace hits "from memory" are those a handle served
+    without reading the file."""
     return (
         f"cache: traces {run['disk.trace_hits']} hits / {run['disk.trace_misses']} "
-        f"misses, smt {run['disk.smt_hits']} hits / {run['disk.smt_misses']} misses "
-        f"({preloaded} preloaded), {run['disk.trace_mem_hits']} trace hits from memory"
+        f"misses, {run['disk.trace_mem_hits']} trace hits from memory"
     )
 
 
@@ -87,21 +87,26 @@ def _case_stats(case, report) -> dict:
 
 def run_one(name: str, n: int | None, args, cache=None, stats_out=None) -> bool:
     from .. import casestudies
+    from ..isla import IslaError
     from ..logic.checker import CheckFailure, check_proof
 
     if name not in casestudies.__all__:
         print(f"unknown case study {name!r}", file=sys.stderr)
         return False
     marks = [time.perf_counter()]
-    case, report = casestudies.verify_case(
-        name,
-        _build_kwargs(getattr(casestudies, name), n),
-        cache=cache,
-        budget_spec=_build_budget_spec(args),
-        fault_seed=args.fault_seed,
-        fault_rate=args.fault_rate,
-        on_built=lambda _case: marks.append(time.perf_counter()),
-    )
+    try:
+        case, report = casestudies.verify_case(
+            name,
+            _build_kwargs(getattr(casestudies, name), n),
+            cache=cache,
+            budget_spec=_build_budget_spec(args),
+            fault_seed=args.fault_seed,
+            fault_rate=args.fault_rate,
+            on_built=lambda _case: marks.append(time.perf_counter()),
+        )
+    except IslaError as exc:  # only the build runs Isla
+        print(f"{name}: FAILED: build: IslaError: {exc}", file=sys.stderr)
+        return False
     t0, t1 = marks
     timings = f"isla {t1 - t0:.2f}s, verify {time.perf_counter() - t1:.2f}s"
 
@@ -150,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n", type=int, default=None, help="array length where applicable")
     parser.add_argument(
         "--cache-dir", default=None,
-        help="on-disk trace/SMT cache directory (default: $REPRO_CACHE_DIR "
+        help="on-disk trace cache directory (default: $REPRO_CACHE_DIR "
              "if set, else no persistent cache)",
     )
     parser.add_argument(
@@ -196,33 +201,24 @@ def main(argv: list[str] | None = None) -> int:
     from ..cache import resolve_cache
     from ..obs import Counters
     from ..resilience import handle_signals, shutdown_requested
-    from ..smt.solver import install_persistent_check_store
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
-    preloaded = cache.stats["smt_loaded"] + cache.stats["smt_records"] if cache else 0
     stats: dict = {}
     # SIGINT/SIGTERM drain gracefully: in-flight blocks finish, the
-    # rest land on the unknown rung, caches flush on the way out, and
-    # the process exits 1 with a partial report instead of a traceback.
+    # rest land on the unknown rung, and the process exits 1 with a
+    # partial report instead of a traceback.
     with handle_signals(), obs.scope() as run:
-        # The verdict store serves the whole run, as the daemon's does.
-        previous = install_persistent_check_store(cache)
-        try:
-            ok = all(
-                [
-                    run_one(name, args.n, args, cache=cache, stats_out=stats)
-                    for name in names
-                ]
-            )
-            if shutdown_requested():
-                print("shutdown requested: run drained, partial results above",
-                      file=sys.stderr)
-        finally:
-            install_persistent_check_store(previous)
-            if cache is not None:
-                cache.flush()
-                if args.verbose:
-                    print(_render_cache_line(run, preloaded))
+        ok = all(
+            [
+                run_one(name, args.n, args, cache=cache, stats_out=stats)
+                for name in names
+            ]
+        )
+        if shutdown_requested():
+            print("shutdown requested: run drained, partial results above",
+                  file=sys.stderr)
+        if cache is not None and args.verbose:
+            print(_render_cache_line(run))
     if args.stats_json:
         import json
 

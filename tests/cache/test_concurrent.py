@@ -91,33 +91,6 @@ class TestConcurrentTraceStore:
 
 
 class TestConcurrentJsonlStores:
-    def test_smt_verdicts_interleaved_flushes(self, tmp_path):
-        """Per-thread handles + a shared handle all appending verdicts."""
-        shared = DiskCache(tmp_path)
-        own = [DiskCache(tmp_path) for _ in range(6)]
-
-        def record(i: int) -> None:
-            handle = own[i] if i % 2 else shared
-            for n in range(300):
-                handle.smt_record(f"k-{i}-{n}", "unsat" if n % 2 else "sat")
-            handle.flush()
-
-        _hammer(6, record)
-        shared.flush()
-        # Every line in the log must parse: no torn or interleaved records.
-        path = shared._smt_path
-        lines = path.read_text().splitlines()
-        for line in lines:
-            record_ = json.loads(line)
-            assert set(record_) == {"k", "r"}
-        fresh = DiskCache(tmp_path)
-        assert fresh.stats["corrupt_entries"] == 0
-        # A shared-handle writer and per-thread writers each wrote all 300
-        # keys; last-record-wins loading must see every key exactly once.
-        for i in range(6):
-            for n in range(0, 300, 97):
-                assert fresh.smt_lookup(f"k-{i}-{n}") in ("sat", "unsat")
-
     def test_append_exact_partial_write_loop(self, tmp_path, monkeypatch):
         """A short ``os.write`` must not tear a record."""
         import os as _os

@@ -12,13 +12,11 @@ from repro.cache import (
     keys,
     model_fingerprint,
     opcode_signature,
-    smt_query_key,
     trace_key,
 )
 from repro.isla import Assumptions
 from repro.itl.events import Reg
 from repro.smt import builder as B
-from repro.smt.sorts import bv_sort
 
 ARM = ArmModel()
 RISCV = RiscvModel()
@@ -86,26 +84,6 @@ class TestTraceKey:
 
         c = Assumptions().constrain("R0", pred_c)
         assert trace_key(ARM, 0x13, a) != trace_key(ARM, 0x13, c)
-
-
-class TestSmtQueryKey:
-    def test_order_independent(self):
-        x = B.bv_var("x", 8)
-        a = B.eq(x, B.bv(1, 8))
-        b = B.bvult(x, B.bv(9, 8))
-        assert smt_query_key([a, b]) == smt_query_key([b, a])
-
-    def test_distinct_goals(self):
-        x = B.bv_var("x", 8)
-        assert smt_query_key([B.eq(x, B.bv(1, 8))]) != smt_query_key(
-            [B.eq(x, B.bv(2, 8))]
-        )
-
-    def test_sort_aware(self):
-        """Same sexpr text over differently-sorted variables cannot collide."""
-        narrow = B.eq(B.var("v", bv_sort(8)), B.var("w", bv_sort(8)))
-        wide = B.eq(B.var("v", bv_sort(16)), B.var("w", bv_sort(16)))
-        assert smt_query_key([narrow]) != smt_query_key([wide])
 
 
 class TestSemanticModules:

@@ -1,7 +1,7 @@
 """Property (hypothesis): corrupt cache files read as counted misses.
 
-Whatever bytes sit in the trace log or the verdict log, opening the cache
-and loading from it never raises.  Each load returns a miss or a
+Whatever bytes sit in the trace log, opening the cache and loading from
+it never raises.  Each load returns a miss or a
 well-formed hit, and every record the loader rejects is counted in
 ``corrupt_entries``.  A same-length change to a valid record (bit rot, a
 lying disk) is never served, under any key: the record's digest covers
@@ -11,7 +11,6 @@ its key and rejects it.
 from __future__ import annotations
 
 import functools
-import json
 import tempfile
 
 import hypothesis.strategies as st
@@ -62,34 +61,6 @@ def _flipped_entry(draw) -> bytes:
     return bytes(data)
 
 
-def _is_verdict_record(line: bytes) -> bool:
-    try:
-        record = json.loads(line)
-    except (ValueError, RecursionError):
-        return False
-    return (
-        isinstance(record, dict)
-        and isinstance(record.get("k"), str)
-        and record.get("r") in ("sat", "unsat")
-    )
-
-
-_record_line = st.one_of(
-    st.builds(
-        lambda k, r: json.dumps({"k": k, "r": r}).encode(),
-        st.one_of(st.text(max_size=8), st.integers(), st.none()),
-        st.one_of(st.sampled_from(["sat", "unsat", "unknown"]), st.integers()),
-    ),
-    st.binary(max_size=64).filter(lambda b: b"\n" not in b),
-)
-
-verdict_log = st.builds(
-    lambda lines, tail: b"\n".join(lines) + tail,
-    st.lists(_record_line, max_size=12),
-    st.sampled_from([b"", b"\n"]),
-)
-
-
 def _well_formed_hit(hit) -> bool:
     trace, meta = hit
     return isinstance(trace, Trace) and isinstance(meta, dict)
@@ -127,19 +98,3 @@ def test_same_length_flips_never_load(data):
             assert cache.load_trace(key) is None
         assert cache.stats["corrupt_entries"] >= 1
 
-
-@settings(max_examples=150, deadline=None)
-@given(verdict_log)
-def test_verdict_log_loads_only_verdicts_and_counts_the_rest(data):
-    with tempfile.TemporaryDirectory() as root:
-        path = DiskCache(root)._smt_path
-        path.write_bytes(data)
-        cache = DiskCache(root)
-        *lines, tail = data.split(b"\n")
-        rejected = sum(not _is_verdict_record(line) for line in lines)
-        assert cache.stats["corrupt_entries"] == rejected + (1 if tail else 0)
-        for line in lines:
-            if _is_verdict_record(line):
-                key = json.loads(line)["k"]
-                assert cache.smt_lookup(key) in ("sat", "unsat")
-        assert cache.smt_lookup("no such key") is None

@@ -1,4 +1,4 @@
-"""The on-disk trace/SMT stores: round-trips, corruption, invalidation."""
+"""The on-disk trace log: round-trips, corruption, invalidation."""
 
 from __future__ import annotations
 
@@ -106,20 +106,16 @@ class TestTraceStore:
         assert cache.load_trace("ab" * 32) is None
 
     def test_twenty_traces_make_no_file_but_the_logs(self, tmp_path):
-        """Every trace is a record in one log: storing 20 leaves the two
-        logs under ``v<FORMAT>``, with no directory and no temp file."""
+        """Every trace is a record in one log: storing 20 leaves that log
+        alone under ``v<FORMAT>``, with no directory and no temp file."""
         cache = DiskCache(tmp_path)
         for rd in range(20):  # add x<rd>, x2, x3
             opcode = (ADD_X1_X2_X3 & ~0x1F) | rd
             result = trace_for_opcode(ARM, opcode, _assumptions())
             key = trace_key(ARM, opcode, _assumptions())
             cache.store_trace(key, result.trace, {"paths": result.paths})
-        cache.smt_record("k" * 64, "unsat")
-        cache.flush()
         base = tmp_path / f"v{CACHE_FORMAT_VERSION}"
-        assert sorted(str(p.relative_to(base)) for p in base.rglob("*")) == [
-            "smt", "smt/verdicts.jsonl", "traces.log",
-        ]
+        assert [str(p.relative_to(base)) for p in base.rglob("*")] == ["traces.log"]
         assert cache.stats["trace_writes"] == 20
         fresh = DiskCache(tmp_path)
         assert len(fresh._index) == 20
@@ -227,7 +223,7 @@ class TestDigest:
 
 
 class TestHandles:
-    """One handle per process and root: the verdict log is parsed once."""
+    """One handle per process and root: the trace log is indexed once."""
 
     def test_one_handle_per_absolute_root(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -238,9 +234,11 @@ class TestHandles:
 
     def test_log_is_loaded_once(self, tmp_path, monkeypatch):
         loads = []
-        real = DiskCache._load_smt
+        real = DiskCache._index_opened_log
         monkeypatch.setattr(
-            DiskCache, "_load_smt", lambda self: (loads.append(1), real(self))
+            DiskCache,
+            "_index_opened_log",
+            lambda self, data: (loads.append(1), real(self, data))[1],
         )
         for _ in range(3):
             open_cache(tmp_path)
@@ -329,128 +327,65 @@ class TestHeldTraces:
         assert reader.stats["trace_hits"] == 0
 
 
-class TestSmtStore:
-    def test_record_lookup_persist(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        key = "k" * 64
-        assert cache.smt_lookup(key) is None
-        cache.smt_record(key, "unsat")
-        assert cache.smt_lookup(key) == "unsat"
-        cache.flush()
-        reloaded = DiskCache(tmp_path)
-        assert reloaded.stats["smt_loaded"] == 1
-        assert reloaded.smt_lookup(key) == "unsat"
-
-    def test_unknown_never_persists(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        with pytest.raises(ValueError):
-            cache.smt_record("k" * 64, "unknown")
-
-    def test_duplicate_records_are_idempotent(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        cache.smt_record("k" * 64, "sat")
-        cache.smt_record("k" * 64, "sat")
-        cache.flush()
-        lines = (
-            (tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl")
-            .read_text()
-            .splitlines()
-        )
-        assert len(lines) == 1
-
-    def test_torn_tail_line_skipped(self, tmp_path):
-        path = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
-        path.parent.mkdir(parents=True)
-        good = json.dumps({"k": "a" * 64, "r": "unsat"})
-        path.write_text(good + "\n" + '{"k": "bbbb')  # torn final append
-        cache = DiskCache(tmp_path)
-        assert cache.smt_lookup("a" * 64) == "unsat"
-        assert cache.stats["corrupt_entries"] == 1
-
-    def test_only_sat_unsat_verdicts_load(self, tmp_path):
-        """A record ``smt_record`` could never have written is corrupt: it
-        is counted and skipped, never served as a verdict."""
-        path = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
-        path.parent.mkdir(parents=True)
-        records = [
-            {"k": "abc", "r": "garbage"},
-            {"k": "def", "r": 5},
-            {"k": 7, "r": "sat"},
-            {"k": "ghi", "r": "unsat"},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        cache = DiskCache(tmp_path)
-        assert cache.smt_lookup("abc") is None
-        assert cache.smt_lookup("def") is None
-        assert cache.smt_lookup("ghi") == "unsat"
-        assert cache.stats["corrupt_entries"] == 3
-        assert cache.stats["smt_loaded"] == 1
-
-    def test_close_flushes(self, tmp_path):
-        with DiskCache(tmp_path) as cache:
-            cache.smt_record("c" * 64, "sat")
-        assert DiskCache(tmp_path).smt_lookup("c" * 64) == "sat"
-
-
 class TestDurability:
     """The durability policy.  Records are appended whole under a lock but
     never fsynced: a power cut can cost warm entries, and the length and
-    digest in each header turn any damage into a counted miss.  Each log's
+    digest in each header turn any damage into a counted miss.  The log's
     torn tail is *repaired on disk* at open (truncated and fsynced), not
     merely skipped over forever."""
 
-    def _verdicts_path(self, tmp_path):
-        return tmp_path / f"v{CACHE_FORMAT_VERSION}" / "smt" / "verdicts.jsonl"
+    def _records(self, tmp_path, *prefixes):
+        """The trace log holding one record per naming prefix, and their
+        keys and bytes (sealed by a scratch handle under ``tmp_path``)."""
+        result = _fresh_trace()
+        keys = [
+            trace_key(ARM, ADD_X1_X2_X3, _assumptions(), name_prefix=p)
+            for p in prefixes
+        ]
+        scratch = tmp_path / "scratch"
+        writer = DiskCache(scratch)
+        for key in keys:
+            writer.store_trace(key, result.trace, {"paths": result.paths})
+        spans = [record_span(scratch, key) for key in keys]
+        data = spans[0][0].read_bytes()
+        path = tmp_path / f"v{CACHE_FORMAT_VERSION}" / "traces.log"
+        path.parent.mkdir(parents=True)
+        return path, keys, [data[start:end] for _, start, end in spans]
 
     def test_torn_tail_is_truncated_off_the_file(self, tmp_path):
-        path = self._verdicts_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        good = json.dumps({"k": "a" * 64, "r": "unsat"}) + "\n"
-        path.write_text(good + '{"k": "bbbb')  # no terminating newline
+        path, (key,), (good,) = self._records(tmp_path, "a")
+        path.write_bytes(good + b'{"key": "bbbb')  # no terminating newline
         cache = DiskCache(tmp_path)
-        assert cache.smt_lookup("a" * 64) == "unsat"
+        assert cache.load_trace(key) is not None
         assert cache.stats["corrupt_entries"] == 1
-        assert cache.stats["smt_truncated_bytes"] == len('{"k": "bbbb')
         # The file itself was repaired under the appenders' lock.
-        assert path.read_bytes() == good.encode()
+        assert path.read_bytes() == good
 
     def test_garbage_terminated_tail_is_also_truncated(self, tmp_path):
-        path = self._verdicts_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        good = json.dumps({"k": "d" * 64, "r": "sat"}) + "\n"
-        path.write_text(good + "\xff\xfe utter junk\n")
+        path, (key,), (good,) = self._records(tmp_path, "d")
+        path.write_bytes(good + b"\xff\xfe utter junk\n")
         cache = DiskCache(tmp_path)
-        assert cache.smt_lookup("d" * 64) == "sat"
-        assert cache.stats["smt_truncated_bytes"] > 0
-        assert path.read_text() == good
+        assert cache.load_trace(key) is not None
+        assert path.read_bytes() == good
 
     def test_mid_file_garbage_is_skipped_but_kept(self, tmp_path):
         """Only a *trailing* run of bad bytes is cut: a valid record after
         mid-file garbage proves the suffix is live, so nothing is lost."""
-        path = self._verdicts_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        first = json.dumps({"k": "e" * 64, "r": "unsat"}) + "\n"
-        second = json.dumps({"k": "f" * 64, "r": "sat"}) + "\n"
-        content = first + "garbage line\n" + second
-        path.write_text(content)
+        path, keys, (first, second) = self._records(tmp_path, "e", "f")
+        content = first + b"garbage line\n" + second
+        path.write_bytes(content)
         cache = DiskCache(tmp_path)
-        assert cache.smt_lookup("e" * 64) == "unsat"
-        assert cache.smt_lookup("f" * 64) == "sat"
+        assert all(cache.load_trace(key) is not None for key in keys)
         assert cache.stats["corrupt_entries"] == 1
-        assert cache.stats["smt_truncated_bytes"] == 0
-        assert path.read_text() == content
+        assert path.read_bytes() == content
 
     def test_appends_after_repair_reload_cleanly(self, tmp_path):
-        path = self._verdicts_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            json.dumps({"k": "a" * 64, "r": "unsat"}) + "\n" + '{"k": "torn'
-        )
-        with DiskCache(tmp_path) as cache:
-            cache.smt_record("b" * 64, "sat")
+        path, (key, other), (good, record) = self._records(tmp_path, "a", "b")
+        path.write_bytes(good + record[: len(record) // 2])
+        DiskCache(tmp_path).store_trace(other, _fresh_trace().trace, {"paths": 1})
         reloaded = DiskCache(tmp_path)
-        assert reloaded.smt_lookup("a" * 64) == "unsat"
-        assert reloaded.smt_lookup("b" * 64) == "sat"
+        assert reloaded.load_trace(key) is not None
+        assert reloaded.load_trace(other) is not None
         assert reloaded.stats["corrupt_entries"] == 0
 
     def test_store_trace_leaves_no_temp_files(self, tmp_path):
@@ -461,8 +396,7 @@ class TestDurability:
         log, start, end = record_span(tmp_path, key)
         # The append left exactly the record, no droppings.
         assert (start, end) == (0, log.stat().st_size)
-        assert sorted(p.name for p in log.parent.iterdir()) == ["smt", log.name]
-        assert list((log.parent / "smt").iterdir()) == []
+        assert [p.name for p in log.parent.iterdir()] == [log.name]
 
     def test_torn_trace_record_is_truncated(self, tmp_path):
         """A killed appender's partial final record is cut off the log on
@@ -498,11 +432,10 @@ class TestDurability:
         assert calls == []
 
     def test_tail_repair_still_fsyncs(self, tmp_path, monkeypatch):
-        path = self._verdicts_path(tmp_path)
-        path.parent.mkdir(parents=True)
-        path.write_text(json.dumps({"k": "a" * 64, "r": "sat"}) + "\n" + '{"k"')
+        path, _, (good,) = self._records(tmp_path, "a")
+        path.write_bytes(good + b'{"k"')
         calls = []
         monkeypatch.setattr(os, "fsync", lambda fd: calls.append(fd))
-        cache = DiskCache(tmp_path)
-        assert cache.stats["smt_truncated_bytes"] == len('{"k"')
+        DiskCache(tmp_path)
+        assert path.read_bytes() == good
         assert len(calls) == 1

@@ -18,7 +18,6 @@ import threading
 from repro import obs
 from repro.cache import DiskCache
 from repro.casestudies import verify_case
-from repro.smt.solver import install_persistent_check_store, persistent_check_store
 
 JOBS = ("memcpy_riscv", "binsearch_arm")
 ROUNDS = 4
@@ -34,16 +33,6 @@ def _run(name: str) -> dict:
 
 
 def test_concurrent_runs_keep_their_own_trace_counts():
-    # The on-disk verdict store is one process-global slot; restore it, so
-    # later tests do not answer queries from a store this test left behind.
-    store = persistent_check_store()
-    try:
-        _compare_with_solo_runs()
-    finally:
-        install_persistent_check_store(store)
-
-
-def _compare_with_solo_runs() -> None:
     alone = {name: _run(name) for name in JOBS}
     for name in JOBS:
         assert alone[name].get("writes", 0) > 0

@@ -21,18 +21,9 @@ from repro.resilience import (
     request_shutdown,
     reset_shutdown,
 )
-from repro.smt.solver import clear_check_cache, install_persistent_check_store
+from repro.smt.solver import clear_check_cache
 
 CASES = [("memcpy_arm", 3), ("binsearch_riscv", 3), ("pkvm", None)]
-
-
-@pytest.fixture(autouse=True)
-def _no_verdict_store():
-    """Run without an on-disk verdict store, whatever earlier tests left
-    installed, and put back what was there."""
-    previous = install_persistent_check_store(None)
-    yield
-    install_persistent_check_store(previous)
 
 
 def _kwargs(name: str, n: int | None) -> dict:

@@ -162,7 +162,8 @@ class TestTelemetryEndpoints:
         assert gauges["disk_wellformed_rejects"] == 0
         assert gauges["disk_corrupt_entries"] == 0
         assert "disk_trace_hits" in gauges
-        assert "disk_smt_hits" in gauges
+        assert "disk_trace_mem_hits" in gauges
+        assert not any(name.startswith("disk_smt_") for name in gauges)
 
 
 class TestTransportsAndShutdown:

@@ -1,125 +1,84 @@
-"""Directed assembly templates for the OpenPOWER co-sim and conformance suites.
+"""Directed templates for the OpenPOWER co-sim and conformance suites.
 
-``cosim_templates`` yields one random-line generator per decode arm (the
-coverage-biased program generator draws from it); ``CONFORMANCE_TEMPLATES``
-lists near-constant encodings random word sampling is unlikely to reach.
-Both speak the grammar of :mod:`repro.arch.ppc.asm`.
+:data:`COSIM_FIELDS` gives the co-sim generator one field-domain entry per
+decode arm (format: :class:`~repro.cosim.generate.WordSampler`);
+:data:`CONFORMANCE_TEMPLATES` lists near-constant encodings random word
+sampling is unlikely to reach, in the grammar of :mod:`repro.arch.ppc.asm`.
 """
 
 from __future__ import annotations
 
-import random
+from .encode import BRANCH_CONDS
+
+_SI = range(-(1 << 15), 1 << 15)
+_UI = range(1 << 16)
+_CR = range(8)
+
+#: Byte displacements into their word-offset fields.
+_LI, _BD, _DS = (("li", 25, 2),), (("bd", 15, 2),), (("ds", 15, 2),)
+
+#: ``b<cond> crN``: the (BO, BI) of blt/bgt/beq/bge/ble/bne on every field.
+_COND_BO_BI = tuple(
+    (bo, 4 * cr + bit)
+    for bo, bit in (BRANCH_CONDS[c] for c in ("lt", "gt", "eq", "ge", "le", "ne"))
+    for cr in _CR
+)
+
+_RS_RA = {"rs": "reg", "ra": "reg"}
+_RT_RA = {"rt": "reg", "ra": "reg"}
 
 
-def _gr(rng: random.Random) -> str:
-    return f"r{rng.randrange(32)}"
+def _load_store(top: str, near: range, window: str, offset="d") -> tuple:
+    """``near(rA)`` from a base register, or an absolute window address
+    through ``(RA|0)`` with ``r0`` as the base."""
+    return ({top: "reg", "ra": "base", offset: near},
+            {top: "reg", "ra": 0, offset: window})
 
 
-def _cr(rng: random.Random) -> str:
-    return f"cr{rng.randrange(8)}"
+#: ``addi``/``addis`` and their ``rA = 0`` forms, ``li``/``lis``.
+_ADD_IMM = ({**_RT_RA, "si": _SI}, {"rt": "reg", "ra": 0, "si": _SI})
 
+COSIM_FIELDS = {
+    "addi": _ADD_IMM,
+    "addis": _ADD_IMM,
+    "ori": ({**_RS_RA, "ui": _UI}, {"rs": 0, "ra": 0, "ui": 0}),  # or nop
+    "oris": {**_RS_RA, "ui": _UI},
+    "xori": {**_RS_RA, "ui": _UI},
+    "xoris": {**_RS_RA, "ui": _UI},
+    "andi": {**_RS_RA, "ui": _UI},
+    "andis": {**_RS_RA, "ui": _UI},
+    "cmpi": {"bf": _CR, "l": (0, 1), "ra": "reg", "si": _SI},
+    "cmpli": {"bf": _CR, "l": (0, 1), "ra": "reg", "ui": _UI},
+    "cmp": {"bf": _CR, "l": (0, 1), "ra": "reg", "rb": "reg"},
+    "cmpl": {"bf": _CR, "l": (0, 1), "ra": "reg", "rb": "reg"},
+    "add": {**_RT_RA, "rb": "reg"},
+    "subf": {**_RT_RA, "rb": "reg"},
+    "and": {**_RS_RA, "rb": "reg"},
+    "or": ({**_RS_RA, "rb": "reg"},
+           {"ra": "reg", ("rs", "rb"): tuple((r, r) for r in range(32))}),  # mr
+    "xor": {**_RS_RA, "rb": "reg"},
+    "mtspr": {"rs": "reg", "spr": (32, 256, 288)},  # XER, LR, CTR
+    "mfspr": {"rt": "reg", "spr": (32, 256, 288)},
+    "lwz": _load_store("rt", range(-16, 32, 4), "window_word"),
+    "lbz": _load_store("rt", range(-16, 16), "window"),
+    "stw": _load_store("rs", range(-16, 32, 4), "window_word"),
+    "stb": _load_store("rs", range(-16, 16), "window"),
+    "ld": _load_store("rt", range(-16, 32, 4), "window_word", _DS),
+    "std": _load_store("rs", range(-16, 32, 4), "window_word", _DS),
+    "b": {_LI: "branch", "lk": (0, 1)},
+    "bc": ({("bo", "bi"): _COND_BO_BI, _BD: "branch", "lk": 0},
+           {"bo": 16, "bi": 0, _BD: "branch", "lk": 0},  # bdnz
+           {"bo": range(32), "bi": range(32), _BD: "branch", "lk": 0}),
+    "bclr": ({"bo": 20, "bi": 0, "lk": 0}, {"bo": 20, "bi": 0, "lk": 1},
+             {"bo": range(32), "bi": range(32), "lk": 0}),
+    # BO[2] set: bcctr may not decrement CTR.
+    "bcctr": ({"bo": 20, "bi": 0, "lk": 0}, {"bo": 20, "bi": 0, "lk": 1},
+              {"bo": tuple(bo for bo in range(32) if bo & 4), "bi": range(32),
+               "lk": 0}),
+}
 
-def _si(rng: random.Random) -> int:
-    return rng.randrange(-(1 << 15), 1 << 15)
-
-
-def _ui(rng: random.Random) -> int:
-    return rng.randrange(1 << 16)
-
-
-#: The co-sim data window (``cosim.archs.MEM_BASE``).  It fits in a signed
-#: 16-bit displacement, so ``(RA|0)`` addressing with ``r0`` as the base
-#: reaches it *absolutely* — the only way a directed template can guarantee
-#: a mapped access without knowing the start state's register values.
-_WINDOW = 0x5000
-
-
-def cosim_templates(rng: random.Random, slot) -> dict:
-    """One random assembly line per OpenPOWER decode arm."""
-    mem_off = 4 * rng.randrange(-4, 8)
-
-    def _cond_branch() -> str:
-        cond = rng.choice(["blt", "bgt", "beq", "bge", "ble", "bne"])
-        return f"{cond} {_cr(rng)}, {slot.branch_offset(rng)}"
-
-    return {
-        "addi": lambda: rng.choice([
-            f"addi {_gr(rng)}, {_gr(rng)}, {_si(rng)}",
-            f"li {_gr(rng)}, {_si(rng)}",
-        ]),
-        "addis": lambda: rng.choice([
-            f"addis {_gr(rng)}, {_gr(rng)}, {_si(rng)}",
-            f"lis {_gr(rng)}, {_si(rng)}",
-        ]),
-        "ori": lambda: rng.choice([
-            f"ori {_gr(rng)}, {_gr(rng)}, {_ui(rng)}", "nop",
-        ]),
-        "oris": lambda: f"oris {_gr(rng)}, {_gr(rng)}, {_ui(rng)}",
-        "xori": lambda: f"xori {_gr(rng)}, {_gr(rng)}, {_ui(rng)}",
-        "xoris": lambda: f"xoris {_gr(rng)}, {_gr(rng)}, {_ui(rng)}",
-        "andi": lambda: f"andi. {_gr(rng)}, {_gr(rng)}, {_ui(rng)}",
-        "andis": lambda: f"andis. {_gr(rng)}, {_gr(rng)}, {_ui(rng)}",
-        "cmpi": lambda: (
-            f"{rng.choice(['cmpdi', 'cmpwi'])} {_cr(rng)}, {_gr(rng)}, {_si(rng)}"
-        ),
-        "cmpli": lambda: (
-            f"{rng.choice(['cmpldi', 'cmplwi'])} {_cr(rng)}, {_gr(rng)}, {_ui(rng)}"
-        ),
-        "cmp": lambda: (
-            f"{rng.choice(['cmpd', 'cmpw'])} {_cr(rng)}, {_gr(rng)}, {_gr(rng)}"
-        ),
-        "cmpl": lambda: (
-            f"{rng.choice(['cmpld', 'cmplw'])} {_cr(rng)}, {_gr(rng)}, {_gr(rng)}"
-        ),
-        "add": lambda: f"add {_gr(rng)}, {_gr(rng)}, {_gr(rng)}",
-        "subf": lambda: f"subf {_gr(rng)}, {_gr(rng)}, {_gr(rng)}",
-        "and": lambda: f"and {_gr(rng)}, {_gr(rng)}, {_gr(rng)}",
-        "or": lambda: rng.choice([
-            f"or {_gr(rng)}, {_gr(rng)}, {_gr(rng)}",
-            f"mr {_gr(rng)}, {_gr(rng)}",
-        ]),
-        "xor": lambda: f"xor {_gr(rng)}, {_gr(rng)}, {_gr(rng)}",
-        "mtspr": lambda: f"{rng.choice(['mtctr', 'mtlr', 'mtxer'])} {_gr(rng)}",
-        "mfspr": lambda: f"{rng.choice(['mfctr', 'mflr', 'mfxer'])} {_gr(rng)}",
-        "lwz": lambda: rng.choice([
-            f"lwz {_gr(rng)}, {mem_off}({_gr(rng)})",
-            f"lwz {_gr(rng)}, {_WINDOW + 4 * rng.randrange(12)}(r0)",
-        ]),
-        "lbz": lambda: rng.choice([
-            f"lbz {_gr(rng)}, {rng.randrange(-16, 16)}({_gr(rng)})",
-            f"lbz {_gr(rng)}, {_WINDOW + rng.randrange(64)}(r0)",
-        ]),
-        "stw": lambda: rng.choice([
-            f"stw {_gr(rng)}, {mem_off}({_gr(rng)})",
-            f"stw {_gr(rng)}, {_WINDOW + 4 * rng.randrange(12)}(r0)",
-        ]),
-        "stb": lambda: rng.choice([
-            f"stb {_gr(rng)}, {rng.randrange(-16, 16)}({_gr(rng)})",
-            f"stb {_gr(rng)}, {_WINDOW + rng.randrange(64)}(r0)",
-        ]),
-        "ld": lambda: rng.choice([
-            f"ld {_gr(rng)}, {mem_off}({_gr(rng)})",
-            f"ld {_gr(rng)}, {_WINDOW + 4 * rng.randrange(12)}(r0)",
-        ]),
-        "std": lambda: rng.choice([
-            f"std {_gr(rng)}, {mem_off}({_gr(rng)})",
-            f"std {_gr(rng)}, {_WINDOW + 4 * rng.randrange(12)}(r0)",
-        ]),
-        "b": lambda: f"{rng.choice(['b', 'bl'])} {slot.branch_offset(rng)}",
-        "bc": lambda: rng.choice([
-            _cond_branch(),
-            f"bdnz {slot.branch_offset(rng)}",
-            f"bc {rng.randrange(32)}, {rng.randrange(32)}, {slot.branch_offset(rng)}",
-        ]),
-        "bclr": lambda: rng.choice([
-            "blr", "blrl",
-            f"bclr {rng.randrange(32)}, {rng.randrange(32)}",
-        ]),
-        "bcctr": lambda: rng.choice([
-            "bctr", "bctrl",
-            f"bcctr {rng.randrange(32) | 0b00100}, {rng.randrange(32)}",
-        ]),
-    }
+#: Words the decoder accepts but the model does not execute: none.
+COSIM_UNMODELLED: dict = {}
 
 
 #: Sparse-corner encodings for the conformance fuzzer; slots are filled with

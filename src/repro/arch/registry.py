@@ -49,6 +49,9 @@ class ArchInfo:
     vary: tuple = ()
     #: One-bit condition/flag registers drawn separately (0/1 only).
     flags: tuple = ()
+    #: General-purpose registers (a letter and the register number) that
+    #: co-sim directed words draw register operands from.
+    operand_regs: tuple = ()
 
     # -- lazy module resolution -------------------------------------------
 
@@ -87,13 +90,18 @@ class ArchInfo:
         return self._module("abi")
 
     def templates(self):
-        """The per-arch template provider module (co-sim generator lines
+        """The per-arch template provider module (co-sim field domains
         plus the conformance suite's directed templates)."""
         return self._module("templates")
 
     def spec(self):
         """The declarative :class:`~repro.analysis.isaspec.IsaSpec`."""
         return self._module("spec").build_spec()
+
+    def spec_arms(self) -> tuple:
+        """The spec's :class:`~repro.analysis.isaspec.ArmSpec` tuple, without
+        building the whole :class:`~repro.analysis.isaspec.IsaSpec`."""
+        return self._module("spec").ARMS
 
     def interp_class(self):
         module_path, _, cls_name = self.interp.partition(":")
@@ -166,6 +174,7 @@ register(ArchInfo(
     pins=(("PSTATE.EL", 2), ("PSTATE.SP", 1), ("SCTLR_EL2", 0)),
     vary=tuple(f"R{i}" for i in range(31)) + ("SP_EL2",),
     flags=("PSTATE.N", "PSTATE.Z", "PSTATE.C", "PSTATE.V"),
+    operand_regs=tuple(f"R{i}" for i in range(31)),  # x31 is SP or XZR
 ))
 
 register(ArchInfo(
@@ -179,6 +188,7 @@ register(ArchInfo(
     + ("CTR", "LR", "XER")
     + tuple(f"CR{i}" for i in range(8)),
     flags=(),
+    operand_regs=tuple(f"r{i}" for i in range(32)),
 ))
 
 register(ArchInfo(
@@ -190,4 +200,5 @@ register(ArchInfo(
     pins=(),
     vary=tuple(f"x{i}" for i in range(1, 32)),
     flags=(),
+    operand_regs=("x5", "x6", "x7", "x28", "x29", "x30"),  # temporaries t0-t5
 ))

@@ -1,70 +1,72 @@
 """Directed instruction templates for RISC-V test generation.
 
-Two consumers share this module through the architecture registry:
-:func:`cosim_templates` feeds the coverage-biased co-sim program
-generator, and :data:`CONFORMANCE_TEMPLATES` provides directed lines for
-the differential conformance suite.  ``slot`` is duck-typed: any object
-with ``branch_offset(rng, scale=4)`` works.
+:data:`COSIM_FIELDS` gives the co-sim generator one field-domain entry per
+decode arm (format: :class:`~repro.cosim.generate.WordSampler`), and
+:data:`CONFORMANCE_TEMPLATES` directed lines for the conformance suite.
 """
 
 from __future__ import annotations
 
-import random
+from .encode import CSR_NAMES
 
-from .decode import ABI
+#: Scrambled immediates: a byte offset into its ISA-manual slices.
+_J_OFF = (("imm20", 20, 20), ("imm10_1", 10, 1), ("imm11", 11, 11),
+          ("imm19_12", 19, 12))
+_B_OFF = (("imm12", 12, 12), ("imm10_5", 10, 5), ("imm4_1", 4, 1),
+          ("imm11", 11, 11))
+_S_OFF = (("imm11_5", 11, 5), ("imm4_0", 4, 0))
+
+#: Doubleword offsets from a base register.
+_MEM = range(-32, 32, 8)
+_RD_RS1 = {"rd": "reg", "rs1": "reg"}
+_RD_RS1_RS2 = {**_RD_RS1, "rs2": "reg"}
 
 
-def _tr(rng: random.Random) -> str:
-    """An ABI register name t0..t6 (maps into x5..x7, x28..x31 range)."""
-    return ABI[rng.choice([5, 6, 7, 28, 29, 30])]
+def _shifts(width: int) -> tuple:
+    """slli / srli / srai with a shift amount below ``width``."""
+    return tuple(
+        {**_RD_RS1, "funct3": funct3, "imm12": range(top, top + width)}
+        for funct3, top in ((1, 0), (5, 0), (5, 0x400))
+    )
 
 
-def cosim_templates(rng: random.Random, slot) -> dict:
-    """One random assembly line per RISC-V decode arm."""
-    mem_off = 8 * rng.randrange(-4, 4)
-    return {
-        "lui": lambda: f"lui {_tr(rng)}, {rng.randrange(1 << 20)}",
-        "auipc": lambda: f"auipc {_tr(rng)}, {rng.randrange(1 << 20)}",
-        "jal": lambda: f"jal {_tr(rng)}, {slot.branch_offset(rng)}",
-        "jalr": lambda: f"jalr {_tr(rng)}, {8 * rng.randrange(-4, 4)}({_tr(rng)})",
-        "branch": lambda: (
-            f"{rng.choice(['beq', 'bne', 'blt', 'bge', 'bltu', 'bgeu'])} "
-            f"{_tr(rng)}, {_tr(rng)}, {slot.branch_offset(rng)}"
-        ),
-        "load": lambda: (
-            f"{rng.choice(['lb', 'lh', 'lw', 'ld', 'lbu', 'lhu', 'lwu'])} "
-            f"{_tr(rng)}, {mem_off}({_tr(rng)})"
-        ),
-        "store": lambda: (
-            f"{rng.choice(['sb', 'sh', 'sw', 'sd'])} {_tr(rng)}, {mem_off}({_tr(rng)})"
-        ),
-        "op_imm": lambda: rng.choice([
-            f"{rng.choice(['addi', 'slti', 'sltiu', 'xori', 'ori', 'andi'])} "
-            f"{_tr(rng)}, {_tr(rng)}, {rng.randrange(-2048, 2048)}",
-            f"{rng.choice(['slli', 'srli', 'srai'])} {_tr(rng)}, {_tr(rng)}, "
-            f"{rng.randrange(64)}",
-        ]),
-        "op_imm32": lambda: rng.choice([
-            f"addiw {_tr(rng)}, {_tr(rng)}, {rng.randrange(-2048, 2048)}",
-            f"{rng.choice(['slliw', 'srliw', 'sraiw'])} {_tr(rng)}, {_tr(rng)}, "
-            f"{rng.randrange(32)}",
-        ]),
-        "op": lambda: (
-            f"{rng.choice(['add', 'sub', 'sll', 'slt', 'sltu', 'xor', 'srl', 'sra', 'or', 'and'])} "
-            f"{_tr(rng)}, {_tr(rng)}, {_tr(rng)}"
-        ),
-        "op32": lambda: (
-            f"{rng.choice(['addw', 'subw', 'sllw', 'srlw', 'sraw'])} "
-            f"{_tr(rng)}, {_tr(rng)}, {_tr(rng)}"
-        ),
-        "fence": lambda: "fence",
-        "system": lambda: rng.choice([
-            "ecall", "ebreak", "wfi", "mret",
-            f"csrrw {_tr(rng)}, mscratch, {_tr(rng)}",
-            f"csrrs {_tr(rng)}, mepc, {_tr(rng)}",
-            f"csrrci {_tr(rng)}, mcause, {rng.randrange(32)}",
-        ]),
-    }
+COSIM_FIELDS = {
+    "lui": {"imm20": range(1 << 20), "rd": "reg"},
+    "auipc": {"imm20": range(1 << 20), "rd": "reg"},
+    "jal": {_J_OFF: "branch", "rd": "reg"},
+    "jalr": {**_RD_RS1, "imm12": _MEM},
+    "branch": {_B_OFF: "branch", "rs1": "reg", "rs2": "reg",
+               "funct3": (0, 1, 4, 5, 6, 7)},
+    "load": {"rd": "reg", "rs1": "base", "funct3": range(7), "imm12": _MEM},
+    "store": {_S_OFF: _MEM, "rs1": "base", "rs2": "reg", "funct3": range(4)},
+    "op_imm": (
+        {**_RD_RS1, "funct3": (0, 2, 3, 4, 6, 7), "imm12": range(-2048, 2048)},
+        _shifts(64),
+    ),
+    "op_imm32": (
+        {**_RD_RS1, "funct3": 0, "imm12": range(-2048, 2048)},
+        _shifts(32),
+    ),
+    "op": {**_RD_RS1_RS2, ("funct7", "funct3"): (
+        *((0, funct3) for funct3 in range(8)), (0x20, 0), (0x20, 5),
+    )},
+    "op32": {**_RD_RS1_RS2, ("funct7", "funct3"): (
+        (0, 0), (0x20, 0), (0, 1), (0, 5), (0x20, 5),
+    )},
+    "fence": {},
+    "system": (
+        # ecall, ebreak, wfi, mret
+        *({"funct12": funct12, "rs1": 0, "funct3": 0, "rd": 0}
+          for funct12 in (0x000, 0x001, 0x105, 0x302)),
+        {**_RD_RS1, "funct12": CSR_NAMES["mscratch"], "funct3": 0b001},
+        {**_RD_RS1, "funct12": CSR_NAMES["mepc"], "funct3": 0b010},
+        {"rd": "reg", "rs1": range(32), "funct12": CSR_NAMES["mcause"],
+         "funct3": 0b111},
+    ),
+}
+
+#: Words the decoder accepts but the model does not execute: none.
+COSIM_UNMODELLED: dict = {}
 
 
 # Directed templates: assembly lines whose encodings random sampling is

@@ -2,9 +2,10 @@
 
 One :class:`CosimArch` per registered architecture bundles everything the
 generator and driver need: the mini-Sail model (for the authoritative
-side), the decoder (arm accounting), the assembler (directed templates),
-the pinned registers the ITL traces assume, and the register/memory domain
-generated states draw from.  All of it comes from
+side), the decoder (arm accounting), the assembler, the pinned registers
+the ITL traces assume, the register/memory domain generated states draw
+from, and the operand domains directed words draw their fields from
+(:attr:`CosimArch.operands`).  All of it comes from
 :mod:`repro.arch.registry` — adding an architecture there adds it here.
 
 ARM runs pinned at EL2 with the banked stack pointer selected and
@@ -46,6 +47,7 @@ class CosimArch:
     pins: dict
     vary: tuple
     flags: tuple
+    operand_regs: tuple
 
     def assumptions(self) -> Assumptions:
         out = Assumptions()
@@ -77,6 +79,42 @@ class CosimArch:
             state.write_reg(self.regs[name], value)
         return state
 
+    @cached_property
+    def _numbered_regs(self) -> tuple[tuple[int, str], ...]:
+        return tuple((int(name[1:]), name) for name in self.operand_regs)
+
+    def window_pointers(self, regs: dict) -> tuple[int, ...]:
+        """The numbers of the operand registers ``regs`` points into the
+        mapped window."""
+        return tuple(
+            number for number, name in self._numbered_regs
+            if MEM_BASE <= regs.get(name, -1) < MEM_BASE + MEM_LEN
+        )
+
+    @cached_property
+    def operands(self) -> dict:
+        """The named operand domains a spec field table may draw from:
+        registers outside the pins; a memory base, which is a register the
+        start state points into the mapped window when there is one;
+        branch displacements (bytes) that land on a program slot; and
+        absolute addresses in the mapped window."""
+        regs = tuple(number for number, _ in self._numbered_regs)
+        return {
+            "reg": regs,
+            "base": lambda rng, slot: rng.choice(slot.pointers or regs),
+            "branch": lambda rng, slot: slot.branch_offset(rng),
+            "window": range(MEM_BASE, MEM_BASE + MEM_LEN),
+            # Word-aligned, in the first three quarters: a doubleword fits.
+            "window_word": range(MEM_BASE, MEM_BASE + 3 * MEM_LEN // 4, 4),
+        }
+
+    @cached_property
+    def sampler(self):
+        """The :class:`~repro.cosim.generate.WordSampler`, built once."""
+        from .generate import WordSampler
+
+        return WordSampler(self)
+
     def pins_hold(self, state) -> bool:
         """Do the pinned-register assumptions still hold in ``state``?
 
@@ -106,6 +144,7 @@ def _build_archs() -> dict[str, CosimArch]:
             pins=info.pin_dict(),
             vary=info.vary,
             flags=info.flags,
+            operand_regs=info.operand_regs,
         )
         for info in registry.infos()
     }

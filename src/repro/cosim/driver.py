@@ -13,14 +13,18 @@ Traces come from the same Isla pipeline the proof stack uses
 are cached per opcode for the process, behind a lock: in-process shards
 (several daemons in one process, as the tests and the chaos harness run
 them) share the cache.  Only exhaustive enumerations are eligible for
-replay from arbitrary states.
+replay from arbitrary states; for any other opcode the cache keeps why
+(the model's refusal, without its operand values), and a batch counts its
+trace misses by that reason.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -33,9 +37,13 @@ from .generate import CoverageMap, ProgramGenerator
 from .interp import CosimDomainError, CosimUnsupported, interp_for
 from .state import ProgramCase, build_machine_state, diff_states
 
-#: ``(arch_name, opcode) -> Trace | None`` — None caches "out of scope".
+#: ``(arch_name, opcode) -> Trace | str`` — a string says why the opcode
+#: is out of scope.
 _TRACE_CACHE: dict[tuple[str, int], object] = {}
 _TRACE_LOCK = threading.Lock()
+
+#: Operand values in a refusal: integers, hex/binary literals, tuples of them.
+_OPERAND_VALUES = re.compile(r"\((?:\d+, )*\d+\)|\b0[xb][0-9a-fA-F]+\b|\b\d+\b")
 
 #: ``(arch_name, opcode) -> decode arm | None`` — None caches "undecodable".
 #: Decoding is pure, so shards share it without a lock.
@@ -58,8 +66,10 @@ def _decode_arm(arch: CosimArch, opcode: int) -> str | None:
     return arm
 
 
-def cached_trace(arch: CosimArch, opcode: int):
-    """The exhaustive ITL trace for ``opcode``, or None when out of scope.
+def trace_or_miss(arch: CosimArch, opcode: int):
+    """The exhaustive ITL trace for ``opcode``, or a string saying why it
+    has none: the model's refusal with its operand values replaced by
+    ``#`` (``"CSR # not modelled"``), so misses group by class.
 
     Generation happens at most once per opcode across the process's
     threads (one per in-process shard); replay
@@ -74,11 +84,19 @@ def cached_trace(arch: CosimArch, opcode: int):
         if key not in _TRACE_CACHE:
             try:
                 result = trace_for_opcode(arch.model, opcode, arch.assumptions())
-                trace = result.trace if result.exhausted is None else None
-            except IslaError:
-                trace = None
-            _TRACE_CACHE[key] = trace
+                entry = result.trace
+                if result.exhausted is not None:
+                    entry = f"enumeration budget exhausted: {result.exhausted}"
+            except IslaError as exc:
+                entry = _OPERAND_VALUES.sub("#", str(exc.__cause__ or exc))
+            _TRACE_CACHE[key] = entry
         return _TRACE_CACHE[key]
+
+
+def cached_trace(arch: CosimArch, opcode: int):
+    """The exhaustive ITL trace for ``opcode``, or None when out of scope."""
+    entry = trace_or_miss(arch, opcode)
+    return None if isinstance(entry, str) else entry
 
 
 @dataclass
@@ -130,6 +148,9 @@ class BatchReport:
     instructions: int = 0
     skips: int = 0
     trace_misses: int = 0
+    #: Trace misses by reason (:func:`trace_or_miss`); they sum to
+    #: ``trace_misses``.
+    miss_reasons: Counter = field(default_factory=Counter)
     divergences: list[Divergence] = field(default_factory=list)
     coverage: CoverageMap | None = None
     elapsed_s: float = 0.0
@@ -142,6 +163,7 @@ class BatchReport:
             "instructions": self.instructions,
             "skips": self.skips,
             "trace_misses": self.trace_misses,
+            "miss_reasons": dict(sorted(self.miss_reasons.items())),
             "divergences": [d.to_json() for d in self.divergences],
             "coverage": self.coverage.to_json() if self.coverage else None,
             "elapsed_s": round(self.elapsed_s, 3),
@@ -171,7 +193,7 @@ class CoSimDriver:
         authoritative inside it), the next opcode has no exhaustive trace,
         or the interpreter declares the encoding unsupported/out of domain.
         """
-        counters = {"instructions": 0, "skips": 0, "trace_misses": 0, "arms": []}
+        counters = {"instructions": 0, "skips": 0, "miss_reason": None, "arms": []}
         interp_state = build_machine_state(self.arch, case)
         itl_state = interp_state.copy()
         interp = interp_for(self.arch, interp_state, defect=self.defect)
@@ -188,9 +210,9 @@ class CoSimDriver:
             arm = _decode_arm(self.arch, opcode)
             if arm is None:
                 break
-            trace = cached_trace(self.arch, opcode)
-            if trace is None:
-                counters["trace_misses"] += 1
+            trace = trace_or_miss(self.arch, opcode)
+            if isinstance(trace, str):
+                counters["miss_reason"] = trace
                 break
 
             labels_before = len(interp.labels)
@@ -263,7 +285,9 @@ class CoSimDriver:
             report.cases += 1
             report.instructions += counters["instructions"]
             report.skips += counters["skips"]
-            report.trace_misses += counters["trace_misses"]
+            if counters["miss_reason"] is not None:
+                report.trace_misses += 1
+                report.miss_reasons[counters["miss_reason"]] += 1
             for arm in counters["arms"]:
                 executed.record(arm)
             if divergence is not None:

@@ -2,9 +2,10 @@
 
 Runs seeded random programs through the lockstep co-sim driver, either
 in-process (default) or as bulk jobs on a running daemon (``--daemon``),
-and reports divergences and per-decode-arm coverage.  Exit status is 0
-only when no divergence was found (and, with ``--min-coverage``, when
-the executed-arm coverage fraction meets the gate).
+and reports divergences, trace misses by reason and per-decode-arm
+coverage.  Exit status is 0 only when no divergence was found (and, with
+``--min-coverage``, when the executed-arm coverage fraction meets the
+gate).
 
 Examples::
 
@@ -29,6 +30,8 @@ def _merge_payload(total: dict, payload: dict) -> None:
     total["instructions"] += payload["instructions"]
     total["skips"] += payload["skips"]
     total["trace_misses"] += payload["trace_misses"]
+    for reason, count in payload.get("miss_reasons", {}).items():
+        total["miss_reasons"][reason] = total["miss_reasons"].get(reason, 0) + count
     total["divergences"].extend(payload["divergences"])
     coverage = payload.get("coverage") or {}
     for arm, count in coverage.get("counts", {}).items():
@@ -72,7 +75,7 @@ def _run_daemon(arch_name: str, args) -> dict:
         jobs.append(job["id"])
     merged = {
         "arch": arch_name, "cases": 0, "instructions": 0, "skips": 0,
-        "trace_misses": 0, "divergences": [], "coverage": {},
+        "trace_misses": 0, "miss_reasons": {}, "divergences": [], "coverage": {},
     }
     for job_id in jobs:
         final = client.wait(job_id, timeout=args.timeout)
@@ -159,6 +162,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{payload['skips']} skips, {payload['trace_misses']} trace misses, "
             f"arm coverage {fraction:.1%}"
         )
+        reasons = payload.get("miss_reasons", {})
+        for reason, count in sorted(reasons.items(), key=lambda item: (-item[1], item[0])):
+            print(f"  {count} trace misses: {reason}")
         for divergence in divergences:
             ok = False
             print(

@@ -8,8 +8,9 @@ only; it reaches in-process work, not worker processes.
 
 The plain functions are the straightforward versions of code the pipeline
 now runs faster: the brute-force inverse of Arm's ``DecodeBitMasks``, the
-always-sorted state comparison, the fixed-point trace simplifier and the
-enumeration split that sorts every term's variables on every call.
+always-sorted state comparison, the fixed-point trace simplifier, the
+enumeration split that sorts every term's variables on every call, and the
+cosim word sampler that draws 32-bit words until the decoder accepts one.
 """
 
 from __future__ import annotations
@@ -220,3 +221,24 @@ def sorting_enumerable_var(goal, facts):
             if 1 <= span <= _solver._ENUM_LIMIT and (best is None or span < best[0]):
                 best = (span, v, interval.lo, interval.hi)
     return best[1:] if best else None
+
+
+def rejection_sample_word(arch, rng) -> tuple[int, str]:
+    """A uniformly drawn decoder-accepted word and its arm, by drawing
+    32-bit words until one decodes; a word matching the ``COSIM_UNMODELLED``
+    clauses of its arm is drawn again, as the sampler never emits one."""
+    from repro.arch import registry
+    from repro.arch.encoding import bits
+
+    unmodelled = registry.get(arch.name).templates().COSIM_UNMODELLED
+    while True:
+        word = rng.getrandbits(32)
+        try:
+            arm = arch.decode.decode_arm(word)
+        except arch.decode.UnknownInstruction:
+            continue
+        clauses = unmodelled.get(arm)
+        if clauses is None or not all(
+            bits(word, hi, lo) == value for _eq, hi, lo, value in clauses
+        ):
+            return word, arm

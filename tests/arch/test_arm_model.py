@@ -59,23 +59,22 @@ def _walk_handler(word):
 
 
 def _template_words():
-    """Every ARM template instantiated: the cosim templates drawn 20 times
-    each (lines the assembler rejects are skipped, as the generator does),
-    the conformance templates over a grid of operands."""
+    """Every ARM template instantiated: 20 directed cosim words per decode
+    arm, the conformance templates over a grid of operands."""
     import random
 
-    from repro.arch.arm.asm import AsmError, assemble_line
-    from repro.arch.arm.templates import CONFORMANCE_TEMPLATES, cosim_templates
+    from repro.arch.arm.asm import assemble_line
+    from repro.arch.arm.templates import CONFORMANCE_TEMPLATES
+    from repro.cosim.archs import COSIM_ARCHS
     from repro.cosim.generate import _Slot
 
+    arch = COSIM_ARCHS["arm"]
     rng = random.Random(0)
-    words = []
-    for draw in cosim_templates(rng, _Slot(index=1, length=4)).values():
-        for _ in range(20):
-            try:
-                words.append(assemble_line(draw()))
-            except AsmError:
-                continue
+    words = [
+        arch.sampler.directed_word(arm, rng, _Slot(index=1, length=4))
+        for arm in arch.decode.DECODE_ARMS
+        for _ in range(20)
+    ]
     for line in CONFORMANCE_TEMPLATES:
         for r, n, m, h in [(0, 1, 2, 1), (30, 29, 28, 15), (7, 0, 30, 3)]:
             words.append(assemble_line(line.format(r=r, n=n, m=m, h=h)))

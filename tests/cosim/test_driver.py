@@ -12,7 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro.cosim import COSIM_ARCHS, CoSimDriver, DEFECTS
-from repro.cosim.driver import cached_trace, record_reproducer, run_service_batch
+from repro.cosim.driver import (
+    cached_trace,
+    record_reproducer,
+    run_service_batch,
+    trace_or_miss,
+)
 from repro.cosim.generate import ProgramGenerator
 from repro.cosim.state import ProgramCase
 from tests.conformance._harness import load_corpus
@@ -35,6 +40,29 @@ class TestTraceCache:
     def test_undecodable_word_caches_none(self):
         arch = COSIM_ARCHS["riscv"]
         assert cached_trace(arch, 0x0000_0000) is None
+
+
+class TestTraceMissReasons:
+    def test_a_refusal_is_kept_without_its_operand_values(self):
+        from repro.arch.riscv.encode import csrrw
+
+        arch = COSIM_ARCHS["riscv"]
+        word = csrrw(5, 0x7C0, 6)
+        assert trace_or_miss(arch, word) == "CSR # not modelled"
+        assert cached_trace(arch, word) is None
+
+    def test_a_batch_counts_its_misses_by_reason(self):
+        report = CoSimDriver(COSIM_ARCHS["arm"]).run_batch(seed=7, count=60)
+        assert report.trace_misses > 0
+        assert sum(report.miss_reasons.values()) == report.trace_misses
+        assert report.to_json()["miss_reasons"] == dict(report.miss_reasons)
+        assert "reserved shift amount" in report.miss_reasons
+
+    def test_the_cli_prints_misses_by_reason(self, capsys):
+        from repro.tools.cosim import main
+
+        assert main(["--arch", "riscv", "--seed", "7", "--count", "60"]) == 0
+        assert "trace misses: CSR # not modelled" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("arch_name", sorted(COSIM_ARCHS))

@@ -212,3 +212,52 @@ class TestEnumerationMicro:
             node_values=len(pairs),
         )
         assert 0 < len(rebuilds) <= len(pairs)
+
+
+class TestKernelCounts:
+    def test_verify_all_core_solves_and_memo_computations(
+        self, bench_smt_record, monkeypatch
+    ):
+        """``verify --all --no-cache`` from a cold check cache: at most 70
+        queries reach the CDCL core (128 before the constant-fill
+        witnesses), and within one memo generation each memoised builder
+        constructor computes each distinct argument tuple once.  Counts,
+        not timings."""
+        import contextlib
+        import io
+
+        from repro.smt import sat
+        from repro.tools.verify import main
+        from tests.smt.test_op_memo import RecordingMemo
+
+        solves = []
+        real_solve = sat.SatSolver.solve
+
+        def counting_solve(self, *args, **kwargs):
+            solves.append(self)
+            return real_solve(self, *args, **kwargs)
+
+        computed = []
+        memo = RecordingMemo()
+        for name in ("eq", "bvadd", "bvsub", "bvneg"):
+            body = getattr(B, f"_{name}")
+
+            def counting(*args, _name=name, _body=body):
+                computed.append((memo.generation, _name, args))
+                return _body(*args)
+
+            monkeypatch.setattr(B, f"_{name}", counting)
+        monkeypatch.setattr(sat.SatSolver, "solve", counting_solve)
+        monkeypatch.setattr(B, "_OP_MEMO", memo)
+        clear_check_cache()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--all", "--no-cache"]) == 0
+        bench_smt_record(
+            "kernel_counts_verify_all",
+            cdcl_solves=len(solves),
+            memo_computations=len(computed),
+            memo_entries=len(memo),
+            memo_clears=memo.generation,
+        )
+        assert 0 < len(solves) <= 70
+        assert computed and len(set(computed)) == len(computed)

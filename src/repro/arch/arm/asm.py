@@ -13,7 +13,6 @@ decoder arm is reached.
 from __future__ import annotations
 
 from . import encode
-from .decode import COND_NAMES
 
 
 class AsmError(Exception):
@@ -59,7 +58,8 @@ def _imm(tok: str) -> int:
 
 
 def _cond(tok: str) -> str:
-    if tok not in COND_NAMES:
+    """A condition name, aliases (``hs``, ``lo``) included."""
+    if tok not in encode.COND:
         raise AsmError(f"bad condition {tok!r}")
     return tok
 

@@ -49,14 +49,40 @@ class CosimArch:
     flags: tuple
     operand_regs: tuple
 
-    def assumptions(self) -> Assumptions:
-        out = Assumptions()
-        for reg, value in self.pins.items():
-            out.pin(reg, value, self.model.regfile.width_of(Reg.parse(reg)))
-        return out
-
     # The cached properties below are built once per profile; a frozen
     # dataclass still has an instance ``__dict__`` for them to live in.
+
+    @cached_property
+    def _assumptions(self) -> Assumptions:
+        out = Assumptions()
+        for name, value in self.pins.items():
+            out.pin(name, value, self.model.regfile.width_of(self.regs[name]))
+        return out
+
+    def assumptions(self) -> Assumptions:
+        """The pinned registers as Isla assumptions: one object per
+        profile, shared by every trace generation; never mutate it."""
+        return self._assumptions
+
+    @cached_property
+    def _arms(self) -> dict[int, str | None]:
+        return {}
+
+    def arm_of(self, opcode: int) -> str | None:
+        """``opcode``'s decode arm, or None when the decoder rejects it.
+        Decoded once per profile and shared by the driver and the
+        interpreter; decoding is pure, so shards share it without a lock."""
+        arms = self._arms
+        try:
+            return arms[opcode]
+        except KeyError:
+            pass
+        try:
+            arm = self.decode.decode_arm(opcode)
+        except self.decode.UnknownInstruction:
+            arm = None
+        arms[opcode] = arm
+        return arm
 
     @cached_property
     def regs(self) -> dict[str, Reg]:

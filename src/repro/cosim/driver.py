@@ -45,27 +45,6 @@ _TRACE_LOCK = threading.Lock()
 #: Operand values in a refusal: integers, hex/binary literals, tuples of them.
 _OPERAND_VALUES = re.compile(r"\((?:\d+, )*\d+\)|\b0[xb][0-9a-fA-F]+\b|\b\d+\b")
 
-#: ``(arch_name, opcode) -> decode arm | None`` — None caches "undecodable".
-#: Decoding is pure, so shards share it without a lock.
-_ARM_CACHE: dict[tuple[str, int], str | None] = {}
-
-
-def _decode_arm(arch: CosimArch, opcode: int) -> str | None:
-    """``opcode``'s decode arm, or None when the decoder rejects it;
-    decoded once per process."""
-    key = (arch.name, opcode)
-    try:
-        return _ARM_CACHE[key]
-    except KeyError:
-        pass
-    try:
-        arm = arch.decode.decode_arm(opcode)
-    except arch.decode.UnknownInstruction:
-        arm = None
-    _ARM_CACHE[key] = arm
-    return arm
-
-
 def trace_or_miss(arch: CosimArch, opcode: int):
     """The exhaustive ITL trace for ``opcode``, or a string saying why it
     has none: the model's refusal with its operand values replaced by
@@ -207,7 +186,7 @@ class CoSimDriver:
             if pc is None or not (case.pc <= pc < code_end) or pc % 4:
                 break
             opcode = itl_state.read_mem(pc, 4)
-            arm = _decode_arm(self.arch, opcode)
+            arm = self.arch.arm_of(opcode)
             if arm is None:
                 break
             trace = trace_or_miss(self.arch, opcode)

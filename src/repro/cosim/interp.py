@@ -136,12 +136,15 @@ class _BaseInterp:
     # -- stepping ----------------------------------------------------------
 
     def step(self) -> None:
-        """Fetch, decode (via the existing decoder's arm name), execute."""
+        """Fetch, decode (via the existing decoder's arm name, through the
+        profile's per-process cache), execute."""
         pc = self._rr(self.state.pc_reg)
         if not self.state.mem_mapped(pc, 4):
             raise CosimDomainError(f"instruction fetch at 0x{pc:x} unmapped")
         op = self.state.read_mem(pc, 4)
-        arm = self.arch.decode.decode_arm(op)  # UnknownInstruction propagates
+        arm = self.arch.arm_of(op)
+        if arm is None:
+            raise self.arch.decode.UnknownInstruction(f"{op:#010x}")
         handler = getattr(self, f"op_{arm}", None)
         if handler is None:
             raise CosimUnsupported(f"no handler for decode arm {arm!r}")

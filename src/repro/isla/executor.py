@@ -31,7 +31,7 @@ from ..resilience.faults import TransientFault, fault_at
 from ..sail.iface import MachineInterface, ModelError
 from ..sail.model import IsaModel
 from ..smt import builder as B
-from ..smt.solver import SAT, UNSAT, Solver
+from ..smt.solver import SAT, UNKNOWN, UNSAT, Solver
 from ..smt.sorts import Sort, bv_sort
 from ..smt.terms import FALSE, TRUE, Term
 from .assumptions import Assumptions
@@ -185,35 +185,36 @@ class SymbolicMachine(MachineInterface):
             # are treated as feasible, which is sound (the infeasible
             # subtrace starts with an Assert the logic refutes) but forks
             # more — exactly the degradation a flaky solver would cause.
-            # No feasibility verdict was computed, so the skip invariant no
-            # longer holds.
-            self._path_known_feasible = False
+            verdict = not_verdict = UNKNOWN
         else:
+            # Only an UNSAT verdict drops a direction; an UNKNOWN one keeps
+            # it, as the injected "unknown" keeps both.
             verdict = self.solver.check(cond)
-            true_feasible = verdict == SAT
-            if true_feasible:
-                self._path_known_feasible = True
-                false_feasible = self.solver.check(B.not_(cond)) == SAT
-            elif verdict == UNSAT and self._path_known_feasible:
+            if verdict == UNSAT and self._path_known_feasible:
                 # P is SAT and P ∧ cond is UNSAT, so the model of P
                 # witnesses P ∧ ¬cond: the second query is a foregone
-                # conclusion.  (UNKNOWN verdicts never take this path.)
-                false_feasible = True
+                # conclusion.
                 self.checks_skipped += 1
-            else:
-                false_feasible = self.solver.check(B.not_(cond)) == SAT
-            if false_feasible and not self._path_known_feasible:
-                self._path_known_feasible = True
-            if true_feasible and not false_feasible:
-                return True
-            if false_feasible and not true_feasible:
                 return False
-            if not true_feasible and not false_feasible:
+            not_verdict = self.solver.check(B.not_(cond))
+            if verdict == UNSAT and not_verdict == UNSAT:
                 # Path condition itself unsatisfiable; should have been pruned.
                 raise IslaError(f"dead path reached at branch {hint!r}")
-        # A genuine fork.
+            # A one-way branch leaves the path condition P as it was, and
+            # a SAT verdict on the direction kept shows P satisfiable.
+            if not_verdict == UNSAT:
+                if verdict == SAT:
+                    self._path_known_feasible = True
+                return True
+            if verdict == UNSAT:
+                if not_verdict == SAT:
+                    self._path_known_feasible = True
+                return False
+        # A genuine fork: the path goes on satisfiable only when the
+        # direction taken was checked SAT.
         idx = len(self.decisions)
         taken = self.forced[idx] if idx < len(self.forced) else True
+        self._path_known_feasible = (verdict if taken else not_verdict) == SAT
         self.decisions.append(taken)
         self.feasible_flip.append(True)
         asserted = cond if taken else B.not_(cond)

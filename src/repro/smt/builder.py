@@ -138,10 +138,40 @@ def implies(a: Term, b: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
+# The operation memo
+# ---------------------------------------------------------------------------
+
+#: Results of the constructors that go through the linear form (``eq``,
+#: ``bvadd``, ``bvsub``, ``bvneg``), keyed by the constructor's name and its
+#: interned arguments; each body is the same name with a leading underscore
+#: (DESIGN.md, "The constructor memo").  A body is a pure function of
+#: interned terms and terms are interned forever, so a hit is the object a
+#: recomputation would return and every node the recomputation would build
+#: already exists: uids, ``stable_key`` order and certificates do not move.
+#: The memo holds terms, never verdicts; past ``_OP_MEMO_LIMIT`` entries it
+#: is emptied wholesale, and ``solver.clear_check_cache`` empties it too.
+_OP_MEMO: dict[tuple, Term] = {}
+_OP_MEMO_LIMIT = 1 << 15
+
+
+def _remember(key: tuple, out: Term) -> Term:
+    if len(_OP_MEMO) > _OP_MEMO_LIMIT:
+        _OP_MEMO.clear()
+    _OP_MEMO[key] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Equality and ite
 # ---------------------------------------------------------------------------
 
 def eq(a: Term, b: Term) -> Term:
+    key = ("eq", a, b)
+    out = _OP_MEMO.get(key)
+    return out if out is not None else _remember(key, _eq(a, b))
+
+
+def _eq(a: Term, b: Term) -> Term:
     if a.sort != b.sort:
         raise TypeError(f"=: sort mismatch {a.sort!r} vs {b.sort!r}")
     if a is b:
@@ -294,6 +324,12 @@ def _linear(w: int, *signed_terms: tuple[int, Term]) -> Term:
 
 
 def bvadd(a: Term, b: Term) -> Term:
+    key = ("bvadd", a, b)
+    out = _OP_MEMO.get(key)
+    return out if out is not None else _remember(key, _bvadd(a, b))
+
+
+def _bvadd(a: Term, b: Term) -> Term:
     w = check_same_width(a, b, "bvadd")
     if a.is_value() and b.is_value():
         return bv(a.value + b.value, w)
@@ -301,6 +337,12 @@ def bvadd(a: Term, b: Term) -> Term:
 
 
 def bvsub(a: Term, b: Term) -> Term:
+    key = ("bvsub", a, b)
+    out = _OP_MEMO.get(key)
+    return out if out is not None else _remember(key, _bvsub(a, b))
+
+
+def _bvsub(a: Term, b: Term) -> Term:
     w = check_same_width(a, b, "bvsub")
     if a.is_value() and b.is_value():
         return bv(a.value - b.value, w)
@@ -308,6 +350,12 @@ def bvsub(a: Term, b: Term) -> Term:
 
 
 def bvneg(a: Term) -> Term:
+    key = ("bvneg", a)
+    out = _OP_MEMO.get(key)
+    return out if out is not None else _remember(key, _bvneg(a))
+
+
+def _bvneg(a: Term) -> Term:
     w = check_bv(a, "bvneg")
     if a.is_value():
         return bv(-a.value, w)

@@ -8,7 +8,8 @@ many branch conditions under the same path prefix, and the separation-logic
 automation re-discharges structurally identical side conditions.
 
 One engine: a query the word-level theory layer and small-domain
-enumeration cannot decide is bit-blasted into a fresh
+enumeration cannot decide, and that no constant fill of its variables
+satisfies (checked by evaluation), is bit-blasted into a fresh
 :class:`~repro.smt.sat.SatSolver` (:meth:`Solver._solve`), so no encoding
 or learned clause outlives its query and ``push``/``pop`` only scope the
 assertion stack.
@@ -133,14 +134,16 @@ _GLOBAL_CHECK_CACHE = LruCheckCache()
 #: (``unsupported``), ladder rung climbs and absorbed transient faults,
 #: injected unknowns, ``quick_valid``
 #: outcomes, queries that reached the CDCL core (``sat_solves``), goal
-#: slicing, and the microseconds spent bit-blasting (``encode_us``) and in
-#: SAT search.
+#: slicing, the microseconds spent bit-blasting (``encode_us``) and in
+#: SAT search, and queries a constant-fill witness showed satisfiable
+#: before bit-blasting (``witness_sats``).
 SOLVER_COUNTERS = (
     "checks", "cache_hits", "sat_results", "unsat_results", "unknown_results",
     "unsupported", "escalations", "transient_retries", "injected_unknowns",
     "quick_valid_hits", "quick_valid_misses",
     "sat_solves", "sliced_checks", "slice_components",
     "slice_cache_hits", "slice_solves", "encode_us", "solve_us",
+    "witness_sats",
 )
 
 
@@ -423,8 +426,9 @@ class Solver:
         self, goal: list[Term], max_conflicts: int | None = None, depth: int = 0
     ) -> tuple[str, dict[Term, object] | None]:
         """Decide ``goal``: the word-level theory layer, then small-domain
-        enumeration (up to three nested splits), then bit-blasting into a
-        fresh CDCL core."""
+        enumeration (up to three nested splits), then a constant-fill
+        witness checked by evaluation, then bit-blasting into a fresh CDCL
+        core."""
         # Word-level theory layer first: decides relational 64-bit goals
         # (ordering chains, interval bounds) without touching the SAT core.
         facts = saturated(goal)
@@ -433,6 +437,10 @@ class Solver:
         split = _enumerable_var(goal, facts) if depth < 3 else None
         if split is not None:
             return self._enumeration_split(goal, split, max_conflicts, depth)
+        model = _constant_witness(goal)
+        if model is not None:
+            self.stats.inc("witness_sats")
+            return SAT, model
         sat_solver = SatSolver()
         cnf = CnfBuilder(sat_solver)
         blaster = BitBlaster(cnf)
@@ -496,6 +504,33 @@ class Solver:
 
 
 _ENUM_LIMIT = 16
+
+#: The constant fills ``_constant_witness`` tries, in order: every
+#: bitvector variable takes the fill's low bits (0, 1, all-ones) and every
+#: boolean ``fill != 0``.
+_WITNESS_FILLS = (0, 1, -1)
+
+
+def _constant_witness(goal: list[Term]) -> dict[Term, object] | None:
+    """A complete model of ``goal`` giving every variable one constant
+    fill, or None when no fill satisfies every conjunct.
+
+    Each candidate is checked by evaluating the conjuncts in goal order,
+    so a SAT answer from here carries a model checked by evaluation and
+    never widens the trust base; UNSAT answers still come only from the
+    theory layer, enumeration and the CDCL core.  It runs only on goals
+    those layers left undecided (on the case studies most of them are
+    satisfiable this way), as trying it on every goal costs more on
+    UNSAT goals than it saves."""
+    variables = set().union(*(t.free_vars() for t in goal))
+    for fill in _WITNESS_FILLS:
+        env = {
+            v: fill != 0 if v.sort.is_bool() else fill & ((1 << v.sort.width) - 1)
+            for v in variables
+        }
+        if all(evaluate(t, env) for t in goal):
+            return env
+    return None
 
 
 def _quick_refutes(goal: list[Term], depth: int) -> bool:
@@ -601,13 +636,15 @@ def _enumerable_var(
 
 
 def clear_check_cache() -> None:
-    """Drop the global result cache and small-domain enumeration's memos.
+    """Drop the global result cache, small-domain enumeration's memos and
+    the builder's constructor memo.
 
     For cold timings (the benchmarks) and for replay that must not depend
     on earlier work in the process: ``verify_case`` calls it at the start
     of every fault-seeded run."""
     global _memo_nodes
     _GLOBAL_CHECK_CACHE.clear()
+    B._OP_MEMO.clear()
     _BINDING_MEMOS.clear()
     _SPLIT_ORDER.clear()
     _memo_nodes = 0

@@ -9,18 +9,22 @@ only; it reaches in-process work, not worker processes.
 The plain functions are the straightforward versions of code the pipeline
 now runs faster: the brute-force inverse of Arm's ``DecodeBitMasks``, the
 always-sorted state comparison, the fixed-point trace simplifier, the
-enumeration split that sorts every term's variables on every call, and the
-cosim word sampler that draws 32-bit words until the decoder accepts one.
+enumeration split that sorts every term's variables on every call, the
+cosim word sampler that draws 32-bit words until the decoder accepts one,
+and satisfiability by evaluating a goal under every assignment of its
+variables.
 """
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from unittest import mock
 
 from repro.itl import events as E
 from repro.itl.trace import Trace, substitute_event
 from repro.smt import solver as _solver
+from repro.smt.interp import evaluate
 from repro.smt.terms import TRUE
 
 
@@ -242,3 +246,17 @@ def rejection_sample_word(arch, rng) -> tuple[int, str]:
             bits(word, hi, lo) == value for _eq, hi, lo, value in clauses
         ):
             return word, arm
+
+
+def exhaustive_models(goal):
+    """Every assignment of ``goal``'s variables (booleans and narrow
+    bitvectors) that makes every conjunct true, by evaluating all of them."""
+    variables = sorted(set().union(*(t.free_vars() for t in goal)), key=lambda v: v.name)
+    domains = [
+        (False, True) if v.sort.is_bool() else range(1 << v.sort.width)
+        for v in variables
+    ]
+    for values in itertools.product(*domains):
+        env = dict(zip(variables, values))
+        if all(evaluate(t, env) for t in goal):
+            yield env

@@ -73,6 +73,26 @@ class TestArmKnown:
         assert try_arm(0xFFFFFFFF).startswith(".word")
 
 
+class TestArmConditionAliases:
+    """Every condition name ``encode.COND`` maps, the ``hs``/``lo``
+    aliases included, assembles to the word of its canonical name."""
+
+    CANONICAL = {"hs": "cs", "lo": "cc"}
+
+    @pytest.mark.parametrize("name", sorted(A.COND))
+    @pytest.mark.parametrize("template,cond_lo", [
+        ("b.{} #8", 0), ("csel x1, x2, x3, {}", 12),
+        ("ccmp x1, x2, #0x4, {}", 12), ("ccmn w1, #0x3, #0x0, {}", 12),
+    ])
+    def test_alias_assembles_like_its_canonical_name(self, name, template, cond_lo):
+        from repro.arch.arm.asm import assemble_line
+
+        canonical = self.CANONICAL.get(name, name)
+        word = assemble_line(template.format(name))
+        assert word == assemble_line(template.format(canonical))
+        assert (word >> cond_lo) & 0xF == A.COND[name]
+
+
 class TestRiscvKnown:
     @pytest.mark.parametrize(
         "opcode,text",

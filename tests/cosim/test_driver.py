@@ -66,6 +66,47 @@ class TestTraceMissReasons:
 
 
 @pytest.mark.parametrize("arch_name", sorted(COSIM_ARCHS))
+class TestSharedPerProfileState:
+    """The decode arm and the pinned assumptions are built once per
+    profile, and a batch changes neither."""
+
+    def test_interp_makes_no_decode_call_of_its_own(self, arch_name, monkeypatch):
+        from repro.cosim import interp as I
+
+        arch = COSIM_ARCHS[arch_name]
+        stepping = []
+        in_step = []
+        real_decode, real_step = arch.decode.decode_arm, I._BaseInterp.step
+
+        def decode(op):
+            in_step.append(bool(stepping))
+            return real_decode(op)
+
+        def step(self):
+            stepping.append(self)
+            try:
+                real_step(self)
+            finally:
+                stepping.pop()
+
+        monkeypatch.setattr(arch.decode, "decode_arm", decode)
+        monkeypatch.setattr(I._BaseInterp, "step", step)
+        report = CoSimDriver(arch).run_batch(seed=13, count=25)
+        assert report.instructions > report.cases
+        assert True not in in_step
+
+    def test_assumptions_are_one_object_left_unchanged(self, arch_name):
+        arch = COSIM_ARCHS[arch_name]
+        assumptions = arch.assumptions()
+        pins = dict(assumptions.pinned)
+        assert arch.assumptions() is assumptions
+        CoSimDriver(arch).run_batch(seed=17, count=25)
+        assert arch.assumptions() is assumptions
+        assert assumptions.pinned == pins and not assumptions.constrained
+        assert {str(reg) for reg in pins} == set(arch.pins)
+
+
+@pytest.mark.parametrize("arch_name", sorted(COSIM_ARCHS))
 class TestCleanBatches:
     def test_clean_batch_has_zero_divergences(self, arch_name):
         driver = CoSimDriver(COSIM_ARCHS[arch_name])

@@ -112,6 +112,37 @@ class TestFig6Beq:
         assert res.paths == 1
 
 
+class TestUnknownVerdicts:
+    """Only an UNSAT feasibility verdict prunes a direction: one UNKNOWN
+    answer must keep the branch, or an incomplete enumeration would be
+    reported (and cached, and proved) as complete."""
+
+    def test_unknown_second_query_keeps_both_directions(self, monkeypatch):
+        from repro.cosim.archs import COSIM_ARCHS
+        from repro.smt import solver as S
+
+        arch = COSIM_ARCHS["arm"]
+        S.clear_check_cache()
+        real = S.Solver.check
+        calls = []
+
+        def second_query_unknown(self, *extra):
+            calls.append(extra)
+            if len(calls) == 2:
+                self.stats.inc("checks")
+                return S.UNKNOWN
+            return real(self, *extra)
+
+        monkeypatch.setattr(S.Solver, "check", second_query_unknown)
+        res = trace_for_opcode(
+            arch.model, arch.asm.assemble_line("cbz x1, #8"), arch.assumptions()
+        )
+        assert len(calls) >= 2
+        assert res.exhausted is None
+        assert res.paths == 2
+        assert res.trace.cases is not None and len(res.trace.cases) == 2
+
+
 class TestAssumptionMechanics:
     def test_pin_becomes_assume_reg_event(self, arm):
         res = trace_for_opcode(arm, A.mov_reg(0, 1), el2())

@@ -127,6 +127,9 @@ class TestFailSafeUnderFaultStorm:
 
 class TestBudgetExhaustionOutcomes:
     def test_zero_conflict_allowance_degrades_not_crashes(self, memcpy_case):
+        # From a cold check cache, so the proof needs the CDCL core: verdicts
+        # cached by earlier runs in the process would need no conflict.
+        clear_check_cache()
         budget = Budget(BudgetSpec(conflict_allowance=0))
         report = verify_program(
             memcpy_case.frontend.traces, memcpy_case.specs, PC, budget=budget

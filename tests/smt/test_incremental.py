@@ -10,8 +10,8 @@ turn a verdict into ``unknown``, never into the wrong answer.
 
 At width 4 every variable spans 16 values, so small-domain enumeration
 decides all of these goals by constant folding.  ``sat_core_only`` turns
-enumeration off for the block, so the same scripts also reach the CDCL
-core.
+enumeration and the constant-fill witnesses off for the block, so the
+same scripts also reach the CDCL core.
 """
 
 import itertools
@@ -42,7 +42,8 @@ WIDTH = 4
 @contextmanager
 def sat_core_only():
     """Leave every goal the theory layer cannot refute to the CDCL core."""
-    with mock.patch.object(_solver, "_ENUM_LIMIT", 0):
+    with mock.patch.object(_solver, "_ENUM_LIMIT", 0), \
+            mock.patch.object(_solver, "_WITNESS_FILLS", ()):
         yield
 
 
@@ -174,6 +175,11 @@ def test_differential_under_injected_faults(seed):
 def test_pop_does_not_discard_learned_state():
     """Verdicts survive pop(): re-checking a goal seen before a push/pop
     cycle is answered from the verdict cache, with no new solve."""
+    with sat_core_only():
+        _check_pop_keeps_verdicts()
+
+
+def _check_pop_keeps_verdicts():
     s = Solver()
     x = B.bv_var("pp_x", 32)
     base = B.bvult(B.bvxor(x, B.bv(0xDEAD, 32)), B.bv(1 << 30, 32))

@@ -108,7 +108,7 @@ class TestSimplificationAblation:
             explored.add(forced)
             m = SymbolicMachine(model, Assumptions(), forced)
             model.execute(m, B.bv(opcode, 32))
-            raw_runs.append(_Run(m.segments, m.decisions, m.feasible_flip))
+            raw_runs.append(_Run(m.segments, m.decisions))
             for i in range(len(forced), len(m.decisions)):
                 sib = tuple(m.decisions[:i]) + (not m.decisions[i],)
                 if sib not in explored:

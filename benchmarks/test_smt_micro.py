@@ -261,3 +261,38 @@ class TestKernelCounts:
         )
         assert 0 < len(solves) <= 70
         assert computed and len(set(computed)) == len(computed)
+
+
+class TestGarbageCounts:
+    def test_verify_all_leaves_little_cyclic_garbage(self, bench_smt_record):
+        """``verify --all --no-cache`` with the cyclic collector off: the
+        pass must leave at most 500 objects for ``gc.collect()`` to find
+        (29,496 when ``substitute`` recursed through a closure, one
+        ``go → cell → go`` cycle per call).  A count, not a timing."""
+        import collections
+        import contextlib
+        import gc
+        import io
+
+        from repro.tools.verify import main
+
+        clear_check_cache()
+        gc.collect()
+        flags = gc.get_debug()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["--all", "--no-cache"]) == 0
+            found = gc.collect()
+            kinds = collections.Counter(type(o).__name__ for o in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            gc.enable()
+        bench_smt_record(
+            "garbage_counts_verify_all",
+            cyclic_objects=found,
+            top_kinds=dict(kinds.most_common(5)),
+        )
+        assert found <= 500

@@ -447,8 +447,11 @@ def _undeclared_vars(trace):
 
     declared: set = set()
     extern: set = set()
-
-    def walk(node) -> None:
+    # An explicit stack, not a recursive closure: the closure would be a
+    # reference cycle left for the cyclic collector on every call.
+    stack = [trace]
+    while stack:
+        node = stack.pop()
         for event in node.events:
             bound = ()
             if isinstance(event, (E.DeclareConst, E.DefineConst)):
@@ -464,8 +467,5 @@ def _undeclared_vars(trace):
             for v in bound:
                 if v not in declared:
                     extern.add(v)
-        for sub in node.cases or ():
-            walk(sub)
-
-    walk(trace)
+        stack.extend(reversed(node.cases or ()))
     return extern

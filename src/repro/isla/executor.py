@@ -63,7 +63,6 @@ class _Run:
 
     segments: list[list[E.Event]]
     decisions: list[bool]
-    feasible_flip: list[bool]  # was the sibling of decision i feasible?
 
 
 class SymbolicMachine(MachineInterface):
@@ -83,7 +82,6 @@ class SymbolicMachine(MachineInterface):
         self.forced = forced
         self.segments: list[list[E.Event]] = [[]]
         self.decisions: list[bool] = []
-        self.feasible_flip: list[bool] = []
         self.reg_cache: dict[Reg, Term] = {}
         #: ``trace_for_opcode`` shares one solver across every path of an
         #: enumeration, scoped by push/pop; a standalone machine gets a
@@ -216,7 +214,6 @@ class SymbolicMachine(MachineInterface):
         taken = self.forced[idx] if idx < len(self.forced) else True
         self._path_known_feasible = (verdict if taken else not_verdict) == SAT
         self.decisions.append(taken)
-        self.feasible_flip.append(True)
         asserted = cond if taken else B.not_(cond)
         self.segments.append([E.Assert(asserted)])
         self.solver.add(asserted)
@@ -449,9 +446,7 @@ def _enumerate_raw(
         explored.add(forced)
         if budget is not None:
             budget.charge_paths()
-        runs.append(
-            _Run(machine.segments, machine.decisions, machine.feasible_flip)
-        )
+        runs.append(_Run(machine.segments, machine.decisions))
         total_calls += machine.calls
         total_steps += machine.steps
         total_checks += shared_solver.stats["checks"] - checks_before

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 from ..resilience.outcome import ResidualObligation
@@ -92,23 +92,39 @@ class Proof:
     # together with the sorts of their free variables.
 
     def to_json(self) -> str:
-        # Side conditions share their assumptions heavily: render each
-        # distinct (interned) term once per certificate.
-        record = cache(_term_record)
-        payload = {
-            "version": 1,
-            "blocks_verified": self.blocks_verified,
-            "steps": [_step_to_dict(s, record) for s in self.steps],
-        }
+        # Rendered as text, byte for byte what ``json.dumps`` makes of the
+        # dict payload (``tests/_reference.py`` keeps that renderer as the
+        # oracle).  Side conditions share their assumptions heavily: each
+        # distinct (interned) term's record is encoded once per
+        # certificate and spliced in wherever the term recurs.
+        records: dict[Term, str] = {}
+
+        def record(term: Term) -> str:
+            text = records.get(term)
+            if text is None:
+                text = records[term] = _term_record(term)
+            return text
+
+        steps = ", ".join([_step_text(s, record) for s in self.steps])
+        parts = [
+            '{"version": 1, "blocks_verified": ',
+            _ints_text(self.blocks_verified),
+            ', "steps": [', steps, "]",
+        ]
         # Governance extensions are optional keys so version-1 consumers
         # (and older certificates) keep round-tripping.
         if self.residual_obligations:
-            payload["residual_obligations"] = [
-                _residual_to_dict(r, record) for r in self.residual_obligations
-            ]
+            residuals = ", ".join(
+                [_residual_text(r, record) for r in self.residual_obligations]
+            )
+            parts += [', "residual_obligations": [', residuals, "]"]
         if self.outcomes:
-            payload["outcomes"] = {str(a): o for a, o in self.outcomes.items()}
-        return json.dumps(payload)
+            outcomes = ", ".join(
+                [f"{_quote(str(a))}: {_quote(o)}" for a, o in self.outcomes.items()]
+            )
+            parts += [', "outcomes": {', outcomes, "}"]
+        parts.append("}")
+        return "".join(parts)
 
     @staticmethod
     def from_json(text: str | bytes) -> "Proof":
@@ -135,19 +151,56 @@ class Proof:
         return proof
 
 
-def _term_record(term: Term) -> dict:
+def _term_record(term: Term) -> str:
     # Sorted by name: frozenset iteration order follows object-identity
     # hashes, which depend on the process's allocation history — fresh CLI
     # runs happen to agree, but a resident daemon worker that served other
     # jobs first would emit the same certificate with differently-ordered
-    # vars.  Certificates must be canonical bytes.
-    return {
-        "sexpr": term_to_sexpr(term),
-        "vars": {
-            v.name: sort_to_text(v.sort)
-            for v in sorted(term.free_vars(), key=lambda v: v.name)
-        },
+    # vars.  Certificates must be canonical bytes.  A dict, as in the
+    # payload ``json.dumps`` renders: a name at two sorts keeps one entry.
+    sorts = {
+        v.name: sort_to_text(v.sort)
+        for v in sorted(term.free_vars(), key=lambda v: v.name)
     }
+    pairs = ", ".join(
+        [f"{_quote(name)}: {_quote(text)}" for name, text in sorts.items()]
+    )
+    return f'{{"sexpr": {_quote(term_to_sexpr(term))}, "vars": {{{pairs}}}}}'
+
+
+def _ints_text(values) -> str:
+    return "[" + ", ".join(map(str, values)) + "]"
+
+
+def _terms_text(terms, record: Callable[[Term], str]) -> str:
+    return "[" + ", ".join([record(t) for t in terms]) + "]"
+
+
+def _step_text(step: ProofStep, record: Callable[[Term], str]) -> str:
+    conditions = ", ".join(
+        [
+            f'{{"assumptions": {_terms_text(sc.assumptions, record)}, '
+            f'"goal": {record(sc.goal)}, "description": {_quote(sc.description)}}}'
+            for sc in step.side_conditions
+        ]
+    )
+    return (
+        f'{{"rule": {_quote(step.rule)}, "detail": {_quote(step.detail)}, '
+        f'"block": {step.block}, "path": {_ints_text(step.path)}, '
+        f'"side_conditions": [{conditions}]}}'
+    )
+
+
+def _residual_text(
+    residual: ResidualObligation, record: Callable[[Term], str]
+) -> str:
+    return (
+        f'{{"block": {residual.block}, '
+        f'"description": {_quote(residual.description)}, '
+        f'"goal": {record(residual.goal)}, '
+        f'"assumptions": {_terms_text(residual.assumptions, record)}, '
+        f'"reason": {_quote(residual.reason)}}}'
+    )
 
 
 _REQUIRED = object()
@@ -201,35 +254,6 @@ def _formula_from_record(record) -> Term:
     if term.sort != BOOL:
         raise ValueError(f"term {sexpr[:80]!r} is not a formula")
     return term
-
-
-def _step_to_dict(step: ProofStep, record: Callable[[Term], dict]) -> dict:
-    return {
-        "rule": step.rule,
-        "detail": step.detail,
-        "block": step.block,
-        "path": list(step.path),
-        "side_conditions": [
-            {
-                "assumptions": [record(a) for a in sc.assumptions],
-                "goal": record(sc.goal),
-                "description": sc.description,
-            }
-            for sc in step.side_conditions
-        ],
-    }
-
-
-def _residual_to_dict(
-    residual: ResidualObligation, record: Callable[[Term], dict]
-) -> dict:
-    return {
-        "block": residual.block,
-        "description": residual.description,
-        "goal": record(residual.goal),
-        "assumptions": [record(a) for a in residual.assumptions],
-        "reason": residual.reason,
-    }
 
 
 def _residual_from_dict(item) -> ResidualObligation:

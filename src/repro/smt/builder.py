@@ -704,30 +704,31 @@ def substitute(term: Term, mapping: dict[Term, Term], memo: dict | None = None) 
     """
     if not mapping:
         return term
-    cache: dict[Term, Term] = {} if memo is None else memo
-    keys = mapping.keys()
+    return _substitute(term, mapping, mapping.keys(), {} if memo is None else memo)
 
-    def go(t: Term) -> Term:
-        hit = cache.get(t)
-        if hit is not None:
-            return hit
-        if t.op == T.VAR:
-            out = mapping.get(t, t)
-        elif not t.args or keys.isdisjoint(t.free_vars()):
-            out = t  # ground or untouched subtree: nothing to substitute
-        else:
-            changed = False
-            new_args = []
-            for a in t.args:
-                na = go(a)
-                if na is not a:
-                    changed = True
-                new_args.append(na)
-            out = rebuild(t.op, tuple(new_args), t.attrs) if changed else t
-        cache[t] = out
-        return out
 
-    return go(term)
+def _substitute(t: Term, mapping: dict, keys, cache: dict) -> Term:
+    # A module-level recursion, not a closure over the call's state: a
+    # recursive closure is a reference cycle that would keep each call's
+    # memo alive until the cyclic collector runs.
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+    if t.op == T.VAR:
+        out = mapping.get(t, t)
+    elif not t.args or keys.isdisjoint(t.free_vars()):
+        out = t  # ground or untouched subtree: nothing to substitute
+    else:
+        changed = False
+        new_args = []
+        for a in t.args:
+            na = _substitute(a, mapping, keys, cache)
+            if na is not a:
+                changed = True
+            new_args.append(na)
+        out = rebuild(t.op, tuple(new_args), t.attrs) if changed else t
+    cache[t] = out
+    return out
 
 
 _REBUILDERS = {}

@@ -25,6 +25,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -145,12 +146,15 @@ def run_one(name: str, n: int | None, args, cache=None, stats_out=None) -> bool:
     return report.ok
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: a caller may run
+    ``main`` once per case, and building the parser costs more than
+    parsing with it."""
     from .. import casestudies
 
-    all_names = list(casestudies.__all__)
     parser = argparse.ArgumentParser(prog="repro.tools.verify", description=__doc__)
-    parser.add_argument("case", nargs="?", choices=all_names)
+    parser.add_argument("case", nargs="?", choices=casestudies.__all__)
     parser.add_argument("--all", action="store_true", help="run every case study")
     parser.add_argument("--n", type=int, default=None, help="array length where applicable")
     parser.add_argument(
@@ -192,10 +196,17 @@ def main(argv: list[str] | None = None) -> int:
         "-v", "--verbose", action="store_true",
         help="print the per-block outcome report even on success",
     )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    from .. import casestudies
+
+    parser = _parser()
     args = parser.parse_args(argv)
     if not args.all and not args.case:
         parser.error("give a case study name or --all")
-    names = all_names if args.all else [args.case]
+    names = casestudies.__all__ if args.all else [args.case]
 
     from .. import obs
     from ..cache import resolve_cache

@@ -11,13 +11,15 @@ now runs faster: the brute-force inverse of Arm's ``DecodeBitMasks``, the
 always-sorted state comparison, the fixed-point trace simplifier, the
 enumeration split that sorts every term's variables on every call, the
 cosim word sampler that draws 32-bit words until the decoder accepts one,
-and satisfiability by evaluating a goal under every assignment of its
-variables.
+satisfiability by evaluating a goal under every assignment of its
+variables, and the certificate renderer that builds the payload as dicts
+and hands it to ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from contextlib import contextmanager
 from unittest import mock
 
@@ -25,6 +27,8 @@ from repro.itl import events as E
 from repro.itl.trace import Trace, substitute_event
 from repro.smt import solver as _solver
 from repro.smt.interp import evaluate
+from repro.smt.smtlib import term_to_sexpr
+from repro.smt.sorts import sort_to_text
 from repro.smt.terms import TRUE
 
 
@@ -260,3 +264,53 @@ def exhaustive_models(goal):
         env = dict(zip(variables, values))
         if all(evaluate(t, env) for t in goal):
             yield env
+
+
+def dict_certificate_json(proof) -> str:
+    """``Proof.to_json`` as dicts through ``json.dumps``: the oracle for
+    the text renderer, which must produce the same bytes."""
+
+    def record(term):
+        return {
+            "sexpr": term_to_sexpr(term),
+            "vars": {
+                v.name: sort_to_text(v.sort)
+                for v in sorted(term.free_vars(), key=lambda v: v.name)
+            },
+        }
+
+    payload = {
+        "version": 1,
+        "blocks_verified": proof.blocks_verified,
+        "steps": [
+            {
+                "rule": step.rule,
+                "detail": step.detail,
+                "block": step.block,
+                "path": list(step.path),
+                "side_conditions": [
+                    {
+                        "assumptions": [record(a) for a in sc.assumptions],
+                        "goal": record(sc.goal),
+                        "description": sc.description,
+                    }
+                    for sc in step.side_conditions
+                ],
+            }
+            for step in proof.steps
+        ],
+    }
+    if proof.residual_obligations:
+        payload["residual_obligations"] = [
+            {
+                "block": r.block,
+                "description": r.description,
+                "goal": record(r.goal),
+                "assumptions": [record(a) for a in r.assumptions],
+                "reason": r.reason,
+            }
+            for r in proof.residual_obligations
+        ]
+    if proof.outcomes:
+        payload["outcomes"] = {str(a): o for a, o in proof.outcomes.items()}
+    return json.dumps(payload)
